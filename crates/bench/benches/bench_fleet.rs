@@ -21,10 +21,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tsc_fleet::{
     replay_fleet, replay_population, replay_population_sequential, replay_sequential,
-    total_delivered, FleetConfig, Megabatch, PopulationConfig, WorkerPool,
+    total_delivered, FleetConfig, PopulationConfig, WorkerPool,
 };
 use tsc_netsim::Scenario;
-use tscclock::{ClockConfig, RawExchange, TscNtpClock};
+use tsc_telemetry as telemetry;
+use tscclock::{ClockConfig, ProcessOutput, RawExchange, TscNtpClock};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -69,9 +70,27 @@ fn shared_stream(polls: usize, poll_period: f64) -> Vec<RawExchange> {
         .collect()
 }
 
-/// Lanes per SoA megabatch stripe in the ingest benches (the fleet
-/// engine's default stripe width).
-const STRIPE: usize = 8;
+/// Exchanges per `process_batch` call in the ingest benches (the fleet
+/// engine's default `ingest_batch`).
+const INGEST_BATCH: usize = 256;
+
+/// One clock's share of an ingest bench: the shared stream through
+/// `process_batch`, wrapped in the batch-granular telemetry calls
+/// `tsc_fleet::replay_clock` makes.
+fn ingest_clock(exchanges: &[RawExchange], cc: ClockConfig) -> u64 {
+    let mut clock = TscNtpClock::new(cc);
+    let mut out: Vec<ProcessOutput> = Vec::with_capacity(INGEST_BATCH);
+    let mut produced = 0u64;
+    for batch in exchanges.chunks(INGEST_BATCH) {
+        out.clear();
+        let tm = telemetry::StageTimer::start(telemetry::Hist::IngestBatchNs);
+        produced += clock.process_batch(batch, &mut out) as u64;
+        tm.stop();
+        telemetry::add(telemetry::Ctr::PacketsIngested, batch.len() as u64);
+        telemetry::add(telemetry::Ctr::BatchesIngested, 1);
+    }
+    produced
+}
 
 fn bench_fleet_ingest(c: &mut Criterion) {
     let clocks = 1000usize;
@@ -85,21 +104,12 @@ fn bench_fleet_ingest(c: &mut Criterion) {
             let mut pool = WorkerPool::new(threads);
             let exchanges = std::sync::Arc::clone(&exchanges);
             let cc = ClockConfig::paper_defaults(poll);
-            let stripes = clocks.div_ceil(STRIPE);
             g.bench_function(format!("{threads}threads"), |b| {
                 b.iter(|| {
                     let exchanges = std::sync::Arc::clone(&exchanges);
-                    let produced =
-                        pool.run(stripes, (stripes / (8 * threads)).max(1), move |s| {
-                            let count = STRIPE.min(clocks - s * STRIPE);
-                            let mut stripe_clocks: Vec<TscNtpClock> =
-                                (0..count).map(|_| TscNtpClock::new(cc)).collect();
-                            let lanes: Vec<&[RawExchange]> = vec![exchanges.as_slice(); count];
-                            let mut mb = Megabatch::new();
-                            let mut produced = 0u64;
-                            mb.run(&mut stripe_clocks, &lanes, |_, _| produced += 1);
-                            produced
-                        });
+                    let produced = pool.run(clocks, (clocks / (8 * threads)).max(1), move |_| {
+                        ingest_clock(&exchanges, cc)
+                    });
                     std::hint::black_box(produced.iter().sum::<u64>())
                 })
             });

@@ -10,8 +10,8 @@
 //! * `serve_inproc_<tag>/batch1` — the same workload one datagram per
 //!   batch: the batched-vs-single A/B pair.
 //! * `snapshot_read_<tag>/{seqlock,mutex}` — the snapshot-read-vs-mutex
-//!   A/B: one lock-free cell read vs one `Mutex` cell read (same payload,
-//!   same inlining), both under the same concurrent republisher.
+//!   A/B: one lock-free cell read vs one `Mutex` cell read (same
+//!   payload), both under the same concurrent republisher.
 //! * with the `telemetry` feature: `serve_recording_<tag>/{on,off,
 //!   overhead_pct}` — interleaved recording-on/off rows on the batch64
 //!   workload; the telemetry contract is ≤2 % overhead.
@@ -27,11 +27,28 @@ use tsc_netsim::Scenario;
 use tsc_ntp::packet::NtpPacket;
 use tsc_ntp::timestamp::NtpTimestamp;
 use tsc_serve::{
-    BatchBufs, DatagramBatch, MutexCell, PublishPolicy, Publisher, ServeConfig, ServePlane,
+    BatchBufs, ClockSnapshot, DatagramBatch, PublishPolicy, Publisher, ServeConfig, ServePlane,
     SimTransport, SnapshotCell,
 };
 use tsc_telemetry as telemetry;
 use tscclock::{ClockConfig, RawExchange, TscNtpClock};
+
+/// The mutex strawman the `snapshot_read_*/mutex` row compares the
+/// seqlock against: identical payload, `std::sync::Mutex` protection.
+#[derive(Default)]
+struct MutexCell {
+    inner: std::sync::Mutex<Option<ClockSnapshot>>,
+}
+
+impl MutexCell {
+    fn publish(&self, snap: &ClockSnapshot) {
+        *self.inner.lock().unwrap() = Some(*snap);
+    }
+
+    fn read(&self) -> Option<ClockSnapshot> {
+        *self.inner.lock().unwrap()
+    }
+}
 
 fn compiled_tag() -> &'static str {
     if telemetry::TELEMETRY_COMPILED {
@@ -127,7 +144,7 @@ fn setup(n_requests: usize) -> Workload {
     let mut warm_tsc = 0u64;
     let mut warmed = 0;
     let cell = Arc::new(SnapshotCell::new());
-    let mutex_cell = Arc::new(MutexCell::new());
+    let mutex_cell = Arc::new(MutexCell::default());
     let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
     while warmed < 3_000 {
         let e = stream.step().expect("stream long enough");

@@ -8,8 +8,8 @@
 //!   counter add, one log₂ histogram record, one flight-recorder ring
 //!   push. Compiled out these measure the no-op surface (≈0 ns).
 //! * `fleet_ingest_1000clocks_poll64/…` — the acceptance A/B: the exact
-//!   `bench_fleet` ingest workload (1000 clocks × 300 polls through the
-//!   SoA megabatch engine) with recording **on** vs **off**, arms
+//!   `bench_fleet` ingest workload (1000 clocks × 300 polls through
+//!   `process_batch`) with recording **on** vs **off**, arms
 //!   interleaved round-robin and the order swapped every round so drift
 //!   (thermal, scheduler) cancels; round 0 is warm-up and discarded;
 //!   medians are compared. The PR's bar is ≤2 % overhead with telemetry
@@ -20,10 +20,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Instant;
-use tsc_fleet::{Megabatch, WorkerPool};
+use tsc_fleet::WorkerPool;
 use tsc_netsim::Scenario;
 use tsc_telemetry as telemetry;
-use tscclock::{ClockConfig, RawExchange, TscNtpClock};
+use tscclock::{ClockConfig, ProcessOutput, RawExchange, TscNtpClock};
 
 fn compiled_tag() -> &'static str {
     if telemetry::TELEMETRY_COMPILED {
@@ -56,25 +56,33 @@ fn bench_primitives(c: &mut Criterion) {
     g.finish();
 }
 
+/// Exchanges per `process_batch` call (the fleet engine's default
+/// `ingest_batch`).
+const INGEST_BATCH: usize = 256;
+
 /// One run of the `fleet_ingest_1000clocks_poll64/1threads` workload from
 /// `bench_fleet.rs`: every clock filters the same pre-generated stream
-/// through the SoA megabatch engine.
+/// through `process_batch`, wrapped in the batch-granular telemetry calls
+/// `tsc_fleet::replay_clock` makes — the recording the A/B switches.
 fn ingest_run(
     pool: &mut WorkerPool,
     exchanges: &std::sync::Arc<Vec<RawExchange>>,
     clocks: usize,
-    stripe: usize,
     cc: ClockConfig,
 ) -> u64 {
-    let stripes = clocks.div_ceil(stripe);
     let exchanges = std::sync::Arc::clone(exchanges);
-    let produced = pool.run(stripes, (stripes / 8).max(1), move |s| {
-        let count = stripe.min(clocks - s * stripe);
-        let mut stripe_clocks: Vec<TscNtpClock> = (0..count).map(|_| TscNtpClock::new(cc)).collect();
-        let lanes: Vec<&[RawExchange]> = vec![exchanges.as_slice(); count];
-        let mut mb = Megabatch::new();
+    let produced = pool.run(clocks, (clocks / 8).max(1), move |_| {
+        let mut clock = TscNtpClock::new(cc);
+        let mut out: Vec<ProcessOutput> = Vec::with_capacity(INGEST_BATCH);
         let mut produced = 0u64;
-        mb.run(&mut stripe_clocks, &lanes, |_, _| produced += 1);
+        for batch in exchanges.chunks(INGEST_BATCH) {
+            out.clear();
+            let tm = telemetry::StageTimer::start(telemetry::Hist::IngestBatchNs);
+            produced += clock.process_batch(batch, &mut out) as u64;
+            tm.stop();
+            telemetry::add(telemetry::Ctr::PacketsIngested, batch.len() as u64);
+            telemetry::add(telemetry::Ctr::BatchesIngested, 1);
+        }
         produced
     });
     produced.iter().sum()
@@ -104,7 +112,6 @@ fn bench_ingest_ab(_c: &mut Criterion) {
         return;
     }
     let (clocks, polls) = if test_mode { (16, 10) } else { (1000, 300) };
-    let stripe = 8;
     let exchanges: std::sync::Arc<Vec<RawExchange>> = std::sync::Arc::new(
         Scenario::baseline(3)
             .with_poll_period(64.0)
@@ -116,7 +123,7 @@ fn bench_ingest_ab(_c: &mut Criterion) {
     let cc = ClockConfig::paper_defaults(64.0);
     let mut pool = WorkerPool::new(1);
     if test_mode {
-        let n = ingest_run(&mut pool, &exchanges, clocks, stripe, cc);
+        let n = ingest_run(&mut pool, &exchanges, clocks, cc);
         std::hint::black_box(n);
         println!("test bench fleet_ingest_1000clocks_poll64/recording_ab ... ok");
         return;
@@ -136,7 +143,7 @@ fn bench_ingest_ab(_c: &mut Criterion) {
         for rec in order {
             telemetry::set_recording(rec);
             let t0 = Instant::now();
-            let n = ingest_run(&mut pool, &exchanges, clocks, stripe, cc);
+            let n = ingest_run(&mut pool, &exchanges, clocks, cc);
             let dt = t0.elapsed().as_nanos() as f64;
             std::hint::black_box(n);
             pair[usize::from(rec)] = dt;

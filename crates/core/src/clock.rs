@@ -19,11 +19,10 @@
 
 use crate::config::ClockConfig;
 use crate::exchange::RawExchange;
-use crate::fastmath::{apply_scalar, KernelOps, KernelVals, DIV_SLOTS};
 use crate::history::History;
 use crate::local_rate::{LocalRate, LocalRateEvent};
-use crate::offset::{OffsetEstimator, OffsetEvent, OffsetPend};
-use crate::rate::{GlobalRate, RateEvent, RatePrep};
+use crate::offset::{OffsetEstimator, OffsetEvent};
+use crate::rate::{GlobalRate, RateEvent};
 use crate::shift::ShiftDetector;
 use serde::{Deserialize, Serialize};
 use tsc_telemetry as telemetry;
@@ -143,45 +142,6 @@ pub struct ProcessOutput {
     pub p_local: Option<f64>,
     /// Events raised by this packet.
     pub events: EventSet,
-}
-
-/// Outcome of [`TscNtpClock::step_prepare`]: either the packet finished
-/// entirely in phase one (malformed, or the bootstrap path — the lanes a
-/// megabatch driver *peels* to the scalar engine), or round-one kernel
-/// work was staged and the step continues with [`TscNtpClock::step_mid`].
-#[doc(hidden)]
-#[derive(Debug)]
-pub enum StepPhase {
-    /// Step complete; the output (if any) is final.
-    Done(Option<ProcessOutput>),
-    /// Round-one ops staged; continue with `step_mid`.
-    Staged(StepPrep),
-}
-
-/// Pending state between [`TscNtpClock::step_prepare`] and
-/// [`TscNtpClock::step_mid`].
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct StepPrep {
-    events: EventSet,
-    idx: u64,
-    p_before: f64,
-    theta_naive: f64,
-    rate_prep: RatePrep,
-    /// Argument of the speculated offset-absorb exponential staged into
-    /// the round-one kernel (`exp(−x)`), when one was staged.
-    exp_x: Option<f64>,
-    warmup: bool,
-}
-
-/// Pending state between [`TscNtpClock::step_mid`] and
-/// [`TscNtpClock::step_finish`].
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct StepMid {
-    pend: OffsetPend,
-    /// Output assembled up to `theta_hat` and the offset events.
-    out: ProcessOutput,
 }
 
 /// A serializable snapshot of the clock's estimates (enough to resume
@@ -326,46 +286,8 @@ impl TscNtpClock {
         out.len() - before
     }
 
-    /// The main pipeline for a packet once estimates can exist —
-    /// implemented as the three split phases with the staged kernel work
-    /// applied scalar in between. The split phases are the *only*
-    /// implementation: the megabatch fleet engine runs the identical
-    /// phases with the kernels computed lane-batched, so the two engines
-    /// are bit-identical by construction.
+    /// The main pipeline for a packet once estimates can exist.
     fn process_admitted(&mut self, ex: RawExchange) -> ProcessOutput {
-        let mut ops = KernelOps::idle();
-        let prep = self.step_prepare_admitted(ex, &mut ops);
-        let vals = apply_scalar(&ops);
-        let mut ops2 = KernelOps::idle();
-        let mid = self.step_mid(prep, &vals, &mut ops2);
-        let vals2 = apply_scalar(&ops2);
-        self.step_finish(mid, &vals2.div)
-    }
-
-    /// Phase one of the split step for a megabatch driver: admission plus
-    /// round-one kernel staging. Lanes that finish here (malformed
-    /// packets, the bootstrap holdback) return [`StepPhase::Done`] — the
-    /// peel-to-scalar contract; all other lanes must be driven through
-    /// [`TscNtpClock::step_mid`] (with the round-one kernel results) and
-    /// [`TscNtpClock::step_finish`] (with round two's) before the next
-    /// packet.
-    #[doc(hidden)]
-    #[inline]
-    pub fn step_prepare(&mut self, ex: RawExchange, ops: &mut KernelOps) -> StepPhase {
-        if !ex.is_causal() {
-            return StepPhase::Done(None);
-        }
-        if self.rate.p_hat().is_none() && self.history.is_empty() {
-            // Bootstrap packets run the scalar path whole (at most two per
-            // clock lifetime).
-            return StepPhase::Done(self.process(ex));
-        }
-        StepPhase::Staged(self.step_prepare_admitted(ex, ops))
-    }
-
-    /// Phase one body: history admission, slide bookkeeping, rate staging,
-    /// and the speculative offset-absorb exponential.
-    fn step_prepare_admitted(&mut self, ex: RawExchange, ops: &mut KernelOps) -> StepPrep {
         let mut events = EventSet::empty();
         let p_before = self.rate.p_hat().expect("rate bootstrapped");
 
@@ -392,58 +314,10 @@ impl TscNtpClock {
         }
         // Just pushed: the stored baseline is current by construction, so
         // the unresolved view is exact and skips a resolution.
-        let record = self.history.last_unresolved().expect("just pushed");
+        let record = *self.history.last_unresolved().expect("just pushed");
 
-        // 2. Global rate, phase one (divisions staged into slots 0–3).
-        let rate_prep = self.rate.prepare(&self.history, record, ops);
-        // `n_seen` is already counted, so the warm-up flag the offset
-        // stage will see is fixed from here on.
-        let warmup = self.rate.in_warmup();
-
-        // Speculative offset absorb: the weight exponential's argument is
-        // p̂-independent, so it can ride round one. If the mid phase takes
-        // a divergent turn (rate step past the drift guard, upward shift),
-        // the guards there discard the speculation — never consume it
-        // wrongly.
-        let exp_x = self
-            .offset
-            .prepare_absorb(&self.cfg, &self.history, record, warmup);
-        if let Some(x) = exp_x {
-            ops.set_exp(-x);
-        }
-        StepPrep {
-            events,
-            idx,
-            p_before,
-            theta_naive,
-            rate_prep,
-            exp_x,
-            warmup,
-        }
-    }
-
-    /// Phase two of the split step: rate commit (consuming round-one
-    /// divisions), shift detection, local rate, offset evaluation
-    /// (consuming the speculated exponential, staging round-two
-    /// divisions).
-    #[doc(hidden)]
-    #[inline]
-    pub fn step_mid(&mut self, prep: StepPrep, vals: &KernelVals, ops: &mut KernelOps) -> StepMid {
-        let StepPrep {
-            mut events,
-            idx,
-            p_before,
-            theta_naive,
-            rate_prep,
-            exp_x,
-            warmup,
-        } = prep;
-        // Nothing mutates the history between the phases: the just-pushed
-        // record is refetched rather than carried (it is 104 bytes).
-        let record = *self.history.last_unresolved().expect("pushed in prepare");
-
-        // 2. Global rate, phase two.
-        match self.rate.commit(&self.history, &record, rate_prep, &vals.div) {
+        // 2. Global rate.
+        match self.rate.process(&self.history, &record) {
             RateEvent::Updated => {
                 let p_after = self.rate.p_hat().expect("updated");
                 if p_after != p_before {
@@ -496,7 +370,7 @@ impl TscNtpClock {
             }
         }
 
-        // 5. Weighted offset, phase one (round-two divisions staged).
+        // 5. Weighted offset.
         let gap_large = self.prev_tfc.is_finite()
             && (record.tf_c - self.prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
         let gamma_l = if self.cfg.use_local_rate && !gap_large {
@@ -504,8 +378,10 @@ impl TscNtpClock {
         } else {
             None
         };
-        let pre_u = exp_x.map(|x| (x, vals.exp));
-        let pend = self.offset.process_eval(
+        // Read after step 2 has counted this packet: the offset stage
+        // leaves warm-up on the same packet the rate estimator does.
+        let warmup = self.rate.in_warmup();
+        let (theta_hat, off_ev) = self.offset.process(
             &self.cfg,
             &self.history,
             &record,
@@ -514,47 +390,31 @@ impl TscNtpClock {
             gamma_l,
             warmup,
             gap_large,
-            pre_u,
-            ops,
         );
-
-        self.prev_tfc = record.tf_c;
-
-        StepMid {
-            pend,
-            out: ProcessOutput {
-                idx,
-                rtt: record.rtt_c * p_hat,
-                point_error: record.point_error(p_hat),
-                theta_naive,
-                theta_hat: f64::NAN,
-                p_hat,
-                p_local: self.local_rate.p_local(),
-                events,
-            },
-        }
-    }
-
-    /// Phase three of the split step: offset commit (consuming round-two
-    /// divisions) and output assembly.
-    #[doc(hidden)]
-    #[inline]
-    pub fn step_finish(&mut self, mid: StepMid, div: &[f64; DIV_SLOTS]) -> ProcessOutput {
-        let StepMid { pend, mut out } = mid;
-        let (theta_hat, off_ev) = self.offset.process_finish(pend, div);
         match off_ev {
             OffsetEvent::SanityDuplicated => {
-                out.events.insert(ClockEvent::OffsetSanity);
+                events.insert(ClockEvent::OffsetSanity);
                 telemetry::add(telemetry::Ctr::OffsetSanity, 1);
             }
             OffsetEvent::PoorQualityFallback | OffsetEvent::GapBlend => {
-                out.events.insert(ClockEvent::OffsetFallback);
+                events.insert(ClockEvent::OffsetFallback);
                 telemetry::add(telemetry::Ctr::OffsetFallbacks, 1);
             }
             _ => {}
         }
-        out.theta_hat = theta_hat;
-        out
+
+        self.prev_tfc = record.tf_c;
+
+        ProcessOutput {
+            idx,
+            rtt: record.rtt_c * p_hat,
+            point_error: record.point_error(p_hat),
+            theta_naive,
+            theta_hat,
+            p_hat,
+            p_local: self.local_rate.p_local(),
+            events,
+        }
     }
 
     /// §6.1: after a slide, the j-replacement candidate is "the first packet

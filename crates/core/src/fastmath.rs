@@ -1,46 +1,16 @@
-//! Branch-free transcendental kernels for the per-packet hot path.
+//! The branch-free exponential for the per-packet hot path.
 //!
 //! The §5.3 offset weights are the only transcendental on the per-packet
-//! path. Since the factored-weight rework (see `offset`), the estimator
-//! needs just **one** exponential per packet — `exp(−(κ − A)/λc)` for the
-//! packet being absorbed into the rolling window sums — plus a handful
-//! more on the rare rebuilds, so the old fused AVX2 window kernel is gone
-//! and what remains is a fast scalar `exp` that covers the *signed*
-//! argument range the anchored weights need (the anchor sits inside the
-//! window, so arguments straddle zero).
+//! path, and the factored-weight estimator (see `offset`) needs just
+//! **one** per packet — `exp(−(κ − A)/λc)` for the packet being absorbed
+//! into the rolling window sums — plus a handful more on the rare
+//! rebuilds. The anchor sits inside the window, so arguments straddle
+//! zero and the function must cover the *signed* range.
 //!
 //! [`exp_clamped`] uses the classic pipeline-friendly construction: clamp,
 //! Cody–Waite range reduction with magic-number rounding (no `round()`
 //! libcall), a degree-11 Taylor polynomial for `exp(r)`, and direct
 //! exponent construction for `2^k`.
-//!
-//! # Lane-batched kernels (SoA megabatch ingest)
-//!
-//! The fleet engine advances a stripe of W independent clocks in lockstep
-//! and funnels their per-packet kernel work — a handful of IEEE divisions
-//! and the one absorb exponential each — through shared slice kernels:
-//!
-//! * [`div_slices`] — element-wise `num[i]/den[i]`. IEEE-754 division is
-//!   *correctly rounded*, so a `vdivpd` lane is bit-identical to the
-//!   scalar `a / b` by definition; any vector width is safe.
-//! * [`exp_clamped_slice`] — element-wise [`exp_clamped`]. The AVX2 path
-//!   replicates the scalar operation sequence instruction for instruction
-//!   (separate multiply and add — neither Rust scalars nor our intrinsics
-//!   contract to FMA — and the same magic-rounding bit manipulation), so
-//!   each lane is bit-identical to the scalar call. Arguments must be
-//!   finite: NaN propagation differs between `f64::clamp` and
-//!   `min/max` vector ops, and the callers' staging contract (see
-//!   [`KernelOps`]) never emits non-finite arguments.
-//!
-//! Both dispatch on `is_x86_feature_detected!("avx2")` at runtime with a
-//! scalar fallback, so results do not depend on the host ISA.
-//!
-//! [`KernelOps`]/[`KernelVals`] are the per-packet staging blocks the
-//! split-phase clock pipeline (`TscNtpClock::step_prepare` /
-//! `step_commit`) uses to hand its divisions and exponential to whichever
-//! engine drives it: the scalar path applies them with [`apply_scalar`],
-//! the fleet megabatch gathers a stripe's blocks into columns and applies
-//! the slice kernels across lanes.
 //!
 //! Accuracy: relative error < 2e-14 over `|x| ≤ 700` (verified against
 //! libm in the tests below), far inside the 1e-12 estimate-parity budget
@@ -107,334 +77,6 @@ pub fn exp_clamped(x: f64) -> f64 {
     p * scale
 }
 
-/// Division slots per packet in a [`KernelOps`] block. The clock pipeline
-/// uses at most four per kernel round (rate-quality reassessment, the
-/// forward and backward pair rates, and the pair error bound in round one;
-/// the offset candidate and error ratios in round two).
-pub const DIV_SLOTS: usize = 4;
-
-/// One packet's staged kernel operands: the division numerators and
-/// denominators plus the (at most one) exponential argument the split
-/// clock pipeline defers to a batched kernel stage.
-///
-/// Dead slots hold `0.0 / 1.0` so a vector kernel that computes every
-/// lane unconditionally produces benign values there; `div_live` /
-/// `exp_live` record which results the commit phase may read. Staged
-/// arguments are always finite.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelOps {
-    /// Division numerators, slot-indexed.
-    pub div_num: [f64; DIV_SLOTS],
-    /// Division denominators, slot-indexed (dead slots hold 1.0).
-    pub div_den: [f64; DIV_SLOTS],
-    /// Bit `s` set ⇔ division slot `s` is live.
-    pub div_live: u8,
-    /// Argument for [`exp_clamped`] (already negated where the consumer
-    /// wants `exp(−x)`).
-    pub exp_arg: f64,
-    /// Whether the exponential result may be read.
-    pub exp_live: bool,
-}
-
-impl KernelOps {
-    /// A block with no live work.
-    pub const fn idle() -> Self {
-        KernelOps {
-            div_num: [0.0; DIV_SLOTS],
-            div_den: [1.0; DIV_SLOTS],
-            div_live: 0,
-            exp_arg: 0.0,
-            exp_live: false,
-        }
-    }
-
-    /// Stages `num / den` into `slot` and marks it live.
-    #[inline]
-    pub fn set_div(&mut self, slot: usize, num: f64, den: f64) {
-        self.div_num[slot] = num;
-        self.div_den[slot] = den;
-        self.div_live |= 1 << slot;
-    }
-
-    /// Stages `exp_clamped(arg)`.
-    #[inline]
-    pub fn set_exp(&mut self, arg: f64) {
-        self.exp_arg = arg;
-        self.exp_live = true;
-    }
-}
-
-impl Default for KernelOps {
-    fn default() -> Self {
-        Self::idle()
-    }
-}
-
-/// Results of one packet's kernel stage. Dead slots are zero (scalar) or
-/// benign garbage (vector) — the commit phase only reads live ones.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KernelVals {
-    /// Division results, slot-indexed.
-    pub div: [f64; DIV_SLOTS],
-    /// `exp_clamped(exp_arg)`.
-    pub exp: f64,
-}
-
-/// Applies a [`KernelOps`] block with plain scalar arithmetic — the
-/// single-clock path. Bit-identical per slot to the slice kernels.
-#[inline]
-pub fn apply_scalar(ops: &KernelOps) -> KernelVals {
-    let mut vals = KernelVals::default();
-    for s in 0..DIV_SLOTS {
-        if ops.div_live & (1 << s) != 0 {
-            vals.div[s] = ops.div_num[s] / ops.div_den[s];
-        }
-    }
-    if ops.exp_live {
-        vals.exp = exp_clamped(ops.exp_arg);
-    }
-    vals
-}
-
-/// Element-wise `out[i] = num[i] / den[i]` across lanes, 4-wide with AVX2
-/// when the host supports it. Division is correctly rounded in IEEE-754,
-/// so the vector and scalar forms are bit-identical unconditionally.
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn div_slices(num: &[f64], den: &[f64], out: &mut [f64]) {
-    assert_eq!(num.len(), den.len());
-    assert_eq!(num.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence just checked; slices are length-matched.
-        unsafe { div_slices_avx2(num, den, out) };
-        return;
-    }
-    for i in 0..num.len() {
-        out[i] = num[i] / den[i];
-    }
-}
-
-/// Element-wise `out[i] = exp_clamped(xs[i])` across lanes, 4-wide with
-/// AVX2 when available; bit-identical to the scalar call per lane for
-/// finite arguments (the staging contract).
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn exp_clamped_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence just checked; slices are length-matched.
-        unsafe { exp_clamped_slice_avx2(xs, out) };
-        return;
-    }
-    for (o, x) in out.iter_mut().zip(xs) {
-        *o = exp_clamped(*x);
-    }
-}
-
-/// Applies kernel round one across a stripe of staged blocks, struct-direct:
-/// `vals[i].div[s] = ops[i].div_num[s] / ops[i].div_den[s]` for every slot
-/// plus `vals[i].exp = exp_clamped(ops[i].exp_arg)`.
-///
-/// Because a [`KernelOps`] block stores its four numerators (and four
-/// denominators) contiguously, one block is exactly one AVX2 vector — the
-/// kernel needs **no gather or scatter**, it streams the structs as they
-/// sit in the stripe's scratch array. Divisions and exponentials are
-/// computed unconditionally (dead slots hold `0/1`, idle exponential
-/// arguments are `0`), which is safe because the commit phases only read
-/// live results; live slots are bit-identical to [`apply_scalar`].
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn kernel_round1(ops: &[KernelOps], vals: &mut [KernelVals]) {
-    assert_eq!(ops.len(), vals.len());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence just checked; lengths match.
-        unsafe { kernel_round1_avx2(ops, vals) };
-        return;
-    }
-    for (o, v) in ops.iter().zip(vals.iter_mut()) {
-        for s in 0..DIV_SLOTS {
-            v.div[s] = o.div_num[s] / o.div_den[s];
-        }
-        v.exp = exp_clamped(o.exp_arg);
-    }
-}
-
-/// Applies kernel round two across a stripe: only slots 0 and 1 (the
-/// offset candidate and error divisions — all the mid phase ever stages),
-/// two blocks packed per AVX2 division. Slots 2 and 3 of `vals` are left
-/// untouched (the finish phase never reads them); live slots are
-/// bit-identical to [`apply_scalar`].
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn kernel_round2(ops: &[KernelOps], vals: &mut [KernelVals]) {
-    assert_eq!(ops.len(), vals.len());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence just checked; lengths match.
-        unsafe { kernel_round2_avx2(ops, vals) };
-        return;
-    }
-    for (o, v) in ops.iter().zip(vals.iter_mut()) {
-        v.div[0] = o.div_num[0] / o.div_den[0];
-        v.div[1] = o.div_num[1] / o.div_den[1];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn kernel_round1_avx2(ops: &[KernelOps], vals: &mut [KernelVals]) {
-    use std::arch::x86_64::*;
-    for (o, v) in ops.iter().zip(vals.iter_mut()) {
-        // SAFETY: div_num/div_den/div are [f64; 4] — in-bounds unaligned
-        // vector accesses.
-        unsafe {
-            let a = _mm256_loadu_pd(o.div_num.as_ptr());
-            let b = _mm256_loadu_pd(o.div_den.as_ptr());
-            _mm256_storeu_pd(v.div.as_mut_ptr(), _mm256_div_pd(a, b));
-        }
-    }
-    let n = ops.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds every access.
-        unsafe {
-            let x = _mm256_set_pd(
-                ops[i + 3].exp_arg,
-                ops[i + 2].exp_arg,
-                ops[i + 1].exp_arg,
-                ops[i].exp_arg,
-            );
-            let e = exp_clamped_x4(x);
-            let mut buf = [0.0f64; 4];
-            _mm256_storeu_pd(buf.as_mut_ptr(), e);
-            vals[i].exp = buf[0];
-            vals[i + 1].exp = buf[1];
-            vals[i + 2].exp = buf[2];
-            vals[i + 3].exp = buf[3];
-        }
-        i += 4;
-    }
-    while i < n {
-        vals[i].exp = exp_clamped(ops[i].exp_arg);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn kernel_round2_avx2(ops: &[KernelOps], vals: &mut [KernelVals]) {
-    use std::arch::x86_64::*;
-    let n = ops.len();
-    let mut i = 0;
-    while i + 2 <= n {
-        // SAFETY: i + 1 < n; the 128-bit halves read/write the first two
-        // elements of the [f64; 4] arrays.
-        unsafe {
-            let a = _mm256_loadu2_m128d(ops[i + 1].div_num.as_ptr(), ops[i].div_num.as_ptr());
-            let b = _mm256_loadu2_m128d(ops[i + 1].div_den.as_ptr(), ops[i].div_den.as_ptr());
-            let q = _mm256_div_pd(a, b);
-            _mm256_storeu2_m128d(vals[i + 1].div.as_mut_ptr(), vals[i].div.as_mut_ptr(), q);
-        }
-        i += 2;
-    }
-    if i < n {
-        let (o, v) = (&ops[i], &mut vals[i]);
-        v.div[0] = o.div_num[0] / o.div_den[0];
-        v.div[1] = o.div_num[1] / o.div_den[1];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn div_slices_avx2(num: &[f64], den: &[f64], out: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let n = num.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds every unaligned access.
-        unsafe {
-            let a = _mm256_loadu_pd(num.as_ptr().add(i));
-            let b = _mm256_loadu_pd(den.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_div_pd(a, b));
-        }
-        i += 4;
-    }
-    while i < n {
-        out[i] = num[i] / den[i];
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn exp_clamped_slice_avx2(xs: &[f64], out: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let n = xs.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        // SAFETY: i + 4 <= n bounds every unaligned access.
-        unsafe {
-            let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), exp_clamped_x4(x));
-        }
-        i += 4;
-    }
-    while i < n {
-        out[i] = exp_clamped(xs[i]);
-        i += 1;
-    }
-}
-
-/// The 4-lane transliteration of [`exp_clamped`]: the same clamp, the same
-/// magic-rounding Cody–Waite reduction, the same Horner chain with
-/// *separate* multiply and add (no FMA contraction — matching the strict
-/// scalar semantics), the same mantissa-bit exponent construction. Every
-/// lane is therefore bit-identical to the scalar function for finite
-/// input (`f64::clamp` and `max/min` agree everywhere except NaN).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn exp_clamped_x4(
-    x: std::arch::x86_64::__m256d,
-) -> std::arch::x86_64::__m256d {
-    use std::arch::x86_64::*;
-    {
-        let x = _mm256_min_pd(
-            _mm256_max_pd(x, _mm256_set1_pd(-700.0)),
-            _mm256_set1_pd(700.0),
-        );
-        let magic = _mm256_set1_pd(MAGIC);
-        let t = _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(LOG2_E)), magic);
-        let kf = _mm256_sub_pd(t, magic);
-        let r = _mm256_sub_pd(
-            _mm256_sub_pd(x, _mm256_mul_pd(kf, _mm256_set1_pd(LN2_HI))),
-            _mm256_mul_pd(kf, _mm256_set1_pd(LN2_LO)),
-        );
-        let mut p = _mm256_set1_pd(POLY[0]);
-        for &c in &POLY[1..] {
-            p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(c));
-        }
-        let one = _mm256_set1_pd(1.0);
-        p = _mm256_add_pd(_mm256_mul_pd(p, r), one);
-        p = _mm256_add_pd(_mm256_mul_pd(p, r), one);
-        // low 52 bits of t's mantissa = 2⁵¹ + k; rebias to the IEEE exponent.
-        let mant = _mm256_and_si256(
-            _mm256_castpd_si256(t),
-            _mm256_set1_epi64x((1i64 << 52) - 1),
-        );
-        let k_biased = _mm256_add_epi64(mant, _mm256_set1_epi64x(1023 - (1i64 << 51)));
-        let scale = _mm256_castsi256_pd(_mm256_slli_epi64::<52>(k_biased));
-        _mm256_mul_pd(p, scale)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,132 +124,6 @@ mod tests {
             assert!(v >= prev, "non-monotone at {x}");
             prev = v;
             x += 0.5;
-        }
-    }
-
-    /// A pseudo-random but deterministic batch of finite arguments
-    /// covering the full clamped domain plus the clamp boundaries.
-    fn arg_batch() -> Vec<f64> {
-        let mut xs = vec![
-            0.0, -0.0, 1.0, -1.0, 700.0, -700.0, 701.5, -701.5, 1e9, -1e9,
-            1e-308, -1e-308, 0.5, -0.5, 399.999, -399.999,
-        ];
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..4099 {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            // map to ±800 to straddle the clamp
-            let u = (s >> 11) as f64 / (1u64 << 53) as f64;
-            xs.push((u - 0.5) * 1600.0);
-        }
-        xs
-    }
-
-    #[test]
-    fn exp_slice_is_bit_identical_to_scalar() {
-        // The vector kernel's contract: bit-for-bit equal to the scalar
-        // exp for finite arguments, at any slice length/alignment.
-        let xs = arg_batch();
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, xs.len()] {
-            let xs = &xs[..len];
-            let mut out = vec![0.0f64; len];
-            exp_clamped_slice(xs, &mut out);
-            for (i, (&x, &o)) in xs.iter().zip(&out).enumerate() {
-                assert_eq!(
-                    o.to_bits(),
-                    exp_clamped(x).to_bits(),
-                    "lane {i} (x = {x:e}) diverged from scalar"
-                );
-            }
-        }
-        // offset slices exercise unaligned loads
-        let mut out = vec![0.0f64; xs.len() - 1];
-        exp_clamped_slice(&xs[1..], &mut out);
-        for (&x, &o) in xs[1..].iter().zip(&out) {
-            assert_eq!(o.to_bits(), exp_clamped(x).to_bits());
-        }
-    }
-
-    #[test]
-    fn div_slice_is_bit_identical_to_scalar() {
-        let num = arg_batch();
-        let den: Vec<f64> = num
-            .iter()
-            .map(|x| if *x == 0.0 { 3.0 } else { x * 1.5 + 2.0 })
-            .collect();
-        let mut out = vec![0.0f64; num.len()];
-        div_slices(&num, &den, &mut out);
-        for i in 0..num.len() {
-            assert_eq!(out[i].to_bits(), (num[i] / den[i]).to_bits(), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn kernel_ops_scalar_application() {
-        let mut ops = KernelOps::idle();
-        ops.set_div(1, 3.0, 7.0);
-        ops.set_div(3, -1.0, 4.0);
-        ops.set_exp(-2.5);
-        let vals = apply_scalar(&ops);
-        assert_eq!(vals.div[1], 3.0 / 7.0);
-        assert_eq!(vals.div[3], -0.25);
-        assert_eq!(vals.div[0], 0.0);
-        assert_eq!(vals.div[2], 0.0);
-        assert_eq!(vals.exp.to_bits(), exp_clamped(-2.5).to_bits());
-        assert_eq!(ops.div_live, 0b1010);
-        let idle = apply_scalar(&KernelOps::idle());
-        assert_eq!(idle.exp, 0.0);
-        assert_eq!(idle.div, [0.0; DIV_SLOTS]);
-    }
-
-    #[test]
-    fn kernel_rounds_match_apply_scalar_on_live_slots() {
-        // Stripe of blocks with varying live patterns, including idle
-        // blocks and odd lengths exercising the vector tails.
-        let mut s = 0xdead_beef_cafe_f00du64;
-        let mut rnd = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
-        };
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31] {
-            let mut ops = vec![KernelOps::idle(); n];
-            for (i, o) in ops.iter_mut().enumerate() {
-                for slot in 0..DIV_SLOTS {
-                    if (i + slot) % 3 != 0 {
-                        o.set_div(slot, rnd(), rnd() + 11.0);
-                    }
-                }
-                if i % 2 == 0 {
-                    o.set_exp(rnd());
-                }
-            }
-            let mut v1 = vec![KernelVals::default(); n];
-            kernel_round1(&ops, &mut v1);
-            let mut v2 = vec![KernelVals::default(); n];
-            kernel_round2(&ops, &mut v2);
-            for (i, o) in ops.iter().enumerate() {
-                let expect = apply_scalar(o);
-                for slot in 0..DIV_SLOTS {
-                    if o.div_live & (1 << slot) != 0 {
-                        assert_eq!(
-                            v1[i].div[slot].to_bits(),
-                            expect.div[slot].to_bits(),
-                            "round1 block {i} slot {slot}"
-                        );
-                        if slot < 2 {
-                            assert_eq!(
-                                v2[i].div[slot].to_bits(),
-                                expect.div[slot].to_bits(),
-                                "round2 block {i} slot {slot}"
-                            );
-                        }
-                    }
-                }
-                if o.exp_live {
-                    assert_eq!(v1[i].exp.to_bits(), expect.exp.to_bits(), "block {i} exp");
-                }
-            }
         }
     }
 

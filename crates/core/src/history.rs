@@ -283,8 +283,8 @@ impl History {
     /// records arrive (amortized O(1)): a week-scale top window is ~1 MB
     /// of records, and committing that up front would make every clock's
     /// resident footprint the *configured* window instead of the *used*
-    /// one — the fleet engine keeps a whole stripe of clocks hot at once,
-    /// and short replays never touch more than their packet count.
+    /// one — a fleet holds thousands of clocks resident, and short
+    /// replays never touch more than their packet count.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 4, "history window too small");
         Self {

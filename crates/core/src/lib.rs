@@ -105,6 +105,8 @@
 //! assert!(clock.status().p_hat.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asym;
 pub mod clock;
 pub mod config;
@@ -122,15 +124,9 @@ pub mod snapshot;
 pub mod units;
 
 pub use asym::{estimate_asymmetry, RefExchange};
-pub use clock::{
-    ClockEvent, ClockStatus, EventSet, ProcessOutput, StepMid, StepPhase, StepPrep, TscNtpClock,
-};
+pub use clock::{ClockEvent, ClockStatus, EventSet, ProcessOutput, TscNtpClock};
 pub use config::ClockConfig;
 pub use exchange::RawExchange;
-pub use fastmath::{
-    apply_scalar, div_slices, exp_clamped_slice, kernel_round1, kernel_round2, KernelOps,
-    KernelVals, DIV_SLOTS,
-};
 pub use history::{History, PacketRecord};
 pub use local_rate::{LocalRate, LocalRateEvent};
 pub use naive::{naive_offset, naive_rate, naive_rate_backward, naive_rate_forward};

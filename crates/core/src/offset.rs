@@ -85,17 +85,9 @@
 //! every packet) pin θ̂ parity to 1e-12 relative + 50 ps.
 
 use crate::config::ClockConfig;
-use crate::fastmath::{apply_scalar, exp_clamped, KernelOps, DIV_SLOTS};
+use crate::fastmath::exp_clamped;
 use crate::history::{History, PacketRecord};
 use std::collections::VecDeque;
-
-/// Kernel division slot assignments for the offset stage (round two of the
-/// split pipeline): the weighted candidate `Σwθ / Σw` and the error
-/// estimate `Σwε / Σw`. The error slot is staged speculatively — the
-/// original path's conditions (weighted/initialised event, positive `Σw`)
-/// are re-applied before the result is consumed.
-pub(crate) const SLOT_OFF_CAND: usize = 0;
-pub(crate) const SLOT_OFF_ERR: usize = 1;
 
 /// Window sizes up to this bypass the incremental machinery and resolve
 /// the τ′ window directly with a full pass (the coarse-polling fast path:
@@ -215,14 +207,6 @@ impl FactoredWindow {
 
     /// Tries the O(1) incremental step for packet `k`; `false` means the
     /// caller must rebuild.
-    ///
-    /// `pre_u` optionally carries a weight exponential precomputed by the
-    /// lane-batched round-one kernel as `(x, exp_clamped(-x))`. It is
-    /// consumed only when the staged argument matches the one derived
-    /// here bit-for-bit — any divergence (a rebase or rate step between
-    /// staging and advance) falls back to computing the exponential in
-    /// place, so a stale speculation can never change the result.
-    #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
         history: &History,
@@ -231,7 +215,6 @@ impl FactoredWindow {
         eps: f64,
         inv_lambda_c: f64,
         p_hat: f64,
-        pre_u: Option<(f64, f64)>,
     ) -> bool {
         if !self.valid
             || self.gen != history.rebase_gen()
@@ -277,10 +260,7 @@ impl FactoredWindow {
                 return false;
             }
         }
-        let u = match pre_u {
-            Some((px, pu)) if px == x => pu,
-            _ => exp_clamped(-x),
-        };
+        let u = exp_clamped(-x);
         let pe_c = k.rtt_c - k.rbase_c;
         self.ring[(k.idx as usize) & (self.cap - 1)] = Slot {
             pe_c,
@@ -577,89 +557,6 @@ impl OffsetEstimator {
         warmup: bool,
         gap_large: bool,
     ) -> (f64, OffsetEvent) {
-        let mut ops = KernelOps::idle();
-        let pend = self.process_eval(
-            cfg, history, k, p_hat, c_bar, gamma_l, warmup, gap_large, None, &mut ops,
-        );
-        let vals = apply_scalar(&ops);
-        self.process_finish(pend, &vals.div)
-    }
-
-    /// Stages the weight exponential of the upcoming incremental absorb
-    /// for packet `k` into the round-one kernel — returns the argument `x`
-    /// (the caller stages `exp(−x)` and later passes `(x, result)` as
-    /// `pre_u` to [`OffsetEstimator::process_eval`]). `None` when the next
-    /// step cannot be an incremental absorb anyway (small window, stale
-    /// config cache, unfrozen ρ, invalid window, non-consecutive index,
-    /// cadence rebuild due, scale change, or guard trip) — those packets
-    /// rebuild or full-pass, so no exponential is wasted. The `p̂`-drift
-    /// guard *cannot* be checked here (it needs the post-rate-update `p̂`);
-    /// when it trips at eval time the speculated exponential is simply
-    /// discarded by the rebuild.
-    #[doc(hidden)]
-    pub fn prepare_absorb(
-        &self,
-        cfg: &ClockConfig,
-        history: &History,
-        k: &PacketRecord,
-        warmup: bool,
-    ) -> Option<f64> {
-        if self.rho.is_nan() || self.cached_cfg != (cfg.poll_period, cfg.tau_prime) {
-            return None;
-        }
-        let window_n = self.cached_window_n;
-        if window_n <= SMALL_WINDOW {
-            return None;
-        }
-        let inv_lc = if warmup {
-            self.inv_lc_warm
-        } else {
-            self.inv_lc_steady
-        };
-        let w = &self.win;
-        if !w.valid
-            || w.gen != history.rebase_gen()
-            || k.idx != w.last_idx.wrapping_add(1)
-            || w.until_rebuild == 0
-            || inv_lc != w.inv_lc0
-        {
-            return None;
-        }
-        let target = window_n.min(history.len());
-        if w.len + 1 > target + 1 {
-            return None;
-        }
-        let eps = cfg.aging_rate;
-        let kap_new = FactoredWindow::kappa_of(k.rtt_c - k.rbase_c, k.tf_c, eps);
-        let x = (kap_new - w.anchor) * inv_lc;
-        if x < -EXP_ARG_GUARD {
-            return None;
-        }
-        Some(x)
-    }
-
-    /// Phase one of the split offset step: window sums (consuming the
-    /// optional speculated absorb weight `pre_u`), quality gate, candidate
-    /// selection, sanity threshold — everything up to (but excluding) the
-    /// two final divisions, which are staged into `ops` (see `SLOT_OFF_*`).
-    /// Mutates only the window/cache state the original path had already
-    /// mutated by this point; the estimate itself is committed by
-    /// [`OffsetEstimator::process_finish`].
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_eval(
-        &mut self,
-        cfg: &ClockConfig,
-        history: &History,
-        k: &PacketRecord,
-        p_hat: f64,
-        c_bar: f64,
-        gamma_l: Option<f64>,
-        warmup: bool,
-        gap_large: bool,
-        pre_u: Option<(f64, f64)>,
-        ops: &mut KernelOps,
-    ) -> OffsetPend {
         let theta_of = |r: &PacketRecord| r.hm_c * p_hat + c_bar - r.sm;
         let e_scale = cfg.quality_scale * if warmup { 3.0 } else { 1.0 };
         if self.cached_cfg != (cfg.poll_period, cfg.tau_prime) {
@@ -704,7 +601,7 @@ impl OffsetEstimator {
         } else {
             if !self
                 .win
-                .advance(history, k, window_n, eps, inv_lc, p_hat, pre_u)
+                .advance(history, k, window_n, eps, inv_lc, p_hat)
             {
                 self.win.rebuild(
                     history,
@@ -728,11 +625,10 @@ impl OffsetEstimator {
         // the gate is purely the §5.3(iii) quality condition.
         let quality_poor = min_et > cfg.e_fallback();
 
-        let (candidate_scalar, event) = if quality_poor && !first {
+        let (candidate, mut event) = if quality_poor && !first {
             if gap_large {
                 // §6.1: blend the new naive estimate (weighted by its point
-                // error) with the aged previous estimate. Rare (needs a
-                // τ̄/2 data gap), so its divisions stay scalar.
+                // error) with the aged previous estimate.
                 let e_new = k.point_error(p_hat);
                 let elapsed = (k.tf_c - self.last_tfc).max(0.0) * p_hat;
                 let e_old = self.last_err + cfg.aging_rate * elapsed;
@@ -753,59 +649,26 @@ impl OffsetEstimator {
                 (prev, OffsetEvent::PoorQualityFallback)
             }
         } else {
-            // The weighted candidate division runs in the kernel; the
-            // error-estimate division is staged speculatively (the sanity
-            // outcome decides whether it is consumed).
-            ops.set_div(SLOT_OFF_CAND, sum_wth, sum_w.max(f64::MIN_POSITIVE));
-            (f64::NAN, OffsetEvent::Weighted)
+            (sum_wth / sum_w.max(f64::MIN_POSITIVE), OffsetEvent::Weighted)
         };
-        if event == OffsetEvent::Weighted || first {
-            ops.set_div(SLOT_OFF_ERR, sum_wet, sum_w);
-        }
 
-        // Stage (iv) threshold: over the elapsed time since the last
-        // estimate the hardware can drift at most 0.1 PPM, so the allowance
-        // is Es + 1e-7·Δt — for back-to-back polls that is Es, but across a
-        // multi-day data gap the legitimate drift grows and must not be
-        // mistaken for a fault (lock-out).
+        // Stage (iv): the sanity check. The threshold enforces "the offset
+        // estimate cannot vary in a way which we know is impossible": over
+        // the elapsed time since the last estimate the hardware can drift at
+        // most 0.1 PPM, so the allowance is Es + 1e-7·Δt — for back-to-back
+        // polls that is Es, but across a multi-day data gap the legitimate
+        // drift grows and must not be mistaken for a fault (lock-out).
         let elapsed = if self.last_tfc.is_finite() {
             ((k.tf_c - self.last_tfc) * p_hat).max(0.0)
         } else {
             0.0
         };
-        OffsetPend {
-            event,
-            candidate_scalar,
-            sum_w_pos: sum_w > 0.0,
-            sanity_threshold: cfg.offset_sanity + 1e-7 * elapsed,
-            tf_c: k.tf_c,
-            warmup,
-            aging_step: cfg.aging_rate * cfg.poll_period,
-        }
-    }
-
-    /// Phase two of the split offset step: consumes the staged division
-    /// results and commits the estimate — the sanity check (stage (iv)),
-    /// the θ̂/`last_err` writes, and the event resolution.
-    #[doc(hidden)]
-    pub fn process_finish(
-        &mut self,
-        pend: OffsetPend,
-        div: &[f64; DIV_SLOTS],
-    ) -> (f64, OffsetEvent) {
-        let mut event = pend.event;
-        let candidate = if event == OffsetEvent::Weighted {
-            div[SLOT_OFF_CAND]
-        } else {
-            pend.candidate_scalar
-        };
-        // The sanity check enforces "the offset estimate cannot vary in a
-        // way which we know is impossible". Bounded patience: if the check
-        // has fired for a long run of consecutive packets, the data level
-        // has genuinely moved (the server is the only absolute reference
-        // there is) — accept rather than duplicate a stale value forever.
-        // Fallback packets carry the previous value, so they neither
-        // trigger nor clear the counter.
+        let sanity_threshold = cfg.offset_sanity + 1e-7 * elapsed;
+        // Bounded patience: if the check has fired for a long run of
+        // consecutive packets, the data level has genuinely moved (the
+        // server is the only absolute reference there is) — accept rather
+        // than duplicate a stale value forever. Fallback packets carry the
+        // previous value, so they neither trigger nor clear the counter.
         let max_run = self.cached_max_run;
         let theta_new = match self.theta {
             // §6.1: the check guards a *converged* clock ("the expected
@@ -813,8 +676,8 @@ impl OffsetEstimator {
             // increments are legitimately large while p̂ settles, so the
             // check is suspended.
             Some(prev)
-                if !pend.warmup
-                    && (candidate - prev).abs() > pend.sanity_threshold
+                if !warmup
+                    && (candidate - prev).abs() > sanity_threshold
                     && self.sanity_run < max_run =>
             {
                 event = OffsetEvent::SanityDuplicated;
@@ -834,16 +697,16 @@ impl OffsetEstimator {
         };
 
         self.theta = Some(theta_new);
-        self.last_tfc = pend.tf_c;
+        self.last_tfc = k.tf_c;
         if event == OffsetEvent::Weighted || event == OffsetEvent::Initialised {
             // error of a weighted estimate ≈ weighted mean total error
             // (already accumulated by the window machinery above)
-            if pend.sum_w_pos {
-                self.last_err = div[SLOT_OFF_ERR];
+            if sum_w > 0.0 {
+                self.last_err = sum_wet / sum_w;
             }
         } else {
             // carried estimates age at ε
-            self.last_err += pend.aging_step;
+            self.last_err += cfg.aging_rate * cfg.poll_period;
         }
         (theta_new, event)
     }
@@ -1014,23 +877,6 @@ impl OffsetEstimator {
             kappa_buf: Vec::new(),
         })
     }
-}
-
-/// Pending state between [`OffsetEstimator::process_eval`] and
-/// [`OffsetEstimator::process_finish`].
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
-pub struct OffsetPend {
-    /// Pre-sanity event: `Weighted` means the candidate comes from
-    /// [`SLOT_OFF_CAND`]; otherwise `candidate_scalar` carries it.
-    event: OffsetEvent,
-    candidate_scalar: f64,
-    /// `Σw > 0` — gates consuming the staged error division.
-    sum_w_pos: bool,
-    sanity_threshold: f64,
-    tf_c: f64,
-    warmup: bool,
-    aging_step: f64,
 }
 
 #[cfg(test)]

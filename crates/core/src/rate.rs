@@ -19,17 +19,8 @@
 //! defence that limits the damage of the Figure 11(b) server-fault event,
 //! where `Tb`/`Te` were off by 150 ms while RTTs looked perfect.
 
-use crate::fastmath::{apply_scalar, KernelOps, DIV_SLOTS};
 use crate::history::{History, PacketRecord};
 use crate::naive::{naive_rate, pair_estimate};
-
-/// Kernel division slot assignments for the rate stage (round one of the
-/// split pipeline): the quality reassessment ratio, the forward and
-/// backward pair rates, and the pair error bound.
-pub(crate) const SLOT_QUALITY: usize = 0;
-pub(crate) const SLOT_RATE_FWD: usize = 1;
-pub(crate) const SLOT_RATE_BWD: usize = 2;
-pub(crate) const SLOT_RATE_BOUND: usize = 3;
 
 /// Events the rate estimator can report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,29 +31,6 @@ pub enum RateEvent {
     SanityRejected,
     /// Packet not used (point error above `E*`).
     RejectedQuality,
-}
-
-/// Pending state between [`GlobalRate::prepare`] and
-/// [`GlobalRate::commit`] — the decision of *which* tail to run once the
-/// staged division results arrive.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
-pub struct RatePrep {
-    /// A quality reassessment was staged into [`SLOT_QUALITY`].
-    quality_pending: bool,
-    plan: RatePlan,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum RatePlan {
-    /// Warm-up / degenerate-restart path: commit runs the original scalar
-    /// tail (no divisions staged).
-    Scalar,
-    /// Decision already final: the packet is quality-rejected.
-    Rejected,
-    /// Full pair update staged in slots 1–3; carries the
-    /// `p̂`-independent pair-cache parts so acceptance needs no re-derivation.
-    Pair { j_idx: u64, key_j: f64, dc: f64 },
 }
 
 /// The global rate estimator.
@@ -170,156 +138,19 @@ impl GlobalRate {
     /// stored pair copies: §6.1 requires that whenever `r̂` is updated "the
     /// past point errors effectively change ... the quality of the rate
     /// estimate is reassessed and used as normal".
-    ///
-    /// Implemented as the split pair [`GlobalRate::prepare`] /
-    /// [`GlobalRate::commit`] with the staged divisions applied scalar in
-    /// between — the single code path the lane-batched fleet engine shares,
-    /// which is what makes the two engines bit-identical by construction.
     pub fn process(&mut self, history: &History, record: &PacketRecord) -> RateEvent {
-        let mut ops = KernelOps::idle();
-        let prep = self.prepare(history, record, &mut ops);
-        let vals = apply_scalar(&ops);
-        self.commit(history, record, prep, &vals.div)
-    }
-
-    /// Phase one of the split step: counts the packet, refreshes the pair
-    /// copies, and stages every division whose operands are already known
-    /// into `ops` (see the `SLOT_*` constants). All state mutation that the
-    /// original in-line path performed *before* its first division result
-    /// was consumed happens here (the `n_seen` increment, baseline
-    /// re-resolutions, `j` capture), so `prepare` followed by
-    /// [`GlobalRate::commit`] with the slot results replays the in-line
-    /// path exactly. A prepared packet **must** be committed before the
-    /// next prepare.
-    #[doc(hidden)]
-    pub fn prepare(
-        &mut self,
-        history: &History,
-        record: &PacketRecord,
-        ops: &mut KernelOps,
-    ) -> RatePrep {
         self.n_seen += 1;
-        let quality_pending = self.refresh_prepare(history, ops);
-        if (self.n_seen as usize) <= self.warmup_packets || self.p_hat.is_none() {
-            // Warm-up (or degenerate post-warm-up restart): the sub-window
-            // scans and their divisions run scalar in commit — the path is
-            // bounded to the first `warmup_packets` packets of a clock.
-            return RatePrep {
-                quality_pending,
-                plan: RatePlan::Scalar,
-            };
+        self.refresh(history);
+        if (self.n_seen as usize) <= self.warmup_packets {
+            return self.process_warmup(history, record);
         }
-        let p_ref = self.p_hat.expect("checked above");
-        let e_k = record.point_error(p_ref);
-        if e_k >= self.e_star {
-            return RatePrep {
-                quality_pending,
-                plan: RatePlan::Rejected,
-            };
-        }
-        let j = match self.j {
-            Some(j) => j,
-            None => {
-                self.j = Some(*record);
-                return RatePrep {
-                    quality_pending,
-                    plan: RatePlan::Rejected,
-                };
-            }
-        };
-        // The `pair_estimate` early-outs that need no division result:
-        // degenerate counter baselines and a non-positive time baseline.
-        let dca = record.ex.ta_tsc.wrapping_sub(j.ex.ta_tsc) as i64 as f64;
-        let dcf = record.ex.tf_tsc.wrapping_sub(j.ex.tf_tsc) as i64 as f64;
-        let baseline = dcf * p_ref;
-        if dca == 0.0 || dcf == 0.0 || baseline <= 0.0 {
-            return RatePrep {
-                quality_pending,
-                plan: RatePlan::Rejected,
-            };
-        }
-        let e_j = j.point_error(p_ref);
-        ops.set_div(SLOT_RATE_FWD, record.ex.tb - j.ex.tb, dca);
-        ops.set_div(SLOT_RATE_BWD, record.ex.te - j.ex.te, dcf);
-        ops.set_div(SLOT_RATE_BOUND, e_k + e_j, baseline);
-        RatePrep {
-            quality_pending,
-            plan: RatePlan::Pair {
-                j_idx: j.idx,
-                key_j: j.rtt_c - j.rbase_c,
-                dc: dcf,
-            },
-        }
-    }
-
-    /// Phase two of the split step: consumes the division results staged by
-    /// [`GlobalRate::prepare`] and finishes the update — quality write,
-    /// consistency guard, acceptance.
-    #[doc(hidden)]
-    pub fn commit(
-        &mut self,
-        history: &History,
-        record: &PacketRecord,
-        prep: RatePrep,
-        div: &[f64; DIV_SLOTS],
-    ) -> RateEvent {
-        if prep.quality_pending {
-            self.quality = div[SLOT_QUALITY];
-        }
-        match prep.plan {
-            RatePlan::Scalar => {
-                if (self.n_seen as usize) <= self.warmup_packets {
-                    self.process_warmup(history, record)
-                } else {
-                    // p̂ was None in prepare: restart warm-up entry.
-                    self.process_steady(record)
-                }
-            }
-            RatePlan::Rejected => RateEvent::RejectedQuality,
-            RatePlan::Pair { j_idx, key_j, dc } => {
-                let p_ref = self.p_hat.expect("pair plan implies an estimate");
-                let p_new = 0.5 * (div[SLOT_RATE_FWD] + div[SLOT_RATE_BWD]);
-                if !(p_new.is_finite() && p_new > 0.0) {
-                    return RateEvent::RejectedQuality;
-                }
-                let bound = div[SLOT_RATE_BOUND];
-                // Consistency guard: a legitimate new estimate differs from
-                // the current one by at most the two quality bounds (plus
-                // the 0.1 PPM hardware drift allowance). Server-timestamp
-                // faults produce huge apparent rate steps with tiny RTT
-                // error — exactly what this rejects.
-                let rel_step = ((p_new - p_ref) / p_ref).abs();
-                let allowance = 3.0 * (bound + self.quality.min(1.0)) + 1e-7;
-                if rel_step > allowance {
-                    return RateEvent::SanityRejected;
-                }
-                self.p_hat = Some(p_new);
-                self.quality = bound;
-                self.i = Some(*record);
-                // Keep the pair cache current so the next refresh's quality
-                // reassessment (with the just-updated p̂) is the four-flop
-                // path.
-                self.pair_cache = PairCache {
-                    valid: true,
-                    j_idx,
-                    i_idx: record.idx,
-                    dc,
-                    key_j,
-                    key_i: record.rtt_c - record.rbase_c,
-                };
-                RateEvent::Updated
-            }
-        }
+        self.process_steady(record)
     }
 
     /// Refreshes the stored pair copies (and warm-up records) against the
     /// live history, picking up any point-error re-evaluation, then
-    /// reassesses the current estimate's quality. The cached-pair fast
-    /// path's single division is *staged* into `ops` rather than computed
-    /// (returns `true`; [`GlobalRate::commit`] writes the result into
-    /// `quality`); nothing in between reads `quality`, so deferring the
-    /// write preserves the in-line order of effects.
-    fn refresh_prepare(&mut self, history: &History, ops: &mut KernelOps) -> bool {
+    /// reassesses the current estimate's quality.
+    fn refresh(&mut self, history: &History) {
         // Fast path: nothing the refresh reads has changed since it last
         // ran, so its outputs are already in place (see `refresh_stamp`).
         let stamp = (
@@ -329,7 +160,7 @@ impl GlobalRate {
             self.i.map_or(u64::MAX, |r| r.idx),
         );
         if stamp == self.refresh_stamp {
-            return false;
+            return;
         }
         let gen_changed = stamp.0 != self.refresh_stamp.0;
         let pair_changed =
@@ -368,8 +199,7 @@ impl GlobalRate {
             let c = self.pair_cache;
             let ej = c.key_j * p;
             let ei = c.key_i * p;
-            ops.set_div(SLOT_QUALITY, ei + ej, c.dc * p);
-            return true;
+            self.quality = (ei + ej) / (c.dc * p);
         } else if pair_changed || gen_changed {
             self.pair_cache = PairCache::EMPTY;
             if let (Some(j), Some(i), Some(p)) = (self.j, self.i, self.p_hat) {
@@ -390,7 +220,6 @@ impl GlobalRate {
                 }
             }
         }
-        false
     }
 
     fn process_warmup(&mut self, _history: &History, record: &PacketRecord) -> RateEvent {

@@ -53,7 +53,6 @@
 //! machine before citing a scaling factor.
 
 pub mod lifecycle;
-pub mod megabatch;
 pub mod pool;
 pub mod population;
 pub mod quorum;
@@ -64,7 +63,6 @@ pub use lifecycle::{
     ClientState, ExchangeOutcome, LifecycleClient, LifecycleConfig, ReadVerdict, Transition,
     TransitionCause, STATE_COUNT,
 };
-pub use megabatch::{replay_stripe, Megabatch};
 pub use pool::WorkerPool;
 pub use population::{
     compare_herd, compare_herd_restarted, replay_population, replay_population_checkpointed,

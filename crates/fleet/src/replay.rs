@@ -38,11 +38,6 @@ pub struct FleetConfig {
     /// Clocks claimed from the shared pile per steal; `0` = auto
     /// (`clocks / (8 · threads)`, at least 1).
     pub chunk: usize,
-    /// Lanes per SoA megabatch stripe ([`crate::megabatch`]): the fleet is
-    /// cut into stripes of this many clocks and each stripe advances in
-    /// lockstep through the batched kernels. `0` or `1` selects the scalar
-    /// per-clock path. Results are bit-identical for every value.
-    pub stripe: usize,
 }
 
 impl FleetConfig {
@@ -55,7 +50,6 @@ impl FleetConfig {
             clock,
             ingest_batch: 256,
             chunk: 0,
-            stripe: 8,
         }
     }
 }
@@ -151,38 +145,12 @@ pub fn replay_clock(
     }
 }
 
-/// Replays the whole fleet across `pool`. With `stripe > 1` the work item
-/// is one SoA megabatch stripe of `stripe` clocks advanced in lockstep
-/// ([`crate::megabatch::replay_stripe`]); otherwise one scalar clock.
+/// Replays the whole fleet across `pool`, one clock per work item.
 /// Summaries are returned in clock order and are bit-identical for every
-/// thread count, `chunk` and `stripe`.
+/// thread count and `chunk`.
 pub fn replay_fleet(pool: &mut WorkerPool, cfg: &FleetConfig) -> Vec<ClockSummary> {
     telemetry::install_panic_dump();
     telemetry::gauge_set(telemetry::Gauge::FleetClocks, cfg.clocks as u64);
-    if cfg.stripe > 1 {
-        let stripe = cfg.stripe;
-        let stripes = cfg.clocks.div_ceil(stripe);
-        // `chunk` is documented in clocks; convert to stripes.
-        let chunk = if cfg.chunk == 0 {
-            (stripes / (8 * pool.threads())).max(1)
-        } else {
-            cfg.chunk.div_ceil(stripe).max(1)
-        };
-        let shared = Arc::new(cfg.clone());
-        let per_stripe = pool.run(stripes, chunk, move |s| {
-            let first = s * shared.stripe;
-            let count = shared.stripe.min(shared.clocks - first);
-            crate::megabatch::replay_stripe(
-                first,
-                count,
-                &shared.scenario,
-                shared.base_seed,
-                &shared.clock,
-                shared.ingest_batch,
-            )
-        });
-        return per_stripe.into_iter().flatten().collect();
-    }
     let chunk = if cfg.chunk == 0 {
         (cfg.clocks / (8 * pool.threads())).max(1)
     } else {

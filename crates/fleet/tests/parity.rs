@@ -45,44 +45,69 @@ fn eventful_fleet(clocks: usize) -> FleetConfig {
     cfg
 }
 
+/// Hard traffic: a storm of level shifts (detection windows and
+/// upward-shift rebases at a different packet index per seeded clock),
+/// two outages and 30% loss (constant ragged admission).
+fn divergent_fleet(clocks: usize) -> FleetConfig {
+    let p = 64.0;
+    let mut scenario = Scenario::baseline(7)
+        .with_poll_period(p)
+        .with_duration(p * 600.0)
+        .with_server(ServerKind::Int)
+        .with_outage(p * 120.0, p * 150.0)
+        .with_outage(p * 400.0, p * 420.0)
+        .with_shift(LevelShift::forward_only(p * 180.0, None, 0.9e-3))
+        .with_shift(LevelShift::forward_only(p * 250.0, Some(p * 280.0), 1.4e-3))
+        .with_shift(LevelShift::asymmetric(p * 320.0, None, 2e-3))
+        .with_shift(LevelShift::forward_only(p * 480.0, None, 0.7e-3));
+    scenario.loss_prob = 0.30;
+    let mut cfg = FleetConfig::new(clocks, 13, scenario, ClockConfig::paper_defaults(p));
+    cfg.ingest_batch = 61; // not a divisor of anything relevant
+    cfg
+}
+
 #[test]
 fn fleet_parallel_replay_is_bit_exact_at_every_thread_count() {
-    let cfg = eventful_fleet(24);
-    let expected = replay_sequential(&cfg);
-    assert_eq!(expected.len(), 24);
-    // sanity: the scenario actually produced work for every clock
-    for s in &expected {
-        assert!(s.delivered > 500, "clock {}: {}", s.clock, s.delivered);
-        assert!(s.p_hat.is_some() && s.theta_hat.is_some());
-    }
     let counts = parity_thread_counts();
     assert!(counts.len() >= 2 || std::env::var("FLEET_PARITY_THREADS").is_ok());
-    for threads in counts {
-        let mut pool = WorkerPool::new(threads);
-        let got = replay_fleet(&mut pool, &cfg);
-        assert_eq!(got.len(), expected.len(), "threads {threads}");
-        for (g, e) in got.iter().zip(&expected) {
-            // ClockSummary is PartialEq, but compare digests explicitly so
-            // a mismatch names the clock and both digests
-            assert_eq!(
-                g.digest, e.digest,
-                "clock {} diverged at {} threads",
-                e.clock, threads
-            );
-            assert_eq!(g, e, "summary mismatch at {threads} threads");
+    // (fleet, delivered floor): loss keeps the divergent fleet's delivery
+    // well under its duration's packet count
+    for (cfg, min_delivered) in [(eventful_fleet(24), 500), (divergent_fleet(21), 300)] {
+        let expected = replay_sequential(&cfg);
+        assert_eq!(expected.len(), cfg.clocks);
+        // sanity: the scenario actually produced work for every clock
+        for s in &expected {
+            assert!(s.delivered > min_delivered, "clock {}: {}", s.clock, s.delivered);
+            assert!(s.p_hat.is_some() && s.theta_hat.is_some());
+        }
+        for &threads in &counts {
+            let mut pool = WorkerPool::new(threads);
+            let got = replay_fleet(&mut pool, &cfg);
+            assert_eq!(got.len(), expected.len(), "threads {threads}");
+            for (g, e) in got.iter().zip(&expected) {
+                // ClockSummary is PartialEq, but compare digests explicitly
+                // so a mismatch names the clock and both digests
+                assert_eq!(
+                    g.digest, e.digest,
+                    "clock {} diverged at {} threads",
+                    e.clock, threads
+                );
+                assert_eq!(g, e, "summary mismatch at {threads} threads");
+            }
         }
     }
 }
 
 #[test]
 fn chunk_size_cannot_change_results() {
-    let cfg0 = eventful_fleet(10);
-    let expected = replay_sequential(&cfg0);
-    for chunk in [1, 2, 3, 7, 10, 1000] {
-        let mut cfg = cfg0.clone();
-        cfg.chunk = chunk;
-        let mut pool = WorkerPool::new(3);
-        assert_eq!(replay_fleet(&mut pool, &cfg), expected, "chunk {chunk}");
+    for cfg0 in [eventful_fleet(10), divergent_fleet(11)] {
+        let expected = replay_sequential(&cfg0);
+        for chunk in [1, 2, 3, 7, 10, 1000] {
+            let mut cfg = cfg0.clone();
+            cfg.chunk = chunk;
+            let mut pool = WorkerPool::new(3);
+            assert_eq!(replay_fleet(&mut pool, &cfg), expected, "chunk {chunk}");
+        }
     }
 }
 

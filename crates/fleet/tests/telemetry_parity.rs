@@ -56,21 +56,20 @@ fn fleet_replay_populates_the_registry() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let reg = telemetry::global();
     let packets0 = reg.counter(telemetry::Ctr::PacketsIngested);
-    let rounds0 = reg.counter(telemetry::Ctr::StripeRounds);
+    let batches0 = reg.counter(telemetry::Ctr::BatchesIngested);
     let cfg = eventful_fleet(8);
     let mut pool = WorkerPool::new(2);
     let got = replay_fleet(&mut pool, &cfg);
     let delivered: u64 = got.iter().map(|s| s.delivered).sum();
     assert!(delivered > 0);
-    // The SoA stripe path counts per megabatch round, the scalar tail per
-    // ingest batch; either way the per-packet total must be exact.
+    // Counted per ingest batch; the per-packet total must still be exact.
     assert!(
         reg.counter(telemetry::Ctr::PacketsIngested) >= packets0 + delivered,
         "packet counter undercounts"
     );
     assert!(
-        reg.counter(telemetry::Ctr::StripeRounds) > rounds0,
-        "stripe engine ran but counted no rounds"
+        reg.counter(telemetry::Ctr::BatchesIngested) > batches0,
+        "fleet replay ran but counted no ingest batches"
     );
     assert!(reg.gauge(telemetry::Gauge::FleetClocks) >= 8);
 }

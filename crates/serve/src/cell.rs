@@ -176,28 +176,6 @@ impl SnapshotCell {
     }
 }
 
-/// The mutex strawman the A/B bench row compares the seqlock against:
-/// identical payload, `std::sync::Mutex` protection. Kept in the library
-/// (not the bench) so the comparison is against the same inlining.
-#[derive(Debug, Default)]
-pub struct MutexCell {
-    inner: std::sync::Mutex<Option<ClockSnapshot>>,
-}
-
-impl MutexCell {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn publish(&self, snap: &ClockSnapshot) {
-        *self.inner.lock().unwrap() = Some(*snap);
-    }
-
-    pub fn read(&self) -> Option<ClockSnapshot> {
-        *self.inner.lock().unwrap()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

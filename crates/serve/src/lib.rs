@@ -29,7 +29,7 @@ pub mod plane;
 pub mod publish;
 pub mod transport;
 
-pub use cell::{ClockSnapshot, MutexCell, SnapshotCell};
+pub use cell::{ClockSnapshot, SnapshotCell};
 pub use plane::{
     decide, instant_counter, spawn_udp, Decision, ServeConfig, ServeDaemonHandle, ServePlane,
     ServeStats, REFUSE_INIT, REFUSE_STALE, REFUSE_UNSYNC,

@@ -8,7 +8,7 @@
 //!   are bit-identical to uninstrumented ones.
 //! * **Near-zero hot-path cost** — counters are plain relaxed
 //!   `fetch_add`s at batch granularity, histograms one `fetch_add` per
-//!   *sampled* stage round, and the flight recorder only runs on rare
+//!   timed batch, and the flight recorder only runs on rare
 //!   state-transition branches.
 
 use std::cell::RefCell;

@@ -20,11 +20,6 @@ pub enum Ctr {
     PoolChunksClaimed,
     /// Times a pool worker parked on the condvar waiting for work.
     PoolParkCycles,
-    /// SoA megabatch stripe rounds executed.
-    StripeRounds,
-    /// Lanes peeled out of a megabatch stripe (admission-rejected /
-    /// warm-up packets handled scalar).
-    LanesPeeled,
     /// §6.2 upward shifts confirmed.
     UpwardShifts,
     /// Suspicious windows fully evaluated and rejected by the §6.2
@@ -99,8 +94,6 @@ impl Ctr {
         Ctr::BatchesIngested,
         Ctr::PoolChunksClaimed,
         Ctr::PoolParkCycles,
-        Ctr::StripeRounds,
-        Ctr::LanesPeeled,
         Ctr::UpwardShifts,
         Ctr::ShiftWindowsRejected,
         Ctr::WindowSlides,
@@ -138,8 +131,6 @@ impl Ctr {
             Ctr::BatchesIngested => "batches_ingested",
             Ctr::PoolChunksClaimed => "pool_chunks_claimed",
             Ctr::PoolParkCycles => "pool_park_cycles",
-            Ctr::StripeRounds => "stripe_rounds",
-            Ctr::LanesPeeled => "lanes_peeled",
             Ctr::UpwardShifts => "upward_shifts",
             Ctr::ShiftWindowsRejected => "shift_windows_rejected",
             Ctr::WindowSlides => "window_slides",
@@ -212,14 +203,6 @@ pub enum Hist {
     SealNs = 0,
     /// Snapshot restore latency.
     RestoreNs,
-    /// Megabatch phase-1 (`step_prepare` over the stripe) latency per
-    /// sampled round.
-    StagePrepareNs,
-    /// Megabatch kernel-round latency per sampled round.
-    StageKernelNs,
-    /// Megabatch phase-2/3 (`step_mid` + `step_finish`) latency per
-    /// sampled round.
-    StageCommitNs,
     /// Whole-ingest-batch latency (per `ingest_batch` packets per clock).
     IngestBatchNs,
     /// Age of the published snapshot at serve time (nanoseconds of
@@ -238,9 +221,6 @@ impl Hist {
     pub const ALL: [Hist; HIST_COUNT] = [
         Hist::SealNs,
         Hist::RestoreNs,
-        Hist::StagePrepareNs,
-        Hist::StageKernelNs,
-        Hist::StageCommitNs,
         Hist::IngestBatchNs,
         Hist::ServeSnapshotAgeNs,
         Hist::ServeBatchFill,
@@ -251,9 +231,6 @@ impl Hist {
         match self {
             Hist::SealNs => "snapshot_seal_ns",
             Hist::RestoreNs => "snapshot_restore_ns",
-            Hist::StagePrepareNs => "stage_prepare_ns",
-            Hist::StageKernelNs => "stage_kernel_ns",
-            Hist::StageCommitNs => "stage_commit_ns",
             Hist::IngestBatchNs => "ingest_batch_ns",
             Hist::ServeSnapshotAgeNs => "serve_snapshot_age_ns",
             Hist::ServeBatchFill => "serve_batch_fill",

@@ -16,8 +16,8 @@
 //! * **Near-zero cost.** Without `feature = "enabled"` (the default)
 //!   the whole public surface compiles to inlined no-ops. With it, the
 //!   hot path pays only relaxed atomic adds at batch granularity plus a
-//!   runtime `recording()` master-switch check; stage timers are
-//!   sampled. Measured: ≤2% on `fleet_ingest_1000clocks`
+//!   runtime `recording()` master-switch check; stage timers wrap
+//!   whole batches. Measured: ≤2% on `fleet_ingest_1000clocks`
 //!   (BENCH_telemetry.json).
 //!
 //! Consumer crates depend on `tsc-telemetry` unconditionally and expose
