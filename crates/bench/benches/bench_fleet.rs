@@ -19,10 +19,7 @@
 //! (bench name, mean ns, packets/s) for cross-PR tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tsc_fleet::{
-    replay_fleet, replay_population, replay_population_sequential, replay_sequential,
-    total_delivered, FleetConfig, PopulationConfig, WorkerPool,
-};
+use tsc_fleet::{replay, total_delivered, FleetConfig, PopulationConfig, WorkerPool};
 use tsc_netsim::Scenario;
 use tsc_telemetry as telemetry;
 use tscclock::{ClockConfig, ProcessOutput, RawExchange, TscNtpClock};
@@ -42,7 +39,7 @@ fn bench_fleet_replay(c: &mut Criterion) {
     // so every row fits the measurement budget.
     for (clocks, polls) in [(100usize, 3000usize), (1000, 300), (10_000, 30)] {
         let cfg = fleet_cfg(clocks, polls);
-        let delivered = total_delivered(&replay_sequential(&cfg));
+        let delivered = total_delivered(&replay(None, &cfg));
         let mut g = c.benchmark_group(format!("fleet_replay_{clocks}clocks"));
         g.sample_size(10);
         g.throughput(Throughput::Elements(delivered));
@@ -51,7 +48,7 @@ fn bench_fleet_replay(c: &mut Criterion) {
             let mut pool = WorkerPool::new(threads);
             g.bench_function(format!("{threads}threads"), |b| {
                 b.iter(|| {
-                    let summaries = replay_fleet(&mut pool, &cfg);
+                    let summaries = replay(Some(&mut pool), &cfg);
                     std::hint::black_box(total_delivered(&summaries))
                 })
             });
@@ -76,7 +73,7 @@ const INGEST_BATCH: usize = 256;
 
 /// One clock's share of an ingest bench: the shared stream through
 /// `process_batch`, wrapped in the batch-granular telemetry calls
-/// `tsc_fleet::replay_clock` makes.
+/// `FleetConfig`'s replay loop makes.
 fn ingest_clock(exchanges: &[RawExchange], cc: ClockConfig) -> u64 {
     let mut clock = TscNtpClock::new(cc);
     let mut out: Vec<ProcessOutput> = Vec::with_capacity(INGEST_BATCH);
@@ -127,11 +124,7 @@ fn bench_population_replay(c: &mut Criterion) {
         .with_duration(4.0 * 3600.0)
         .with_outage(7200.0, 7200.0 + 600.0);
     let cfg = PopulationConfig::new(200, 1, scenario, ClockConfig::paper_defaults(16.0));
-    let requests: u64 = replay_population_sequential(&cfg)
-        .clients
-        .iter()
-        .map(|cl| cl.counters.0)
-        .sum();
+    let requests: u64 = replay(None, &cfg).iter().map(|cl| cl.counters.0).sum();
     let mut g = c.benchmark_group("population_replay_200clients");
     g.sample_size(10);
     g.throughput(Throughput::Elements(requests));
@@ -140,7 +133,7 @@ fn bench_population_replay(c: &mut Criterion) {
         let mut pool = WorkerPool::new(threads);
         g.bench_function(format!("{threads}threads"), |b| {
             b.iter(|| {
-                let summary = replay_population(&mut pool, &cfg);
+                let summary = cfg.summarize(replay(Some(&mut pool), &cfg));
                 std::hint::black_box(summary.digest())
             })
         });

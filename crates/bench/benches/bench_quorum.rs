@@ -11,10 +11,7 @@
 //! Set `BENCH_JSON=BENCH_quorum.json` to write machine-readable results.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tsc_fleet::{
-    replay_quorum_fleet, replay_quorum_sequential, total_quorum_delivered, QuorumFleetConfig,
-    WorkerPool,
-};
+use tsc_fleet::{replay, total_quorum_delivered, QuorumFleetConfig, WorkerPool};
 use tsc_netsim::MultiServerScenario;
 use tsc_quorum::{QuorumClock, QuorumConfig};
 use tscclock::RawExchange;
@@ -96,7 +93,7 @@ fn bench_quorum_fleet(c: &mut Criterion) {
     // the full multi-source fleet engine across thread counts
     let (entries, k, rounds) = (60usize, 3usize, 400usize);
     let cfg = fleet_cfg(entries, k, rounds);
-    let exchanges = total_quorum_delivered(&replay_quorum_sequential(&cfg));
+    let exchanges = total_quorum_delivered(&replay(None, &cfg));
     let mut g = c.benchmark_group(format!("quorum_fleet_{entries}entries_{k}servers"));
     g.sample_size(10);
     g.throughput(Throughput::Elements(exchanges));
@@ -105,7 +102,7 @@ fn bench_quorum_fleet(c: &mut Criterion) {
         let mut pool = WorkerPool::new(threads);
         g.bench_function(format!("{threads}threads"), |b| {
             b.iter(|| {
-                let summaries = replay_quorum_fleet(&mut pool, &cfg);
+                let summaries = replay(Some(&mut pool), &cfg);
                 std::hint::black_box(summaries.len())
             })
         });

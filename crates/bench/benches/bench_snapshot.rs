@@ -11,14 +11,14 @@
 //!   replay: the same 300k-packet fleet replayed through the
 //!   crash-recovery engine at checkpoint cadences 0 (disabled), 1k and
 //!   10k packets. Cadence 0 bounds the engine's wrapper overhead vs
-//!   `replay_fleet`; the other rows price periodic `snapshot()` calls.
+//!   plain `replay`; the other rows price periodic `snapshot()` calls.
 //!
 //! Set `BENCH_JSON=BENCH_snapshot.json` to write machine-readable rows.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tsc_fleet::{
-    replay_fleet_checkpointed, total_delivered, CrashPlan, FleetConfig, LifecycleClient,
-    LifecycleConfig, WorkerPool,
+    replay_interrupted, total_delivered, CrashPlan, FleetConfig, LifecycleClient, LifecycleConfig,
+    WorkerPool,
 };
 use tsc_netsim::{MultiServerScenario, OnDemandSim, RoundSample, Scenario};
 use tsc_quorum::{QuorumClock, QuorumConfig};
@@ -133,7 +133,7 @@ fn bench_fleet_checkpointing(c: &mut Criterion) {
         .with_duration(64.0 * 15_000.0);
     let cfg = FleetConfig::new(20, 1, scenario, ClockConfig::paper_defaults(64.0));
     let mut pool = WorkerPool::new(4);
-    let (summaries, _) = replay_fleet_checkpointed(&mut pool, &cfg, 0, &CrashPlan::none());
+    let (summaries, _) = replay_interrupted(Some(&mut pool), &cfg, 0, &CrashPlan::none());
     let delivered = total_delivered(&summaries);
     let mut g = c.benchmark_group("fleet_checkpointed_20clocks");
     g.sample_size(10);
@@ -143,7 +143,7 @@ fn bench_fleet_checkpointing(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| {
                 let (summaries, stats) =
-                    replay_fleet_checkpointed(&mut pool, &cfg, every, &CrashPlan::none());
+                    replay_interrupted(Some(&mut pool), &cfg, every, &CrashPlan::none());
                 std::hint::black_box((total_delivered(&summaries), stats.checkpoints))
             })
         });

@@ -63,7 +63,7 @@ const INGEST_BATCH: usize = 256;
 /// One run of the `fleet_ingest_1000clocks_poll64/1threads` workload from
 /// `bench_fleet.rs`: every clock filters the same pre-generated stream
 /// through `process_batch`, wrapped in the batch-granular telemetry calls
-/// `tsc_fleet::replay_clock` makes — the recording the A/B switches.
+/// `FleetConfig`'s replay loop makes — the recording the A/B switches.
 fn ingest_run(
     pool: &mut WorkerPool,
     exchanges: &std::sync::Arc<Vec<RawExchange>>,

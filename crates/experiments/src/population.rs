@@ -17,7 +17,7 @@
 use crate::fmt::{table, Report};
 use crate::ExpOptions;
 use tsc_fleet::{
-    compare_herd, replay_population, ChurnPlan, PopulationConfig, WorkerPool, STATE_COUNT,
+    compare_herd, replay, ChurnPlan, PopulationConfig, WorkerPool, STATE_COUNT,
 };
 use tsc_netsim::{ProfileMix, Scenario, ALL_PROFILES};
 use tsc_stats::Percentiles;
@@ -64,7 +64,7 @@ pub fn run(opt: ExpOptions) -> Report {
     r.line("");
 
     let mut pool = WorkerPool::new(4);
-    let summary = replay_population(&mut pool, &cfg);
+    let summary = cfg.summarize(replay(Some(&mut pool), &cfg));
 
     // --- per-profile accuracy ---------------------------------------
     r.line("per-profile absolute clock error at accepted exchanges:");

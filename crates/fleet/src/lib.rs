@@ -10,7 +10,8 @@
 //! This crate drives N independent [`tscclock::TscNtpClock`] instances,
 //! each against its own deterministically-seeded [`tsc_netsim::Scenario`],
 //! across a hand-rolled parked-thread work-claiming pool (no external
-//! dependencies — see [`pool`]):
+//! dependencies — see [`pool`]). One driver ([`replay`],
+//! [`replay_interrupted`], [`replay_item`]) serves every [`Workload`]:
 //!
 //! ```text
 //!   FleetConfig { template scenario, N, base_seed }
@@ -27,8 +28,10 @@
 //! The multi-source axis ([`quorum`]) replays *quorums* instead of single
 //! clocks: one fleet entry = K per-server clocks + health scoring + the
 //! robust combiner (`tsc-quorum`), driven by a seeded multi-server
-//! scenario (`tsc_netsim::MultiServerScenario`). Same engine, same
-//! determinism contract.
+//! scenario (`tsc_netsim::MultiServerScenario`); [`population`] replays
+//! lifecycle clients on client-driven timelines. Same driver, same
+//! determinism contract — and the same [`Interrupts`]: any of the three
+//! can be checkpointed and crash-injected ([`recovery`]).
 //!
 //! ## Determinism
 //!
@@ -36,8 +39,9 @@
 //! = one clock here: the clock is an online filter and is never split),
 //! every clock is a pure function of `(template, base_seed + i)`, and each
 //! result lands in its own output slot. Fleet results are therefore
-//! **bit-identical across thread counts, chunk sizes and ingest batch
-//! sizes** — `tests/parity.rs` proves it with digest equality at several
+//! **bit-identical across thread counts, chunk sizes, ingest batch
+//! sizes, checkpoint cadences and crash schedules** — `tests/parity.rs`
+//! and `tests/crash_recovery.rs` prove it with digest equality at several
 //! thread counts plus a property test over shard sizes.
 //!
 //! ## Scaling
@@ -47,10 +51,11 @@
 //! throughput is *designed* to track physical cores — but that scaling is
 //! measured, not assumed: `crates/bench/benches/bench_fleet.rs` reports
 //! aggregate packets/s at 1/2/4/8 threads for fleets of 100–10 000
-//! clocks. On the single-core host this repo is currently developed on,
-//! every thread count measures the same ≈0.55 M packets/s (the rows
-//! bound the pool's overhead instead); re-run the bench on a multi-core
-//! machine before citing a scaling factor.
+//! clocks. On a host with one or two cores every thread count measures
+//! the same throughput (the rows bound the pool's overhead instead): see
+//! the current `fleet_replay_1000clocks/1threads` row of
+//! `BENCH_fleet.json` for the figure, and re-run the bench on a
+//! multi-core machine before citing a scaling factor.
 
 pub mod lifecycle;
 pub mod pool;
@@ -65,19 +70,12 @@ pub use lifecycle::{
 };
 pub use pool::WorkerPool;
 pub use population::{
-    compare_herd, compare_herd_restarted, replay_population, replay_population_checkpointed,
-    replay_population_client, replay_population_client_checkpointed,
-    replay_population_sequential, ChurnPlan, ClientSummary, HerdComparison, PopulationConfig,
-    PopulationSummary,
+    compare_herd, ChurnPlan, ClientSummary, HerdComparison, PopulationConfig, PopulationSummary,
 };
-pub use quorum::{
-    replay_quorum_entry, replay_quorum_fleet, replay_quorum_sequential, total_quorum_delivered,
-    total_quorum_rounds, QuorumFleetConfig, QuorumSummary,
-};
+pub use quorum::{total_quorum_delivered, total_quorum_rounds, QuorumFleetConfig, QuorumSummary};
 pub use recovery::{
-    replay_clock_checkpointed, replay_fleet_checkpointed, CheckpointStore, ClockCheckpoint,
-    CrashPlan, LatestCheckpoint, RecoveryStats,
+    CheckpointStore, ClockCheckpoint, CrashPlan, Interrupts, LatestCheckpoint, RecoveryStats,
 };
 pub use replay::{
-    replay_clock, replay_fleet, replay_sequential, total_delivered, ClockSummary, FleetConfig,
+    replay, replay_interrupted, replay_item, total_delivered, ClockSummary, FleetConfig, Workload,
 };

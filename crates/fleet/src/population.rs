@@ -36,14 +36,13 @@ use crate::lifecycle::{
     ClientState, ExchangeOutcome, LifecycleClient, LifecycleConfig, STATE_COUNT,
 };
 use crate::pool::WorkerPool;
-use crate::recovery::{CheckpointStore, ClockCheckpoint, CrashPlan, LatestCheckpoint, RecoveryStats};
-use crate::replay::{fnv, FNV_OFFSET};
-use std::sync::Arc;
+use crate::recovery::{open_sidecar, Interrupts};
+use crate::replay::{fnv, replay, Workload, FNV_OFFSET};
 use tsc_netsim::multi::splitmix64;
-use tsc_telemetry as telemetry;
 use tsc_netsim::profile::{PathProfile, ProfileMix};
 use tsc_netsim::{OnDemandSim, Scenario};
-use tscclock::snapshot::{self, SnapshotReader, SnapshotWriter};
+use tsc_telemetry as telemetry;
+use tscclock::snapshot::{self, SnapshotWriter};
 use tscclock::{ClockConfig, RawExchange, SnapshotError};
 
 /// Salt of the per-client churn draws.
@@ -162,6 +161,14 @@ impl PopulationConfig {
     fn buckets_len(&self) -> usize {
         (self.scenario.duration / self.bucket_width).ceil() as usize + 1
     }
+
+    /// The fleet-level view of this population's per-client results.
+    pub fn summarize(&self, clients: Vec<ClientSummary>) -> PopulationSummary {
+        PopulationSummary {
+            clients,
+            bucket_width: self.bucket_width,
+        }
+    }
 }
 
 /// Result of replaying one lifecycle client.
@@ -226,179 +233,160 @@ fn encode_client_checkpoint(
 fn decode_client_checkpoint(
     blob: &[u8],
 ) -> Result<(LifecycleClient, u64, u64, Vec<f64>, Vec<u32>, Vec<f64>), SnapshotError> {
-    let payload = snapshot::open_envelope(blob, snapshot::kind::CHECKPOINT)?;
-    let mut r = SnapshotReader::new(payload);
-    let n = r.get_u64()?;
-    let digest = r.get_u64()?;
-    let client = LifecycleClient::restore(r.get_bytes()?)?;
-    let n_sent = r.get_len(8)?;
-    let mut sent = Vec::with_capacity(n_sent);
-    for _ in 0..n_sent {
-        sent.push(r.get_f64()?);
-    }
-    let n_buckets = r.get_len(4)?;
-    let mut buckets = Vec::with_capacity(n_buckets);
-    for _ in 0..n_buckets {
-        buckets.push(r.get_u32()?);
-    }
-    let n_errors = r.get_len(8)?;
-    let mut errors = Vec::with_capacity(n_errors);
-    for _ in 0..n_errors {
-        errors.push(r.get_f64()?);
-    }
-    r.finish()?;
-    if n != sent.len() as u64 {
-        return Err(SnapshotError::Invalid("checkpoint request count mismatch"));
-    }
-    Ok((client, n, digest, sent, buckets, errors))
+    let (n, digest, client, sent, buckets, errors) = open_sidecar(blob, |r| {
+        let n = r.get_u64()?;
+        let digest = r.get_u64()?;
+        let client = r.get_bytes()?;
+        let n_sent = r.get_len(8)?;
+        let mut sent = Vec::with_capacity(n_sent);
+        for _ in 0..n_sent {
+            sent.push(r.get_f64()?);
+        }
+        let n_buckets = r.get_len(4)?;
+        let mut buckets = Vec::with_capacity(n_buckets);
+        for _ in 0..n_buckets {
+            buckets.push(r.get_u32()?);
+        }
+        let n_errors = r.get_len(8)?;
+        let mut errors = Vec::with_capacity(n_errors);
+        for _ in 0..n_errors {
+            errors.push(r.get_f64()?);
+        }
+        if n != sent.len() as u64 {
+            return Err(SnapshotError::Invalid("checkpoint request count mismatch"));
+        }
+        Ok((n, digest, client, sent, buckets, errors))
+    })?;
+    Ok((LifecycleClient::restore(client)?, n, digest, sent, buckets, errors))
 }
 
-/// The one population-client replay loop, with optional checkpointing and
-/// crash injection. `checkpoint_every == 0` with no crash points is the
-/// plain fast path ([`replay_population_client`] delegates here).
-fn run_population_client(
-    cfg: &PopulationConfig,
-    i: usize,
-    checkpoint_every: u64,
-    crash_points: &[u64],
-    store: &mut dyn CheckpointStore,
-) -> (ClientSummary, RecoveryStats) {
-    let seed = cfg.base_seed.wrapping_add(i as u64);
-    let profile = cfg.mix.assign(cfg.base_seed, i);
-    let scenario = profile.apply(&cfg.scenario, seed);
-    let horizon = scenario.duration;
-    let (joined_at, left_at) = cfg.churn.times(cfg.base_seed, i, horizon);
+impl Workload for PopulationConfig {
+    type Summary = ClientSummary;
 
-    let lc = if cfg.jittered {
-        LifecycleConfig::for_profile(profile, scenario.poll_period)
-    } else {
-        LifecycleConfig::for_profile(profile, scenario.poll_period).naive(cfg.naive_retry)
-    };
-    let mut client = LifecycleClient::new(lc, cfg.clock, seed, joined_at);
-    let mut sim = OnDemandSim::new(&scenario);
-    let nominal_period = 1.0 / sim.tsc_freq_hz();
+    const SIZE_GAUGE: Option<telemetry::Gauge> = Some(telemetry::Gauge::PopulationClients);
 
-    let mut buckets = vec![0u32; cfg.buckets_len()];
-    let mut errors = Vec::new();
-    let mut digest = FNV_OFFSET;
-    let mut stats = RecoveryStats::default();
-    // Every send time issued so far — the sim re-drive script a restore
-    // needs (OnDemandSim is stateful; its state is a pure function of the
-    // issued t sequence). Recorded only while checkpointing.
-    let mut sent: Vec<f64> = Vec::new();
-    let mut n = 0u64;
-    let mut next_crash = 0usize;
-    let mut restart_pending = cfg.restart_at;
+    fn items(&self) -> usize {
+        self.clients
+    }
 
-    loop {
-        let t = client.next_send().max(sim.earliest_next());
-        if t >= left_at {
-            break;
-        }
-        if restart_pending.is_some_and(|rt| t >= rt) {
-            restart_pending = None;
-            // the warm-restart drill: a snapshot/restore round trip
-            // through bytes mid-run — resume exactness makes it invisible
-            let blob = client.snapshot();
-            client = LifecycleClient::restore(&blob)
-                .expect("snapshot of a live client must restore");
-        }
-        client.end_cooldown(t);
-        client.note_request();
-        let b = (t / cfg.bucket_width) as usize;
-        if let Some(slot) = buckets.get_mut(b) {
-            *slot += 1;
-        }
-        let e = sim.exchange_at(t);
-        let outcome = if e.lost || e.truth.tf - t > lc.timeout {
-            // lost outright, or the response arrived after the client
-            // already gave up — either way the client sees a timeout
-            client.on_timeout(t + lc.timeout)
+    fn chunk(&self) -> usize {
+        self.chunk
+    }
+
+    /// Replays lifecycle client `i` on its own client-driven timeline.
+    /// Progress is counted in requests; a checkpoint that fails to
+    /// restore degrades to a cold re-run from the join time.
+    fn item(&self, i: usize, intr: &mut Interrupts<'_>) -> ClientSummary {
+        let seed = self.base_seed.wrapping_add(i as u64);
+        let profile = self.mix.assign(self.base_seed, i);
+        let scenario = profile.apply(&self.scenario, seed);
+        let horizon = scenario.duration;
+        let (joined_at, left_at) = self.churn.times(self.base_seed, i, horizon);
+
+        let lc = if self.jittered {
+            LifecycleConfig::for_profile(profile, scenario.poll_period)
         } else {
-            let raw = RawExchange {
-                ta_tsc: e.ta_tsc,
-                tb: e.tb,
-                te: e.te,
-                tf_tsc: e.tf_tsc,
-            };
-            let out = client.on_response(e.truth.tf, raw, nominal_period);
-            if matches!(out, ExchangeOutcome::Accepted(_)) {
-                if let Some(ca) = client.clock().absolute_time(e.tf_tsc) {
-                    errors.push((ca - e.truth.tf).abs());
-                }
-            }
-            out
+            LifecycleConfig::for_profile(profile, scenario.poll_period).naive(self.naive_retry)
         };
-        let code: u64 = match outcome {
-            ExchangeOutcome::Accepted(Some(_)) => 1,
-            ExchangeOutcome::Accepted(None) => 2,
-            ExchangeOutcome::Rejected { .. } => 3,
-            ExchangeOutcome::TimedOut => 4,
-        };
-        digest = fnv(digest, t.to_bits());
-        digest = fnv(digest, code | (client.state() as u64) << 8);
-        n += 1;
-        if checkpoint_every > 0 {
-            sent.push(t);
-            if n.is_multiple_of(checkpoint_every) {
-                store.save(ClockCheckpoint {
-                    delivered: n,
-                    digest,
-                    blob: encode_client_checkpoint(&client, n, digest, &sent, &buckets, &errors),
-                });
-                stats.checkpoints += 1;
+        let mut client = LifecycleClient::new(lc, self.clock, seed, joined_at);
+        let mut sim = OnDemandSim::new(&scenario);
+        let nominal_period = 1.0 / sim.tsc_freq_hz();
+
+        let mut buckets = vec![0u32; self.buckets_len()];
+        let mut errors = Vec::new();
+        let mut digest = FNV_OFFSET;
+        // Every send time issued so far — the sim re-drive script a restore
+        // needs (OnDemandSim is stateful; its state is a pure function of the
+        // issued t sequence).
+        let mut sent: Vec<f64> = Vec::new();
+        let mut n = 0u64;
+        let mut restart_pending = self.restart_at;
+
+        loop {
+            let t = client.next_send().max(sim.earliest_next());
+            if t >= left_at {
+                break;
             }
-        }
-        while crash_points.get(next_crash) == Some(&n) {
-            next_crash += 1;
-            stats.crashes += 1;
-            // the worker dies: recover from the last checkpoint, or
-            // degrade to a full cold re-run — either way the final
-            // summary is bit-identical to the uninterrupted replay
-            match store.last().and_then(|ck| decode_client_checkpoint(&ck.blob).ok()) {
-                Some((c, rn, rd, rsent, rbuckets, rerrors)) => {
-                    client = c;
-                    n = rn;
-                    digest = rd;
-                    buckets = rbuckets;
-                    errors = rerrors;
-                    sim = OnDemandSim::new(&scenario);
-                    for &ts in &rsent {
-                        let _ = sim.exchange_at(ts);
+            if restart_pending.is_some_and(|rt| t >= rt) {
+                restart_pending = None;
+                // the warm-restart drill: a snapshot/restore round trip
+                // through bytes mid-run — resume exactness makes it invisible
+                let blob = client.snapshot();
+                client = LifecycleClient::restore(&blob)
+                    .expect("snapshot of a live client must restore");
+            }
+            client.end_cooldown(t);
+            client.note_request();
+            let b = (t / self.bucket_width) as usize;
+            if let Some(slot) = buckets.get_mut(b) {
+                *slot += 1;
+            }
+            let e = sim.exchange_at(t);
+            let outcome = if e.lost || e.truth.tf - t > lc.timeout {
+                // lost outright, or the response arrived after the client
+                // already gave up — either way the client sees a timeout
+                client.on_timeout(t + lc.timeout)
+            } else {
+                let raw = RawExchange {
+                    ta_tsc: e.ta_tsc,
+                    tb: e.tb,
+                    te: e.te,
+                    tf_tsc: e.tf_tsc,
+                };
+                let out = client.on_response(e.truth.tf, raw, nominal_period);
+                if matches!(out, ExchangeOutcome::Accepted(_)) {
+                    if let Some(ca) = client.clock().absolute_time(e.tf_tsc) {
+                        errors.push((ca - e.truth.tf).abs());
                     }
-                    stats.replayed += rsent.len() as u64;
-                    sent = rsent;
-                    stats.warm_restores += 1;
                 }
-                None => {
-                    client = LifecycleClient::new(lc, cfg.clock, seed, joined_at);
-                    sim = OnDemandSim::new(&scenario);
-                    n = 0;
-                    digest = FNV_OFFSET;
-                    buckets = vec![0u32; cfg.buckets_len()];
+                out
+            };
+            let code: u64 = match outcome {
+                ExchangeOutcome::Accepted(Some(_)) => 1,
+                ExchangeOutcome::Accepted(None) => 2,
+                ExchangeOutcome::Rejected { .. } => 3,
+                ExchangeOutcome::TimedOut => 4,
+            };
+            digest = fnv(digest, t.to_bits());
+            digest = fnv(digest, code | (client.state() as u64) << 8);
+            n += 1;
+            sent.push(t);
+            intr.checkpoint(n, digest, || {
+                encode_client_checkpoint(&client, n, digest, &sent, &buckets, &errors)
+            });
+            intr.recover(n, |ck| {
+                if let Some(ck) = ck {
+                    (client, n, digest, sent, buckets, errors) =
+                        decode_client_checkpoint(&ck.blob)?;
+                } else {
+                    client = LifecycleClient::new(lc, self.clock, seed, joined_at);
+                    (n, digest) = (0, FNV_OFFSET);
+                    buckets = vec![0u32; self.buckets_len()];
                     errors.clear();
                     sent.clear();
-                    stats.cold_restarts += 1;
                 }
-            }
+                sim = OnDemandSim::new(&scenario);
+                for &ts in &sent {
+                    let _ = sim.exchange_at(ts);
+                }
+                Ok(n)
+            });
         }
-    }
-    client.finish(left_at);
+        client.finish(left_at);
 
-    let (requests, accepted, rejected, timeouts) = client.counters();
-    digest = fnv(digest, requests);
-    digest = fnv(digest, accepted);
-    digest = fnv(digest, rejected);
-    digest = fnv(digest, timeouts);
-    digest = fnv(digest, client.transition_count());
-    for s in client.time_in_state() {
-        digest = fnv(digest, s.to_bits());
-    }
-    for e in &errors {
-        digest = fnv(digest, e.to_bits());
-    }
+        let (requests, accepted, rejected, timeouts) = client.counters();
+        digest = fnv(digest, requests);
+        digest = fnv(digest, accepted);
+        digest = fnv(digest, rejected);
+        digest = fnv(digest, timeouts);
+        digest = fnv(digest, client.transition_count());
+        for s in client.time_in_state() {
+            digest = fnv(digest, s.to_bits());
+        }
+        for e in &errors {
+            digest = fnv(digest, e.to_bits());
+        }
 
-    (
         ClientSummary {
             client: i,
             profile,
@@ -411,32 +399,8 @@ fn run_population_client(
             buckets,
             errors,
             digest,
-        },
-        stats,
-    )
-}
-
-/// Replays one lifecycle client: the pure function of `(cfg, i)` the
-/// parity contract is built on.
-pub fn replay_population_client(cfg: &PopulationConfig, i: usize) -> ClientSummary {
-    run_population_client(cfg, i, 0, &[], &mut LatestCheckpoint::default()).0
-}
-
-/// Replays one client with periodic checkpointing and injected crashes.
-/// The summary is **bit-identical** to [`replay_population_client`] for
-/// any crash schedule; a checkpoint that fails to restore degrades to a
-/// cold re-run from the join time (see [`crate::recovery`]).
-///
-/// `crash_points` are strictly-ascending request counts (as
-/// [`CrashPlan::points`] returns).
-pub fn replay_population_client_checkpointed(
-    cfg: &PopulationConfig,
-    i: usize,
-    checkpoint_every: u64,
-    crash_points: &[u64],
-    store: &mut dyn CheckpointStore,
-) -> (ClientSummary, RecoveryStats) {
-    run_population_client(cfg, i, checkpoint_every, crash_points, store)
+        }
+    }
 }
 
 /// Fleet-level view of a population replay.
@@ -500,77 +464,6 @@ impl PopulationSummary {
     }
 }
 
-/// Replays the population across `pool`, one client per work item.
-/// Summaries are in client order and independent of thread count/chunk.
-pub fn replay_population(pool: &mut WorkerPool, cfg: &PopulationConfig) -> PopulationSummary {
-    telemetry::install_panic_dump();
-    telemetry::gauge_set(telemetry::Gauge::PopulationClients, cfg.clients as u64);
-    let chunk = if cfg.chunk == 0 {
-        (cfg.clients / (8 * pool.threads())).max(1)
-    } else {
-        cfg.chunk
-    };
-    let shared = Arc::new(cfg.clone());
-    let clients = pool.run(cfg.clients, chunk, move |i| {
-        replay_population_client(&shared, i)
-    });
-    PopulationSummary {
-        clients,
-        bucket_width: cfg.bucket_width,
-    }
-}
-
-/// Replays the population with per-client checkpointing and the given
-/// crash schedule (crash points are request counts). Bit-identical to
-/// [`replay_population`] for any schedule, at any thread count — the
-/// crash-recovery parity suite pins it.
-pub fn replay_population_checkpointed(
-    pool: &mut WorkerPool,
-    cfg: &PopulationConfig,
-    checkpoint_every: u64,
-    crash: &CrashPlan,
-) -> (PopulationSummary, RecoveryStats) {
-    telemetry::install_panic_dump();
-    telemetry::gauge_set(telemetry::Gauge::PopulationClients, cfg.clients as u64);
-    let chunk = if cfg.chunk == 0 {
-        (cfg.clients / (8 * pool.threads())).max(1)
-    } else {
-        cfg.chunk
-    };
-    let shared = Arc::new((cfg.clone(), *crash));
-    let results = pool.run(cfg.clients, chunk, move |i| {
-        let (cfg, crash) = &*shared;
-        let points = crash.points(i);
-        let mut store = LatestCheckpoint::default();
-        run_population_client(cfg, i, checkpoint_every, &points, &mut store)
-    });
-    let mut stats = RecoveryStats::default();
-    let clients = results
-        .into_iter()
-        .map(|(s, st)| {
-            stats.merge(st);
-            s
-        })
-        .collect();
-    (
-        PopulationSummary {
-            clients,
-            bucket_width: cfg.bucket_width,
-        },
-        stats,
-    )
-}
-
-/// Sequential reference replay — the parity baseline.
-pub fn replay_population_sequential(cfg: &PopulationConfig) -> PopulationSummary {
-    PopulationSummary {
-        clients: (0..cfg.clients)
-            .map(|i| replay_population_client(cfg, i))
-            .collect(),
-        bucket_width: cfg.bucket_width,
-    }
-}
-
 /// Outcome of the thundering-herd ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HerdComparison {
@@ -624,8 +517,8 @@ pub fn compare_herd(
         jittered: false,
         ..cfg.clone()
     };
-    let jittered = replay_population(pool, &jittered_cfg);
-    let naive = replay_population(pool, &naive_cfg);
+    let jittered = cfg.summarize(replay(Some(&mut *pool), &jittered_cfg));
+    let naive = cfg.summarize(replay(Some(pool), &naive_cfg));
     HerdComparison {
         naive_peak: naive.peak_in(window),
         jittered_peak: jittered.peak_in(window),
@@ -633,26 +526,6 @@ pub fn compare_herd(
         naive,
         jittered,
     }
-}
-
-/// The herd ablation with a **restart-mid-cooldown drill**: every client
-/// in both arms is snapshotted and restored through bytes at its first
-/// scheduled send at or after `restart_t` (pick a time inside the outage,
-/// when the fleet sits in backoff/cooldown). Because restores preserve
-/// the backoff-ladder position and the jitter-stream phase exactly, the
-/// jittered arm's re-sync spike stays suppressed — a naive restart that
-/// reseeded or reset the schedule would re-phase-lock the fleet.
-pub fn compare_herd_restarted(
-    pool: &mut WorkerPool,
-    cfg: &PopulationConfig,
-    window_periods: f64,
-    restart_t: f64,
-) -> HerdComparison {
-    let restarted = PopulationConfig {
-        restart_at: Some(restart_t),
-        ..cfg.clone()
-    };
-    compare_herd(pool, &restarted, window_periods)
 }
 
 #[cfg(test)]
@@ -666,7 +539,8 @@ mod tests {
 
     #[test]
     fn clients_get_profiles_and_make_progress() {
-        let s = replay_population_sequential(&small_cfg(8));
+        let cfg = small_cfg(8);
+        let s = cfg.summarize(replay(None, &cfg));
         assert_eq!(s.clients.len(), 8);
         let profiles: std::collections::HashSet<_> =
             s.clients.iter().map(|c| c.profile).collect();
@@ -682,18 +556,17 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let cfg = small_cfg(5);
-        let a = replay_population_sequential(&cfg);
-        let b = replay_population_sequential(&cfg);
-        assert_eq!(a, b);
-        assert_ne!(a.clients[0].digest, a.clients[1].digest);
+        let a = replay(None, &cfg);
+        assert_eq!(a, replay(None, &cfg));
+        assert_ne!(a[0].digest, a[1].digest);
     }
 
     #[test]
     fn pool_matches_sequential() {
         let cfg = small_cfg(6);
         let mut pool = WorkerPool::new(3);
-        let par = replay_population(&mut pool, &cfg);
-        let seq = replay_population_sequential(&cfg);
+        let par = cfg.summarize(replay(Some(&mut pool), &cfg));
+        let seq = cfg.summarize(replay(None, &cfg));
         assert_eq!(par.digest(), seq.digest());
         assert_eq!(par, seq);
     }
@@ -734,7 +607,7 @@ mod tests {
             leave_frac: 1.0,
             leave_window: (3600.0, 5400.0),
         };
-        let s = replay_population_sequential(&cfg);
+        let s = cfg.summarize(replay(None, &cfg));
         for c in &s.clients {
             assert!(c.joined_at >= 600.0 && c.left_at <= 5400.0);
             // no requests outside the member window

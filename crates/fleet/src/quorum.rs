@@ -13,12 +13,12 @@
 //! time/rate bit patterns) plus the final per-server trust scores, and
 //! `tests/parity.rs` pins it at {1, 2, 4, 8} threads.
 
-use crate::pool::WorkerPool;
-use crate::replay::{fnv, FNV_OFFSET};
-use std::sync::Arc;
+use crate::recovery::{open_sidecar, Interrupts};
+use crate::replay::{fnv, Workload, FNV_OFFSET};
 use tsc_netsim::multi::splitmix64;
 use tsc_netsim::{MultiServerScenario, RoundSample};
 use tsc_quorum::{QuorumClock, QuorumConfig, QuorumOutput};
+use tscclock::snapshot::{self, SnapshotWriter};
 use tscclock::RawExchange;
 
 /// Configuration of one multi-source fleet replay.
@@ -103,95 +103,93 @@ fn fold_output(mut h: u64, o: &QuorumOutput) -> u64 {
 /// replay loop.
 const BATCH_ROUNDS: usize = 64;
 
-/// Replays a single quorum entry against `template` with the master seed
-/// overridden by `seed`. Ingest is batched ([`QuorumClock::process_batch`]
-/// over [`BATCH_ROUNDS`]-round flattened chunks — bit-identical to the
-/// per-round loop) and allocation-free in steady state: the round,
-/// batch and output buffers are all reused across the whole replay.
-pub fn replay_quorum_entry(
-    fleet_index: usize,
-    template: &MultiServerScenario,
-    seed: u64,
-    quorum_cfg: &QuorumConfig,
-) -> QuorumSummary {
-    let k = template.k();
-    let mut q = QuorumClock::new(k, *quorum_cfg);
-    let mut stream = template.stream_with_seed(seed);
-    let mut samples: Vec<RoundSample> = Vec::with_capacity(k);
-    let mut flat: Vec<Option<RawExchange>> = Vec::with_capacity(k * BATCH_ROUNDS);
-    let mut outs: Vec<QuorumOutput> = Vec::with_capacity(BATCH_ROUNDS);
-    let mut digest = FNV_OFFSET;
-    let (mut rounds, mut combined_rounds, mut delivered) = (0u64, 0u64, 0u64);
-    let mut exhausted = false;
-    while !exhausted {
-        flat.clear();
-        while flat.len() < k * BATCH_ROUNDS {
-            if !stream.next_round(&mut samples) {
-                exhausted = true;
+impl Workload for QuorumFleetConfig {
+    type Summary = QuorumSummary;
+
+    fn items(&self) -> usize {
+        self.entries
+    }
+
+    fn chunk(&self) -> usize {
+        self.chunk
+    }
+
+    /// Streams the scenario template, reseeded for entry `i`. Ingest is
+    /// batched ([`QuorumClock::process_batch`] over [`BATCH_ROUNDS`]-round
+    /// flattened chunks — bit-identical to the per-round loop) and
+    /// allocation-free in steady state: the round, batch and output
+    /// buffers are all reused across the whole replay. Progress is
+    /// counted in rounds.
+    fn item(&self, i: usize, intr: &mut Interrupts<'_>) -> QuorumSummary {
+        let seed = splitmix64(self.base_seed.wrapping_add(i as u64));
+        let k = self.scenario.k();
+        let mut q = QuorumClock::new(k, self.quorum);
+        let mut stream = self.scenario.stream_with_seed(seed);
+        let mut samples: Vec<RoundSample> = Vec::with_capacity(k);
+        let mut flat: Vec<Option<RawExchange>> = Vec::with_capacity(k * BATCH_ROUNDS);
+        let mut outs: Vec<QuorumOutput> = Vec::with_capacity(BATCH_ROUNDS);
+        let mut digest = FNV_OFFSET;
+        let (mut rounds, mut combined_rounds, mut delivered) = (0u64, 0u64, 0u64);
+        loop {
+            flat.clear();
+            let want = k * intr.budget(rounds, BATCH_ROUNDS as u64) as usize;
+            while flat.len() < want && stream.next_round(&mut samples) {
+                flat.extend(samples.iter().map(|s| s.delivered.then_some(s.raw)));
+            }
+            if flat.is_empty() {
                 break;
             }
-            flat.extend(samples.iter().map(|s| s.delivered.then_some(s.raw)));
+            outs.clear();
+            q.process_batch(&flat, &mut outs);
+            for out in &outs {
+                rounds += 1;
+                combined_rounds += u64::from(out.combined);
+                delivered += u64::from(out.delivered_mask.count_ones());
+                digest = fold_output(digest, out);
+            }
+            intr.checkpoint(rounds, digest, || {
+                let mut w = SnapshotWriter::new();
+                w.put_u64(combined_rounds);
+                w.put_u64(delivered);
+                w.put_bytes(&q.snapshot());
+                w.seal(snapshot::kind::CHECKPOINT)
+            });
+            intr.recover(rounds, |ck| {
+                (q, combined_rounds, delivered, rounds, digest) = match ck {
+                    Some(ck) => {
+                        let (combined, exchanges, quorum) = open_sidecar(&ck.blob, |r| {
+                            Ok((r.get_u64()?, r.get_u64()?, r.get_bytes()?))
+                        })?;
+                        (QuorumClock::restore(quorum)?, combined, exchanges, ck.delivered, ck.digest)
+                    }
+                    None => (QuorumClock::new(k, self.quorum), 0, 0, 0, FNV_OFFSET),
+                };
+                // Regenerate the stream and fast-forward to the resume
+                // point without feeding the quorum (its state covers it).
+                stream = self.scenario.stream_with_seed(seed);
+                for _ in 0..rounds {
+                    stream.next_round(&mut samples);
+                }
+                Ok(rounds)
+            });
         }
-        outs.clear();
-        q.process_batch(&flat, &mut outs);
-        for out in &outs {
-            rounds += 1;
-            combined_rounds += u64::from(out.combined);
-            delivered += u64::from(out.delivered_mask.count_ones());
-            digest = fold_output(digest, out);
+        let trust: Vec<f64> = (0..k).map(|s| q.trust(s)).collect();
+        let mut demoted_mask = 0u32;
+        for (s, t) in trust.iter().enumerate() {
+            digest = fnv(digest, t.to_bits());
+            demoted_mask |= u32::from(q.demoted(s)) << s;
+        }
+        QuorumSummary {
+            entry: i,
+            rounds,
+            delivered,
+            combined_rounds,
+            p_hat: q.p_hat(),
+            demoted_mask,
+            trust,
+            digest,
         }
     }
-    let trust: Vec<f64> = (0..k).map(|s| q.trust(s)).collect();
-    let mut demoted_mask = 0u32;
-    for (s, t) in trust.iter().enumerate() {
-        digest = fnv(digest, t.to_bits());
-        demoted_mask |= u32::from(q.demoted(s)) << s;
-    }
-    QuorumSummary {
-        entry: fleet_index,
-        rounds,
-        delivered,
-        combined_rounds,
-        p_hat: q.p_hat(),
-        demoted_mask,
-        trust,
-        digest,
-    }
-}
-
-/// Replays the whole multi-source fleet across `pool`, one entry per work
-/// item. Summaries are returned in entry order and are independent of the
-/// pool's thread count and of `chunk`.
-pub fn replay_quorum_fleet(pool: &mut WorkerPool, cfg: &QuorumFleetConfig) -> Vec<QuorumSummary> {
-    let chunk = if cfg.chunk == 0 {
-        (cfg.entries / (8 * pool.threads())).max(1)
-    } else {
-        cfg.chunk
-    };
-    let shared = Arc::new(cfg.clone());
-    pool.run(cfg.entries, chunk, move |i| {
-        replay_quorum_entry(
-            i,
-            &shared.scenario,
-            splitmix64(shared.base_seed.wrapping_add(i as u64)),
-            &shared.quorum,
-        )
-    })
-}
-
-/// Sequential reference replay (no pool): the ground truth the parity
-/// tests compare every parallel configuration against.
-pub fn replay_quorum_sequential(cfg: &QuorumFleetConfig) -> Vec<QuorumSummary> {
-    (0..cfg.entries)
-        .map(|i| {
-            replay_quorum_entry(
-                i,
-                &cfg.scenario,
-                splitmix64(cfg.base_seed.wrapping_add(i as u64)),
-                &cfg.quorum,
-            )
-        })
-        .collect()
 }
 
 /// Total rounds replayed across the fleet (scheduled polls of one server
@@ -210,6 +208,8 @@ pub fn total_quorum_delivered(summaries: &[QuorumSummary]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::WorkerPool;
+    use crate::replay::replay;
 
     fn small_cfg(entries: usize, k: usize) -> QuorumFleetConfig {
         let scenario = MultiServerScenario::baseline(k, 0)
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn quorum_replay_produces_estimates_and_distinct_digests() {
         let cfg = small_cfg(4, 3);
-        let summaries = replay_quorum_sequential(&cfg);
+        let summaries = replay(None, &cfg);
         assert_eq!(summaries.len(), 4);
         for (i, s) in summaries.iter().enumerate() {
             assert_eq!(s.entry, i);
@@ -253,8 +253,8 @@ mod tests {
     fn quorum_fleet_runs_on_a_pool() {
         let cfg = small_cfg(9, 2);
         let mut pool = WorkerPool::new(3);
-        let got = replay_quorum_fleet(&mut pool, &cfg);
-        assert_eq!(got, replay_quorum_sequential(&cfg));
+        let got = replay(Some(&mut pool), &cfg);
+        assert_eq!(got, replay(None, &cfg));
         assert_eq!(total_quorum_rounds(&got), 9 * 250);
         let delivered = total_quorum_delivered(&got);
         assert!(delivered > 0 && delivered <= 9 * 250 * 2);

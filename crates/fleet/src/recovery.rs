@@ -1,15 +1,16 @@
-//! Checkpointed fleet replay with deterministic crash injection: the
+//! Interruptible replay with deterministic crash injection: the
 //! fleet-scale half of the crash-safety story.
 //!
-//! [`crate::replay`] computes each clock as one uninterrupted pure
-//! function of `(template, seed)`. This module re-runs the same
-//! computation **interruptibly**: every `checkpoint_every` delivered
-//! packets the clock's full state is sealed into a snapshot and handed to
-//! a [`CheckpointStore`]; a deterministic [`CrashPlan`] then kills the
-//! worker at chosen packet counts, forcing a restore from the last
-//! checkpoint and a replay forward. The acceptance bar is the repo's
-//! standing determinism contract: **the crash-injected replay reproduces
-//! the uninterrupted digests bit for bit**, for every crash schedule, at
+//! [`crate::replay`] computes each work item — a clock, a quorum entry, a
+//! lifecycle client — as a pure function of `(config, index)`. Handing the
+//! same loop an active [`Interrupts`] re-runs that computation
+//! **interruptibly**: every `checkpoint_every` units of progress the
+//! item's full state is sealed into a snapshot and handed to a
+//! [`CheckpointStore`]; a deterministic [`CrashPlan`] then kills the
+//! worker at chosen counts, forcing a restore from the last checkpoint
+//! and a replay forward. The acceptance bar is the repo's standing
+//! determinism contract: **the crash-injected replay reproduces the
+//! uninterrupted digests bit for bit**, for every crash schedule, at
 //! every thread count (`tests/crash_recovery.rs`).
 //!
 //! ## Restore-or-degrade
@@ -17,26 +18,24 @@
 //! A checkpoint that fails to restore — truncated, bit-flipped, foreign,
 //! version-mismatched — yields a typed [`tscclock::SnapshotError`], never
 //! a panic. The worker then **degrades to a cold start**: it discards the
-//! warm state and replays the stream from packet zero. Slower, but the
-//! digest is still exact, because the stream itself is a deterministic
-//! function of the seed. [`RecoveryStats`] counts how often each path was
-//! taken so tests can assert the faults actually fired.
+//! warm state and replays the stream from zero. Slower, but the digest is
+//! still exact, because the stream itself is a deterministic function of
+//! the seed. [`RecoveryStats`] counts how often each path was taken so
+//! tests can assert the faults actually fired. That policy, its counters
+//! and its flight events live in [`Interrupts::recover`] and nowhere else.
 //!
 //! ## Why the sub-batch capping is bit-safe
 //!
-//! Checkpoints and crash points land at arbitrary packet counts, so the
-//! ingest loop caps each batch at the next boundary. Batch geometry
-//! provably cannot change results — `replay::tests::
+//! Checkpoints and crash points land at arbitrary counts, so a batching
+//! loop caps each batch at the next boundary ([`Interrupts::budget`]).
+//! Batch geometry provably cannot change results — `replay::tests::
 //! ingest_batch_size_does_not_change_results` and the shard-geometry
 //! property test pin exactly that invariance.
 
-use crate::pool::WorkerPool;
-use crate::replay::{fold_output, ClockSummary, FleetConfig, FNV_OFFSET};
-use std::sync::Arc;
-use tsc_telemetry as telemetry;
 use tsc_netsim::multi::splitmix64;
-use tsc_netsim::Scenario;
-use tscclock::{ClockConfig, ProcessOutput, TscNtpClock};
+use tsc_telemetry as telemetry;
+use tscclock::snapshot::{self, SnapshotReader};
+use tscclock::SnapshotError;
 
 /// Salt of the per-clock crash draws (distinct from the churn and jitter
 /// salts so crash schedules never correlate with client behavior).
@@ -161,197 +160,155 @@ impl CrashPlan {
     }
 }
 
-/// Replays one clock with periodic checkpointing and injected crashes.
+/// The interruption schedule of one work item and the only owner of the
+/// recovery policy: where the next checkpoint or crash boundary is, when
+/// to seal, how a crash is recovered (last checkpoint, else cold), and
+/// every counter, flight event and post-mortem dump that goes with it.
 ///
-/// Identical to [`crate::replay::replay_clock`] when `checkpoint_every`
-/// is 0 and `crash_points` is empty; with either active, the returned
-/// [`ClockSummary`] is still **bit-identical** to the uninterrupted
-/// replay — that equality is the whole point (`tests/crash_recovery.rs`).
+/// A workload's replay loop makes three calls per step: [`budget`] before
+/// advancing, then [`checkpoint`] and [`recover`] — in that order, so a
+/// crash at a cadence multiple restores the checkpoint just written.
+/// With `checkpoint_every == 0` and no crash points all three are no-ops
+/// and the loop is the plain uninterrupted replay.
 ///
-/// `crash_points` must be strictly ascending (as [`CrashPlan::points`]
-/// returns); each point fires once, when `delivered` reaches it. A crash
-/// restores from `store.last()`; on any [`tscclock::SnapshotError`] —
-/// or no checkpoint at all — the worker cold-starts from packet zero.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_clock_checkpointed(
-    fleet_index: usize,
-    template: &Scenario,
-    seed: u64,
-    clock_cfg: &ClockConfig,
-    ingest_batch: usize,
+/// [`budget`]: Interrupts::budget
+/// [`checkpoint`]: Interrupts::checkpoint
+/// [`recover`]: Interrupts::recover
+pub struct Interrupts<'a> {
     checkpoint_every: u64,
-    crash_points: &[u64],
-    store: &mut dyn CheckpointStore,
-) -> (ClockSummary, RecoveryStats) {
-    let batch = ingest_batch.max(1);
-    let mut stats = RecoveryStats::default();
-    let mut clock = TscNtpClock::new(*clock_cfg);
-    let mut stream = template.stream_with_seed(seed).raw();
-    let mut buf = Vec::with_capacity(batch);
-    let mut out: Vec<ProcessOutput> = Vec::with_capacity(batch);
-    let mut digest = FNV_OFFSET;
-    let mut delivered = 0u64;
-    let mut next_crash = 0usize;
-    loop {
-        // Cap the batch at the next checkpoint or crash boundary — batch
-        // geometry is proven not to change results.
-        let mut cap = batch as u64;
-        if checkpoint_every > 0 {
-            cap = cap.min(checkpoint_every - delivered % checkpoint_every);
-        }
-        if let Some(&cp) = crash_points.get(next_crash) {
-            if cp > delivered {
-                cap = cap.min(cp - delivered);
-            }
-        }
-        buf.clear();
-        stream.fill_batch(&mut buf, cap as usize);
-        if buf.is_empty() {
-            break;
-        }
-        delivered += buf.len() as u64;
-        out.clear();
-        clock.process_batch(&buf, &mut out);
-        for o in &out {
-            digest = fold_output(digest, o);
-        }
-        if checkpoint_every > 0 && delivered.is_multiple_of(checkpoint_every) {
-            let blob = clock.snapshot();
-            telemetry::event(
-                telemetry::EventKind::CheckpointSealed,
-                delivered,
-                blob.len() as u64,
-                0,
-            );
-            store.save(ClockCheckpoint {
-                delivered,
-                digest,
-                blob,
-            });
-            stats.checkpoints += 1;
-        }
-        while crash_points.get(next_crash) == Some(&delivered) {
-            next_crash += 1;
-            stats.crashes += 1;
-            telemetry::add(telemetry::Ctr::CrashesInjected, 1);
-            telemetry::event(
-                telemetry::EventKind::CrashInjected,
-                delivered,
-                stats.crashes,
-                0,
-            );
-            // The worker dies here: everything in flight is lost. Recover
-            // from the last durable checkpoint, or degrade to cold.
-            let resume_from = match store.last().map(|ck| {
-                TscNtpClock::restore(&ck.blob).map(|c| (c, ck.delivered, ck.digest))
-            }) {
-                Some(Ok((c, d, h))) => {
-                    clock = c;
-                    digest = h;
-                    stats.warm_restores += 1;
-                    telemetry::add(telemetry::Ctr::WarmRestores, 1);
-                    telemetry::event(telemetry::EventKind::WarmRestore, delivered, d, 0);
-                    d
-                }
-                other => {
-                    // restore-or-degrade: a typed error (or no checkpoint)
-                    // costs warm state, never correctness. The failed
-                    // restore itself was already recorded (with the typed
-                    // `SnapshotError` named) by `TscNtpClock::restore`;
-                    // falling back to cold is the operational incident, so
-                    // auto-dump the flight recorder for the post-mortem.
-                    if matches!(other, Some(Err(_))) {
-                        eprintln!("{}", telemetry::flight_dump());
-                    }
-                    clock = TscNtpClock::new(*clock_cfg);
-                    digest = FNV_OFFSET;
-                    stats.cold_restarts += 1;
-                    telemetry::add(telemetry::Ctr::ColdRestarts, 1);
-                    telemetry::event(telemetry::EventKind::ColdRestart, delivered, 0, 0);
-                    0
-                }
-            };
-            // Regenerate the stream and fast-forward to the resume point
-            // without feeding the clock (its state already covers them).
-            stream = template.stream_with_seed(seed).raw();
-            let mut skipped = 0u64;
-            while skipped < resume_from {
-                buf.clear();
-                let want = ((resume_from - skipped) as usize).min(batch);
-                stream.fill_batch(&mut buf, want);
-                if buf.is_empty() {
-                    break;
-                }
-                skipped += buf.len() as u64;
-            }
-            stats.replayed += skipped;
-            telemetry::add(telemetry::Ctr::ReplayedPackets, skipped);
-            delivered = resume_from;
-        }
-    }
-    let status = clock.status();
-    (
-        ClockSummary {
-            clock: fleet_index,
-            delivered,
-            packets: status.packets,
-            p_hat: status.p_hat,
-            theta_hat: status.theta_hat,
-            digest,
-        },
-        stats,
-    )
+    crash_points: &'a [u64],
+    next_crash: usize,
+    store: &'a mut dyn CheckpointStore,
+    stats: RecoveryStats,
 }
 
-/// Replays the whole fleet across `pool` with per-clock checkpointing and
-/// the given crash schedule. Summaries are in clock order and
-/// bit-identical to [`crate::replay::replay_fleet`] — for **any** crash
-/// schedule, at any thread count. The aggregated [`RecoveryStats`]
-/// witness that the schedule actually fired.
-pub fn replay_fleet_checkpointed(
-    pool: &mut WorkerPool,
-    cfg: &FleetConfig,
-    checkpoint_every: u64,
-    crash: &CrashPlan,
-) -> (Vec<ClockSummary>, RecoveryStats) {
-    telemetry::install_panic_dump();
-    telemetry::gauge_set(telemetry::Gauge::FleetClocks, cfg.clocks as u64);
-    let chunk = if cfg.chunk == 0 {
-        (cfg.clocks / (8 * pool.threads())).max(1)
-    } else {
-        cfg.chunk
-    };
-    let shared = Arc::new((cfg.clone(), *crash));
-    let results = pool.run(cfg.clocks, chunk, move |i| {
-        let (cfg, crash) = &*shared;
-        let points = crash.points(i);
-        let mut store = LatestCheckpoint::default();
-        replay_clock_checkpointed(
-            i,
-            &cfg.scenario,
-            cfg.base_seed.wrapping_add(i as u64),
-            &cfg.clock,
-            cfg.ingest_batch,
+impl<'a> Interrupts<'a> {
+    /// `crash_points` must be strictly ascending (as [`CrashPlan::points`]
+    /// returns); each fires once, when the item's progress count reaches
+    /// it. `checkpoint_every == 0` disables checkpointing.
+    pub fn new(
+        checkpoint_every: u64,
+        crash_points: &'a [u64],
+        store: &'a mut dyn CheckpointStore,
+    ) -> Self {
+        Self {
             checkpoint_every,
-            &points,
-            &mut store,
-        )
+            crash_points,
+            next_crash: 0,
+            store,
+            stats: RecoveryStats::default(),
+        }
+    }
+
+    /// What the recovery machinery has done so far.
+    pub fn stats(&self) -> RecoveryStats {
+        self.stats
+    }
+
+    /// How many of the `want` units after `done` the loop may take before
+    /// the next checkpoint or crash boundary (at least 1 for `want >= 1`).
+    pub fn budget(&self, done: u64, want: u64) -> u64 {
+        let mut cap = want;
+        if self.checkpoint_every > 0 {
+            cap = cap.min(self.checkpoint_every - done % self.checkpoint_every);
+        }
+        match self.crash_points.get(self.next_crash) {
+            Some(&cp) if cp > done => cap.min(cp - done),
+            _ => cap,
+        }
+    }
+
+    /// Seals and saves a checkpoint when `done` is on the cadence. `digest`
+    /// travels beside the blob so clock checkpoints stay bare snapshots.
+    pub fn checkpoint(&mut self, done: u64, digest: u64, seal: impl FnOnce() -> Vec<u8>) {
+        if self.checkpoint_every == 0 || !done.is_multiple_of(self.checkpoint_every) {
+            return;
+        }
+        let blob = seal();
+        telemetry::event(telemetry::EventKind::CheckpointSealed, done, blob.len() as u64, 0);
+        self.store.save(ClockCheckpoint {
+            delivered: done,
+            digest,
+            blob,
+        });
+        self.stats.checkpoints += 1;
+    }
+
+    /// Fires every crash scheduled at `done`: the worker dies and
+    /// everything in flight is lost. `restore` is handed the last durable
+    /// checkpoint and must rebuild the item's whole state from it —
+    /// progress count, digest and a stream fast-forwarded without feeding
+    /// the restored state — returning the count it resumed at. On a typed
+    /// error, or when no checkpoint exists, it is called again with `None`
+    /// and must cold-start from zero: a failed restore costs warm state,
+    /// never correctness.
+    pub fn recover(
+        &mut self,
+        mut done: u64,
+        mut restore: impl FnMut(Option<&ClockCheckpoint>) -> Result<u64, SnapshotError>,
+    ) {
+        while self.crash_points.get(self.next_crash) == Some(&done) {
+            // advance first: a cold restart from 0 must not re-fire this point
+            self.next_crash += 1;
+            self.stats.crashes += 1;
+            telemetry::add(telemetry::Ctr::CrashesInjected, 1);
+            telemetry::event(telemetry::EventKind::CrashInjected, done, self.stats.crashes, 0);
+            let resumed = match self.store.last().map(|ck| restore(Some(ck))) {
+                Some(Ok(at)) => {
+                    self.stats.warm_restores += 1;
+                    telemetry::add(telemetry::Ctr::WarmRestores, 1);
+                    telemetry::event(telemetry::EventKind::WarmRestore, done, at, 0);
+                    at
+                }
+                failed => {
+                    // The failed restore was already recorded, with the
+                    // typed `SnapshotError` named, by the component that
+                    // refused the bytes; falling back to cold is the
+                    // operational incident, so dump the flight recorder
+                    // for the post-mortem.
+                    if failed.is_some() {
+                        eprintln!("{}", telemetry::flight_dump());
+                    }
+                    self.stats.cold_restarts += 1;
+                    telemetry::add(telemetry::Ctr::ColdRestarts, 1);
+                    telemetry::event(telemetry::EventKind::ColdRestart, done, 0, 0);
+                    restore(None).expect("a cold start restores nothing and cannot fail")
+                }
+            };
+            self.stats.replayed += resumed;
+            telemetry::add(telemetry::Ctr::ReplayedPackets, resumed);
+            done = resumed;
+        }
+    }
+}
+
+/// Opens a composite [`snapshot::kind::CHECKPOINT`] envelope — a
+/// component snapshot plus the replay sidecar its workload needs — and
+/// parses the sidecar. A failure is recorded the way every component
+/// restore records its own, so the flight trail names the typed error
+/// whichever layer refused the bytes.
+pub(crate) fn open_sidecar<'b, T>(
+    blob: &'b [u8],
+    parse: impl FnOnce(&mut SnapshotReader<'b>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let parsed = snapshot::open_envelope(blob, snapshot::kind::CHECKPOINT).and_then(|payload| {
+        let mut r = SnapshotReader::new(payload);
+        let sidecar = parse(&mut r)?;
+        r.finish()?;
+        Ok(sidecar)
     });
-    let mut stats = RecoveryStats::default();
-    let summaries = results
-        .into_iter()
-        .map(|(s, st)| {
-            stats.merge(st);
-            s
-        })
-        .collect();
-    (summaries, stats)
+    if let Err(e) = &parsed {
+        snapshot::record_restore_failure(e, blob.len());
+    }
+    parsed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay_sequential;
+    use crate::replay::{replay, replay_item, FleetConfig};
+    use tsc_netsim::Scenario;
+    use tscclock::ClockConfig;
 
     fn small_cfg(clocks: usize) -> FleetConfig {
         let scenario = Scenario::baseline(0)
@@ -386,20 +343,11 @@ mod tests {
     #[test]
     fn checkpointed_replay_without_faults_matches_plain() {
         let cfg = small_cfg(3);
-        let plain = replay_sequential(&cfg);
+        let plain = replay(None, &cfg);
         for every in [0u64, 1, 17, 1000] {
             for (i, want) in plain.iter().enumerate() {
                 let mut store = LatestCheckpoint::default();
-                let (got, stats) = replay_clock_checkpointed(
-                    i,
-                    &cfg.scenario,
-                    cfg.base_seed.wrapping_add(i as u64),
-                    &cfg.clock,
-                    cfg.ingest_batch,
-                    every,
-                    &[],
-                    &mut store,
-                );
+                let (got, stats) = replay_item(&cfg, i, every, &[], &mut store);
                 assert_eq!(&got, want, "clock {i}, every {every}");
                 assert_eq!(stats.crashes, 0);
                 if every > 0 {
@@ -412,18 +360,10 @@ mod tests {
     #[test]
     fn crash_without_any_checkpoint_cold_starts_and_stays_exact() {
         let cfg = small_cfg(1);
-        let want = &replay_sequential(&cfg)[0];
+        let want = &replay(None, &cfg)[0];
         let mut store = LatestCheckpoint::default();
-        let (got, stats) = replay_clock_checkpointed(
-            0,
-            &cfg.scenario,
-            cfg.base_seed,
-            &cfg.clock,
-            cfg.ingest_batch,
-            0, // checkpointing disabled: the crash has nothing to restore
-            &[50, 120],
-            &mut store,
-        );
+        // checkpointing disabled: the crashes have nothing to restore
+        let (got, stats) = replay_item(&cfg, 0, 0, &[50, 120], &mut store);
         assert_eq!(&got, want);
         assert_eq!(stats.crashes, 2);
         assert_eq!(stats.cold_restarts, 2);

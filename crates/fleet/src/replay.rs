@@ -1,26 +1,117 @@
-//! Sharded multi-clock replay: N independent TSC-NTP clocks, each driven
-//! by its own seeded netsim scenario, executed across the worker pool.
+//! The replay driver, and its first workload: N independent TSC-NTP
+//! clocks, each driven by its own seeded netsim scenario.
 //!
-//! The unit of work is one whole clock: its packet stream is totally
-//! ordered and stateful (the clock is an online filter), so a clock is
-//! never split across threads — parallelism comes from the fleet axis,
-//! which is exactly how the paper's algorithm scales in production (one
-//! cheap clock per host, millions of hosts). Each clock's replay runs the
-//! allocation-free loop: borrow-streamed scenario generation
-//! ([`tsc_netsim::Scenario::stream`]) → batched ingest
+//! A [`Workload`] is a fleet of independent, totally ordered, stateful
+//! work items (a clock is an online filter), so an item is never split
+//! across threads — parallelism comes from the fleet axis, which is
+//! exactly how the paper's algorithm scales in production (one cheap
+//! clock per host, millions of hosts). [`replay`] fans the items out over
+//! the worker pool, or runs them in order when given no pool;
+//! [`replay_interrupted`] does the same under a checkpoint cadence and a
+//! [`CrashPlan`]; [`replay_item`] runs one item against explicit crash
+//! points and a caller-owned store. Each workload's `item` is one
+//! straight-line loop that asks its [`Interrupts`] where to stop.
+//!
+//! A clock's replay runs the allocation-free loop: borrow-streamed
+//! scenario generation ([`tsc_netsim::Scenario::stream`]) → batched ingest
 //! ([`tscclock::TscNtpClock::process_batch`]) → output digesting, with two
 //! reused buffers and no per-packet allocation.
 //!
-//! Because every clock is computed by a pure function of `(template,
-//! base_seed + clock id)` and lands in its own result slot, the fleet
-//! result is **bit-identical for every thread count and shard size** — the
-//! parity tests in `tests/parity.rs` enforce this.
+//! Because every item is computed by a pure function of `(config, index)`
+//! and lands in its own result slot, the fleet result is **bit-identical
+//! for every thread count, shard size, checkpoint cadence and crash
+//! schedule** — `tests/parity.rs` and `tests/crash_recovery.rs` enforce
+//! this.
 
 use crate::pool::WorkerPool;
+use crate::recovery::{CheckpointStore, CrashPlan, Interrupts, LatestCheckpoint, RecoveryStats};
 use std::sync::Arc;
 use tsc_netsim::Scenario;
 use tsc_telemetry as telemetry;
 use tscclock::{ClockConfig, ProcessOutput, TscNtpClock};
+
+/// A fleet of independent work items the driver can replay.
+pub trait Workload: Clone + Send + Sync + 'static {
+    /// Result of replaying one item.
+    type Summary: Send + 'static;
+
+    /// Gauge that reports the fleet size of the most recent replay.
+    const SIZE_GAUGE: Option<telemetry::Gauge> = None;
+
+    /// Number of items.
+    fn items(&self) -> usize;
+
+    /// Items claimed from the shared pile per steal; `0` = auto.
+    fn chunk(&self) -> usize;
+
+    /// Replays item `i` start to finish: a pure function of `(self, i)`,
+    /// whatever `intr` schedules.
+    fn item(&self, i: usize, intr: &mut Interrupts<'_>) -> Self::Summary;
+}
+
+/// Replays every item of `w` — across `pool`, or in order on the calling
+/// thread when `pool` is `None` (the sequential reference the parity
+/// suites compare against). Summaries are in item order and bit-identical
+/// for every thread count and chunk.
+pub fn replay<W: Workload>(pool: Option<&mut WorkerPool>, w: &W) -> Vec<W::Summary> {
+    replay_interrupted(pool, w, 0, &CrashPlan::none()).0
+}
+
+/// [`replay`] with per-item checkpointing every `checkpoint_every` units
+/// of progress and the given crash schedule. The summaries are
+/// bit-identical to [`replay`]'s for **any** schedule; the aggregated
+/// [`RecoveryStats`] witness that the schedule actually fired.
+pub fn replay_interrupted<W: Workload>(
+    pool: Option<&mut WorkerPool>,
+    w: &W,
+    checkpoint_every: u64,
+    crash: &CrashPlan,
+) -> (Vec<W::Summary>, RecoveryStats) {
+    telemetry::install_panic_dump();
+    if let Some(gauge) = W::SIZE_GAUGE {
+        telemetry::gauge_set(gauge, w.items() as u64);
+    }
+    let crash = *crash;
+    let one = move |w: &W, i: usize| {
+        let mut store = LatestCheckpoint::default();
+        replay_item(w, i, checkpoint_every, &crash.points(i), &mut store)
+    };
+    let results: Vec<_> = match pool {
+        None => (0..w.items()).map(|i| one(w, i)).collect(),
+        Some(pool) => {
+            let chunk = match w.chunk() {
+                0 => (w.items() / (8 * pool.threads())).max(1),
+                chunk => chunk,
+            };
+            let shared = Arc::new(w.clone());
+            pool.run(w.items(), chunk, move |i| one(&shared, i))
+        }
+    };
+    let mut stats = RecoveryStats::default();
+    let summaries = results
+        .into_iter()
+        .map(|(summary, st)| {
+            stats.merge(st);
+            summary
+        })
+        .collect();
+    (summaries, stats)
+}
+
+/// Replays item `i` of `w` alone, crashing at `crash_points` (strictly
+/// ascending progress counts) and recovering through `store` — the form
+/// that lets a test hand in a store that corrupts what it is given.
+pub fn replay_item<W: Workload>(
+    w: &W,
+    i: usize,
+    checkpoint_every: u64,
+    crash_points: &[u64],
+    store: &mut dyn CheckpointStore,
+) -> (W::Summary, RecoveryStats) {
+    let mut intr = Interrupts::new(checkpoint_every, crash_points, store);
+    let summary = w.item(i, &mut intr);
+    (summary, intr.stats())
+}
 
 /// Configuration of one fleet replay.
 #[derive(Debug, Clone)]
@@ -97,91 +188,82 @@ pub(crate) fn fold_output(mut h: u64, o: &ProcessOutput) -> u64 {
     fnv(h, events)
 }
 
-/// Replays a single clock against the scenario `template` with the master
-/// seed overridden by `seed`, streaming generation into the batched ingest
-/// path. Nothing is cloned from the template, and the loop is
-/// allocation-free after the two buffers reach `ingest_batch` capacity.
-pub fn replay_clock(
-    fleet_index: usize,
-    template: &Scenario,
-    seed: u64,
-    clock_cfg: &ClockConfig,
-    ingest_batch: usize,
-) -> ClockSummary {
-    let batch = ingest_batch.max(1);
-    let mut clock = TscNtpClock::new(*clock_cfg);
-    let mut stream = template.stream_with_seed(seed).raw();
-    let mut buf = Vec::with_capacity(batch);
-    let mut out: Vec<ProcessOutput> = Vec::with_capacity(batch);
-    let mut digest = FNV_OFFSET;
-    let mut delivered = 0u64;
-    loop {
-        buf.clear();
-        // Batched generation: one call fills the whole ingest buffer
-        // (bit-identical to a `next()` loop, without per-item dispatch).
-        stream.fill_batch(&mut buf, batch);
-        if buf.is_empty() {
-            break;
+impl Workload for FleetConfig {
+    type Summary = ClockSummary;
+
+    const SIZE_GAUGE: Option<telemetry::Gauge> = Some(telemetry::Gauge::FleetClocks);
+
+    fn items(&self) -> usize {
+        self.clocks
+    }
+
+    fn chunk(&self) -> usize {
+        self.chunk
+    }
+
+    /// Streams the scenario template, reseeded for clock `i`, into the
+    /// batched ingest path. Nothing is cloned from the template, and the
+    /// loop is allocation-free after the two buffers reach `ingest_batch`
+    /// capacity. Progress is counted in delivered packets.
+    fn item(&self, i: usize, intr: &mut Interrupts<'_>) -> ClockSummary {
+        let seed = self.base_seed.wrapping_add(i as u64);
+        let batch = self.ingest_batch.max(1);
+        let mut clock = TscNtpClock::new(self.clock);
+        let mut stream = self.scenario.stream_with_seed(seed).raw();
+        let mut buf = Vec::with_capacity(batch);
+        let mut out: Vec<ProcessOutput> = Vec::with_capacity(batch);
+        let mut digest = FNV_OFFSET;
+        let mut delivered = 0u64;
+        loop {
+            buf.clear();
+            // Batched generation: one call fills the whole ingest buffer
+            // (bit-identical to a `next()` loop, without per-item
+            // dispatch), capped at the next checkpoint or crash boundary.
+            stream.fill_batch(&mut buf, intr.budget(delivered, batch as u64) as usize);
+            if buf.is_empty() {
+                break;
+            }
+            delivered += buf.len() as u64;
+            out.clear();
+            let tm = telemetry::StageTimer::start(telemetry::Hist::IngestBatchNs);
+            clock.process_batch(&buf, &mut out);
+            tm.stop();
+            telemetry::add(telemetry::Ctr::PacketsIngested, buf.len() as u64);
+            telemetry::add(telemetry::Ctr::BatchesIngested, 1);
+            for o in &out {
+                digest = fold_output(digest, o);
+            }
+            intr.checkpoint(delivered, digest, || clock.snapshot());
+            intr.recover(delivered, |ck| {
+                (clock, delivered, digest) = match ck {
+                    Some(ck) => (TscNtpClock::restore(&ck.blob)?, ck.delivered, ck.digest),
+                    None => (TscNtpClock::new(self.clock), 0, FNV_OFFSET),
+                };
+                // Regenerate the stream and fast-forward to the resume
+                // point without feeding the clock (its state covers it).
+                stream = self.scenario.stream_with_seed(seed).raw();
+                let mut skipped = 0;
+                while skipped < delivered {
+                    buf.clear();
+                    stream.fill_batch(&mut buf, ((delivered - skipped) as usize).min(batch));
+                    if buf.is_empty() {
+                        break;
+                    }
+                    skipped += buf.len() as u64;
+                }
+                Ok(delivered)
+            });
         }
-        delivered += buf.len() as u64;
-        out.clear();
-        let tm = telemetry::StageTimer::start(telemetry::Hist::IngestBatchNs);
-        clock.process_batch(&buf, &mut out);
-        tm.stop();
-        telemetry::add(telemetry::Ctr::PacketsIngested, buf.len() as u64);
-        telemetry::add(telemetry::Ctr::BatchesIngested, 1);
-        for o in &out {
-            digest = fold_output(digest, o);
+        let status = clock.status();
+        ClockSummary {
+            clock: i,
+            delivered,
+            packets: status.packets,
+            p_hat: status.p_hat,
+            theta_hat: status.theta_hat,
+            digest,
         }
     }
-    let status = clock.status();
-    ClockSummary {
-        clock: fleet_index,
-        delivered,
-        packets: status.packets,
-        p_hat: status.p_hat,
-        theta_hat: status.theta_hat,
-        digest,
-    }
-}
-
-/// Replays the whole fleet across `pool`, one clock per work item.
-/// Summaries are returned in clock order and are bit-identical for every
-/// thread count and `chunk`.
-pub fn replay_fleet(pool: &mut WorkerPool, cfg: &FleetConfig) -> Vec<ClockSummary> {
-    telemetry::install_panic_dump();
-    telemetry::gauge_set(telemetry::Gauge::FleetClocks, cfg.clocks as u64);
-    let chunk = if cfg.chunk == 0 {
-        (cfg.clocks / (8 * pool.threads())).max(1)
-    } else {
-        cfg.chunk
-    };
-    let shared = Arc::new(cfg.clone());
-    pool.run(cfg.clocks, chunk, move |i| {
-        replay_clock(
-            i,
-            &shared.scenario,
-            shared.base_seed.wrapping_add(i as u64),
-            &shared.clock,
-            shared.ingest_batch,
-        )
-    })
-}
-
-/// Sequential reference replay (no pool): the ground truth the parity
-/// tests compare every parallel configuration against.
-pub fn replay_sequential(cfg: &FleetConfig) -> Vec<ClockSummary> {
-    (0..cfg.clocks)
-        .map(|i| {
-            replay_clock(
-                i,
-                &cfg.scenario,
-                cfg.base_seed.wrapping_add(i as u64),
-                &cfg.clock,
-                cfg.ingest_batch,
-            )
-        })
-        .collect()
 }
 
 /// Total exchanges delivered across the fleet (the numerator of the
@@ -204,7 +286,7 @@ mod tests {
     #[test]
     fn replay_produces_estimates_and_distinct_digests() {
         let cfg = small_cfg(4);
-        let summaries = replay_sequential(&cfg);
+        let summaries = replay(None, &cfg);
         assert_eq!(summaries.len(), 4);
         for (i, s) in summaries.iter().enumerate() {
             assert_eq!(s.clock, i);
@@ -223,10 +305,10 @@ mod tests {
     #[test]
     fn ingest_batch_size_does_not_change_results() {
         let mut cfg = small_cfg(3);
-        let baseline = replay_sequential(&cfg);
+        let baseline = replay(None, &cfg);
         for batch in [1, 7, 64, 10_000] {
             cfg.ingest_batch = batch;
-            assert_eq!(replay_sequential(&cfg), baseline, "batch {batch}");
+            assert_eq!(replay(None, &cfg), baseline, "batch {batch}");
         }
     }
 
@@ -234,8 +316,8 @@ mod tests {
     fn fleet_runs_on_a_pool() {
         let cfg = small_cfg(9);
         let mut pool = WorkerPool::new(3);
-        let got = replay_fleet(&mut pool, &cfg);
-        assert_eq!(got, replay_sequential(&cfg));
+        let got = replay(Some(&mut pool), &cfg);
+        assert_eq!(got, replay(None, &cfg));
         assert_eq!(total_delivered(&got), got.iter().map(|s| s.delivered).sum::<u64>());
     }
 }

@@ -1,48 +1,22 @@
-//! Crash-injected replay parity: checkpointed fleet and population
-//! replays must reproduce the uninterrupted digests bit for bit, for any
-//! crash schedule, at every thread count — and a checkpoint that fails to
-//! restore must degrade to a cold start (typed error, never a panic,
-//! never a silently wrong clock).
+//! Crash-injected replay parity: checkpointed fleet, quorum and
+//! population replays must reproduce the uninterrupted digests bit for
+//! bit, for any crash schedule, at every thread count — and a checkpoint
+//! that fails to restore must degrade to a cold start (typed error, never
+//! a panic, never a silently wrong clock).
 //!
 //! This is the fleet-scale acceptance bar of the snapshot PR: snapshots
 //! are only trustworthy if *resume ≡ uninterrupted* survives being
 //! exercised by an adversarial schedule, not just a hand-picked point.
 
-use tsc_fleet::{
-    compare_herd, compare_herd_restarted, replay_population_checkpointed,
-    replay_population_client_checkpointed, replay_population_sequential, replay_sequential,
-    replay_fleet_checkpointed, CheckpointStore, ChurnPlan, ClockCheckpoint, CrashPlan,
-    FleetConfig, LatestCheckpoint, PopulationConfig, WorkerPool,
+mod common;
+
+use common::{
+    assert_replay_parity, eventful_fleet, eventful_population, eventful_quorum_fleet,
+    CorruptingStore, ParityWorkload,
 };
-use tsc_netsim::{LevelShift, ProfileMix, Scenario, ServerKind};
+use tsc_fleet::{compare_herd, replay, replay_item, CrashPlan, PopulationConfig, WorkerPool};
+use tsc_netsim::{ProfileMix, Scenario};
 use tscclock::ClockConfig;
-
-/// Thread counts to exercise: env `FLEET_PARITY_THREADS` (e.g. "1,4"), or
-/// {1, 2, 4, 8} by default — same contract as `tests/parity.rs`.
-fn parity_thread_counts() -> Vec<usize> {
-    match std::env::var("FLEET_PARITY_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().expect("FLEET_PARITY_THREADS: bad count"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-/// Same eventful scenario as the parity suite: loss, an outage, a level
-/// shift — so crashes land on clocks whose state is genuinely nontrivial
-/// (mid-warmup, mid-outage, post-shift rebuild).
-fn eventful_fleet(clocks: usize) -> FleetConfig {
-    let scenario = Scenario::baseline(0)
-        .with_poll_period(64.0)
-        .with_duration(64.0 * 600.0)
-        .with_server(ServerKind::Int)
-        .with_outage(64.0 * 200.0, 64.0 * 230.0)
-        .with_shift(LevelShift::forward_only(64.0 * 350.0, None, 0.9e-3));
-    let mut cfg = FleetConfig::new(clocks, 7, scenario, ClockConfig::paper_defaults(64.0));
-    cfg.ingest_batch = 97; // not a divisor of the stream length or cadence
-    cfg
-}
 
 /// A crash schedule that actually bites most of the fleet, with points
 /// spread across the whole 600-packet stream (including before the first
@@ -58,24 +32,12 @@ fn biting_crash_plan() -> CrashPlan {
 
 #[test]
 fn crash_injected_fleet_replay_reproduces_uninterrupted_digests() {
-    let cfg = eventful_fleet(24);
-    let expected = replay_sequential(&cfg);
     let crash = biting_crash_plan();
     // the schedule is nontrivial: most clocks crash at least once
     let crashing = (0..24).filter(|&i| !crash.points(i).is_empty()).count();
     assert!(crashing >= 12, "only {crashing}/24 clocks scheduled to crash");
-    for threads in parity_thread_counts() {
-        let mut pool = WorkerPool::new(threads);
-        let (got, stats) = replay_fleet_checkpointed(&mut pool, &cfg, 64, &crash);
-        assert_eq!(got.len(), expected.len(), "threads {threads}");
-        for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(
-                g.digest, e.digest,
-                "clock {} diverged under crashes at {} threads",
-                e.clock, threads
-            );
-            assert_eq!(g, e, "summary mismatch at {threads} threads");
-        }
+    let (_, runs) = assert_replay_parity(&eventful_fleet(24), &crash, &[64], &[0]);
+    for (_, stats) in runs {
         // the faults fired and warm recovery was actually exercised
         assert!(stats.crashes >= crashing as u64, "stats: {stats:?}");
         assert!(stats.checkpoints > 0 && stats.warm_restores > 0, "stats: {stats:?}");
@@ -84,88 +46,31 @@ fn crash_injected_fleet_replay_reproduces_uninterrupted_digests() {
 
 #[test]
 fn checkpoint_cadence_cannot_change_results() {
-    let cfg = eventful_fleet(8);
-    let expected = replay_sequential(&cfg);
-    let crash = biting_crash_plan();
-    let mut pool = WorkerPool::new(3);
-    for every in [1u64, 17, 64, 100_000] {
-        let (got, _) = replay_fleet_checkpointed(&mut pool, &cfg, every, &crash);
-        assert_eq!(got, expected, "cadence {every}");
-    }
+    assert_replay_parity(&eventful_fleet(8), &biting_crash_plan(), &[1, 17, 64, 100_000], &[0]);
 }
 
-/// A store that corrupts every blob it is given — the restore must fail
-/// with a typed error and the worker must degrade to a cold start.
-#[derive(Default)]
-struct CorruptingStore {
-    inner: LatestCheckpoint,
-    mode: u8, // 0 = bit flip, 1 = truncate
-}
-
-impl CheckpointStore for CorruptingStore {
-    fn save(&mut self, mut ck: ClockCheckpoint) {
-        match self.mode {
-            0 => {
-                let mid = ck.blob.len() / 2;
-                ck.blob[mid] ^= 0x10;
-            }
-            _ => ck.blob.truncate(ck.blob.len() / 2),
-        }
-        self.inner.save(ck);
-    }
-    fn last(&self) -> Option<&ClockCheckpoint> {
-        self.inner.last()
-    }
-}
-
+/// The crash and cadence rows of the quorum column: crash points and
+/// cadences count rounds (500 per entry), each checkpoint seals three
+/// per-server clocks plus the health and combiner state.
 #[test]
-fn corrupted_checkpoints_degrade_to_cold_starts_and_stay_exact() {
-    let cfg = eventful_fleet(2);
-    let expected = replay_sequential(&cfg);
-    for mode in [0u8, 1] {
-        for (i, want) in expected.iter().enumerate() {
-            let mut store = CorruptingStore { mode, ..Default::default() };
-            let (got, stats) = tsc_fleet::replay_clock_checkpointed(
-                i,
-                &cfg.scenario,
-                cfg.base_seed.wrapping_add(i as u64),
-                &cfg.clock,
-                cfg.ingest_batch,
-                50,
-                &[130, 410],
-                &mut store,
-            );
-            // every restore failed cleanly; correctness survived anyway
-            assert_eq!(&got, want, "clock {i}, corruption mode {mode}");
-            assert_eq!(stats.crashes, 2, "mode {mode}");
-            assert_eq!(stats.cold_restarts, 2, "mode {mode}");
-            assert_eq!(stats.warm_restores, 0, "mode {mode}");
-        }
-    }
-}
-
-/// The eventful lifecycle population from the parity suite: profiles,
-/// outage, level shift, join/leave churn.
-fn eventful_population(clients: usize) -> PopulationConfig {
-    let scenario = Scenario::baseline(0)
-        .with_poll_period(16.0)
-        .with_duration(3.0 * 3600.0)
-        .with_outage(3600.0, 3600.0 + 900.0)
-        .with_shift(LevelShift::forward_only(2.0 * 3600.0, None, 0.9e-3));
-    let mut cfg = PopulationConfig::new(clients, 31, scenario, ClockConfig::paper_defaults(16.0));
-    cfg.churn = ChurnPlan {
-        join_frac: 0.3,
-        join_window: (600.0, 1800.0),
-        leave_frac: 0.2,
-        leave_window: (2.0 * 3600.0, 2.5 * 3600.0),
+fn crash_injected_quorum_replay_reproduces_uninterrupted_digests() {
+    let crash = CrashPlan {
+        seed: 3,
+        crash_frac: 0.75,
+        max_crashes: 3,
+        horizon_packets: 480,
     };
-    cfg
+    let crashing = (0..6).filter(|&i| !crash.points(i).is_empty()).count();
+    assert!(crashing >= 3, "only {crashing}/6 entries scheduled to crash");
+    let (_, runs) = assert_replay_parity(&eventful_quorum_fleet(6), &crash, &[7, 64, 100_000], &[0]);
+    for (cadence, stats) in runs {
+        assert!(stats.crashes >= crashing as u64, "cadence {cadence}: {stats:?}");
+        assert!(cadence > 64 || stats.warm_restores > 0, "cadence {cadence}: {stats:?}");
+    }
 }
 
 #[test]
 fn crash_injected_population_replay_reproduces_uninterrupted_digests() {
-    let cfg = eventful_population(12);
-    let expected = replay_population_sequential(&cfg);
     let crash = CrashPlan {
         seed: 11,
         crash_frac: 0.7,
@@ -174,37 +79,40 @@ fn crash_injected_population_replay_reproduces_uninterrupted_digests() {
     };
     let crashing = (0..12).filter(|&i| !crash.points(i).is_empty()).count();
     assert!(crashing >= 5, "only {crashing}/12 clients scheduled to crash");
-    for threads in parity_thread_counts() {
-        let mut pool = WorkerPool::new(threads);
-        let (got, stats) = replay_population_checkpointed(&mut pool, &cfg, 40, &crash);
-        assert_eq!(got.clients.len(), expected.clients.len(), "threads {threads}");
-        for (g, e) in got.clients.iter().zip(&expected.clients) {
-            assert_eq!(
-                g.digest, e.digest,
-                "client {} diverged under crashes at {} threads",
-                e.client, threads
-            );
-            assert_eq!(g, e, "summary mismatch at {threads} threads");
-        }
-        assert_eq!(got.digest(), expected.digest(), "threads {threads}");
+    let (_, runs) = assert_replay_parity(&eventful_population(12), &crash, &[40], &[0]);
+    for (_, stats) in runs {
         assert!(stats.crashes >= crashing as u64, "stats: {stats:?}");
         assert!(stats.warm_restores > 0, "warm path never exercised: {stats:?}");
     }
 }
 
-#[test]
-fn corrupted_population_checkpoints_cold_restart_and_stay_exact() {
-    let cfg = eventful_population(3);
-    let expected = replay_population_sequential(&cfg);
-    for (i, want) in expected.clients.iter().enumerate() {
-        let mut store = CorruptingStore { mode: 0, ..Default::default() };
-        let (got, stats) =
-            replay_population_client_checkpointed(&cfg, i, 30, &[90, 250], &mut store);
-        assert_eq!(&got, want, "client {i}");
-        assert_eq!(stats.crashes, 2);
-        assert_eq!(stats.cold_restarts, 2);
-        assert_eq!(stats.warm_restores, 0);
+/// Every item of `w` replayed against a store that corrupts (`modes`:
+/// 0 = bit flip, 1 = truncate) every checkpoint: each restore must fail
+/// cleanly, and correctness must survive anyway.
+fn assert_corruption_degrades_to_cold<W: ParityWorkload>(
+    w: &W,
+    modes: &[u8],
+    cadence: u64,
+    crash_points: &[u64],
+) {
+    let expected = replay(None, w);
+    for &mode in modes {
+        for (i, want) in expected.iter().enumerate() {
+            let mut store = CorruptingStore { mode, ..Default::default() };
+            let (got, stats) = replay_item(w, i, cadence, crash_points, &mut store);
+            assert_eq!(&got, want, "item {i}, corruption mode {mode}");
+            assert_eq!(stats.crashes, crash_points.len() as u64, "mode {mode}");
+            assert_eq!(stats.cold_restarts, stats.crashes, "mode {mode}");
+            assert_eq!(stats.warm_restores, 0, "mode {mode}");
+        }
     }
+}
+
+#[test]
+fn corrupted_checkpoints_degrade_to_cold_starts_and_stay_exact() {
+    assert_corruption_degrades_to_cold(&eventful_fleet(2), &[0, 1], 50, &[130, 410]);
+    assert_corruption_degrades_to_cold(&eventful_quorum_fleet(2), &[0, 1], 50, &[130, 410]);
+    assert_corruption_degrades_to_cold(&eventful_population(3), &[0], 30, &[90, 250]);
 }
 
 /// The PR 6 herd scenario, verbatim: a synced fleet, a 10-minute outage,
@@ -231,8 +139,11 @@ fn herd_cfg(clients: usize) -> PopulationConfig {
 fn restart_mid_cooldown_keeps_the_herd_suppressed() {
     let cfg = herd_cfg(48);
     let mut pool = WorkerPool::new(4);
-    let restart_t = 3600.0 + 300.0; // mid-outage: deepest into the ladder
-    let restarted = compare_herd_restarted(&mut pool, &cfg, 16.0, restart_t);
+    let drilled = PopulationConfig {
+        restart_at: Some(3600.0 + 300.0), // mid-outage: deepest into the ladder
+        ..cfg.clone()
+    };
+    let restarted = compare_herd(&mut pool, &drilled, 16.0);
     assert!(
         restarted.naive_peak > 0,
         "naive arm sent nothing post-outage — scenario broken"

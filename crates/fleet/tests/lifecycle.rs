@@ -2,8 +2,8 @@
 //! and the thundering-herd ablation the PR's acceptance bar names.
 
 use tsc_fleet::{
-    compare_herd, replay_population_sequential, ClientState, ExchangeOutcome, LifecycleClient,
-    LifecycleConfig, PopulationConfig, WorkerPool,
+    compare_herd, replay, ClientState, ExchangeOutcome, LifecycleClient, LifecycleConfig,
+    PopulationConfig, WorkerPool,
 };
 use tsc_netsim::{ProfileMix, Scenario};
 use tscclock::ClockConfig;
@@ -148,8 +148,7 @@ fn scenario_matrix_every_profile_sustains_a_fleet() {
         let mut cfg =
             PopulationConfig::new(4, 11, scenario, ClockConfig::paper_defaults(16.0));
         cfg.mix = ProfileMix::single(profile);
-        let s = replay_population_sequential(&cfg);
-        for c in &s.clients {
+        for c in &replay(None, &cfg) {
             assert_eq!(c.profile, profile);
             let (req, acc, _, _) = c.counters;
             assert!(req > 50, "{profile:?} client {} sent {req}", c.client);
@@ -169,7 +168,7 @@ fn scenario_matrix_every_profile_sustains_a_fleet() {
 #[test]
 fn outage_degrades_rather_than_kills() {
     let cfg = herd_cfg(24);
-    let summary = replay_population_sequential(&cfg);
+    let summary = cfg.summarize(replay(None, &cfg));
     let t = summary.time_in_state();
     let degraded_or_failed = t[ClientState::Degraded as usize] + t[ClientState::Failed as usize];
     assert!(

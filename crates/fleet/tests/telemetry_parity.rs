@@ -10,12 +10,14 @@
 //! runs in both feature states.
 #![cfg(feature = "telemetry")]
 
+mod common;
+
+use common::{eventful_fleet, eventful_population, CorruptingStore, ParityWorkload};
 use std::sync::Mutex;
 use tsc_fleet::{
-    replay_clock_checkpointed, replay_fleet, replay_sequential, CheckpointStore, ClientState,
-    ClockCheckpoint, FleetConfig, LatestCheckpoint, LifecycleClient, LifecycleConfig, WorkerPool,
+    replay, replay_interrupted, replay_item, ClientState, CrashPlan, LifecycleClient,
+    LifecycleConfig, WorkerPool,
 };
-use tsc_netsim::{LevelShift, Scenario, ServerKind};
 use tsc_telemetry as telemetry;
 use tscclock::ClockConfig;
 
@@ -24,28 +26,16 @@ use tscclock::ClockConfig;
 /// runs tests on parallel threads within this binary).
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn eventful_fleet(clocks: usize) -> FleetConfig {
-    let scenario = Scenario::baseline(0)
-        .with_poll_period(64.0)
-        .with_duration(64.0 * 400.0)
-        .with_server(ServerKind::Int)
-        .with_outage(64.0 * 150.0, 64.0 * 180.0)
-        .with_shift(LevelShift::forward_only(64.0 * 250.0, None, 0.9e-3));
-    let mut cfg = FleetConfig::new(clocks, 7, scenario, ClockConfig::paper_defaults(64.0));
-    cfg.ingest_batch = 97;
-    cfg
-}
-
 #[test]
 fn recording_switch_cannot_change_fleet_digests() {
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = eventful_fleet(10);
-    let expected = replay_sequential(&cfg);
+    let expected = replay(None, &cfg);
     let mut pool = WorkerPool::new(3);
     telemetry::set_recording(false);
-    let silent = replay_fleet(&mut pool, &cfg);
+    let silent = replay(Some(&mut pool), &cfg);
     telemetry::set_recording(true);
-    let recorded = replay_fleet(&mut pool, &cfg);
+    let recorded = replay(Some(&mut pool), &cfg);
     drop(guard);
     assert_eq!(silent, expected, "recording=off diverged");
     assert_eq!(recorded, expected, "recording=on diverged");
@@ -55,70 +45,40 @@ fn recording_switch_cannot_change_fleet_digests() {
 fn fleet_replay_populates_the_registry() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let reg = telemetry::global();
-    let packets0 = reg.counter(telemetry::Ctr::PacketsIngested);
-    let batches0 = reg.counter(telemetry::Ctr::BatchesIngested);
     let cfg = eventful_fleet(8);
     let mut pool = WorkerPool::new(2);
-    let got = replay_fleet(&mut pool, &cfg);
-    let delivered: u64 = got.iter().map(|s| s.delivered).sum();
-    assert!(delivered > 0);
-    // Counted per ingest batch; the per-packet total must still be exact.
-    assert!(
-        reg.counter(telemetry::Ctr::PacketsIngested) >= packets0 + delivered,
-        "packet counter undercounts"
-    );
-    assert!(
-        reg.counter(telemetry::Ctr::BatchesIngested) > batches0,
-        "fleet replay ran but counted no ingest batches"
-    );
+    // an interrupted replay ingests through the same counted loop
+    for cadence in [0, 64] {
+        let packets0 = reg.counter(telemetry::Ctr::PacketsIngested);
+        let batches0 = reg.counter(telemetry::Ctr::BatchesIngested);
+        let (got, _) = replay_interrupted(Some(&mut pool), &cfg, cadence, &CrashPlan::none());
+        let delivered: u64 = got.iter().map(|s| s.delivered).sum();
+        assert!(delivered > 0);
+        // Counted per ingest batch; the per-packet total must still be exact.
+        assert!(
+            reg.counter(telemetry::Ctr::PacketsIngested) >= packets0 + delivered,
+            "cadence {cadence}: packet counter undercounts"
+        );
+        assert!(
+            reg.counter(telemetry::Ctr::BatchesIngested) > batches0,
+            "cadence {cadence}: fleet replay ran but counted no ingest batches"
+        );
+    }
     assert!(reg.gauge(telemetry::Gauge::FleetClocks) >= 8);
 }
 
-/// A store that corrupts every blob: bit-flip (checksum failure) or
-/// truncation (short read) — same adversary as `crash_recovery.rs`.
-#[derive(Default)]
-struct CorruptingStore {
-    inner: LatestCheckpoint,
-    mode: u8,
-}
-
-impl CheckpointStore for CorruptingStore {
-    fn save(&mut self, mut ck: ClockCheckpoint) {
-        match self.mode {
-            0 => {
-                let mid = ck.blob.len() / 2;
-                ck.blob[mid] ^= 0x10;
-            }
-            _ => ck.blob.truncate(ck.blob.len() / 2),
-        }
-        self.inner.save(ck);
-    }
-    fn last(&self) -> Option<&ClockCheckpoint> {
-        self.inner.last()
-    }
-}
-
-#[test]
-fn failed_restore_dumps_flight_trail_naming_the_typed_error() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = eventful_fleet(1);
-    let expected = replay_sequential(&cfg);
+/// Item 0 of `w` crashes once at `crash_at` against a store corrupting in
+/// both modes: the cold restart must stay exact, be counted, and leave a
+/// flight trail naming the typed error.
+fn assert_failed_restore_leaves_a_trail<W: ParityWorkload>(w: &W, cadence: u64, crash_at: u64) {
+    let expected = replay(None, w);
     for (mode, want_err) in [(0u8, "SnapshotError::Checksum"), (1u8, "SnapshotError::Truncated")] {
         telemetry::clear_flight_recorder();
         let reg = telemetry::global();
         let errs0 = reg.counter(telemetry::Ctr::SnapshotRestoreErrors);
         let cold0 = reg.counter(telemetry::Ctr::ColdRestarts);
         let mut store = CorruptingStore { mode, ..Default::default() };
-        let (got, stats) = replay_clock_checkpointed(
-            0,
-            &cfg.scenario,
-            cfg.base_seed,
-            &cfg.clock,
-            cfg.ingest_batch,
-            50,
-            &[130],
-            &mut store,
-        );
+        let (got, stats) = replay_item(w, 0, cadence, &[crash_at], &mut store);
         assert_eq!(got, expected[0], "mode {mode}: cold restart diverged");
         assert_eq!(stats.cold_restarts, 1, "mode {mode}");
         assert!(
@@ -129,13 +89,20 @@ fn failed_restore_dumps_flight_trail_naming_the_typed_error() {
             reg.counter(telemetry::Ctr::ColdRestarts) > cold0,
             "mode {mode}: cold restart not counted"
         );
-        // The checkpointed replay runs on this thread, so the events are
-        // in this thread's ring: the dump must name the typed error.
+        // The replay runs on this thread, so the events are in this
+        // thread's ring: the dump must name the typed error.
         let dump = telemetry::flight_dump();
         assert!(dump.contains("restore-failed"), "mode {mode}: no restore-failed event:\n{dump}");
         assert!(dump.contains(want_err), "mode {mode}: dump lacks {want_err}:\n{dump}");
         assert!(dump.contains("cold-restart"), "mode {mode}: no cold-restart event:\n{dump}");
     }
+}
+
+#[test]
+fn failed_restore_dumps_flight_trail_naming_the_typed_error() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert_failed_restore_leaves_a_trail(&eventful_fleet(1), 50, 130);
+    assert_failed_restore_leaves_a_trail(&eventful_population(1), 30, 90);
 }
 
 #[test]

@@ -343,14 +343,6 @@ pub fn spawn_udp<A: ToSocketAddrs>(
     })
 }
 
-/// Error kinds that mean "nothing to read right now", not failure.
-pub fn is_idle_kind(kind: io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

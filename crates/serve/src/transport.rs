@@ -31,6 +31,7 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 use tsc_ntp::packet::PACKET_LEN;
+use tsc_ntp::server::recv_error_is_transient;
 
 /// Bytes per batch slot (one NTP header).
 pub const SLOT_LEN: usize = PACKET_LEN;
@@ -139,7 +140,7 @@ impl DatagramBatch for UdpBatchTransport {
         // Blocking (timeout-bounded) receive for the first datagram…
         let (len, from) = match self.socket.recv_from(rx.slot_mut(0)) {
             Ok(x) => x,
-            Err(ref e) if crate::plane::is_idle_kind(e.kind()) => return Ok(0),
+            Err(ref e) if recv_error_is_transient(e.kind()) => return Ok(0),
             Err(e) => return Err(e),
         };
         rx.set_len(0, len.min(SLOT_LEN));
@@ -155,7 +156,7 @@ impl DatagramBatch for UdpBatchTransport {
                     n += 1;
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if crate::plane::is_idle_kind(e.kind()) => continue,
+                Err(ref e) if recv_error_is_transient(e.kind()) => continue,
                 Err(e) => {
                     self.socket.set_nonblocking(false)?;
                     return Err(e);

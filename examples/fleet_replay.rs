@@ -5,7 +5,7 @@
 //!     cargo run --release --example fleet_replay [clocks] [threads]
 
 use tscclock_repro::clock::ClockConfig;
-use tscclock_repro::fleet::{replay_fleet, total_delivered, FleetConfig, WorkerPool};
+use tscclock_repro::fleet::{replay, total_delivered, FleetConfig, WorkerPool};
 use tscclock_repro::netsim::Scenario;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
 
     let mut pool = WorkerPool::new(threads);
     let t0 = std::time::Instant::now();
-    let summaries = replay_fleet(&mut pool, &cfg);
+    let summaries = replay(Some(&mut pool), &cfg);
     let dt = t0.elapsed();
 
     let packets = total_delivered(&summaries);
@@ -45,7 +45,7 @@ fn main() {
 
     // Determinism: a second replay — any thread count — matches bit for bit.
     let mut pool2 = WorkerPool::new((threads % 8) + 1);
-    let again = replay_fleet(&mut pool2, &cfg);
+    let again = replay(Some(&mut pool2), &cfg);
     assert_eq!(summaries, again, "fleet replay must be deterministic");
     println!(
         "re-replay on {} threads: all {} digests identical ✓",

@@ -13,7 +13,9 @@
 //! ```
 
 use tscclock_repro::clock::{ClockConfig, ClockEvent, RawExchange, TscNtpClock};
-use tscclock_repro::fleet::{compare_herd, PopulationConfig, WorkerPool};
+use tscclock_repro::fleet::{
+    compare_herd, replay_item, LatestCheckpoint, PopulationConfig, WorkerPool,
+};
 use tscclock_repro::netsim::{LevelShift, PathProfile, ProfileMix, Scenario, ServerFault};
 
 const DAY: f64 = 86_400.0;
@@ -133,7 +135,7 @@ fn thundering_herd() {
         "\nclient 0 ({:?}): {} requests, {} accepted, {} rejected, {} timeouts",
         c.profile, c.counters.0, c.counters.1, c.counters.2, c.counters.3
     );
-    let again = tscclock_repro::fleet::replay_population_client(&cfg, 0);
+    let (again, _) = replay_item(&cfg, 0, 0, &[], &mut LatestCheckpoint::default());
     assert_eq!(again.digest, c.digest, "per-client determinism");
     println!("state-machine transition trace:");
     print_trace(&cfg);

@@ -24,9 +24,7 @@
 //! rather than ad-hoc prints.
 
 use tscclock_repro::clock::{ClockConfig, RawExchange, TscNtpClock};
-use tscclock_repro::fleet::{
-    replay_fleet_checkpointed, replay_sequential, CrashPlan, FleetConfig, WorkerPool,
-};
+use tscclock_repro::fleet::{replay, replay_interrupted, CrashPlan, FleetConfig, WorkerPool};
 use tscclock_repro::netsim::Scenario;
 use tscclock_repro::telemetry;
 
@@ -138,9 +136,9 @@ fn main() {
         horizon_packets: 360,
     };
     println!("\nreplaying a fleet of {} clocks under an adversarial crash schedule...", cfg.clocks);
-    let expected = replay_sequential(&cfg);
+    let expected = replay(None, &cfg);
     let mut pool = WorkerPool::new(4);
-    let (got, stats) = replay_fleet_checkpointed(&mut pool, &cfg, 64, &crash);
+    let (got, stats) = replay_interrupted(Some(&mut pool), &cfg, 64, &crash);
     assert_eq!(got, expected, "checkpointed fleet replay must be bit-exact");
     println!(
         "{} crashes → {} warm restores, {} cold restarts, {} packets replayed; \
