@@ -1,7 +1,7 @@
 //! Experiment runners reproducing every table and figure of the paper.
 //!
 //! Each module corresponds to one artifact of the evaluation (see
-//! `DESIGN.md` for the full index) and produces a [`Report`]: a plain-text
+//! [`ALL_IDS`] for the full index) and produces a [`Report`]: a plain-text
 //! block with the same rows/series the paper reports, plus the structured
 //! numbers so integration tests can assert on shapes. The `repro` binary
 //! exposes them as subcommands.

@@ -512,27 +512,6 @@ impl LifecycleClient {
         }
     }
 
-    /// Publishes this client's current verdict into a serving-plane
-    /// snapshot cell: the bridge from the client-side lifecycle to the
-    /// server-side `tsc-serve` plane, so a disciplined edge client can
-    /// itself answer NTP queries. Fresh/Degraded verdicts seal their
-    /// verdict bound (already age-widened); Stale/Unavailable seal an
-    /// *unsynchronized* snapshot, making the serving plane refuse —
-    /// identical degrade semantics on both sides. Returns `true` when the
-    /// sealed snapshot is servable.
-    pub fn publish_into(&self, publisher: &mut tsc_serve::Publisher, tsc: u64, now: f64) -> bool {
-        match self.read(tsc, now) {
-            ReadVerdict::Fresh { time, bound } | ReadVerdict::Degraded { time, bound, .. } => {
-                // absolute_time succeeded inside read(), so p̂ exists.
-                let rate = self.clock.p_hat().unwrap_or(0.0);
-                publisher.seal_with_bound(tsc, time, rate, bound, rate > 0.0)
-            }
-            ReadVerdict::Stale { .. } | ReadVerdict::Unavailable => {
-                publisher.seal_with_bound(tsc, 0.0, 0.0, 0.0, false)
-            }
-        }
-    }
-
     /// The transition trace (capped at `max_trace`; the total count is
     /// [`LifecycleClient::transition_count`]).
     pub fn trace(&self) -> &[Transition] {
@@ -831,43 +810,6 @@ mod tests {
         assert_eq!(c.state(), ClientState::Syncing, "not aligned after 1 sample");
         assert_eq!(c.trace().len(), 1);
         assert_eq!(c.trace()[0].to, ClientState::Syncing);
-    }
-
-    #[test]
-    fn publish_into_mirrors_the_verdict() {
-        use tsc_serve::{PublishPolicy, Publisher, SnapshotCell};
-        let cell = std::sync::Arc::new(SnapshotCell::new());
-        let mut publisher = Publisher::new(std::sync::Arc::clone(&cell), PublishPolicy::default());
-
-        // A fresh client publishes an unsynchronized (refusing) snapshot.
-        let c = client(11);
-        assert!(!c.publish_into(&mut publisher, 0, 0.0));
-        assert!(!cell.read().unwrap().synced);
-
-        // Feed accepted samples until the clock aligns, then publish.
-        let mut c = client(11);
-        let mut t = 16.0;
-        for _ in 0..600 {
-            c.on_response(t, good_raw(t), 1e-9);
-            t += 16.0;
-        }
-        let tsc = (t * 1e9) as u64;
-        if c.publish_into(&mut publisher, tsc, t) {
-            let snap = cell.read().unwrap();
-            assert!(snap.synced);
-            // The sealed bound carries the verdict bound (≥ the floor).
-            match c.read(tsc, t) {
-                ReadVerdict::Fresh { time, bound } | ReadVerdict::Degraded { time, bound, .. } => {
-                    assert!((snap.time_at(tsc) - time).abs() < 1e-6);
-                    assert!(snap.bound >= bound.min(50e-6));
-                }
-                v => panic!("servable publish from non-servable verdict {v:?}"),
-            }
-        } else {
-            // Clock never aligned on this stream — the publish must then
-            // have been a refusal seal.
-            assert!(!cell.read().unwrap().synced);
-        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   [`SnapshotCell`]; readers evaluate `Ca(t) = base + rate·(t − t0)`
 //!   with zero locks and retry only on a torn generation.
 //! - [`publish`]: the writer side — [`Publisher`] turns a `TscNtpClock`
-//!   or `QuorumClock` plus a bound policy (point-error EMA, floor,
-//!   staleness widening) into sealed snapshots.
+//!   plus a bound policy (point-error EMA, floor, staleness widening)
+//!   into sealed snapshots.
 //! - [`transport`] + [`plane`]: the batched datagram front-end — a
 //!   recvmmsg/sendmmsg-shaped [`DatagramBatch`] trait over one contiguous
 //!   buffer per direction, implemented by real UDP sockets and an

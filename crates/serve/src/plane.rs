@@ -22,9 +22,8 @@ use crate::transport::{BatchBufs, DatagramBatch, DEFAULT_BATCH};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tsc_ntp::packet::{Mode, NtpPacket};
-use tsc_ntp::server::DEFAULT_RESIDENCE;
 use tsc_ntp::timestamp::{NtpShort, NtpTimestamp};
 use tsc_telemetry as telemetry;
 
@@ -40,8 +39,9 @@ pub const REFUSE_STALE: [u8; 4] = *b"STAL";
 pub struct ServeConfig {
     /// Refuse once the snapshot is staler than this (seconds).
     pub stale_horizon: f64,
-    /// Modeled residence `Te − Tb` (seconds) — same model as the legacy
-    /// server's [`DEFAULT_RESIDENCE`].
+    /// Modeled residence `Te − Tb` (seconds). The counter is read once
+    /// per request for `Tb` and `Te = Tb + residence` derives from this
+    /// model instead of paying (and serializing on) a second read.
     pub residence: f64,
     /// Max datagrams per batch.
     pub batch: usize,
@@ -50,9 +50,11 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            // Mirrors LifecycleConfig::defaults' 4-hour client-side horizon.
+            // The client-side horizon of `LifecycleConfig::defaults`; pinned
+            // by `tests/edge_cases.rs::serve_and_lifecycle_bound_policies_agree`.
             stale_horizon: 4.0 * 3600.0,
-            residence: DEFAULT_RESIDENCE,
+            // The paper's servers answer in ~12 µs minimum residence.
+            residence: 10e-6,
             batch: DEFAULT_BATCH,
         }
     }
@@ -227,7 +229,9 @@ pub fn instant_counter() -> impl FnMut() -> u64 + Send {
     move || t0.elapsed().as_nanos() as u64
 }
 
-/// Shared daemon statistics, mirrored from [`ServeStats`] batch by batch.
+/// What the daemon thread shows its handle: [`ServeStats`] mirrored batch
+/// by batch (the daemon thread is the only writer, so plain stores), and
+/// the socket errors the loop survived.
 #[derive(Debug, Default)]
 struct DaemonShared {
     requests: AtomicU64,
@@ -235,6 +239,28 @@ struct DaemonShared {
     malformed: AtomicU64,
     refusals: AtomicU64,
     batches: AtomicU64,
+    socket_errors: AtomicU64,
+    last_error: Mutex<Option<String>>,
+}
+
+const LAST_ERROR_LOCK: &str = "nothing panics while holding the last_error lock";
+
+impl DaemonShared {
+    fn mirror(&self, s: &ServeStats) {
+        self.requests.store(s.requests, Ordering::Relaxed);
+        self.responses.store(s.responses, Ordering::Relaxed);
+        self.malformed.store(s.malformed, Ordering::Relaxed);
+        self.refusals.store(s.refusals, Ordering::Relaxed);
+        self.batches.store(s.batches, Ordering::Relaxed);
+    }
+
+    /// Never die silently: count the error and remember it; the loop
+    /// keeps serving.
+    fn survived(&self, what: &str, e: &io::Error) {
+        self.socket_errors.fetch_add(1, Ordering::Relaxed);
+        telemetry::add(telemetry::Ctr::ServeRecvErrors, 1);
+        *self.last_error.lock().expect(LAST_ERROR_LOCK) = Some(format!("{what}: {e}"));
+    }
 }
 
 /// Handle to a running UDP serve daemon; dropping it (or calling
@@ -260,6 +286,21 @@ impl ServeDaemonHandle {
             refusals: self.shared.refusals.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed),
         }
+    }
+
+    /// Socket errors the loop survived: non-transient receive errors, and
+    /// batches in which a send failed (the other slots were still sent).
+    /// The loop never dies on one — it counts here (and in the
+    /// `serve_recv_errors` telemetry counter), keeps the message for
+    /// [`ServeDaemonHandle::last_error`], and continues.
+    pub fn recv_errors(&self) -> u64 {
+        self.shared.socket_errors.load(Ordering::Relaxed)
+    }
+
+    /// The most recent survived socket error (`recv: …` or `send: …`).
+    pub fn last_error(&self) -> Option<String> {
+        let last = self.shared.last_error.lock().expect(LAST_ERROR_LOCK);
+        last.clone()
     }
 
     pub fn shutdown(mut self) {
@@ -305,8 +346,9 @@ pub fn spawn_udp<A: ToSocketAddrs>(
             while !stop2.load(Ordering::SeqCst) {
                 let n = match transport.recv_batch(&mut rx, cfg.batch) {
                     Ok(n) => n,
-                    Err(_) => {
-                        telemetry::add(telemetry::Ctr::ServeRecvErrors, 1);
+                    Err(e) => {
+                        shared2.survived("recv", &e);
+                        // A persistently broken socket must not busy-spin.
                         std::thread::sleep(std::time::Duration::from_millis(1));
                         continue;
                     }
@@ -314,25 +356,11 @@ pub fn spawn_udp<A: ToSocketAddrs>(
                 if n == 0 {
                     continue;
                 }
-                let before = plane.stats;
                 plane.serve_batch(&rx, n, &mut tx, &mut tsc_now);
-                let _ = transport.send_batch(&tx, n);
-                let s = plane.stats;
-                shared2
-                    .requests
-                    .fetch_add(s.requests - before.requests, Ordering::Relaxed);
-                shared2
-                    .responses
-                    .fetch_add(s.responses - before.responses, Ordering::Relaxed);
-                shared2
-                    .malformed
-                    .fetch_add(s.malformed - before.malformed, Ordering::Relaxed);
-                shared2
-                    .refusals
-                    .fetch_add(s.refusals - before.refusals, Ordering::Relaxed);
-                shared2
-                    .batches
-                    .fetch_add(s.batches - before.batches, Ordering::Relaxed);
+                if let Err(e) = transport.send_batch(&tx, n) {
+                    shared2.survived("send", &e);
+                }
+                shared2.mirror(&plane.stats);
             }
         })?;
     Ok(ServeDaemonHandle {
@@ -493,27 +521,56 @@ mod tests {
             synced: true,
             reference_id: *b"TSC\0",
         });
+        // Neither a short garbage datagram nor a non-client mode is answered.
+        let rogue = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        rogue.send_to(&[1, 2, 3], daemon.addr()).unwrap();
+        let mut server_mode = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(5.0), 4);
+        server_mode.mode = Mode::Server;
+        rogue.send_to(&server_mode.encode(), daemon.addr()).unwrap();
+
         let mut client = tsc_ntp::client::SntpClient::connect(daemon.addr()).unwrap();
         client
             .set_timeout(std::time::Duration::from_secs(2))
             .unwrap();
         let mut t = 0.0;
-        let ft = client
-            .query(|| {
-                t += 0.001;
-                t
-            })
-            .expect("daemon answers");
-        assert!(ft.tb > 1.7e9 - 1.0 && ft.tb < 1.7e9 + 60.0);
-        assert!(ft.te >= ft.tb);
+        let mut last_tb = 0.0;
+        let residence = ServeConfig::default().residence;
+        for _ in 0..5 {
+            let ft = client
+                .query(|| {
+                    t += 0.001;
+                    t
+                })
+                .expect("daemon answers");
+            assert!(ft.tb > 1.7e9 - 1.0 && ft.tb < 1.7e9 + 60.0);
+            assert!(ft.tb > last_tb, "server time must advance");
+            last_tb = ft.tb;
+            // One counter read per request: Te − Tb is the modeled
+            // residence, to the f64 ULP (~2.4e-7 s) near 1.7e9.
+            assert!(
+                (ft.te - ft.tb - residence).abs() < 5e-7,
+                "te - tb = {}",
+                ft.te - ft.tb
+            );
+        }
         // The reply can arrive before the daemon mirrors its counters.
+        let seen = || {
+            let s = daemon.stats();
+            (s.requests, s.responses, s.malformed, s.refusals)
+        };
         let t0 = std::time::Instant::now();
-        while daemon.stats().responses < 1 && t0.elapsed() < std::time::Duration::from_secs(2) {
+        while seen() != (7, 5, 2, 0) && t0.elapsed() < std::time::Duration::from_secs(2) {
             std::thread::yield_now();
         }
-        let stats = daemon.stats();
-        assert_eq!(stats.responses, 1);
-        assert_eq!(stats.refusals, 0);
+        assert_eq!(seen(), (7, 5, 2, 0));
+        // The socket is FIFO, so both bad datagrams were handled before the
+        // queries were: any reply to them would be waiting here by now.
+        rogue.set_nonblocking(true).unwrap();
+        assert!(rogue.recv_from(&mut [0u8; 64]).is_err());
+        assert_eq!(daemon.recv_errors(), 0);
+        assert!(daemon.last_error().is_none());
+        let t0 = std::time::Instant::now();
         daemon.shutdown();
+        assert!(t0.elapsed() < std::time::Duration::from_secs(1));
     }
 }

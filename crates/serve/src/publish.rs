@@ -1,18 +1,17 @@
 //! The writer side of the serving plane: turning a live discipline loop
-//! (a [`TscNtpClock`] or a [`QuorumClock`]) into sealed [`ClockSnapshot`]s
-//! in a [`SnapshotCell`].
+//! (a [`TscNtpClock`]) into sealed [`ClockSnapshot`]s in a
+//! [`SnapshotCell`].
 //!
 //! The publisher owns the *policy* part of the published state — how the
 //! per-exchange point errors are smoothed into a seal-time bound, what
 //! floor and widening rate the bound carries — so the clocks themselves
-//! stay policy-free. Defaults mirror `LifecycleConfig` on the client side
-//! (50 µs floor, 1e-7 s/s widening ≈ the paper's γ* oscillator
-//! stability), keeping serve-side and client-side degrade semantics
-//! consistent.
+//! stay policy-free. The defaults (50 µs floor, 1e-7 s/s widening ≈ the
+//! paper's γ* oscillator stability) are `LifecycleConfig`'s on the client
+//! side, so both sides degrade alike; the equality is pinned by
+//! `tests/edge_cases.rs::serve_and_lifecycle_bound_policies_agree`.
 
 use crate::cell::{ClockSnapshot, SnapshotCell};
 use std::sync::Arc;
-use tsc_quorum::QuorumClock;
 use tscclock::clock::{ProcessOutput, TscNtpClock};
 use tsc_telemetry as telemetry;
 
@@ -50,8 +49,7 @@ impl Default for PublishPolicy {
 ///
 /// One publisher per cell: the discipline loop that owns the clock also
 /// owns the publisher, calls [`Publisher::observe`] per processed
-/// exchange, and [`Publisher::publish_clock`] (or `publish_quorum`) at
-/// its republish cadence.
+/// exchange, and [`Publisher::publish_clock`] at its republish cadence.
 #[derive(Debug)]
 pub struct Publisher {
     cell: Arc<SnapshotCell>,
@@ -90,8 +88,8 @@ impl Publisher {
         self.observe_point_error(out.point_error);
     }
 
-    /// Same as [`Publisher::observe`] from a bare point error (quorum and
-    /// replay paths that don't carry a full `ProcessOutput`).
+    /// Same as [`Publisher::observe`] from a bare point error (loops that
+    /// don't carry a full `ProcessOutput`).
     pub fn observe_point_error(&mut self, point_error: f64) {
         let e = point_error.abs();
         if !e.is_finite() {
@@ -124,16 +122,9 @@ impl Publisher {
         }
     }
 
-    /// Seals the quorum's combined estimate at counter reading `tsc`.
-    pub fn publish_quorum(&mut self, q: &QuorumClock, tsc: u64) -> bool {
-        match (q.absolute_time(tsc), q.p_hat()) {
-            (Some(base), Some(rate)) => self.seal(tsc, base, rate, true),
-            _ => self.seal_unsynced(tsc),
-        }
-    }
-
-    /// Seals an explicit `(base, rate)` estimate — the building block the
-    /// clock/quorum fronts share; public for custom discipline loops.
+    /// Seals an explicit `(base, rate)` estimate — the building block
+    /// under [`Publisher::publish_clock`]; public for discipline loops that
+    /// are not a `TscNtpClock` (a quorum, a lifecycle client).
     pub fn seal(&mut self, tsc: u64, base: f64, rate: f64, synced: bool) -> bool {
         self.seal_with_bound(tsc, base, rate, self.current_bound(), synced)
     }
@@ -201,15 +192,6 @@ mod tests {
         let snap = cell.read().expect("published");
         assert!(!snap.synced);
         assert_eq!(snap.era, 1);
-    }
-
-    #[test]
-    fn fresh_quorum_publishes_unsynced() {
-        let q = QuorumClock::new(3, tsc_quorum::QuorumConfig::paper_defaults(16.0));
-        let cell = Arc::new(SnapshotCell::new());
-        let mut p = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
-        assert!(!p.publish_quorum(&q, 999));
-        assert!(!cell.read().unwrap().synced);
     }
 
     #[test]

@@ -31,7 +31,6 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 use tsc_ntp::packet::PACKET_LEN;
-use tsc_ntp::server::recv_error_is_transient;
 
 /// Bytes per batch slot (one NTP header).
 pub const SLOT_LEN: usize = PACKET_LEN;
@@ -94,7 +93,9 @@ impl BatchBufs {
 ///   idle interval — callers poll a shutdown flag between batches.
 /// - `send_batch(tx, n)` answers the *immediately preceding* `recv_batch`:
 ///   slot `i` goes to the peer of receive slot `i`; `tx.len(i) == 0`
-///   skips the slot. Returns the number of datagrams actually sent.
+///   skips the slot. A slot whose send fails does not stop the batch:
+///   every slot is tried, then the first error is returned; otherwise the
+///   number of datagrams sent.
 pub trait DatagramBatch {
     fn recv_batch(&mut self, rx: &mut BatchBufs, max: usize) -> io::Result<usize>;
     fn send_batch(&mut self, tx: &BatchBufs, n: usize) -> io::Result<usize>;
@@ -169,17 +170,41 @@ impl DatagramBatch for UdpBatchTransport {
 
     fn send_batch(&mut self, tx: &BatchBufs, n: usize) -> io::Result<usize> {
         let mut sent = 0;
+        let mut first_err = None;
         for i in 0..n.min(tx.slots()) {
             if tx.len(i) == 0 {
                 continue;
             }
             if let Some(peer) = self.peers[i] {
-                self.socket.send_to(tx.slot(i), peer)?;
-                sent += 1;
+                match self.socket.send_to(tx.slot(i), peer) {
+                    Ok(_) => sent += 1,
+                    // One bad peer (unroutable or spoofed source, EACCES,
+                    // ENOBUFS) must not cost the rest of the batch its
+                    // responses.
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
+                }
             }
         }
-        Ok(sent)
+        first_err.map_or(Ok(sent), Err)
     }
+}
+
+/// Receive-error classification for the serve loop: timeouts and spurious
+/// wakeups are the normal idle path; everything else is a survived error.
+/// `ConnectionReset`/`ConnectionRefused` show up on connectionless UDP
+/// sockets on some platforms when a *previous send* bounced (ICMP port
+/// unreachable) — transient by definition.
+fn recv_error_is_transient(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::WouldBlock
+            | io::ErrorKind::TimedOut
+            | io::ErrorKind::Interrupted
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionRefused
+    )
 }
 
 /// In-process transport: requests are queued by the driving test/bench
@@ -327,6 +352,58 @@ mod tests {
         assert_eq!((len, buf[0]), (1, 1));
         let (len, _) = c2.recv_from(&mut buf).unwrap();
         assert_eq!((len, buf[0]), (1, 2));
+    }
+
+    #[test]
+    fn one_bad_peer_does_not_drop_the_rest_of_the_batch() {
+        let mut server = UdpBatchTransport::bind("127.0.0.1:0", 8).unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        client
+            .send_to(&[2; 48], server.local_addr().unwrap())
+            .unwrap();
+        let mut rx = BatchBufs::new(8);
+        assert_eq!(server.recv_batch(&mut rx, 8).unwrap(), 1);
+        // The real client moves to slot 1, behind a source `send_to`
+        // rejects: limited broadcast without SO_BROADCAST is EACCES.
+        server.peers[1] = server.peers[0];
+        server.peers[0] = Some("255.255.255.255:9".parse().unwrap());
+
+        let mut tx = BatchBufs::new(8);
+        for i in 0..2 {
+            tx.slot_mut(i)[0] = i as u8;
+            tx.set_len(i, 1);
+        }
+        assert!(server.send_batch(&tx, 2).is_err(), "failure is reported");
+        let mut buf = [0u8; 8];
+        let (len, _) = client
+            .recv_from(&mut buf)
+            .expect("slot 1 is still answered");
+        assert_eq!((len, buf[0]), (1, 1));
+    }
+
+    #[test]
+    fn transient_error_classification() {
+        for k in [
+            io::ErrorKind::WouldBlock,
+            io::ErrorKind::TimedOut,
+            io::ErrorKind::Interrupted,
+            io::ErrorKind::ConnectionReset,
+            io::ErrorKind::ConnectionRefused,
+        ] {
+            assert!(recv_error_is_transient(k), "{k:?}");
+        }
+        for k in [
+            io::ErrorKind::NotFound,
+            io::ErrorKind::PermissionDenied,
+            io::ErrorKind::BrokenPipe,
+            io::ErrorKind::InvalidInput,
+            io::ErrorKind::Other,
+        ] {
+            assert!(!recv_error_is_transient(k), "{k:?}");
+        }
     }
 
     #[test]

@@ -77,8 +77,9 @@ pub enum Ctr {
     ServeRefusals,
     /// Datagram batches processed by a serving plane.
     ServeBatches,
-    /// Non-transient receive errors the serve loop survived (the loop
-    /// counts and continues instead of dying silently).
+    /// Socket errors the serve loop survived — non-transient receive
+    /// errors and batches with a failed send (the loop counts and
+    /// continues instead of dying silently).
     ServeRecvErrors,
     /// Clock snapshots sealed into a published cell.
     SnapshotsPublished,

@@ -1,8 +1,8 @@
 //! Live NTP over real UDP sockets: a simulated stratum-1 server on
-//! localhost, the blocking SNTP client, and the TSC-NTP clock fed from real
-//! exchanges — then **daemon mode**: the acquired clock is published into a
-//! lock-free snapshot cell and served back out over the batched `tsc-serve`
-//! UDP front-end.
+//! localhost (a `tsc-serve` daemon answering off one published snapshot),
+//! the blocking SNTP client, and the TSC-NTP clock fed from real exchanges
+//! — then **daemon mode**: the acquired clock is published into a second
+//! snapshot cell and served back out by a second daemon.
 //!
 //! ```sh
 //! cargo run --release --example live_ntp                  # demo, exits
@@ -22,31 +22,35 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tscclock_repro::clock::{ClockConfig, RawExchange, TscNtpClock};
-use tscclock_repro::ntp::{self, ServerClock, SntpClient};
-use tscclock_repro::serve::{PublishPolicy, Publisher, ServeConfig, SnapshotCell};
+use tscclock_repro::ntp::SntpClient;
+use tscclock_repro::serve::{
+    instant_counter, spawn_udp, PublishPolicy, Publisher, ServeConfig, SnapshotCell,
+};
 
-/// A server whose clock is the system clock shifted by a fixed offset —
-/// stand-in for a remote stratum-1 whose absolute time we must acquire.
-struct ShiftedServerClock {
-    offset: f64,
-}
-
-impl ServerClock for ShiftedServerClock {
-    fn now_unix(&mut self) -> f64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0)
-            + self.offset
-    }
-    fn reference_id(&self) -> [u8; 4] {
-        *b"SIM\0"
-    }
+fn unix_now() -> f64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs_f64())
+        .unwrap_or(0.0)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A stratum-1 server on an ephemeral localhost port, 3.5 s ahead.
-    let server = ntp::server::spawn("127.0.0.1:0", ShiftedServerClock { offset: 3.5 })?;
+    // 1. A stratum-1 server on an ephemeral localhost port, 3.5 s ahead:
+    //    one published snapshot — the system clock shifted by a fixed
+    //    offset, advancing at 1 ns per count of its own `Instant` counter —
+    //    stands in for a remote server whose absolute time we must acquire.
+    let upstream = Arc::new(SnapshotCell::new());
+    let sim = PublishPolicy {
+        reference_id: *b"SIM\0",
+        ..PublishPolicy::default()
+    };
+    Publisher::new(Arc::clone(&upstream), sim).seal(0, unix_now() + 3.5, 1e-9, true);
+    let server = spawn_udp(
+        "127.0.0.1:0",
+        upstream,
+        ServeConfig::default(),
+        instant_counter(),
+    )?;
     println!("simulated stratum-1 server listening on {}", server.addr());
 
     // 2. The host's raw counter: nanoseconds since program start (~1 GHz).
@@ -103,10 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Read the absolute clock and compare with the server's clock.
     let now_tsc = read_tsc();
     if let Some(ca) = clock.absolute_time(now_tsc) {
-        let server_now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)?
-            .as_secs_f64()
-            + 3.5;
+        let server_now = unix_now() + 3.5;
         println!("\nabsolute clock reads : {ca:.6} (Unix s)");
         println!("server clock reads   : {server_now:.6}");
         println!(
@@ -125,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cell = Arc::new(SnapshotCell::new());
     let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
     publisher.publish_clock(&clock, read_tsc());
-    let daemon = tscclock_repro::serve::spawn_udp(
+    let daemon = spawn_udp(
         listen.as_str(),
         Arc::clone(&cell),
         ServeConfig::default(),

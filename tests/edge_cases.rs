@@ -215,3 +215,18 @@ fn histogram_and_percentiles_agree_on_simulated_errors() {
         p.p99
     );
 }
+
+/// The serving plane and the client lifecycle state one bound policy in
+/// two config types (ROADMAP 3(d)); until they share one, the defaults
+/// must not drift apart.
+#[test]
+fn serve_and_lifecycle_bound_policies_agree() {
+    use tscclock_repro::fleet::LifecycleConfig;
+    use tscclock_repro::serve::{PublishPolicy, ServeConfig};
+
+    let client = LifecycleConfig::defaults(16.0);
+    let publish = PublishPolicy::default();
+    assert_eq!(client.bound_floor, publish.bound_floor);
+    assert_eq!(client.widen_rate, publish.widen_rate);
+    assert_eq!(client.stale_horizon, ServeConfig::default().stale_horizon);
+}

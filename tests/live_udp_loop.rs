@@ -1,25 +1,39 @@
 //! End-to-end test over real UDP loopback: simulated stratum-1 server,
 //! SNTP client, and the TSC-NTP clock acquiring absolute time.
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use tscclock_repro::clock::{ClockConfig, RawExchange, TscNtpClock};
-use tscclock_repro::ntp::{self, ServerClock, SntpClient};
+use tscclock_repro::ntp::SntpClient;
+use tscclock_repro::serve::{
+    instant_counter, spawn_udp, PublishPolicy, Publisher, ServeConfig, ServeDaemonHandle,
+    SnapshotCell,
+};
 
-/// Server clock: system time plus a known offset we expect to acquire.
-struct Shifted(f64);
-impl ServerClock for Shifted {
-    fn now_unix(&mut self) -> f64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0)
-            + self.0
-    }
+fn unix_now() -> f64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap()
+        .as_secs_f64()
+}
+
+/// The upstream stratum-1: a serve daemon whose one published snapshot is
+/// the system clock plus a known offset we expect to acquire, advancing
+/// at 1 ns per count of an `Instant` counter started now.
+fn spawn_upstream(offset: f64) -> ServeDaemonHandle {
+    let cell = Arc::new(SnapshotCell::new());
+    let policy = PublishPolicy {
+        reference_id: *b"SIM\0",
+        ..PublishPolicy::default()
+    };
+    Publisher::new(Arc::clone(&cell), policy).seal(0, unix_now() + offset, 1e-9, true);
+    let cfg = ServeConfig::default();
+    spawn_udp("127.0.0.1:0", cell, cfg, instant_counter()).expect("bind server")
 }
 
 #[test]
 fn acquire_absolute_time_over_loopback() {
-    let server = ntp::server::spawn("127.0.0.1:0", Shifted(2.0)).expect("bind server");
+    let server = spawn_upstream(2.0);
     let mut client = SntpClient::connect(server.addr()).expect("client");
     client.set_timeout(Duration::from_secs(1)).unwrap();
 
@@ -62,11 +76,7 @@ fn acquire_absolute_time_over_loopback() {
 
     let now_tsc = read_tsc();
     let ca = clock.absolute_time(now_tsc).expect("clock aligned");
-    let server_now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_secs_f64()
-        + 2.0;
+    let server_now = unix_now() + 2.0;
     let err = (ca - server_now).abs();
     // Loopback RTTs are ~50-500 µs; scheduling noise in CI can be worse.
     // Acquiring the 2-second offset to within 5 ms demonstrates the loop.
