@@ -1,7 +1,9 @@
 //! Snapshot codec benchmarks: what crash-safety costs.
 //!
-//! Two families:
+//! Three families:
 //!
+//! * `snapshot_checksum/1MiB` — the envelope's lane checksum alone, at
+//!   the size of a warmed clock's blob. Seal and restore each pay it once.
 //! * `snapshot_seal_*` / `snapshot_restore_*` — per-component cost of
 //!   sealing a warmed component into its envelope and of validating +
 //!   rebuilding it from bytes (clock, 3-server quorum, lifecycle client).
@@ -93,6 +95,14 @@ fn bench_snapshot_codec(c: &mut Criterion) {
     let clock = warmed_clock();
     let quorum = warmed_quorum();
     let client = warmed_client();
+
+    let mib = vec![0xa5u8; 1 << 20];
+    let mut g = c.benchmark_group("snapshot_checksum");
+    g.throughput(Throughput::Bytes(mib.len() as u64));
+    g.bench_function("1MiB", |b| {
+        b.iter(|| tscclock::snapshot::checksum(std::hint::black_box(&mib)))
+    });
+    g.finish();
 
     let mut g = c.benchmark_group("snapshot_seal");
     for (name, blob_len, seal) in [

@@ -109,49 +109,67 @@ impl PacketRecord {
         (self.rtt_c - self.rbase_c) * p_hat
     }
 
-    /// Serialized size in bytes (lower bound used for length validation).
-    pub(crate) const WIRE_BYTES: usize = 104;
+    /// Serialized size in bytes: [`Self::WIRE_WORDS`] little-endian words.
+    pub(crate) const WIRE_BYTES: usize = 8 * Self::WIRE_WORDS;
 
-    /// Serializes the record into a snapshot payload (field order is the
-    /// struct order and is part of snapshot format v1).
+    /// The record on the wire is its fields in struct order, floats as
+    /// raw bits, `era` and `epoch` sharing one word (low half first, so
+    /// the bytes are two little-endian `u32`s in that order). Part of the
+    /// snapshot format.
+    const WIRE_WORDS: usize = 13;
+
+    /// Serializes the record into a snapshot payload with one append.
     pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_u64(self.idx);
-        w.put_u64(self.ex.ta_tsc);
-        w.put_f64(self.ex.tb);
-        w.put_f64(self.ex.te);
-        w.put_u64(self.ex.tf_tsc);
-        w.put_f64(self.ta_c);
-        w.put_f64(self.tf_c);
-        w.put_f64(self.rtt_c);
-        w.put_f64(self.rbase_c);
-        w.put_u32(self.era);
-        w.put_u32(self.epoch);
-        w.put_f64(self.hm_c);
-        w.put_f64(self.sm);
-        w.put_f64(self.theta);
+        let words: [u64; Self::WIRE_WORDS] = [
+            self.idx,
+            self.ex.ta_tsc,
+            self.ex.tb.to_bits(),
+            self.ex.te.to_bits(),
+            self.ex.tf_tsc,
+            self.ta_c.to_bits(),
+            self.tf_c.to_bits(),
+            self.rtt_c.to_bits(),
+            self.rbase_c.to_bits(),
+            u64::from(self.era) | u64::from(self.epoch) << 32,
+            self.hm_c.to_bits(),
+            self.sm.to_bits(),
+            self.theta.to_bits(),
+        ];
+        let mut bytes = [0u8; Self::WIRE_BYTES];
+        for (dst, word) in bytes.chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&word.to_le_bytes());
+        }
+        w.put_array(&bytes);
     }
 
-    /// Deserializes a record written by [`PacketRecord::save_state`].
+    /// Deserializes a record written by [`PacketRecord::save_state`],
+    /// under one bounds check.
     pub(crate) fn load_state(
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<Self, crate::SnapshotError> {
+        let bytes = r.take_array::<{ Self::WIRE_BYTES }>()?;
+        let words: [u64; Self::WIRE_WORDS] = std::array::from_fn(|i| {
+            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        });
+        let [idx, ta_tsc, tb, te, tf_tsc, ta_c, tf_c, rtt_c, rbase_c, era_epoch, hm_c, sm, theta] =
+            words;
         Ok(Self {
-            idx: r.get_u64()?,
+            idx,
             ex: RawExchange {
-                ta_tsc: r.get_u64()?,
-                tb: r.get_f64()?,
-                te: r.get_f64()?,
-                tf_tsc: r.get_u64()?,
+                ta_tsc,
+                tb: f64::from_bits(tb),
+                te: f64::from_bits(te),
+                tf_tsc,
             },
-            ta_c: r.get_f64()?,
-            tf_c: r.get_f64()?,
-            rtt_c: r.get_f64()?,
-            rbase_c: r.get_f64()?,
-            era: r.get_u32()?,
-            epoch: r.get_u32()?,
-            hm_c: r.get_f64()?,
-            sm: r.get_f64()?,
-            theta: r.get_f64()?,
+            ta_c: f64::from_bits(ta_c),
+            tf_c: f64::from_bits(tf_c),
+            rtt_c: f64::from_bits(rtt_c),
+            rbase_c: f64::from_bits(rbase_c),
+            era: era_epoch as u32,
+            epoch: (era_epoch >> 32) as u32,
+            hm_c: f64::from_bits(hm_c),
+            sm: f64::from_bits(sm),
+            theta: f64::from_bits(theta),
         })
     }
 

@@ -1,0 +1,436 @@
+//! Golden snapshot envelopes: format drift is a failing test, not a
+//! silent break.
+//!
+//! `tests/fixtures/*_v2.snap` are sealed envelopes of each snapshottable
+//! root component — clock, quorum, lifecycle client and a fleet
+//! `CHECKPOINT` — committed as bytes. Each golden test restores one from
+//! the *file*, so it keeps passing only while this build still reads what
+//! an earlier build wrote: it re-seals the restored state and demands the
+//! fixture's bytes back, then resumes a fixed tail of input and pins the
+//! digest of everything the component outputs.
+//!
+//! The clock, quorum and lifecycle inputs come from [`Path`] below (plain
+//! arithmetic over an LCG), not from the simulator, so those fixtures move
+//! only when the estimator's state or the snapshot format does. The
+//! checkpoint fixture is a `PopulationConfig` replay and therefore also
+//! depends on `tsc-netsim`'s streams.
+//!
+//! The fixtures are rewritten only by the `#[ignore]`d
+//! [`regenerate_golden_fixtures`], which also prints the digests to pin;
+//! CI runs it and `git diff --exit-code tests/fixtures`, which proves the
+//! committed bytes are what this source writes. A change that moves them
+//! bumps `FORMAT_VERSION` and says how old blobs are treated — today:
+//! [`format_v1_blobs_are_a_typed_mismatch_and_a_counted_cold_start`].
+
+use tsc_fleet::{
+    replay, replay_item, CheckpointStore, ClockCheckpoint, FleetConfig, LifecycleClient,
+    LifecycleConfig, PopulationConfig,
+};
+use tsc_netsim::Scenario;
+use tsc_quorum::{QuorumClock, QuorumConfig};
+use tscclock::snapshot::FORMAT_VERSION;
+use tscclock::{ClockConfig, RawExchange, SnapshotError, TscNtpClock};
+
+/// Digests of the resumed tails (printed by the regenerator).
+const CLOCK_TAIL_DIGEST: u64 = 0x8827_9ba7_5168_e771;
+const QUORUM_TAIL_DIGEST: u64 = 0x7551_539d_0ca2_f91a;
+const LIFECYCLE_TAIL_DIGEST: u64 = 0x15ec_7bfc_4ea6_6ba2;
+const CHECKPOINT_RUN_DIGEST: u64 = 0x5e94_7c13_7dd2_64dc;
+
+/// Fixtures stay reviewable and cheap to clone.
+const MAX_FIXTURE_BYTES: usize = 64 << 10;
+
+fn fixture_path(name: &str) -> String {
+    format!("{}/tests/fixtures/{name}_v{FORMAT_VERSION}.snap", env!("CARGO_MANIFEST_DIR"))
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = fixture_path(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e} (run regenerate_golden_fixtures)"))
+}
+
+/// Per-byte FNV-1a-64: the output digests here, and the trailer of a
+/// format-v1 envelope.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    fnv1a(&words.into_iter().flat_map(u64::to_le_bytes).collect::<Vec<u8>>())
+}
+
+/// True period of the synthetic host counter: 1 GHz with +52.4 PPM skew.
+const PERIOD: f64 = 1.0000524e-9;
+
+/// A synthetic symmetric path to a perfect server: fixed minimum delay
+/// plus cubed-uniform queueing each way, from a 64-bit LCG. Only `+`, `*`
+/// and integer conversion, so the stream is the same on every platform.
+struct Path {
+    lcg: u64,
+    min_delay: f64,
+}
+
+impl Path {
+    fn uniform(&mut self) -> f64 {
+        self.lcg = self
+            .lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.lcg >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The exchange sent at true time `t`, and the true time it returned.
+    fn exchange(&mut self, t: f64) -> (RawExchange, f64) {
+        let (u, v) = (self.uniform(), self.uniform());
+        let tb = t + self.min_delay + 300e-6 * u * u * u;
+        let te = tb + 40e-6;
+        let tf = te + self.min_delay + 300e-6 * v * v * v;
+        let raw = RawExchange { ta_tsc: (t / PERIOD) as u64, tb, te, tf_tsc: (tf / PERIOD) as u64 };
+        (raw, tf)
+    }
+}
+
+// ---------------------------------------------------------------- clock
+
+const CLOCK_HEAD: usize = 400;
+const CLOCK_TAIL: usize = 120;
+
+/// The clock input: 16 s polling, and the route lengthens by 0.6 ms at
+/// packet 250 — the fixture is sealed with the shift detector part-way to
+/// confirming that, and the tail carries the confirmation and the re-base
+/// (packet 404).
+fn clock_input() -> Vec<RawExchange> {
+    let mut path = Path { lcg: 1, min_delay: 450e-6 };
+    (0..CLOCK_HEAD + CLOCK_TAIL)
+        .map(|i| {
+            if i == 250 {
+                path.min_delay += 0.6e-3;
+            }
+            path.exchange(16.0 * i as f64).0
+        })
+        .collect()
+}
+
+fn build_clock() -> TscNtpClock {
+    let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(16.0));
+    for &ex in &clock_input()[..CLOCK_HEAD] {
+        clock.process(ex);
+    }
+    clock
+}
+
+fn clock_tail_digest(mut clock: TscNtpClock) -> u64 {
+    digest(clock_input()[CLOCK_HEAD..].iter().flat_map(|&ex| {
+        let o = clock.process(ex).expect("a warmed clock answers every packet");
+        [
+            o.idx,
+            o.rtt.to_bits(),
+            o.point_error.to_bits(),
+            o.theta_naive.to_bits(),
+            o.theta_hat.to_bits(),
+            o.p_hat.to_bits(),
+            o.p_local.map_or(u64::MAX, f64::to_bits),
+            o.events.iter().map(|e| 1u64 << (e as u16)).sum(),
+        ]
+    }))
+}
+
+#[test]
+fn golden_clock_restores_reseals_and_resumes() {
+    let bytes = fixture("clock");
+    let clock = TscNtpClock::restore(&bytes).expect("the committed clock envelope restores");
+    assert!(clock.snapshot() == bytes, "re-sealed clock differs from the fixture");
+    assert_eq!(clock_tail_digest(clock), CLOCK_TAIL_DIGEST);
+}
+
+// --------------------------------------------------------------- quorum
+
+const QUORUM_HEAD: usize = 110;
+const QUORUM_TAIL: usize = 50;
+
+/// Three servers at 64 s polling; server 1 is dark for rounds 60..90, so
+/// the fixture is sealed with it demoted (round 82) and the tail carries
+/// its readmission (round 124).
+fn quorum_input() -> Vec<Vec<Option<RawExchange>>> {
+    let mut paths =
+        [(2u64, 300e-6), (3, 900e-6), (4, 2.5e-3)].map(|(lcg, min_delay)| Path { lcg, min_delay });
+    (0..QUORUM_HEAD + QUORUM_TAIL)
+        .map(|round| {
+            let t = 64.0 * round as f64;
+            paths
+                .iter_mut()
+                .enumerate()
+                .map(|(s, path)| {
+                    let (raw, _) = path.exchange(t + 0.1 * s as f64);
+                    (s != 1 || !(60..90).contains(&round)).then_some(raw)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn build_quorum() -> QuorumClock {
+    let mut quorum = QuorumClock::new(3, QuorumConfig::paper_defaults(64.0));
+    for round in &quorum_input()[..QUORUM_HEAD] {
+        quorum.process_round(round);
+    }
+    quorum
+}
+
+fn quorum_tail_digest(mut quorum: QuorumClock) -> u64 {
+    digest(quorum_input()[QUORUM_HEAD..].iter().flat_map(|round| {
+        let o = quorum.process_round(round);
+        [
+            o.round,
+            u64::from(o.delivered_mask) | u64::from(o.candidate_mask) << 32,
+            u64::from(o.excluded_mask) | u64::from(o.demoted_mask) << 32,
+            o.tsc_ref,
+            o.utc_ref.to_bits(),
+            o.p_hat.to_bits(),
+            u64::from(o.combined),
+        ]
+    }))
+}
+
+#[test]
+fn golden_quorum_restores_reseals_and_resumes() {
+    let bytes = fixture("quorum");
+    let quorum = QuorumClock::restore(&bytes).expect("the committed quorum envelope restores");
+    assert!(quorum.snapshot() == bytes, "re-sealed quorum differs from the fixture");
+    assert_eq!(quorum_tail_digest(quorum), QUORUM_TAIL_DIGEST);
+}
+
+// ------------------------------------------------------------ lifecycle
+
+const LIFECYCLE_HEAD: usize = 300;
+const LIFECYCLE_TAIL: usize = 120;
+
+/// Drives `client` through requests `range` of its own timeline: the
+/// server is unreachable for requests 150..170 (backoff, then cooldown)
+/// and again for 320..330, inside the tail. Returns the step digest.
+fn drive_lifecycle(
+    client: &mut LifecycleClient,
+    path: &mut Path,
+    range: std::ops::Range<usize>,
+) -> u64 {
+    let timeout = LifecycleConfig::defaults(16.0).timeout;
+    digest(range.flat_map(|n| {
+        let t = client.next_send();
+        client.end_cooldown(t);
+        client.note_request();
+        // drawn even when lost, so the path's stream depends on `n` alone
+        let (raw, tf) = path.exchange(t);
+        let code = if (150..170).contains(&n) || (320..330).contains(&n) {
+            client.on_timeout(t + timeout);
+            0u64
+        } else {
+            client.on_response(tf, raw, 1e-9);
+            1
+        };
+        [t.to_bits(), code | (client.state() as u64) << 8, client.next_send().to_bits()]
+    }))
+}
+
+fn lifecycle_path() -> Path {
+    Path { lcg: 5, min_delay: 450e-6 }
+}
+
+fn build_lifecycle() -> (LifecycleClient, Path) {
+    let mut client = LifecycleClient::new(
+        LifecycleConfig::defaults(16.0),
+        ClockConfig::paper_defaults(16.0),
+        7,
+        0.0,
+    );
+    let mut path = lifecycle_path();
+    drive_lifecycle(&mut client, &mut path, 0..LIFECYCLE_HEAD);
+    (client, path)
+}
+
+#[test]
+fn golden_lifecycle_restores_reseals_and_resumes() {
+    let bytes = fixture("lifecycle");
+    let mut client =
+        LifecycleClient::restore(&bytes).expect("the committed lifecycle envelope restores");
+    assert!(client.snapshot() == bytes, "re-sealed client differs from the fixture");
+    // the path is the network: it is not in the snapshot, so fast-forward
+    // a fresh one (two draws per request) to where the client stopped
+    let mut path = lifecycle_path();
+    for _ in 0..2 * LIFECYCLE_HEAD {
+        path.uniform();
+    }
+    let tail =
+        drive_lifecycle(&mut client, &mut path, LIFECYCLE_HEAD..LIFECYCLE_HEAD + LIFECYCLE_TAIL);
+    assert_eq!(tail, LIFECYCLE_TAIL_DIGEST);
+}
+
+// ----------------------------------------------------- fleet checkpoint
+
+const CHECKPOINT_EVERY: u64 = 125;
+/// The fixture is the checkpoint sealed at this request count.
+const CHECKPOINT_AT: u64 = 2 * CHECKPOINT_EVERY;
+
+/// One lifecycle client over two simulated hours with a server outage:
+/// ~450 requests, checkpoints at 125, 250 and 375.
+fn checkpoint_workload() -> PopulationConfig {
+    let scenario = Scenario::baseline(0)
+        .with_poll_period(16.0)
+        .with_duration(2.0 * 3600.0)
+        .with_outage(3000.0, 3300.0);
+    PopulationConfig::new(1, 77, scenario, ClockConfig::paper_defaults(16.0))
+}
+
+/// Keeps every checkpoint it is given; hands back only `serve`.
+#[derive(Default)]
+struct Recording {
+    serve: Option<ClockCheckpoint>,
+    saved: Vec<ClockCheckpoint>,
+}
+
+impl CheckpointStore for Recording {
+    fn save(&mut self, ck: ClockCheckpoint) {
+        self.saved.push(ck);
+    }
+    fn last(&self) -> Option<&ClockCheckpoint> {
+        self.serve.as_ref()
+    }
+}
+
+/// The uninterrupted run's checkpoints, in order.
+fn build_checkpoints() -> Vec<ClockCheckpoint> {
+    let mut store = Recording::default();
+    replay_item(&checkpoint_workload(), 0, CHECKPOINT_EVERY, &[], &mut store);
+    assert_eq!(store.saved[1].delivered, CHECKPOINT_AT);
+    store.saved
+}
+
+#[test]
+fn golden_checkpoint_recovers_a_crashed_replay() {
+    let bytes = fixture("checkpoint");
+    let w = checkpoint_workload();
+    let plain = &replay(None, &w)[0];
+    let reference = build_checkpoints();
+    // crash at 300 with only the committed file to recover from
+    let mut store = Recording {
+        serve: Some(ClockCheckpoint { delivered: CHECKPOINT_AT, digest: 0, blob: bytes.clone() }),
+        ..Default::default()
+    };
+    let (got, stats) = replay_item(&w, 0, CHECKPOINT_EVERY, &[300], &mut store);
+    assert_eq!((stats.warm_restores, stats.cold_restarts), (1, 0), "{stats:?}");
+    assert_eq!(stats.replayed, CHECKPOINT_AT);
+    assert_eq!(&got, plain, "resuming from the fixture diverged from the uninterrupted run");
+    assert_eq!(got.digest, CHECKPOINT_RUN_DIGEST);
+    // the live state sealed at the fixture's count, and the state resumed
+    // *from* the fixture sealed 125 requests later, are the same bytes the
+    // uninterrupted run seals
+    assert!(store.saved[1].blob == bytes, "checkpoint at {CHECKPOINT_AT} differs from the fixture");
+    assert_eq!(store.saved.len(), reference.len());
+    assert!(store.saved[2] == reference[2], "checkpoint after the resume drifted");
+}
+
+// ------------------------------------------------------------ format v1
+
+/// What the format-v1 writer sealed for the same payload: version 1 in
+/// the header and per-byte FNV-1a-64 over header + payload as the trailer.
+fn as_v1(v2: &[u8]) -> Vec<u8> {
+    let mut v1 = v2[..v2.len() - 8].to_vec();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let sum = fnv1a(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    v1
+}
+
+/// A v1 blob is intact by its own rules, so the refusal must be the
+/// version check speaking — and a replay that finds one where its
+/// checkpoint should be must count a cold start and stay exact.
+#[test]
+fn format_v1_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
+    let v1 = SnapshotError::VersionMismatch { found: 1, expected: 2 };
+    let clock_v1 = as_v1(&fixture("clock"));
+    assert_eq!(TscNtpClock::restore(&clock_v1).err(), Some(v1.clone()));
+    assert_eq!(QuorumClock::restore(&as_v1(&fixture("quorum"))).err(), Some(v1.clone()));
+    assert_eq!(LifecycleClient::restore(&as_v1(&fixture("lifecycle"))).err(), Some(v1));
+
+    let scenario = Scenario::baseline(0).with_poll_period(64.0).with_duration(64.0 * 300.0);
+    let w = FleetConfig::new(1, 5, scenario, ClockConfig::paper_defaults(64.0));
+    let mut store = Recording {
+        serve: Some(ClockCheckpoint { delivered: 100, digest: 0, blob: clock_v1 }),
+        ..Default::default()
+    };
+    #[cfg(feature = "telemetry")]
+    let cold_before = {
+        tsc_telemetry::clear_flight_recorder();
+        tsc_telemetry::global().counter(tsc_telemetry::Ctr::ColdRestarts)
+    };
+    let (got, stats) = replay_item(&w, 0, 0, &[150], &mut store);
+    assert_eq!((stats.crashes, stats.cold_restarts, stats.warm_restores), (1, 1, 0));
+    assert_eq!(got, replay(None, &w)[0], "the cold start diverged");
+    #[cfg(feature = "telemetry")]
+    {
+        let cold = tsc_telemetry::global().counter(tsc_telemetry::Ctr::ColdRestarts);
+        assert!(cold > cold_before, "cold restart not counted");
+        let dump = tsc_telemetry::flight_dump();
+        for want in ["restore-failed", "SnapshotError::VersionMismatch", "cold-restart"] {
+            assert!(dump.contains(want), "flight dump lacks {want}:\n{dump}");
+        }
+    }
+}
+
+// ------------------------------------------- the checksum's guarantee
+
+/// The module docs of `tscclock::snapshot` prove that replacing one
+/// aligned 8-byte word by *any* other value changes the checksum. Try
+/// 10 000 (word, value) pairs on a real clock envelope: every one must be
+/// refused, and past the header words by the checksum itself.
+#[test]
+fn any_substitution_of_one_aligned_word_is_detected() {
+    let mut bytes = fixture("clock");
+    let blocked_words = (bytes.len() - 8) / 32 * 4;
+    let xor_word = |bytes: &mut [u8], word: usize, delta: u64| {
+        for (b, d) in bytes[8 * word..8 * word + 8].iter_mut().zip(delta.to_le_bytes()) {
+            *b ^= d;
+        }
+    };
+    for case in 0..10_000u64 {
+        let mut rng = proptest::TestRng::for_case("one_aligned_word", case);
+        let word = rng.below(blocked_words as u64) as usize;
+        let delta = rng.next_u64().max(1); // xor with non-zero: a different word
+        xor_word(&mut bytes, word, delta);
+        let err = TscNtpClock::restore(&bytes).err();
+        xor_word(&mut bytes, word, delta); // and back
+        if word >= 2 {
+            // words 0 and 1 hold magic, version, kind and length
+            assert_eq!(err, Some(SnapshotError::Checksum), "word {word} ^ {delta:#x}");
+        } else {
+            assert!(err.is_some(), "header word {word} ^ {delta:#x} restored");
+        }
+    }
+}
+
+// ---------------------------------------------------------- regenerator
+
+/// Rewrites every fixture from source and prints the digests to pin.
+/// `cargo test --test snapshot_golden -- --ignored --nocapture`
+#[test]
+#[ignore = "rewrites tests/fixtures; run on purpose"]
+fn regenerate_golden_fixtures() {
+    let (client, _) = build_lifecycle();
+    let checkpoint = build_checkpoints().swap_remove(1).blob;
+    for (name, bytes) in [
+        ("clock", build_clock().snapshot()),
+        ("quorum", build_quorum().snapshot()),
+        ("lifecycle", client.snapshot()),
+        ("checkpoint", checkpoint),
+    ] {
+        assert!(bytes.len() <= MAX_FIXTURE_BYTES, "{name}: {} B", bytes.len());
+        std::fs::write(fixture_path(name), &bytes).expect("write fixture");
+        println!("{name}: {} B", bytes.len());
+    }
+    println!("CLOCK_TAIL_DIGEST {:#018x}", clock_tail_digest(build_clock()));
+    println!("QUORUM_TAIL_DIGEST {:#018x}", quorum_tail_digest(build_quorum()));
+    let (mut client, mut path) = build_lifecycle();
+    let tail =
+        drive_lifecycle(&mut client, &mut path, LIFECYCLE_HEAD..LIFECYCLE_HEAD + LIFECYCLE_TAIL);
+    println!("LIFECYCLE_TAIL_DIGEST {tail:#018x}");
+    println!("CHECKPOINT_RUN_DIGEST {:#018x}", replay(None, &checkpoint_workload())[0].digest);
+}
