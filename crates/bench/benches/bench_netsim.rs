@@ -12,15 +12,19 @@
 //!   records with ground truth and the DAG reference timestamp.
 //! * `netsim_stream_plus_clock` — generation feeding one clock's batched
 //!   ingest, the end-to-end single-clock replay cost.
+//! * `netsim_on_demand` — the closed-loop path: client-chosen send times
+//!   through [`tsc_netsim::OnDemandSim::exchange_at`] (exact-time samplers,
+//!   full record), on a poll-16 schedule.
 //! * `osc_advance_*` — the oscillator alone: closed-form deterministic
 //!   integration + bridged/batched stochastic sampling, at a dense and a
-//!   coarse polling cadence.
+//!   coarse polling cadence, and at the two-reads-per-poll cadence a
+//!   delivered packet makes (`Ta`, then `Tf` a few ms later).
 //!
 //! Set `BENCH_JSON=BENCH_netsim.json` to write machine-readable results
 //! (bench name, mean ns, packets/s) for cross-PR tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tsc_netsim::Scenario;
+use tsc_netsim::{OnDemandSim, Scenario};
 use tsc_osc::Environment;
 use tscclock::{ClockConfig, ProcessOutput, RawExchange, TscNtpClock};
 
@@ -100,6 +104,24 @@ fn bench_stream_plus_clock(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_on_demand(c: &mut Criterion) {
+    let sc = scenario(16.0);
+    let mut g = c.benchmark_group("netsim_on_demand");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(POLLS as u64));
+    g.bench_function("exchange_at", |b| {
+        b.iter(|| {
+            let mut sim = OnDemandSim::new(&sc);
+            let mut delivered = 0usize;
+            for i in 1..=POLLS {
+                delivered += usize::from(!sim.exchange_at(i as f64 * 16.0).lost);
+            }
+            std::hint::black_box(delivered)
+        })
+    });
+    g.finish();
+}
+
 fn bench_osc_advance(c: &mut Criterion) {
     for (label, poll) in [("poll16", 16.0f64), ("poll1024", 1024.0)] {
         let mut g = c.benchmark_group(format!("osc_advance_{label}"));
@@ -117,6 +139,23 @@ fn bench_osc_advance(c: &mut Criterion) {
         });
         g.finish();
     }
+    // Two reads per 16 s poll, the second 1–17 ms later: 2 × POLLS advances.
+    let mut g = c.benchmark_group("osc_advance_two_read");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(2 * POLLS as u64));
+    g.bench_function("machine_room", |b| {
+        b.iter(|| {
+            let mut osc = Environment::MachineRoom.build(3);
+            let mut x = 0.0;
+            for i in 1..=POLLS {
+                let t = i as f64 * 16.0;
+                osc.advance_to(t);
+                x = osc.advance_to(t + 1e-3 * (1 + i % 17) as f64);
+            }
+            std::hint::black_box(x)
+        })
+    });
+    g.finish();
 }
 
 criterion_group!(
@@ -124,6 +163,7 @@ criterion_group!(
     bench_stream_raw,
     bench_stream_full,
     bench_stream_plus_clock,
+    bench_on_demand,
     bench_osc_advance
 );
 criterion_main!(benches);

@@ -82,6 +82,10 @@ pub fn run(opt: ExpOptions) -> Report {
     r.line(table(&headers, &rows));
     r.line("(values in PPM; paper: 1/tau slope, minimum ~0.01 PPM near tau*=1000 s,");
     r.line(" all curves below 0.1 PPM at large scales)");
+    r.line(
+        "(differs-because: ADEV(32 s) sits in one of three regimes per seed, ~0.16 / 0.24 / \
+         0.43 PPM, by how far the drifting side-mode correction locks on)",
+    );
 
     // Key shape metrics from the machine-room/Int sweep.
     let mr = &sweeps[1].1;
@@ -114,15 +118,24 @@ pub fn run(opt: ExpOptions) -> Report {
 mod tests {
     use super::*;
 
+    /// Median of one metric over seeds 11..=15: a single seed is a
+    /// lottery — ADEV(32 s) lands in one of three regimes (0.16 / 0.24 /
+    /// 0.43 PPM) depending on whether the side-mode correction locks on,
+    /// and the large-τ maximum of a 4-day trace rests on a handful of
+    /// samples — so any new host-noise realisation can flip one.
     #[test]
     fn shape_matches_figure3() {
-        let r = run(ExpOptions {
-            seed: 11,
-            full: false,
-        });
-        let small = r.get("adev_at_32s_ppm").unwrap();
-        let near_star = r.get("adev_at_1000s_ppm").unwrap();
-        let large = r.get("adev_max_large_ppm").unwrap();
+        let reports: Vec<Report> = (11..=15)
+            .map(|seed| run(ExpOptions { seed, full: false }))
+            .collect();
+        let median = |name: &str| {
+            let mut v: Vec<f64> = reports.iter().map(|r| r.get(name).unwrap()).collect();
+            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            v[v.len() / 2]
+        };
+        let small = median("adev_at_32s_ppm");
+        let near_star = median("adev_at_1000s_ppm");
+        let large = median("adev_max_large_ppm");
         // 1/τ decrease from small scales to the SKM scale
         assert!(
             small > 3.0 * near_star,

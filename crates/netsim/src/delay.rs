@@ -16,6 +16,7 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Exp, Pareto};
 use serde::{Deserialize, Serialize};
+use tscclock::fastmath::exp_clamped;
 
 /// Parameters of the bursty congestion component.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
@@ -67,15 +68,15 @@ impl CongestionParams {
 /// Two sampling front-ends share the same stochastic state:
 ///
 /// * [`PathDelay::sample`] — exact-time evolution: the two-state congestion
-///   chain is advanced by the true elapsed time, which costs one `exp()`
-///   per sample. This is the original formulation and the reference for
-///   the differential tests.
+///   chain is advanced by the true elapsed time, which costs one
+///   `exp_clamped` (core's libm-free exponential) per sample. This is the
+///   original formulation and the reference for the differential tests.
 /// * [`PathDelay::sample_cadenced`] — the generation fast path: the chain
 ///   advances by one *fixed* cadence tick whose transition probabilities
 ///   were precomputed once by [`PathDelay::set_cadence`]. NTP polling is
 ///   periodic, so the elapsed time between samples differs from the poll
 ///   period only by µs-scale latency jitter — utterly negligible against
-///   episode time constants of minutes — and the per-sample `exp()` opens
+///   episode time constants of minutes — and the per-sample exponential
 ///   disappears. Statistically equivalent, not bit-identical (the flip
 ///   thresholds differ in the ~1e-7 relative digit).
 #[derive(Debug)]
@@ -130,8 +131,8 @@ impl PathDelay {
     pub fn set_cadence(&mut self, dt: f64) {
         assert!(dt > 0.0, "cadence must be positive");
         self.cad_dt = dt;
-        self.cad_p_on = 1.0 - (-dt / self.congestion.mean_on).exp();
-        self.cad_p_off = 1.0 - (-dt / self.congestion.mean_off).exp();
+        self.cad_p_on = 1.0 - exp_clamped(-dt / self.congestion.mean_on);
+        self.cad_p_off = 1.0 - exp_clamped(-dt / self.congestion.mean_off);
     }
 
     /// Samples the one-way delay for the next packet of a fixed-cadence
@@ -193,9 +194,9 @@ impl PathDelay {
         self.last_t = t;
         // Transition probabilities over dt for a two-state Markov chain.
         let p_flip = if self.in_burst {
-            1.0 - (-dt / self.congestion.mean_on).exp()
+            1.0 - exp_clamped(-dt / self.congestion.mean_on)
         } else {
-            1.0 - (-dt / self.congestion.mean_off).exp()
+            1.0 - exp_clamped(-dt / self.congestion.mean_off)
         };
         if self.rng.random::<f64>() < p_flip {
             self.in_burst = !self.in_burst;

@@ -14,6 +14,7 @@
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use rand_distr::{Distribution, StandardNormal};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the host timestamping latency mixture.
@@ -48,19 +49,16 @@ impl Default for HostParams {
 
 /// Draws send and receive timestamping latencies for the host.
 ///
-/// The Gaussian draws use Box-Muller with the otherwise-discarded second
-/// value of each pair cached (`sin_cos` computes both for the price of
-/// one), so the marginal distribution is exactly the classic formulation's
-/// while half the draws cost nothing. The original draw-per-call
-/// formulation — including its wasted Gaussian on the scheduling-error
-/// branch of [`HostTimestamping::recv_latency`] — is retained behind the
-/// `reference` feature for the statistical-equivalence differential tests.
+/// The Gaussian draws are the ziggurat [`StandardNormal`] the oscillator
+/// uses (one keystream word, one multiply, one table compare — no libm on
+/// the per-packet path). The original Box-Muller draw-per-call formulation
+/// — including its wasted Gaussian on the scheduling-error branch of
+/// [`HostTimestamping::recv_latency`] — is retained behind the `reference`
+/// feature for the statistical-equivalence differential tests.
 #[derive(Debug)]
 pub struct HostTimestamping {
     params: HostParams,
     rng: ChaCha12Rng,
-    /// Cached second half of the last Box-Muller pair.
-    spare: Option<f64>,
 }
 
 impl HostTimestamping {
@@ -74,20 +72,11 @@ impl HostTimestamping {
         Self {
             params,
             rng: ChaCha12Rng::seed_from_u64(seed ^ 0x1057_57A3),
-            spare: None,
         }
     }
 
     fn gauss(&mut self) -> f64 {
-        if let Some(g) = self.spare.take() {
-            return g;
-        }
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (s, c) = (std::f64::consts::TAU * u2).sin_cos();
-        self.spare = Some(r * s);
-        r * c
+        StandardNormal.sample(&mut self.rng)
     }
 
     /// Positive latency from the three-mode mixture. The Gaussian width

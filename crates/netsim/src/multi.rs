@@ -63,6 +63,7 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Pareto};
 use tsc_osc::{Environment, TscCounter};
+use tscclock::fastmath::exp_clamped;
 use tscclock::RawExchange;
 
 /// Maximum servers per scenario (quorum layers pack per-server flags into
@@ -430,8 +431,8 @@ impl<'a> MultiServerStream<'a> {
             Bottleneck {
                 burst: Pareto::new(params.scale, params.shape).expect("valid pareto"),
                 in_burst: false,
-                p_on: 1.0 - (-sc.poll_period / params.mean_on).exp(),
-                p_off: 1.0 - (-sc.poll_period / params.mean_off).exp(),
+                p_on: 1.0 - exp_clamped(-sc.poll_period / params.mean_on),
+                p_off: 1.0 - exp_clamped(-sc.poll_period / params.mean_off),
                 rng: ChaCha12Rng::seed_from_u64(splitmix64(
                     seed ^ 0xB0_77_1E_5E_C4_0F_6E_57,
                 )),

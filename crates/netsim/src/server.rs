@@ -15,7 +15,7 @@
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use rand_distr::{Distribution, Exp};
+use rand_distr::{Distribution, Exp, StandardNormal};
 use serde::{Deserialize, Serialize};
 
 /// A gross server-clock fault: both `Tb` and `Te` are offset by `offset`
@@ -66,20 +66,17 @@ impl Default for ServerParams {
 /// A stratum-1 server: perfectly GPS-synchronized truth, imperfect
 /// timestamping, plus injectable faults.
 ///
-/// The timestamping-noise Gaussians use Box-Muller with the second value
-/// of each pair cached (`sin_cos` computes both for one argument
-/// reduction), exactly as [`crate::HostTimestamping`] does — a server
-/// stamps two Gaussians per delivered packet (`Tb`, `Te`), so the pair
-/// cache halves the draw cost. The original draw-per-call formulation is
-/// retained behind the `reference` feature for the differential tests.
+/// The timestamping-noise Gaussians (two per delivered packet: `Tb`,
+/// `Te`) are ziggurat [`StandardNormal`] draws, exactly as
+/// [`crate::HostTimestamping`]'s are. The original Box-Muller
+/// draw-per-call formulation is retained behind the `reference` feature
+/// for the differential tests.
 #[derive(Debug)]
 pub struct ServerModel {
     params: ServerParams,
     faults: Vec<ServerFault>,
     exp_res: Exp<f64>,
     rng: ChaCha12Rng,
-    /// Cached second half of the last Box-Muller pair.
-    spare: Option<f64>,
 }
 
 impl ServerModel {
@@ -96,7 +93,6 @@ impl ServerModel {
             faults: Vec::new(),
             exp_res: Exp::new(1.0 / params.residence_mean).expect("valid rate"),
             rng: ChaCha12Rng::seed_from_u64(seed ^ 0x5E4B_E401),
-            spare: None,
         }
     }
 
@@ -112,15 +108,7 @@ impl ServerModel {
     }
 
     fn gauss(&mut self) -> f64 {
-        if let Some(g) = self.spare.take() {
-            return g;
-        }
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (s, c) = (std::f64::consts::TAU * u2).sin_cos();
-        self.spare = Some(r * s);
-        r * c
+        StandardNormal.sample(&mut self.rng)
     }
 
     fn fault_offset(&self, t: f64) -> f64 {

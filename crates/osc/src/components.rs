@@ -164,7 +164,12 @@ impl Sinusoid {
         let p0 = self.phase;
         let p1 = p0 + a;
         let wrapped = p1 >= std::f64::consts::TAU;
-        self.phase = p1 % std::f64::consts::TAU;
+        // `fmod(p1, τ)` is `p1` itself, exactly, whenever `|p1| < τ`.
+        self.phase = if p1.abs() >= std::f64::consts::TAU {
+            p1 % std::f64::consts::TAU
+        } else {
+            p1
+        };
         if self.sc_phase != p0 {
             // Not primed, or `phase` was mutated externally since the
             // cached pair was computed.

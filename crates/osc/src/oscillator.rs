@@ -23,6 +23,21 @@ use rand_distr::StandardNormal;
 /// and the wandering sinusoid's uniforms — is pre-drawn in one batched
 /// keystream read (`ChaCha12Rng::fill_u64`).
 ///
+/// An advance of at most `max_step` — every advance of a schedule polling
+/// at 16 s or faster, and the second counter read of any packet — takes a
+/// single-sub-step fast path: one straight-line pass over the stochastic
+/// components with one shared `√Δt` and inline keystream draws, none of
+/// the sub-step geometry (`ceil`/`floor`, word counting, batching). It is
+/// bit-identical to the general loop, in `x(t)` and in keystream position,
+/// because it stands aside wherever that loop would not do exactly one
+/// inline-drawn sub-step per component: (1) `Δt > max_step`; (2)
+/// `BATCH_THRESHOLD` or more stochastic components, where even one
+/// sub-step pre-draws through `fill_u64` and ziggurat wedge/tail
+/// completions therefore read the keystream later; (3) `t0 + (t − t0)`
+/// rounding below `t`, where the general loop takes a second, ~1e-16 s
+/// sub-step and a keystream word with it. `tests/generator_golden.rs`
+/// pins the stream across all three.
+///
 /// The pre-optimization formulation — every component stepped every
 /// sub-step, Box-Muller Gaussians — is retained behind the `reference`
 /// feature ([`Oscillator::new_reference`]) and is bit-identical to the
@@ -164,6 +179,37 @@ impl Oscillator {
             if let Component::Sinusoid(s) = &mut self.components[ci as usize] {
                 self.x += s.integrate_fixed(dt_total);
             }
+        }
+
+        // Single-sub-step fast path: what the general loop below does for
+        // one inline-drawn sub-step per component, bit for bit. The three
+        // guards (see the type docs) are the cases where it does more.
+        if dt_total <= self.max_step
+            && self.stoch_idx.len() < BATCH_THRESHOLD
+            && t0 + dt_total >= t
+        {
+            let sqrt_dt = dt_total.sqrt();
+            let rng = &mut self.rng;
+            let mut x_acc = 0.0;
+            for &ci in &self.stoch_idx {
+                let bits = rng.next_u64();
+                x_acc += match &mut self.components[ci as usize] {
+                    Component::RandomWalk(w) => {
+                        w.apply_z(sqrt_dt, StandardNormal.sample_with_word(rng, bits))
+                    }
+                    Component::WhiteFm(w) => {
+                        w.apply_z(sqrt_dt, StandardNormal.sample_with_word(rng, bits))
+                    }
+                    Component::Sinusoid(s) => {
+                        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                        s.step_wander_fast(dt_total, sqrt_dt, u)
+                    }
+                    _ => unreachable!("stoch_idx holds only stochastic components"),
+                } * dt_total;
+            }
+            self.x += x_acc;
+            self.t = t;
+            return self.x;
         }
 
         // Stochastic components, integrated component-major over the whole
@@ -442,6 +488,42 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn nine_stochastic_components_keep_the_batched_draw_order() {
+        // From BATCH_THRESHOLD stochastic components up, even a
+        // single-sub-step advance pre-draws its words in one `fill_u64`,
+        // so a ziggurat wedge/tail completion reads the keystream *after*
+        // all nine words. The single-sub-step fast path draws inline and
+        // must leave such advances alone: replay both orders by hand.
+        let sigmas: Vec<f64> = (1..=9).map(|i| i as f64 * 1e-9).collect();
+        let components = sigmas
+            .iter()
+            .map(|&sigma_at_1s| WhiteFm { sigma_at_1s }.into())
+            .collect();
+        let mut osc = Oscillator::new(components, 11);
+        let mut batched = ChaCha12Rng::seed_from_u64(11);
+        let mut inline = ChaCha12Rng::seed_from_u64(11);
+        let (mut x_batched, mut x_inline) = (0.0f64, 0.0f64);
+        let (dt, sqrt_dt) = (16.0f64, 4.0f64);
+        for i in 1..=2000 {
+            let x = osc.advance_to(i as f64 * dt);
+            let mut words = [0u64; 9];
+            batched.fill_u64(&mut words);
+            let (mut acc_batched, mut acc_inline) = (0.0, 0.0);
+            for (&sigma, &bits) in sigmas.iter().zip(&words) {
+                let z = StandardNormal.sample_with_word(&mut batched, bits);
+                acc_batched += z * sigma / sqrt_dt * dt;
+                let bits = inline.next_u64();
+                let z = StandardNormal.sample_with_word(&mut inline, bits);
+                acc_inline += z * sigma / sqrt_dt * dt;
+            }
+            x_batched += acc_batched;
+            x_inline += acc_inline;
+            assert_eq!(x.to_bits(), x_batched.to_bits(), "advance {i}");
+        }
+        assert_ne!(x_batched, x_inline, "no wedge/tail completion in 18 000 draws");
     }
 
     #[test]

@@ -48,10 +48,22 @@ impl TscCounter {
     }
 
     /// Reads the counter at true time `t` (monotone in `t`).
+    ///
+    /// The cycle count is rounded half away from zero. Below 2⁵³ that is
+    /// done without the `round()` libcall: truncation to `u64` and the
+    /// remainder `x − trunc(x)` are both exact there, so comparing the
+    /// remainder with ½ is `round()` exactly.
     pub fn read(&mut self, t: f64) -> u64 {
         let local = self.osc.local_time_at(t);
         debug_assert!(local >= 0.0, "negative oscillator time");
-        self.tsc0.wrapping_add((self.freq_hz * local).round() as u64)
+        let x = self.freq_hz * local;
+        let cycles = if (0.0..9_007_199_254_740_992.0).contains(&x) {
+            let i = x as u64;
+            i + u64::from(x - i as f64 >= 0.5)
+        } else {
+            x.round() as u64
+        };
+        self.tsc0.wrapping_add(cycles)
     }
 
     /// The oscillator's accumulated time error at the last read instant —

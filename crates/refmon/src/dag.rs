@@ -1,7 +1,8 @@
 //! The simulated DAG capture card.
 
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use rand_distr::{Distribution, StandardNormal};
 
 /// Wire time of a 90-byte Ethernet frame at 100 Mbps: the correction added
 /// to a first-bit DAG timestamp so it refers to full arrival (§2.4).
@@ -36,9 +37,7 @@ impl DagCard {
     }
 
     fn gauss(&mut self) -> f64 {
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        StandardNormal.sample(&mut self.rng)
     }
 
     /// Raw first-bit timestamp of an event whose first bit passed the tap at

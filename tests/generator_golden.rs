@@ -1,0 +1,190 @@
+//! Known-answer pins for the generator's two bit-exact layers: the
+//! oscillator's `x(t)` stream and the counter's rounding.
+//!
+//! Every netsim trace, fleet digest and e2e digest is a function of
+//! `Oscillator::advance_to` and `TscCounter::read`; their differential
+//! suites (`crates/osc/tests/reference_diff.rs`) are statistical and run
+//! only under `--workspace`. These digests were recorded *before* the
+//! single-sub-step fast path and the `round()`-free counter read landed,
+//! and did not move: an oscillator or counter "optimisation" that changes
+//! one is a stream change and has to say so.
+//!
+//! The schedules are plain arithmetic over an LCG (no netsim), so a digest
+//! moves only when `tsc-osc` (or the keystream / ziggurat shims under it)
+//! does.
+
+use tsc_osc::{Environment, Oscillator, TscCounter};
+
+const ENVIRONMENTS: [Environment; 3] = [
+    Environment::Laboratory,
+    Environment::MachineRoom,
+    Environment::Airconditioned,
+];
+
+/// Two reads per 16 s poll: the cadence a delivered packet makes.
+const TWO_READ_DIGEST: u64 = 0x284c_59c9_de6d_c6f6;
+/// 1024 s polls: 64 sub-steps per advance, the batched-keystream path.
+const POLL1024_DIGEST: u64 = 0x0f6d_a6f5_5360_9e92;
+/// Irregular gaps, including both fast-path traps.
+const IRREGULAR_DIGEST: u64 = 0x4f1b_63fc_d08b_ac5a;
+/// `TscCounter::read` over the two-read cadence and the rounding edges.
+const COUNTER_DIGEST: u64 = 0xce9c_9f9a_d6a7_fdd4;
+
+/// FNV-1a-64 over the little-endian bytes of `word`, folded into `h`.
+fn fold(h: u64, word: u64) -> u64 {
+    word.to_le_bytes()
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+struct Lcg(u64);
+
+impl Lcg {
+    fn uniform(&mut self) -> f64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// 20 000 polls at 16 s, each followed by a second read 0.3–20 ms later.
+fn two_read_times() -> Vec<f64> {
+    let mut lcg = Lcg(1);
+    (1..=20_000)
+        .flat_map(|i| {
+            let t = 16.0 * i as f64;
+            [t, t + 0.3e-3 + 19.7e-3 * lcg.uniform()]
+        })
+        .collect()
+}
+
+/// An irregular schedule. Its prologue climbs from microseconds by
+/// factors > 2, where `t − t0` is inexact and `t0 + (t − t0)` can round
+/// below `t` (the general loop then takes a second ~1e-16 s sub-step);
+/// the body mixes sub-`max_step` gaps, gaps of exactly `max_step`, gaps
+/// one ulp either side of it and multi-sub-step gaps.
+fn irregular_times(seed: u64) -> Vec<f64> {
+    let mut lcg = Lcg(seed);
+    let mut times = Vec::new();
+    let mut t = 1e-6 * (1.0 + lcg.uniform());
+    while t < 4096.0 {
+        times.push(t);
+        t *= 2.1 + 1.3 * lcg.uniform();
+    }
+    for _ in 0..400 {
+        let u = lcg.uniform();
+        let gap = match (lcg.uniform() * 8.0) as u32 {
+            0 => 0.3e-3 + 19.7e-3 * u,
+            1 | 2 => {
+                // integral origin, so the 16 s gap below is exact
+                t = t.ceil();
+                times.push(t);
+                Oscillator::DEFAULT_MAX_STEP
+            }
+            3 => f64::from_bits(Oscillator::DEFAULT_MAX_STEP.to_bits() - 1),
+            4 => f64::from_bits(Oscillator::DEFAULT_MAX_STEP.to_bits() + 1),
+            5 => 16.0 * u,
+            6 => 16.0 + 84.0 * u,
+            _ => 100.0 + 2000.0 * u,
+        };
+        t += gap;
+        times.push(t);
+    }
+    times
+}
+
+/// Oscillators (per environment) driven through [`irregular_times`]: the
+/// rounds-below trap needs an exact rounding tie, a few percent of prologue
+/// steps.
+const IRREGULAR_SEEDS: u64 = 64;
+
+fn osc_digest(times_for: impl Fn(u64) -> Vec<f64>, seeds: u64) -> u64 {
+    let mut h = FNV_OFFSET;
+    for env in ENVIRONMENTS {
+        for seed in 1..=seeds {
+            let mut osc = env.build(seed);
+            for t in times_for(seed) {
+                h = fold(h, osc.advance_to(t).to_bits());
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn two_read_poll16_stream_is_pinned() {
+    let times = two_read_times();
+    let got = osc_digest(|_| times.clone(), 1);
+    assert_eq!(got, TWO_READ_DIGEST, "{got:#018x}");
+}
+
+#[test]
+fn poll1024_stream_is_pinned() {
+    let times: Vec<f64> = (1..=2_000).map(|i| 1024.0 * i as f64).collect();
+    let got = osc_digest(|_| times.clone(), 1);
+    assert_eq!(got, POLL1024_DIGEST, "{got:#018x}");
+}
+
+#[test]
+fn irregular_stream_is_pinned_and_hits_both_traps() {
+    // The schedule must contain what it is there for, whatever the
+    // oscillator does with it.
+    let (mut rounds_below, mut exactly_max_step) = (0, 0);
+    for seed in 1..=IRREGULAR_SEEDS {
+        let mut t0 = 0.0;
+        for t in irregular_times(seed) {
+            let dt = t - t0;
+            if dt <= Oscillator::DEFAULT_MAX_STEP && t0 + dt < t {
+                rounds_below += 1;
+            }
+            if dt == Oscillator::DEFAULT_MAX_STEP {
+                exactly_max_step += 1;
+            }
+            t0 = t;
+        }
+    }
+    assert!(rounds_below >= 10, "t0 + dt < t cases: {rounds_below}");
+    assert!(
+        exactly_max_step >= 100,
+        "dt == max_step cases: {exactly_max_step}"
+    );
+    let got = osc_digest(irregular_times, IRREGULAR_SEEDS);
+    assert_eq!(got, IRREGULAR_DIGEST, "{got:#018x}");
+}
+
+#[test]
+fn counter_reads_are_pinned() {
+    let mut h = FNV_OFFSET;
+    let times = two_read_times();
+    for env in ENVIRONMENTS {
+        let mut counter = TscCounter::new(1e9, 0x1234_5678, env.build(1));
+        for &t in &times {
+            h = fold(h, counter.read(t));
+        }
+    }
+    // Rounding edges: a perfect 1 Hz counter reads `round(t)`, so feed it
+    // `k + 0.5 ∓ 1 ulp` (round-half-away: k, k + 1, k + 1), then values
+    // past 2⁵³ where every f64 is an integer.
+    let mut unit = TscCounter::new(1.0, 0, Oscillator::new(vec![], 0));
+    for k in [0u64, 1, 2, 3, 1000, 1 << 31, (1 << 51) + 1] {
+        let half = k as f64 + 0.5;
+        let edges = [
+            f64::from_bits(half.to_bits() - 1),
+            half,
+            f64::from_bits(half.to_bits() + 1),
+        ];
+        let reads = edges.map(|t| unit.read(t));
+        assert_eq!(reads, [k, k + 1, k + 1], "edges of {k}");
+        h = reads.into_iter().fold(h, fold);
+    }
+    for t in [(1u64 << 53) as f64 + 2.0, 1.5e19] {
+        let read = unit.read(t);
+        assert_eq!(read, t as u64);
+        h = fold(h, read);
+    }
+    assert_eq!(h, COUNTER_DIGEST, "{h:#018x}");
+}
