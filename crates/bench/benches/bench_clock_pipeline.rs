@@ -133,7 +133,7 @@ fn bench_history_push(c: &mut Criterion) {
             |mut h| {
                 for i in 0..n as u64 {
                     let rtt = 900_000 + (i * 2_654_435_761) % 300_000; // noise
-                    std::hint::black_box(h.push(mk(i, rtt), 0.0));
+                    std::hint::black_box(h.push(mk(i, rtt)));
                 }
                 h.len()
             },
@@ -148,7 +148,7 @@ fn bench_history_push(c: &mut Criterion) {
                 for i in 0..n as u64 {
                     let base = 2_000_000u64.saturating_sub(i * 4);
                     let rtt = base + if i % 16 == 0 { 0 } else { 500_000 };
-                    std::hint::black_box(h.push(mk(i, rtt), 0.0));
+                    std::hint::black_box(h.push(mk(i, rtt)));
                 }
                 h.len()
             },
@@ -162,7 +162,7 @@ fn bench_history_push(c: &mut Criterion) {
                 for i in 0..n as u64 {
                     let base = 2_000_000u64.saturating_sub(i * 4);
                     let rtt = base + if i % 16 == 0 { 0 } else { 500_000 };
-                    std::hint::black_box(h.push(mk(i, rtt), 0.0));
+                    std::hint::black_box(h.push(mk(i, rtt)));
                 }
                 h.len()
             },

@@ -73,7 +73,7 @@ fn bench_stages(c: &mut Criterion) {
             b.iter(|| {
                 let mut h = History::new(cfg.top_packets());
                 for e in &exchanges {
-                    std::hint::black_box(h.push(*e, 0.0));
+                    std::hint::black_box(h.push(*e));
                 }
                 h.len()
             })
@@ -83,7 +83,7 @@ fn bench_stages(c: &mut Criterion) {
                 let mut h = History::new(cfg.top_packets());
                 let mut off = OffsetEstimator::new();
                 for e in &exchanges {
-                    h.push(*e, 0.0);
+                    h.push(*e);
                     let k = h.last().unwrap();
                     std::hint::black_box(off.process(&cfg, &h, &k, p, c_bar, None, false, false));
                 }
@@ -95,7 +95,7 @@ fn bench_stages(c: &mut Criterion) {
                 let mut h = History::new(cfg.top_packets());
                 let mut gr = GlobalRate::new(cfg.e_star, cfg.warmup_packets);
                 for e in &exchanges {
-                    h.push(*e, 0.0);
+                    h.push(*e);
                     let k = h.last().unwrap();
                     std::hint::black_box(gr.process(&h, &k));
                 }
@@ -114,7 +114,7 @@ fn bench_stages(c: &mut Criterion) {
                     cfg.tau_bar / 2.0,
                 );
                 for e in &exchanges {
-                    h.push(*e, 0.0);
+                    h.push(*e);
                     let k = h.last().unwrap();
                     std::hint::black_box(lr.process(&h, &k, p));
                 }

@@ -31,7 +31,7 @@ fn profile(poll: f64) {
         // history only
         let t0 = Instant::now();
         let mut h = History::new(cfg.top_packets());
-        for e in &exchanges { std::hint::black_box(h.push(*e, 0.0)); }
+        for e in &exchanges { std::hint::black_box(h.push(*e)); }
         let hist = t0.elapsed();
 
         // history + offset
@@ -41,7 +41,7 @@ fn profile(poll: f64) {
         let mut h = History::new(cfg.top_packets());
         let mut off = OffsetEstimator::new();
         for e in &exchanges {
-            h.push(*e, 0.0);
+            h.push(*e);
             let k = h.last().unwrap();
             std::hint::black_box(off.process(&cfg, &h, &k, p, c_bar, None, false, false));
         }
@@ -53,7 +53,7 @@ fn profile(poll: f64) {
         let mut lr = LocalRate::new(cfg.tau_bar_packets(), cfg.w_split, cfg.gamma_star,
             cfg.rate_sanity, (cfg.warmup_packets + cfg.tau_bar_packets()) as u64, cfg.tau_bar / 2.0);
         for e in &exchanges {
-            h.push(*e, 0.0);
+            h.push(*e);
             let k = h.last().unwrap();
             std::hint::black_box(lr.process(&h, &k, p));
         }
@@ -64,7 +64,7 @@ fn profile(poll: f64) {
         let mut h = History::new(cfg.top_packets());
         let mut gr = GlobalRate::new(cfg.e_star, cfg.warmup_packets);
         for e in &exchanges {
-            h.push(*e, 0.0);
+            h.push(*e);
             let k = h.last().unwrap();
             std::hint::black_box(gr.process(&h, &k));
         }

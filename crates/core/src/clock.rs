@@ -291,15 +291,11 @@ impl TscNtpClock {
         let mut events = EventSet::empty();
         let p_before = self.rate.p_hat().expect("rate bootstrapped");
 
-        // θ̂ᵢ with the *current* clock (p̂, C̄): equation (19), with the
-        // midpoints kept for the history record so they are computed
-        // exactly once per packet.
-        let hm_c = ex.host_midpoint_counts();
-        let sm = ex.server_midpoint();
-        let theta_naive = crate::naive::naive_offset_parts(hm_c, sm, p_before, self.c_bar);
+        // θ̂ᵢ with the *current* clock (p̂, C̄): equation (19).
+        let theta_naive = crate::naive::naive_offset(&ex, p_before, self.c_bar);
 
         // 1. Admit to history; r̂ maintenance; top-window slide.
-        let (idx, outcome) = self.history.push_parts(ex, theta_naive, hm_c, sm);
+        let (idx, outcome) = self.history.push(ex);
         if outcome.new_minimum {
             events.insert(ClockEvent::NewRttMinimum);
         }
@@ -313,8 +309,9 @@ impl TscNtpClock {
             telemetry::event(telemetry::EventKind::WindowSlid, idx, oldest, 0);
         }
         // Just pushed: the stored baseline is current by construction, so
-        // the unresolved view is exact and skips a resolution.
-        let record = *self.history.last_unresolved().expect("just pushed");
+        // the raw view is exact and skips a resolution.
+        let record = self.history.get_raw(idx).expect("just pushed");
+        let (tf_c, rtt_c) = (record.tf_c(), record.rtt_c());
 
         // 2. Global rate.
         match self.rate.process(&self.history, &record) {
@@ -324,7 +321,7 @@ impl TscNtpClock {
                     events.insert(ClockEvent::RateUpdated);
                     // §6.1 "Clock Offset Consistency": C̄ += TSC(t⁻)(p̂⁻ − p̂)
                     // keeps C(t) continuous across the rate update.
-                    self.c_bar += record.tf_c * (p_before - p_after);
+                    self.c_bar += tf_c * (p_before - p_after);
                 }
             }
             RateEvent::SanityRejected => {
@@ -338,7 +335,7 @@ impl TscNtpClock {
         // 3. Upward-shift detection (downward is automatic via r̂).
         if let Some(shift) = self.shift.observe(
             idx,
-            record.rtt_c,
+            rtt_c,
             self.history.rtt_min_c(),
             p_hat,
         ) {
@@ -372,9 +369,9 @@ impl TscNtpClock {
 
         // 5. Weighted offset.
         let gap_large = self.prev_tfc.is_finite()
-            && (record.tf_c - self.prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
+            && (tf_c - self.prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
         let gamma_l = if self.cfg.use_local_rate && !gap_large {
-            self.local_rate.gamma_l(p_hat, record.tf_c)
+            self.local_rate.gamma_l(p_hat, tf_c)
         } else {
             None
         };
@@ -403,11 +400,11 @@ impl TscNtpClock {
             _ => {}
         }
 
-        self.prev_tfc = record.tf_c;
+        self.prev_tfc = tf_c;
 
         ProcessOutput {
             idx,
-            rtt: record.rtt_c * p_hat,
+            rtt: rtt_c * p_hat,
             point_error: record.point_error(p_hat),
             theta_naive,
             theta_hat,
@@ -567,7 +564,7 @@ impl TscNtpClock {
         // Size the buffer once instead of doubling up to it: the history
         // records are all of the payload but the estimators' own state,
         // 1–11 KB at polls 16–1024 s (a miss only costs a reallocation).
-        let records = self.history.len() * crate::history::PacketRecord::WIRE_BYTES;
+        let records = self.history.len() * crate::history::Slot::WIRE_BYTES;
         let mut w = crate::snapshot::SnapshotWriter::with_capacity(records + (16 << 10));
         self.save_state(&mut w);
         let blob = w.seal(crate::snapshot::kind::CLOCK);

@@ -37,9 +37,15 @@ impl RawExchange {
     }
 
     /// Midpoint of the host counter readings, `(Ta + Tf)/2`, in counts.
-    /// Uses 128-bit arithmetic to avoid overflow on large counters.
+    /// The sum is converted once, in `u64` when it fits and in `u128` (a
+    /// `__floatuntidf` libcall) only past an overflow: the same integer
+    /// through the same rounding, so the same bits.
+    #[inline]
     pub fn host_midpoint_counts(&self) -> f64 {
-        (self.ta_tsc as u128 + self.tf_tsc as u128) as f64 * 0.5
+        match self.ta_tsc.checked_add(self.tf_tsc) {
+            Some(sum) => sum as f64 * 0.5,
+            None => (self.ta_tsc as u128 + self.tf_tsc as u128) as f64 * 0.5,
+        }
     }
 
     /// Basic structural sanity: the response cannot precede the request and
@@ -99,6 +105,33 @@ mod tests {
         };
         let expect = (u64::MAX - 1) as f64 + 0.5;
         assert!((e.host_midpoint_counts() - expect).abs() < 2.0);
+    }
+
+    #[test]
+    fn host_midpoint_branches_agree_with_the_wide_expression() {
+        let wide = |a: u64, f: u64| (a as u128 + f as u128) as f64 * 0.5;
+        // (ta, tf) whose sums are 2⁵³ ± 1 (odd: the conversion rounds),
+        // 2⁶⁴ − 1 (last sum the narrow branch takes), 2⁶⁴ (first wide one)
+        // and the largest possible.
+        let cases = [
+            ((1u64 << 52) - 1, 1u64 << 52),
+            (1u64 << 52, (1u64 << 52) + 1),
+            (u64::MAX - 7, 7),
+            (u64::MAX - 7, 8),
+            (u64::MAX, u64::MAX),
+        ];
+        for (ta_tsc, tf_tsc) in cases {
+            let e = RawExchange {
+                ta_tsc,
+                tf_tsc,
+                ..ex()
+            };
+            assert_eq!(
+                e.host_midpoint_counts().to_bits(),
+                wide(ta_tsc, tf_tsc).to_bits(),
+                "{ta_tsc} + {tf_tsc}"
+            );
+        }
     }
 
     #[test]

@@ -65,134 +65,153 @@
 //! …) return records *by value with the baseline already resolved*, so
 //! `PacketRecord::point_error` on a returned record behaves exactly as it
 //! did when baselines were updated in place. Crate-internal hot paths use
-//! the raw record views plus `History::resolve_rbase` to skip the copy.
+//! the raw record views plus `History::baseline_view` to skip the copy.
 
 use crate::exchange::RawExchange;
+use crate::snapshot::{SnapshotReader, SnapshotWriter};
+use crate::SnapshotError;
 use std::collections::VecDeque;
 
-/// Stored per-packet state.
+/// One retained packet as the accessors hand it out, by value. `Tf` and
+/// the RTT in counts and the two midpoints are methods over `ex`,
+/// evaluated where they are read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketRecord {
     /// Global index of this (accepted) packet.
     pub idx: u64,
     /// The raw observables.
     pub ex: RawExchange,
-    /// `Ta` in counts as `f64` (exact for counters < 2⁵³).
-    pub ta_c: f64,
-    /// `Tf` in counts as `f64`.
-    pub tf_c: f64,
-    /// RTT in counts.
-    pub rtt_c: f64,
     /// The RTT-minimum baseline (counts) this packet's point error is
     /// measured against — "point errors relative to the r̂ estimate made at
-    /// the time" (§6.2). Inside the [`History`] this is the baseline *at
-    /// admission*; records returned by the public accessors carry the
-    /// current effective baseline (resolved through the era/min-event
-    /// tables, see the module docs).
+    /// the time" (§6.2). In the crate-internal raw views this is the
+    /// baseline *at admission*; records returned by the public accessors
+    /// carry the current effective baseline (resolved through the
+    /// era/min-event tables, see the module docs).
     pub rbase_c: f64,
     /// Era id at admission (incremented by confirmed upward shifts).
     pub era: u32,
     /// Number of min-events the era had seen when this record was admitted.
     pub epoch: u32,
-    /// Host midpoint `(Ta+Tf)/2` in counts, cached at admission (used every
-    /// packet by the offset weight kernel).
-    pub hm_c: f64,
-    /// Server midpoint `(Tb+Te)/2` in seconds, cached at admission.
-    pub sm: f64,
-    /// The naive offset estimate `θ̂ᵢ` (equation (19)) computed at admission.
-    pub theta: f64,
 }
 
 impl PacketRecord {
-    /// Point error `Eᵢ` in seconds, given a period estimate.
-    pub fn point_error(&self, p_hat: f64) -> f64 {
-        (self.rtt_c - self.rbase_c) * p_hat
+    /// `Tf` in counts as `f64` (exact for counters < 2⁵³).
+    #[inline(always)]
+    pub fn tf_c(&self) -> f64 {
+        self.ex.tf_tsc as f64
     }
 
-    /// Serialized size in bytes: [`Self::WIRE_WORDS`] little-endian words.
-    pub(crate) const WIRE_BYTES: usize = 8 * Self::WIRE_WORDS;
+    /// RTT in counts.
+    #[inline(always)]
+    pub fn rtt_c(&self) -> f64 {
+        self.ex.rtt_counts() as f64
+    }
 
-    /// The record on the wire is its fields in struct order, floats as
-    /// raw bits, `era` and `epoch` sharing one word (low half first, so
-    /// the bytes are two little-endian `u32`s in that order). Part of the
-    /// snapshot format.
-    const WIRE_WORDS: usize = 13;
+    /// Host midpoint `(Ta+Tf)/2` in counts.
+    #[inline(always)]
+    pub fn hm_c(&self) -> f64 {
+        self.ex.host_midpoint_counts()
+    }
 
-    /// Serializes the record into a snapshot payload with one append.
-    pub(crate) fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let words: [u64; Self::WIRE_WORDS] = [
-            self.idx,
+    /// Server midpoint `(Tb+Te)/2` in seconds.
+    #[inline(always)]
+    pub fn sm(&self) -> f64 {
+        self.ex.server_midpoint()
+    }
+
+    /// Point error `Eᵢ` in seconds, given a period estimate.
+    pub fn point_error(&self, p_hat: f64) -> f64 {
+        (self.rtt_c() - self.rbase_c) * p_hat
+    }
+
+    /// Serializes the record's slot — everything but `idx`, see
+    /// [`Slot::WIRE_BYTES`] — into a snapshot payload with one append.
+    fn save_slot(&self, w: &mut SnapshotWriter) {
+        let words = [
             self.ex.ta_tsc,
             self.ex.tb.to_bits(),
             self.ex.te.to_bits(),
             self.ex.tf_tsc,
-            self.ta_c.to_bits(),
-            self.tf_c.to_bits(),
-            self.rtt_c.to_bits(),
             self.rbase_c.to_bits(),
             u64::from(self.era) | u64::from(self.epoch) << 32,
-            self.hm_c.to_bits(),
-            self.sm.to_bits(),
-            self.theta.to_bits(),
         ];
-        let mut bytes = [0u8; Self::WIRE_BYTES];
+        let mut bytes = [0u8; Slot::WIRE_BYTES];
         for (dst, word) in bytes.chunks_exact_mut(8).zip(words) {
             dst.copy_from_slice(&word.to_le_bytes());
         }
         w.put_array(&bytes);
     }
 
-    /// Deserializes a record written by [`PacketRecord::save_state`],
-    /// under one bounds check.
-    pub(crate) fn load_state(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::SnapshotError> {
-        let bytes = r.take_array::<{ Self::WIRE_BYTES }>()?;
-        let words: [u64; Self::WIRE_WORDS] = std::array::from_fn(|i| {
+    /// Serializes records held outside the ring (the rate estimator's
+    /// copies) as a counted list, each the slot's six words, then its index.
+    pub(crate) fn save_all(records: &[Self], w: &mut SnapshotWriter) {
+        w.put_usize(records.len());
+        for rec in records {
+            rec.save_slot(w);
+            w.put_u64(rec.idx);
+        }
+    }
+
+    /// Deserializes a list written by [`PacketRecord::save_all`], refusing
+    /// one longer than `max`.
+    pub(crate) fn load_all(
+        r: &mut SnapshotReader<'_>,
+        max: usize,
+    ) -> Result<Vec<Self>, SnapshotError> {
+        let n = r.get_len(8 + Slot::WIRE_BYTES)?;
+        if n > max {
+            return Err(SnapshotError::Invalid("more stored records than their holder admits"));
+        }
+        (0..n).map(|_| Ok(Slot::from_wire(r.take_array()?).at(r.get_u64()?))).collect()
+    }
+}
+
+/// What the ring stores per packet. The global index is the slot's
+/// position (see [`History::front_idx`]); the rest is derived on read.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    ex: RawExchange,
+    rbase_c: f64,
+    era: u32,
+    epoch: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
+
+impl Slot {
+    /// The slot on the wire is its fields in struct order as six
+    /// little-endian words, floats as raw bits, `era` and `epoch` sharing
+    /// one (low half first, so the bytes are two little-endian `u32`s in
+    /// that order). Part of the snapshot format.
+    pub(crate) const WIRE_BYTES: usize = 48;
+
+    /// The record view at global index `idx`; unread fields cost nothing.
+    #[inline(always)]
+    fn at(&self, idx: u64) -> PacketRecord {
+        PacketRecord {
+            idx,
+            ex: self.ex,
+            rbase_c: self.rbase_c,
+            era: self.era,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Decodes a slot written by [`PacketRecord::save_slot`].
+    fn from_wire(bytes: &[u8; Self::WIRE_BYTES]) -> Self {
+        let [ta_tsc, tb, te, tf_tsc, rbase_c, era_epoch]: [u64; 6] = std::array::from_fn(|i| {
             u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
         });
-        let [idx, ta_tsc, tb, te, tf_tsc, ta_c, tf_c, rtt_c, rbase_c, era_epoch, hm_c, sm, theta] =
-            words;
-        Ok(Self {
-            idx,
+        Self {
             ex: RawExchange {
                 ta_tsc,
                 tb: f64::from_bits(tb),
                 te: f64::from_bits(te),
                 tf_tsc,
             },
-            ta_c: f64::from_bits(ta_c),
-            tf_c: f64::from_bits(tf_c),
-            rtt_c: f64::from_bits(rtt_c),
             rbase_c: f64::from_bits(rbase_c),
             era: era_epoch as u32,
             epoch: (era_epoch >> 32) as u32,
-            hm_c: f64::from_bits(hm_c),
-            sm: f64::from_bits(sm),
-            theta: f64::from_bits(theta),
-        })
-    }
-
-    /// Serializes an `Option<PacketRecord>` (tag byte + record).
-    pub(crate) fn save_opt(v: &Option<Self>, w: &mut crate::snapshot::SnapshotWriter) {
-        match v {
-            Some(rec) => {
-                w.put_u8(1);
-                rec.save_state(w);
-            }
-            None => w.put_u8(0),
-        }
-    }
-
-    /// Deserializes an `Option<PacketRecord>` written by
-    /// [`PacketRecord::save_opt`].
-    pub(crate) fn load_opt(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Option<Self>, crate::SnapshotError> {
-        match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(Self::load_state(r)?)),
-            _ => Err(crate::SnapshotError::Invalid("option tag not 0/1")),
         }
     }
 }
@@ -272,7 +291,8 @@ impl Era {
 /// Bounded packet history with RTT-minimum maintenance.
 #[derive(Debug, Clone)]
 pub struct History {
-    records: VecDeque<PacketRecord>,
+    /// Retained packets, oldest first: position `k` is index `front_idx() + k`.
+    records: VecDeque<Slot>,
     /// Top-level window capacity in packets (T / poll period).
     cap: usize,
     /// Current `r̂` in counts.
@@ -281,7 +301,7 @@ pub struct History {
     /// records at or after the shift floor; its front is always the minimum
     /// RTT a slide-time recomputation would find.
     mono: VecDeque<(u64, f64)>,
-    /// Era table (never empty; eras have strictly increasing `start_idx`).
+    /// Era table (never empty; eras have non-decreasing `start_idx`).
     /// Slides prune eras no retained record can resolve to, so the table is
     /// bounded by the number of shift points inside the current window.
     eras: Vec<Era>,
@@ -298,11 +318,10 @@ impl History {
     /// Creates a history holding at most `cap` packets (the top window).
     ///
     /// The ring starts small and grows geometrically toward `cap` as
-    /// records arrive (amortized O(1)): a week-scale top window is ~1 MB
-    /// of records, and committing that up front would make every clock's
-    /// resident footprint the *configured* window instead of the *used*
-    /// one — a fleet holds thousands of clocks resident, and short
-    /// replays never touch more than their packet count.
+    /// records arrive (amortized O(1)), never past it: a poll-16 week is
+    /// 37,800 slots, ~1.8 MB, and committing that up front (or doubling to
+    /// 65,536) would make every clock's resident footprint the *configured*
+    /// window instead of the *used* one, in a fleet of thousands.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 4, "history window too small");
         Self {
@@ -317,26 +336,18 @@ impl History {
         }
     }
 
-    /// Admits an exchange, assigning it the next global index, computing its
-    /// RTT, updating `r̂`, and storing the supplied naive offset `theta`.
-    ///
-    /// Returns the new record's index and what happened to the window.
-    pub fn push(&mut self, ex: RawExchange, theta: f64) -> (u64, PushOutcome) {
-        self.push_parts(ex, theta, ex.host_midpoint_counts(), ex.server_midpoint())
+    /// Global index of the oldest retained record (`next_idx` when empty).
+    #[inline]
+    fn front_idx(&self) -> u64 {
+        self.next_idx - self.records.len() as u64
     }
 
-    /// [`History::push`] with the midpoints already computed — the clock's
-    /// hot path derives the naive offset from them immediately beforehand,
-    /// so recomputing them here would be pure waste.
-    pub(crate) fn push_parts(
-        &mut self,
-        ex: RawExchange,
-        theta: f64,
-        hm_c: f64,
-        sm: f64,
-    ) -> (u64, PushOutcome) {
+    /// Admits an exchange, assigning it the next global index, computing its
+    /// RTT and updating `r̂`.
+    ///
+    /// Returns the new record's index and what happened to the window.
+    pub fn push(&mut self, ex: RawExchange) -> (u64, PushOutcome) {
         let idx = self.next_idx;
-        self.next_idx += 1;
         let rtt_c = ex.rtt_counts() as f64;
         // §6.1: "When the window reaches full size, the oldest half of the
         // data is discarded" — slide first, so the new record's baseline is
@@ -348,8 +359,9 @@ impl History {
             // once — the per-record call overhead of the pop loop was the
             // slide's dominant cost).
             self.records.drain(..self.cap / 2);
+            let front_idx = self.front_idx();
             let front = *self.records.front().expect("half retained");
-            while matches!(self.mono.front(), Some(&(i, _)) if i < front.idx) {
+            while matches!(self.mono.front(), Some(&(i, _)) if i < front_idx) {
                 self.mono.pop_front();
             }
             // §6.1: r̂ recomputed from the retained records at or after the
@@ -366,7 +378,7 @@ impl History {
             // re-shifted the tail once per pruned entry).
             let dead_eras = self.eras[1..]
                 .iter()
-                .take_while(|e| e.start_idx <= front.idx)
+                .take_while(|e| e.start_idx <= front_idx)
                 .count();
             if dead_eras > 0 {
                 self.eras.drain(..dead_eras);
@@ -394,8 +406,7 @@ impl History {
             // past point errors effectively change ... For the purposes of
             // future estimates the new point errors are used." Recorded as
             // a min-event; resolution applies it to every record of the
-            // current era lazily (stored θ̂ᵢ are deliberately NOT
-            // recomputed, also per §6.1).
+            // current era lazily.
             self.current_era_mut().record_event(rtt_c);
             self.rebase_gen += 1;
         }
@@ -403,21 +414,19 @@ impl History {
             self.mono.pop_back();
         }
         self.mono.push_back((idx, rtt_c));
-        let era = self.current_era_id();
-        let epoch = self.current_era().next_seq;
-        self.records.push_back(PacketRecord {
-            idx,
+        // The ring never outgrows its window: once doubling would pass
+        // `cap`, take exactly the room that is left.
+        let room = self.records.capacity();
+        if self.records.len() == room && 2 * room > self.cap {
+            self.records.reserve_exact(self.cap - room);
+        }
+        self.records.push_back(Slot {
             ex,
-            ta_c: ex.ta_tsc as f64,
-            tf_c: ex.tf_tsc as f64,
-            rtt_c,
             rbase_c: self.rtt_min_c,
-            era,
-            epoch,
-            hm_c,
-            sm,
-            theta,
+            era: self.current_era_id(),
+            epoch: self.current_era().next_seq,
         });
+        self.next_idx += 1;
         (idx, PushOutcome {
             window_slid,
             new_minimum,
@@ -460,20 +469,32 @@ impl History {
         self.eras.last_mut().expect("era table never empty")
     }
 
-    /// Effective baseline of `r` under the era/min-event tables — the value
-    /// the eager re-basing sweeps would have left in `r.rbase_c`.
+    /// Effective baseline of a raw record under the era/min-event tables —
+    /// the value the eager re-basing sweeps would have left in `rbase_c`.
+    /// Takes the four words it reads, so a caller never spills a record.
     #[inline]
-    pub(crate) fn resolve_rbase(&self, r: &PacketRecord) -> f64 {
-        let current = self.current_era();
-        if r.era == self.current_era_id() {
-            // Same era: apply min-events recorded since admission.
-            if r.epoch == current.next_seq {
-                r.rbase_c // fast path: nothing happened since admission
-            } else {
-                r.rbase_c.min(current.suffix_min(r.epoch))
-            }
+    fn resolve(&self, idx: u64, rbase_c: f64, era: u32, epoch: u32) -> f64 {
+        if era == self.current_era_id() {
+            // Same era: apply min-events recorded since admission, if any.
+            rbase_c.min(self.current_era().suffix_min(epoch))
         } else {
-            self.resolve_rbase_reassigned(r)
+            self.resolve_reassigned(idx, rbase_c, era, epoch)
+        }
+    }
+
+    /// Slow path: the record was admitted in an older era; find its
+    /// effective era by start index and re-derive its baseline.
+    #[cold]
+    fn resolve_reassigned(&self, idx: u64, rbase_c: f64, era: u32, epoch: u32) -> f64 {
+        let eff = self.eras.partition_point(|e| e.start_idx <= idx) - 1;
+        let eff_era = &self.eras[eff];
+        if self.era_base + eff as u32 == era {
+            // Still its own era: events since admission apply.
+            rbase_c.min(eff_era.suffix_min(epoch))
+        } else {
+            // Reassigned by an upward shift: baseline restarts from the
+            // era's base, then every min-event of that era applies.
+            eff_era.base.min(eff_era.suffix_min(0))
         }
     }
 
@@ -489,28 +510,12 @@ impl History {
         }
     }
 
-    /// Slow path: the record was admitted in an older era; find its
-    /// effective era by start index and re-derive its baseline.
-    #[cold]
-    fn resolve_rbase_reassigned(&self, r: &PacketRecord) -> f64 {
-        let eff = self.eras.partition_point(|e| e.start_idx <= r.idx) - 1;
-        let era = &self.eras[eff];
-        if self.era_base + eff as u32 == r.era {
-            // Still its own era: events since admission apply.
-            r.rbase_c.min(era.suffix_min(r.epoch))
-        } else {
-            // Reassigned by an upward shift: baseline restarts from the
-            // era's base, then every min-event of that era applies.
-            era.base.min(era.suffix_min(0))
-        }
-    }
-
-
-    /// Copies a record with its baseline resolved to the current value.
-    fn resolved(&self, r: &PacketRecord) -> PacketRecord {
+    /// The raw record `r` with its baseline resolved to the current value.
+    #[inline]
+    fn resolved(&self, r: PacketRecord) -> PacketRecord {
         PacketRecord {
-            rbase_c: self.resolve_rbase(r),
-            ..*r
+            rbase_c: self.resolve(r.idx, r.rbase_c, r.era, r.epoch),
+            ..r
         }
     }
 
@@ -524,21 +529,13 @@ impl History {
         self.rebase_gen
     }
 
-    /// The newest record WITHOUT baseline resolution — only valid
-    /// immediately after [`History::push`], when the stored baseline is by
-    /// construction current.
-    pub(crate) fn last_unresolved(&self) -> Option<&PacketRecord> {
-        self.records.back()
-    }
-
-    /// Raw (unresolved) record by global index, O(1).
-    pub(crate) fn get_raw(&self, idx: u64) -> Option<&PacketRecord> {
-        let front = self.records.front()?.idx;
-        if idx < front {
-            return None;
-        }
-        let offset = usize::try_from(idx - front).ok()?;
-        self.records.get(offset)
+    /// Raw (unresolved) record by global index, O(1). The offset is
+    /// computed in `u64` and checked-converted, so one beyond `usize` (on
+    /// 32-bit targets) is a clean `None`, never an aliased lookup.
+    #[inline]
+    pub(crate) fn get_raw(&self, idx: u64) -> Option<PacketRecord> {
+        let pos = usize::try_from(idx.checked_sub(self.front_idx())?).ok()?;
+        Some(self.records.get(pos)?.at(idx))
     }
 
     /// Number of retained records.
@@ -558,20 +555,13 @@ impl History {
 
     /// The most recent record (baseline resolved).
     pub fn last(&self) -> Option<PacketRecord> {
-        self.records.back().map(|r| self.resolved(r))
+        self.get(self.next_idx.checked_sub(1)?)
     }
 
     /// The record with global index `idx`, if still retained (baseline
-    /// resolved). Index arithmetic is done in `u64` with a checked
-    /// conversion so an offset beyond `usize` (possible on 32-bit targets)
-    /// is a clean `None`, never a truncated — aliased — lookup.
+    /// resolved).
     pub fn get(&self, idx: u64) -> Option<PacketRecord> {
-        let front = self.records.front()?.idx;
-        if idx < front {
-            return None;
-        }
-        let offset = usize::try_from(idx - front).ok()?;
-        self.records.get(offset).map(|r| self.resolved(r))
+        self.get_raw(idx).map(|r| self.resolved(r))
     }
 
     /// Iterates over the most recent `n` records, oldest first (baselines
@@ -583,41 +573,51 @@ impl History {
     /// Iterates over all retained records, oldest first (baselines
     /// resolved).
     pub fn iter(&self) -> impl Iterator<Item = PacketRecord> + '_ {
-        self.records.iter().map(|r| self.resolved(r))
+        self.last_n(self.len())
     }
 
     /// The earliest retained record, if any (baseline resolved).
     pub fn first(&self) -> Option<PacketRecord> {
-        self.records.front().map(|r| self.resolved(r))
+        self.iter().next()
     }
 
     /// Raw (unresolved) view of the most recent `n` records, oldest first —
     /// for crate-internal hot loops that resolve baselines themselves via
-    /// [`History::resolve_rbase`] / [`History::point_error_of`].
-    pub(crate) fn tail_raw(&self, n: usize) -> impl Iterator<Item = &PacketRecord> {
-        let skip = self.records.len().saturating_sub(n);
-        self.records.range(skip..)
+    /// [`History::baseline_view`].
+    #[inline]
+    pub(crate) fn tail_raw(&self, n: usize) -> impl Iterator<Item = PacketRecord> + '_ {
+        let len = self.records.len();
+        self.range_raw(len.saturating_sub(n), len)
     }
 
     /// Raw (unresolved) view of positions `start..end` (oldest = 0).
-    pub(crate) fn range_raw(&self, start: usize, end: usize) -> impl Iterator<Item = &PacketRecord> {
-        self.records.range(start..end)
+    #[inline]
+    pub(crate) fn range_raw(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl Iterator<Item = PacketRecord> + '_ {
+        let first = self.front_idx() + start as u64;
+        self.records
+            .range(start..end)
+            .zip(first..)
+            .map(|(slot, idx)| slot.at(idx))
     }
 
-    /// Serializes the complete history — retained records with their raw
+    /// Serializes the complete history — retained slots with their raw
     /// admission-time baselines, the monotonic min-deque, and the full
-    /// era/min-event tables — into a snapshot payload. Records are stored
+    /// era/min-event tables — into a snapshot payload. Slots are stored
     /// *unresolved* so lazy baseline resolution replays identically after
-    /// restore.
-    pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
+    /// restore; their indices are implied by `next_idx` and the count.
+    pub fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.cap);
         w.put_f64(self.rtt_min_c);
         w.put_u32(self.era_base);
         w.put_u64(self.rebase_gen);
         w.put_u64(self.next_idx);
         w.put_usize(self.records.len());
-        for r in &self.records {
-            r.save_state(w);
+        for r in self.tail_raw(self.len()) {
+            r.save_slot(w);
         }
         w.put_usize(self.mono.len());
         for &(i, v) in &self.mono {
@@ -638,13 +638,12 @@ impl History {
     }
 
     /// Deserializes a history written by [`History::save_state`],
-    /// re-checking the structural invariants the rest of the pipeline
-    /// relies on (capacity floor, non-empty era table, record count within
-    /// capacity).
-    pub fn load_state(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::SnapshotError> {
-        use crate::SnapshotError as E;
+    /// re-checking what the rest of the pipeline relies on: capacity floor,
+    /// slot count within capacity and `next_idx` (the implicit index must
+    /// not underflow), a min-deque strictly increasing in index and value
+    /// inside the retained range, non-decreasing era starts up to `next_idx`.
+    pub fn load_state(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        use SnapshotError as E;
         let cap = r.get_usize()?;
         if cap < 4 {
             return Err(E::Invalid("history window too small"));
@@ -653,26 +652,39 @@ impl History {
         let era_base = r.get_u32()?;
         let rebase_gen = r.get_u64()?;
         let next_idx = r.get_u64()?;
-        let n_rec = r.get_len(PacketRecord::WIRE_BYTES)?;
+        let n_rec = r.get_len(Slot::WIRE_BYTES)?;
         if n_rec > cap {
             return Err(E::Invalid("history holds more records than its window"));
         }
+        let front_idx = next_idx
+            .checked_sub(n_rec as u64)
+            .ok_or(E::Invalid("history holds more records than were admitted"))?;
         let mut records = VecDeque::with_capacity(cap.min(n_rec.max(256)));
-        for _ in 0..n_rec {
-            records.push_back(PacketRecord::load_state(r)?);
-        }
+        records.extend(r.take_arrays(n_rec)?.iter().map(Slot::from_wire));
         let n_mono = r.get_len(16)?;
-        let mut mono = VecDeque::with_capacity(n_mono);
+        let mut mono = VecDeque::<(u64, f64)>::with_capacity(n_mono);
         for _ in 0..n_mono {
-            mono.push_back((r.get_u64()?, r.get_f64()?));
+            let (i, v) = (r.get_u64()?, r.get_f64()?);
+            if !(front_idx..next_idx).contains(&i) {
+                return Err(E::Invalid("rtt-minimum candidate outside the window"));
+            }
+            if matches!(mono.back(), Some(&(bi, bv)) if !(bi < i && bv < v)) {
+                return Err(E::Invalid("rtt-minimum candidates not increasing"));
+            }
+            mono.push_back((i, v));
         }
         let n_eras = r.get_len(24)?;
         if n_eras == 0 {
             return Err(E::Invalid("history era table empty"));
         }
-        let mut eras = Vec::with_capacity(n_eras);
+        let mut eras = Vec::<Era>::with_capacity(n_eras);
         for _ in 0..n_eras {
             let start_idx = r.get_u64()?;
+            if start_idx > next_idx || eras.last().is_some_and(|e| e.start_idx > start_idx) {
+                return Err(E::Invalid(
+                    "era starts decreasing or beyond the newest packet",
+                ));
+            }
             let base = r.get_f64()?;
             let next_seq = r.get_u32()?;
             let n_ev = r.get_len(12)?;
@@ -709,14 +721,15 @@ pub(crate) struct BaselineView<'a> {
 }
 
 impl BaselineView<'_> {
-    /// Same result as [`History::resolve_rbase`], with the fast path fully
-    /// inlined (two integer compares, no memory indirection).
+    /// Effective baseline of the raw record `r` (see [`History::resolve`]),
+    /// with the fast path fully inlined: two integer compares, no memory
+    /// indirection.
     #[inline(always)]
     pub(crate) fn resolve(&self, r: &PacketRecord) -> f64 {
         if r.era == self.current_era && r.epoch == self.next_seq {
             r.rbase_c
         } else {
-            self.history.resolve_rbase(r)
+            self.history.resolve(r.idx, r.rbase_c, r.era, r.epoch)
         }
     }
 }
@@ -737,11 +750,11 @@ mod tests {
     #[test]
     fn running_minimum_tracks_smallest_rtt() {
         let mut h = History::new(100);
-        h.push(ex(0, 900_000), 0.0);
+        h.push(ex(0, 900_000));
         assert_eq!(h.rtt_min_c(), 900_000.0);
-        h.push(ex(1_000_000_000, 1_200_000), 0.0);
+        h.push(ex(1_000_000_000, 1_200_000));
         assert_eq!(h.rtt_min_c(), 900_000.0);
-        let (_, out) = h.push(ex(2_000_000_000, 850_000), 0.0);
+        let (_, out) = h.push(ex(2_000_000_000, 850_000));
         assert!(out.new_minimum);
         assert_eq!(h.rtt_min_c(), 850_000.0);
     }
@@ -752,9 +765,9 @@ mod tests {
         // otherwise an unlucky congested first packet would carry a spurious
         // zero error forever (the lock-out the paper warns against).
         let mut h = History::new(100);
-        h.push(ex(0, 1_000_000), 0.0);
-        h.push(ex(1_000_000_000, 1_100_000), 0.0);
-        h.push(ex(2_000_000_000, 900_000), 0.0);
+        h.push(ex(0, 1_000_000));
+        h.push(ex(1_000_000_000, 1_100_000));
+        h.push(ex(2_000_000_000, 900_000));
         let p = 1e-9;
         let recs: Vec<_> = h.iter().collect();
         assert!((recs[0].point_error(p) - 100e-6).abs() < 1e-12);
@@ -766,11 +779,11 @@ mod tests {
     fn window_slides_at_capacity_and_discards_half() {
         let mut h = History::new(10);
         for k in 0..10u64 {
-            let (_, out) = h.push(ex(k * 1_000_000_000, 1_000_000 + k), 0.0);
+            let (_, out) = h.push(ex(k * 1_000_000_000, 1_000_000 + k));
             assert!(!out.window_slid);
         }
         assert_eq!(h.len(), 10);
-        let (_, out) = h.push(ex(10_000_000_000, 1_000_500), 0.0);
+        let (_, out) = h.push(ex(10_000_000_000, 1_000_500));
         assert!(out.window_slid);
         assert_eq!(h.len(), 6); // 10 − 5 dropped + 1 new
         assert_eq!(h.first().unwrap().idx, 5);
@@ -780,12 +793,12 @@ mod tests {
     fn slide_recomputes_minimum_from_retained_half() {
         let mut h = History::new(10);
         // minimum lives in the half that will be discarded
-        h.push(ex(0, 500_000), 0.0);
+        h.push(ex(0, 500_000));
         for k in 1..10u64 {
-            h.push(ex(k * 1_000_000_000, 1_000_000 + k), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_000_000 + k));
         }
         assert_eq!(h.rtt_min_c(), 500_000.0);
-        h.push(ex(10_000_000_000, 1_000_500), 0.0);
+        h.push(ex(10_000_000_000, 1_000_500));
         // old minimum forgotten; new minimum from retained records
         assert_eq!(h.rtt_min_c(), 1_000_005.0);
     }
@@ -794,11 +807,11 @@ mod tests {
     fn upward_shift_rebases_postshift_records() {
         let mut h = History::new(100);
         for k in 0..10u64 {
-            h.push(ex(k * 1_000_000_000, 1_000_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_000_000));
         }
         // route change: RTT jumps to 1.9M counts for packets 10..
         for k in 10..20u64 {
-            h.push(ex(k * 1_000_000_000, 1_900_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_900_000));
         }
         let p = 1e-9;
         // before confirmation, post-shift packets look like 0.9 ms congestion
@@ -814,14 +827,14 @@ mod tests {
     fn shift_floor_respected_on_slide() {
         let mut h = History::new(10);
         for k in 0..5u64 {
-            h.push(ex(k * 1_000_000_000, 1_000_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_000_000));
         }
         for k in 5..10u64 {
-            h.push(ex(k * 1_000_000_000, 1_900_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_900_000));
         }
         h.apply_upward_shift(1_900_000.0, 5);
         // slide: drops packets 0..5; min recomputed over idx ≥ 5
-        h.push(ex(10_000_000_000, 1_950_000), 0.0);
+        h.push(ex(10_000_000_000, 1_950_000));
         assert_eq!(h.rtt_min_c(), 1_900_000.0);
     }
 
@@ -832,14 +845,14 @@ mod tests {
         // pre-shift-point packets frozen.
         let mut h = History::new(100);
         for k in 0..5u64 {
-            h.push(ex(k * 1_000_000_000, 1_000_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_000_000));
         }
         for k in 5..10u64 {
-            h.push(ex(k * 1_000_000_000, 1_900_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_900_000));
         }
         h.apply_upward_shift(1_900_000.0, 5);
         // better post-shift minimum arrives
-        let (_, out) = h.push(ex(10_000_000_000, 1_850_000), 0.0);
+        let (_, out) = h.push(ex(10_000_000_000, 1_850_000));
         assert!(out.new_minimum);
         let p = 1e-9;
         // reassigned record 7: baseline 1.9M → 1.85M
@@ -849,10 +862,30 @@ mod tests {
     }
 
     #[test]
+    fn ring_never_outgrows_its_window() {
+        // 600 is not a power of two: plain doubling would end on 1024.
+        let cap = 600;
+        let mut h = History::new(cap);
+        let mut full = None;
+        for k in 0..2 * cap as u64 + 7 {
+            let (_, out) = h.push(ex(k * 1_000_000_000, 1_000_000 + k % 5));
+            if out.window_slid {
+                let room = *full.get_or_insert(h.records.capacity());
+                assert_eq!(h.records.capacity(), room, "slide at {k} reallocated");
+            }
+        }
+        let room = h.records.capacity();
+        assert!(
+            (cap..cap + cap / 8).contains(&room),
+            "capacity {room} for a window of {cap}"
+        );
+    }
+
+    #[test]
     fn get_and_last_n() {
         let mut h = History::new(8);
         for k in 0..6u64 {
-            h.push(ex(k * 1_000_000_000, 1_000_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_000_000));
         }
         assert_eq!(h.get(3).unwrap().idx, 3);
         assert!(h.get(99).is_none());
@@ -870,7 +903,7 @@ mod tests {
         // panicking or aliasing into the deque after truncation.
         let mut h = History::new(8);
         for k in 0..6u64 {
-            h.push(ex(k * 1_000_000_000, 1_000_000), 0.0);
+            h.push(ex(k * 1_000_000_000, 1_000_000));
         }
         assert!(h.get(u64::MAX).is_none());
         assert!(h.get(6 + (1u64 << 40)).is_none());
@@ -904,7 +937,7 @@ mod tests {
         for round in 0..200u64 {
             let level = 1_000_000 + round * 10_000;
             for _ in 0..10 {
-                h.push(ex(idx * 1_000_000_000, level + idx % 3), 0.0);
+                h.push(ex(idx * 1_000_000_000, level + idx % 3));
                 idx += 1;
             }
             h.apply_upward_shift(level as f64, idx.saturating_sub(5));

@@ -207,10 +207,10 @@ impl LocalRate {
         if near_n == 1 && far_n <= 2 {
             let earliest_min = |lo: u64, n: usize| -> (u64, f64) {
                 let first = history.get_raw(lo).expect("retained");
-                let mut best = (lo, first.rtt_c - view.resolve(first));
+                let mut best = (lo, first.rtt_c() - view.resolve(&first));
                 for idx in lo + 1..lo + n as u64 {
                     let r = history.get_raw(idx).expect("retained");
-                    let key = r.rtt_c - view.resolve(r);
+                    let key = r.rtt_c() - view.resolve(&r);
                     if key < best.1 {
                         best = (idx, key);
                     }
@@ -218,7 +218,7 @@ impl LocalRate {
                 best
             };
             let (far_idx, far_key) = earliest_min(far_lo, far_n);
-            let near_key = k.rtt_c - view.resolve(k);
+            let near_key = k.rtt_c() - view.resolve(k);
             // The deques are no longer consistent with the sub-windows.
             self.synced = false;
             return self.judge(history, k, p_ref, far_idx, far_key, k_idx, near_key);
@@ -233,7 +233,7 @@ impl LocalRate {
             // with the deques.
             if far_hi > self.far_hi {
                 let r = history.get_raw(far_hi - 1).expect("retained");
-                let key = r.rtt_c - view.resolve(r);
+                let key = r.rtt_c() - view.resolve(&r);
                 Self::push_candidate(&mut self.far_q, far_hi - 1, key);
                 // Read the expiring key out of the ring *before* storing
                 // the entrant: when the sub-window size is an exact power
@@ -243,7 +243,7 @@ impl LocalRate {
                 self.far_keys[(far_hi - 1) as usize & mask] = key;
                 self.far_sum += key;
             }
-            let key = k.rtt_c - view.resolve(k);
+            let key = k.rtt_c() - view.resolve(k);
             Self::push_candidate(&mut self.near_q, k_idx, key);
             let mask = self.near_keys.len() - 1;
             self.near_sum -= self.near_keys[(near_lo - 1) as usize & mask];
@@ -258,14 +258,14 @@ impl LocalRate {
             let start = len - w;
             let far_mask = self.far_keys.len() - 1;
             for r in history.range_raw(start, start + far_n) {
-                let key = r.rtt_c - view.resolve(r);
+                let key = r.rtt_c() - view.resolve(&r);
                 Self::push_candidate(&mut self.far_q, r.idx, key);
                 self.far_keys[r.idx as usize & far_mask] = key;
                 self.far_sum += key;
             }
             let near_mask = self.near_keys.len() - 1;
             for r in history.range_raw(len - near_n, len) {
-                let key = r.rtt_c - view.resolve(r);
+                let key = r.rtt_c() - view.resolve(&r);
                 Self::push_candidate(&mut self.near_q, r.idx, key);
                 self.near_keys[r.idx as usize & near_mask] = key;
                 self.near_sum += key;
@@ -294,7 +294,7 @@ impl LocalRate {
                 return match ev {
                     LocalRateEvent::Updated => {
                         self.p_l = pl;
-                        self.updated_at_tfc = k.tf_c;
+                        self.updated_at_tfc = k.tf_c();
                         ev
                     }
                     LocalRateEvent::QualityDuplicated | LocalRateEvent::SanityDuplicated => {
@@ -343,7 +343,7 @@ impl LocalRate {
             }
         }
         self.p_l = Some(pe.p_hat);
-        self.updated_at_tfc = k.tf_c;
+        self.updated_at_tfc = k.tf_c();
         LocalRateEvent::Updated
     }
 
@@ -361,7 +361,7 @@ impl LocalRate {
     /// timestamp (the estimate was re-affirmed at packet `k`).
     fn duplicate(&mut self, k: &PacketRecord, ev: LocalRateEvent) -> LocalRateEvent {
         if self.p_l.is_some() {
-            self.updated_at_tfc = k.tf_c;
+            self.updated_at_tfc = k.tf_c();
             ev
         } else {
             LocalRateEvent::Inactive
@@ -562,7 +562,7 @@ mod tests {
     fn inactive_until_window_full() {
         let (mut h, mut lr) = setup(100);
         for k in 0..50u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0));
             let r = h.last().unwrap();
             assert_eq!(lr.process(&h, &r, P0), LocalRateEvent::Inactive);
         }
@@ -574,7 +574,7 @@ mod tests {
         let (mut h, mut lr) = setup(100);
         let mut updated = false;
         for k in 0..400u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0));
             let r = h.last().unwrap();
             if lr.process(&h, &r, P0) == LocalRateEvent::Updated {
                 updated = true;
@@ -593,7 +593,7 @@ mod tests {
         let mut estimates = Vec::new();
         for k in 0..2000u64 {
             let t = k as f64 * 16.0;
-            h.push(ex_drift(t, drift, 0.0), 0.0);
+            h.push(ex_drift(t, drift, 0.0));
             let r = h.last().unwrap();
             lr.process(&h, &r, P0);
             if let Some(p) = lr.p_local() {
@@ -615,7 +615,7 @@ mod tests {
     fn congestion_triggers_quality_duplication() {
         let (mut h, mut lr) = setup(100);
         for k in 0..300u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0));
             let r = h.last().unwrap();
             lr.process(&h, &r, P0);
         }
@@ -623,7 +623,7 @@ mod tests {
         // sustained congestion: every packet +8 ms
         let mut saw_duplicate = false;
         for k in 300..330u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 8e-3), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 8e-3));
             let r = h.last().unwrap();
             let ev = lr.process(&h, &r, P0);
             if ev == LocalRateEvent::QualityDuplicated || ev == LocalRateEvent::SanityDuplicated {
@@ -646,7 +646,7 @@ mod tests {
     fn server_fault_cannot_move_local_rate_beyond_sanity() {
         let (mut h, mut lr) = setup(100);
         for k in 0..300u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0));
             let r = h.last().unwrap();
             lr.process(&h, &r, P0);
         }
@@ -656,7 +656,7 @@ mod tests {
             let mut e = ex_drift(k as f64 * 16.0, 0.0, 0.0);
             e.tb += 0.150;
             e.te += 0.150;
-            h.push(e, 0.0);
+            h.push(e);
             let r = h.last().unwrap();
             lr.process(&h, &r, P0);
         }
@@ -686,7 +686,7 @@ mod tests {
             for k in 0..400u64 {
                 // varied queueing so the window means genuinely move
                 let q = ((k * 37) % 11) as f64 * 60e-6;
-                h.push(ex_drift(k as f64 * 16.0, 0.0, q), 0.0);
+                h.push(ex_drift(k as f64 * 16.0, 0.0, q));
                 let r = h.last().unwrap();
                 lr.process(&h, &r, P0);
                 let (Some(near), Some(far)) =
@@ -697,8 +697,10 @@ mod tests {
                 let len = h.len();
                 let w = len.min(span);
                 let mean = |lo: usize, n: usize| -> f64 {
-                    h.range_raw(lo, lo + n)
-                        .map(|rec| (rec.rtt_c - h.resolve_rbase(rec)) * P0)
+                    h.iter()
+                        .skip(lo)
+                        .take(n)
+                        .map(|rec| rec.point_error(P0))
                         .sum::<f64>()
                         / n as f64
                 };
@@ -721,11 +723,11 @@ mod tests {
     fn staleness_gap_rule() {
         let (mut h, mut lr) = setup(50);
         for k in 0..200u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0));
             let r = h.last().unwrap();
             lr.process(&h, &r, P0);
         }
-        let last_tfc = h.last().unwrap().tf_c;
+        let last_tfc = h.last().unwrap().tf_c();
         assert!(lr.gamma_l(P0, last_tfc).is_some());
         // 3000 s later (> τ̄/2 = 2500 s): stale
         let future_tfc = last_tfc + 3000.0 / P0;
@@ -736,11 +738,11 @@ mod tests {
     fn gamma_l_is_relative_rate() {
         let (mut h, mut lr) = setup(50);
         for k in 0..200u64 {
-            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0), 0.0);
+            h.push(ex_drift(k as f64 * 16.0, 0.0, 0.0));
             let r = h.last().unwrap();
             lr.process(&h, &r, P0);
         }
-        let tfc = h.last().unwrap().tf_c;
+        let tfc = h.last().unwrap().tf_c();
         // against a p̄ deliberately 1 PPM off, γ̂l should be ≈ −1 PPM
         let g = lr.gamma_l(P0 * (1.0 + 1e-6), tfc).unwrap();
         assert!((g + 1e-6).abs() < 0.1e-6, "gamma_l {g:.2e}");

@@ -38,18 +38,9 @@ pub fn naive_rate(j: &RawExchange, i: &RawExchange) -> Option<f64> {
 /// `θ̂ᵢ = ½(C(Ta,i) + C(Tf,i)) − ½(Tb,i + Te,i)`
 /// where `C(T) = T·p̂ + C̄` is the uncorrected TSC clock. Implicitly assumes
 /// path asymmetry Δ = 0 (midpoint alignment).
-pub fn naive_offset(e: &RawExchange, p_hat: f64, c_bar: f64) -> f64 {
-    naive_offset_parts(e.host_midpoint_counts(), e.server_midpoint(), p_hat, c_bar)
-}
-
-/// Equation (19) from precomputed midpoints — the single source of the
-/// expression, shared with the clock's hot path (which already has the
-/// midpoints at hand for the history record). Must stay bit-identical to
-/// [`naive_offset`]: the differential property suite compares `θ̂ᵢ` across
-/// pipelines exactly.
 #[inline]
-pub fn naive_offset_parts(hm_c: f64, sm: f64, p_hat: f64, c_bar: f64) -> f64 {
-    hm_c * p_hat + c_bar - sm
+pub fn naive_offset(e: &RawExchange, p_hat: f64, c_bar: f64) -> f64 {
+    e.host_midpoint_counts() * p_hat + c_bar - e.server_midpoint()
 }
 
 /// The quality-pair rate estimate used by both the global and local rate

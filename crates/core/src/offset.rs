@@ -234,7 +234,8 @@ impl FactoredWindow {
             // record must leave. Rare; rebuild.
             return false;
         }
-        let kap_new = Self::kappa_of(k.rtt_c - k.rbase_c, k.tf_c, eps);
+        let (pe_c, tf_c) = (k.rtt_c() - k.rbase_c, k.tf_c());
+        let kap_new = Self::kappa_of(pe_c, tf_c, eps);
         let x = (kap_new - self.anchor) * inv_lambda_c;
         if x < -EXP_ARG_GUARD {
             // Weight would blow past the anchor's range: re-anchor.
@@ -261,19 +262,19 @@ impl FactoredWindow {
             }
         }
         let u = exp_clamped(-x);
-        let pe_c = k.rtt_c - k.rbase_c;
+        let (hm_c, sm) = (k.hm_c(), k.sm());
         self.ring[(k.idx as usize) & (self.cap - 1)] = Slot {
             pe_c,
-            tf_c: k.tf_c,
-            hm_c: k.hm_c,
-            sm: k.sm,
+            tf_c,
+            hm_c,
+            sm,
             u,
         };
-        let th0 = k.hm_c * self.p0 + self.cbar0 - k.sm;
+        let th0 = hm_c * self.p0 + self.cbar0 - sm;
         self.s_w += u;
         self.s_wth0 += u * th0;
-        self.s_whm += u * (k.hm_c - self.hm_ref);
-        self.s_wtf += u * (k.tf_c - self.tf_ref);
+        self.s_whm += u * (hm_c - self.hm_ref);
+        self.s_wtf += u * (tf_c - self.tf_ref);
         self.s_wpe += u * pe_c;
         while matches!(self.min_q.back(), Some(&(_, bk)) if bk > kap_new) {
             self.min_q.pop_back();
@@ -312,8 +313,8 @@ impl FactoredWindow {
         }
         self.p0 = p_hat;
         self.cbar0 = c_bar;
-        self.tf_ref = k.tf_c;
-        self.hm_ref = k.hm_c;
+        self.tf_ref = k.tf_c();
+        self.hm_ref = k.hm_c();
         // Anchor at the window's κ minimum: every weight starts ≤ 1 (the
         // full-pass normalization), leaving the whole guarded range as
         // headroom for future better-than-anchor packets. Anchoring at the
@@ -323,8 +324,8 @@ impl FactoredWindow {
         kappa_buf.clear();
         let mut anchor = f64::INFINITY;
         for r in history.tail_raw(window_n) {
-            let pe = r.rtt_c - view.resolve(r);
-            anchor = anchor.min(Self::kappa_of(pe, r.tf_c, eps));
+            let pe = r.rtt_c() - view.resolve(&r);
+            anchor = anchor.min(Self::kappa_of(pe, r.tf_c(), eps));
             kappa_buf.push(pe);
         }
         self.anchor = anchor;
@@ -339,20 +340,21 @@ impl FactoredWindow {
         for (r, &pe) in history.tail_raw(window_n).zip(kappa_buf.iter()) {
             // κ recomputed from the buffered pe — deterministic, so it is
             // bit-identical to the anchor pass's value.
-            let kap = Self::kappa_of(pe, r.tf_c, eps);
+            let (tf_c, hm_c, sm) = (r.tf_c(), r.hm_c(), r.sm());
+            let kap = Self::kappa_of(pe, tf_c, eps);
             let u = exp_clamped(-((kap - self.anchor) * inv_lambda_c));
             self.ring[(r.idx as usize) & (self.cap - 1)] = Slot {
                 pe_c: pe,
-                tf_c: r.tf_c,
-                hm_c: r.hm_c,
-                sm: r.sm,
+                tf_c,
+                hm_c,
+                sm,
                 u,
             };
-            let th0 = r.hm_c * self.p0 + self.cbar0 - r.sm;
+            let th0 = hm_c * self.p0 + self.cbar0 - sm;
             self.s_w += u;
             self.s_wth0 += u * th0;
-            self.s_whm += u * (r.hm_c - self.hm_ref);
-            self.s_wtf += u * (r.tf_c - self.tf_ref);
+            self.s_whm += u * (hm_c - self.hm_ref);
+            self.s_wtf += u * (tf_c - self.tf_ref);
             self.s_wpe += u * pe;
             while matches!(self.min_q.back(), Some(&(_, bk)) if bk > kap) {
                 self.min_q.pop_back();
@@ -375,9 +377,9 @@ impl FactoredWindow {
     /// references (see the module docs for the algebra).
     fn eval(&self, k: &PacketRecord, p_hat: f64, c_bar: f64, g: f64, eps: f64) -> WindowSums {
         let &(_, kappa_min) = self.min_q.front().expect("non-empty window");
-        let min_et = (kappa_min + eps * k.tf_c) * p_hat;
+        let min_et = (kappa_min + eps * k.tf_c()) * p_hat;
         // Σu·(Tf(t) − Tfᵢ), via the centered tf sum.
-        let age_sum = (k.tf_c - self.tf_ref) * self.s_w - self.s_wtf;
+        let age_sum = (k.tf_c() - self.tf_ref) * self.s_w - self.s_wtf;
         let sum_wth = self.s_wth0
             + (p_hat - self.p0) * (self.s_whm + self.hm_ref * self.s_w)
             + (c_bar - self.cbar0) * self.s_w
@@ -409,20 +411,21 @@ fn full_pass(
     kappa_buf: &mut Vec<f64>,
 ) -> WindowSums {
     let view = history.baseline_view();
+    let k_tf_c = k.tf_c();
     kappa_buf.clear();
     let mut kappa_min = f64::INFINITY;
     for r in history.tail_raw(window_n) {
-        let kap = (r.rtt_c - view.resolve(r)) - eps * r.tf_c;
+        let kap = (r.rtt_c() - view.resolve(&r)) - eps * r.tf_c();
         kappa_min = kappa_min.min(kap);
         kappa_buf.push(kap);
     }
-    let min_et = (kappa_min + eps * k.tf_c) * p_hat;
+    let min_et = (kappa_min + eps * k_tf_c) * p_hat;
     let (mut sum_w, mut sum_wth, mut sum_wet) = (0.0f64, 0.0f64, 0.0f64);
     for (r, &kap) in history.tail_raw(window_n).zip(kappa_buf.iter()) {
         let w = exp_clamped(-((kap - kappa_min) * inv_lambda_c));
-        let et = (kap + eps * k.tf_c) * p_hat;
-        let age = (k.tf_c - r.tf_c) * p_hat;
-        let th = (r.hm_c * p_hat + c_bar - r.sm) - g * age;
+        let et = (kap + eps * k_tf_c) * p_hat;
+        let age = (k_tf_c - r.tf_c()) * p_hat;
+        let th = (r.hm_c() * p_hat + c_bar - r.sm()) - g * age;
         sum_w += w;
         sum_wth += w * th;
         sum_wet += w * et;
@@ -557,7 +560,8 @@ impl OffsetEstimator {
         warmup: bool,
         gap_large: bool,
     ) -> (f64, OffsetEvent) {
-        let theta_of = |r: &PacketRecord| r.hm_c * p_hat + c_bar - r.sm;
+        let theta_of = |r: &PacketRecord| r.hm_c() * p_hat + c_bar - r.sm();
+        let tf_c = k.tf_c();
         let e_scale = cfg.quality_scale * if warmup { 3.0 } else { 1.0 };
         if self.cached_cfg != (cfg.poll_period, cfg.tau_prime) {
             self.cached_cfg = (cfg.poll_period, cfg.tau_prime);
@@ -630,12 +634,12 @@ impl OffsetEstimator {
                 // §6.1: blend the new naive estimate (weighted by its point
                 // error) with the aged previous estimate.
                 let e_new = k.point_error(p_hat);
-                let elapsed = (k.tf_c - self.last_tfc).max(0.0) * p_hat;
+                let elapsed = (tf_c - self.last_tfc).max(0.0) * p_hat;
                 let e_old = self.last_err + cfg.aging_rate * elapsed;
                 let w_new = (-(e_new / e_scale).powi(2)).exp().max(1e-300);
                 let w_old = (-(e_old / e_scale).powi(2)).exp().max(1e-300);
                 let prev = self
-                    .predict(k.tf_c, p_hat, gamma_l)
+                    .predict(tf_c, p_hat, gamma_l)
                     .expect("theta set when !first");
                 (
                     (w_new * theta_of(k) + w_old * prev) / (w_new + w_old),
@@ -644,7 +648,7 @@ impl OffsetEstimator {
             } else {
                 // Equations (22)/(23): carry the last estimate forward.
                 let prev = self
-                    .predict(k.tf_c, p_hat, gamma_l)
+                    .predict(tf_c, p_hat, gamma_l)
                     .expect("theta set when !first");
                 (prev, OffsetEvent::PoorQualityFallback)
             }
@@ -659,7 +663,7 @@ impl OffsetEstimator {
         // polls that is Es, but across a multi-day data gap the legitimate
         // drift grows and must not be mistaken for a fault (lock-out).
         let elapsed = if self.last_tfc.is_finite() {
-            ((k.tf_c - self.last_tfc) * p_hat).max(0.0)
+            ((tf_c - self.last_tfc) * p_hat).max(0.0)
         } else {
             0.0
         };
@@ -697,7 +701,7 @@ impl OffsetEstimator {
         };
 
         self.theta = Some(theta_new);
-        self.last_tfc = k.tf_c;
+        self.last_tfc = tf_c;
         if event == OffsetEvent::Weighted || event == OffsetEvent::Initialised {
             // error of a weighted estimate ≈ weighted mean total error
             // (already accumulated by the window machinery above)
@@ -903,11 +907,9 @@ mod tests {
         ClockConfig::paper_defaults(16.0)
     }
 
-    /// Admits `ex` computing θ̂ᵢ with a fixed (p̂, C̄) pair — the clock
-    /// normally does this; tests use C̄ aligning θ̂₁ = 0.
-    fn admit(h: &mut History, e: RawExchange, p: f64, c_bar: f64) -> PacketRecord {
-        let th = crate::naive::naive_offset(&e, p, c_bar);
-        h.push(e, th);
+    /// Admits `e` and hands back its record, as the clock does per packet.
+    fn admit(h: &mut History, e: RawExchange) -> PacketRecord {
+        h.push(e);
         h.last().unwrap()
     }
 
@@ -925,7 +927,7 @@ mod tests {
         let mut last = f64::NAN;
         for k in 0..200u64 {
             let e = ex(k as f64 * 16.0, 0.0);
-            let r = admit(&mut h, e, P, c_bar);
+            let r = admit(&mut h, e);
             let (th, _) = est.process(&c, &h, &r, P, c_bar, None, k < 8, false);
             last = th;
         }
@@ -944,7 +946,7 @@ mod tests {
             // every 5th packet suffers 2 ms of forward queueing: naive θ̂ᵢ is
             // biased by a full −1 ms on those packets
             let q = if k % 5 == 0 { 2e-3 } else { 0.0 };
-            let r = admit(&mut h, ex(k as f64 * 16.0, q), P, c_bar);
+            let r = admit(&mut h, ex(k as f64 * 16.0, q));
             let (th, _) = est.process(&c, &h, &r, P, c_bar, None, k < 16, false);
             if k > 100 {
                 worst = worst.max(th.abs());
@@ -964,7 +966,7 @@ mod tests {
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         for k in 0..100u64 {
-            let r = admit(&mut h, ex(k as f64 * 16.0, 0.0), P, c_bar);
+            let r = admit(&mut h, ex(k as f64 * 16.0, 0.0));
             est.process(&c, &h, &r, P, c_bar, None, k < 16, false);
         }
         let before = est.theta().unwrap();
@@ -974,7 +976,7 @@ mod tests {
             let mut e = ex(k as f64 * 16.0, 0.0);
             e.tb += 0.150;
             e.te += 0.150;
-            let r = admit(&mut h, e, P, c_bar);
+            let r = admit(&mut h, e);
             let (_, ev) = est.process(&c, &h, &r, P, c_bar, None, false, false);
             if ev == OffsetEvent::SanityDuplicated {
                 saw_sanity = true;
@@ -998,7 +1000,7 @@ mod tests {
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         for k in 0..120u64 {
-            let r = admit(&mut h, ex(k as f64 * 16.0, 0.0), P, c_bar);
+            let r = admit(&mut h, ex(k as f64 * 16.0, 0.0));
             est.process(&c, &h, &r, P, c_bar, None, k < 16, false);
         }
         let before = est.theta().unwrap();
@@ -1006,7 +1008,7 @@ mod tests {
         // ~τ′ packets the whole window is poor → fallback.
         let mut saw_fallback = false;
         for k in 120..220u64 {
-            let r = admit(&mut h, ex(k as f64 * 16.0, 3e-3), P, c_bar);
+            let r = admit(&mut h, ex(k as f64 * 16.0, 3e-3));
             let (_, ev) = est.process(&c, &h, &r, P, c_bar, None, false, false);
             if ev == OffsetEvent::PoorQualityFallback {
                 saw_fallback = true;
@@ -1043,13 +1045,13 @@ mod tests {
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         for k in 0..100u64 {
-            let r = admit(&mut h, ex(k as f64 * 16.0, 0.0), P, c_bar);
+            let r = admit(&mut h, ex(k as f64 * 16.0, 0.0));
             est.process(&c, &h, &r, P, c_bar, None, k < 16, false);
         }
         // big gap, then a congested packet: window quality poor (all old
         // packets are aged far beyond E**), gap_large = true
         let t_resume = 100.0 * 16.0 + 50_000.0;
-        let r = admit(&mut h, ex(t_resume, 1e-3), P, c_bar);
+        let r = admit(&mut h, ex(t_resume, 1e-3));
         let (_, ev) = est.process(&c, &h, &r, P, c_bar, None, false, true);
         assert_eq!(ev, OffsetEvent::GapBlend);
     }
@@ -1091,8 +1093,8 @@ mod tests {
                 e.te -= 40e-6;
                 e.tf_tsc -= (80e-6 / P) as u64;
             }
-            let r1 = admit(&mut h1, e, P, c_bar);
-            let r2 = admit(&mut h2, e, P, c_bar);
+            let r1 = admit(&mut h1, e);
+            let r2 = admit(&mut h2, e);
             let (a, ev_a) = rolling.process(&c, &h1, &r1, P, c_bar, None, k < 16, false);
             let (b, ev_b) = refill.process(&c, &h2, &r2, P, c_bar, None, k < 16, false);
             assert_eq!(ev_a, ev_b, "event diverged at {k}");

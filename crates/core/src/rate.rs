@@ -174,14 +174,10 @@ impl GlobalRate {
         // list, whose newest entries were admitted with the baseline in
         // force and so are current by construction).
         if gen_changed {
-            for slot in [&mut self.j, &mut self.i].into_iter().flatten() {
-                if let Some(fresh) = history.get_raw(slot.idx) {
-                    slot.rbase_c = history.resolve_rbase(fresh);
-                }
-            }
-            for rec in self.warmup.iter_mut() {
-                if let Some(fresh) = history.get_raw(rec.idx) {
-                    rec.rbase_c = history.resolve_rbase(fresh);
+            let copies = [&mut self.j, &mut self.i].into_iter().flatten();
+            for rec in copies.chain(self.warmup.iter_mut()) {
+                if let Some(fresh) = history.get(rec.idx) {
+                    rec.rbase_c = fresh.rbase_c;
                 }
             }
         }
@@ -213,8 +209,8 @@ impl GlobalRate {
                             j_idx: j.idx,
                             i_idx: i.idx,
                             dc: i.ex.tf_tsc.wrapping_sub(j.ex.tf_tsc) as i64 as f64,
-                            key_j: j.rtt_c - j.rbase_c,
-                            key_i: i.rtt_c - i.rbase_c,
+                            key_j: j.rtt_c() - j.rbase_c,
+                            key_i: i.rtt_c() - i.rbase_c,
                         };
                     }
                 }
@@ -347,8 +343,8 @@ impl GlobalRate {
             j_idx: j.idx,
             i_idx: record.idx,
             dc: record.ex.tf_tsc.wrapping_sub(j.ex.tf_tsc) as i64 as f64,
-            key_j: j.rtt_c - j.rbase_c,
-            key_i: record.rtt_c - record.rbase_c,
+            key_j: j.rtt_c() - j.rbase_c,
+            key_i: record.rtt_c() - record.rbase_c,
         };
         RateEvent::Updated
     }
@@ -401,12 +397,9 @@ impl GlobalRate {
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_f64(self.e_star);
         w.put_usize(self.warmup_packets);
-        w.put_usize(self.warmup.len());
-        for rec in &self.warmup {
-            rec.save_state(w);
-        }
-        PacketRecord::save_opt(&self.j, w);
-        PacketRecord::save_opt(&self.i, w);
+        PacketRecord::save_all(&self.warmup, w);
+        PacketRecord::save_all(self.j.as_slice(), w);
+        PacketRecord::save_all(self.i.as_slice(), w);
         w.put_opt_f64(self.p_hat);
         w.put_f64(self.quality);
         w.put_u64(self.n_seen);
@@ -435,20 +428,12 @@ impl GlobalRate {
         if warmup_packets < 2 {
             return Err(E::Invalid("warm-up shorter than two packets"));
         }
-        let n_warm = r.get_len(PacketRecord::WIRE_BYTES)?;
-        if n_warm > warmup_packets {
-            return Err(E::Invalid("warm-up list longer than the warm-up"));
-        }
-        let mut warmup = Vec::with_capacity(n_warm);
-        for _ in 0..n_warm {
-            warmup.push(PacketRecord::load_state(r)?);
-        }
         Ok(Self {
             e_star,
             warmup_packets,
-            warmup,
-            j: PacketRecord::load_opt(r)?,
-            i: PacketRecord::load_opt(r)?,
+            warmup: PacketRecord::load_all(r, warmup_packets)?,
+            j: PacketRecord::load_all(r, 1)?.pop(),
+            i: PacketRecord::load_all(r, 1)?.pop(),
             p_hat: r.get_opt_f64()?,
             quality: r.get_f64()?,
             n_seen: r.get_u64()?,
@@ -487,7 +472,7 @@ mod tests {
     }
 
     fn feed(rate: &mut GlobalRate, h: &mut History, e: RawExchange) -> RateEvent {
-        h.push(e, 0.0);
+        h.push(e);
         let r = h.last().unwrap();
         rate.process(h, &r)
     }
@@ -565,7 +550,7 @@ mod tests {
         let mut bad = ex(600.0 * 16.0, 0.0);
         bad.tb += 0.150;
         bad.te += 0.150;
-        h.push(bad, 0.0);
+        h.push(bad);
         let r = h.last().unwrap();
         let ev = rate.process(&h, &r);
         assert_eq!(ev, RateEvent::SanityRejected);

@@ -64,7 +64,7 @@ impl RefHistory {
         }
     }
 
-    pub fn push(&mut self, ex: RawExchange, theta: f64) -> (u64, PushOutcome) {
+    pub fn push(&mut self, ex: RawExchange) -> (u64, PushOutcome) {
         let idx = self.next_idx;
         self.next_idx += 1;
         let rtt_c = ex.rtt_counts() as f64;
@@ -89,15 +89,9 @@ impl RefHistory {
         self.records.push_back(PacketRecord {
             idx,
             ex,
-            ta_c: ex.ta_tsc as f64,
-            tf_c: ex.tf_tsc as f64,
-            rtt_c,
             rbase_c: self.rtt_min_c,
             era: 0,
             epoch: 0,
-            hm_c: ex.host_midpoint_counts(),
-            sm: ex.server_midpoint(),
-            theta,
         });
         (idx, PushOutcome {
             window_slid,
@@ -111,7 +105,7 @@ impl RefHistory {
             .records
             .iter()
             .filter(|r| r.idx >= floor)
-            .map(|r| r.rtt_c)
+            .map(|r| r.rtt_c())
             .fold(f64::INFINITY, f64::min);
         if m.is_finite() {
             self.rtt_min_c = m;
@@ -483,7 +477,7 @@ impl RefLocalRate {
             }
         }
         self.p_l = Some(pe.p_hat);
-        self.updated_at_tfc = k.tf_c;
+        self.updated_at_tfc = k.tf_c();
         LocalRateEvent::Updated
     }
 
@@ -493,7 +487,7 @@ impl RefLocalRate {
         ev: crate::local_rate::LocalRateEvent,
     ) -> crate::local_rate::LocalRateEvent {
         if self.p_l.is_some() {
-            self.updated_at_tfc = k.tf_c;
+            self.updated_at_tfc = k.tf_c();
             ev
         } else {
             crate::local_rate::LocalRateEvent::Inactive
@@ -575,16 +569,16 @@ impl RefOffsetEstimator {
         // Scan 1: the per-packet weight keys κᵢ and the window minimum.
         let kappas: Vec<f64> = history
             .last_n(window_n)
-            .map(|r| (r.rtt_c - r.rbase_c) - eps * r.tf_c)
+            .map(|r| (r.rtt_c() - r.rbase_c) - eps * r.tf_c())
             .collect();
         let kappa_min = kappas.iter().copied().fold(f64::INFINITY, f64::min);
-        let min_et = (kappa_min + eps * k.tf_c) * p_hat;
+        let min_et = (kappa_min + eps * k.tf_c()) * p_hat;
         // Scan 2: weights and weighted sums.
         let mut sum_w = 0.0;
         let mut sum_wth = 0.0;
         for (r, &kap) in history.last_n(window_n).zip(kappas.iter()) {
             let w = crate::fastmath::exp_clamped(-((kap - kappa_min) * inv_lambda_c));
-            let age = (k.tf_c - r.tf_c) * p_hat;
+            let age = (k.tf_c() - r.tf_c()) * p_hat;
             sum_w += w;
             sum_wth += w * (theta_of(r) - g * age);
         }
@@ -597,12 +591,12 @@ impl RefOffsetEstimator {
         let (candidate, mut event) = if quality_poor && !first {
             if gap_large {
                 let e_new = k.point_error(p_hat);
-                let elapsed = (k.tf_c - self.last_tfc).max(0.0) * p_hat;
+                let elapsed = (k.tf_c() - self.last_tfc).max(0.0) * p_hat;
                 let e_old = self.last_err + cfg.aging_rate * elapsed;
                 let w_new = (-(e_new / e_scale).powi(2)).exp().max(1e-300);
                 let w_old = (-(e_old / e_scale).powi(2)).exp().max(1e-300);
                 let prev = self
-                    .predict(k.tf_c, p_hat, gamma_l)
+                    .predict(k.tf_c(), p_hat, gamma_l)
                     .expect("theta set when !first");
                 (
                     (w_new * theta_of(k) + w_old * prev) / (w_new + w_old),
@@ -610,7 +604,7 @@ impl RefOffsetEstimator {
                 )
             } else {
                 let prev = self
-                    .predict(k.tf_c, p_hat, gamma_l)
+                    .predict(k.tf_c(), p_hat, gamma_l)
                     .expect("theta set when !first");
                 (prev, OffsetEvent::PoorQualityFallback)
             }
@@ -619,7 +613,7 @@ impl RefOffsetEstimator {
         };
 
         let elapsed = if self.last_tfc.is_finite() {
-            ((k.tf_c - self.last_tfc) * p_hat).max(0.0)
+            ((k.tf_c() - self.last_tfc) * p_hat).max(0.0)
         } else {
             0.0
         };
@@ -648,14 +642,14 @@ impl RefOffsetEstimator {
         };
 
         self.theta = Some(theta_new);
-        self.last_tfc = k.tf_c;
+        self.last_tfc = k.tf_c();
         if event == OffsetEvent::Weighted || event == OffsetEvent::Initialised {
             // A third full scan for the error bound — deliberately naive.
             let mut sw = 0.0;
             let mut swe = 0.0;
             for &kap in kappas.iter() {
                 let w = crate::fastmath::exp_clamped(-((kap - kappa_min) * inv_lambda_c));
-                let et = (kap + eps * k.tf_c) * p_hat;
+                let et = (kap + eps * k.tf_c()) * p_hat;
                 sw += w;
                 swe += w * et;
             }
@@ -751,7 +745,7 @@ impl ReferenceClock {
         let p_before = self.rate.p_hat().expect("rate bootstrapped");
         let theta_naive = naive_offset(&ex, p_before, self.c_bar);
 
-        let (idx, outcome) = self.history.push(ex, theta_naive);
+        let (idx, outcome) = self.history.push(ex);
         if outcome.new_minimum {
             events.push(ClockEvent::NewRttMinimum);
         }
@@ -768,7 +762,7 @@ impl ReferenceClock {
                 let p_after = self.rate.p_hat().expect("updated");
                 if p_after != p_before {
                     events.push(ClockEvent::RateUpdated);
-                    self.c_bar += record.tf_c * (p_before - p_after);
+                    self.c_bar += record.tf_c() * (p_before - p_after);
                 }
             }
             RateEvent::SanityRejected => events.push(ClockEvent::RateSanity),
@@ -778,7 +772,7 @@ impl ReferenceClock {
 
         if let Some(shift) = self.shift.observe(
             idx,
-            record.rtt_c,
+            record.rtt_c(),
             self.history.rtt_min_c(),
             p_hat,
         ) {
@@ -804,9 +798,9 @@ impl ReferenceClock {
         }
 
         let gap_large = self.prev_tfc.is_finite()
-            && (record.tf_c - self.prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
+            && (record.tf_c() - self.prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
         let gamma_l = if self.cfg.use_local_rate && !gap_large {
-            self.local_rate.gamma_l(p_hat, record.tf_c)
+            self.local_rate.gamma_l(p_hat, record.tf_c())
         } else {
             None
         };
@@ -829,11 +823,11 @@ impl ReferenceClock {
             _ => {}
         }
 
-        self.prev_tfc = record.tf_c;
+        self.prev_tfc = record.tf_c();
 
         RefOutput {
             idx,
-            rtt: record.rtt_c * p_hat,
+            rtt: record.rtt_c() * p_hat,
             point_error: record.point_error(p_hat),
             theta_naive,
             theta_hat,

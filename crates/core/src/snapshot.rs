@@ -15,12 +15,12 @@
 //! replay stays cheap (one `Vec<u8>` write, no allocation-per-field
 //! `Value` tree like the serde shim's).
 //!
-//! # Envelope (format v2)
+//! # Envelope (format v3)
 //!
 //! ```text
 //!   offset  size  field
 //!   0       4     magic  b"TSNP"
-//!   4       2     format version (little-endian u16, currently 2)
+//!   4       2     format version (little-endian u16, currently 3)
 //!   6       1     payload kind (what component the payload encodes)
 //!   7       8     payload length (little-endian u64)
 //!   15      n     payload (component-defined, written via SnapshotWriter)
@@ -45,10 +45,11 @@
 //! 3. then the ≤ 31 bytes no block covered, one step per byte;
 //! 4. then the input length, one step.
 //!
-//! Version 1 envelopes carried per-byte FNV-1a-64 instead. The version
-//! field says which sum the trailer holds, so it is checked first; this
-//! build reads and writes only v2, and a v1 blob is a typed
-//! [`SnapshotError::VersionMismatch`] (a cold start for the caller).
+//! Version 1 envelopes carried per-byte FNV-1a-64 instead; version 2 has
+//! this checksum but thirteen words a history record where v3 has six.
+//! The version says which sum and which payload layout follow, so it is
+//! checked first; this build reads and writes only v3, and a v1 or v2 blob
+//! is a typed [`SnapshotError::VersionMismatch`] (a cold start).
 //!
 //! # What corruption is detected, and why that is deterministic
 //!
@@ -91,7 +92,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"TSNP";
 
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Payload kinds (one per snapshottable root component).
 pub mod kind {
@@ -125,7 +126,7 @@ fn step(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// The envelope checksum (format v2): four word-wide FNV-style lanes
+/// The envelope checksum (formats v2 and v3): four word-wide FNV-style lanes
 /// over the 32-byte blocks, folded in order, then the tail bytes, then
 /// the length. The module docs give the definition and the detection
 /// argument; `tests::checksum_known_answers` pins the values.
@@ -411,7 +412,16 @@ impl<'a> SnapshotReader<'a> {
     /// Takes the next `N` bytes under one bounds check; a fixed-layout
     /// record decodes its fields from the array without further checks.
     pub(crate) fn take_array<const N: usize>(&mut self) -> Result<&'a [u8; N], SnapshotError> {
-        Ok(self.take(N)?.try_into().expect("take(N) returns N bytes"))
+        Ok(&self.take_arrays(1)?[0])
+    }
+
+    /// [`SnapshotReader::take_array`] for `count` records under one check.
+    pub(crate) fn take_arrays<const N: usize>(
+        &mut self,
+        count: usize,
+    ) -> Result<&'a [[u8; N]], SnapshotError> {
+        let bytes = self.take(count.checked_mul(N).ok_or(SnapshotError::Truncated)?)?;
+        Ok(bytes.as_chunks().0)
     }
 
     /// Reads one byte.
@@ -544,12 +554,14 @@ mod tests {
         // the version is checked before the checksum (it says which sum
         // the trailer holds), so a foreign version needs no valid trailer
         let bytes = sample_envelope();
-        let mut v3 = bytes.clone();
-        v3[4..6].copy_from_slice(&3u16.to_le_bytes());
-        assert_eq!(
-            open_envelope(&v3, kind::CLOCK).unwrap_err(),
-            SnapshotError::VersionMismatch { found: 3, expected: FORMAT_VERSION }
-        );
+        for foreign in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[4..6].copy_from_slice(&foreign.to_le_bytes());
+            assert_eq!(
+                open_envelope(&other, kind::CLOCK).unwrap_err(),
+                SnapshotError::VersionMismatch { found: foreign, expected: FORMAT_VERSION }
+            );
+        }
         assert_eq!(
             open_envelope(&bytes, kind::QUORUM).unwrap_err(),
             SnapshotError::KindMismatch { found: kind::CLOCK, expected: kind::QUORUM }

@@ -27,7 +27,7 @@ fn trajectory(
     let mut accepted = 0usize;
     let mut mark = 0usize;
     for e in &exchanges {
-        hist.push(to_raw(e), 0.0);
+        hist.push(to_raw(e));
         let rec = hist.last().unwrap();
         let ev = rate.process(&hist, &rec);
         if ev == tscclock::RateEvent::Updated {

@@ -3,7 +3,7 @@
 //! a packet can reach it.
 //!
 //! The e2e digests, the fleet parity constants and
-//! `tests/fixtures/checkpoint_v2.snap` are functions of the generator's
+//! `tests/fixtures/checkpoint_v3.snap` are functions of the generator's
 //! streams, and `ln` / `exp` / `powf` / `sin` / `cos` come from the
 //! platform's libm, which is not correctly rounded and may change under
 //! us. This test scans the live source — `#[cfg(test)]` modules and

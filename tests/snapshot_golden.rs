@@ -1,9 +1,11 @@
 //! Golden snapshot envelopes: format drift is a failing test, not a
 //! silent break.
 //!
-//! `tests/fixtures/*_v2.snap` are sealed envelopes of each snapshottable
-//! root component — clock, quorum, lifecycle client and a fleet
-//! `CHECKPOINT` — committed as bytes. Each golden test restores one from
+//! `tests/fixtures/*_v<FORMAT_VERSION>.snap` are sealed envelopes of each
+//! snapshottable root component — clock, quorum, lifecycle client and a
+//! fleet `CHECKPOINT` — committed as bytes, and the only files there
+//! ([`fixtures_are_exactly_the_four_of_this_format`]: a stale version's
+//! files cannot linger). Each golden test restores one from
 //! the *file*, so it keeps passing only while this build still reads what
 //! an earlier build wrote: it re-seals the restored state and demands the
 //! fixture's bytes back, then resumes a fixed tail of input and pins the
@@ -20,7 +22,7 @@
 //! CI runs it and `git diff --exit-code tests/fixtures`, which proves the
 //! committed bytes are what this source writes. A change that moves them
 //! bumps `FORMAT_VERSION` and says how old blobs are treated — today:
-//! [`format_v1_blobs_are_a_typed_mismatch_and_a_counted_cold_start`].
+//! [`older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start`].
 
 use tsc_fleet::{
     replay, replay_item, CheckpointStore, ClockCheckpoint, FleetConfig, LifecycleClient,
@@ -40,8 +42,24 @@ const CHECKPOINT_RUN_DIGEST: u64 = 0xfdc2_05ef_75c5_fb9f;
 /// Fixtures stay reviewable and cheap to clone.
 const MAX_FIXTURE_BYTES: usize = 64 << 10;
 
+const FIXTURES: [&str; 4] = ["checkpoint", "clock", "lifecycle", "quorum"];
+
+fn fixture_dir() -> String {
+    format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"))
+}
+
 fn fixture_path(name: &str) -> String {
-    format!("{}/tests/fixtures/{name}_v{FORMAT_VERSION}.snap", env!("CARGO_MANIFEST_DIR"))
+    format!("{}/{name}_v{FORMAT_VERSION}.snap", fixture_dir())
+}
+
+#[test]
+fn fixtures_are_exactly_the_four_of_this_format() {
+    let mut found: Vec<String> = std::fs::read_dir(fixture_dir())
+        .expect("tests/fixtures exists")
+        .map(|entry| entry.expect("readable entry").file_name().into_string().expect("utf-8 name"))
+        .collect();
+    found.sort();
+    assert_eq!(found, FIXTURES.map(|name| format!("{name}_v{FORMAT_VERSION}.snap")));
 }
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -328,33 +346,42 @@ fn golden_checkpoint_recovers_a_crashed_replay() {
     assert!(store.saved[2] == reference[2], "checkpoint after the resume drifted");
 }
 
-// ------------------------------------------------------------ format v1
+// ------------------------------------------------------- older formats
 
-/// What the format-v1 writer sealed for the same payload: version 1 in
-/// the header and per-byte FNV-1a-64 over header + payload as the trailer.
-fn as_v1(v2: &[u8]) -> Vec<u8> {
-    let mut v1 = v2[..v2.len() - 8].to_vec();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let sum = fnv1a(&v1);
-    v1.extend_from_slice(&sum.to_le_bytes());
-    v1
+/// The envelope an older writer sealed around the same payload bytes:
+/// its version in the header and its own trailer over header + payload —
+/// per-byte FNV-1a-64 for v1, today's lane checksum for v2.
+fn as_version(blob: &[u8], version: u16) -> Vec<u8> {
+    let mut old = blob[..blob.len() - 8].to_vec();
+    old[4..6].copy_from_slice(&version.to_le_bytes());
+    let sum = if version == 1 { fnv1a(&old) } else { tscclock::snapshot::checksum(&old) };
+    old.extend_from_slice(&sum.to_le_bytes());
+    old
 }
 
-/// A v1 blob is intact by its own rules, so the refusal must be the
+/// A v1 or v2 blob is intact by its own rules, so the refusal must be the
 /// version check speaking — and a replay that finds one where its
 /// checkpoint should be must count a cold start and stay exact.
 #[test]
-fn format_v1_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
-    let v1 = SnapshotError::VersionMismatch { found: 1, expected: 2 };
-    let clock_v1 = as_v1(&fixture("clock"));
-    assert_eq!(TscNtpClock::restore(&clock_v1).err(), Some(v1.clone()));
-    assert_eq!(QuorumClock::restore(&as_v1(&fixture("quorum"))).err(), Some(v1.clone()));
-    assert_eq!(LifecycleClient::restore(&as_v1(&fixture("lifecycle"))).err(), Some(v1));
+fn older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
+    assert_eq!(FORMAT_VERSION, 3, "a bump extends the versions tried below");
+    for found in [1, 2] {
+        let old = SnapshotError::VersionMismatch { found, expected: 3 };
+        let of = |name| as_version(&fixture(name), found);
+        assert_eq!(TscNtpClock::restore(&of("clock")).err(), Some(old.clone()));
+        assert_eq!(QuorumClock::restore(&of("quorum")).err(), Some(old.clone()));
+        assert_eq!(LifecycleClient::restore(&of("lifecycle")).err(), Some(old));
+        counted_cold_start(of("clock"));
+    }
+}
 
+/// A crashed replay whose only checkpoint is `blob` restarts cold, says
+/// so, and still ends where the uninterrupted run does.
+fn counted_cold_start(blob: Vec<u8>) {
     let scenario = Scenario::baseline(0).with_poll_period(64.0).with_duration(64.0 * 300.0);
     let w = FleetConfig::new(1, 5, scenario, ClockConfig::paper_defaults(64.0));
     let mut store = Recording {
-        serve: Some(ClockCheckpoint { delivered: 100, digest: 0, blob: clock_v1 }),
+        serve: Some(ClockCheckpoint { delivered: 100, digest: 0, blob }),
         ..Default::default()
     };
     #[cfg(feature = "telemetry")]

@@ -1,0 +1,218 @@
+//! The state diet's pins: what a clock's history costs per packet, that
+//! nothing was lost by storing only the four stamps, and that a restore
+//! refuses the payloads an implicit packet index could not survive.
+//!
+//! The history ring holds 48 bytes a packet — `Ta, Tb, Te, Tf` and the
+//! baseline triple — and a snapshot carries the same six words; the
+//! packet's global index is its position, and `Tf`/RTT in counts and the
+//! two midpoints are computed from the stamps where they are read.
+
+use proptest::prelude::*;
+use tscclock::snapshot::{kind, SnapshotWriter};
+use tscclock::{ClockConfig, History, PacketRecord, RawExchange, SnapshotError, TscNtpClock};
+
+/// True period of the synthetic host counter: 1 GHz with +52.4 PPM skew.
+const PERIOD: f64 = 1.0000524e-9;
+
+/// 16 s polls over a symmetric path to a perfect server: a fixed minimum
+/// delay plus cubed-uniform queueing each way, from a 64-bit LCG; the
+/// route lengthens by 0.6 ms at packet `shift_at`.
+fn lcg_exchanges(n: usize, shift_at: usize) -> Vec<RawExchange> {
+    let mut lcg = 1u64;
+    let mut uniform = move || {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (lcg >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|i| {
+            let min_delay = if i < shift_at { 450e-6 } else { 1050e-6 };
+            let (t, u, v) = (16.0 * i as f64, uniform(), uniform());
+            let tb = t + min_delay + 300e-6 * u * u * u;
+            let te = tb + 40e-6;
+            let tf = te + min_delay + 300e-6 * v * v * v;
+            RawExchange {
+                ta_tsc: (t / PERIOD) as u64,
+                tb,
+                te,
+                tf_tsc: (tf / PERIOD) as u64,
+            }
+        })
+        .collect()
+}
+
+fn fed_clock(input: &[RawExchange]) -> TscNtpClock {
+    let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(16.0));
+    for &ex in input {
+        clock.process(ex);
+    }
+    clock
+}
+
+#[test]
+fn a_snapshot_costs_48_bytes_a_packet_and_resumes_bit_identically() {
+    const HEAD: usize = 5_000;
+    let input = lcg_exchanges(HEAD + 200, usize::MAX);
+    let mut clock = fed_clock(&input[..HEAD]);
+    let blob = clock.snapshot();
+    assert!(
+        blob.len() <= 48 * HEAD + (8 << 10),
+        "{} B for {HEAD} packets",
+        blob.len()
+    );
+    let mut restored = TscNtpClock::restore(&blob).expect("own snapshot restores");
+    for &ex in &input[HEAD..] {
+        let (a, b) = (
+            clock.process(ex).expect("warm"),
+            restored.process(ex).expect("warm"),
+        );
+        let bits = |x: f64| x.to_bits();
+        assert_eq!(
+            (
+                a.idx,
+                bits(a.rtt),
+                bits(a.point_error),
+                bits(a.theta_naive),
+                bits(a.theta_hat)
+            ),
+            (
+                b.idx,
+                bits(b.rtt),
+                bits(b.point_error),
+                bits(b.theta_naive),
+                bits(b.theta_hat)
+            ),
+        );
+        assert_eq!(
+            (bits(a.p_hat), a.p_local.map(bits), a.events),
+            (bits(b.p_hat), b.p_local.map(bits), b.events)
+        );
+    }
+    assert!(
+        clock.snapshot() == restored.snapshot(),
+        "the two clocks seal different bytes"
+    );
+}
+
+proptest! {
+    /// Every public view hands out the pushed stamps under the right index,
+    /// and its derived columns are the `RawExchange` expressions bit for
+    /// bit — across two T/2 slides and an upward shift, for counters that
+    /// start small, above 2⁵² (midpoint sums above 2⁵³) or just short of
+    /// wrapping.
+    #[test]
+    fn views_derive_columns_and_indices_exactly(
+        cap in 8usize..48,
+        start in 0usize..3,
+        rtts in prop::collection::vec(1u64..4_000_000, 80),
+    ) {
+        let base = [1_000u64, (1 << 52) + 12_345, u64::MAX - 40_000_000_000][start];
+        let pushed: Vec<RawExchange> = rtts
+            .iter()
+            .take(cap + cap / 2 + 3) // two slides and a few more
+            .enumerate()
+            .map(|(k, &rtt)| {
+                let ta_tsc = base.wrapping_add(k as u64 * 1_000_000_007);
+                let tb = k as f64 * 1.0 + rtt as f64 * 0.4e-9;
+                RawExchange { ta_tsc, tb, te: tb + 21e-6, tf_tsc: ta_tsc.wrapping_add(rtt) }
+            })
+            .collect();
+        let mut h = History::new(cap);
+        let mut slides = 0;
+        for (k, &ex) in pushed.iter().enumerate() {
+            let (idx, outcome) = h.push(ex);
+            prop_assert_eq!(idx, k as u64);
+            slides += outcome.window_slid as usize;
+            if k == cap + 2 {
+                h.apply_upward_shift(h.rtt_min_c() + 5.0, idx - 1);
+            }
+            let same = |r: PacketRecord| {
+                let want = pushed[r.idx as usize];
+                r.ex == want
+                    && r.tf_c().to_bits() == (want.tf_tsc as f64).to_bits()
+                    && r.rtt_c().to_bits() == (want.rtt_counts() as f64).to_bits()
+                    && r.hm_c().to_bits() == want.host_midpoint_counts().to_bits()
+                    && r.sm().to_bits() == want.server_midpoint().to_bits()
+            };
+            let front = idx + 1 - h.len() as u64;
+            prop_assert_eq!(h.first().map(|r| r.idx), Some(front));
+            prop_assert_eq!(h.last().map(|r| r.idx), Some(idx));
+            prop_assert!(h.get(front.wrapping_sub(1)).is_none() && h.get(idx + 1).is_none());
+            for i in front..=idx {
+                let r = h.get(i).expect("retained");
+                prop_assert!(r.idx == i && same(r), "get({}) at packet {}", i, k);
+            }
+            prop_assert!(h.iter().map(|r| r.idx).eq(front..=idx));
+            prop_assert!(h.iter().all(same));
+            prop_assert!(h.last_n(3).map(|r| r.idx).eq(idx.saturating_sub(2).max(front)..=idx));
+            prop_assert!(h.last_n(3).all(same));
+        }
+        prop_assert_eq!(slides, 2);
+    }
+}
+
+/// Re-seals `blob`'s payload with the eight bytes at payload offset `at`
+/// replaced by `word`, so the envelope and its checksum are valid and only
+/// the restore's own checks can refuse it.
+fn resealed_with(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
+    let mut payload = blob[15..blob.len() - 8].to_vec();
+    payload[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    let mut w = SnapshotWriter::with_capacity(payload.len());
+    payload.into_iter().for_each(|b| w.put_u8(b));
+    w.seal(kind::CLOCK)
+}
+
+#[test]
+fn restore_refuses_what_the_implicit_index_cannot_survive() {
+    // sealed after the detector confirmed the route change: two eras
+    let clock = fed_clock(&lcg_exchanges(420, 250));
+    let blob = clock.snapshot();
+    let payload = &blob[15..blob.len() - 8];
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+
+    // The history section follows the configuration: cap, r̂, era_base (a
+    // u32), rebase_gen, next_idx, the slot count and the 48-byte slots;
+    // then the min-deque's count and (idx, rtt) pairs; then the era
+    // count and, first in each era, its start_idx.
+    let mut cfg = SnapshotWriter::new();
+    clock.config().save_state(&mut cfg);
+    let history_at = cfg.seal(kind::CLOCK).len() - 15 - 8;
+    let next_idx_at = history_at + 8 + 8 + 4 + 8;
+    let (next_idx, n_rec) = (word(next_idx_at), word(next_idx_at + 8));
+    assert_eq!(
+        (next_idx, n_rec),
+        (420, clock.history().len() as u64),
+        "layout moved"
+    );
+    let mono_at = next_idx_at + 16 + 48 * n_rec as usize;
+    let n_mono = word(mono_at) as usize;
+    let eras_at = mono_at + 8 + 16 * n_mono;
+    assert!(
+        n_mono >= 2 && word(eras_at) == 2,
+        "{n_mono} candidates, {} eras",
+        word(eras_at)
+    );
+    let era0_at = eras_at + 8;
+    let era1_at = era0_at + 8 + 8 + 4 + 8 + 12 * word(era0_at + 20) as usize;
+    assert_eq!(word(era0_at), 0, "layout moved");
+    assert!((1..next_idx).contains(&word(era1_at)), "layout moved");
+
+    assert!(TscNtpClock::restore(&resealed_with(&blob, next_idx_at, next_idx)).is_ok());
+    const ADMITTED: &str = "history holds more records than were admitted";
+    const OUTSIDE: &str = "rtt-minimum candidate outside the window";
+    const ORDER: &str = "rtt-minimum candidates not increasing";
+    const ERAS: &str = "era starts decreasing or beyond the newest packet";
+    for (at, bad, why) in [
+        (next_idx_at, n_rec - 1, ADMITTED),
+        (next_idx_at, next_idx + 1_000, OUTSIDE), // every candidate below the window
+        (mono_at + 8, next_idx, OUTSIDE),         // one beyond the newest packet
+        (mono_at + 24, word(mono_at + 8), ORDER), // two with one index
+        (mono_at + 32, word(mono_at + 16), ORDER), // two with one value
+        (era0_at, word(era1_at) + 1, ERAS),       // starts decreasing
+        (era1_at, next_idx + 1, ERAS),            // one beyond the newest packet
+    ] {
+        let got = TscNtpClock::restore(&resealed_with(&blob, at, bad)).map(|_| "restored");
+        assert_eq!(got, Err(SnapshotError::Invalid(why)), "word {at} := {bad}");
+    }
+}
