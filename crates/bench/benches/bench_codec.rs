@@ -19,8 +19,27 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("encode", |b| {
         b.iter(|| std::hint::black_box(std::hint::black_box(&resp).encode()))
     });
+    g.bench_function("encode_into", |b| {
+        let mut buf = [0u8; 48];
+        b.iter(|| {
+            std::hint::black_box(&resp).encode_into(&mut buf);
+            std::hint::black_box(&mut buf);
+        })
+    });
     g.bench_function("decode", |b| {
         b.iter(|| NtpPacket::decode(std::hint::black_box(&bytes)).expect("valid"))
+    });
+    // What a server does to one datagram, codec only: decode the request,
+    // build the response, encode it in place.
+    g.bench_function("serve_roundtrip", |b| {
+        let request = req.encode();
+        let (tb, te) = (resp.receive_ts, resp.transmit_ts);
+        let mut buf = [0u8; 48];
+        b.iter(|| {
+            let request = NtpPacket::decode(std::hint::black_box(&request)).expect("valid");
+            NtpPacket::server_response(&request, tb, te, *b"GPS\0").encode_into(&mut buf);
+            std::hint::black_box(&mut buf);
+        })
     });
     g.bench_function("validate_response", |b| {
         b.iter(|| std::hint::black_box(&resp).validate_response(std::hint::black_box(&req)))

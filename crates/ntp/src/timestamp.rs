@@ -6,9 +6,29 @@
 //! delay/dispersion. The paper's algorithms work in seconds; the conversions
 //! here are careful to preserve sub-microsecond precision (the fraction LSB
 //! of the 64-bit format is ~233 picoseconds).
+//!
+//! # Rounding without libm
+//!
+//! The float → fixed-point conversions sit on the serving plane's
+//! per-request path, and on baseline x86-64 `f64::floor` / `round` are
+//! calls into a software libm. They round with integer casts instead,
+//! bit-identically: for `0 ≤ x < 2⁶³`, `x as i64` truncates, which *is*
+//! `floor`; `x − (x as i64) as f64` is the fractional part and is exact
+//! (both operands share an exponent range in which the difference is
+//! representable); and adding one when that part is `≥ 0.5` is round
+//! half away from zero — what `f64::round` does for `x ≥ 0`. The served
+//! bytes are therefore a function of this source, not of the host's libm
+//! (`tests/libm_inventory.rs` keeps it so).
 
 /// Seconds between the NTP epoch (1900-01-01) and the Unix epoch (1970-01-01).
 pub const NTP_UNIX_OFFSET: f64 = 2_208_988_800.0;
+
+/// `x.round()` for `0 ≤ x < 2⁶³`, as an integer (see the module docs).
+#[inline]
+fn round_nonneg(x: f64) -> i64 {
+    let i = x as i64;
+    i + i64::from(x - i as f64 >= 0.5)
+}
 
 /// 64-bit NTP timestamp: 32-bit seconds since the NTP epoch, 32-bit fraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
@@ -28,25 +48,24 @@ impl NtpTimestamp {
 
     /// Builds from seconds since the *NTP* epoch. Values are clamped to the
     /// representable era-0 range `[0, 2³²)`.
+    #[inline]
     pub fn from_ntp_seconds(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return Self::ZERO;
         }
         let s = s.min(u32::MAX as f64 + 0.999_999_999);
-        let secs = s.floor();
-        let frac = ((s - secs) * 4_294_967_296.0).round();
-        let (secs, frac) = if frac >= 4_294_967_296.0 {
-            (secs + 1.0, 0.0)
-        } else {
-            (secs, frac)
-        };
+        let secs = s as i64; // floor: 0 < s ≤ 2³²
+        let frac = round_nonneg((s - secs as f64) * 4_294_967_296.0);
         Self {
-            seconds: secs as u32,
+            // A fraction that rounds up to 2³² carries (and truncates to 0
+            // below); the seconds saturate at the end of the era.
+            seconds: u32::try_from(secs + (frac >> 32)).unwrap_or(u32::MAX),
             fraction: frac as u32,
         }
     }
 
     /// Builds from seconds since the *Unix* epoch.
+    #[inline]
     pub fn from_unix_seconds(s: f64) -> Self {
         Self::from_ntp_seconds(s + NTP_UNIX_OFFSET)
     }
@@ -69,11 +88,13 @@ impl NtpTimestamp {
     }
 
     /// Raw 64-bit big-endian wire representation.
+    #[inline]
     pub fn to_bits(self) -> u64 {
         ((self.seconds as u64) << 32) | self.fraction as u64
     }
 
     /// Parses the raw 64-bit representation.
+    #[inline]
     pub fn from_bits(bits: u64) -> Self {
         Self {
             seconds: (bits >> 32) as u32,
@@ -97,11 +118,12 @@ pub struct NtpShort(pub u32);
 
 impl NtpShort {
     /// Converts from seconds (clamped to the representable range).
+    #[inline]
     pub fn from_seconds(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return Self(0);
         }
-        Self((s.min(65_535.999) * 65_536.0).round() as u32)
+        Self(round_nonneg(s.min(65_535.999) * 65_536.0) as u32)
     }
 
     /// Value in seconds.
@@ -190,6 +212,101 @@ mod tests {
         assert_eq!(NtpShort::from_seconds(f64::INFINITY).0, 0);
         // large finite values clamp to the top of the 16.16 range
         assert_eq!(NtpShort::from_seconds(1e9).0, (65_535.999f64 * 65_536.0).round() as u32);
+    }
+
+    /// The `floor` / `round` formulation the integer rounding replaced,
+    /// kept as the reference the conversions must equal bit for bit.
+    fn reference_from_ntp_seconds(s: f64) -> NtpTimestamp {
+        if !s.is_finite() || s <= 0.0 {
+            return NtpTimestamp::ZERO;
+        }
+        let s = s.min(u32::MAX as f64 + 0.999_999_999);
+        let secs = s.floor();
+        let frac = ((s - secs) * 4_294_967_296.0).round();
+        let (secs, frac) = if frac >= 4_294_967_296.0 {
+            (secs + 1.0, 0.0)
+        } else {
+            (secs, frac)
+        };
+        NtpTimestamp {
+            seconds: secs as u32,
+            fraction: frac as u32,
+        }
+    }
+
+    fn reference_short_from_seconds(s: f64) -> NtpShort {
+        if !s.is_finite() || s <= 0.0 {
+            return NtpShort(0);
+        }
+        NtpShort((s.min(65_535.999) * 65_536.0).round() as u32)
+    }
+
+    /// The neighbours of `x` one ulp either side, and `x`.
+    fn with_neighbours(x: f64) -> [f64; 3] {
+        [
+            f64::from_bits(x.to_bits() - 1),
+            x,
+            f64::from_bits(x.to_bits() + 1),
+        ]
+    }
+
+    #[test]
+    fn integer_rounding_equals_the_libm_formulation() {
+        let two32 = 4_294_967_296.0;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324, // smallest subnormal
+            1e-310,
+            two32,
+            1e300,
+        ];
+        for k in [
+            0.0,
+            1.0,
+            2.0,
+            1_000.0,
+            65_535.0,
+            2_208_988_800.0,
+            two32 - 1.0,
+        ] {
+            // Rounding ties, in seconds and in units of either fixed point.
+            inputs.extend(with_neighbours(k + 0.5));
+            inputs.extend(with_neighbours((k + 0.5) / two32));
+            inputs.extend(with_neighbours((k + 0.5) / 65_536.0));
+            // Fractions that round up into a carry.
+            inputs.extend(with_neighbours(k + 1.0 - 0.5 / two32));
+        }
+        inputs.extend(with_neighbours(two32 - 1.0));
+        inputs.extend(with_neighbours(65_535.999));
+        // ≥ 10⁵ LCG-drawn values over [0, 2³³), and the same draws scaled
+        // into the short format's range.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..120_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            inputs.push(u * 2.0 * two32);
+            inputs.push(u * 70_000.0);
+        }
+        for s in inputs {
+            assert_eq!(
+                NtpTimestamp::from_ntp_seconds(s),
+                reference_from_ntp_seconds(s),
+                "from_ntp_seconds({s:e})"
+            );
+            assert_eq!(
+                NtpShort::from_seconds(s),
+                reference_short_from_seconds(s),
+                "NtpShort::from_seconds({s:e})"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tsc_ntp::packet::{Mode, NtpPacket};
+use tsc_ntp::packet::{Mode, NtpPacket, PACKET_LEN};
 use tsc_ntp::timestamp::{NtpShort, NtpTimestamp};
 use tsc_telemetry as telemetry;
 
@@ -101,14 +101,19 @@ pub fn decide(cfg: &ServeConfig, snap: Option<&ClockSnapshot>, tsc: u64) -> Deci
 
 /// Encodes `bound` seconds into the 16.16 short format **rounding up**,
 /// saturating at the format maximum: the wire bound must dominate the
-/// internal one.
+/// internal one. The ceiling is taken with an integer cast, not `ceil()`
+/// (a libm call per response on baseline x86-64): below `u32::MAX` the
+/// truncation `i` is exact as an `f64`, so `i + (i < x)` is `⌈x⌉`.
 #[inline]
 pub fn bound_to_wire(bound: f64) -> NtpShort {
-    let scaled = (bound * 65536.0).ceil();
-    if scaled >= u32::MAX as f64 {
+    let x = bound * 65536.0;
+    if x >= u32::MAX as f64 {
         NtpShort(u32::MAX)
+    } else if x > 0.0 {
+        let i = x as i64;
+        NtpShort((i + i64::from((i as f64) < x)) as u32)
     } else {
-        NtpShort(scaled.max(0.0) as u32)
+        NtpShort(0) // ≤ 0 or NaN
     }
 }
 
@@ -167,8 +172,15 @@ impl ServePlane {
             return 0;
         }
         let snap = self.cell.read();
+        // What every served response of this batch shares: constants of
+        // the one snapshot read, converted once.
+        let (reference_id, reference_ts) = match &snap {
+            Some(s) => (s.reference_id, NtpTimestamp::from_unix_seconds(s.base)),
+            None => ([0; 4], NtpTimestamp::ZERO), // unused: `decide` refuses
+        };
         let (mut served, mut malformed, mut refused) = (0u64, 0u64, 0u64);
-        let mut first_age_ns = 0u64;
+        // Snapshot age at the batch's first valid request.
+        let mut first_age_ns = None;
         for i in 0..n {
             let request = match NtpPacket::decode(rx.slot(i)) {
                 Ok(p) if p.mode == Mode::Client => p,
@@ -179,32 +191,30 @@ impl ServePlane {
                 }
             };
             let tsc = tsc_now();
-            if i == 0 {
-                if let Some(s) = &snap {
-                    first_age_ns = (s.staleness(tsc).max(0.0) * 1e9) as u64;
-                }
-            }
-            match decide(&self.cfg, snap.as_ref(), tsc) {
+            first_age_ns.get_or_insert_with(|| {
+                snap.map_or(0, |s| (s.staleness(tsc).max(0.0) * 1e9) as u64)
+            });
+            let response = match decide(&self.cfg, snap.as_ref(), tsc) {
                 Decision::Serve { tb, te, bound } => {
-                    let snap = snap.as_ref().unwrap();
-                    let mut resp = NtpPacket::server_response(
-                        &request,
-                        NtpTimestamp::from_unix_seconds(tb),
-                        NtpTimestamp::from_unix_seconds(te),
-                        snap.reference_id,
-                    );
-                    resp.root_dispersion = bound_to_wire(bound);
-                    resp.reference_ts = NtpTimestamp::from_unix_seconds(snap.base);
-                    resp.encode_into(tx.slot_mut(i));
-                    tx.set_len(i, tsc_ntp::packet::PACKET_LEN);
                     served += 1;
+                    NtpPacket {
+                        root_dispersion: bound_to_wire(bound),
+                        reference_ts,
+                        ..NtpPacket::server_response(
+                            &request,
+                            NtpTimestamp::from_unix_seconds(tb),
+                            NtpTimestamp::from_unix_seconds(te),
+                            reference_id,
+                        )
+                    }
                 }
                 Decision::Refuse(code) => {
-                    NtpPacket::refusal_response(&request, code).encode_into(tx.slot_mut(i));
-                    tx.set_len(i, tsc_ntp::packet::PACKET_LEN);
                     refused += 1;
+                    NtpPacket::refusal_response(&request, code)
                 }
-            }
+            };
+            response.encode_into(tx.slot_mut(i));
+            tx.set_len(i, PACKET_LEN);
         }
         self.stats.requests += n as u64;
         self.stats.responses += served;
@@ -217,7 +227,9 @@ impl ServePlane {
         telemetry::add(telemetry::Ctr::ServeRefusals, refused);
         telemetry::add(telemetry::Ctr::ServeBatches, 1);
         telemetry::record_ns(telemetry::Hist::ServeBatchFill, n as u64);
-        telemetry::record_ns(telemetry::Hist::ServeSnapshotAgeNs, first_age_ns);
+        if let Some(age_ns) = first_age_ns {
+            telemetry::record_ns(telemetry::Hist::ServeSnapshotAgeNs, age_ns);
+        }
         (served + refused) as usize
     }
 }
@@ -417,6 +429,16 @@ mod tests {
         }
     }
 
+    /// The `ceil()` formulation the integer cast replaced.
+    fn reference_bound_to_wire(bound: f64) -> NtpShort {
+        let scaled = (bound * 65536.0).ceil();
+        if scaled >= u32::MAX as f64 {
+            NtpShort(u32::MAX)
+        } else {
+            NtpShort(scaled.max(0.0) as u32)
+        }
+    }
+
     #[test]
     fn wire_bound_rounds_up_never_down() {
         for bound in [0.0, 1e-9, 15e-6, 50e-6, 1.0, 3.7e4] {
@@ -425,6 +447,93 @@ mod tests {
             assert!(wire - bound <= 1.0 / 65536.0 + 1e-12);
         }
         assert_eq!(bound_to_wire(1e9).0, u32::MAX); // saturates
+
+        // Bit-equal to the `ceil()` formulation everywhere, and never
+        // under-reporting, over the edge cases and 2.4·10⁵ draws.
+        let top = u32::MAX as f64 / 65536.0;
+        let mut bounds = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e300,
+            65_535.0,
+            65_536.0,
+        ];
+        for k in [
+            0.0,
+            1.0,
+            2.0,
+            1_000.0,
+            65_535.0 * 65_536.0,
+            u32::MAX as f64 - 1.0,
+        ] {
+            for x in [k, k + 0.5, k + 1.0] {
+                // Either side of an integer and of a half, in wire units.
+                let b = x / 65536.0;
+                bounds.extend([f64::from_bits(b.to_bits() + 1), b]);
+                if b > 0.0 {
+                    bounds.push(f64::from_bits(b.to_bits() - 1));
+                }
+            }
+        }
+        bounds.extend([
+            top,
+            f64::from_bits(top.to_bits() - 1),
+            f64::from_bits(top.to_bits() + 1),
+        ]);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..120_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            // Uniform over twice the format's range, and log-uniform
+            // over 1 ns … 100 s where served bounds live.
+            bounds.extend([u * 131_072.0, 1e-9 * 1e11f64.powf(u)]);
+        }
+        for b in bounds {
+            let wire = bound_to_wire(b);
+            assert_eq!(wire, reference_bound_to_wire(b), "bound_to_wire({b:e})");
+            if (0.0..=65_535.0).contains(&b) {
+                assert!(wire.to_seconds() >= b, "wire {wire:?} under-reports {b:e}");
+            } else if b > 65_536.0 {
+                assert_eq!(wire.0, u32::MAX, "{b:e} saturates");
+            }
+        }
+    }
+
+    /// A batch whose slot 0 is garbage and slot 1 valid records the age the
+    /// valid request saw, not 0. The registry is process-wide and other
+    /// tests serve concurrently, so the age is one no other test produces
+    /// (100 s: log2 bucket 37) and the assertion is on that bucket.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn snapshot_age_is_sampled_at_the_first_valid_request() {
+        let age_ns = 100_000_000_000u64;
+        let in_bucket = || {
+            let ages = telemetry::global().hist(telemetry::Hist::ServeSnapshotAgeNs);
+            ages.counts()[(u64::BITS - age_ns.leading_zeros()) as usize]
+        };
+        let cell = Arc::new(SnapshotCell::new());
+        cell.publish(&synced_snap(0));
+        let mut plane = ServePlane::new(cell, ServeConfig::default());
+        let req = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(500.0), 4);
+        let mut t = SimTransport::new();
+        t.push_request(&[0xFF; 48]);
+        t.push_request(&req.encode());
+        let mut rx = BatchBufs::new(2);
+        let mut tx = BatchBufs::new(2);
+        let n = t.recv_batch(&mut rx, 2).unwrap();
+        let before = in_bucket();
+        let mut tsc = move || age_ns; // 1 ns per count, sealed at 0
+        assert_eq!(plane.serve_batch(&rx, n, &mut tx, &mut tsc), 1);
+        assert_eq!(in_bucket() - before, 1);
     }
 
     #[test]

@@ -207,6 +207,21 @@ fn recv_error_is_transient(kind: io::ErrorKind) -> bool {
     )
 }
 
+/// `bytes` as one queue entry: the slot (truncated to `SLOT_LEN`) and its
+/// valid length. A whole slot — every well-formed NTP datagram — moves as
+/// one fixed-size copy; only a short one is zero-padded.
+#[inline]
+fn to_slot(bytes: &[u8]) -> ([u8; SLOT_LEN], usize) {
+    match bytes.first_chunk() {
+        Some(whole) => (*whole, SLOT_LEN),
+        None => {
+            let mut slot = [0u8; SLOT_LEN];
+            slot[..bytes.len()].copy_from_slice(bytes);
+            (slot, bytes.len())
+        }
+    }
+}
+
 /// In-process transport: requests are queued by the driving test/bench
 /// (e.g. generated from a netsim client population), responses land in an
 /// outbox — no sockets, no root, deterministic.
@@ -233,10 +248,7 @@ impl SimTransport {
 
     /// Queues a raw request datagram (truncated to one slot).
     pub fn push_request(&mut self, bytes: &[u8]) {
-        let mut slot = [0u8; SLOT_LEN];
-        let len = bytes.len().min(SLOT_LEN);
-        slot[..len].copy_from_slice(&bytes[..len]);
-        self.inbox.push_back((slot, len));
+        self.inbox.push_back(to_slot(bytes));
     }
 
     /// Pending (unserved) requests.
@@ -258,7 +270,7 @@ impl DatagramBatch for SimTransport {
             let Some((slot, len)) = self.inbox.pop_front() else {
                 break;
             };
-            rx.slot_mut(n)[..len].copy_from_slice(&slot[..len]);
+            rx.slot_mut(n).copy_from_slice(&slot);
             rx.set_len(n, len);
             n += 1;
         }
@@ -274,9 +286,7 @@ impl DatagramBatch for SimTransport {
                 continue;
             }
             if self.keep_responses {
-                let mut slot = [0u8; SLOT_LEN];
-                slot[..len].copy_from_slice(tx.slot(i));
-                self.outbox.push_back((slot, len));
+                self.outbox.push_back(to_slot(tx.slot(i)));
             }
             self.responses_sent += 1;
             sent += 1;
@@ -313,12 +323,17 @@ mod tests {
     }
 
     #[test]
-    fn oversized_request_is_truncated_to_slot() {
+    fn oversized_request_is_truncated_and_short_one_keeps_its_length() {
         let mut t = SimTransport::new();
         t.push_request(&[7; 100]);
-        let mut rx = BatchBufs::new(1);
-        assert_eq!(t.recv_batch(&mut rx, 1).unwrap(), 1);
-        assert_eq!(rx.len(0), SLOT_LEN);
+        t.push_request(&[5; 3]);
+        let mut rx = BatchBufs::new(2);
+        // A stale slot must not leak into the short datagram that reuses it.
+        rx.slot_mut(1).fill(0xEE);
+        assert_eq!(t.recv_batch(&mut rx, 2).unwrap(), 2);
+        assert_eq!(rx.slot(0), [7; SLOT_LEN]);
+        assert_eq!(rx.slot(1), [5; 3]);
+        assert_eq!(rx.slot_mut(1)[3..], [0; SLOT_LEN - 3]);
     }
 
     #[test]

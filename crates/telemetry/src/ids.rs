@@ -207,7 +207,8 @@ pub enum Hist {
     /// Whole-ingest-batch latency (per `ingest_batch` packets per clock).
     IngestBatchNs,
     /// Age of the published snapshot at serve time (nanoseconds of
-    /// staleness, worst slot per batch).
+    /// staleness at the batch's first valid request; a batch with none
+    /// records nothing).
     ServeSnapshotAgeNs,
     /// Datagrams per received batch (**unit: datagrams**, not ns) — how
     /// well the batched front-end amortizes its syscalls.

@@ -1,6 +1,6 @@
 //! What is left of ROADMAP 5(b): every libm-shaped call the generator's
-//! live source can still make, as a committed list with the rate at which
-//! a packet can reach it.
+//! and the serving path's live source can still make, as a committed list
+//! with the rate at which a packet can reach it.
 //!
 //! The e2e digests, the fleet parity constants and
 //! `tests/fixtures/checkpoint_v3.snap` are functions of the generator's
@@ -8,21 +8,30 @@
 //! platform's libm, which is not correctly rounded and may change under
 //! us. This test scans the live source — `#[cfg(test)]` modules and
 //! `#[cfg(feature = "reference")]` items stripped — of `tsc-netsim`,
-//! `tsc-osc`, `tsc-refmon` and the `rand_distr` shim for the callees in
-//! [`CALLEES`] and compares what it finds with [`ALLOWED`]. It fails on a
-//! site that is not listed (a new call has to be given a rate by hand), on
-//! a listed site that is gone (delete the row), and on any row whose rate
-//! is `per-packet`. `round` / `ceil` / `floor` are exact in any libm; they
-//! are listed because they are libcalls a per-packet path should not pay.
+//! `tsc-osc`, `tsc-refmon`, the `rand_distr` shim, `tsc-ntp` and
+//! `tsc-serve` for the callees in [`CALLEES`] and compares what it finds
+//! with [`ALLOWED`]. It fails on a site that is not listed (a new call has
+//! to be given a rate by hand), on a listed site that is gone (delete the
+//! row), and on any row whose rate is `per-packet`. `round` / `ceil` /
+//! `floor` are exact in any libm; they are listed because they are
+//! libcalls a per-packet path should not pay.
+//!
+//! `tsc-ntp` and `tsc-serve` have **no** row: the codec, the stamp
+//! conversions and the wire bound round with integer casts, so every byte
+//! the daemon serves — hence the `serve_mixed` and `closed_loop` digests
+//! on the serve side — is a function of the source alone, and any
+//! libm-shaped call added to their live source fails here.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-const DIRS: [&str; 4] = [
+const DIRS: [&str; 6] = [
     "crates/netsim/src",
     "crates/osc/src",
     "crates/refmon/src",
     "crates/shims/rand_distr/src",
+    "crates/ntp/src",
+    "crates/serve/src",
 ];
 
 const CALLEES: [&str; 9] = [
