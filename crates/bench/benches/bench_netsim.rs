@@ -19,6 +19,9 @@
 //!   integration + bridged/batched stochastic sampling, at a dense and a
 //!   coarse polling cadence, and at the two-reads-per-poll cadence a
 //!   delivered packet makes (`Ta`, then `Tf` a few ms later).
+//! * `chacha12_refill` — the keystream alone: 128-word refills by each
+//!   eight-block kernel the host can run (a packet draws ~20 words from
+//!   seven independent streams); elements are keystream words.
 //!
 //! Set `BENCH_JSON=BENCH_netsim.json` to write machine-readable results
 //! (bench name, mean ns, packets/s) for cross-PR tracking.
@@ -158,8 +161,29 @@ fn bench_osc_advance(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_chacha_refill(c: &mut Criterion) {
+    const REFILLS: usize = 10_000;
+    let mut g = c.benchmark_group("chacha12_refill");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements((REFILLS * rand_chacha::BUF_WORDS) as u64));
+    for &(name, kernel) in rand_chacha::kernels() {
+        g.bench_function(name, |b| {
+            let key = [0x9E37_79B9u32, 2, 3, 4, 5, 6, 7, 0x7F4A_7C15];
+            let mut out = [0u32; rand_chacha::BUF_WORDS];
+            b.iter(|| {
+                for i in 0..REFILLS {
+                    kernel(&key, 8 * i as u64, &mut out);
+                    std::hint::black_box(&mut out);
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_chacha_refill,
     bench_stream_raw,
     bench_stream_full,
     bench_stream_plus_clock,

@@ -335,7 +335,10 @@ impl FactoredWindow {
         self.s_whm = 0.0;
         self.s_wtf = 0.0;
         self.s_wpe = 0.0;
+        // The deque never holds more than the window: sized here, a long
+        // monotone κ run cannot reallocate it between rebuilds.
         self.min_q.clear();
+        self.min_q.reserve(window_n);
         let mut count = 0usize;
         for (r, &pe) in history.tail_raw(window_n).zip(kappa_buf.iter()) {
             // κ recomputed from the buffered pe — deterministic, so it is

@@ -368,6 +368,9 @@ pub struct MultiServerStream<'a> {
     /// Reused per-round scratch (event times, read schedule).
     events: Vec<PollEvents>,
     reads: Vec<ReadReq>,
+    /// Shared-bottleneck excess per path direction (`2k` forward, `2k + 1`
+    /// back); all zero outside a shared episode.
+    shared_excess: Vec<f64>,
 }
 
 /// Per-server event record of one round: true event times after phase 1,
@@ -449,6 +452,7 @@ impl<'a> MultiServerStream<'a> {
             round: 0,
             events: vec![PollEvents::default(); k],
             reads: Vec::with_capacity(2 * k),
+            shared_excess: vec![0.0; 2 * k],
         }
     }
 
@@ -523,14 +527,14 @@ impl<'a> MultiServerStream<'a> {
         // the per-path excesses (independent inside the shared episode).
         // Draws happen for every path every round the chain is on, so the
         // bottleneck stream never depends on per-server loss outcomes.
-        let mut shared_excess = [0.0f64; 2 * MAX_SERVERS];
+        self.shared_excess.fill(0.0);
         if let Some(b) = &mut self.bottleneck {
             let p_flip = if b.in_burst { b.p_on } else { b.p_off };
             if b.rng.random::<f64>() < p_flip {
                 b.in_burst = !b.in_burst;
             }
             if b.in_burst {
-                for e in shared_excess[..2 * k_total].iter_mut() {
+                for e in self.shared_excess.iter_mut() {
                     *e = b.burst.sample(&mut b.rng);
                 }
             }
@@ -550,11 +554,11 @@ impl<'a> MultiServerStream<'a> {
             });
             let ta = t_send + self.host.send_latency();
             let s = &mut self.servers[k];
-            let d_fwd = s.fwd.sample_cadenced() + shared_excess[2 * k];
+            let d_fwd = s.fwd.sample_cadenced() + self.shared_excess[2 * k];
             let tb = ta + d_fwd;
             let d_srv = s.server.residence(tb);
             let te = tb + d_srv;
-            let d_back = s.back.sample_cadenced() + shared_excess[2 * k + 1];
+            let d_back = s.back.sample_cadenced() + self.shared_excess[2 * k + 1];
             let tf = te + d_back;
             // Same short-circuit as the single-server path: inside an
             // outage the loss stream is not drawn.

@@ -160,6 +160,7 @@ impl Sinusoid {
     /// large angles. The pair is re-primed whenever `phase` (a public
     /// field) was mutated externally since the cache was written. Returns
     /// `((sin φ₀, cos φ₀), (sin φ₁, cos φ₁))`.
+    #[inline]
     fn rotate_phase(&mut self, a: f64) -> ((f64, f64), (f64, f64)) {
         let p0 = self.phase;
         let p1 = p0 + a;
@@ -199,6 +200,7 @@ impl Sinusoid {
     /// and the sub-step loop runs with no libm call at all. The pair is
     /// re-primed from the exact phase once per wrap of `φ` past `τ`, so
     /// rotation round-off cannot accumulate beyond one period.
+    #[inline]
     pub(crate) fn step_wander_fast(&mut self, dt: f64, sqrt_dt: f64, u: f64) -> f64 {
         let span = self.period_max - self.period_min;
         // span · 0.01 · √(dt/3600) · 2√3, with √dt hoisted by the caller.

@@ -50,16 +50,19 @@ impl TscCounter {
     /// Reads the counter at true time `t` (monotone in `t`).
     ///
     /// The cycle count is rounded half away from zero. Below 2⁵³ that is
-    /// done without the `round()` libcall: truncation to `u64` and the
-    /// remainder `x − trunc(x)` are both exact there, so comparing the
-    /// remainder with ½ is `round()` exactly.
+    /// done without the `round()` libcall: truncation to an integer and
+    /// the remainder `x − trunc(x)` are both exact there, so comparing the
+    /// remainder with ½ is `round()` exactly. The integer is an `i64`: in
+    /// this range it holds the same value a `u64` would, and both
+    /// conversions are one instruction (`cvttsd2si` / `cvtsi2sd`) where the
+    /// unsigned ones are branchy sequences on baseline x86-64.
     pub fn read(&mut self, t: f64) -> u64 {
         let local = self.osc.local_time_at(t);
         debug_assert!(local >= 0.0, "negative oscillator time");
         let x = self.freq_hz * local;
         let cycles = if (0.0..9_007_199_254_740_992.0).contains(&x) {
-            let i = x as u64;
-            i + u64::from(x - i as f64 >= 0.5)
+            let i = x as i64;
+            (i + i64::from(x - i as f64 >= 0.5)) as u64
         } else {
             x.round() as u64
         };

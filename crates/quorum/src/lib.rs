@@ -139,6 +139,8 @@ pub struct QuorumClock {
     /// Reused per-round scratch.
     candidates: Vec<Candidate>,
     scratch: Vec<(f64, f64)>,
+    /// This round's observation row, one entry per server.
+    obs: Vec<RoundObservation>,
 }
 
 impl QuorumClock {
@@ -167,6 +169,7 @@ impl QuorumClock {
             last: None,
             candidates: Vec::with_capacity(k),
             scratch: Vec::with_capacity(k),
+            obs: vec![RoundObservation::default(); k],
         }
     }
 
@@ -226,7 +229,8 @@ impl QuorumClock {
         // 1. Per-server ingestion (the unchanged §5–§6 pipeline).
         let mut delivered_mask = 0u32;
         let mut tsc_ref: Option<u64> = None;
-        let mut obs = [RoundObservation::default(); MAX_SERVERS];
+        let obs = &mut self.obs;
+        obs.fill(RoundObservation::default());
         for (k, ex) in round.iter().enumerate() {
             let Some(ex) = ex else { continue };
             delivered_mask |= 1 << k;
@@ -422,6 +426,7 @@ impl QuorumClock {
             last,
             candidates: Vec::with_capacity(k),
             scratch: Vec::with_capacity(k),
+            obs: vec![RoundObservation::default(); k],
         })
     }
 

@@ -7,14 +7,18 @@
 //! # Multi-block refill
 //!
 //! The keystream is produced eight blocks at a time into a 128-word
-//! buffer: blocks with counters `c .. c+8` are either computed by an AVX2
-//! kernel that interleaves the eight independent block states across the
-//! 32-bit lanes of `__m256i` rows (runtime-dispatched, same pattern as
-//! `tscclock::fastmath`) or by eight sequential scalar block functions.
-//! Both paths emit words in counter order, so the keystream is
-//! **bit-identical by construction** to the original one-block-at-a-time
-//! scalar implementation — the parity tests below verify ≥4096 words
-//! across seeds and buffer/counter boundaries, word for word.
+//! buffer: blocks with counters `c .. c+8` are computed by the best of
+//! three kernels the host can run (picked once per generator, same
+//! runtime-detection pattern as `tscclock::fastmath`) — eight sequential
+//! scalar block functions, or one vector body that interleaves the eight
+//! independent block states across the 32-bit lanes of `__m256i` rows,
+//! instantiated for AVX2 (a rotate is shift-shift-or) and for AVX-512VL
+//! (a rotate is one `vprold`: 12 vector ops a quarter-round instead of
+//! 20, and 32 vector registers, so the 16 rows never spill). All emit words in counter
+//! order, so the keystream is **bit-identical by construction** to the
+//! original one-block-at-a-time scalar implementation — the parity tests
+//! below verify ≥4096 words across seeds and buffer/counter boundaries,
+//! word for word, for every kernel the host has.
 
 use rand::{RngCore, SeedableRng};
 
@@ -31,13 +35,18 @@ pub struct ChaCha12Rng {
     /// 64-bit block counter (state words 12..13 as low/high) of the next
     /// block to generate.
     counter: u64,
-    /// Buffered keystream: 4 consecutive blocks.
+    /// Buffered keystream: 8 consecutive blocks.
     buf: [u32; BUF_WORDS],
     /// Next unread word in `buf`; `BUF_WORDS` means exhausted.
     idx: usize,
-    /// Test knob: skip the SIMD kernel even when the CPU has it.
-    force_scalar: bool,
+    /// The refill kernel: the last of [`kernels`] unless a parity test
+    /// pinned another (the keystream is identical either way).
+    kernel: Kernel,
 }
+
+/// An eight-block kernel: blocks `counter..counter+8` of the keystream for
+/// `key`, in counter order, into `out`.
+type Kernel = fn(&[u32; 8], u64, &mut [u32; BUF_WORDS]);
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -81,146 +90,214 @@ fn block_scalar(key: &[u32; 8], counter: u64, out: &mut [u32]) {
 }
 
 /// Eight sequential blocks (counters `counter..counter+8`) into `out`.
-#[doc(hidden)]
-pub fn blocks_x8_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+fn blocks_x8_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
     for b in 0..8 {
         block_scalar(key, counter.wrapping_add(b as u64), &mut out[b * 16..(b + 1) * 16]);
     }
 }
 
-/// Eight interleaved blocks via AVX2: each of the 16 state words becomes a
-/// `__m256i` row holding that word for blocks `c..c+8` (one per 32-bit
-/// lane), the rounds run on whole rows, and an 8×8 lane transpose at the
-/// end lays the blocks out sequentially — i.e. exactly the scalar output
-/// order.
 #[cfg(target_arch = "x86_64")]
-#[doc(hidden)]
-#[target_feature(enable = "avx2")]
-pub unsafe fn blocks_x8_avx2(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+mod x86 {
+    use super::{BUF_WORDS, CONSTANTS};
     use std::arch::x86_64::*;
 
-    #[inline(always)]
-    unsafe fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i {
-        _mm256_or_si256(_mm256_slli_epi32(x, L), _mm256_srli_epi32(x, R))
+    /// The one thing the two vector instantiations differ in: a 32-bit
+    /// lane-wise left rotate by `L` (`R = 32 − L`).
+    trait Rotate {
+        unsafe fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i;
+    }
+
+    /// AVX2 has no vector rotate: shift-shift-or. (`vpshufb` for the 16-
+    /// and 8-bit rotates was measured and is no faster here: the two masks
+    /// cost registers the 16 rows already spill from.)
+    struct ShiftOr;
+    impl Rotate for ShiftOr {
+        #[inline(always)]
+        unsafe fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+            _mm256_or_si256(_mm256_slli_epi32::<L>(x), _mm256_srli_epi32::<R>(x))
+        }
+    }
+
+    /// AVX-512VL: `vprold` on 256-bit rows.
+    struct Vprold;
+    impl Rotate for Vprold {
+        #[inline(always)]
+        unsafe fn rotl<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+            _mm256_rol_epi32::<L>(x)
+        }
     }
 
     #[inline(always)]
-    unsafe fn qr(rows: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize) {
+    unsafe fn qr<Rot: Rotate>(rows: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize) {
         rows[a] = _mm256_add_epi32(rows[a], rows[b]);
-        rows[d] = rotl::<16, 16>(_mm256_xor_si256(rows[d], rows[a]));
+        rows[d] = Rot::rotl::<16, 16>(_mm256_xor_si256(rows[d], rows[a]));
         rows[c] = _mm256_add_epi32(rows[c], rows[d]);
-        rows[b] = rotl::<12, 20>(_mm256_xor_si256(rows[b], rows[c]));
+        rows[b] = Rot::rotl::<12, 20>(_mm256_xor_si256(rows[b], rows[c]));
         rows[a] = _mm256_add_epi32(rows[a], rows[b]);
-        rows[d] = rotl::<8, 24>(_mm256_xor_si256(rows[d], rows[a]));
+        rows[d] = Rot::rotl::<8, 24>(_mm256_xor_si256(rows[d], rows[a]));
         rows[c] = _mm256_add_epi32(rows[c], rows[d]);
-        rows[b] = rotl::<7, 25>(_mm256_xor_si256(rows[b], rows[c]));
+        rows[b] = Rot::rotl::<7, 25>(_mm256_xor_si256(rows[b], rows[c]));
     }
 
-    let mut rows = [_mm256_setzero_si256(); 16];
-    for i in 0..4 {
-        rows[i] = _mm256_set1_epi32(CONSTANTS[i] as i32);
+    /// Eight interleaved blocks: each of the 16 state words becomes a
+    /// `__m256i` row holding that word for blocks `c..c+8` (one per 32-bit
+    /// lane), the rounds run on whole rows, and an 8×8 lane transpose at
+    /// the end lays the blocks out sequentially — i.e. exactly the scalar
+    /// output order. Always inlined into one of the two `target_feature`
+    /// entry points below, which is where its intrinsics get their ISA.
+    #[inline(always)]
+    unsafe fn blocks_x8<Rot: Rotate>(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        let mut rows = [_mm256_setzero_si256(); 16];
+        for i in 0..4 {
+            rows[i] = _mm256_set1_epi32(CONSTANTS[i] as i32);
+        }
+        for i in 0..8 {
+            rows[4 + i] = _mm256_set1_epi32(key[i] as i32);
+        }
+        let mut c = [0u64; 8];
+        for (b, ci) in c.iter_mut().enumerate() {
+            *ci = counter.wrapping_add(b as u64);
+        }
+        // `_mm256_set_epi32` takes lanes high-to-low; lane b must be block b.
+        rows[12] = _mm256_set_epi32(
+            c[7] as u32 as i32,
+            c[6] as u32 as i32,
+            c[5] as u32 as i32,
+            c[4] as u32 as i32,
+            c[3] as u32 as i32,
+            c[2] as u32 as i32,
+            c[1] as u32 as i32,
+            c[0] as u32 as i32,
+        );
+        rows[13] = _mm256_set_epi32(
+            (c[7] >> 32) as u32 as i32,
+            (c[6] >> 32) as u32 as i32,
+            (c[5] >> 32) as u32 as i32,
+            (c[4] >> 32) as u32 as i32,
+            (c[3] >> 32) as u32 as i32,
+            (c[2] >> 32) as u32 as i32,
+            (c[1] >> 32) as u32 as i32,
+            (c[0] >> 32) as u32 as i32,
+        );
+        // rows[14], rows[15] stay zero (nonce).
+        let input = rows;
+        for _ in 0..6 {
+            qr::<Rot>(&mut rows, 0, 4, 8, 12);
+            qr::<Rot>(&mut rows, 1, 5, 9, 13);
+            qr::<Rot>(&mut rows, 2, 6, 10, 14);
+            qr::<Rot>(&mut rows, 3, 7, 11, 15);
+            qr::<Rot>(&mut rows, 0, 5, 10, 15);
+            qr::<Rot>(&mut rows, 1, 6, 11, 12);
+            qr::<Rot>(&mut rows, 2, 7, 8, 13);
+            qr::<Rot>(&mut rows, 3, 4, 9, 14);
+        }
+        for i in 0..16 {
+            rows[i] = _mm256_add_epi32(rows[i], input[i]);
+        }
+        // Transpose each half (word-rows 0..8 and 8..16) from word-major to
+        // block-major with the standard AVX2 8×8 32-bit transpose: after it,
+        // vector `b` of a half holds words `h·8 .. h·8+8` of block `b`.
+        for h in 0..2 {
+            let r = &rows[h * 8..h * 8 + 8];
+            let t0 = _mm256_unpacklo_epi32(r[0], r[1]); // w0b0 w1b0 w0b1 w1b1 | b4 b5
+            let t1 = _mm256_unpackhi_epi32(r[0], r[1]); // w0b2 w1b2 w0b3 w1b3 | b6 b7
+            let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+            let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+            let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+            let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+            let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+            let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+            let u0 = _mm256_unpacklo_epi64(t0, t2); // w0..w4 of b0 | b4
+            let u1 = _mm256_unpackhi_epi64(t0, t2); // b1 | b5
+            let u2 = _mm256_unpacklo_epi64(t1, t3); // b2 | b6
+            let u3 = _mm256_unpackhi_epi64(t1, t3); // b3 | b7
+            let u4 = _mm256_unpacklo_epi64(t4, t6); // w4..w8 of b0 | b4
+            let u5 = _mm256_unpackhi_epi64(t4, t6);
+            let u6 = _mm256_unpacklo_epi64(t5, t7);
+            let u7 = _mm256_unpackhi_epi64(t5, t7);
+            let mut store = |block: usize, v: __m256i| {
+                _mm256_storeu_si256(out.as_mut_ptr().add(block * 16 + h * 8) as *mut __m256i, v)
+            };
+            store(0, _mm256_permute2x128_si256(u0, u4, 0x20));
+            store(4, _mm256_permute2x128_si256(u0, u4, 0x31));
+            store(1, _mm256_permute2x128_si256(u1, u5, 0x20));
+            store(5, _mm256_permute2x128_si256(u1, u5, 0x31));
+            store(2, _mm256_permute2x128_si256(u2, u6, 0x20));
+            store(6, _mm256_permute2x128_si256(u2, u6, 0x31));
+            store(3, _mm256_permute2x128_si256(u3, u7, 0x20));
+            store(7, _mm256_permute2x128_si256(u3, u7, 0x31));
+        }
     }
-    for i in 0..8 {
-        rows[4 + i] = _mm256_set1_epi32(key[i] as i32);
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn blocks_x8_avx2(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        blocks_x8::<ShiftOr>(key, counter, out)
     }
-    let mut c = [0u64; 8];
-    for (b, ci) in c.iter_mut().enumerate() {
-        *ci = counter.wrapping_add(b as u64);
+
+    /// # Safety
+    /// The CPU must support AVX2, AVX-512F and AVX-512VL.
+    #[target_feature(enable = "avx2,avx512f,avx512vl")]
+    unsafe fn blocks_x8_avx512vl(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        blocks_x8::<Vprold>(key, counter, out)
     }
-    // `_mm256_set_epi32` takes lanes high-to-low; lane b must be block b.
-    rows[12] = _mm256_set_epi32(
-        c[7] as u32 as i32,
-        c[6] as u32 as i32,
-        c[5] as u32 as i32,
-        c[4] as u32 as i32,
-        c[3] as u32 as i32,
-        c[2] as u32 as i32,
-        c[1] as u32 as i32,
-        c[0] as u32 as i32,
-    );
-    rows[13] = _mm256_set_epi32(
-        (c[7] >> 32) as u32 as i32,
-        (c[6] >> 32) as u32 as i32,
-        (c[5] >> 32) as u32 as i32,
-        (c[4] >> 32) as u32 as i32,
-        (c[3] >> 32) as u32 as i32,
-        (c[2] >> 32) as u32 as i32,
-        (c[1] >> 32) as u32 as i32,
-        (c[0] >> 32) as u32 as i32,
-    );
-    // rows[14], rows[15] stay zero (nonce).
-    let input = rows;
-    for _ in 0..6 {
-        qr(&mut rows, 0, 4, 8, 12);
-        qr(&mut rows, 1, 5, 9, 13);
-        qr(&mut rows, 2, 6, 10, 14);
-        qr(&mut rows, 3, 7, 11, 15);
-        qr(&mut rows, 0, 5, 10, 15);
-        qr(&mut rows, 1, 6, 11, 12);
-        qr(&mut rows, 2, 7, 8, 13);
-        qr(&mut rows, 3, 4, 9, 14);
+
+    pub(super) fn has_avx2() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
     }
-    for i in 0..16 {
-        rows[i] = _mm256_add_epi32(rows[i], input[i]);
+
+    pub(super) fn has_avx512vl() -> bool {
+        has_avx2()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
     }
-    // Transpose each half (word-rows 0..8 and 8..16) from word-major to
-    // block-major with the standard AVX2 8×8 32-bit transpose: after it,
-    // vector `b` of a half holds words `h·8 .. h·8+8` of block `b`.
-    for h in 0..2 {
-        let r = &rows[h * 8..h * 8 + 8];
-        let t0 = _mm256_unpacklo_epi32(r[0], r[1]); // w0b0 w1b0 w0b1 w1b1 | b4 b5
-        let t1 = _mm256_unpackhi_epi32(r[0], r[1]); // w0b2 w1b2 w0b3 w1b3 | b6 b7
-        let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
-        let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
-        let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
-        let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
-        let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
-        let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
-        let u0 = _mm256_unpacklo_epi64(t0, t2); // w0..w4 of b0 | b4
-        let u1 = _mm256_unpackhi_epi64(t0, t2); // b1 | b5
-        let u2 = _mm256_unpacklo_epi64(t1, t3); // b2 | b6
-        let u3 = _mm256_unpackhi_epi64(t1, t3); // b3 | b7
-        let u4 = _mm256_unpacklo_epi64(t4, t6); // w4..w8 of b0 | b4
-        let u5 = _mm256_unpackhi_epi64(t4, t6);
-        let u6 = _mm256_unpacklo_epi64(t5, t7);
-        let u7 = _mm256_unpackhi_epi64(t5, t7);
-        let mut store = |block: usize, v: __m256i| {
-            _mm256_storeu_si256(out.as_mut_ptr().add(block * 16 + h * 8) as *mut __m256i, v)
-        };
-        store(0, _mm256_permute2x128_si256(u0, u4, 0x20));
-        store(4, _mm256_permute2x128_si256(u0, u4, 0x31));
-        store(1, _mm256_permute2x128_si256(u1, u5, 0x20));
-        store(5, _mm256_permute2x128_si256(u1, u5, 0x31));
-        store(2, _mm256_permute2x128_si256(u2, u6, 0x20));
-        store(6, _mm256_permute2x128_si256(u2, u6, 0x31));
-        store(3, _mm256_permute2x128_si256(u3, u7, 0x20));
-        store(7, _mm256_permute2x128_si256(u3, u7, 0x31));
+
+    // The safe entry points re-check their features (a cached load each,
+    // against a ~100 ns kernel), so no caller can reach a kernel the CPU
+    // lacks.
+
+    pub(super) fn avx2(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        assert!(has_avx2());
+        // SAFETY: the feature the kernel is compiled for was detected just above.
+        unsafe { blocks_x8_avx2(key, counter, out) }
     }
+
+    pub(super) fn avx512vl(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+        assert!(has_avx512vl());
+        // SAFETY: the features the kernel is compiled for were detected just above.
+        unsafe { blocks_x8_avx512vl(key, counter, out) }
+    }
+}
+
+/// The eight-block kernels this host can run as `(name, kernel)`, slowest
+/// first; a new generator refills with the last. Hidden: it exists for the
+/// parity tests and the `chacha12_refill` bench row.
+#[doc(hidden)]
+pub fn kernels() -> &'static [(&'static str, Kernel)] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static ALL: [(&str, Kernel); 3] = [
+            ("scalar", blocks_x8_scalar),
+            ("avx2", x86::avx2),
+            ("avx512vl", x86::avx512vl),
+        ];
+        &ALL[..1 + usize::from(x86::has_avx2()) + usize::from(x86::has_avx512vl())]
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    &[("scalar", blocks_x8_scalar)]
+}
+
+fn best_kernel() -> Kernel {
+    kernels().last().expect("the scalar kernel is always listed").1
 }
 
 impl ChaCha12Rng {
     #[inline(never)]
     fn refill(&mut self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !self.force_scalar && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence checked at runtime just above.
-                unsafe { blocks_x8_avx2(&self.key, self.counter, &mut self.buf) };
-                self.counter = self.counter.wrapping_add(8);
-                self.idx = 0;
-                return;
-            }
-        }
-        blocks_x8_scalar(&self.key, self.counter, &mut self.buf);
+        (self.kernel)(&self.key, self.counter, &mut self.buf);
         self.counter = self.counter.wrapping_add(8);
         self.idx = 0;
-    }
-
-    /// Test knob: disable the SIMD refill (the keystream is identical
-    /// either way; this exists so the parity tests can prove it).
-    #[doc(hidden)]
-    pub fn set_force_scalar(&mut self, on: bool) {
-        self.force_scalar = on;
     }
 
     /// Exports the full stream position as `(key, counter, idx)`.
@@ -248,7 +325,7 @@ impl ChaCha12Rng {
             counter,
             buf: [0; BUF_WORDS],
             idx: BUF_WORDS,
-            force_scalar: false,
+            kernel: best_kernel(),
         };
         if idx < BUF_WORDS {
             // The live buffer holds blocks `counter-8 .. counter`:
@@ -335,7 +412,7 @@ impl SeedableRng for ChaCha12Rng {
             counter: 0,
             buf: [0; BUF_WORDS],
             idx: BUF_WORDS,
-            force_scalar: false,
+            kernel: best_kernel(),
         }
     }
 }
@@ -370,41 +447,74 @@ mod tests {
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
 
-    /// The central claim of the SIMD refill: the keystream is bit-identical
-    /// to the scalar path. ≥4096 words per seed, so every comparison spans
-    /// many 8-block buffer refills and dozens of counter increments.
+    /// A generator pinned to one kernel (the field is private to this
+    /// module; nothing outside it can pick).
+    fn pinned(seed: u64, kernel: Kernel) -> ChaCha12Rng {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        rng.kernel = kernel;
+        rng
+    }
+
+    /// The vector kernels this host has, against the scalar one.
+    fn vector_kernels() -> (Kernel, &'static [(&'static str, Kernel)]) {
+        let all = kernels();
+        assert_eq!(all[0].0, "scalar");
+        (all[0].1, &all[1..])
+    }
+
+    /// The central claim of the multi-kernel refill: the keystream is
+    /// bit-identical to the scalar path. ≥4096 words per seed, so every
+    /// comparison spans many 8-block buffer refills and dozens of counter
+    /// increments.
     #[test]
-    fn simd_keystream_matches_scalar_word_for_word() {
-        for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
-            let mut simd = ChaCha12Rng::seed_from_u64(seed);
-            let mut scalar = ChaCha12Rng::seed_from_u64(seed);
-            scalar.set_force_scalar(true);
-            for i in 0..4096 {
-                assert_eq!(
-                    simd.next_u32(),
-                    scalar.next_u32(),
-                    "seed {seed}: keystream diverged at word {i}"
-                );
+    fn vector_keystreams_match_scalar_word_for_word() {
+        let (scalar, vector) = vector_kernels();
+        for &(name, kernel) in vector {
+            for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
+                let mut simd = pinned(seed, kernel);
+                let mut reference = pinned(seed, scalar);
+                for i in 0..4096 {
+                    assert_eq!(
+                        simd.next_u32(),
+                        reference.next_u32(),
+                        "{name}, seed {seed}: keystream diverged at word {i}"
+                    );
+                }
             }
         }
     }
 
     /// Direct kernel-level parity across a counter straddling the u64 wrap
     /// (lanes `c..c+8` must wrap independently).
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn kernel_parity_across_counter_wrap() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
+        let (scalar, vector) = vector_kernels();
         let key = [1u32, 2, 3, 4, 0xffff_ffff, 6, 7, 8];
-        for counter in [0u64, 1, 1000, u64::MAX - 7, u64::MAX - 3, u64::MAX - 1, u64::MAX] {
-            let mut a = [0u32; BUF_WORDS];
-            let mut b = [0u32; BUF_WORDS];
-            blocks_x8_scalar(&key, counter, &mut a);
-            unsafe { blocks_x8_avx2(&key, counter, &mut b) };
-            assert_eq!(a, b, "counter {counter}");
+        for &(name, kernel) in vector {
+            for counter in [0u64, 1, 1000, u64::MAX - 7, u64::MAX - 3, u64::MAX - 1, u64::MAX] {
+                let mut a = [0u32; BUF_WORDS];
+                let mut b = [0u32; BUF_WORDS];
+                scalar(&key, counter, &mut a);
+                kernel(&key, counter, &mut b);
+                assert_eq!(a, b, "{name}, counter {counter}");
+            }
         }
+    }
+
+    /// A new generator refills with the widest kernel the host has, and
+    /// the list never offers one it does not.
+    #[test]
+    fn dispatch_prefers_the_widest_kernel() {
+        let names: Vec<&str> = kernels().iter().map(|k| k.0).collect();
+        assert!(["scalar", "avx2", "avx512vl"].starts_with(&names), "{names:?}");
+        let rng = ChaCha12Rng::seed_from_u64(1);
+        assert!(std::ptr::fn_addr_eq(rng.kernel, kernels().last().unwrap().1));
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            names.contains(&"avx512vl"),
+            std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("avx512f")
+        );
     }
 
     /// `fill_u64` must yield exactly the sequence `next_u64` would,
@@ -432,40 +542,52 @@ mod tests {
 
     /// `export_state`/`from_state` must resume the keystream exactly, from
     /// every buffer position (fresh, mid-buffer, exhausted) and across
-    /// refill boundaries.
+    /// refill boundaries — whichever kernel filled the exported buffer and
+    /// whichever refills the restored one.
     #[test]
     fn exported_state_resumes_the_keystream_exactly() {
-        for drain in [0usize, 1, 17, 127, 128, 129, 300] {
-            let mut orig = ChaCha12Rng::seed_from_u64(77);
-            for _ in 0..drain {
-                orig.next_u32();
-            }
-            let (key, counter, idx) = orig.export_state();
-            let mut restored = ChaCha12Rng::from_state(key, counter, idx);
-            for i in 0..512 {
-                assert_eq!(
-                    orig.next_u32(),
-                    restored.next_u32(),
-                    "drain {drain}: diverged at word {i}"
-                );
+        for &(name, kernel) in kernels() {
+            for drain in [0usize, 1, 17, 127, 128, 129, 300] {
+                let mut orig = pinned(77, kernel);
+                for _ in 0..drain {
+                    orig.next_u32();
+                }
+                let (key, counter, idx) = orig.export_state();
+                let mut restored = ChaCha12Rng::from_state(key, counter, idx);
+                for i in 0..512 {
+                    assert_eq!(
+                        orig.next_u32(),
+                        restored.next_u32(),
+                        "{name}, drain {drain}: diverged at word {i}"
+                    );
+                }
             }
         }
     }
 
-    /// Mixed u32/u64 reads interleave identically on both paths.
+    /// Mixed u32 / u64 / f64 / `fill_u64` reads interleave identically on
+    /// every kernel.
     #[test]
     fn mixed_reads_parity() {
-        let mut simd = ChaCha12Rng::seed_from_u64(5);
-        let mut scalar = ChaCha12Rng::seed_from_u64(5);
-        scalar.set_force_scalar(true);
-        for i in 0..2000 {
-            match i % 3 {
-                0 => assert_eq!(simd.next_u32(), scalar.next_u32()),
-                1 => assert_eq!(simd.next_u64(), scalar.next_u64()),
-                _ => {
-                    let x: f64 = simd.random();
-                    let y: f64 = scalar.random();
-                    assert_eq!(x.to_bits(), y.to_bits());
+        let (scalar, vector) = vector_kernels();
+        for &(name, kernel) in vector {
+            let mut simd = pinned(5, kernel);
+            let mut reference = pinned(5, scalar);
+            for i in 0..2000 {
+                match i % 4 {
+                    0 => assert_eq!(simd.next_u32(), reference.next_u32(), "{name}"),
+                    1 => assert_eq!(simd.next_u64(), reference.next_u64(), "{name}"),
+                    2 => {
+                        let x: f64 = simd.random();
+                        let y: f64 = reference.random();
+                        assert_eq!(x.to_bits(), y.to_bits(), "{name}");
+                    }
+                    _ => {
+                        let (mut x, mut y) = ([0u64; 37], [0u64; 37]);
+                        simd.fill_u64(&mut x[..1 + i % 37]);
+                        reference.fill_u64(&mut y[..1 + i % 37]);
+                        assert_eq!(x, y, "{name}");
+                    }
                 }
             }
         }

@@ -1,15 +1,23 @@
 //! Local subset of `rand_distr`: the `Distribution` trait plus the
 //! exponential and Pareto distributions, and ziggurat samplers (the same
 //! algorithm upstream uses) for the two hot-path distributions — a
-//! [`StandardNormal`]/[`Normal`] for the Gaussian draws and an [`Exp1`]
-//! standard exponential backing [`Exp`]. The common case of either costs
-//! one keystream `u64`, one multiply and a table compare instead of the
+//! [`StandardNormal`] for the Gaussian draws and an [`Exp1`] standard
+//! exponential backing [`Exp`]. The common case of either costs one
+//! keystream `u64`, one multiply and a table compare instead of the
 //! two-draw/multi-libm-call classic formulations (Box-Muller, `−ln(u)`);
 //! edge layers and tails fall back to exact rejection sampling, so both
 //! distributions are exact, not approximate.
+//!
+//! The samplers are `#[inline]` and only the rectangle-accept path is in
+//! line (word → layer → multiply → compare against a literal table in
+//! [`tables`]); wedges and tails — the only place `exp` / `ln` remain —
+//! live in one `#[cold]` function per distribution, so a caller in another
+//! crate pays no call on ~98.5 % of draws even without LTO.
 
 use rand::RngCore;
-use std::sync::OnceLock;
+
+mod tables;
+use tables::{ZIG_EXP_F, ZIG_EXP_X, ZIG_NORM_F, ZIG_NORM_X};
 
 /// Types that can be sampled from a distribution.
 pub trait Distribution<T> {
@@ -52,17 +60,18 @@ impl Exp<f64> {
     }
 }
 
+#[cfg(test)]
 impl Exp<f64> {
-    /// The original inverse-CDF formulation (`−ln(1−u)/λ`): one uniform and
-    /// one `ln` per draw. Retained as the ground truth of the ziggurat
-    /// parity tests; [`Distribution::sample`] now routes through [`Exp1`].
-    pub fn sample_inverse_cdf<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// The inverse-CDF formulation (`−ln(1−u)/λ`): one uniform and one
+    /// `ln` per draw — the ground truth of the ziggurat parity tests.
+    fn sample_inverse_cdf<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // u ∈ [0,1); 1−u ∈ (0,1] so ln is finite.
         -(1.0 - unit_f64(rng)).ln() / self.lambda
     }
 }
 
 impl Distribution<f64> for Exp<f64> {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         Exp1.sample(rng) / self.lambda
     }
@@ -91,38 +100,9 @@ impl Distribution<f64> for Pareto<f64> {
     }
 }
 
-/// Ziggurat layer count and constants for the standard normal (the
-/// canonical 256-layer parameters, as in upstream `rand_distr`).
+/// Where the standard normal's ziggurat tail starts (the canonical
+/// 256-layer parameter, as in upstream `rand_distr`).
 const ZIG_R: f64 = 3.654_152_885_361_009;
-const ZIG_V: f64 = 4.928_673_233_990_11e-3;
-const ZIG_LAYERS: usize = 256;
-
-struct ZigTables {
-    /// Layer x-boundaries; `x[0] = V/f(R) > R`, `x[256] = 0`.
-    x: [f64; ZIG_LAYERS + 1],
-    /// `f[i] = exp(-x[i]²/2)`.
-    f: [f64; ZIG_LAYERS + 1],
-}
-
-fn zig_tables() -> &'static ZigTables {
-    static TABLES: OnceLock<ZigTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let pdf = |x: f64| (-0.5 * x * x).exp();
-        let mut x = [0.0; ZIG_LAYERS + 1];
-        let mut f = [0.0; ZIG_LAYERS + 1];
-        x[0] = ZIG_V / pdf(ZIG_R);
-        x[1] = ZIG_R;
-        for i in 1..ZIG_LAYERS {
-            // Each layer has area V: x[i]·(f(x[i+1]) − f(x[i])) = V.
-            x[i + 1] = (-2.0 * (ZIG_V / x[i] + pdf(x[i])).ln()).max(0.0).sqrt();
-        }
-        x[ZIG_LAYERS] = 0.0;
-        for i in 0..=ZIG_LAYERS {
-            f[i] = pdf(x[i]);
-        }
-        ZigTables { x, f }
-    })
-}
 
 /// The standard normal distribution `N(0, 1)`, sampled with the ziggurat
 /// algorithm: the common case costs one `u64` draw, one multiply and one
@@ -131,47 +111,51 @@ fn zig_tables() -> &'static ZigTables {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StandardNormal;
 
-/// One ziggurat attempt driven by the keystream word `bits`; `None` means
-/// the wedge rejected and the caller must retry with a fresh word. Edge
-/// cases (wedge, tail) complete with direct draws from `rng`.
-#[inline]
-fn zig_try<R: RngCore + ?Sized>(t: &ZigTables, rng: &mut R, bits: u64) -> Option<f64> {
+/// Splits a keystream word into the layer index (low 8 bits), the
+/// symmetric uniform `u ∈ [-1, 1)` from the top 53 bits (independent of
+/// the index bits) and the candidate `x = u · x[layer]`.
+#[inline(always)]
+fn zig_norm_candidate(bits: u64) -> (usize, f64, f64) {
     let i = (bits & 0xFF) as usize;
-    // Symmetric uniform in [-1, 1) from the top 53 bits
-    // (independent of the 8 layer-index bits).
     let u = ((bits >> 11) as f64) * (2.0 / (1u64 << 53) as f64) - 1.0;
-    let x = u * t.x[i];
-    if x.abs() < t.x[i + 1] {
-        return Some(x); // inside the layer's rectangle: accept
-    }
-    if i == 0 {
-        // Tail sample beyond R (Marsaglia's exact method).
-        loop {
-            let u1 = (1.0 - unit_f64(rng)).max(f64::MIN_POSITIVE);
-            let u2 = 1.0 - unit_f64(rng);
-            let xt = -u1.ln() / ZIG_R;
-            if -2.0 * u2.ln() >= xt * xt {
-                return Some(if u < 0.0 { -(ZIG_R + xt) } else { ZIG_R + xt });
+    (i, u, u * ZIG_NORM_X[i])
+}
+
+/// Everything but the rectangle accept, entered with a candidate that
+/// missed its rectangle: the tail beyond `R` (layer 0, Marsaglia's exact
+/// method) and the layer wedges, each completing with direct draws from
+/// `rng`; a rejected wedge retries with a fresh keystream word.
+#[cold]
+#[inline(never)]
+fn zig_norm_edge<R: RngCore + ?Sized>(rng: &mut R, mut i: usize, mut u: f64, mut x: f64) -> f64 {
+    loop {
+        if i == 0 {
+            loop {
+                let u1 = (1.0 - unit_f64(rng)).max(f64::MIN_POSITIVE);
+                let u2 = 1.0 - unit_f64(rng);
+                let xt = -u1.ln() / ZIG_R;
+                if -2.0 * u2.ln() >= xt * xt {
+                    return if u < 0.0 { -(ZIG_R + xt) } else { ZIG_R + xt };
+                }
             }
         }
-    }
-    // Wedge: accept with probability proportional to the pdf gap.
-    if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * unit_f64(rng) < (-0.5 * x * x).exp() {
-        Some(x)
-    } else {
-        None
+        // Wedge: accept with probability proportional to the pdf gap.
+        let (f0, f1) = (ZIG_NORM_F[i], ZIG_NORM_F[i + 1]);
+        if f1 + (f0 - f1) * unit_f64(rng) < (-0.5 * x * x).exp() {
+            return x;
+        }
+        (i, u, x) = zig_norm_candidate(rng.next_u64());
+        if x.abs() < ZIG_NORM_X[i + 1] {
+            return x;
+        }
     }
 }
 
 impl Distribution<f64> for StandardNormal {
+    #[inline]
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let t = zig_tables();
-        loop {
-            let bits = rng.next_u64();
-            if let Some(x) = zig_try(t, rng, bits) {
-                return x;
-            }
-        }
+        let bits = rng.next_u64();
+        self.sample_with_word(rng, bits)
     }
 }
 
@@ -183,66 +167,17 @@ impl StandardNormal {
     /// standard normal as long as `bits` is a fresh uniform word.
     #[inline]
     pub fn sample_with_word<R: RngCore + ?Sized>(&self, rng: &mut R, bits: u64) -> f64 {
-        match zig_try(zig_tables(), rng, bits) {
-            Some(x) => x,
-            None => self.sample(rng),
+        let (i, u, x) = zig_norm_candidate(bits);
+        if x.abs() < ZIG_NORM_X[i + 1] {
+            return x; // inside the layer's rectangle: accept
         }
-    }
-
-    /// Fills `out` with independent `N(0, 1)` samples, reading the
-    /// common-case keystream words in batches via [`RngCore::fill_u64`]
-    /// (one batched read covers ~98% of the samples; wedge/tail cases
-    /// complete with direct draws). Statistically identical to repeated
-    /// [`Distribution::sample`], but not stream-compatible with it — the
-    /// batched read reorders keystream consumption.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        const CHUNK: usize = 64;
-        let t = zig_tables();
-        let mut words = [0u64; CHUNK];
-        for chunk in out.chunks_mut(CHUNK) {
-            let words = &mut words[..chunk.len()];
-            rng.fill_u64(words);
-            for (o, &bits) in chunk.iter_mut().zip(words.iter()) {
-                *o = match zig_try(t, rng, bits) {
-                    Some(x) => x,
-                    None => self.sample(rng),
-                };
-            }
-        }
+        zig_norm_edge(rng, i, u, x)
     }
 }
 
-/// Ziggurat constants for the standard exponential (the canonical
-/// 256-layer parameters, as in upstream `rand_distr`).
+/// Where the standard exponential's ziggurat tail starts (canonical
+/// 256-layer parameter, as in upstream `rand_distr`).
 const ZIG_EXP_R: f64 = 7.697_117_470_131_05;
-const ZIG_EXP_V: f64 = 3.949_659_822_581_557e-3;
-
-struct ZigExpTables {
-    /// Layer x-boundaries; `x[0] = V/f(R) > R`, `x[256] = 0`.
-    x: [f64; ZIG_LAYERS + 1],
-    /// `f[i] = exp(-x[i])`.
-    f: [f64; ZIG_LAYERS + 1],
-}
-
-fn zig_exp_tables() -> &'static ZigExpTables {
-    static TABLES: OnceLock<ZigExpTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let pdf = |x: f64| (-x).exp();
-        let mut x = [0.0; ZIG_LAYERS + 1];
-        let mut f = [0.0; ZIG_LAYERS + 1];
-        x[0] = ZIG_EXP_V / pdf(ZIG_EXP_R);
-        x[1] = ZIG_EXP_R;
-        for i in 1..ZIG_LAYERS {
-            // Each layer has area V: x[i]·(f(x[i+1]) − f(x[i])) = V.
-            x[i + 1] = (-(ZIG_EXP_V / x[i] + pdf(x[i])).ln()).max(0.0);
-        }
-        x[ZIG_LAYERS] = 0.0;
-        for i in 0..=ZIG_LAYERS {
-            f[i] = pdf(x[i]);
-        }
-        ZigExpTables { x, f }
-    })
-}
 
 /// The standard exponential distribution `Exp(1)`, sampled with the
 /// ziggurat algorithm: the common case costs one `u64` draw, one multiply
@@ -252,104 +187,49 @@ fn zig_exp_tables() -> &'static ZigExpTables {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Exp1;
 
-/// One exponential-ziggurat attempt driven by the keystream word `bits`;
-/// `None` means the wedge rejected and the caller must retry with a fresh
-/// word. The tail completes with direct draws from `rng`.
-#[inline]
-fn zig_exp_try<R: RngCore + ?Sized>(
-    t: &ZigExpTables,
-    rng: &mut R,
-    bits: u64,
-) -> Option<f64> {
+/// Layer index (low 8 bits) and candidate `x = u · x[layer]` with
+/// `u ∈ [0, 1)` from the top 53 bits of a keystream word.
+#[inline(always)]
+fn zig_exp_candidate(bits: u64) -> (usize, f64) {
     let i = (bits & 0xFF) as usize;
-    // Uniform in [0, 1) from the top 53 bits (independent of the 8
-    // layer-index bits).
     let u = ((bits >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
-    let x = u * t.x[i];
-    if x < t.x[i + 1] {
-        return Some(x); // inside the layer's rectangle: accept
-    }
-    if i == 0 {
-        // Tail: exponential beyond R is R + Exp(1) (memorylessness); one
-        // inverse-CDF draw completes it exactly.
-        return Some(ZIG_EXP_R - (1.0 - unit_f64(rng)).ln());
-    }
-    // Wedge: accept with probability proportional to the pdf gap.
-    if t.f[i + 1] + (t.f[i] - t.f[i + 1]) * unit_f64(rng) < (-x).exp() {
-        Some(x)
-    } else {
-        None
+    (i, u * ZIG_EXP_X[i])
+}
+
+/// Everything but the rectangle accept, entered with a candidate that
+/// missed its rectangle: the tail (layer 0) is `R + Exp(1)` by
+/// memorylessness, one inverse-CDF draw; a rejected wedge retries with a
+/// fresh keystream word.
+#[cold]
+#[inline(never)]
+fn zig_exp_edge<R: RngCore + ?Sized>(rng: &mut R, mut i: usize, mut x: f64) -> f64 {
+    loop {
+        if i == 0 {
+            return ZIG_EXP_R - (1.0 - unit_f64(rng)).ln();
+        }
+        // Wedge: accept with probability proportional to the pdf gap.
+        let (f0, f1) = (ZIG_EXP_F[i], ZIG_EXP_F[i + 1]);
+        if f1 + (f0 - f1) * unit_f64(rng) < (-x).exp() {
+            return x;
+        }
+        (i, x) = zig_exp_candidate(rng.next_u64());
+        if x < ZIG_EXP_X[i + 1] {
+            return x;
+        }
     }
 }
 
 impl Distribution<f64> for Exp1 {
+    // `always`: with a plain hint LLVM keeps one out-of-line copy for the
+    // path-delay model's two draws a packet (raw poll-16 generation ×0.96
+    // in time with it forced, 5 of 6 interleaved pairs).
+    #[inline(always)]
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let t = zig_exp_tables();
-        loop {
-            let bits = rng.next_u64();
-            if let Some(x) = zig_exp_try(t, rng, bits) {
-                return x;
-            }
+        let (i, x) = zig_exp_candidate(rng.next_u64());
+        if x < ZIG_EXP_X[i + 1] {
+            return x; // inside the layer's rectangle: accept
         }
-    }
-}
-
-impl Exp1 {
-    /// Completes one `Exp(1)` sample from a pre-drawn keystream word
-    /// `bits`, falling back to direct draws from `rng` for the rare
-    /// (~1.2%) wedge/tail cases — the batched-keystream primitive, mirror
-    /// of [`StandardNormal::sample_with_word`]. Exactly exponential as
-    /// long as `bits` is a fresh uniform word.
-    #[inline]
-    pub fn sample_with_word<R: RngCore + ?Sized>(&self, rng: &mut R, bits: u64) -> f64 {
-        match zig_exp_try(zig_exp_tables(), rng, bits) {
-            Some(x) => x,
-            None => self.sample(rng),
-        }
-    }
-
-    /// Fills `out` with independent `Exp(1)` samples, reading the
-    /// common-case keystream words in batches via [`RngCore::fill_u64`],
-    /// mirror of [`StandardNormal::fill`]. Statistically identical to
-    /// repeated [`Distribution::sample`], but not stream-compatible with
-    /// it — the batched read reorders keystream consumption.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        const CHUNK: usize = 64;
-        let t = zig_exp_tables();
-        let mut words = [0u64; CHUNK];
-        for chunk in out.chunks_mut(CHUNK) {
-            let words = &mut words[..chunk.len()];
-            rng.fill_u64(words);
-            for (o, &bits) in chunk.iter_mut().zip(words.iter()) {
-                *o = match zig_exp_try(t, rng, bits) {
-                    Some(x) => x,
-                    None => self.sample(rng),
-                };
-            }
-        }
-    }
-}
-
-/// Normal distribution with the given mean and standard deviation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal<F = f64> {
-    mean: F,
-    std_dev: F,
-}
-
-impl Normal<f64> {
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, ParamError> {
-        if mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0 {
-            Ok(Self { mean, std_dev })
-        } else {
-            Err(ParamError("Normal std_dev must be finite and non-negative"))
-        }
-    }
-}
-
-impl Distribution<f64> for Normal<f64> {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * StandardNormal.sample(rng)
+        zig_exp_edge(rng, i, x)
     }
 }
 
@@ -396,8 +276,6 @@ mod tests {
         assert!(Exp::new(f64::NAN).is_err());
         assert!(Pareto::new(-1.0, 2.0).is_err());
         assert!(Pareto::new(1.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
     }
 
     /// SplitMix64: the ziggurat consumes low bits for the layer index, so
@@ -413,24 +291,148 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ziggurat_tables_are_consistent() {
-        let t = zig_tables();
-        assert!((t.x[0] - ZIG_V / (-0.5 * ZIG_R * ZIG_R).exp()).abs() < 1e-12);
-        assert_eq!(t.x[1], ZIG_R);
-        assert_eq!(t.x[ZIG_LAYERS], 0.0);
-        // strictly decreasing boundaries, f increasing to f(0)=1
-        for i in 1..=ZIG_LAYERS {
-            assert!(t.x[i] < t.x[i - 1], "x not decreasing at {i}");
-            assert!(t.f[i] > t.f[i - 1], "f not increasing at {i}");
-        }
-        assert!((t.f[ZIG_LAYERS] - 1.0).abs() < 1e-9, "f(0) = {}", t.f[ZIG_LAYERS]);
-        // every layer i ≥ 1 has area V
+    const ZIG_LAYERS: usize = 256;
+    type Table = [f64; ZIG_LAYERS + 1];
+    /// Area of every layer (and of the base strip with its tail): the `V`
+    /// that goes with `ZIG_R` / `ZIG_EXP_R` at 256 layers.
+    const ZIG_V: f64 = 4.928_673_233_990_11e-3;
+    const ZIG_EXP_V: f64 = 3.949_659_822_581_557e-3;
+
+    /// The formulas the literals in `tables.rs` were printed from: layer
+    /// boundaries `x[0] = V/f(R) > R`, `x[1] = R`, then equal-area layers
+    /// `x[i]·(f(x[i+1]) − f(x[i])) = V` down to `x[256] = 0`, and
+    /// `f[i] = pdf(x[i])`. `inv(y)` solves `pdf(x) = y`, clamped at 0.
+    fn computed(r: f64, v: f64, pdf: fn(f64) -> f64, inv: fn(f64) -> f64) -> (Table, Table) {
+        let mut x = [0.0; ZIG_LAYERS + 1];
+        x[0] = v / pdf(r);
+        x[1] = r;
         for i in 1..ZIG_LAYERS {
-            let area = t.x[i] * (t.f[i + 1] - t.f[i]);
-            assert!((area - ZIG_V).abs() < 1e-9, "layer {i} area {area}");
+            x[i + 1] = inv(v / x[i] + pdf(x[i]));
+        }
+        x[ZIG_LAYERS] = 0.0;
+        (x, x.map(pdf))
+    }
+
+    fn computed_norm() -> (Table, Table) {
+        computed(
+            ZIG_R,
+            ZIG_V,
+            |x| (-0.5 * x * x).exp(),
+            |y| (-2.0 * y.ln()).max(0.0).sqrt(),
+        )
+    }
+
+    fn computed_exp() -> (Table, Table) {
+        computed(ZIG_EXP_R, ZIG_EXP_V, |x| (-x).exp(), |y| (-y.ln()).max(0.0))
+    }
+
+    /// Layer geometry of a literal table pair: boundaries strictly
+    /// decreasing from `x[1] = R` to `x[256] = 0`, `f` strictly increasing
+    /// to `f(0) = 1`, every layer `i ≥ 1` of area `V`.
+    fn assert_layers(x: &Table, f: &Table, r: f64, v: f64) {
+        assert_eq!(x[1], r);
+        assert_eq!(x[ZIG_LAYERS], 0.0);
+        assert_eq!(f[ZIG_LAYERS], 1.0);
+        for i in 1..=ZIG_LAYERS {
+            assert!(x[i] < x[i - 1], "x not decreasing at {i}");
+            assert!(f[i] > f[i - 1], "f not increasing at {i}");
+        }
+        for i in 1..ZIG_LAYERS {
+            let area = x[i] * (f[i + 1] - f[i]);
+            assert!((area - v).abs() < 1e-9, "layer {i} area {area}");
         }
     }
+
+    #[test]
+    fn literal_tables_have_the_ziggurat_geometry() {
+        assert!((ZIG_NORM_X[0] - ZIG_V / (-0.5 * ZIG_R * ZIG_R).exp()).abs() < 1e-12);
+        assert_layers(&ZIG_NORM_X, &ZIG_NORM_F, ZIG_R, ZIG_V);
+        assert!((ZIG_EXP_X[0] - ZIG_EXP_V / (-ZIG_EXP_R).exp()).abs() < 1e-9);
+        assert_layers(&ZIG_EXP_X, &ZIG_EXP_F, ZIG_EXP_R, ZIG_EXP_V);
+    }
+
+    /// The literals against this host's libm: the recursion that printed
+    /// them, re-run, lands within 1 ulp of every entry (0 ulp on the host
+    /// that printed them).
+    #[test]
+    fn literal_tables_match_the_formulas_within_one_ulp() {
+        let (nx, nf) = computed_norm();
+        let (ex, ef) = computed_exp();
+        for (name, literal, computed) in [
+            ("ZIG_NORM_X", &ZIG_NORM_X, &nx),
+            ("ZIG_NORM_F", &ZIG_NORM_F, &nf),
+            ("ZIG_EXP_X", &ZIG_EXP_X, &ex),
+            ("ZIG_EXP_F", &ZIG_EXP_F, &ef),
+        ] {
+            for (i, (l, c)) in literal.iter().zip(computed).enumerate() {
+                // Non-negative finite floats order like their bit patterns.
+                let ulps = l.to_bits().abs_diff(c.to_bits());
+                assert!(ulps <= 1, "{name}[{i}]: literal {l:?} vs computed {c:?}");
+            }
+        }
+    }
+
+    /// Known answer over the literal bits (FNV-1a-64 of the 4 × 257 words,
+    /// table by table): every draw of every simulated stream is a function
+    /// of these, so an edited literal fails here on any host, whatever its
+    /// libm computes.
+    #[test]
+    fn literal_tables_are_pinned_bit_for_bit() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for table in [&ZIG_NORM_X, &ZIG_NORM_F, &ZIG_EXP_X, &ZIG_EXP_F] {
+            for v in table {
+                h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, TABLES_DIGEST, "table digest {h:#018x}");
+    }
+    const TABLES_DIGEST: u64 = 0x1497_0729_3f01_1c66;
+
+    /// Rewrites `src/tables.rs` from the formulas and this host's libm:
+    /// `cargo test -p rand_distr regenerate_tables -- --ignored`. A file
+    /// that comes out different moves every simulated stream; the digest
+    /// above and the root `tests/generator_golden.rs` say so.
+    #[test]
+    #[ignore = "rewrites src/tables.rs; not a check"]
+    fn regenerate_tables() {
+        use std::fmt::Write;
+        let (nx, nf) = computed_norm();
+        let (ex, ef) = computed_exp();
+        let mut out = String::from(TABLES_HEADER);
+        let tables = [
+            (
+                "ZIG_NORM_X",
+                "Normal layer boundaries: `x[0] = V/f(R) > R`, `x[1] = R`, `x[256] = 0`.",
+                &nx,
+            ),
+            ("ZIG_NORM_F", "`f[i] = exp(-x[i]²/2)` at the normal boundaries.", &nf),
+            ("ZIG_EXP_X", "Exponential layer boundaries, same layout.", &ex),
+            ("ZIG_EXP_F", "`f[i] = exp(-x[i])` at the exponential boundaries.", &ef),
+        ];
+        for (name, doc, table) in tables {
+            writeln!(out, "\n/// {doc}\n#[rustfmt::skip]").unwrap();
+            writeln!(out, "pub(crate) static {name}: [f64; 257] = [").unwrap();
+            for row in table.chunks(4) {
+                let row: Vec<String> = row.iter().map(|v| format!("{v:?},")).collect();
+                writeln!(out, "    {}", row.join(" ")).unwrap();
+            }
+            out.push_str("];\n");
+        }
+        std::fs::write(concat!(env!("CARGO_MANIFEST_DIR"), "/src/tables.rs"), out).unwrap();
+    }
+
+    const TABLES_HEADER: &str = "\
+//! Generated by `regenerate_tables` in `lib.rs` (see `crates/shims/README.md`).
+//!
+//! The ziggurat tables as data: 4 × 257 `f64` literals, printed once with
+//! `{:?}` (shortest round-trip, so each parses back to the same bits) from
+//! the recursion in `lib.rs`'s tests. They used to be built on first use
+//! from libm `exp` / `ln`, which made every simulated stream a function of
+//! the host's libm and put a `OnceLock` load and a call in front of every
+//! draw; as literals they are part of the source, and the sampler's accept
+//! path can be inlined into its callers. Do not edit by hand: the shim's
+//! tests pin the bits and re-derive every entry to within 1 ulp.
+";
 
     #[test]
     fn standard_normal_moments_match() {
@@ -500,70 +502,6 @@ mod tests {
                 probes[j],
                 phi[j]
             );
-        }
-    }
-
-    #[test]
-    fn normal_scales_and_shifts() {
-        let d = Normal::new(5.0, 2.0).unwrap();
-        let mut rng = Sm(99);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.02, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.08, "var {var}");
-    }
-
-    #[test]
-    fn fill_matches_sample_statistics() {
-        // The batched path must produce the same distribution as repeated
-        // sample() (it reorders keystream reads, nothing else).
-        let mut rng = Sm(21);
-        let n = 400_000;
-        let mut buf = vec![0.0; n];
-        StandardNormal.fill(&mut rng, &mut buf);
-        let nf = n as f64;
-        let mean = buf.iter().sum::<f64>() / nf;
-        let var = buf.iter().map(|z| z * z).sum::<f64>() / nf;
-        let gt2 = buf.iter().filter(|z| z.abs() > 2.0).count() as f64 / nf;
-        assert!(mean.abs() < 5e-3, "mean {mean}");
-        assert!((var - 1.0).abs() < 1e-2, "variance {var}");
-        assert!((gt2 - 0.0455).abs() < 3e-3, "P(|z|>2) = {gt2}");
-    }
-
-    #[test]
-    fn fill_is_deterministic_and_covers_odd_lengths() {
-        for len in [0usize, 1, 63, 64, 65, 200] {
-            let run = |seed: u64| {
-                let mut rng = Sm(seed);
-                let mut buf = vec![0.0; len];
-                StandardNormal.fill(&mut rng, &mut buf);
-                buf.iter().map(|z| z.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(run(9), run(9), "len {len}");
-            if len > 0 {
-                assert_ne!(run(9), run(10), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn exp_ziggurat_tables_are_consistent() {
-        let t = zig_exp_tables();
-        assert!((t.x[0] - ZIG_EXP_V / (-ZIG_EXP_R).exp()).abs() < 1e-9);
-        assert_eq!(t.x[1], ZIG_EXP_R);
-        assert_eq!(t.x[ZIG_LAYERS], 0.0);
-        // strictly decreasing boundaries, f increasing to f(0)=1
-        for i in 1..=ZIG_LAYERS {
-            assert!(t.x[i] < t.x[i - 1], "x not decreasing at {i}");
-            assert!(t.f[i] > t.f[i - 1], "f not increasing at {i}");
-        }
-        assert!((t.f[ZIG_LAYERS] - 1.0).abs() < 1e-12, "f(0) = {}", t.f[ZIG_LAYERS]);
-        // every layer i ≥ 1 has area V
-        for i in 1..ZIG_LAYERS {
-            let area = t.x[i] * (t.f[i + 1] - t.f[i]);
-            assert!((area - ZIG_EXP_V).abs() < 1e-9, "layer {i} area {area}");
         }
     }
 
@@ -679,46 +617,6 @@ mod tests {
         let mean_ln = (0..n).map(|_| d.sample_inverse_cdf(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean_zig - 0.25).abs() < 2e-3, "ziggurat mean {mean_zig}");
         assert!((mean_ln - 0.25).abs() < 2e-3, "ln mean {mean_ln}");
-    }
-
-    #[test]
-    fn exp1_fill_and_sample_with_word_match_sample_statistics() {
-        let n = 400_000;
-        let mut buf = vec![0.0; n];
-        let mut rng = Sm(41);
-        Exp1.fill(&mut rng, &mut buf);
-        let nf = n as f64;
-        let mean = buf.iter().sum::<f64>() / nf;
-        let var = buf.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / nf;
-        let t1 = buf.iter().filter(|&&x| x > 1.0).count() as f64 / nf;
-        assert!((mean - 1.0).abs() < 5e-3, "fill mean {mean}");
-        assert!((var - 1.0).abs() < 1.5e-2, "fill variance {var}");
-        assert!((t1 - (-1.0f64).exp()).abs() < 3e-3, "fill P(>1) {t1}");
-        // caller-batched words: same distribution
-        let mut rng = Sm(43);
-        let mut mean_w = 0.0;
-        for _ in 0..n {
-            let bits = rng.next_u64();
-            mean_w += Exp1.sample_with_word(&mut rng, bits);
-        }
-        mean_w /= nf;
-        assert!((mean_w - 1.0).abs() < 5e-3, "sample_with_word mean {mean_w}");
-    }
-
-    #[test]
-    fn exp1_fill_is_deterministic_and_covers_odd_lengths() {
-        for len in [0usize, 1, 63, 64, 65, 200] {
-            let run = |seed: u64| {
-                let mut rng = Sm(seed);
-                let mut buf = vec![0.0; len];
-                Exp1.fill(&mut rng, &mut buf);
-                buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(run(9), run(9), "len {len}");
-            if len > 0 {
-                assert_ne!(run(9), run(10), "len {len}");
-            }
-        }
     }
 
     #[test]

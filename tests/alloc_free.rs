@@ -1,0 +1,181 @@
+//! "Allocation-free" as a pin (ROADMAP 5(c)): the READMEs have said it of
+//! the generator's and the estimator's per-packet calls since PR 1, and
+//! nothing asserted it. Each test warms one of them up — buffers at their
+//! working size, the clock's history ring past its window — and then
+//! counts heap allocations over thousands of further calls: zero.
+//!
+//! The counter is per thread (the harness runs every `#[test]` on a thread
+//! of its own, beside its own bookkeeping), and counts `alloc` and
+//! `realloc`; frees are not the claim.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tsc_netsim::{MultiServerScenario, OnDemandSim, RoundSample, Scenario};
+use tsc_quorum::{QuorumClock, QuorumConfig};
+use tscclock::{ClockConfig, RawExchange, TscNtpClock};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: an allocation during thread teardown has nowhere to count.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter (a const-initialised `Cell`, so
+// touching it never allocates) does not influence an allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's layout is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` with this layout; `new_size`
+        // is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations this thread makes while `f` runs.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.get();
+    f();
+    ALLOCATIONS.get() - before
+}
+
+const POLL: f64 = 16.0;
+
+fn scenario(polls: usize) -> Scenario {
+    Scenario::baseline(7)
+        .with_poll_period(POLL)
+        .with_duration(POLL * polls as f64)
+}
+
+#[test]
+fn the_counter_sees_an_allocation() {
+    assert_eq!(allocations_in(|| drop(std::hint::black_box(Box::new(1u8)))), 1);
+    let mut v: Vec<u64> = Vec::with_capacity(4);
+    assert_eq!(allocations_in(|| v.extend(0..64)), 1, "one realloc");
+}
+
+#[test]
+fn fill_batch_into_a_reserved_vec_does_not_allocate() {
+    let sc = scenario(40_000);
+    let mut raw = sc.stream().raw();
+    let mut buf: Vec<RawExchange> = Vec::with_capacity(256);
+    assert_eq!(raw.fill_batch(&mut buf, 256), 256);
+    let mut produced = 0;
+    let n = allocations_in(|| loop {
+        buf.clear();
+        match raw.fill_batch(&mut buf, 256) {
+            0 => break,
+            k => produced += k,
+        }
+    });
+    assert!(produced > 30_000, "{produced} packets");
+    assert_eq!(n, 0, "allocations over {produced} packets");
+}
+
+#[test]
+fn exchange_at_does_not_allocate() {
+    let sc = scenario(20_100);
+    let mut sim = OnDemandSim::new(&sc);
+    for i in 1..=100 {
+        sim.exchange_at(i as f64 * POLL);
+    }
+    let mut delivered = 0;
+    let n = allocations_in(|| {
+        for i in 101..=20_100 {
+            delivered += usize::from(!sim.exchange_at(i as f64 * POLL).lost);
+        }
+    });
+    assert!(delivered > 15_000, "{delivered} delivered");
+    assert_eq!(n, 0, "allocations over 20 000 exchanges");
+}
+
+#[test]
+fn next_round_does_not_allocate() {
+    let sc = MultiServerScenario::baseline(3, 7)
+        .with_poll_period(POLL)
+        .with_duration(POLL * 20_000.0);
+    let mut stream = sc.stream();
+    let mut round: Vec<RoundSample> = Vec::new();
+    assert!(stream.next_round(&mut round));
+    let mut rounds = 0;
+    let n = allocations_in(|| {
+        while stream.next_round(&mut round) {
+            rounds += 1;
+        }
+    });
+    assert!(rounds > 15_000, "{rounds} rounds");
+    assert_eq!(n, 0, "allocations over {rounds} rounds");
+}
+
+/// More packets than the top window holds at this poll period, so the
+/// history ring has reached its final capacity and slid at least once.
+const WARM: usize = 80_000;
+const MEASURED: usize = 20_000;
+
+#[test]
+fn a_warm_clocks_process_does_not_allocate() {
+    let sc = scenario(WARM + MEASURED);
+    let mut input: Vec<RawExchange> = Vec::with_capacity(WARM + MEASURED);
+    sc.stream().raw().fill_batch(&mut input, WARM + MEASURED);
+    assert!(input.len() > WARM + MEASURED / 2, "{} delivered", input.len());
+    let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(POLL));
+    let (warm, measured) = input.split_at(WARM);
+    for &ex in warm {
+        clock.process(ex);
+    }
+    let mut outputs = 0;
+    let n = allocations_in(|| {
+        for &ex in measured {
+            outputs += usize::from(clock.process(ex).is_some());
+        }
+    });
+    assert_eq!(outputs, measured.len());
+    assert_eq!(n, 0, "allocations over {} packets", measured.len());
+}
+
+#[test]
+fn a_warm_quorums_process_round_does_not_allocate() {
+    const K: usize = 3;
+    let sc = MultiServerScenario::baseline(K, 7)
+        .with_poll_period(POLL)
+        .with_duration(POLL * (WARM + MEASURED) as f64);
+    let mut stream = sc.stream();
+    let mut round: Vec<RoundSample> = Vec::new();
+    let mut flat: Vec<Option<RawExchange>> = Vec::with_capacity(K * (WARM + MEASURED));
+    while stream.next_round(&mut round) {
+        flat.extend(round.iter().map(|s| s.delivered.then_some(s.raw)));
+    }
+    let mut quorum = QuorumClock::new(K, QuorumConfig::paper_defaults(POLL));
+    let (warm, measured) = flat.split_at(K * WARM);
+    for r in warm.chunks_exact(K) {
+        quorum.process_round(r);
+    }
+    let mut combined = 0;
+    let n = allocations_in(|| {
+        for r in measured.chunks_exact(K) {
+            combined += usize::from(quorum.process_round(r).combined);
+        }
+    });
+    assert_eq!(combined, measured.len() / K);
+    assert_eq!(n, 0, "allocations over {combined} rounds");
+}
