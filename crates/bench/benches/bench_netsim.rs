@@ -10,8 +10,6 @@
 //!   no truth record.
 //! * `netsim_stream_full_*` — the experiment path: full [`SimExchange`]
 //!   records with ground truth and the DAG reference timestamp.
-//! * `netsim_stream_plus_clock` — generation feeding one clock's batched
-//!   ingest, the end-to-end single-clock replay cost.
 //! * `netsim_on_demand` — the closed-loop path: client-chosen send times
 //!   through [`tsc_netsim::OnDemandSim::exchange_at`] (exact-time samplers,
 //!   full record), on a poll-16 schedule.
@@ -23,13 +21,15 @@
 //!   eight-block kernel the host can run (a packet draws ~20 words from
 //!   seven independent streams); elements are keystream words.
 //!
-//! Set `BENCH_JSON=BENCH_netsim.json` to write machine-readable results
-//! (bench name, mean ns, packets/s) for cross-PR tracking.
+//! End-to-end generation cost is `e2e`'s `netsim.*` per-layer rows; these
+//! rows split it into its leaves. Set `BENCH_JSON=<scratch path>` for
+//! machine-readable rows and merge the labelled ones into the root
+//! `BENCH.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tsc_netsim::{OnDemandSim, Scenario};
 use tsc_osc::Environment;
-use tscclock::{ClockConfig, ProcessOutput, RawExchange, TscNtpClock};
+use tscclock::RawExchange;
 
 /// Polls per measured iteration, kept constant across cadences so the
 /// per-packet numbers are directly comparable.
@@ -78,33 +78,6 @@ fn bench_stream_full(c: &mut Criterion) {
         });
         g.finish();
     }
-}
-
-fn bench_stream_plus_clock(c: &mut Criterion) {
-    let poll = 64.0;
-    let sc = scenario(poll);
-    let mut g = c.benchmark_group("netsim_stream_plus_clock_poll64");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(POLLS as u64));
-    g.bench_function("replay", |b| {
-        let mut buf: Vec<RawExchange> = Vec::with_capacity(256);
-        let mut out: Vec<ProcessOutput> = Vec::with_capacity(256);
-        b.iter(|| {
-            let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(poll));
-            let mut raw = sc.stream().raw();
-            let mut produced = 0usize;
-            loop {
-                buf.clear();
-                if raw.fill_batch(&mut buf, 256) == 0 {
-                    break;
-                }
-                out.clear();
-                produced += clock.process_batch(&buf, &mut out);
-            }
-            std::hint::black_box(produced)
-        })
-    });
-    g.finish();
 }
 
 fn bench_on_demand(c: &mut Criterion) {
@@ -186,7 +159,6 @@ criterion_group!(
     bench_chacha_refill,
     bench_stream_raw,
     bench_stream_full,
-    bench_stream_plus_clock,
     bench_on_demand,
     bench_osc_advance
 );

@@ -16,8 +16,10 @@
 //!   overhead_pct}` — interleaved recording-on/off rows on the batch64
 //!   workload; the telemetry contract is ≤2 % overhead.
 //!
-//! Set `BENCH_JSON=…` for machine-readable rows (`BENCH_serve.json`
-//! commits one compiled-out + one telemetry run, merged).
+//! `e2e`'s `serve_mixed` measures the plane at its true weight; these rows
+//! keep the A/Bs it cannot run. Set `BENCH_JSON=<scratch path>` for
+//! machine-readable rows; the root `BENCH.json` holds one compiled-out +
+//! one telemetry run, merged.
 
 use criterion::{criterion_group, criterion_main, record_custom, Criterion, Throughput};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,16 +7,18 @@
 //! * `telemetry_prims_*` — the primitives in isolation: one relaxed
 //!   counter add, one log₂ histogram record, one flight-recorder ring
 //!   push. Compiled out these measure the no-op surface (≈0 ns).
-//! * `fleet_ingest_1000clocks_poll64/…` — the acceptance A/B: the exact
-//!   `bench_fleet` ingest workload (1000 clocks × 300 polls through
-//!   `process_batch`) with recording **on** vs **off**, arms
+//! * `fleet_ingest_1000clocks_poll64/…` — the acceptance A/B: a fleet's
+//!   ingest loop (1000 clocks × 300 polls through `process_batch` on the
+//!   worker pool) with recording **on** vs **off**, arms
 //!   interleaved round-robin and the order swapped every round so drift
 //!   (thermal, scheduler) cancels; round 0 is warm-up and discarded;
 //!   medians are compared. The PR's bar is ≤2 % overhead with telemetry
 //!   enabled and recording on.
 //!
-//! Set `BENCH_JSON=…` for machine-readable rows (`BENCH_telemetry.json`
-//! commits one enabled + one compiled-out run, merged).
+//! The benchmark of record (`e2e/`) compiles telemetry out, so these rows
+//! are the only measure of the plane's cost. Set `BENCH_JSON=<scratch
+//! path>` for machine-readable rows; the root `BENCH.json` holds one
+//! enabled + one compiled-out run, merged.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Instant;
@@ -60,10 +62,10 @@ fn bench_primitives(c: &mut Criterion) {
 /// `ingest_batch`).
 const INGEST_BATCH: usize = 256;
 
-/// One run of the `fleet_ingest_1000clocks_poll64/1threads` workload from
-/// `bench_fleet.rs`: every clock filters the same pre-generated stream
-/// through `process_batch`, wrapped in the batch-granular telemetry calls
-/// `FleetConfig`'s replay loop makes — the recording the A/B switches.
+/// One run of the A/B workload: every clock filters the same
+/// pre-generated stream through `process_batch`, wrapped in the
+/// batch-granular telemetry calls `FleetConfig`'s replay loop makes — the
+/// recording the A/B switches.
 fn ingest_run(
     pool: &mut WorkerPool,
     exchanges: &std::sync::Arc<Vec<RawExchange>>,

@@ -1,12 +1,19 @@
 //! Criterion benchmark harness for the IMC'04 reproduction.
 //!
-//! One bench target per paper artifact (see `tsc_experiments::ALL_IDS` and
-//! the root README for the experiment index):
-//! each measures the wall-clock cost of regenerating that table/figure at a
-//! reduced-but-representative scale, so `cargo bench` both exercises every
-//! experiment end-to-end and tracks the performance of the simulator and
-//! the synchronization algorithms themselves.
+//! The benchmark of record is `e2e/` (`BENCHMARK.json`): whole workloads
+//! plus per-layer totals. These five targets keep only what it cannot see:
 //!
-//! The algorithm-level benches (`bench_clock_pipeline`, `bench_codec`)
-//! measure the per-packet cost of the online clock and the NTP packet
-//! codec — the numbers that matter for a production daemon.
+//! * `bench_leaves` — leaf kernels below e2e's layer resolution: the NTP
+//!   codec, the statistics kernels, the snapshot checksum, the
+//!   per-estimator ingest stages and an adversarial `History::push` stream.
+//! * `bench_netsim` — the generator's leaves (stream, on-demand path,
+//!   oscillator advance, keystream refill per kernel) that e2e's `netsim.*`
+//!   rows add up.
+//! * `bench_serve` — the seqlock-vs-mutex and batch-64-vs-batch-1 A/Bs and
+//!   the serve plane's recording overhead, none of which e2e runs.
+//! * `bench_telemetry` — the ≤2 % recording-overhead contract; e2e compiles
+//!   telemetry out.
+//! * `bench_experiments` — the wall-clock cost of every `repro` experiment
+//!   (`tsc_experiments::ALL_IDS`), which no e2e workload runs.
+//!
+//! Rows worth keeping live in the root `BENCH.json`.

@@ -77,14 +77,16 @@
 //!
 //! Together these put end-to-end ingest at ≈100 ns/packet at 16 s polling
 //! on a 2.1 GHz core (≈3.5× over the fused-SIMD window-pass pipeline it
-//! replaces; committed rows in `BENCH_ingest.json`). [`TscNtpClock::process_batch`] is the batched ingest form
+//! replaces; per-stage rows `ingest_stage_*` in the root `BENCH.json`, the
+//! whole pipeline as `e2e`'s `core.process_ns_per_pkt`).
+//! [`TscNtpClock::process_batch`] is the batched ingest form
 //! (one output buffer reused across a shard) used by the `tsc-fleet`
 //! replay engine; it is bit-identical to calling
 //! [`TscNtpClock::process`] in a loop.
 //!
 //! Memory is O(window). The pre-optimization pipeline is preserved under
-//! the `reference` feature (module [`reference`]) for differential tests
-//! and before/after benchmarks; a property test drives both over random
+//! the `reference` feature (module [`reference`]) for differential tests;
+//! a property test drives both over random
 //! scenarios and asserts estimate parity.
 //!
 //! ## Quick example

@@ -20,14 +20,12 @@
 //! * [`RefLocalRate`] collects the τ̄-span window into a temporary `Vec`
 //!   each packet before selecting the near/far best-quality packets.
 //!
-//! It exists for two purposes, both gated behind `cfg(test)` or the
-//! `reference` feature so production builds never carry it:
-//!
-//! 1. the **differential property test** (`tests/proptest_invariants.rs`)
-//!    drives this pipeline and the optimized one over random scenarios and
-//!    asserts estimate parity (`p̂`, `θ̂`, point errors), and
-//! 2. the **before/after benchmarks** (`crates/bench`) measure the speedup
-//!    directly against it.
+//! It exists as a test oracle, gated behind `cfg(test)` or the `reference`
+//! feature (which only the root package's dev-dependency enables) so
+//! production builds never carry it: the **differential suites**
+//! (`tests/proptest_invariants.rs`, `tests/incremental_offset.rs`) drive
+//! this pipeline and the optimized one over random scenarios and assert
+//! estimate parity (`p̂`, `θ̂`, point errors).
 //!
 //! Nothing here should be "improved" — its value is precisely that it
 //! stays the naive transcription of the paper's formulas.

@@ -33,7 +33,7 @@ pub fn run(opt: ExpOptions) -> Report {
     let mut sw_errs = Vec::new();
     let mut sw_rates = RunningStats::new();
     let mut n = 0usize;
-    for e in sc.build() {
+    for e in sc.stream() {
         if e.lost {
             continue;
         }

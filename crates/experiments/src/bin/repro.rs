@@ -70,16 +70,17 @@ fn main() {
         usage();
         return;
     }
+    // Every id is checked before any runs: a typo at the end of a long
+    // command line fails at once, not after the experiments before it.
+    if let Some(bad) = ids.iter().find(|id| !ALL_IDS.contains(&id.as_str())) {
+        die(&format!("unknown experiment id: {bad} (try `repro list`)"));
+    }
     for id in &ids {
         let t0 = std::time::Instant::now();
-        match run_by_id(id, opt) {
-            Some(report) => {
-                println!("{}", report.render());
-                dump_telemetry(telemetry_json);
-                eprintln!("[{id}] completed in {:?}\n", t0.elapsed());
-            }
-            None => eprintln!("unknown experiment id: {id} (try `repro list`)"),
-        }
+        let report = run_by_id(id, opt).expect("id validated above");
+        println!("{}", report.render());
+        dump_telemetry(telemetry_json);
+        eprintln!("[{id}] completed in {:?}\n", t0.elapsed());
     }
 }
 

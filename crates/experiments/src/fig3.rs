@@ -26,7 +26,7 @@ fn sweep(env: Environment, server: ServerKind, seed: u64, days: f64) -> (String,
     // "forces the first and last offset values to be the same").
     let mut tf_counts = Vec::new();
     let mut tg = Vec::new();
-    for e in sc.build() {
+    for e in sc.stream() {
         if e.lost {
             continue;
         }

@@ -21,7 +21,7 @@ pub fn run(opt: ExpOptions) -> Report {
         .with_duration(n as f64 * 16.0 + 32.0);
     let mut d_back = Vec::new();
     let mut d_srv = Vec::new();
-    for e in sc.build().take(n) {
+    for e in sc.stream().take(n) {
         if e.lost {
             continue;
         }

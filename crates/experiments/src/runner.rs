@@ -79,7 +79,7 @@ pub fn run_clock(scenario: &Scenario, cfg: ClockConfig) -> ClockRun {
     let mut attempted = 0usize;
     let mut lost = 0usize;
     let mut i = 0usize;
-    for e in scenario.build() {
+    for e in scenario.stream() {
         attempted += 1;
         if e.lost {
             lost += 1;

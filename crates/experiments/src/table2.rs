@@ -25,7 +25,7 @@ pub fn run(opt: ExpOptions) -> Report {
         let mut min_rtt = f64::INFINITY;
         let mut refs = Vec::new();
         let p_nom = 1.0 / sc.tsc_freq_hz;
-        for e in sc.build() {
+        for e in sc.stream() {
             if e.lost {
                 continue;
             }

@@ -49,13 +49,11 @@
 //! Clocks are embarrassingly parallel; the engine's only shared state is
 //! the claiming cursor (one `fetch_add` per chunk of clocks), so aggregate
 //! throughput is *designed* to track physical cores — but that scaling is
-//! measured, not assumed: `crates/bench/benches/bench_fleet.rs` reports
-//! aggregate packets/s at 1/2/4/8 threads for fleets of 100–10 000
-//! clocks. On a host with one or two cores every thread count measures
-//! the same throughput (the rows bound the pool's overhead instead): see
-//! the current `fleet_replay_1000clocks/1threads` row of
-//! `BENCH_fleet.json` for the figure, and re-run the bench on a
-//! multi-core machine before citing a scaling factor.
+//! measured, not assumed. The benchmark of record's `fleet_replay`
+//! workload (`e2e/`) drives this engine on up to two threads and reports the
+//! pool's own cost as `fleet.pool_dispatch_us` and `fleet.pool_imbalance`;
+//! on a host with one or two cores that is all a thread count can show,
+//! so measure on a multi-core machine before citing a scaling factor.
 
 pub mod lifecycle;
 pub mod pool;

@@ -8,7 +8,7 @@
 //! injectable gross faults, a DAG reference monitor on the return path
 //! (`tsc-refmon`), packet loss, outages, and route-change level shifts.
 //!
-//! One call to [`sim::ExchangeSimulator::step`] produces everything the
+//! One call to [`sim::ExchangeStream::step`] produces everything the
 //! paper records for packet *i*: the host's raw TSC timestamps `Ta, Tf`,
 //! the server timestamps `Tb, Te`, the reference timestamp `Tg`, and —
 //! because this is a simulation — the exact truth behind all of them.
@@ -42,6 +42,4 @@ pub use profile::{PathParams, PathProfile, ProfileMix, ALL_PROFILES};
 pub use scenario::{Scenario, ServerKind};
 pub use server::{ServerFault, ServerModel};
 pub use shifts::{LevelShift, ShiftSchedule};
-pub use sim::{
-    ExchangeSimulator, ExchangeStream, OnDemandSim, RawExchanges, SimExchange, Truth,
-};
+pub use sim::{ExchangeStream, OnDemandSim, RawExchanges, SimExchange, Truth};

@@ -3,7 +3,7 @@
 use crate::delay::CongestionParams;
 use crate::server::ServerFault;
 use crate::shifts::ShiftSchedule;
-use crate::sim::ExchangeSimulator;
+use crate::sim::ExchangeStream;
 use serde::{Deserialize, Serialize};
 use tsc_osc::Environment;
 
@@ -114,7 +114,7 @@ impl ServerKind {
 }
 
 /// A complete experiment configuration: host environment, server, schedule
-/// of anomalies, polling parameters. `build()` yields the event simulator.
+/// of anomalies, polling parameters. `stream()` yields the event simulator.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Host temperature environment (selects the oscillator model).
@@ -269,29 +269,23 @@ impl Scenario {
         warnings
     }
 
-    /// Builds the exchange simulator.
-    pub fn build(&self) -> ExchangeSimulator {
-        ExchangeSimulator::new(self)
-    }
-
-    /// Builds a borrowing exchange stream (bit-identical output to
-    /// [`Scenario::build`], without cloning the anomaly schedules) — the
-    /// fleet-replay generation path.
-    pub fn stream(&self) -> crate::sim::ExchangeStream<'_> {
-        crate::sim::ExchangeStream::new(self)
+    /// Builds the fixed-cadence exchange stream, borrowing the anomaly
+    /// schedules.
+    pub fn stream(&self) -> ExchangeStream<'_> {
+        ExchangeStream::new(self)
     }
 
     /// A borrowing stream with the master seed overridden — what a fleet
     /// uses to derive thousands of distinct streams from one shared
     /// template without cloning it.
-    pub fn stream_with_seed(&self, seed: u64) -> crate::sim::ExchangeStream<'_> {
-        crate::sim::ExchangeStream::with_seed(self, seed)
+    pub fn stream_with_seed(&self, seed: u64) -> ExchangeStream<'_> {
+        ExchangeStream::with_seed(self, seed)
     }
 
     /// Runs the whole scenario, returning every exchange record (including
     /// lost ones, flagged).
     pub fn run(&self) -> Vec<crate::sim::SimExchange> {
-        self.build().collect()
+        self.stream().collect()
     }
 
     /// Runs the whole scenario through the pre-optimization pipeline
@@ -300,7 +294,7 @@ impl Scenario {
     /// differential tests.
     #[cfg(feature = "reference")]
     pub fn run_reference(&self) -> Vec<crate::sim::SimExchange> {
-        ExchangeSimulator::new_reference(self).collect()
+        ExchangeStream::new_reference(self).collect()
     }
 }
 

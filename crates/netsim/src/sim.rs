@@ -83,8 +83,8 @@ pub struct SimExchange {
 
 /// The owned stepping state shared by the two simulator front-ends: every
 /// stochastic element and the poll schedule, but *not* the anomaly
-/// schedules (level shifts, outages), which the front-ends either own
-/// ([`ExchangeSimulator`]) or borrow from the scenario ([`ExchangeStream`]).
+/// schedules (level shifts, outages), which [`ExchangeStream`] borrows from
+/// the scenario and [`OnDemandSim`] owns.
 struct SimCore {
     counter: TscCounter,
     host: HostTimestamping,
@@ -590,65 +590,11 @@ impl SimCore {
     }
 }
 
-/// Iterator-style simulator; see the module docs for the event pipeline.
-///
-/// Owns copies of the scenario's anomaly schedules, so it can outlive the
-/// [`Scenario`] it was built from. When driving many simulators (fleet
-/// replay), prefer [`ExchangeStream`] via [`Scenario::stream`]: it borrows
-/// the schedules instead of cloning them, making per-stream construction
-/// allocation-free for fault-less scenarios.
-pub struct ExchangeSimulator {
-    core: SimCore,
-    shifts: ShiftSchedule,
-    outages: Vec<(f64, f64)>,
-}
-
-impl ExchangeSimulator {
-    /// Builds the simulator from a [`Scenario`].
-    pub fn new(sc: &Scenario) -> Self {
-        Self {
-            core: SimCore::new(sc),
-            shifts: sc.shifts.clone(),
-            outages: sc.outages.clone(),
-        }
-    }
-
-    /// Builds the pre-optimization simulator: every sampler and the
-    /// oscillator run their original formulation. The differential tests
-    /// compare its traces against the fast path statistically.
-    #[cfg(feature = "reference")]
-    pub fn new_reference(sc: &Scenario) -> Self {
-        Self {
-            core: SimCore::new_reference(sc, sc.seed),
-            shifts: sc.shifts.clone(),
-            outages: sc.outages.clone(),
-        }
-    }
-
-    /// Runs one poll; `None` when the scenario duration is exhausted.
-    pub fn step(&mut self) -> Option<SimExchange> {
-        self.core.step(&self.shifts, &self.outages)
-    }
-
-    /// Nominal TSC frequency of the simulated host.
-    pub fn tsc_freq_hz(&self) -> f64 {
-        self.core.counter.freq_hz()
-    }
-}
-
-impl Iterator for ExchangeSimulator {
-    type Item = SimExchange;
-    fn next(&mut self) -> Option<SimExchange> {
-        self.step()
-    }
-}
-
-/// A borrowing exchange stream: identical output to [`ExchangeSimulator`]
-/// (bit-for-bit, same seed derivation), but the anomaly schedules are read
-/// straight out of the scenario — no per-stream clones, no allocations in
-/// steady-state stepping. This is the fleet-replay generation path, where
-/// thousands of streams are built against shared scenario templates and
-/// generation must never bottleneck the consumers.
+/// The fixed-cadence simulator; see the module docs for the event
+/// pipeline. The anomaly schedules are read straight out of the scenario —
+/// no per-stream clones, no allocations in steady-state stepping — so
+/// thousands of streams can be built against shared scenario templates
+/// (fleet replay) without generation bottlenecking the consumers.
 pub struct ExchangeStream<'a> {
     core: SimCore,
     scenario: &'a Scenario,
@@ -659,6 +605,17 @@ impl<'a> ExchangeStream<'a> {
     pub fn new(sc: &'a Scenario) -> Self {
         Self {
             core: SimCore::new(sc),
+            scenario: sc,
+        }
+    }
+
+    /// Builds the pre-optimization stream: every sampler and the
+    /// oscillator run their original formulation. The differential tests
+    /// compare its traces against the fast path statistically.
+    #[cfg(feature = "reference")]
+    pub(crate) fn new_reference(sc: &'a Scenario) -> Self {
+        Self {
+            core: SimCore::new_reference(sc, sc.seed),
             scenario: sc,
         }
     }
@@ -753,7 +710,7 @@ impl Iterator for RawExchanges<'_> {
 /// client with its own sync cadence, retry backoff and failure cooldown
 /// does — the measurement substrate of the fleet lifecycle layer.
 ///
-/// Unlike [`ExchangeSimulator`] there is no fixed poll grid and no
+/// Unlike [`ExchangeStream`] there is no fixed poll grid and no
 /// duration cutoff (the caller owns the horizon). The stochastic state is
 /// the same [`SimCore`], so loss, outages, level shifts, server faults
 /// and the oscillator all behave identically; the path queueing uses the
@@ -962,48 +919,9 @@ mod tests {
     }
 
     #[test]
-    fn borrowing_stream_matches_owning_simulator() {
-        // same seed derivation, same stepping: the stream must be
-        // bit-identical to the simulator, including across anomalies
-        let sc = short_scenario(13)
-            .with_outage(3600.0, 4000.0)
-            .with_shift(LevelShift::forward_only(7200.0, None, 0.9e-3));
-        let owned: Vec<_> = sc.build().collect();
-        let streamed: Vec<_> = sc.stream().collect();
-        assert_eq!(owned.len(), streamed.len());
-        // lost packets carry NaN observables, so compare bit patterns
-        let bits = |e: &crate::SimExchange| {
-            (
-                e.i,
-                e.lost,
-                e.poll_time.to_bits(),
-                e.ta_tsc,
-                e.tf_tsc,
-                e.tb.to_bits(),
-                e.te.to_bits(),
-                e.tg.to_bits(),
-                [
-                    e.truth.ta.to_bits(),
-                    e.truth.tb.to_bits(),
-                    e.truth.te.to_bits(),
-                    e.truth.tf.to_bits(),
-                    e.truth.d_fwd.to_bits(),
-                    e.truth.d_srv.to_bits(),
-                    e.truth.d_back.to_bits(),
-                    e.truth.host_err_at_tf.to_bits(),
-                ],
-            )
-        };
-        for (x, y) in owned.iter().zip(&streamed) {
-            assert_eq!(bits(x), bits(y), "divergence at packet {}", x.i);
-        }
-    }
-
-    #[test]
     fn seed_override_stream_equals_reseeded_scenario() {
         // loss-free so delivered records are NaN-free and directly
-        // comparable; the loss RNG derivation is still seed-dependent and
-        // covered by borrowing_stream_matches_owning_simulator
+        // comparable
         let template = Scenario {
             loss_prob: 0.0,
             ..short_scenario(20)

@@ -2,7 +2,7 @@
 //!
 //! Supports the subset this workspace uses: `criterion_group!` /
 //! `criterion_main!`, benchmark groups with throughput and sample-size
-//! hints, `Bencher::iter` and `Bencher::iter_batched`, a substring filter
+//! hints, `Bencher::iter`, a substring filter
 //! (`cargo bench -- <filter>`), and the `--test` smoke mode that runs every
 //! bench exactly once (used by CI).
 //!
@@ -17,8 +17,9 @@
 //! binary writes its measurements there as a JSON array of
 //! `{"bench", "mean_ns", "median_ns", "iters", "elements_per_iter",
 //! "throughput_per_sec", "threads", "host_cpus", "rustc"}` records on
-//! exit (via the `criterion_main!` epilogue) — the hook the repo uses to
-//! track its performance trajectory across PRs (e.g. `BENCH_fleet.json`).
+//! exit (via the `criterion_main!` epilogue). The file is overwritten
+//! whole, so point it at a scratch path and merge the rows worth keeping,
+//! labelled, into the repo's one ledger, the root `BENCH.json`.
 //! `median_ns` is the median of the per-batch sample means: on a
 //! single-core host the scheduler can stall one batch for tens of
 //! milliseconds, inflating the mean of a short benchmark by double-digit
@@ -54,14 +55,6 @@ mod measurement {
 pub enum Throughput {
     Elements(u64),
     Bytes(u64),
-}
-
-/// Batch-size hint for `iter_batched` (ignored: every batch has one input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-    PerIteration,
 }
 
 /// Harness configuration, parsed from the command line.
@@ -383,33 +376,6 @@ impl Bencher {
             self.total += dt;
             self.iters += batch;
             self.samples.push(dt.as_nanos() as f64 / batch as f64);
-        }
-    }
-
-    /// Times `routine` over inputs produced by `setup` (setup excluded from
-    /// the measurement).
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        if self.test_mode {
-            let input = setup();
-            black_box(routine(input));
-            return;
-        }
-        let deadline = Instant::now() + self.budget;
-        loop {
-            let input = setup();
-            let t0 = Instant::now();
-            black_box(routine(input));
-            let dt = t0.elapsed();
-            self.total += dt;
-            self.iters += 1;
-            self.samples.push(dt.as_nanos() as f64);
-            if Instant::now() >= deadline && self.samples.len() >= self.min_samples {
-                break;
-            }
         }
     }
 }

@@ -11,10 +11,9 @@
 //! * [`histogram`] — fixed-bin histograms (Figure 12).
 //! * [`log2hist`] — log2-bucketed histograms with elementwise merge; the
 //!   bucketing math behind the `tsc-telemetry` latency histograms.
-//! * [`window`] — running and sliding-window minima; the RTT minimum
-//!   estimators `rˆ(t)` and `rˆl(t)` of §5.1/§6.2 are built on these.
-//! * [`regression`] — ordinary least squares and Theil–Sen slope estimation
-//!   for detrending and for reference rate computation.
+//! * [`window`] — the sliding-window minimum behind the local RTT minimum
+//!   `rˆl(t)` of §6.2.
+//! * [`regression`] — endpoint detrending of offset traces (Figure 2).
 //! * [`summary`] — streaming mean/variance/extrema.
 //!
 //! Everything here is deterministic, allocation-conscious and free of any
@@ -33,6 +32,5 @@ pub use allan::{allan_deviation, allan_variance, AllanPoint};
 pub use histogram::Histogram;
 pub use log2hist::{log2_bucket_bound, log2_bucket_of, Log2Histogram, LOG2_BUCKETS};
 pub use quantile::{iqr, median, percentile, Percentiles};
-pub use regression::{ols_fit, theil_sen, LinearFit};
 pub use summary::RunningStats;
-pub use window::{RunningMin, SlidingMin};
+pub use window::SlidingMin;

@@ -1,126 +1,5 @@
-//! Linear fits: ordinary least squares and the robust Theil–Sen estimator.
-//!
-//! Used for detrending offset traces (§3.1 / Figure 2 "force the first and
-//! last offset values to be the same") and for computing reference rates
-//! from DAG timestamps.
-
-/// Result of a straight-line fit `y ≈ intercept + slope · x`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Estimated slope.
-    pub slope: f64,
-    /// Estimated intercept.
-    pub intercept: f64,
-    /// Coefficient of determination R² (0 when undefined).
-    pub r2: f64,
-}
-
-impl LinearFit {
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
-    /// Subtracts the fitted line from each `(x, y)` pair, returning residuals.
-    pub fn residuals(&self, xs: &[f64], ys: &[f64]) -> Vec<f64> {
-        xs.iter()
-            .zip(ys)
-            .map(|(&x, &y)| y - self.predict(x))
-            .collect()
-    }
-}
-
-/// Ordinary least-squares fit of `ys` against `xs`.
-///
-/// Returns `None` when fewer than two points are supplied or all `xs`
-/// coincide. The computation centres the data first for numerical stability
-/// with the enormous abscissae (TSC counts ~1e14) this project deals with.
-pub fn ols_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        let dx = x - mx;
-        let dy = y - my;
-        sxx += dx * dx;
-        sxy += dx * dy;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 {
-        return None;
-    }
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let r2 = if syy == 0.0 { 1.0 } else { (sxy * sxy) / (sxx * syy) };
-    Some(LinearFit {
-        slope,
-        intercept,
-        r2,
-    })
-}
-
-/// Theil–Sen slope: the median of pairwise slopes, robust to ~29% outliers.
-///
-/// For large inputs the all-pairs set is subsampled deterministically to cap
-/// cost at roughly `max_pairs` slope evaluations, keeping the estimator
-/// usable on month-long traces.
-pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
-    const MAX_PAIRS: usize = 250_000;
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len();
-    let total_pairs = n * (n - 1) / 2;
-    let mut slopes = Vec::with_capacity(total_pairs.min(MAX_PAIRS));
-    if total_pairs <= MAX_PAIRS {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let dx = xs[j] - xs[i];
-                if dx != 0.0 {
-                    slopes.push((ys[j] - ys[i]) / dx);
-                }
-            }
-        }
-    } else {
-        // Deterministic stride-based subsample of pairs.
-        let stride = (total_pairs / MAX_PAIRS).max(1);
-        let mut k = 0usize;
-        'outer: for i in 0..n {
-            for j in (i + 1)..n {
-                if k.is_multiple_of(stride) {
-                    let dx = xs[j] - xs[i];
-                    if dx != 0.0 {
-                        slopes.push((ys[j] - ys[i]) / dx);
-                    }
-                    if slopes.len() >= MAX_PAIRS {
-                        break 'outer;
-                    }
-                }
-                k += 1;
-            }
-        }
-    }
-    if slopes.is_empty() {
-        return None;
-    }
-    slopes.sort_by(|a, b| a.partial_cmp(b).expect("finite slopes"));
-    let slope = crate::quantile::percentile_of_sorted(&slopes, 50.0);
-    // Intercept: median of y − slope·x.
-    let mut inters: Vec<f64> = xs.iter().zip(ys).map(|(&x, &y)| y - slope * x).collect();
-    inters.sort_by(|a, b| a.partial_cmp(b).expect("finite intercepts"));
-    let intercept = crate::quantile::percentile_of_sorted(&inters, 50.0);
-    Some(LinearFit {
-        slope,
-        intercept,
-        r2: 0.0,
-    })
-}
+//! Endpoint detrending of offset traces (§3.1 / Figure 2 "force the first
+//! and last offset values to be the same").
 
 /// Detrends `ys` so its first and last values become equal (and zero) —
 /// the exact normalization the paper applies in Figure 2 ("they force the
@@ -150,74 +29,6 @@ pub fn detrend_endpoints(xs: &[f64], ys: &[f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ols_exact_line() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 3.0 * x - 2.0).collect();
-        let f = ols_fit(&xs, &ys).unwrap();
-        assert!((f.slope - 3.0).abs() < 1e-12);
-        assert!((f.intercept + 2.0).abs() < 1e-12);
-        assert!((f.r2 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ols_degenerate_inputs() {
-        assert!(ols_fit(&[1.0], &[2.0]).is_none());
-        assert!(ols_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
-        assert!(ols_fit(&[1.0, 2.0], &[2.0]).is_none());
-    }
-
-    #[test]
-    fn ols_huge_abscissae_stable() {
-        // TSC-count-like x values: ~1e14 with tiny relative spread
-        let xs: Vec<f64> = (0..100).map(|i| 1e14 + i as f64 * 1e9).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 1.8e-9 * x + 5.0).collect();
-        let f = ols_fit(&xs, &ys).unwrap();
-        assert!((f.slope - 1.8e-9).abs() / 1.8e-9 < 1e-9);
-    }
-
-    #[test]
-    fn theil_sen_robust_to_outliers() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let mut ys: Vec<f64> = xs.iter().map(|&x| 2.0 * x + 1.0).collect();
-        // corrupt 20% of points badly
-        for i in (0..50).step_by(5) {
-            ys[i] += 1000.0;
-        }
-        let ts = theil_sen(&xs, &ys).unwrap();
-        assert!((ts.slope - 2.0).abs() < 0.05, "slope {}", ts.slope);
-        let ols = ols_fit(&xs, &ys).unwrap();
-        assert!(
-            (ols.slope - 2.0).abs() > (ts.slope - 2.0).abs(),
-            "Theil-Sen must beat OLS under gross outliers"
-        );
-    }
-
-    #[test]
-    fn theil_sen_degenerate() {
-        assert!(theil_sen(&[1.0], &[1.0]).is_none());
-        assert!(theil_sen(&[2.0, 2.0], &[1.0, 5.0]).is_none());
-    }
-
-    #[test]
-    fn theil_sen_large_input_subsampling() {
-        let n = 2000; // all-pairs ≈ 2e6 > MAX_PAIRS, exercises subsample path
-        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| -0.5 * x + 3.0).collect();
-        let f = theil_sen(&xs, &ys).unwrap();
-        assert!((f.slope + 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn residuals_are_zero_for_exact_fit() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [1.0, 2.0, 3.0];
-        let f = ols_fit(&xs, &ys).unwrap();
-        for r in f.residuals(&xs, &ys) {
-            assert!(r.abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn detrend_endpoints_zeroes_ends() {

@@ -1,61 +1,11 @@
-//! Running and sliding-window minimum trackers.
+//! Sliding-window minimum tracker.
 //!
-//! §5.1 estimates the minimum RTT as `rˆ(t) = min_{i≤t} r_i` — a running
-//! minimum that is "highly robust to packet loss". §6.2 additionally keeps a
-//! *local* minimum `rˆl` over a sliding window of width `Ts` to detect upward
-//! level shifts. [`RunningMin`] and [`SlidingMin`] implement both with O(1)
-//! amortized updates (the sliding version uses a monotonic deque).
+//! §6.2 keeps a *local* minimum `rˆl` over a sliding window of width `Ts`
+//! to detect upward level shifts. [`SlidingMin`] implements it with O(1)
+//! amortized updates over a monotonic deque — the dense formulation core's
+//! shift detector is differentially tested against.
 
 use std::collections::VecDeque;
-
-/// Running (prefix) minimum over a stream of `f64` values.
-#[derive(Debug, Clone, Default)]
-pub struct RunningMin {
-    min: Option<f64>,
-    count: u64,
-}
-
-impl RunningMin {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes a value; NaN is ignored.
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        self.count += 1;
-        self.min = Some(match self.min {
-            Some(m) if m <= x => m,
-            _ => x,
-        });
-    }
-
-    /// Current minimum, or `None` before any observation.
-    pub fn get(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Number of values observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Resets to a given floor (used after an upward level shift is
-    /// confirmed: the algorithm re-bases `rˆ` on the post-shift level).
-    pub fn reset_to(&mut self, x: f64) {
-        self.min = Some(x);
-        self.count = 1;
-    }
-
-    /// Clears all state.
-    pub fn clear(&mut self) {
-        self.min = None;
-        self.count = 0;
-    }
-}
 
 /// Sliding-window minimum over the last `capacity` observations, with O(1)
 /// amortized push via a monotonically increasing deque of candidates.
@@ -138,41 +88,6 @@ impl SlidingMin {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_min_basic() {
-        let mut m = RunningMin::new();
-        assert_eq!(m.get(), None);
-        m.push(3.0);
-        m.push(5.0);
-        assert_eq!(m.get(), Some(3.0));
-        m.push(1.0);
-        assert_eq!(m.get(), Some(1.0));
-        assert_eq!(m.count(), 3);
-    }
-
-    #[test]
-    fn running_min_ignores_nan() {
-        let mut m = RunningMin::new();
-        m.push(f64::NAN);
-        assert_eq!(m.get(), None);
-        m.push(2.0);
-        m.push(f64::NAN);
-        assert_eq!(m.get(), Some(2.0));
-        assert_eq!(m.count(), 1);
-    }
-
-    #[test]
-    fn running_min_reset() {
-        let mut m = RunningMin::new();
-        m.push(1.0);
-        m.reset_to(10.0);
-        assert_eq!(m.get(), Some(10.0));
-        m.push(12.0);
-        assert_eq!(m.get(), Some(10.0));
-        m.clear();
-        assert_eq!(m.get(), None);
-    }
 
     #[test]
     fn sliding_min_expires_old_values() {

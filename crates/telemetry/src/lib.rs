@@ -18,7 +18,7 @@
 //!   hot path pays only relaxed atomic adds at batch granularity plus a
 //!   runtime `recording()` master-switch check; stage timers wrap
 //!   whole batches. Measured: ≤2% on `fleet_ingest_1000clocks`
-//!   (BENCH_telemetry.json).
+//!   (`bench_telemetry` rows in the root `BENCH.json`).
 //!
 //! Consumer crates depend on `tsc-telemetry` unconditionally and expose
 //! their own `telemetry` cargo feature forwarding to

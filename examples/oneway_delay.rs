@@ -23,7 +23,7 @@ fn main() {
     let mut owd_errors = Vec::new();
     let mut rtt_errors = Vec::new();
     let mut n = 0usize;
-    for e in scenario.build() {
+    for e in scenario.stream() {
         if e.lost {
             continue;
         }

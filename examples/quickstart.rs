@@ -21,7 +21,7 @@ fn main() {
     println!("feeding one day of NTP exchanges through the TSC-NTP clock...\n");
     let mut errors = Vec::new();
     let mut last_tf = 0u64;
-    for e in scenario.build() {
+    for e in scenario.stream() {
         if e.lost {
             continue; // §6.1: lost packets are simply excluded
         }

@@ -43,7 +43,7 @@ fn main() {
 
     println!("8 simulated days with outage, server fault, and route changes\n");
     let mut day_errors: Vec<Vec<f64>> = vec![Vec::new(); 8];
-    for e in scenario.build() {
+    for e in scenario.stream() {
         if e.lost {
             continue;
         }

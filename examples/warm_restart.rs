@@ -40,7 +40,7 @@ fn main() {
     let mut warm_err = Vec::new();
     let mut cold_err = Vec::new();
     let mut divergences = 0u64;
-    for e in scenario.build() {
+    for e in scenario.stream() {
         if e.lost {
             continue;
         }

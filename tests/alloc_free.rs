@@ -1,8 +1,9 @@
 //! "Allocation-free" as a pin (ROADMAP 5(c)): the READMEs have said it of
-//! the generator's and the estimator's per-packet calls since PR 1, and
-//! nothing asserted it. Each test warms one of them up — buffers at their
-//! working size, the clock's history ring past its window — and then
-//! counts heap allocations over thousands of further calls: zero.
+//! the generator's and the estimator's per-packet calls since PR 1, and of
+//! the serve plane and the lifecycle client since PR 10, and nothing
+//! asserted it. Each test warms one of them up — buffers at their working
+//! size, the clock's history ring past its window — and then counts heap
+//! allocations over thousands of further calls: zero.
 //!
 //! The counter is per thread (the harness runs every `#[test]` on a thread
 //! of its own, beside its own bookkeeping), and counts `alloc` and
@@ -10,9 +11,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
+use tsc_fleet::{ClientState, LifecycleClient, LifecycleConfig};
 use tsc_netsim::{MultiServerScenario, OnDemandSim, RoundSample, Scenario};
+use tsc_ntp::{NtpPacket, NtpTimestamp};
 use tsc_quorum::{QuorumClock, QuorumConfig};
+use tsc_serve::{
+    BatchBufs, DatagramBatch, PublishPolicy, Publisher, ServeConfig, ServePlane, SimTransport,
+    SnapshotCell,
+};
 use tscclock::{ClockConfig, RawExchange, TscNtpClock};
 
 struct Counting;
@@ -178,4 +186,96 @@ fn a_warm_quorums_process_round_does_not_allocate() {
     });
     assert_eq!(combined, measured.len() / K);
     assert_eq!(n, 0, "allocations over {combined} rounds");
+}
+
+/// Datagrams per `serve_batch` call: client requests and one malformed
+/// datagram, so the drop path runs beside the serve or refusal path.
+const SERVE_BATCH: usize = 8;
+
+#[test]
+fn a_warm_serve_batch_does_not_allocate() {
+    let cell = Arc::new(SnapshotCell::new());
+    let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
+    // A synced snapshot sealed at counter 0, one count a nanosecond.
+    publisher.seal(0, 1.7e9, 1e-9, true);
+    let mut plane = ServePlane::new(cell, ServeConfig::default());
+    let mut transport = SimTransport::new();
+    transport.keep_responses = false;
+    let (mut rx, mut tx) = (BatchBufs::new(SERVE_BATCH), BatchBufs::new(SERVE_BATCH));
+    let request = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(1.7e9), 4).encode();
+    let mut tsc = 0u64;
+    let mut tsc_now = move || {
+        tsc += 1_000;
+        tsc
+    };
+    let mut serve_one_batch = |plane: &mut ServePlane| {
+        for _ in 1..SERVE_BATCH {
+            transport.push_request(&request);
+        }
+        transport.push_request(b"not ntp");
+        let n = transport.recv_batch(&mut rx, SERVE_BATCH).unwrap();
+        plane.serve_batch(&rx, n, &mut tx, &mut tsc_now);
+        transport.send_batch(&tx, n).unwrap();
+    };
+    serve_one_batch(&mut plane);
+    const BATCHES: u64 = 20_000;
+    let n = allocations_in(|| {
+        for i in 0..BATCHES {
+            if i == BATCHES / 2 {
+                // The second half is refused (`UNSY`).
+                publisher.seal(0, 0.0, 0.0, false);
+            }
+            serve_one_batch(&mut plane);
+        }
+    });
+    let requests = SERVE_BATCH as u64 - 1;
+    assert_eq!(plane.stats.malformed, BATCHES + 1);
+    assert_eq!(plane.stats.responses, (BATCHES / 2 + 1) * requests);
+    assert_eq!(plane.stats.refusals, BATCHES / 2 * requests);
+    assert_eq!(n, 0, "allocations over {BATCHES} batches");
+}
+
+#[test]
+fn a_snapshot_cell_read_does_not_allocate() {
+    let cell = Arc::new(SnapshotCell::new());
+    Publisher::new(Arc::clone(&cell), PublishPolicy::default()).seal(0, 1.7e9, 1e-9, true);
+    let mut synced = 0;
+    let n = allocations_in(|| {
+        for _ in 0..MEASURED {
+            synced += usize::from(std::hint::black_box(&cell).read().is_some_and(|s| s.synced));
+        }
+    });
+    assert_eq!(synced, MEASURED);
+    assert_eq!(n, 0, "allocations over {MEASURED} reads");
+}
+
+#[test]
+fn a_synced_lifecycle_clients_on_response_does_not_allocate() {
+    let sc = scenario(WARM + MEASURED);
+    let mut input: Vec<RawExchange> = Vec::with_capacity(WARM + MEASURED);
+    sc.stream().raw().fill_batch(&mut input, WARM + MEASURED);
+    assert!(input.len() > WARM + MEASURED / 2, "{} delivered", input.len());
+    let mut client = LifecycleClient::new(
+        LifecycleConfig::defaults(POLL),
+        ClockConfig::paper_defaults(POLL),
+        7,
+        0.0,
+    );
+    let nominal_period = 1.0 / sc.tsc_freq_hz;
+    let (warm, measured) = input.split_at(WARM);
+    let mut now = 0.0;
+    for &ex in warm {
+        now += POLL;
+        client.on_response(now, ex, nominal_period);
+    }
+    assert_eq!(client.state(), ClientState::Synced);
+    let transitions = client.transition_count();
+    let n = allocations_in(|| {
+        for &ex in measured {
+            now += POLL;
+            client.on_response(now, ex, nominal_period);
+        }
+    });
+    assert_eq!(client.transition_count(), transitions, "left Synced");
+    assert_eq!(n, 0, "allocations over {} responses", measured.len());
 }

@@ -186,7 +186,7 @@ fn histogram_and_percentiles_agree_on_simulated_errors() {
     let sc = Scenario::baseline(123).with_duration(86_400.0);
     let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(16.0));
     let mut errs = Vec::new();
-    for e in sc.build() {
+    for e in sc.stream() {
         if e.lost {
             continue;
         }

@@ -19,7 +19,7 @@ fn run(scenario: &Scenario, cfg: ClockConfig) -> (Vec<f64>, TscNtpClock, Vec<(f6
     let mut errs = Vec::new();
     let mut events = Vec::new();
     let mut n = 0;
-    for e in scenario.build() {
+    for e in scenario.stream() {
         if e.lost {
             continue;
         }
@@ -214,7 +214,7 @@ fn swclock_baseline_is_worse_on_the_same_trace() {
     let mut sw = DisciplinedClock::default();
     let mut sw_errs = Vec::new();
     let mut n = 0;
-    for e in sc.build() {
+    for e in sc.stream() {
         if e.lost {
             continue;
         }
