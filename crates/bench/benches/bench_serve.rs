@@ -9,9 +9,8 @@
 //!   Acceptance: ≥2 M responses/s.
 //! * `serve_inproc_<tag>/batch1` — the same workload one datagram per
 //!   batch: the batched-vs-single A/B pair.
-//! * `snapshot_read_<tag>/{seqlock,mutex}` — the snapshot-read-vs-mutex
-//!   A/B: one lock-free cell read vs one `Mutex` cell read (same
-//!   payload), both under the same concurrent republisher.
+//! * `snapshot_read_<tag>/seqlock` — one lock-free cell read under the
+//!   same concurrent republisher.
 //! * with the `telemetry` feature: `serve_recording_<tag>/{on,off,
 //!   overhead_pct}` — interleaved recording-on/off rows on the batch64
 //!   workload; the telemetry contract is ≤2 % overhead.
@@ -29,28 +28,11 @@ use tsc_netsim::Scenario;
 use tsc_ntp::packet::NtpPacket;
 use tsc_ntp::timestamp::NtpTimestamp;
 use tsc_serve::{
-    BatchBufs, ClockSnapshot, DatagramBatch, PublishPolicy, Publisher, ServeConfig, ServePlane,
-    SimTransport, SnapshotCell,
+    BatchBufs, DatagramBatch, PublishPolicy, Publisher, ServeConfig, ServePlane, SimTransport,
+    SnapshotCell,
 };
 use tsc_telemetry as telemetry;
 use tscclock::{ClockConfig, RawExchange, TscNtpClock};
-
-/// The mutex strawman the `snapshot_read_*/mutex` row compares the
-/// seqlock against: identical payload, `std::sync::Mutex` protection.
-#[derive(Default)]
-struct MutexCell {
-    inner: std::sync::Mutex<Option<ClockSnapshot>>,
-}
-
-impl MutexCell {
-    fn publish(&self, snap: &ClockSnapshot) {
-        *self.inner.lock().unwrap() = Some(*snap);
-    }
-
-    fn read(&self) -> Option<ClockSnapshot> {
-        *self.inner.lock().unwrap()
-    }
-}
 
 fn compiled_tag() -> &'static str {
     if telemetry::TELEMETRY_COMPILED {
@@ -82,7 +64,6 @@ struct Republisher {
 impl Republisher {
     fn start(
         cell: Arc<SnapshotCell>,
-        mutex_cell: Arc<MutexCell>,
         mut clock: TscNtpClock,
         exchanges: Vec<RawExchange>,
         serve_tsc: Arc<AtomicU64>,
@@ -101,11 +82,6 @@ impl Republisher {
                     publisher.observe(&out);
                 }
                 publisher.publish_clock(&clock, raw.tf_tsc);
-                // Mirror into the mutex strawman so its A/B read row sees
-                // identical write pressure.
-                if let Some(snap) = publisher.cell().read() {
-                    mutex_cell.publish(&snap);
-                }
                 serve_tsc.store(raw.tf_tsc, Ordering::Relaxed);
                 published2.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(Duration::from_micros(500));
@@ -129,7 +105,6 @@ impl Republisher {
 
 struct Workload {
     cell: Arc<SnapshotCell>,
-    mutex_cell: Arc<MutexCell>,
     serve_tsc: Arc<AtomicU64>,
     requests: Vec<[u8; 48]>,
     republisher: Republisher,
@@ -146,7 +121,6 @@ fn setup(n_requests: usize) -> Workload {
     let mut warm_tsc = 0u64;
     let mut warmed = 0;
     let cell = Arc::new(SnapshotCell::new());
-    let mutex_cell = Arc::new(MutexCell::default());
     let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
     while warmed < 3_000 {
         let e = stream.step().expect("stream long enough");
@@ -160,9 +134,6 @@ fn setup(n_requests: usize) -> Workload {
         warmed += 1;
     }
     assert!(publisher.publish_clock(&clock, warm_tsc), "clock must be servable");
-    if let Some(snap) = cell.read() {
-        mutex_cell.publish(&snap);
-    }
 
     // Remaining deliverable exchanges feed the concurrent republisher.
     let mut tail = Vec::new();
@@ -184,16 +155,9 @@ fn setup(n_requests: usize) -> Workload {
         .collect();
 
     let serve_tsc = Arc::new(AtomicU64::new(warm_tsc));
-    let republisher = Republisher::start(
-        Arc::clone(&cell),
-        Arc::clone(&mutex_cell),
-        clock,
-        tail,
-        Arc::clone(&serve_tsc),
-    );
+    let republisher = Republisher::start(Arc::clone(&cell), clock, tail, Arc::clone(&serve_tsc));
     Workload {
         cell,
-        mutex_cell,
         serve_tsc,
         requests,
         republisher,
@@ -267,7 +231,6 @@ fn bench_serve_plane(c: &mut Criterion) {
         assert_eq!(refused, 0, "warmed snapshot must serve");
         assert_eq!(served, n_requests as u64);
         assert!(w.cell.read().unwrap().synced);
-        assert!(w.mutex_cell.read().unwrap().synced);
         w.republisher.stop();
         println!("test bench serve_inproc/batch64 ... ok");
         return;
@@ -369,17 +332,13 @@ fn bench_serve_plane(c: &mut Criterion) {
     );
     println!("serve_recording_{tag}: overhead {overhead_pct:.2} %");
 
-    // Snapshot-read vs mutex-read A/B under the live republisher.
+    // Snapshot read under the live republisher.
     {
         let mut g = c.benchmark_group(format!("snapshot_read_{tag}"));
         g.sample_size(20);
         let cell = Arc::clone(&w.cell);
         g.bench_function("seqlock", |b| {
             b.iter(|| criterion::black_box(cell.read()))
-        });
-        let mcell = Arc::clone(&w.mutex_cell);
-        g.bench_function("mutex", |b| {
-            b.iter(|| criterion::black_box(mcell.read()))
         });
         g.finish();
     }

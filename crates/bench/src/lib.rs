@@ -9,8 +9,9 @@
 //! * `bench_netsim` — the generator's leaves (stream, on-demand path,
 //!   oscillator advance, keystream refill per kernel) that e2e's `netsim.*`
 //!   rows add up.
-//! * `bench_serve` — the seqlock-vs-mutex and batch-64-vs-batch-1 A/Bs and
-//!   the serve plane's recording overhead, none of which e2e runs.
+//! * `bench_serve` — the batch-64-vs-batch-1 A/B, the seqlock read under a
+//!   live republisher and the serve plane's recording overhead, none of
+//!   which e2e runs.
 //! * `bench_telemetry` — the ≤2 % recording-overhead contract; e2e compiles
 //!   telemetry out.
 //! * `bench_experiments` — the wall-clock cost of every `repro` experiment

@@ -24,7 +24,6 @@ use crate::local_rate::{LocalRate, LocalRateEvent};
 use crate::offset::{OffsetEstimator, OffsetEvent};
 use crate::rate::{GlobalRate, RateEvent};
 use crate::shift::ShiftDetector;
-use serde::{Deserialize, Serialize};
 use tsc_telemetry as telemetry;
 
 /// Everything notable that happened while processing one packet.
@@ -144,9 +143,9 @@ pub struct ProcessOutput {
     pub events: EventSet,
 }
 
-/// A serializable snapshot of the clock's estimates (enough to resume
+/// A snapshot of the clock's estimates (enough to resume
 /// timestamping — though not filtering history — after a restart).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockStatus {
     /// Packets processed (accepted into history).
     pub packets: u64,
@@ -890,29 +889,6 @@ mod tests {
         let mut cfg = ClockConfig::paper_defaults(16.0);
         cfg.delta = -1.0;
         TscNtpClock::new(cfg);
-    }
-
-    #[test]
-    fn clock_status_serde_round_trip() {
-        // snapshot -> JSON -> snapshot must be lossless (floats included:
-        // the JSON layer prints shortest-round-trip representations)
-        let mut c = clock();
-        for k in 0..300u64 {
-            c.process(ex(k as f64 * 16.0, 20e-6, 20e-6, 0.0));
-        }
-        let status = c.status();
-        let json = serde_json::to_string(&status).expect("serialize");
-        let back: ClockStatus = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(status, back, "round-trip changed the snapshot: {json}");
-        // an un-bootstrapped snapshot exercises the None fields
-        let empty = TscNtpClock::new(ClockConfig::paper_defaults(16.0)).status();
-        assert!(empty.p_hat.is_none());
-        let json = serde_json::to_string(&empty).expect("serialize");
-        let back: ClockStatus = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(empty.p_hat, back.p_hat);
-        assert_eq!(empty.theta_hat, back.theta_hat);
-        assert_eq!(empty.rtt_min, back.rtt_min);
-        assert_eq!(empty.packets, back.packets);
     }
 
     #[test]

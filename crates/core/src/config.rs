@@ -5,14 +5,12 @@
 //! and uses for its headline results; the sensitivity analyses of Figure 9
 //! sweep `tau_prime`, `quality_scale` (E) and the polling period.
 
-use serde::{Deserialize, Serialize};
-
 /// Minimum upward-shift detection window in packets (see
 /// [`ClockConfig::ts_packets`]).
 pub const MIN_TS_PACKETS: usize = 16;
 
 /// Full parameter set of the TSC-NTP clock.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
     /// δ — the unit of host timestamping error (15 µs, §5.1: "Error will be
     /// calibrated in units of the maximum timestamping error at the host").

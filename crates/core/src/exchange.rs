@@ -1,11 +1,9 @@
 //! The raw input record: one completed NTP exchange.
 
-use serde::{Deserialize, Serialize};
-
 /// The raw data of the i-th exchange (Figure 1): two host TSC readings and
 /// two server timestamps. This is *everything* the synchronization
 /// algorithms are allowed to see.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawExchange {
     /// Host TSC reading just before the request departs (`Ta`, counts).
     pub ta_tsc: u64,

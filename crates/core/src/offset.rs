@@ -515,11 +515,6 @@ impl OffsetEstimator {
         self.theta
     }
 
-    /// Estimated error bound of the current estimate (seconds).
-    pub fn error_estimate(&self) -> f64 {
-        self.last_err
-    }
-
     /// Predicts `θ̂` at host counter reading `tf_c` using the optional
     /// local-rate residual `γ̂l` (equation (23); constant prediction when
     /// `γ̂l` is `None`, equation (22)).

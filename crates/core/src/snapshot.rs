@@ -13,7 +13,7 @@
 //! encoding guarantees. The format is append-only per version and has no
 //! self-description overhead, so per-clock checkpointing inside fleet
 //! replay stays cheap (one `Vec<u8>` write, no allocation-per-field
-//! `Value` tree like the serde shim's).
+//! value tree). It is the workspace's only persisted format.
 //!
 //! # Envelope (format v3)
 //!
@@ -261,11 +261,6 @@ impl SnapshotWriter {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -427,11 +422,6 @@ impl<'a> SnapshotReader<'a> {
     /// Reads one byte.
     pub fn get_u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(*self.take_array()?))
     }
 
     /// Reads a little-endian `u32`.

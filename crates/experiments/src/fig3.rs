@@ -8,10 +8,10 @@
 //! bounded (< 0.1 PPM) rise at day scales.
 
 use crate::fmt::{table, Report};
+use crate::sidemode::correct_side_modes_drifting;
 use crate::ExpOptions;
 use tsc_netsim::{Scenario, ServerKind};
 use tsc_osc::Environment;
-use tsc_refmon::sidemode::correct_side_modes_drifting;
 use tsc_stats::allan::allan_sweep;
 
 /// One environment's sweep: (label, Vec<(tau, adev)>).

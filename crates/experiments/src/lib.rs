@@ -28,6 +28,7 @@ pub mod fmt;
 pub mod population;
 pub mod quorum;
 pub mod runner;
+mod sidemode;
 pub mod table1;
 pub mod table2;
 

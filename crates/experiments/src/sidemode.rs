@@ -13,12 +13,12 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct SideModeReport {
     /// Centre of the dominant mode (seconds).
-    pub primary: f64,
+    primary: f64,
     /// Centres of detected secondary modes, relative to zero (seconds),
     /// sorted ascending.
-    pub side_modes: Vec<f64>,
+    side_modes: Vec<f64>,
     /// Number of samples classified as large outliers (scheduling errors).
-    pub outliers: usize,
+    outliers: usize,
 }
 
 /// Bin width used for the mode histogram (1 µs: fine enough to separate the
@@ -38,7 +38,7 @@ const MODE_HALF_WIDTH: f64 = 4e-6;
 
 /// Detects the dominant mode and any significant side modes of `diffs`.
 /// Returns `None` when `diffs` is empty or all-NaN.
-pub fn detect_modes(diffs: &[f64]) -> Option<SideModeReport> {
+fn detect_modes(diffs: &[f64]) -> Option<SideModeReport> {
     let finite: Vec<f64> = diffs.iter().copied().filter(|x| x.is_finite()).collect();
     if finite.is_empty() {
         return None;
@@ -123,7 +123,7 @@ pub fn detect_modes(diffs: &[f64]) -> Option<SideModeReport> {
 /// samples beyond the 100 µs outlier cutoff of every mode are replaced by
 /// `tg + primary` (i.e. excluded and reconstructed from the reference, as
 /// the paper excludes scheduling errors).
-pub fn correct_side_modes(tf: &[f64], tg: &[f64]) -> (Vec<f64>, SideModeReport) {
+fn correct_side_modes(tf: &[f64], tg: &[f64]) -> (Vec<f64>, SideModeReport) {
     assert_eq!(tf.len(), tg.len(), "timestamp series must align");
     let diffs: Vec<f64> = tf.iter().zip(tg).map(|(&f, &g)| f - g).collect();
     let report = detect_modes(&diffs).unwrap_or(SideModeReport {

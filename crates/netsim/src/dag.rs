@@ -1,4 +1,12 @@
-//! The simulated DAG capture card.
+//! The simulated DAG capture card: the reference monitor on the return path.
+//!
+//! §2.4: the paper validates everything against a DAG3.2e card synchronized
+//! to GPS (~100 ns timestamping accuracy), tapping the Ethernet just before
+//! the host NIC. The card stamps the *first bit* of the frame while the host
+//! stamps after full arrival, so its timestamps are corrected by adding the
+//! 90-byte wire time, `90·8/100 Mbps = 7.2 µs`. (The interrupt-latency side
+//! modes of `Tf − Tg` are corrected in `tsc-experiments`, the one place that
+//! uses them.)
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -28,7 +36,7 @@ impl DagCard {
     }
 
     /// Card with arbitrary timestamping jitter σ (seconds).
-    pub fn with_sigma(sigma: f64, seed: u64) -> Self {
+    fn with_sigma(sigma: f64, seed: u64) -> Self {
         assert!(sigma >= 0.0, "jitter must be non-negative");
         Self {
             sigma,
@@ -42,7 +50,7 @@ impl DagCard {
 
     /// Raw first-bit timestamp of an event whose first bit passed the tap at
     /// true time `t_first_bit`.
-    pub fn timestamp_raw(&mut self, t_first_bit: f64) -> f64 {
+    fn timestamp_raw(&mut self, t_first_bit: f64) -> f64 {
         t_first_bit + self.gauss() * self.sigma
     }
 
@@ -50,11 +58,6 @@ impl DagCard {
     /// directly comparable to the host's `Tf` (§2.4).
     pub fn timestamp_corrected(&mut self, t_first_bit: f64) -> f64 {
         self.timestamp_raw(t_first_bit) + FIRST_BIT_CORRECTION
-    }
-
-    /// Timestamping jitter σ in seconds.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 }
 

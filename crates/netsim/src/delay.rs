@@ -15,11 +15,10 @@
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Exp, Pareto};
-use serde::{Deserialize, Serialize};
 use tscclock::fastmath::exp_clamped;
 
 /// Parameters of the bursty congestion component.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionParams {
     /// Mean time between congestion episodes (seconds of off time).
     pub mean_off: f64,

@@ -15,10 +15,9 @@
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the host timestamping latency mixture.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostParams {
     /// Minimum driver/DMA latency common to all packets (seconds).
     pub base: f64,

@@ -6,7 +6,7 @@
 //! minimum delays plus positive queueing noise (equations (12)–(15)), a
 //! stratum-1 NTP server with its own µs-scale timestamping imperfections and
 //! injectable gross faults, a DAG reference monitor on the return path
-//! (`tsc-refmon`), packet loss, outages, and route-change level shifts.
+//! (`dag`), packet loss, outages, and route-change level shifts.
 //!
 //! One call to [`sim::ExchangeStream::step`] produces everything the
 //! paper records for packet *i*: the host's raw TSC timestamps `Ta, Tf`,
@@ -26,6 +26,7 @@
 //! timeline — the measurement side of quorum synchronization (see
 //! `crates/quorum`).
 
+mod dag;
 pub mod delay;
 pub mod host;
 pub mod multi;

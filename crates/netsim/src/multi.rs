@@ -58,7 +58,7 @@ use crate::delay::{CongestionParams, PathDelay};
 use crate::host::HostTimestamping;
 use crate::scenario::ServerKind;
 use crate::server::{ServerFault, ServerModel};
-use crate::shifts::{LevelShift, ShiftSchedule};
+use crate::shifts::{refresh_segment, LevelShift, ShiftSchedule};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Pareto};
@@ -330,7 +330,7 @@ struct ServerState {
     loss_rng: ChaCha12Rng,
     loss_prob: f64,
     /// End (exclusive) of the current anomaly segment (see
-    /// [`MultiServerStream::refresh_segment`]); `-inf` forces a refresh.
+    /// [`refresh_segment`]); `-inf` forces a refresh.
     seg_until: f64,
     seg_outage: bool,
 }
@@ -471,39 +471,6 @@ impl<'a> MultiServerStream<'a> {
         self.counter.freq_hz()
     }
 
-    /// Recomputes server `k`'s piecewise-constant anomaly state (shift
-    /// deltas, outage flag) for the segment containing `t` — the same
-    /// segment cache the single-server fast path uses, per server.
-    #[cold]
-    fn refresh_segment(&mut self, k: usize, t: f64) {
-        let path = &self.sc.servers[k];
-        let (df, db) = path.shifts.deltas_at(t);
-        let s = &mut self.servers[k];
-        s.fwd.set_shift(df);
-        s.back.set_shift(db);
-        s.seg_outage = path.outages.iter().any(|&(a, b)| t >= a && t < b);
-        let mut until = f64::INFINITY;
-        for ev in path.shifts.events() {
-            if ev.at > t {
-                until = until.min(ev.at);
-            }
-            if let Some(u) = ev.until {
-                if u > t {
-                    until = until.min(u);
-                }
-            }
-        }
-        for &(a, b) in &path.outages {
-            if a > t {
-                until = until.min(a);
-            }
-            if b > t {
-                until = until.min(b);
-            }
-        }
-        s.seg_until = until;
-    }
-
     /// Runs one round (one poll of every server), overwriting `out` with
     /// exactly K [`RoundSample`]s. Returns `false` (leaving `out` empty)
     /// when the scenario duration is exhausted.
@@ -543,8 +510,11 @@ impl<'a> MultiServerStream<'a> {
         // Phase 1: per-server event times (no counter reads yet).
         self.reads.clear();
         for k in 0..k_total {
-            if t >= self.servers[k].seg_until {
-                self.refresh_segment(k, t);
+            let s = &mut self.servers[k];
+            if t >= s.seg_until {
+                let path = &self.sc.servers[k];
+                (s.seg_outage, s.seg_until) =
+                    refresh_segment(&path.shifts, &path.outages, t, &mut s.fwd, &mut s.back);
             }
             let t_send = t + self.sc.poll_stagger * k as f64;
             self.reads.push(ReadReq {

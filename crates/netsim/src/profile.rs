@@ -28,7 +28,6 @@ use crate::delay::CongestionParams;
 use crate::multi::splitmix64;
 use crate::scenario::Scenario;
 use crate::shifts::LevelShift;
-use serde::{Deserialize, Serialize};
 
 /// Salt for per-client profile assignment (see [`ProfileMix::assign`]).
 const PROFILE_SALT: u64 = 0x9E2E_5F0C_AB4D_71D3;
@@ -39,7 +38,7 @@ const HANDOVER_SALT: u64 = 0x51C6_1235_7E0F_88AD;
 /// one-way minima and the two queueing components per direction. This is
 /// what [`crate::ServerKind`] encodes implicitly for the Table-2 servers,
 /// made explicit so profiles (and tests) can override it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathParams {
     /// Forward (host→server) minimum one-way delay (seconds).
     pub fwd_min: f64,
@@ -64,7 +63,7 @@ impl PathParams {
 }
 
 /// Named access-path presets, ordered roughly by path quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathProfile {
     /// Server in the same facility: sub-ms RTT, tiny queues, rare light
     /// congestion, negligible loss.

@@ -4,11 +4,10 @@ use crate::delay::CongestionParams;
 use crate::server::ServerFault;
 use crate::shifts::ShiftSchedule;
 use crate::sim::ExchangeStream;
-use serde::{Deserialize, Serialize};
 use tsc_osc::Environment;
 
 /// The three stratum-1 servers of Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerKind {
     /// In the host's laboratory, same local network: 3 m, RTT 0.38 ms,
     /// 2 hops, Δ ≈ 50 µs, GPS-referenced.
@@ -22,7 +21,7 @@ pub enum ServerKind {
 }
 
 /// Static per-server facts (for reproducing Table 2's fixed columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerFacts {
     /// Reference source name.
     pub reference: &'static str,

@@ -16,11 +16,10 @@
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Exp, StandardNormal};
-use serde::{Deserialize, Serialize};
 
 /// A gross server-clock fault: both `Tb` and `Te` are offset by `offset`
 /// seconds during `[start, end)` of true time — the Figure 11(b) event.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerFault {
     /// Fault onset (true time, seconds).
     pub start: f64,
@@ -31,7 +30,7 @@ pub struct ServerFault {
 }
 
 /// Parameters of the server model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerParams {
     /// Minimum processing/residence time `d↑` (seconds).
     pub min_residence: f64,

@@ -7,10 +7,10 @@
 //! permanent — changing the asymmetry Δ); Figure 11(d) shows a natural
 //! −0.36 ms shift occurring equally in both directions (Δ unchanged).
 
-use serde::{Deserialize, Serialize};
+use crate::delay::PathDelay;
 
 /// One level-shift event on the path minima.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelShift {
     /// Onset (true time, seconds).
     pub at: f64,
@@ -68,7 +68,7 @@ impl LevelShift {
 }
 
 /// A set of level shifts; queries return the total active deltas at a time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShiftSchedule {
     shifts: Vec<LevelShift>,
 }
@@ -113,6 +113,46 @@ impl ShiftSchedule {
     pub fn events(&self) -> &[LevelShift] {
         &self.shifts
     }
+}
+
+/// Recomputes one path's piecewise-constant anomaly state for the segment
+/// containing poll time `t`: applies the shift deltas to `fwd` / `back` and
+/// returns `(outage, until)` — whether `t` falls inside an outage window,
+/// and the next boundary, after which it must be recomputed. Between
+/// boundaries the simulators pay one float compare per packet instead of a
+/// schedule scan.
+#[cold]
+pub(crate) fn refresh_segment(
+    shifts: &ShiftSchedule,
+    outages: &[(f64, f64)],
+    t: f64,
+    fwd: &mut PathDelay,
+    back: &mut PathDelay,
+) -> (bool, f64) {
+    let (df, db) = shifts.deltas_at(t);
+    fwd.set_shift(df);
+    back.set_shift(db);
+    let outage = outages.iter().any(|&(a, b)| t >= a && t < b);
+    let mut until = f64::INFINITY;
+    for s in shifts.events() {
+        if s.at > t {
+            until = until.min(s.at);
+        }
+        if let Some(u) = s.until {
+            if u > t {
+                until = until.min(u);
+            }
+        }
+    }
+    for &(a, b) in outages {
+        if a > t {
+            until = until.min(a);
+        }
+        if b > t {
+            until = until.min(b);
+        }
+    }
+    (outage, until)
 }
 
 #[cfg(test)]

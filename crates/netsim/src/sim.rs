@@ -18,15 +18,15 @@
 //! compute both the paper's DAG-mediated "actual performance" metrics and
 //! exact errors.
 
+use crate::dag::{DagCard, FIRST_BIT_CORRECTION};
 use crate::delay::PathDelay;
 use crate::host::HostTimestamping;
 use crate::scenario::Scenario;
 use crate::server::ServerModel;
-use crate::shifts::ShiftSchedule;
+use crate::shifts::{refresh_segment, ShiftSchedule};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use tsc_osc::TscCounter;
-use tsc_refmon::DagCard;
 use tscclock::RawExchange;
 
 /// Ground truth behind one exchange (never visible to the algorithms).
@@ -177,39 +177,6 @@ impl SimCore {
         }
     }
 
-    /// Recomputes the piecewise-constant anomaly state (shift deltas,
-    /// outage flag) for the segment containing poll time `t`, and finds
-    /// the next boundary after which it must be recomputed again. Between
-    /// boundaries, [`SimCore::step`] pays one float compare per packet
-    /// instead of a schedule scan.
-    #[cold]
-    fn refresh_segment(&mut self, shifts: &ShiftSchedule, outages: &[(f64, f64)], t: f64) {
-        let (df, db) = shifts.deltas_at(t);
-        self.fwd.set_shift(df);
-        self.back.set_shift(db);
-        self.seg_outage = outages.iter().any(|&(a, b)| t >= a && t < b);
-        let mut until = f64::INFINITY;
-        for s in shifts.events() {
-            if s.at > t {
-                until = until.min(s.at);
-            }
-            if let Some(u) = s.until {
-                if u > t {
-                    until = until.min(u);
-                }
-            }
-        }
-        for &(a, b) in outages {
-            if a > t {
-                until = until.min(a);
-            }
-            if b > t {
-                until = until.min(b);
-            }
-        }
-        self.seg_until = until;
-    }
-
     /// Shared per-poll pipeline up to the loss decision: schedule/segment
     /// bookkeeping, the `Ta` counter read, and the send/path/server delay
     /// draws. Both [`SimCore::step`] and [`SimCore::step_raw`] consume
@@ -228,7 +195,8 @@ impl SimCore {
 
         // Route changes / outages active in this segment.
         if t >= self.seg_until {
-            self.refresh_segment(shifts, outages, t);
+            (self.seg_outage, self.seg_until) =
+                refresh_segment(shifts, outages, t, &mut self.fwd, &mut self.back);
         }
 
         // Host sends: raw read first, then true departure.
@@ -312,9 +280,7 @@ impl SimCore {
         // tap one frame-time before full arrival. (Its jitter is an
         // independent RNG stream, so sampling it after the host-side
         // observables changes nothing.)
-        let tg = self
-            .dag
-            .timestamp_corrected(core.tf - tsc_refmon::FIRST_BIT_CORRECTION);
+        let tg = self.dag.timestamp_corrected(core.tf - FIRST_BIT_CORRECTION);
 
         Some(SimExchange {
             i: core.i,
@@ -392,7 +358,8 @@ impl SimCore {
         let i = self.i;
         self.i += 1;
         if t >= self.seg_until {
-            self.refresh_segment(shifts, outages, t);
+            (self.seg_outage, self.seg_until) =
+                refresh_segment(shifts, outages, t, &mut self.fwd, &mut self.back);
         }
         let ta_tsc = self.counter.read(t);
         let ta = t + self.host.send_latency();
@@ -427,9 +394,7 @@ impl SimCore {
         }
         let (tb_stamp, te_stamp, tf_tsc) = self.deliver_observables(tb, te, tf);
         let host_err = self.counter.time_error();
-        let tg = self
-            .dag
-            .timestamp_corrected(tf - tsc_refmon::FIRST_BIT_CORRECTION);
+        let tg = self.dag.timestamp_corrected(tf - FIRST_BIT_CORRECTION);
         SimExchange {
             i,
             poll_time: t,
@@ -559,9 +524,7 @@ impl SimCore {
         let tb_stamp = self.server.stamp_rx_reference(tb);
         let te_stamp = self.server.stamp_tx_reference(te);
 
-        let tg = self
-            .dag
-            .timestamp_corrected(tf - tsc_refmon::FIRST_BIT_CORRECTION);
+        let tg = self.dag.timestamp_corrected(tf - FIRST_BIT_CORRECTION);
 
         let tf_read = tf + self.host.recv_latency_reference();
         let tf_tsc = self.counter.read(tf_read);

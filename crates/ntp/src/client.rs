@@ -63,12 +63,14 @@ impl From<PacketError> for ClientError {
     }
 }
 
+/// The poll exponent every request advertises (log₂ seconds): 16 s.
+const POLL_EXPONENT: i8 = 4;
+
 /// Blocking SNTP client bound to one server address.
 pub struct SntpClient {
     socket: UdpSocket,
     server: SocketAddr,
     timeout: Duration,
-    poll_exponent: i8,
 }
 
 impl SntpClient {
@@ -90,7 +92,6 @@ impl SntpClient {
             socket,
             server,
             timeout: Duration::from_secs(2),
-            poll_exponent: 4,
         })
     }
 
@@ -98,11 +99,6 @@ impl SntpClient {
     pub fn set_timeout(&mut self, timeout: Duration) -> io::Result<()> {
         self.timeout = timeout;
         self.socket.set_read_timeout(Some(timeout))
-    }
-
-    /// Sets the advertised poll exponent (log₂ seconds).
-    pub fn set_poll_exponent(&mut self, poll: i8) {
-        self.poll_exponent = poll;
     }
 
     /// The server this client queries.
@@ -123,7 +119,7 @@ impl SntpClient {
         // echo it. We use the host's own reading (standard practice).
         let ta = now();
         let nonce = NtpTimestamp::from_unix_seconds(ta.max(1.0));
-        let request = NtpPacket::client_request(nonce, self.poll_exponent);
+        let request = NtpPacket::client_request(nonce, POLL_EXPONENT);
         self.socket.send_to(&request.encode(), self.server)?;
 
         let deadline = std::time::Instant::now() + self.timeout;

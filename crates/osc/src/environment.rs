@@ -11,7 +11,6 @@
 
 use crate::components::{Aging, Component, ConstantSkew, FrequencyRandomWalk, Sinusoid, WhiteFm};
 use crate::oscillator::Oscillator;
-use serde::{Deserialize, Serialize};
 
 /// The paper's 0.1 PPM universal rate-error bound (§3.1).
 pub const RATE_BOUND: f64 = 1e-7;
@@ -19,9 +18,8 @@ pub const RATE_BOUND: f64 = 1e-7;
 /// The SKM validity scale τ* ≈ 1000 s (§3.1).
 pub const SKM_SCALE: f64 = 1000.0;
 
-/// Fully parameterized oscillator description. Serializable so experiment
-/// configurations can be recorded alongside their outputs.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+/// Fully parameterized oscillator description.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OscillatorSpec {
     /// Constant skew in PPM (CPU oscillators are typically ~50 PPM off
     /// nominal, §2.1).
@@ -93,7 +91,7 @@ impl OscillatorSpec {
 }
 
 /// The three host environments of §3.1 / Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// Open-plan area, building not air-conditioned: strongest diurnal
     /// temperature swing, largest large-scale Allan deviation.

@@ -15,12 +15,11 @@
 //!    than the raw median between updates, and *exactly* `m` when all
 //!    survivors agree bit-for-bit (the K-identical-servers anchor).
 
-use serde::{Deserialize, Serialize};
 use tscclock::snapshot::{SnapshotReader, SnapshotWriter};
 use tscclock::SnapshotError;
 
 /// Tunables of the combiner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinerConfig {
     /// Multiplier on a server's point-error bound in its disagreement
     /// tolerance.

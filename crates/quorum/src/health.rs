@@ -17,12 +17,11 @@
 //! the quality *it itself claims*, so a clean low-jitter server is held
 //! to a tight tolerance while a noisy long-path server gets a wider one.
 
-use serde::{Deserialize, Serialize};
 use tscclock::snapshot::{SnapshotReader, SnapshotWriter};
 use tscclock::SnapshotError;
 
 /// Tunables of the health model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// EMA gain of the trust score (per round).
     pub alpha: f64,

@@ -149,10 +149,6 @@ impl ServePlane {
         }
     }
 
-    pub fn cell(&self) -> &Arc<SnapshotCell> {
-        &self.cell
-    }
-
     /// Serves one received batch: for each of the `n` filled `rx` slots,
     /// decodes, validates, decides, and encodes the response into the
     /// matching `tx` slot (len 0 = drop). Returns the number of non-empty

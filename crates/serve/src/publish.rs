@@ -68,11 +68,6 @@ impl Publisher {
         }
     }
 
-    /// The cell this publisher seals into.
-    pub fn cell(&self) -> &Arc<SnapshotCell> {
-        &self.cell
-    }
-
     /// Eras published so far.
     pub fn era(&self) -> u64 {
         self.era

@@ -5,7 +5,6 @@ pub use tsc_netsim as netsim;
 pub use tsc_quorum as quorum;
 pub use tsc_ntp as ntp;
 pub use tsc_osc as osc;
-pub use tsc_refmon as refmon;
 pub use tsc_serve as serve;
 pub use tsc_stats as stats;
 pub use tsc_swclock as swclock;

@@ -1,5 +1,6 @@
-//! Known-answer pins for the generator's two bit-exact layers: the
-//! oscillator's `x(t)` stream and the counter's rounding.
+//! Known-answer pins for the generator's bit-exact layers: the
+//! oscillator's `x(t)` stream, the counter's rounding and the simulator's
+//! full exchange record.
 //!
 //! Every netsim trace, fleet digest and e2e digest is a function of
 //! `Oscillator::advance_to` and `TscCounter::read`; their differential
@@ -9,10 +10,13 @@
 //! and did not move: an oscillator or counter "optimisation" that changes
 //! one is a stream change and has to say so.
 //!
-//! The schedules are plain arithmetic over an LCG (no netsim), so a digest
-//! moves only when `tsc-osc` (or the keystream / ziggurat shims under it)
-//! does.
+//! The oscillator and counter schedules are plain arithmetic over an LCG
+//! (no netsim), so those digests move only when `tsc-osc` (or the
+//! keystream / ziggurat shims under it) does. The record pin folds every
+//! `SimExchange` field — including `Tg` and the truth, which no e2e digest
+//! reads — so it also moves with `tsc-netsim`.
 
+use tsc_netsim::{LevelShift, OnDemandSim, Scenario, ServerFault, SimExchange, Truth};
 use tsc_osc::{Environment, Oscillator, TscCounter};
 
 const ENVIRONMENTS: [Environment; 3] = [
@@ -29,6 +33,8 @@ const POLL1024_DIGEST: u64 = 0x0f6d_a6f5_5360_9e92;
 const IRREGULAR_DIGEST: u64 = 0x4f1b_63fc_d08b_ac5a;
 /// `TscCounter::read` over the two-read cadence and the rounding edges.
 const COUNTER_DIGEST: u64 = 0xce9c_9f9a_d6a7_fdd4;
+/// Every `SimExchange` field of a fixed-cadence stream and an on-demand run.
+const SIM_RECORD_DIGEST: u64 = 0x8c0e_988b_d913_d0d3;
 
 /// FNV-1a-64 over the little-endian bytes of `word`, folded into `h`.
 fn fold(h: u64, word: u64) -> u64 {
@@ -187,4 +193,76 @@ fn counter_reads_are_pinned() {
         h = fold(h, read);
     }
     assert_eq!(h, COUNTER_DIGEST, "{h:#018x}");
+}
+
+/// Folds every field of `e` (destructured, so a new field fails to compile
+/// until it is folded too).
+fn fold_exchange(h: u64, e: SimExchange) -> u64 {
+    let SimExchange {
+        i,
+        poll_time,
+        lost,
+        ta_tsc,
+        tf_tsc,
+        tb,
+        te,
+        tg,
+        truth,
+    } = e;
+    let Truth {
+        ta: true_ta,
+        tb: true_tb,
+        te: true_te,
+        tf: true_tf,
+        d_fwd,
+        d_srv,
+        d_back,
+        host_err_at_tf,
+    } = truth;
+    [i as u64, lost as u64, ta_tsc, tf_tsc]
+        .into_iter()
+        .chain(
+            [
+                poll_time,
+                tb,
+                te,
+                tg,
+                true_ta,
+                true_tb,
+                true_te,
+                true_tf,
+                d_fwd,
+                d_srv,
+                d_back,
+                host_err_at_tf,
+            ]
+            .map(f64::to_bits),
+        )
+        .fold(h, fold)
+}
+
+#[test]
+fn sim_exchange_records_are_pinned() {
+    // Loss, an outage, a temporary shift and a server fault: both record
+    // shapes and every anomaly-segment boundary kind.
+    let sc = Scenario {
+        loss_prob: 0.02,
+        ..Scenario::baseline(7).with_duration(6.0 * 3600.0)
+    }
+    .with_outage(3600.0, 4000.0)
+    .with_shift(LevelShift::forward_only(7200.0, Some(9000.0), 0.9e-3))
+    .with_server_fault(ServerFault {
+        start: 12_000.0,
+        end: 12_300.0,
+        offset: 0.150,
+    });
+    let mut h = sc.stream().fold(FNV_OFFSET, fold_exchange);
+    let mut sim = OnDemandSim::new(&sc);
+    let mut lcg = Lcg(2);
+    let mut t = 0.0;
+    while t < sc.duration {
+        h = fold_exchange(h, sim.exchange_at(t));
+        t += 120.0 * lcg.uniform();
+    }
+    assert_eq!(h, SIM_RECORD_DIGEST, "{h:#018x}");
 }

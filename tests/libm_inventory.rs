@@ -8,13 +8,17 @@
 //! platform's libm, which is not correctly rounded and may change under
 //! us. This test scans the live source — `#[cfg(test)]` modules and
 //! `#[cfg(feature = "reference")]` items stripped — of `tsc-netsim`,
-//! `tsc-osc`, `tsc-refmon`, the `rand_distr` shim, `tsc-ntp`, `tsc-serve`,
-//! `tscclock`, `tsc-quorum` and `tsc-fleet` for the callees in [`CALLEES`]
-//! and compares what it finds with [`ALLOWED`]. It fails on a site that is not listed (a new call has
-//! to be given a rate by hand), on a listed site that is gone (delete the
-//! row), and on any row whose rate is `per-packet`. `round` / `ceil` /
-//! `floor` are exact in any libm; they are listed because they are
+//! `tsc-osc`, the `rand_distr` shim, `tsc-ntp`, `tsc-serve`, `tscclock`,
+//! `tsc-quorum` and `tsc-fleet` for the callees in [`CALLEES`] and compares
+//! what it finds with [`ALLOWED`]. It fails on a site that is not listed (a
+//! new call has to be given a rate by hand), on a listed site that is gone
+//! (delete the row), and on any row whose rate is `per-packet`. `round` /
+//! `ceil` / `floor` are exact in any libm; they are listed because they are
 //! libcalls a per-packet path should not pay.
+//!
+//! `crates/experiments` is not scanned: it only turns digested streams into
+//! report text (the side-mode histogram of `fig3` included), and no digest
+//! reads a report.
 //!
 //! `tsc-ntp` and `tsc-serve` have **no** row: the codec, the stamp
 //! conversions and the wire bound round with integer casts, so every byte
@@ -29,10 +33,9 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-const DIRS: [&str; 9] = [
+const DIRS: [&str; 8] = [
     "crates/netsim/src",
     "crates/osc/src",
-    "crates/refmon/src",
     "crates/shims/rand_distr/src",
     "crates/ntp/src",
     "crates/serve/src",
@@ -209,14 +212,6 @@ const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
         ".exp()",
         1,
         "per-server-round",
-    ),
-    // Bin count of one side-mode histogram per analysed trace.
-    (
-        "crates/refmon/src/sidemode.rs",
-        "detect_modes",
-        ".round()",
-        1,
-        "setup",
     ),
     // Pareto excess, drawn only while a path is inside an episode.
     (
