@@ -9,9 +9,11 @@
 #   * `NtpPacket::decode` / `NtpPacket::encode_into`: no call other than a
 #     panic path (a symbol that was inlined away passes);
 #   * `ServePlane::serve_batch`: no call to libm `floor` / `round` / `ceil`;
-#   * `RawExchanges::fill_batch`, `SimCore::poll_core`,
-#     `OnDemandSim::exchange_at`, `MultiServerStream::next_round`,
-#     `Oscillator::advance_to`: no call to a ziggurat sampler's accept path
+#   * `RawExchanges::fill_batch`, `SimCore::{send, record}`,
+#     `PathState::{depart, stamps}` (the one departure sequence and stamp
+#     pair; inlined into the others today), `OnDemandSim::exchange_at`,
+#     `MultiServerStream::next_round`, `Oscillator::advance_to`: no call to
+#     a ziggurat sampler's accept path
 #     (`<StandardNormal …>::sample`, `<Exp1 …>::sample`, or the table
 #     getters / `zig_try` / `zig_exp_try` they were made of) or to
 #     `Sinusoid::step_wander_fast`. The `#[cold]` `zig_*_edge` functions,
@@ -45,7 +47,7 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
 /^[0-9a-f]+ <.*>:$/ {                      # disassembly: a new function
     codec = /NtpPacket::(decode|encode_into)>:$/
     serve = /ServePlane::serve_batch>:$/
-    gen = /(RawExchanges::fill_batch|SimCore::poll_core|OnDemandSim::exchange_at|MultiServerStream::next_round|Oscillator::advance_to)>:$/
+    gen = /(RawExchanges::fill_batch|SimCore::(send|record)|PathState::(depart|stamps)|OnDemandSim::exchange_at|MultiServerStream::next_round|Oscillator::advance_to)>:$/
     fn = $0; sub(/^[0-9a-f]+ /, "", fn)
     next
 }

@@ -8,10 +8,10 @@
 
 use crate::fmt::{fmt_time, table, Report};
 use crate::runner::run_clock;
+use crate::swclock::DisciplinedClock;
 use crate::ExpOptions;
 use tsc_netsim::Scenario;
 use tsc_stats::{Percentiles, RunningStats};
-use tsc_swclock::DisciplinedClock;
 use tscclock::ClockConfig;
 
 /// Runs both clocks over the same scenario.

@@ -29,6 +29,7 @@ pub mod population;
 pub mod quorum;
 pub mod runner;
 mod sidemode;
+mod swclock;
 pub mod table1;
 pub mod table2;
 

@@ -175,11 +175,8 @@ mod tests {
 
     #[test]
     fn lost_packets_are_counted() {
-        let sc = Scenario {
-            loss_prob: 0.2,
-            ..Scenario::baseline(9)
-        }
-        .with_duration(3600.0);
+        let mut sc = Scenario::baseline(9).with_duration(3600.0);
+        sc.path.loss_prob = 0.2;
         let run = run_clock(&sc, ClockConfig::paper_defaults(16.0));
         assert!(run.lost > 10);
         assert_eq!(run.attempted, 225);

@@ -7,7 +7,7 @@
 //! frequency of the clock is deliberately varied as a means to adjust
 //! offset", its rate is erratic.
 //!
-//! To *compare* against that baseline, this crate implements a faithful
+//! To *compare* against that baseline, this module implements a faithful
 //! miniature of the classic Mills clock discipline:
 //!
 //! * per-exchange offset/delay computation from the four timestamps;
@@ -20,11 +20,10 @@
 //!
 //! The result is a clock whose *offset* behaviour is reasonable under calm
 //! conditions but whose *rate* is deliberately perturbed — exactly the
-//! trade-off the TSC-NTP clock refuses to make. The `baseline` experiment
-//! runs both on identical traces.
+//! trade-off the TSC-NTP clock refuses to make. The `baseline` experiment,
+//! its one user, runs both on identical traces.
 
-pub mod discipline;
-pub mod filter;
+mod discipline;
+mod filter;
 
-pub use discipline::{DisciplinedClock, DisciplineConfig};
-pub use filter::{ClockFilter, FilterSample};
+pub(crate) use discipline::DisciplinedClock;

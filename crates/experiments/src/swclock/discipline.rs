@@ -12,7 +12,7 @@
 //! clock, closing the feedback loop — the design choice the paper contrasts
 //! with its own feed-forward architecture.
 
-use crate::filter::{ClockFilter, FilterSample};
+use super::filter::{ClockFilter, FilterSample};
 
 /// Configuration of the discipline loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,11 +86,6 @@ impl DisciplinedClock {
     /// The disciplined clock reading at raw host time `raw`.
     pub fn now(&self, raw: f64) -> f64 {
         raw + self.corr + self.corr_rate * (raw - self.corr_time)
-    }
-
-    /// Current frequency correction (fraction) being applied.
-    pub fn freq_adjustment(&self) -> f64 {
-        self.freq_adj
     }
 
     /// Instantaneous total rate correction (frequency + phase slew) — the
@@ -262,7 +257,7 @@ mod tests {
             let t = (k + 1) as f64 * 16.0;
             c.process(t, t + d + 0.1, t + d + 0.1 + 2e-5, t + 2.0 * d + 2e-5);
         }
-        assert!(c.freq_adjustment().abs() <= 500e-6 + 1e-12);
+        assert!(c.freq_adj.abs() <= 500e-6 + 1e-12);
     }
 
     #[test]

@@ -70,16 +70,6 @@ impl ClockFilter {
         Some(best)
     }
 
-    /// Number of samples currently in the register.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// `true` when no samples have been observed.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
     /// Clears the register (used after a clock step invalidates history).
     pub fn clear(&mut self) {
         self.stages.clear();
@@ -130,7 +120,7 @@ mod tests {
         for k in 0..10 {
             f.update(s(0.0, 1e-3 + k as f64 * 1e-4, k as f64 * 16.0));
         }
-        assert_eq!(f.len(), 4);
+        assert_eq!(f.stages.len(), 4);
     }
 
     #[test]
@@ -158,7 +148,7 @@ mod tests {
         let mut f = ClockFilter::new();
         f.update(s(1e-3, 1e-3, 0.0));
         f.clear();
-        assert!(f.is_empty());
+        assert!(f.stages.is_empty());
         // after clear, an older-timestamped sample can be used again
         let best = f.update(s(5e-4, 2e-3, 0.0)).unwrap();
         assert_eq!(best.offset, 5e-4);

@@ -497,6 +497,7 @@ pub fn compare_herd(
 ) -> HerdComparison {
     let outage_end = cfg
         .scenario
+        .path
         .outages
         .iter()
         .map(|&(_, end)| end)

@@ -55,7 +55,7 @@ pub fn divergent_fleet(clocks: usize) -> FleetConfig {
         .with_shift(LevelShift::forward_only(p * 250.0, Some(p * 280.0), 1.4e-3))
         .with_shift(LevelShift::asymmetric(p * 320.0, None, 2e-3))
         .with_shift(LevelShift::forward_only(p * 480.0, None, 0.7e-3));
-    scenario.loss_prob = 0.30;
+    scenario.path.loss_prob = 0.30;
     let mut cfg = FleetConfig::new(clocks, 13, scenario, ClockConfig::paper_defaults(p));
     cfg.ingest_batch = 61; // not a divisor of anything relevant
     cfg

@@ -172,7 +172,7 @@ impl PathDelay {
     /// Applies a level shift of `delta` seconds (may be negative; the
     /// effective minimum is floored at zero). A floored shift is recorded
     /// as *clamped* — [`PathDelay::shift_clamped_by`] reports the deficit
-    /// so schedule validators ([`crate::Scenario::clamp_warnings`]) can
+    /// so schedule validators ([`crate::ServerPath::clamp_warnings`]) can
     /// flag half-applied faults instead of shipping them silently.
     pub fn set_shift(&mut self, delta: f64) {
         self.shift = delta.max(-self.base_min);

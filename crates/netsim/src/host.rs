@@ -15,6 +15,25 @@
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, StandardNormal};
+use tsc_osc::{Environment, Oscillator, TscCounter};
+
+/// The simulated host every front end polls from: its TSC counter, driven
+/// by the environment's oscillator (seed `seed · 0x9E37_79B9 + 1`,
+/// wrapping), and its timestamping model (seed `seed + 3`). `build` picks
+/// the oscillator formulation: [`Environment::build`], or its reference
+/// twin.
+pub(crate) fn seeded_host(
+    environment: Environment,
+    tsc_freq_hz: f64,
+    seed: u64,
+    build: fn(Environment, u64) -> Oscillator,
+) -> (TscCounter, HostTimestamping) {
+    let osc = build(environment, seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+    (
+        TscCounter::new(tsc_freq_hz, 0, osc),
+        HostTimestamping::new(seed.wrapping_add(3)),
+    )
+}
 
 /// Parameters of the host timestamping latency mixture.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,21 +137,24 @@ impl HostTimestamping {
     pub const DELTA: f64 = 15e-6;
 }
 
+/// The pre-optimization Gaussian of the host and server models: a fresh
+/// Box-Muller pair per call, second value discarded.
+#[cfg(feature = "reference")]
+pub(crate) fn gauss_reference(rng: &mut ChaCha12Rng) -> f64 {
+    let u1: f64 = rng.random::<f64>().max(1e-300);
+    let u2: f64 = rng.random::<f64>();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
 /// The pre-optimization formulation, bit-identical to the original
-/// implementation: a fresh Box-Muller pair per call (second value
-/// discarded) and the Gaussian drawn before the mixture branch.
+/// implementation: [`gauss_reference`] per call and the Gaussian drawn
+/// before the mixture branch.
 #[cfg(feature = "reference")]
 impl HostTimestamping {
-    fn gauss_reference(&mut self) -> f64 {
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Original [`HostTimestamping::send_latency`].
     pub fn send_latency_reference(&mut self) -> f64 {
         let p = self.params;
-        let g = self.gauss_reference().abs();
+        let g = gauss_reference(&mut self.rng).abs();
         p.base + g * p.main_width
     }
 
@@ -140,7 +162,7 @@ impl HostTimestamping {
     pub fn recv_latency_reference(&mut self) -> f64 {
         let p = self.params;
         let u: f64 = self.rng.random();
-        let g = self.gauss_reference();
+        let g = gauss_reference(&mut self.rng);
         let centre = if u < p.p_scheduling {
             let e: f64 = self.rng.random::<f64>().max(1e-300);
             return p.base + p.scheduling_mean * (-e.ln());

@@ -20,11 +20,12 @@
 //! | ServerLoc | GPS       | 0.38 ms | 2    | 50 µs          |
 //! | ServerInt | GPS       | 0.89 ms | 5    | 50 µs          |
 //! | ServerExt | Atomic    | 14.2 ms | ~10  | 500 µs         |
-
 //!
-//! The multi-server layer ([`multi`]) drives K server paths from one host
-//! timeline — the measurement side of quorum synchronization (see
-//! `crates/quorum`).
+//! A server and the path to it are one [`ServerPath`]. A [`Scenario`]
+//! polls one; the multi-server layer ([`multi`]) drives K of them from one
+//! host timeline — the measurement side of quorum synchronization (see
+//! `crates/quorum`). Every front end builds the same seeded path state
+//! from a `ServerPath` and draws through the same per-poll sequence.
 
 mod dag;
 pub mod delay;
@@ -38,9 +39,9 @@ pub mod sim;
 
 pub use delay::{CongestionParams, PathDelay};
 pub use host::HostTimestamping;
-pub use multi::{MultiServerScenario, MultiServerStream, RoundSample, ServerPath, MAX_SERVERS};
+pub use multi::{MultiServerScenario, MultiServerStream, RoundSample, MAX_SERVERS};
 pub use profile::{PathParams, PathProfile, ProfileMix, ALL_PROFILES};
-pub use scenario::{Scenario, ServerKind};
+pub use scenario::{Scenario, ServerKind, ServerPath};
 pub use server::{ServerFault, ServerModel};
 pub use shifts::{LevelShift, ShiftSchedule};
 pub use sim::{ExchangeStream, OnDemandSim, RawExchanges, SimExchange, Truth};

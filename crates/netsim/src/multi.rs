@@ -7,9 +7,10 @@
 //! and must detect and exclude the bad ones. This module supplies the
 //! measurement side of that setup: a [`MultiServerScenario`] describes one
 //! host (one TSC counter, one oscillator, one timestamping model) polling
-//! K servers, each with its own path delays, congestion, loss, outages,
-//! route shifts and clock faults; a [`MultiServerStream`] steps it one
-//! *round* (one poll of every server) at a time.
+//! K [`ServerPath`]s, each with its own path delays, congestion, loss,
+//! outages, route shifts and clock faults; a [`MultiServerStream`] steps it
+//! one *round* (one poll of every server) at a time, each server through
+//! the single-server simulator's path state and draw sequence.
 //!
 //! ## Seed derivation contract
 //!
@@ -18,18 +19,18 @@
 //! are independent (no cross-correlation between servers) and stable under
 //! fleet reseeding:
 //!
-//! * Host oscillator: `seed · 0x9E37_79B9 + 1` (wrapping) — *identical to
-//!   the single-server [`crate::Scenario`] derivation*, so the host
-//!   timeline for a given master seed does not depend on how many servers
-//!   are polled.
-//! * Host timestamping: `seed + 3` — also the single-server derivation.
+//! * The host (oscillator `seed · 0x9E37_79B9 + 1`, timestamping
+//!   `seed + 3`) is built by the same constructor as the single-server
+//!   [`crate::Scenario`]'s, so the host timeline for a given master seed
+//!   does not depend on how many servers are polled.
 //! * Server `k = 0`: sub-master `b₀ = seed`; server `k ≥ 1`: sub-master
-//!   `bₖ = splitmix64(seed XOR k·0x9E37_79B9_7F4A_7C15)`. From the
-//!   sub-master, the per-server streams reuse the single-server offsets:
-//!   server model `bₖ+2`, forward path `bₖ+4`, backward path `bₖ+5`, loss
-//!   `bₖ+7`. Keeping `b₀ = seed` makes a 1-server scenario with no shared
-//!   bottleneck **bit-identical** to the single-server
-//!   [`crate::Scenario::stream`] raw path (tested), anchoring the whole
+//!   `bₖ = splitmix64(seed XOR k·0x9E37_79B9_7F4A_7C15)`. Each server's
+//!   state is the single-server path state built from its sub-master
+//!   (server model `bₖ+2`, forward path `bₖ+4`, backward path `bₖ+5`, loss
+//!   `bₖ+7`) and runs the same departure sequence and stamp pair. Keeping
+//!   `b₀ = seed` makes a 1-server scenario with no shared bottleneck
+//!   **bit-identical** to the single-server [`crate::Scenario::stream`]
+//!   raw path by construction (and tested), anchoring the whole
 //!   multi-server layer to the validated single-server generator.
 //! * Shared bottleneck: `splitmix64(seed XOR 0xB0_77_1E_5E_C4_0F_6E_57)`.
 //!
@@ -54,11 +55,10 @@
 //! reads sorted by arrival), so the oscillator is advanced monotonically
 //! within a round exactly as the single-server simulator advances it.
 
-use crate::delay::{CongestionParams, PathDelay};
-use crate::host::HostTimestamping;
-use crate::scenario::ServerKind;
-use crate::server::{ServerFault, ServerModel};
-use crate::shifts::{refresh_segment, LevelShift, ShiftSchedule};
+use crate::delay::CongestionParams;
+use crate::host::{seeded_host, HostTimestamping};
+use crate::scenario::{ServerKind, ServerPath};
+use crate::sim::{cadenced, PathState};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Pareto};
@@ -90,61 +90,6 @@ pub fn server_sub_seed(master: u64, k: usize) -> u64 {
         master
     } else {
         splitmix64(master ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-}
-
-/// One server path of a multi-server scenario: which Table-2 server it is,
-/// plus its private anomaly schedules.
-#[derive(Debug, Clone)]
-pub struct ServerPath {
-    /// Which Table 2 server preset shapes the path (minima, queueing,
-    /// congestion severity).
-    pub kind: ServerKind,
-    /// Independent per-packet loss probability on this path.
-    pub loss_prob: f64,
-    /// Server unavailability windows `(start, end)`.
-    pub outages: Vec<(f64, f64)>,
-    /// Route-change level shifts on this path (including
-    /// [`LevelShift::asymmetric`] steps).
-    pub shifts: ShiftSchedule,
-    /// Server clock faults.
-    pub faults: Vec<ServerFault>,
-}
-
-impl ServerPath {
-    /// A clean path to the given server with the baseline loss rate.
-    pub fn new(kind: ServerKind) -> Self {
-        Self {
-            kind,
-            loss_prob: 1.5e-3,
-            outages: Vec::new(),
-            shifts: ShiftSchedule::none(),
-            faults: Vec::new(),
-        }
-    }
-
-    /// Sets the loss probability (chainable).
-    pub fn with_loss(mut self, p: f64) -> Self {
-        self.loss_prob = p;
-        self
-    }
-
-    /// Adds an outage window (chainable).
-    pub fn with_outage(mut self, start: f64, end: f64) -> Self {
-        self.outages.push((start, end));
-        self
-    }
-
-    /// Adds a level shift (chainable).
-    pub fn with_shift(mut self, shift: LevelShift) -> Self {
-        self.shifts.push(shift);
-        self
-    }
-
-    /// Adds a server clock fault (chainable).
-    pub fn with_fault(mut self, fault: ServerFault) -> Self {
-        self.faults.push(fault);
-        self
     }
 }
 
@@ -254,38 +199,6 @@ impl MultiServerScenario {
     pub fn rounds(&self) -> usize {
         (self.duration / self.poll_period) as usize
     }
-
-    /// Flags level shifts that the per-path [`crate::PathDelay`] floor
-    /// would clamp — the multi-server twin of
-    /// [`crate::Scenario::clamp_warnings`]. On short paths an
-    /// [`LevelShift::asymmetric`] step's negative leg can exceed the
-    /// backward minimum; the floor snaps the leg to zero and the
-    /// "RTT-silent" fault leaks into the RTT, injecting a *different*
-    /// fault than the preset claims. Presets must assert this is empty.
-    pub fn clamp_warnings(&self) -> Vec<String> {
-        let mut warnings = Vec::new();
-        for (k, path) in self.servers.iter().enumerate() {
-            let (fwd_min, back_min) = path.kind.min_delays();
-            for (idx, s) in path.shifts.events().iter().enumerate() {
-                let (df, db) = path.shifts.deltas_at(s.at);
-                if fwd_min + df < 0.0 {
-                    warnings.push(format!(
-                        "server {k} shift {idx} at t={}: forward min {fwd_min}s \
-                         + delta {df}s < 0 — clamped, shift half-applied",
-                        s.at
-                    ));
-                }
-                if back_min + db < 0.0 {
-                    warnings.push(format!(
-                        "server {k} shift {idx} at t={}: backward min {back_min}s \
-                         + delta {db}s < 0 — clamped, shift half-applied",
-                        s.at
-                    ));
-                }
-            }
-        }
-        warnings
-    }
 }
 
 /// What one round produced for one server.
@@ -322,19 +235,6 @@ impl RoundSample {
     }
 }
 
-/// Per-server stochastic state inside the stream.
-struct ServerState {
-    fwd: PathDelay,
-    back: PathDelay,
-    server: ServerModel,
-    loss_rng: ChaCha12Rng,
-    loss_prob: f64,
-    /// End (exclusive) of the current anomaly segment (see
-    /// [`refresh_segment`]); `-inf` forces a refresh.
-    seg_until: f64,
-    seg_outage: bool,
-}
-
 /// Shared access-link congestion: one on/off chain for all K paths.
 struct Bottleneck {
     burst: Pareto<f64>,
@@ -361,16 +261,16 @@ pub struct MultiServerStream<'a> {
     sc: &'a MultiServerScenario,
     counter: TscCounter,
     host: HostTimestamping,
-    servers: Vec<ServerState>,
+    servers: Vec<PathState>,
     bottleneck: Option<Bottleneck>,
     t_next: f64,
     round: u64,
     /// Reused per-round scratch (event times, read schedule).
     events: Vec<PollEvents>,
     reads: Vec<ReadReq>,
-    /// Shared-bottleneck excess per path direction (`2k` forward, `2k + 1`
-    /// back); all zero outside a shared episode.
-    shared_excess: Vec<f64>,
+    /// Shared-bottleneck `(d→, d←)` excess per path; all zero outside a
+    /// shared episode.
+    shared_excess: Vec<(f64, f64)>,
 }
 
 /// Per-server event record of one round: true event times after phase 1,
@@ -397,34 +297,12 @@ impl<'a> MultiServerStream<'a> {
                 && sc.poll_stagger * (sc.servers.len() as f64) < sc.poll_period,
             "poll stagger must be non-negative and fit the period"
         );
-        let osc = sc.environment.build(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
+        let (counter, host) = seeded_host(sc.environment, sc.tsc_freq_hz, seed, Environment::build);
         let servers = sc
             .servers
             .iter()
             .enumerate()
-            .map(|(k, path)| {
-                let base = server_sub_seed(seed, k);
-                let (fwd_min, back_min) = path.kind.min_delays();
-                let (qf, qb) = path.kind.queue_means();
-                let (cf, cb) = path.kind.congestion();
-                let mut server = ServerModel::new(base.wrapping_add(2));
-                for f in &path.faults {
-                    server.add_fault(*f);
-                }
-                let mut fwd = PathDelay::new(fwd_min, qf, cf, base.wrapping_add(4));
-                let mut back = PathDelay::new(back_min, qb, cb, base.wrapping_add(5));
-                fwd.set_cadence(sc.poll_period);
-                back.set_cadence(sc.poll_period);
-                ServerState {
-                    fwd,
-                    back,
-                    server,
-                    loss_rng: ChaCha12Rng::seed_from_u64(base.wrapping_add(7)),
-                    loss_prob: path.loss_prob,
-                    seg_until: f64::NEG_INFINITY,
-                    seg_outage: false,
-                }
-            })
+            .map(|(k, path)| PathState::new(path, server_sub_seed(seed, k), sc.poll_period))
             .collect();
         let bottleneck = sc.bottleneck.map(|params| {
             assert!(
@@ -444,15 +322,15 @@ impl<'a> MultiServerStream<'a> {
         let k = sc.servers.len();
         Self {
             sc,
-            counter: TscCounter::new(sc.tsc_freq_hz, 0, osc),
-            host: HostTimestamping::new(seed.wrapping_add(3)),
+            counter,
+            host,
             servers,
             bottleneck,
             t_next: sc.poll_period,
             round: 0,
             events: vec![PollEvents::default(); k],
             reads: Vec::with_capacity(2 * k),
-            shared_excess: vec![0.0; 2 * k],
+            shared_excess: vec![(0.0, 0.0); k],
         }
     }
 
@@ -494,7 +372,7 @@ impl<'a> MultiServerStream<'a> {
         // the per-path excesses (independent inside the shared episode).
         // Draws happen for every path every round the chain is on, so the
         // bottleneck stream never depends on per-server loss outcomes.
-        self.shared_excess.fill(0.0);
+        self.shared_excess.fill((0.0, 0.0));
         if let Some(b) = &mut self.bottleneck {
             let p_flip = if b.in_burst { b.p_on } else { b.p_off };
             if b.rng.random::<f64>() < p_flip {
@@ -502,7 +380,7 @@ impl<'a> MultiServerStream<'a> {
             }
             if b.in_burst {
                 for e in self.shared_excess.iter_mut() {
-                    *e = b.burst.sample(&mut b.rng);
+                    *e = (b.burst.sample(&mut b.rng), b.burst.sample(&mut b.rng));
                 }
             }
         }
@@ -510,12 +388,6 @@ impl<'a> MultiServerStream<'a> {
         // Phase 1: per-server event times (no counter reads yet).
         self.reads.clear();
         for k in 0..k_total {
-            let s = &mut self.servers[k];
-            if t >= s.seg_until {
-                let path = &self.sc.servers[k];
-                (s.seg_outage, s.seg_until) =
-                    refresh_segment(&path.shifts, &path.outages, t, &mut s.fwd, &mut s.back);
-            }
             let t_send = t + self.sc.poll_stagger * k as f64;
             self.reads.push(ReadReq {
                 t: t_send,
@@ -523,34 +395,24 @@ impl<'a> MultiServerStream<'a> {
                 is_tf: false,
             });
             let ta = t_send + self.host.send_latency();
-            let s = &mut self.servers[k];
-            let d_fwd = s.fwd.sample_cadenced() + self.shared_excess[2 * k];
-            let tb = ta + d_fwd;
-            let d_srv = s.server.residence(tb);
-            let te = tb + d_srv;
-            let d_back = s.back.sample_cadenced() + self.shared_excess[2 * k + 1];
-            let tf = te + d_back;
-            // Same short-circuit as the single-server path: inside an
-            // outage the loss stream is not drawn.
-            let lost = s.seg_outage || s.loss_rng.random::<f64>() < s.loss_prob;
+            let (truth, lost) =
+                self.servers[k].depart(&self.sc.servers[k], t, ta, cadenced, self.shared_excess[k]);
             self.events[k] = PollEvents {
                 lost,
-                tb,
-                te,
-                tf_read: tf,
+                tb: truth.tb,
+                te: truth.te,
+                tf_read: truth.tf,
             };
         }
 
         // Phase 2: delivered-packet observables — server stamps and the
         // host receive latency — in server order.
         for k in 0..k_total {
-            if self.events[k].lost {
+            let ev = self.events[k];
+            if ev.lost {
                 continue;
             }
-            let ev = self.events[k];
-            let s = &mut self.servers[k];
-            let tb = s.server.stamp_rx(ev.tb);
-            let te = s.server.stamp_tx(ev.te);
+            let (tb, te) = self.servers[k].stamps(ev.tb, ev.te);
             let tf_read = ev.tf_read + self.host.recv_latency();
             self.events[k] = PollEvents {
                 lost: false,
@@ -594,6 +456,7 @@ impl<'a> MultiServerStream<'a> {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use crate::shifts::LevelShift;
 
     fn short(k: usize, seed: u64) -> MultiServerScenario {
         MultiServerScenario::baseline(k, seed).with_duration(4.0 * 3600.0)

@@ -34,10 +34,10 @@ const PROFILE_SALT: u64 = 0x9E2E_5F0C_AB4D_71D3;
 /// Salt for the mobile handover schedule generator.
 const HANDOVER_SALT: u64 = 0x51C6_1235_7E0F_88AD;
 
-/// The full path parameterisation a [`Scenario`] needs beyond its server:
-/// one-way minima and the two queueing components per direction. This is
-/// what [`crate::ServerKind`] encodes implicitly for the Table-2 servers,
-/// made explicit so profiles (and tests) can override it.
+/// The full path parameterisation a [`crate::ServerPath`] needs beyond
+/// its server: one-way minima and the two queueing components per
+/// direction. [`crate::ServerKind::params`] derives it from a Table-2 row;
+/// profiles (and tests) override it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathParams {
     /// Forward (host→server) minimum one-way delay (seconds).
@@ -234,7 +234,7 @@ impl PathProfile {
     /// minima by a few ms — asymmetrically, so Δ moves too, the §6.2
     /// route-change pattern. Deltas are clamped to ±60 % of the minima so
     /// a generated schedule can never trip the half-applied-shift clamp
-    /// (see [`Scenario::clamp_warnings`]).
+    /// (see [`crate::ServerPath::clamp_warnings`]).
     pub fn handover_shifts(self, seed: u64, duration: f64) -> Vec<LevelShift> {
         let Some(mean) = self.handover_mean_interval() else {
             return Vec::new();
@@ -278,11 +278,11 @@ impl PathProfile {
     /// with the fault-injection schedules rather than replacing them.
     pub fn apply(self, template: &Scenario, seed: u64) -> Scenario {
         let mut sc = template.clone();
-        sc.path = Some(self.params());
-        sc.loss_prob = self.loss_prob();
+        sc.path.params = Some(self.params());
+        sc.path.loss_prob = self.loss_prob();
         sc.seed = seed;
         for shift in self.handover_shifts(seed, sc.duration) {
-            sc.shifts.push(shift);
+            sc.path.shifts.push(shift);
         }
         sc
     }
@@ -422,13 +422,13 @@ mod tests {
             .with_shift(LevelShift::forward_only(500.0, None, 1e-3));
         let sc = PathProfile::Satellite.apply(&template, 1234);
         assert_eq!(sc.seed, 1234);
-        assert_eq!(sc.outages, vec![(100.0, 200.0)], "outages preserved");
-        assert_eq!(sc.shifts.events().len(), 1, "template shift preserved");
-        assert_eq!(sc.path, Some(PathProfile::Satellite.params()));
-        assert_eq!(sc.loss_prob, PathProfile::Satellite.loss_prob());
+        assert_eq!(sc.path.outages, vec![(100.0, 200.0)], "outages preserved");
+        assert_eq!(sc.path.shifts.events().len(), 1, "template shift preserved");
+        assert_eq!(sc.path.params, Some(PathProfile::Satellite.params()));
+        assert_eq!(sc.path.loss_prob, PathProfile::Satellite.loss_prob());
         let mob = PathProfile::Mobile.apply(&template, 1234);
         assert!(
-            mob.shifts.events().len() > 1,
+            mob.path.shifts.events().len() > 1,
             "mobile appends handovers to the template shift"
         );
     }

@@ -1,8 +1,18 @@
-//! Scenario presets: Table 2's three servers and full experiment configs.
+//! Scenario presets: Table 2's three servers, the one description of a
+//! server path, and full experiment configs.
+//!
+//! A [`ServerPath`] is everything about one server as the host sees it:
+//! which Table-2 server, an optional [`PathParams`] override (what
+//! [`crate::PathProfile`] installs), and its loss, outage, shift and fault
+//! schedules. A [`Scenario`] polls one of them; a
+//! [`crate::MultiServerScenario`] polls K from the same host. Both
+//! simulators build each path's seeded state from it the same way (see
+//! [`crate::multi`] for the seed contract).
 
 use crate::delay::CongestionParams;
+use crate::profile::PathParams;
 use crate::server::ServerFault;
-use crate::shifts::ShiftSchedule;
+use crate::shifts::{LevelShift, ShiftSchedule};
 use crate::sim::ExchangeStream;
 use tsc_osc::Environment;
 
@@ -102,6 +112,22 @@ impl ServerKind {
         }
     }
 
+    /// The full path parameterisation this server's Table-2 row implies —
+    /// the counterpart of [`crate::PathProfile::params`].
+    pub fn params(self) -> PathParams {
+        let (fwd_min, back_min) = self.min_delays();
+        let (fwd_queue_mean, back_queue_mean) = self.queue_means();
+        let (fwd_congestion, back_congestion) = self.congestion();
+        PathParams {
+            fwd_min,
+            back_min,
+            fwd_queue_mean,
+            back_queue_mean,
+            fwd_congestion,
+            back_congestion,
+        }
+    }
+
     /// Display name matching the paper.
     pub fn name(self) -> &'static str {
         match self {
@@ -112,19 +138,116 @@ impl ServerKind {
     }
 }
 
-/// A complete experiment configuration: host environment, server, schedule
-/// of anomalies, polling parameters. `stream()` yields the event simulator.
+/// One server path as the host sees it: which Table-2 server it is, how
+/// the path is shaped, and its private anomaly schedules.
+#[derive(Debug, Clone)]
+pub struct ServerPath {
+    /// Which Table 2 server preset shapes the path (minima, queueing,
+    /// congestion severity) and answers.
+    pub kind: ServerKind,
+    /// Explicit path parameterisation overriding the server's Table-2
+    /// derived one — how heterogeneous access profiles
+    /// ([`crate::PathProfile`]) reshape the path while keeping the same
+    /// server model. `None` = [`ServerKind::params`].
+    pub params: Option<PathParams>,
+    /// Independent per-packet loss probability on this path.
+    pub loss_prob: f64,
+    /// Server unavailability windows `(start, end)`.
+    pub outages: Vec<(f64, f64)>,
+    /// Route-change level shifts on this path (including
+    /// [`LevelShift::asymmetric`] steps).
+    pub shifts: ShiftSchedule,
+    /// Server clock faults (Figure 11b-style).
+    pub faults: Vec<ServerFault>,
+}
+
+impl ServerPath {
+    /// A clean path to the given server with the baseline loss rate.
+    pub fn new(kind: ServerKind) -> Self {
+        Self {
+            kind,
+            params: None,
+            loss_prob: 1.5e-3,
+            outages: Vec::new(),
+            shifts: ShiftSchedule::none(),
+            faults: Vec::new(),
+        }
+    }
+
+    /// Sets the loss probability (chainable).
+    pub fn with_loss(mut self, p: f64) -> Self {
+        self.loss_prob = p;
+        self
+    }
+
+    /// Adds an outage window (chainable).
+    pub fn with_outage(mut self, start: f64, end: f64) -> Self {
+        self.outages.push((start, end));
+        self
+    }
+
+    /// Adds a level shift (chainable).
+    pub fn with_shift(mut self, shift: LevelShift) -> Self {
+        self.shifts.push(shift);
+        self
+    }
+
+    /// Adds a server clock fault (chainable).
+    pub fn with_fault(mut self, fault: ServerFault) -> Self {
+        self.faults.push(fault);
+        self
+    }
+
+    /// The path parameterisation in effect: the override when present,
+    /// otherwise the server's Table-2 derived parameters.
+    pub fn effective_params(&self) -> PathParams {
+        self.params.unwrap_or_else(|| self.kind.params())
+    }
+
+    /// Checks every level shift in the schedule against the path minima
+    /// and reports the ones that would be clamped by the [`PathDelay`]
+    /// floor (effective minimum < 0 snaps to 0) — a *half-applied* fault:
+    /// an [`LevelShift::asymmetric`] step relies on both legs moving by
+    /// ±delta/2, and a clamped leg leaks the step into the RTT, silently
+    /// changing what the fault injects. Presets and fleet configs should
+    /// assert this is empty; the regression tests pin both the clamped
+    /// sample floor and this warning path.
+    ///
+    /// [`PathDelay`]: crate::PathDelay
+    pub fn clamp_warnings(&self) -> Vec<String> {
+        let path = self.effective_params();
+        let mut warnings = Vec::new();
+        for (idx, s) in self.shifts.events().iter().enumerate() {
+            // cumulative deltas at the event's onset (all overlapping
+            // shifts included — clamping applies to the *total* shift)
+            let (df, db) = self.shifts.deltas_at(s.at);
+            let legs = [
+                ("forward", path.fwd_min, df),
+                ("backward", path.back_min, db),
+            ];
+            for (leg, min, delta) in legs {
+                if min + delta < 0.0 {
+                    warnings.push(format!(
+                        "shift {idx} at t={}: {leg} min {min}s + delta {delta}s < 0 — \
+                         clamped to 0, shift half-applied",
+                        s.at
+                    ));
+                }
+            }
+        }
+        warnings
+    }
+}
+
+/// A complete experiment configuration: host environment, the server path
+/// with its schedule of anomalies, polling parameters. `stream()` yields
+/// the event simulator.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Host temperature environment (selects the oscillator model).
     pub environment: Environment,
-    /// Which Table 2 server to talk to.
-    pub server: ServerKind,
-    /// Explicit path parameterisation overriding the server's Table-2
-    /// derived one — how heterogeneous access profiles
-    /// ([`crate::PathProfile`]) reshape the path while keeping the same
-    /// server model. `None` = derive from `server` as always.
-    pub path: Option<crate::profile::PathParams>,
+    /// The server polled and the path to it.
+    pub path: ServerPath,
     /// Master seed; every stochastic element derives its stream from it.
     pub seed: u64,
     /// NTP polling period in seconds (paper uses 16 for analysis, 64/256 as
@@ -132,14 +255,6 @@ pub struct Scenario {
     pub poll_period: f64,
     /// Total simulated duration in seconds.
     pub duration: f64,
-    /// Independent per-packet loss probability.
-    pub loss_prob: f64,
-    /// Trace-collection gaps / server unavailability windows `(start, end)`.
-    pub outages: Vec<(f64, f64)>,
-    /// Route-change level shifts.
-    pub shifts: ShiftSchedule,
-    /// Server clock faults (Figure 11b-style).
-    pub server_faults: Vec<ServerFault>,
     /// Nominal TSC frequency in Hz.
     pub tsc_freq_hz: f64,
 }
@@ -150,15 +265,10 @@ impl Scenario {
     pub fn baseline(seed: u64) -> Self {
         Self {
             environment: Environment::MachineRoom,
-            server: ServerKind::Int,
-            path: None,
+            path: ServerPath::new(ServerKind::Int),
             seed,
             poll_period: 16.0,
             duration: 86_400.0,
-            loss_prob: 1.5e-3,
-            outages: Vec::new(),
-            shifts: ShiftSchedule::none(),
-            server_faults: Vec::new(),
             tsc_freq_hz: 1e9,
         }
     }
@@ -177,7 +287,7 @@ impl Scenario {
 
     /// Sets the server (chainable).
     pub fn with_server(mut self, server: ServerKind) -> Self {
-        self.server = server;
+        self.path.kind = server;
         self
     }
 
@@ -189,19 +299,19 @@ impl Scenario {
 
     /// Adds an outage window (chainable).
     pub fn with_outage(mut self, start: f64, end: f64) -> Self {
-        self.outages.push((start, end));
+        self.path = self.path.with_outage(start, end);
         self
     }
 
     /// Adds a level shift (chainable).
-    pub fn with_shift(mut self, shift: crate::shifts::LevelShift) -> Self {
-        self.shifts.push(shift);
+    pub fn with_shift(mut self, shift: LevelShift) -> Self {
+        self.path = self.path.with_shift(shift);
         self
     }
 
     /// Adds a server fault (chainable).
     pub fn with_server_fault(mut self, fault: ServerFault) -> Self {
-        self.server_faults.push(fault);
+        self.path = self.path.with_fault(fault);
         self
     }
 
@@ -212,60 +322,6 @@ impl Scenario {
     pub fn with_profile(self, profile: crate::profile::PathProfile) -> Self {
         let seed = self.seed;
         profile.apply(&self, seed)
-    }
-
-    /// The effective path parameterisation: the explicit override when
-    /// present, otherwise the server's Table-2 derived parameters.
-    pub fn effective_path(&self) -> crate::profile::PathParams {
-        self.path.unwrap_or_else(|| {
-            let (fwd_min, back_min) = self.server.min_delays();
-            let (fwd_queue_mean, back_queue_mean) = self.server.queue_means();
-            let (fwd_congestion, back_congestion) = self.server.congestion();
-            crate::profile::PathParams {
-                fwd_min,
-                back_min,
-                fwd_queue_mean,
-                back_queue_mean,
-                fwd_congestion,
-                back_congestion,
-            }
-        })
-    }
-
-    /// Checks every level shift in the schedule against the path minima
-    /// and reports the ones that would be clamped by the [`PathDelay`]
-    /// floor (effective minimum < 0 snaps to 0) — a *half-applied* fault:
-    /// an [`LevelShift::asymmetric`] step relies on both legs moving by
-    /// ±delta/2, and a clamped leg leaks the step into the RTT, silently
-    /// changing what the fault injects. Presets and fleet configs should
-    /// assert this is empty; the regression tests pin both the clamped
-    /// sample floor and this warning path.
-    ///
-    /// [`PathDelay`]: crate::PathDelay
-    /// [`LevelShift::asymmetric`]: crate::LevelShift::asymmetric
-    pub fn clamp_warnings(&self) -> Vec<String> {
-        let path = self.effective_path();
-        let mut warnings = Vec::new();
-        for (idx, s) in self.shifts.events().iter().enumerate() {
-            // cumulative deltas at the event's onset (all overlapping
-            // shifts included — clamping applies to the *total* shift)
-            let (df, db) = self.shifts.deltas_at(s.at);
-            if path.fwd_min + df < 0.0 {
-                warnings.push(format!(
-                    "shift {idx} at t={}: forward min {}s + delta {df}s < 0 — \
-                     clamped to 0, shift half-applied",
-                    s.at, path.fwd_min
-                ));
-            }
-            if path.back_min + db < 0.0 {
-                warnings.push(format!(
-                    "shift {idx} at t={}: backward min {}s + delta {db}s < 0 — \
-                     clamped to 0, shift half-applied",
-                    s.at, path.back_min
-                ));
-            }
-        }
-        warnings
     }
 
     /// Builds the fixed-cadence exchange stream, borrowing the anomaly
@@ -340,9 +396,9 @@ mod tests {
             .with_outage(100.0, 200.0);
         assert_eq!(s.duration, 3600.0);
         assert_eq!(s.poll_period, 64.0);
-        assert_eq!(s.server, ServerKind::Loc);
+        assert_eq!(s.path.kind, ServerKind::Loc);
         assert_eq!(s.environment, Environment::Laboratory);
-        assert_eq!(s.outages.len(), 1);
+        assert_eq!(s.path.outages.len(), 1);
     }
 
     #[test]

@@ -17,6 +17,9 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rand_distr::{Distribution, Exp, StandardNormal};
 
+#[cfg(feature = "reference")]
+use crate::host::gauss_reference;
+
 /// A gross server-clock fault: both `Tb` and `Te` are offset by `offset`
 /// seconds during `[start, end)` of true time — the Figure 11(b) event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,25 +153,20 @@ impl ServerModel {
     }
 }
 
-/// The pre-optimization formulation: a fresh Box-Muller pair per stamp,
-/// second value discarded — bit-identical to the original implementation.
+/// The pre-optimization formulation: a fresh Box-Muller pair per stamp
+/// ([`crate::host::gauss_reference`]) — bit-identical to the original
+/// implementation.
 #[cfg(feature = "reference")]
 impl ServerModel {
-    fn gauss_reference(&mut self) -> f64 {
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Original [`ServerModel::stamp_rx`].
     pub fn stamp_rx_reference(&mut self, tb: f64) -> f64 {
-        let noise = (self.gauss_reference() * self.params.stamp_sigma).abs();
+        let noise = (gauss_reference(&mut self.rng) * self.params.stamp_sigma).abs();
         tb + noise + self.fault_offset(tb)
     }
 
     /// Original [`ServerModel::stamp_tx`].
     pub fn stamp_tx_reference(&mut self, te: f64) -> f64 {
-        let mut noise = (self.gauss_reference() * self.params.stamp_sigma).abs();
+        let mut noise = (gauss_reference(&mut self.rng) * self.params.stamp_sigma).abs();
         if self.rng.random::<f64>() < self.params.p_te_outlier {
             let e: f64 = self.rng.random::<f64>().max(1e-300);
             noise += self.params.te_outlier_mean * (-e.ln());

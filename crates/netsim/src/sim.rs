@@ -14,19 +14,26 @@
 //!    raw `Tf` TSC read happens;
 //! 5. loss and outage windows may make the exchange yield no data.
 //!
+//! Steps 2–5 are one server path's business: `PathState` holds a path's
+//! seeded state and runs its departure sequence and stamp pair for all
+//! three front ends — the fixed-cadence [`ExchangeStream`], the
+//! client-driven [`OnDemandSim`] and the K-server
+//! [`crate::MultiServerStream`] — which differ only in the delay draw
+//! (cadenced or exact-time) and the shared-bottleneck excess they pass in.
+//!
 //! Every record carries the complete ground truth, so experiments can
 //! compute both the paper's DAG-mediated "actual performance" metrics and
 //! exact errors.
 
 use crate::dag::{DagCard, FIRST_BIT_CORRECTION};
 use crate::delay::PathDelay;
-use crate::host::HostTimestamping;
-use crate::scenario::Scenario;
+use crate::host::{seeded_host, HostTimestamping};
+use crate::scenario::{Scenario, ServerPath};
 use crate::server::ServerModel;
-use crate::shifts::{refresh_segment, ShiftSchedule};
+use crate::shifts::refresh_segment;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use tsc_osc::TscCounter;
+use tsc_osc::{Environment, Oscillator, TscCounter};
 use tscclock::RawExchange;
 
 /// Ground truth behind one exchange (never visible to the algorithms).
@@ -81,110 +88,162 @@ pub struct SimExchange {
     pub truth: Truth,
 }
 
-/// The owned stepping state shared by the two simulator front-ends: every
-/// stochastic element and the poll schedule, but *not* the anomaly
-/// schedules (level shifts, outages), which [`ExchangeStream`] borrows from
-/// the scenario and [`OnDemandSim`] owns.
-struct SimCore {
-    counter: TscCounter,
-    host: HostTimestamping,
+/// The seeded state of one server path: both delay chains, the server
+/// model, the loss stream and the anomaly-segment cache. The schedules
+/// themselves stay in the [`ServerPath`] it was built from, which every
+/// call borrows.
+pub(crate) struct PathState {
     fwd: PathDelay,
     back: PathDelay,
     server: ServerModel,
+    loss_rng: ChaCha12Rng,
+    /// End (exclusive) of the current anomaly segment: the anomaly
+    /// schedules are piecewise-constant, so shift deltas and the outage
+    /// flag are recomputed (by [`refresh_segment`]) only when the poll time
+    /// crosses this boundary instead of on every packet. `-inf` forces a
+    /// refresh on first use.
+    seg_until: f64,
+    /// Whether polls in the current segment fall inside an outage window.
+    seg_outage: bool,
+}
+
+impl PathState {
+    /// Builds `path`'s state from the base seed `base`: server model
+    /// `base + 2`, forward path `base + 4`, backward path `base + 5`, loss
+    /// `base + 7` (wrapping), both delay chains on the poll cadence.
+    pub(crate) fn new(path: &ServerPath, base: u64, cadence: f64) -> Self {
+        let p = path.effective_params();
+        let mut server = ServerModel::new(base.wrapping_add(2));
+        for f in &path.faults {
+            server.add_fault(*f);
+        }
+        let mut fwd = PathDelay::new(
+            p.fwd_min,
+            p.fwd_queue_mean,
+            p.fwd_congestion,
+            base.wrapping_add(4),
+        );
+        let mut back = PathDelay::new(
+            p.back_min,
+            p.back_queue_mean,
+            p.back_congestion,
+            base.wrapping_add(5),
+        );
+        fwd.set_cadence(cadence);
+        back.set_cadence(cadence);
+        Self {
+            fwd,
+            back,
+            server,
+            loss_rng: ChaCha12Rng::seed_from_u64(base.wrapping_add(7)),
+            seg_until: f64::NEG_INFINITY,
+            seg_outage: false,
+        }
+    }
+
+    /// The departure sequence of a poll sent at `t` whose frame leaves the
+    /// host at `ta`: segment refresh, forward draw, residence, backward
+    /// draw, then the loss decision. `draw` is the delay chains' front end
+    /// (cadenced or exact-time, given the entry time) and `excess` the
+    /// shared-bottleneck `(d→, d←)` additions. Returns the truth (host
+    /// error unset) and whether the packet is lost: inside an outage the
+    /// loss stream is not drawn, and a lost packet never reaches the
+    /// server's stamping.
+    #[inline]
+    pub(crate) fn depart(
+        &mut self,
+        path: &ServerPath,
+        t: f64,
+        ta: f64,
+        draw: impl Fn(&mut PathDelay, f64) -> f64,
+        excess: (f64, f64),
+    ) -> (Truth, bool) {
+        if t >= self.seg_until {
+            (self.seg_outage, self.seg_until) = refresh_segment(
+                &path.shifts,
+                &path.outages,
+                t,
+                &mut self.fwd,
+                &mut self.back,
+            );
+        }
+        let d_fwd = draw(&mut self.fwd, ta) + excess.0;
+        let tb = ta + d_fwd;
+        let d_srv = self.server.residence(tb);
+        let te = tb + d_srv;
+        let d_back = draw(&mut self.back, te) + excess.1;
+        let tf = te + d_back;
+        let lost = self.seg_outage || self.loss_rng.random::<f64>() < path.loss_prob;
+        let truth = Truth {
+            ta,
+            tb,
+            te,
+            tf,
+            d_fwd,
+            d_srv,
+            d_back,
+            host_err_at_tf: f64::NAN,
+        };
+        (truth, lost)
+    }
+
+    /// The server's stamp pair `(Tb, Te)` of a delivered packet.
+    #[inline]
+    pub(crate) fn stamps(&mut self, tb: f64, te: f64) -> (f64, f64) {
+        (self.server.stamp_rx(tb), self.server.stamp_tx(te))
+    }
+}
+
+/// The fixed-cadence front ends' delay draw: one precomputed chain tick.
+pub(crate) fn cadenced(path: &mut PathDelay, _: f64) -> f64 {
+    path.sample_cadenced()
+}
+
+/// The stepping state of the single-server front ends: the host, the one
+/// path's state, the DAG card and the poll schedule — but *not* the
+/// path's schedules, which [`ExchangeStream`] borrows from the scenario
+/// and [`OnDemandSim`] owns.
+struct SimCore {
+    counter: TscCounter,
+    host: HostTimestamping,
+    path: PathState,
     dag: DagCard,
-    loss_prob: f64,
     poll_period: f64,
     duration: f64,
     t_next: f64,
     i: usize,
-    loss_rng: ChaCha12Rng,
-    /// End (exclusive) of the current anomaly segment: the anomaly
-    /// schedules are piecewise-constant, so shift deltas and the outage
-    /// flag are recomputed only when the poll time crosses this boundary
-    /// instead of on every packet. `-inf` forces a refresh on first use.
-    seg_until: f64,
-    /// Whether polls in the current segment fall inside an outage window.
-    seg_outage: bool,
     /// Run every sampler in its original (pre-optimization) formulation.
     #[cfg(feature = "reference")]
     reference: bool,
 }
 
-/// Everything one poll produces before the loss decision branches the
-/// pipeline (see [`SimCore::poll_core`]).
-struct PollCore {
-    t: f64,
-    i: usize,
-    ta_tsc: u64,
-    ta: f64,
-    d_fwd: f64,
-    tb: f64,
-    d_srv: f64,
-    te: f64,
-    d_back: f64,
-    tf: f64,
-    lost: bool,
-}
-
 impl SimCore {
-    fn new(sc: &Scenario) -> Self {
-        Self::new_seeded(sc, sc.seed)
-    }
-
-    /// Like [`SimCore::new`] with the master seed overridden — the fleet
-    /// path, where thousands of streams differ from a shared template
-    /// only by seed and must not clone it.
-    fn new_seeded(sc: &Scenario, seed: u64) -> Self {
+    /// Builds the core for `sc` with master seed `seed` — the fleet path
+    /// overrides the seed, since thousands of streams differ from a shared
+    /// template only by seed and must not clone it. `build` is the
+    /// oscillator formulation.
+    fn new(sc: &Scenario, seed: u64, build: fn(Environment, u64) -> Oscillator) -> Self {
         assert!(sc.poll_period > 0.0, "poll period must be positive");
         assert!(sc.duration > 0.0, "duration must be positive");
-        let path = sc.effective_path();
-        let osc = sc.environment.build(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        let mut server = ServerModel::new(seed.wrapping_add(2));
-        for f in &sc.server_faults {
-            server.add_fault(*f);
-        }
-        let mut fwd = PathDelay::new(
-            path.fwd_min,
-            path.fwd_queue_mean,
-            path.fwd_congestion,
-            seed.wrapping_add(4),
-        );
-        let mut back = PathDelay::new(
-            path.back_min,
-            path.back_queue_mean,
-            path.back_congestion,
-            seed.wrapping_add(5),
-        );
-        fwd.set_cadence(sc.poll_period);
-        back.set_cadence(sc.poll_period);
+        let (counter, host) = seeded_host(sc.environment, sc.tsc_freq_hz, seed, build);
         Self {
-            counter: TscCounter::new(sc.tsc_freq_hz, 0, osc),
-            host: HostTimestamping::new(seed.wrapping_add(3)),
-            fwd,
-            back,
-            server,
+            counter,
+            host,
+            path: PathState::new(&sc.path, seed, sc.poll_period),
             dag: DagCard::dag32e(seed.wrapping_add(6)),
-            loss_prob: sc.loss_prob,
             poll_period: sc.poll_period,
             duration: sc.duration,
             t_next: sc.poll_period, // first poll after one period
             i: 0,
-            loss_rng: ChaCha12Rng::seed_from_u64(seed.wrapping_add(7)),
-            seg_until: f64::NEG_INFINITY,
-            seg_outage: false,
             #[cfg(feature = "reference")]
             reference: false,
         }
     }
 
-    /// Shared per-poll pipeline up to the loss decision: schedule/segment
-    /// bookkeeping, the `Ta` counter read, and the send/path/server delay
-    /// draws. Both [`SimCore::step`] and [`SimCore::step_raw`] consume
-    /// this, so their sampler draw order is lockstep *by construction* —
-    /// the bit-identity of the raw path's observables cannot silently
-    /// drift. `None` when the scenario duration is exhausted.
+    /// Next point of the poll grid `(i, t)`; `None` once the scenario
+    /// duration is exhausted.
     #[inline]
-    fn poll_core(&mut self, shifts: &ShiftSchedule, outages: &[(f64, f64)]) -> Option<PollCore> {
+    fn next_poll(&mut self) -> Option<(usize, f64)> {
         if self.t_next > self.duration {
             return None;
         }
@@ -192,136 +251,90 @@ impl SimCore {
         self.t_next += self.poll_period;
         let i = self.i;
         self.i += 1;
+        Some((i, t))
+    }
 
-        // Route changes / outages active in this segment.
-        if t >= self.seg_until {
-            (self.seg_outage, self.seg_until) =
-                refresh_segment(shifts, outages, t, &mut self.fwd, &mut self.back);
-        }
-
-        // Host sends: raw read first, then true departure.
+    /// A poll sent at `t` up to the loss decision: the `Ta` read, the send
+    /// latency and the path's departure sequence. The full, raw and
+    /// on-demand steps all run this, so their draw order is lockstep by
+    /// construction.
+    #[inline]
+    fn send(
+        &mut self,
+        path: &ServerPath,
+        t: f64,
+        draw: impl Fn(&mut PathDelay, f64) -> f64,
+    ) -> (u64, Truth, bool) {
         let ta_tsc = self.counter.read(t);
         let ta = t + self.host.send_latency();
-
-        let d_fwd = self.fwd.sample_cadenced();
-        let tb = ta + d_fwd;
-        let d_srv = self.server.residence(tb);
-        let te = tb + d_srv;
-        let d_back = self.back.sample_cadenced();
-        let tf = te + d_back;
-
-        // A lost packet never reaches the server's stamping, the DAG or
-        // the host receive path; the host's counter already advanced via
-        // the `Ta` read and nothing else did.
-        let lost = self.seg_outage || self.loss_rng.random::<f64>() < self.loss_prob;
-        Some(PollCore {
-            t,
-            i,
-            ta_tsc,
-            ta,
-            d_fwd,
-            tb,
-            d_srv,
-            te,
-            d_back,
-            tf,
-            lost,
-        })
+        let (truth, lost) = self.path.depart(path, t, ta, draw, (0.0, 0.0));
+        (ta_tsc, truth, lost)
     }
 
-    /// Shared delivered-packet observables: server stamps, host receive
-    /// latency and the `Tf` counter read (everything a [`RawExchange`]
-    /// carries beyond `Ta`). Returns `(Tb, Te, Tf_tsc)`.
+    /// A delivered packet's observables beyond `Ta`: the server stamps and
+    /// the `Tf` read after the host's receive latency. Returns
+    /// `(Tb, Te, Tf_tsc)`.
     #[inline]
-    fn deliver_observables(&mut self, tb: f64, te: f64, tf: f64) -> (f64, f64, u64) {
-        let tb_stamp = self.server.stamp_rx(tb);
-        let te_stamp = self.server.stamp_tx(te);
-        let tf_read = tf + self.host.recv_latency();
-        let tf_tsc = self.counter.read(tf_read);
-        (tb_stamp, te_stamp, tf_tsc)
+    fn deliver(&mut self, truth: &Truth) -> (f64, f64, u64) {
+        let (tb, te) = self.path.stamps(truth.tb, truth.te);
+        let tf_tsc = self.counter.read(truth.tf + self.host.recv_latency());
+        (tb, te, tf_tsc)
     }
 
-    /// One poll against the given anomaly schedules; `None` when the
-    /// scenario duration is exhausted. Allocation-free.
-    fn step(&mut self, shifts: &ShiftSchedule, outages: &[(f64, f64)]) -> Option<SimExchange> {
+    /// The full record of a poll whose send side is done. A lost packet's
+    /// observables are NaN/0; a delivered one adds the host error and the
+    /// DAG's `Tg`, which taps the wire one frame-time before full arrival
+    /// (its jitter is an independent RNG stream, so drawing it after the
+    /// host-side observables changes nothing).
+    #[inline]
+    fn record(&mut self, i: usize, t: f64, ta_tsc: u64, truth: Truth, lost: bool) -> SimExchange {
+        let mut e = SimExchange {
+            i,
+            poll_time: t,
+            lost,
+            ta_tsc,
+            tf_tsc: 0,
+            tb: f64::NAN,
+            te: f64::NAN,
+            tg: f64::NAN,
+            truth,
+        };
+        if !lost {
+            (e.tb, e.te, e.tf_tsc) = self.deliver(&truth);
+            e.truth.host_err_at_tf = self.counter.time_error();
+            e.tg = self
+                .dag
+                .timestamp_corrected(truth.tf - FIRST_BIT_CORRECTION);
+        }
+        e
+    }
+
+    /// One grid poll; `None` when the scenario duration is exhausted.
+    /// Allocation-free.
+    fn step(&mut self, path: &ServerPath) -> Option<SimExchange> {
         #[cfg(feature = "reference")]
         if self.reference {
-            return self.step_reference(shifts, outages);
+            return self.step_reference(path);
         }
-        let core = self.poll_core(shifts, outages)?;
-        if core.lost {
-            return Some(SimExchange {
-                i: core.i,
-                poll_time: core.t,
-                lost: true,
-                ta_tsc: core.ta_tsc,
-                tf_tsc: 0,
-                tb: f64::NAN,
-                te: f64::NAN,
-                tg: f64::NAN,
-                truth: Truth {
-                    ta: core.ta,
-                    tb: core.tb,
-                    te: core.te,
-                    tf: core.tf,
-                    d_fwd: core.d_fwd,
-                    d_srv: core.d_srv,
-                    d_back: core.d_back,
-                    host_err_at_tf: f64::NAN,
-                },
-            });
-        }
-
-        let (tb_stamp, te_stamp, tf_tsc) =
-            self.deliver_observables(core.tb, core.te, core.tf);
-        let host_err = self.counter.time_error();
-
-        // DAG taps the wire just before the host NIC: first bit passes the
-        // tap one frame-time before full arrival. (Its jitter is an
-        // independent RNG stream, so sampling it after the host-side
-        // observables changes nothing.)
-        let tg = self.dag.timestamp_corrected(core.tf - FIRST_BIT_CORRECTION);
-
-        Some(SimExchange {
-            i: core.i,
-            poll_time: core.t,
-            lost: false,
-            ta_tsc: core.ta_tsc,
-            tf_tsc,
-            tb: tb_stamp,
-            te: te_stamp,
-            tg,
-            truth: Truth {
-                ta: core.ta,
-                tb: core.tb,
-                te: core.te,
-                tf: core.tf,
-                d_fwd: core.d_fwd,
-                d_srv: core.d_srv,
-                d_back: core.d_back,
-                host_err_at_tf: host_err,
-            },
-        })
+        let (i, t) = self.next_poll()?;
+        let (ta_tsc, truth, lost) = self.send(path, t, cadenced);
+        Some(self.record(i, t, ta_tsc, truth, lost))
     }
 
-    /// One poll, observables only: the [`RawExchange`] a delivered packet
-    /// hands to the clock, `Some(None)` for a lost packet, `None` at end
-    /// of scenario. Runs the same [`SimCore::poll_core`] and
-    /// [`SimCore::deliver_observables`] as the full step but *skips* the
-    /// DAG reference card: its jitter lives on an independent RNG stream
-    /// that nothing else reads, so the emitted observables are
-    /// bit-identical to the full step's — the raw-path tests prove it.
-    /// This is the fleet generation path, where no consumer looks at `Tg`
-    /// or the truth.
+    /// One grid poll, observables only: the [`RawExchange`] a delivered
+    /// packet hands to the clock, `Some(None)` for a lost packet, `None` at
+    /// end of scenario. Runs the same [`SimCore::send`] and
+    /// [`SimCore::deliver`] as the full step but *skips* the DAG reference
+    /// card: its jitter lives on an independent RNG stream that nothing
+    /// else reads, so the emitted observables are bit-identical to the full
+    /// step's — the raw-path tests prove it. This is the fleet generation
+    /// path, where no consumer looks at `Tg` or the truth.
     #[allow(clippy::option_option)]
-    fn step_raw(
-        &mut self,
-        shifts: &ShiftSchedule,
-        outages: &[(f64, f64)],
-    ) -> Option<Option<RawExchange>> {
+    #[inline]
+    fn step_raw(&mut self, path: &ServerPath) -> Option<Option<RawExchange>> {
         #[cfg(feature = "reference")]
         if self.reference {
-            return self.step_reference(shifts, outages).map(|e| {
+            return self.step_reference(path).map(|e| {
                 (!e.lost).then_some(RawExchange {
                     ta_tsc: e.ta_tsc,
                     tb: e.tb,
@@ -330,13 +343,14 @@ impl SimCore {
                 })
             });
         }
-        let core = self.poll_core(shifts, outages)?;
-        if core.lost {
+        let (_, t) = self.next_poll()?;
+        let (ta_tsc, truth, lost) = self.send(path, t, cadenced);
+        if lost {
             return Some(None);
         }
-        let (tb, te, tf_tsc) = self.deliver_observables(core.tb, core.te, core.tf);
+        let (tb, te, tf_tsc) = self.deliver(&truth);
         Some(Some(RawExchange {
-            ta_tsc: core.ta_tsc,
+            ta_tsc,
             tb,
             te,
             tf_tsc,
@@ -349,104 +363,11 @@ impl SimCore {
     /// (backoff, jitter), so the precomputed-cadence fast path does not
     /// apply. Returns the full record; `t` must be ≥ the previous
     /// exchange's true arrival time (enforced by the wrapper).
-    fn poll_at(
-        &mut self,
-        t: f64,
-        shifts: &ShiftSchedule,
-        outages: &[(f64, f64)],
-    ) -> SimExchange {
+    fn poll_at(&mut self, t: f64, path: &ServerPath) -> SimExchange {
         let i = self.i;
         self.i += 1;
-        if t >= self.seg_until {
-            (self.seg_outage, self.seg_until) =
-                refresh_segment(shifts, outages, t, &mut self.fwd, &mut self.back);
-        }
-        let ta_tsc = self.counter.read(t);
-        let ta = t + self.host.send_latency();
-        let d_fwd = self.fwd.sample(ta);
-        let tb = ta + d_fwd;
-        let d_srv = self.server.residence(tb);
-        let te = tb + d_srv;
-        let d_back = self.back.sample(te);
-        let tf = te + d_back;
-        let lost = self.seg_outage || self.loss_rng.random::<f64>() < self.loss_prob;
-        if lost {
-            return SimExchange {
-                i,
-                poll_time: t,
-                lost: true,
-                ta_tsc,
-                tf_tsc: 0,
-                tb: f64::NAN,
-                te: f64::NAN,
-                tg: f64::NAN,
-                truth: Truth {
-                    ta,
-                    tb,
-                    te,
-                    tf,
-                    d_fwd,
-                    d_srv,
-                    d_back,
-                    host_err_at_tf: f64::NAN,
-                },
-            };
-        }
-        let (tb_stamp, te_stamp, tf_tsc) = self.deliver_observables(tb, te, tf);
-        let host_err = self.counter.time_error();
-        let tg = self.dag.timestamp_corrected(tf - FIRST_BIT_CORRECTION);
-        SimExchange {
-            i,
-            poll_time: t,
-            lost: false,
-            ta_tsc,
-            tf_tsc,
-            tb: tb_stamp,
-            te: te_stamp,
-            tg,
-            truth: Truth {
-                ta,
-                tb,
-                te,
-                tf,
-                d_fwd,
-                d_srv,
-                d_back,
-                host_err_at_tf: host_err,
-            },
-        }
-    }
-
-    /// Runs up to `max` polls, appending the records to `out`; returns how
-    /// many were produced (fewer only when the duration ran out). Output is
-    /// bit-identical to `max` calls of [`SimCore::step`] — the batch only
-    /// amortizes the per-call dispatch; all per-packet state (anomaly
-    /// segment cache, cadenced burst chains) is shared with the stepwise
-    /// path, so any interleaving of `step` and `step_batch` agrees.
-    fn step_batch(
-        &mut self,
-        shifts: &ShiftSchedule,
-        outages: &[(f64, f64)],
-        max: usize,
-        out: &mut Vec<SimExchange>,
-    ) -> usize {
-        let remaining = if self.t_next > self.duration {
-            0
-        } else {
-            ((self.duration - self.t_next) / self.poll_period) as usize + 1
-        };
-        out.reserve(max.min(remaining));
-        let mut n = 0;
-        while n < max {
-            match self.step(shifts, outages) {
-                Some(e) => {
-                    out.push(e);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
+        let (ta_tsc, truth, lost) = self.send(path, t, PathDelay::sample);
+        self.record(i, t, ta_tsc, truth, lost)
     }
 
     /// The pre-optimization pipeline, end to end: per-packet schedule
@@ -455,90 +376,46 @@ impl SimCore {
     /// the original implementation for the same scenario and seed.
     #[cfg(feature = "reference")]
     fn new_reference(sc: &Scenario, seed: u64) -> Self {
-        let osc = sc
-            .environment
-            .build_reference(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1));
-        let mut core = Self::new_seeded(sc, seed);
-        core.counter = TscCounter::new(sc.tsc_freq_hz, 0, osc);
-        core.reference = true;
-        core
+        Self {
+            reference: true,
+            ..Self::new(sc, seed, Environment::build_reference)
+        }
     }
 
     /// Original [`SimCore::step`]: the exact formulation at the time the
     /// generation fast path was introduced.
     #[cfg(feature = "reference")]
-    fn step_reference(
-        &mut self,
-        shifts: &ShiftSchedule,
-        outages: &[(f64, f64)],
-    ) -> Option<SimExchange> {
-        if self.t_next > self.duration {
-            return None;
-        }
-        let t = self.t_next;
-        self.t_next += self.poll_period;
-        let i = self.i;
-        self.i += 1;
+    fn step_reference(&mut self, path: &ServerPath) -> Option<SimExchange> {
+        let (i, t) = self.next_poll()?;
+        let s = &mut self.path;
 
         // Route changes active at this instant.
-        let (df, db) = shifts.deltas_at(t);
-        self.fwd.set_shift(df);
-        self.back.set_shift(db);
+        let (df, db) = path.shifts.deltas_at(t);
+        s.fwd.set_shift(df);
+        s.back.set_shift(db);
 
         // Host sends: raw read first, then true departure.
         let ta_tsc = self.counter.read(t);
         let ta = t + self.host.send_latency_reference();
 
-        let d_fwd = self.fwd.sample_reference(ta);
+        let d_fwd = s.fwd.sample_reference(ta);
         let tb = ta + d_fwd;
-        let d_srv = self.server.residence(tb);
+        let d_srv = s.server.residence(tb);
         let te = tb + d_srv;
-        let d_back = self.back.sample_reference(te);
+        let d_back = s.back.sample_reference(te);
         let tf = te + d_back;
 
-        let lost = outages.iter().any(|&(a, b)| t >= a && t < b)
-            || self.loss_rng.random::<f64>() < self.loss_prob;
-        if lost {
-            return Some(SimExchange {
-                i,
-                poll_time: t,
-                lost: true,
-                ta_tsc,
-                tf_tsc: 0,
-                tb: f64::NAN,
-                te: f64::NAN,
-                tg: f64::NAN,
-                truth: Truth {
-                    ta,
-                    tb,
-                    te,
-                    tf,
-                    d_fwd,
-                    d_srv,
-                    d_back,
-                    host_err_at_tf: f64::NAN,
-                },
-            });
-        }
-
-        let tb_stamp = self.server.stamp_rx_reference(tb);
-        let te_stamp = self.server.stamp_tx_reference(te);
-
-        let tg = self.dag.timestamp_corrected(tf - FIRST_BIT_CORRECTION);
-
-        let tf_read = tf + self.host.recv_latency_reference();
-        let tf_tsc = self.counter.read(tf_read);
-        let host_err = self.counter.time_error();
-
-        Some(SimExchange {
+        let lost = path.outages.iter().any(|&(a, b)| t >= a && t < b)
+            || s.loss_rng.random::<f64>() < path.loss_prob;
+        let mut e = SimExchange {
             i,
             poll_time: t,
-            lost: false,
+            lost,
             ta_tsc,
-            tf_tsc,
-            tb: tb_stamp,
-            te: te_stamp,
-            tg,
+            tf_tsc: 0,
+            tb: f64::NAN,
+            te: f64::NAN,
+            tg: f64::NAN,
             truth: Truth {
                 ta,
                 tb,
@@ -547,9 +424,17 @@ impl SimCore {
                 d_fwd,
                 d_srv,
                 d_back,
-                host_err_at_tf: host_err,
+                host_err_at_tf: f64::NAN,
             },
-        })
+        };
+        if !lost {
+            e.tb = s.server.stamp_rx_reference(tb);
+            e.te = s.server.stamp_tx_reference(te);
+            e.tg = self.dag.timestamp_corrected(tf - FIRST_BIT_CORRECTION);
+            e.tf_tsc = self.counter.read(tf + self.host.recv_latency_reference());
+            e.truth.host_err_at_tf = self.counter.time_error();
+        }
+        Some(e)
     }
 }
 
@@ -566,10 +451,7 @@ pub struct ExchangeStream<'a> {
 impl<'a> ExchangeStream<'a> {
     /// Builds a stream borrowing `sc`'s schedules.
     pub fn new(sc: &'a Scenario) -> Self {
-        Self {
-            core: SimCore::new(sc),
-            scenario: sc,
-        }
+        Self::with_seed(sc, sc.seed)
     }
 
     /// Builds the pre-optimization stream: every sampler and the
@@ -589,23 +471,14 @@ impl<'a> ExchangeStream<'a> {
     /// streams out of one shared template.
     pub fn with_seed(sc: &'a Scenario, seed: u64) -> Self {
         Self {
-            core: SimCore::new_seeded(sc, seed),
+            core: SimCore::new(sc, seed, Environment::build),
             scenario: sc,
         }
     }
 
     /// Runs one poll; `None` when the scenario duration is exhausted.
     pub fn step(&mut self) -> Option<SimExchange> {
-        self.core
-            .step(&self.scenario.shifts, &self.scenario.outages)
-    }
-
-    /// Runs up to `max` polls, appending to `out`; returns the count
-    /// produced. Bit-identical to calling [`ExchangeStream::step`] `max`
-    /// times — the batch amortizes per-call dispatch, nothing else.
-    pub fn next_batch(&mut self, out: &mut Vec<SimExchange>, max: usize) -> usize {
-        self.core
-            .step_batch(&self.scenario.shifts, &self.scenario.outages, max, out)
+        self.core.step(&self.scenario.path)
     }
 
     /// Nominal TSC frequency of the simulated host.
@@ -640,10 +513,10 @@ impl RawExchanges<'_> {
     /// `process_batch` buffer without per-item iterator dispatch, on the
     /// observables-only step (no DAG sampling, no truth record).
     pub fn fill_batch(&mut self, buf: &mut Vec<RawExchange>, max: usize) -> usize {
-        let sc = self.inner.scenario;
+        let path = &self.inner.scenario.path;
         let mut n = 0;
         while n < max {
-            match self.inner.core.step_raw(&sc.shifts, &sc.outages) {
+            match self.inner.core.step_raw(path) {
                 Some(Some(r)) => {
                     buf.push(r);
                     n += 1;
@@ -659,9 +532,9 @@ impl RawExchanges<'_> {
 impl Iterator for RawExchanges<'_> {
     type Item = RawExchange;
     fn next(&mut self) -> Option<RawExchange> {
-        let sc = self.inner.scenario;
+        let path = &self.inner.scenario.path;
         loop {
-            match self.inner.core.step_raw(&sc.shifts, &sc.outages)? {
+            match self.inner.core.step_raw(path)? {
                 Some(r) => return Some(r),
                 None => continue,
             }
@@ -675,9 +548,9 @@ impl Iterator for RawExchanges<'_> {
 ///
 /// Unlike [`ExchangeStream`] there is no fixed poll grid and no
 /// duration cutoff (the caller owns the horizon). The stochastic state is
-/// the same [`SimCore`], so loss, outages, level shifts, server faults
-/// and the oscillator all behave identically; the path queueing uses the
-/// exact-time samplers since the schedule is irregular.
+/// the same host and `PathState`, so loss, outages, level shifts, server
+/// faults and the oscillator all behave identically; the path queueing
+/// uses the exact-time samplers since the schedule is irregular.
 ///
 /// # Determinism
 ///
@@ -693,8 +566,7 @@ impl Iterator for RawExchanges<'_> {
 /// counter and path states are monotone in time).
 pub struct OnDemandSim {
     core: SimCore,
-    shifts: ShiftSchedule,
-    outages: Vec<(f64, f64)>,
+    path: ServerPath,
     duration: f64,
     /// Earliest admissible next send time (previous true arrival).
     t_floor: f64,
@@ -710,9 +582,8 @@ impl OnDemandSim {
     /// Like [`OnDemandSim::new`] with the master seed overridden.
     pub fn with_seed(sc: &Scenario, seed: u64) -> Self {
         Self {
-            core: SimCore::new_seeded(sc, seed),
-            shifts: sc.shifts.clone(),
-            outages: sc.outages.clone(),
+            core: SimCore::new(sc, seed, Environment::build),
+            path: sc.path.clone(),
             duration: sc.duration,
             t_floor: 0.0,
         }
@@ -723,7 +594,7 @@ impl OnDemandSim {
     /// will learn nothing until its own timeout fires.
     pub fn exchange_at(&mut self, t: f64) -> SimExchange {
         let t = t.max(self.t_floor);
-        let e = self.core.poll_at(t, &self.shifts, &self.outages);
+        let e = self.core.poll_at(t, &self.path);
         // Even a lost packet's delay draws happened (the frame travelled
         // until it was dropped); the path/counter clocks sit at tf.
         self.t_floor = e.truth.tf + 1e-9;
@@ -810,11 +681,8 @@ mod tests {
 
     #[test]
     fn loss_probability_is_respected() {
-        let sc = Scenario {
-            loss_prob: 0.1,
-            ..short_scenario(5)
-        }
-        .with_duration(16.0 * 20_000.0);
+        let mut sc = short_scenario(5).with_duration(16.0 * 20_000.0);
+        sc.path.loss_prob = 0.1;
         let ex = sc.run();
         let lost = ex.iter().filter(|e| e.lost).count() as f64 / ex.len() as f64;
         assert!((lost - 0.1).abs() < 0.02, "loss rate {lost}");
@@ -885,10 +753,8 @@ mod tests {
     fn seed_override_stream_equals_reseeded_scenario() {
         // loss-free so delivered records are NaN-free and directly
         // comparable
-        let template = Scenario {
-            loss_prob: 0.0,
-            ..short_scenario(20)
-        };
+        let mut template = short_scenario(20);
+        template.path.loss_prob = 0.0;
         for seed in [0u64, 21, u64::MAX] {
             let reseeded: Vec<_> = Scenario { seed, ..template.clone() }.stream().collect();
             let overridden: Vec<_> = template.stream_with_seed(seed).collect();
@@ -901,10 +767,8 @@ mod tests {
 
     #[test]
     fn raw_adapter_skips_lost_and_keeps_observables() {
-        let sc = crate::scenario::Scenario {
-            loss_prob: 0.05,
-            ..short_scenario(14)
-        };
+        let mut sc = short_scenario(14);
+        sc.path.loss_prob = 0.05;
         let all: Vec<_> = sc.stream().collect();
         let raw: Vec<_> = sc.stream().raw().collect();
         let delivered: Vec<_> = all.iter().filter(|e| !e.lost).collect();
@@ -919,41 +783,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_stepping_matches_stepwise_bit_for_bit() {
-        // step_batch must be pure dispatch amortization: any chunking —
-        // including chunk boundaries landing inside anomaly segments —
-        // yields the records a step() loop yields.
-        let sc = short_scenario(15)
-            .with_outage(3600.0, 4000.0)
-            .with_shift(LevelShift::forward_only(7200.0, Some(9000.0), 0.9e-3));
-        let stepwise: Vec<_> = sc.stream().collect();
-        for chunk in [1usize, 7, 64, 4096, usize::MAX] {
-            let mut stream = sc.stream();
-            let mut batched = Vec::new();
-            while stream.next_batch(&mut batched, chunk.min(8192)) > 0 {}
-            assert_eq!(stepwise.len(), batched.len(), "chunk {chunk}");
-            for (x, y) in stepwise.iter().zip(&batched) {
-                assert!(
-                    x.i == y.i
-                        && x.lost == y.lost
-                        && x.ta_tsc == y.ta_tsc
-                        && x.tf_tsc == y.tf_tsc
-                        && x.tb.to_bits() == y.tb.to_bits()
-                        && x.te.to_bits() == y.te.to_bits()
-                        && x.tg.to_bits() == y.tg.to_bits(),
-                    "chunk {chunk}: divergence at packet {}",
-                    x.i
-                );
-            }
-        }
-    }
-
-    #[test]
     fn raw_fill_batch_matches_iterator() {
-        let sc = crate::scenario::Scenario {
-            loss_prob: 0.05,
-            ..short_scenario(16)
-        };
+        let mut sc = short_scenario(16);
+        sc.path.loss_prob = 0.05;
         let via_iter: Vec<_> = sc.stream().raw().collect();
         let mut via_fill = Vec::new();
         let mut raw = sc.stream().raw();
@@ -1004,7 +836,7 @@ mod tests {
         let mut sim = crate::sim::OnDemandSim::new(&sc);
         let inside = sim.exchange_at(1500.0);
         assert!(inside.lost, "requests inside the outage are lost");
-        let before_min = sc.effective_path().fwd_min;
+        let before_min = sc.path.effective_params().fwd_min;
         let after = sim.exchange_at(3500.0);
         assert!(
             after.truth.d_fwd >= before_min + 0.9e-3,
@@ -1033,15 +865,13 @@ mod tests {
         let delta = 2e-3;
         let (_, back_min) = ServerKind::Loc.min_delays();
         assert!(back_min < delta / 2.0, "premise: the short path clamps");
-        let sc = Scenario {
-            loss_prob: 0.0,
-            ..short_scenario(33)
-        }
-        .with_server(ServerKind::Loc)
-        .with_shift(LevelShift::asymmetric(7200.0, None, delta));
+        let mut sc = short_scenario(33)
+            .with_server(ServerKind::Loc)
+            .with_shift(LevelShift::asymmetric(7200.0, None, delta));
+        sc.path.loss_prob = 0.0;
 
         // the warning path fires, naming the clamped leg
-        let warnings = sc.clamp_warnings();
+        let warnings = sc.path.clamp_warnings();
         assert_eq!(warnings.len(), 1, "exactly the backward leg: {warnings:?}");
         assert!(warnings[0].contains("backward"), "{}", warnings[0]);
 
@@ -1080,28 +910,16 @@ mod tests {
 
         // a path long enough for the negative leg stays warning-free and
         // RTT-silent — the clean preset contract
-        let clean = Scenario {
-            loss_prob: 0.0,
-            ..short_scenario(34)
-        }
-        .with_server(ServerKind::Ext)
-        .with_shift(LevelShift::asymmetric(7200.0, None, delta));
-        assert!(clean.clamp_warnings().is_empty());
-    }
-
-    #[test]
-    fn multi_server_clamp_warnings_flag_short_path_presets() {
-        let delta = 2e-3;
-        let mut sc = crate::MultiServerScenario::baseline(2, 40);
-        sc.servers[1] = crate::ServerPath::new(ServerKind::Loc)
+        let clean = short_scenario(34)
+            .with_server(ServerKind::Ext)
             .with_shift(LevelShift::asymmetric(7200.0, None, delta));
-        let warnings = sc.clamp_warnings();
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("server 1"), "{}", warnings[0]);
+        assert!(clean.path.clamp_warnings().is_empty());
         // the paper testbed presets are clean
-        assert!(crate::MultiServerScenario::paper_testbed(1)
-            .clamp_warnings()
-            .is_empty());
+        let testbed = crate::MultiServerScenario::paper_testbed(1);
+        assert!(testbed
+            .servers
+            .iter()
+            .all(|p| p.clamp_warnings().is_empty()));
     }
 
     #[test]

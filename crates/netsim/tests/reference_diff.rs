@@ -31,10 +31,8 @@ fn scenario(seed: u64, poll: f64, polls: usize) -> Scenario {
 fn loss_pattern_is_bit_identical() {
     // Loss comes from a dedicated RNG stream keyed only by the scenario
     // seed; none of the fast-path sampler changes may perturb it.
-    let sc = Scenario {
-        loss_prob: 0.01,
-        ..scenario(3, 16.0, 20_000)
-    };
+    let mut sc = scenario(3, 16.0, 20_000);
+    sc.path.loss_prob = 0.01;
     let (fast, reference) = fast_and_reference(&sc);
     assert_eq!(fast.len(), reference.len());
     for (f, r) in fast.iter().zip(&reference) {
@@ -200,10 +198,8 @@ mod proptest_equivalence {
         ) {
             let poll = [16.0, 64.0, 256.0][poll_idx];
             let polls = (8192.0 / (poll / 16.0)) as usize; // constant CPU budget
-            let sc = Scenario {
-                loss_prob,
-                ..scenario(seed, poll, polls)
-            };
+            let mut sc = scenario(seed, poll, polls);
+            sc.path.loss_prob = loss_prob;
             let (fast, reference) = fast_and_reference(&sc);
             prop_assert_eq!(fast.len(), reference.len());
             let mut min_f = f64::INFINITY;

@@ -7,7 +7,6 @@ pub use tsc_ntp as ntp;
 pub use tsc_osc as osc;
 pub use tsc_serve as serve;
 pub use tsc_stats as stats;
-pub use tsc_swclock as swclock;
 pub use tsc_telemetry as telemetry;
 pub use tscclock as clock;
 pub use tsc_experiments as experiments;

@@ -14,10 +14,16 @@
 //! (no netsim), so those digests move only when `tsc-osc` (or the
 //! keystream / ziggurat shims under it) does. The record pin folds every
 //! `SimExchange` field — including `Tg` and the truth, which no e2e digest
-//! reads — so it also moves with `tsc-netsim`.
+//! reads — so it also moves with `tsc-netsim`. The round pin does the same
+//! for every `RoundSample` field of the K-server stream, shared bottleneck
+//! included, which no e2e workload turns on.
 
-use tsc_netsim::{LevelShift, OnDemandSim, Scenario, ServerFault, SimExchange, Truth};
+use tsc_netsim::{
+    CongestionParams, LevelShift, MultiServerScenario, OnDemandSim, RoundSample, Scenario,
+    ServerFault, ServerKind, ServerPath, SimExchange, Truth,
+};
 use tsc_osc::{Environment, Oscillator, TscCounter};
+use tscclock::RawExchange;
 
 const ENVIRONMENTS: [Environment; 3] = [
     Environment::Laboratory,
@@ -35,6 +41,8 @@ const IRREGULAR_DIGEST: u64 = 0x4f1b_63fc_d08b_ac5a;
 const COUNTER_DIGEST: u64 = 0xce9c_9f9a_d6a7_fdd4;
 /// Every `SimExchange` field of a fixed-cadence stream and an on-demand run.
 const SIM_RECORD_DIGEST: u64 = 0x8c0e_988b_d913_d0d3;
+/// Every `RoundSample` field of the paper testbed behind a bottleneck.
+const MULTI_ROUND_DIGEST: u64 = 0x1de9_1e58_dd20_beb5;
 
 /// FNV-1a-64 over the little-endian bytes of `word`, folded into `h`.
 fn fold(h: u64, word: u64) -> u64 {
@@ -245,17 +253,16 @@ fn fold_exchange(h: u64, e: SimExchange) -> u64 {
 fn sim_exchange_records_are_pinned() {
     // Loss, an outage, a temporary shift and a server fault: both record
     // shapes and every anomaly-segment boundary kind.
-    let sc = Scenario {
-        loss_prob: 0.02,
-        ..Scenario::baseline(7).with_duration(6.0 * 3600.0)
-    }
-    .with_outage(3600.0, 4000.0)
-    .with_shift(LevelShift::forward_only(7200.0, Some(9000.0), 0.9e-3))
-    .with_server_fault(ServerFault {
-        start: 12_000.0,
-        end: 12_300.0,
-        offset: 0.150,
-    });
+    let mut sc = Scenario::baseline(7)
+        .with_duration(6.0 * 3600.0)
+        .with_outage(3600.0, 4000.0)
+        .with_shift(LevelShift::forward_only(7200.0, Some(9000.0), 0.9e-3))
+        .with_server_fault(ServerFault {
+            start: 12_000.0,
+            end: 12_300.0,
+            offset: 0.150,
+        });
+    sc.path.loss_prob = 0.02;
     let mut h = sc.stream().fold(FNV_OFFSET, fold_exchange);
     let mut sim = OnDemandSim::new(&sc);
     let mut lcg = Lcg(2);
@@ -265,4 +272,68 @@ fn sim_exchange_records_are_pinned() {
         t += 120.0 * lcg.uniform();
     }
     assert_eq!(h, SIM_RECORD_DIGEST, "{h:#018x}");
+}
+
+/// Folds every field of `s` (destructured, as in [`fold_exchange`]).
+fn fold_round_sample(h: u64, s: &RoundSample) -> u64 {
+    let RoundSample {
+        delivered,
+        raw,
+        tf_read,
+        host_err,
+    } = *s;
+    let RawExchange {
+        ta_tsc,
+        tb,
+        te,
+        tf_tsc,
+    } = raw;
+    [delivered as u64, ta_tsc, tf_tsc]
+        .into_iter()
+        .chain([tb, te, tf_read, host_err].map(f64::to_bits))
+        .fold(h, fold)
+}
+
+#[test]
+fn multi_server_rounds_are_pinned() {
+    // Loc + Int + Ext behind a shared bottleneck, each path with its own
+    // anomaly: a server fault under non-default loss, an outage, and a
+    // temporary asymmetric shift.
+    let sc = MultiServerScenario::paper_testbed(11)
+        .with_duration(6.0 * 3600.0)
+        .with_bottleneck(CongestionParams {
+            mean_off: 900.0,
+            mean_on: 300.0,
+            scale: 1e-3,
+            shape: 1.6,
+        })
+        .with_server_path(
+            0,
+            ServerPath::new(ServerKind::Loc)
+                .with_loss(0.02)
+                .with_fault(ServerFault {
+                    start: 12_000.0,
+                    end: 12_300.0,
+                    offset: 0.150,
+                }),
+        )
+        .with_server_path(
+            1,
+            ServerPath::new(ServerKind::Int).with_outage(3600.0, 4000.0),
+        )
+        .with_server_path(
+            2,
+            ServerPath::new(ServerKind::Ext).with_shift(LevelShift::asymmetric(
+                7200.0,
+                Some(9000.0),
+                2e-3,
+            )),
+        );
+    let mut stream = sc.stream();
+    let mut round = Vec::new();
+    let mut h = FNV_OFFSET;
+    while stream.next_round(&mut round) {
+        h = round.iter().fold(h, fold_round_sample);
+    }
+    assert_eq!(h, MULTI_ROUND_DIGEST, "{h:#018x}");
 }

@@ -93,11 +93,8 @@ fn works_with_all_three_servers() {
 fn heavy_loss_degrades_gracefully() {
     // 30% packet loss: the paper's count-based windows shrink but the
     // algorithms must keep working.
-    let sc = Scenario {
-        loss_prob: 0.30,
-        ..Scenario::baseline(1004)
-    }
-    .with_duration(4.0 * 86_400.0);
+    let mut sc = Scenario::baseline(1004).with_duration(4.0 * 86_400.0);
+    sc.path.loss_prob = 0.30;
     let (errs, _, _) = run(&sc, ClockConfig::paper_defaults(16.0));
     let p = Percentiles::from_data(&errs).unwrap();
     assert!(
@@ -206,34 +203,18 @@ fn local_rate_configuration_also_converges() {
 
 #[test]
 fn swclock_baseline_is_worse_on_the_same_trace() {
-    use tscclock_repro::swclock::DisciplinedClock;
-    let sc = Scenario::baseline(1010).with_duration(4.0 * 86_400.0);
-    let (errs, _, _) = run(&sc, ClockConfig::paper_defaults(16.0));
-    let tsc_iqr = Percentiles::from_data(&errs).unwrap().iqr();
-
-    let mut sw = DisciplinedClock::default();
-    let mut sw_errs = Vec::new();
-    let mut n = 0;
-    for e in sc.stream() {
-        if e.lost {
-            continue;
-        }
-        let ta_raw = e.ta_tsc as f64 * 1e-9;
-        let tf_raw = e.tf_tsc as f64 * 1e-9;
-        sw.process(ta_raw, e.tb, e.te, tf_raw);
-        n += 1;
-        if n > 1500 {
-            sw_errs.push(sw.now(tf_raw) - e.tg);
-        }
-    }
-    let sw_iqr = Percentiles::from_data(&sw_errs).unwrap().iqr();
+    use tscclock_repro::experiments::{baseline, ExpOptions};
     // Under calm conditions SW-NTP is serviceable ("for many purposes this
-    // SW-NTP clock ... works well", §1) — but the feed-forward clock must
-    // still be clearly tighter.
+    // SW-NTP clock ... works well", §1) — but on the same trace the
+    // feed-forward clock must still be clearly tighter.
+    let r = baseline::run(ExpOptions {
+        seed: 1010,
+        full: false,
+    });
+    let sw_iqr = r.get("sw_iqr_us").unwrap();
+    let tsc_iqr = r.get("tsc_iqr_us").unwrap();
     assert!(
         sw_iqr > 2.0 * tsc_iqr,
-        "feed-forward clock must beat the feedback baseline: {:.1} vs {:.1} µs",
-        sw_iqr * 1e6,
-        tsc_iqr * 1e6
+        "feed-forward clock must beat the feedback baseline: {sw_iqr:.1} vs {tsc_iqr:.1} µs"
     );
 }
