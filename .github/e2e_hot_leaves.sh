@@ -12,11 +12,12 @@
 #   * `RawExchanges::fill_batch`, `SimCore::{send, record}`,
 #     `PathState::{depart, stamps}` (the one departure sequence and stamp
 #     pair; inlined into the others today), `OnDemandSim::exchange_at`,
-#     `MultiServerStream::next_round`, `Oscillator::advance_to`: no call to
+#     `MultiServerStream::next_round`, `Oscillator::{advance_to,
+#     step_cells}` (the read and its cell step, inlined today): no call to
 #     a ziggurat sampler's accept path
 #     (`<StandardNormal …>::sample`, `<Exp1 …>::sample`, or the table
 #     getters / `zig_try` / `zig_exp_try` they were made of) or to
-#     `Sinusoid::step_wander_fast`. The `#[cold]` `zig_*_edge` functions,
+#     `Sinusoid::step_wander_cell`. The `#[cold]` `zig_*_edge` functions,
 #     `ChaCha12Rng::refill` and the model leaves (`PathDelay::…`,
 #     `ServerModel::…`) are calls by design.
 #
@@ -47,7 +48,7 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
 /^[0-9a-f]+ <.*>:$/ {                      # disassembly: a new function
     codec = /NtpPacket::(decode|encode_into)>:$/
     serve = /ServePlane::serve_batch>:$/
-    gen = /(RawExchanges::fill_batch|SimCore::(send|record)|PathState::(depart|stamps)|OnDemandSim::exchange_at|MultiServerStream::next_round|Oscillator::advance_to)>:$/
+    gen = /(RawExchanges::fill_batch|SimCore::(send|record)|PathState::(depart|stamps)|OnDemandSim::exchange_at|MultiServerStream::next_round|Oscillator::(advance_to|step_cells))>:$/
     fn = $0; sub(/^[0-9a-f]+ /, "", fn)
     next
 }
@@ -60,7 +61,7 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
         callee = substr($0, RSTART + 1, RLENGTH - 2)
     }
     panic = callee ~ /^core::(panicking|slice::index|option::(expect|unwrap)_failed|result::unwrap_failed)/
-    sampler = callee ~ /(^|::)(zig_tables|zig_exp_tables|zig_try|zig_exp_try|step_wander_fast)$/ ||
+    sampler = callee ~ /(^|::)(zig_tables|zig_exp_tables|zig_try|zig_exp_try|step_wander_cell)$/ ||
               callee ~ /^<rand_distr::(StandardNormal|Exp1) as .*>::sample$/
     if ((codec && !panic) || (serve && callee ~ /^(floor|round|ceil)$/) || (gen && sampler)) {
         print fn " calls " callee ": " $0

@@ -12,26 +12,26 @@ use tsc_experiments::{run_by_id, ExpOptions, ALL_IDS};
 const GOLDEN: [(&str, u64); 22] = [
     ("table1", 0x53bb_244a_ec32_3cac),
     ("table2", 0x3089_a25c_30ba_69a0),
-    ("fig2", 0x0d76_3fd4_e792_8f40),
-    ("fig3", 0xa2f2_5768_1f75_c0c2),
+    ("fig2", 0xae6b_f687_faf1_3209),
+    ("fig3", 0xa696_88c2_3204_08f3),
     ("fig4", 0xbd60_6af4_3a1d_4b0f),
-    ("fig5", 0x43a7_d15d_f37b_e241),
-    ("fig6", 0x8e26_cf1e_110d_5927),
-    ("fig7", 0x7e4d_1035_dfca_369f),
-    ("fig8", 0x2b59_3e3b_83a9_5c0b),
-    ("fig9a", 0xf454_1f2e_6219_e9b3),
-    ("fig9b", 0xc522_716c_2bd2_c29b),
-    ("fig9c", 0x09f2_01a9_eb1a_131c),
-    ("fig10", 0x44c6_b7ed_8920_1512),
-    ("fig11a", 0x4e8b_15d7_18a2_635d),
-    ("fig11b", 0x08d5_6c16_35a8_42ed),
-    ("fig11c", 0xfc56_166d_f94e_9047),
-    ("fig11d", 0x93df_62bf_c815_ef3e),
-    ("fig12", 0x530e_3811_aafa_b5e9),
-    ("baseline", 0xd8ca_3689_f4f1_871c),
-    ("ablation", 0xd646_527e_3ba8_c6c7),
-    ("quorum", 0x31c1_7a5d_0747_0c05),
-    ("population", 0x68e1_dd1a_ad0b_6e11),
+    ("fig5", 0x9ab0_d98b_5656_2c96),
+    ("fig6", 0xdb80_8706_e11e_e819),
+    ("fig7", 0xf8c4_5444_e8ef_07ab),
+    ("fig8", 0x5181_9355_d7c4_29f5),
+    ("fig9a", 0x6806_e934_6105_74ad),
+    ("fig9b", 0x9a4f_9a4d_88b0_04e2),
+    ("fig9c", 0x840d_df74_a3b9_3e14),
+    ("fig10", 0xa398_d1c5_388a_9801),
+    ("fig11a", 0xc7e1_ee98_c266_7b9d),
+    ("fig11b", 0xb92c_85d0_6c88_21be),
+    ("fig11c", 0x83ec_60f3_10a2_9ab6),
+    ("fig11d", 0xafaf_cc55_0af0_029f),
+    ("fig12", 0x48b1_3c12_38ac_f5b9),
+    ("baseline", 0xf3f3_a643_7efa_a252),
+    ("ablation", 0xbdfb_227c_95a4_8442),
+    ("quorum", 0x7c0d_88c0_a7da_df70),
+    ("population", 0x7f4f_fbb7_d324_157a),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -10,10 +10,10 @@
 //! deterministic members (skew, aging, fixed-period sinusoid) are
 //! integrated in closed form over whole `advance_to` intervals by the fast
 //! oscillator; only the stochastic members (bounded frequency random walk,
-//! wandering-period sinusoid, white FM) are sub-stepped. The
-//! [`FrequencyComponent`] trait keeps the original per-sub-step
-//! formulation — Box-Muller draws and all — alive for the `reference`
-//! feature's differential tests.
+//! wandering-period sinusoid, white FM) are stepped, in whole cells of the
+//! oscillator's fixed grid. The [`FrequencyComponent`] trait keeps the
+//! original per-sub-step formulation — Box-Muller draws and all — alive for
+//! the `reference` feature's differential tests.
 
 use rand::RngExt;
 use rand_chacha::ChaCha12Rng;
@@ -104,9 +104,9 @@ pub struct Sinusoid {
     /// Initial phase in radians.
     pub phase: f64,
     current_period: f64,
-    /// `(sin φ, cos φ)` carried across fast sub-steps: the hot loop
-    /// advances the phase by rotating this pair with a tiny-angle Taylor
-    /// rotation instead of calling libm trig per sub-step.
+    /// `(sin φ, cos φ)` carried across steps: the oscillator advances the
+    /// phase by rotating this pair with a tiny-angle Taylor rotation
+    /// instead of calling libm trig per cell or read.
     sin_cos: (f64, f64),
     /// The `phase` value `sin_cos` was computed for (NaN = not primed).
     /// Guarding on it keeps the cache coherent even if `phase` — a public
@@ -154,10 +154,11 @@ impl Sinusoid {
 
     /// Advances the phase by angle `a`, maintaining the cached
     /// `(sin φ, cos φ)` pair with a degree-7 Taylor rotation — below 1 ulp
-    /// of truncation error for the sub-0.05-rad angles of the fast paths'
-    /// sub-steps — and exact libm trig at phase wraps (the natural
-    /// re-priming point, bounding rotation round-off to one period) or for
-    /// large angles. The pair is re-primed whenever `phase` (a public
+    /// of truncation error for the sub-0.05-rad angles of a 16 s cell or
+    /// a poll-length read, with every coefficient a multiplication — and
+    /// exact libm trig at phase wraps (the natural re-priming point,
+    /// bounding rotation round-off to one period) or for large angles.
+    /// The pair is re-primed whenever `phase` (a public
     /// field) was mutated externally since the cache was written. Returns
     /// `((sin φ₀, cos φ₀), (sin φ₁, cos φ₁))`.
     #[inline]
@@ -181,8 +182,8 @@ impl Sinusoid {
             self.phase.sin_cos()
         } else {
             let a2 = a * a;
-            let ca = 1.0 - a2 * (0.5 - a2 * (1.0 / 24.0 - a2 / 720.0));
-            let sa = a * (1.0 - a2 * (1.0 / 6.0 - a2 * (1.0 / 120.0 - a2 / 5040.0)));
+            let ca = 1.0 - a2 * (0.5 - a2 * (1.0 / 24.0 - a2 * (1.0 / 720.0)));
+            let sa = a * (1.0 - a2 * (1.0 / 6.0 - a2 * (1.0 / 120.0 - a2 * (1.0 / 5040.0))));
             (s0 * ca + c0 * sa, c0 * ca - s0 * sa)
         };
         self.sin_cos = (s1, c1);
@@ -190,21 +191,22 @@ impl Sinusoid {
         ((s0, c0), (s1, c1))
     }
 
-    /// Fast wandering sub-step: identical period-walk dynamics to the
+    /// One wandering cell of `h` seconds (`sqrt_h` = `√h`, a constant of
+    /// the oscillator's grid): identical period-walk dynamics to the
     /// reference [`FrequencyComponent::step`], with the uniform increment
-    /// `u` pre-drawn by the oscillator's batched keystream read, the
-    /// `√(dt/3600)` factor folded into the caller-supplied `sqrt_dt`, and
-    /// the phase tracked as a `(sin, cos)` pair rotated by a degree-7
-    /// Taylor rotation — for the sub-degree angles of a ≥100-minute-period
-    /// sinusoid sub-stepped at ≤16 s the truncation error is below 1 ulp,
-    /// and the sub-step loop runs with no libm call at all. The pair is
-    /// re-primed from the exact phase once per wrap of `φ` past `τ`, so
-    /// rotation round-off cannot accumulate beyond one period.
+    /// `u` drawn by the oscillator, and the phase tracked as a `(sin, cos)`
+    /// pair rotated by a degree-7 Taylor rotation — for the sub-degree
+    /// angles of a ≥100-minute-period sinusoid in ≤16 s cells the
+    /// truncation error is below 1 ulp, and the step makes no libm call.
+    /// The pair is re-primed from the exact phase once per wrap of `φ`
+    /// past `τ`, so rotation round-off cannot accumulate beyond one period.
+    /// Returns the cell's phase integral `A·(cos φ₀ − cos φ₁)·P/2π`; the
+    /// one division is the angle's `2π/P`.
     #[inline]
-    pub(crate) fn step_wander_fast(&mut self, dt: f64, sqrt_dt: f64, u: f64) -> f64 {
+    pub(crate) fn step_wander_cell(&mut self, h: f64, sqrt_h: f64, u: f64) -> f64 {
         let span = self.period_max - self.period_min;
-        // span · 0.01 · √(dt/3600) · 2√3, with √dt hoisted by the caller.
-        let sigma = span * (0.01 / 60.0) * sqrt_dt;
+        // span · 0.01 · √(h/3600) · 2√3.
+        let sigma = span * (0.01 / 60.0) * sqrt_h;
         let delta = (u - 0.5) * 2.0 * sigma * 3.0f64.sqrt();
         self.current_period += delta;
         if self.current_period > self.period_max {
@@ -214,19 +216,15 @@ impl Sinusoid {
             self.current_period = 2.0 * self.period_min - self.current_period;
         }
         self.current_period = self.current_period.clamp(self.period_min, self.period_max);
-        let a = std::f64::consts::TAU / self.current_period * dt;
-        let ((s0, c0), (_, c1)) = self.rotate_phase(a);
-        if a < 1e-9 {
-            self.amplitude * s0
-        } else {
-            self.amplitude * (c0 - c1) / a
-        }
+        let a = std::f64::consts::TAU / self.current_period * h;
+        let ((_, c0), (_, c1)) = self.rotate_phase(a);
+        self.amplitude * (c0 - c1) * self.current_period * (1.0 / std::f64::consts::TAU)
     }
 
     /// Exact integral `∫ A·sin(φ + ω·s) ds` over `[0, dt]` for the
     /// fixed-period case, advancing the phase — the closed-form equivalent
     /// of summing per-sub-step means (they telescope). Uses the same
-    /// Taylor-rotated `(sin, cos)` pair as the wandering fast path for
+    /// Taylor-rotated `(sin, cos)` pair as the wandering cell step for
     /// small phase increments (re-primed exactly at every `τ` wrap or
     /// large step), so typical per-poll advances cost no libm trig.
     pub(crate) fn integrate_fixed(&mut self, dt: f64) -> f64 {
@@ -299,51 +297,42 @@ impl FrequencyRandomWalk {
         self.y
     }
 
-    /// Whether an advance of total length `span` seconds could plausibly
-    /// (within 4σ of the increment spread) carry the walk into its
-    /// reflecting bound — callers then take the exact per-sub-step path
-    /// instead of the bridge, so reflection dynamics are only ever
-    /// approximated in the ≲3·10⁻⁵ tail beyond the 4σ margin.
+    /// Whether `span` seconds of walk could plausibly (within 4σ of the
+    /// increment spread) carry it into its reflecting bound — callers then
+    /// step cell by cell instead of bridging, so reflection dynamics are
+    /// only ever approximated in the ≲3·10⁻⁵ tail beyond the 4σ margin.
     pub(crate) fn near_bound(&self, span: f64) -> bool {
         self.bound - self.y.abs() < 4.0 * self.sigma * span.sqrt()
     }
 
-    /// Advance-level bridge: integrates the walk over `m` equal sub-steps
-    /// of `dt` seconds plus an optional partial sub-step `dt_p`, from
-    /// `1 + (m > 1) + (dt_p > 0)` Gaussian draws instead of one per
-    /// sub-step, returning the trapezoid *phase* integral `∫y ds` and
-    /// advancing the level. Exact in distribution: over the sub-stepped
-    /// walk, the pair `(Δy, ∫y)` is jointly Gaussian with
-    /// `Var[Δy] = m s²`, `Var[Σcᵢzᵢ] = m³/3 − m/12` and
-    /// `Cov = m²/2` (`cᵢ = m − i + ½` is increment `i`'s trapezoid
+    /// Bridge over `m` whole cells of `h` seconds (`sqrt_h` = `√h`): two
+    /// Gaussian draws instead of one per cell, returning the trapezoid
+    /// *phase* integral `∫y ds` and advancing the level. Exact in
+    /// distribution: over the cell-stepped walk, the pair `(Δy, ∫y)` is
+    /// jointly Gaussian with `Var[Δy] = m s²`, `Var[Σcᵢzᵢ] = m³/3 − m/12`
+    /// and `Cov = m²/2` (`cᵢ = m − i + ½` is increment `i`'s trapezoid
     /// weight), which `za`/`zb` reproduce via the Cholesky factors below.
     /// The reflecting bound is applied to the end level; *interior*
-    /// reflections are not replayed — with per-sub-step σ√dt orders of
-    /// magnitude below the bound they occur on ≪1% of sub-steps, and the
-    /// caller's single-sub-step case ([`FrequencyRandomWalk::apply_z`])
-    /// keeps the exact per-step dynamics where it matters most.
+    /// reflections are not replayed — with per-cell σ√h orders of
+    /// magnitude below the bound they occur on ≪1% of cells, and the
+    /// single-cell step ([`FrequencyRandomWalk::apply_z`]) keeps the exact
+    /// dynamics where it matters most.
     pub(crate) fn advance_bridge(
         &mut self,
-        dt: f64,
+        h: f64,
+        sqrt_h: f64,
         m: usize,
-        dt_p: f64,
         za: f64,
         zb: f64,
-        zp: f64,
     ) -> f64 {
-        let s = self.sigma * dt.sqrt();
+        let s = self.sigma * sqrt_h;
         let mf = m as f64;
         let sqrt_m = mf.sqrt();
         let dw1 = sqrt_m * za;
-        let s1 = 0.5 * mf * sqrt_m * za + (mf * (mf * mf - 1.0) / 12.0).sqrt() * zb;
-        let span = mf * dt + dt_p;
-        let mut integral = self.y * span + s * (dt * s1 + dt_p * dw1);
+        let s1 = 0.5 * mf * sqrt_m * za + (mf * (mf * mf - 1.0) * (1.0 / 12.0)).sqrt() * zb;
+        let span = mf * h;
+        let mut integral = self.y * span + s * h * s1;
         let mut y_end = self.y + s * dw1;
-        if dt_p > 0.0 {
-            let sp = self.sigma * dt_p.sqrt();
-            integral += 0.5 * sp * dt_p * zp;
-            y_end += sp * zp;
-        }
         // A path that respects the reflecting bound satisfies |∫y| ≤
         // bound·T; the unreflected bridge can overshoot in the rare
         // boundary-grazing cases, so restore the model's fundamental
@@ -359,11 +348,10 @@ impl FrequencyRandomWalk {
         integral
     }
 
-    /// The sub-step dynamics given an externally drawn `N(0,1)` increment
-    /// `z` and a pre-computed `√dt` — the hook the oscillator's batched
-    /// keystream path uses (same reflecting dynamics as the reference
+    /// One cell's dynamics given an externally drawn `N(0,1)` increment
+    /// `z` and the cell's `√dt` (same reflecting dynamics as the reference
     /// [`FrequencyComponent::step`], ziggurat Gaussian instead of
-    /// Box-Muller, `sqrt` hoisted out of the sub-step loop).
+    /// Box-Muller). Returns the mean level over the cell.
     pub(crate) fn apply_z(&mut self, sqrt_dt: f64, z: f64) -> f64 {
         let y0 = self.y;
         self.y += z * self.sigma * sqrt_dt;
@@ -412,10 +400,11 @@ pub struct WhiteFm {
 }
 
 impl WhiteFm {
-    /// Sub-step given an externally drawn `N(0,1)` increment and a
-    /// pre-computed `√dt` (mean over dt of white FM scales as `1/√dt`).
-    pub(crate) fn apply_z(&mut self, sqrt_dt: f64, z: f64) -> f64 {
-        z * self.sigma_at_1s / sqrt_dt
+    /// Phase integral over a span of `sqrt_span²` seconds given an
+    /// externally drawn `N(0,1)` increment: independent increments make it
+    /// `N(0, σ²·span)` however the span is chopped.
+    pub(crate) fn phase(&self, sqrt_span: f64, z: f64) -> f64 {
+        z * self.sigma_at_1s * sqrt_span
     }
 }
 
@@ -450,6 +439,13 @@ pub enum Component {
     /// White FM (stochastic).
     WhiteFm(WhiteFm),
 }
+
+// The e2e `peak_rss_mb` metric follows allocator size classes, and this
+// size is one of its inputs: a probe padding `Sinusoid` by two `f64`s
+// (72 → 88 B, outputs bit-identical) moved `clock_ingest` by +7.4 % under
+// an earlier layout of the oscillator's state and by −1.2 % under this
+// one. Change it only with a paired RSS measurement.
+const _: () = assert!(size_of::<Component>() == 72);
 
 impl Component {
     /// Diagnostic tag (mirrors [`FrequencyComponent::name`]).

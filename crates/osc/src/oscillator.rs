@@ -13,45 +13,75 @@ use rand_distr::StandardNormal;
 /// general model (equation (3)) is `x(t) = θ0 + γ·t + ω(t)` and the
 /// components provide `γ` and `ω`.
 ///
-/// Time only moves forward. [`Oscillator::advance_to`] integrates the
-/// *deterministic* components (constant skew, aging, fixed-period sinusoid)
-/// in closed form over the whole requested interval, and sub-steps only the
-/// *stochastic* components (bounded random walk, wandering-period sinusoid,
-/// white FM) at `max_step` seconds, so that their noise is sampled finely
-/// enough even when the caller polls rarely (e.g. a 1024 s NTP period).
-/// All randomness of a long stochastic advance — ziggurat Gaussian words
-/// and the wandering sinusoid's uniforms — is pre-drawn in one batched
-/// keystream read (`ChaCha12Rng::fill_u64`).
+/// Time only moves forward. A read ([`Oscillator::advance_to`]) splits
+/// `x(t)` in two:
 ///
-/// An advance of at most `max_step` — every advance of a schedule polling
-/// at 16 s or faster, and the second counter read of any packet — takes a
-/// single-sub-step fast path: one straight-line pass over the stochastic
-/// components with one shared `√Δt` and inline keystream draws, none of
-/// the sub-step geometry (`ceil`/`floor`, word counting, batching). It is
-/// bit-identical to the general loop, in `x(t)` and in keystream position,
-/// because it stands aside wherever that loop would not do exactly one
-/// inline-drawn sub-step per component: (1) `Δt > max_step`; (2)
-/// `BATCH_THRESHOLD` or more stochastic components, where even one
-/// sub-step pre-draws through `fill_u64` and ziggurat wedge/tail
-/// completions therefore read the keystream later; (3) `t0 + (t − t0)`
-/// rounding below `t`, where the general loop takes a second, ~1e-16 s
-/// sub-step and a keystream word with it. `tests/generator_golden.rs`
-/// pins the stream across all three.
+/// * the *deterministic* components (constant skew, aging, fixed-period
+///   sinusoid) are integrated in closed form from the previous read to
+///   `t`, so their part `x_det(t)` is exact at every read;
+/// * the *stochastic* components (bounded random walk, wandering-period
+///   sinusoid, white FM) are stepped only in whole cells of `max_step`
+///   seconds on the absolute grid `gₙ = n·max_step`, however often or
+///   rarely the caller reads (e.g. a 1024 s NTP period). The oscillator
+///   keeps their phase at both ends of the last stepped cell `[gₙ, gₙ₊₁]`:
+///   `lo` at `gₙ` and `hi` at `gₙ₊₁` (stored as `hi` and the slope
+///   `(hi − lo)/max_step`).
+///
+/// A read at `t` in that cell returns
+/// `x_det(t) + lo + (hi − lo)·(t − gₙ)·(1/max_step)`: inside a cell the
+/// stochastic phase is the linear interpolation of its grid values, exact
+/// at every grid point (it is evaluated from the `gₙ₊₁` end, so a read on
+/// the grid returns `x_det + hi` bit for bit). Below the 16 s default cell
+/// that is all §3.1 claims of the oscillator anyway: the simple skew model
+/// holds up to τ* ≈ 1000 s.
+///
+/// A read at or before `gₙ₊₁` draws nothing. A later read steps every cell
+/// up to the first grid point at or after `t`, and no further: a poll
+/// exactly on the grid needs no look-ahead, and the second counter read of
+/// a 16 s poll steps one cell. Every step is exactly `max_step` long, so
+/// `√max_step` is a constant. A gap of `m > 1` cells integrates its first
+/// `m − 1` cells in one go — the random walk through an exact Gaussian
+/// bridge (two draws), white FM in one draw, the wandering sinusoid cell
+/// by cell — and steps the last cell alone, which gives `lo` and `hi`. An
+/// advance needing `BATCH_THRESHOLD` or more keystream words pre-draws
+/// them in one batched read (`ChaCha12Rng::fill_u64`); ziggurat wedge/tail
+/// completions then read the keystream after the batch.
+///
+/// Which reads fall inside a cell therefore changes nothing about the
+/// stochastic stream: the grid values, the keystream position and every
+/// counter read on the grid are the same with or without them.
+/// `tests/generator_golden.rs` pins the stream, grid edges and gaps of 1,
+/// 2 and 64 cells included.
 ///
 /// The pre-optimization formulation — every component stepped every
-/// sub-step, Box-Muller Gaussians — is retained behind the `reference`
-/// feature ([`Oscillator::new_reference`]) and is bit-identical to the
-/// original implementation; differential tests prove the fast path agrees
-/// (bit-near for deterministic component sets, statistically for
-/// stochastic ones).
+/// sub-step up to the read time, Box-Muller Gaussians — is retained behind
+/// the `reference` feature ([`Oscillator::new_reference`]) and is
+/// bit-identical to the original implementation; differential tests prove
+/// the grid-stepped oscillator agrees (bit-near for deterministic
+/// component sets, statistically for stochastic ones).
 pub struct Oscillator {
     components: Vec<Component>,
     rng: ChaCha12Rng,
+    /// True time and `x(t)` of the last read.
     t: f64,
     x: f64,
+    /// The deterministic components' part of `x` at `t`.
+    x_det: f64,
+    /// The cell length, its reciprocal and its square root.
     max_step: f64,
-    /// Indices into `components` of the stochastic members — the fast
-    /// integration loop touches only these.
+    inv_step: f64,
+    sqrt_step: f64,
+    /// Grid index of `cell_end`: the last stepped cell ends at
+    /// `g(cell) = cell_end` (`f64::MAX` without stochastic components, so
+    /// nothing is ever stepped).
+    cell: i64,
+    cell_end: f64,
+    /// Stochastic phase at `cell_end`, and its slope over the cell
+    /// (`(hi − lo)/max_step`).
+    hi: f64,
+    slope: f64,
+    /// Indices into `components` of the stochastic members — the cell
+    /// step touches only these.
     stoch_idx: Vec<u32>,
     /// Σ of constant-skew `γ` terms (folded at construction; a constant
     /// contributes `γ·dt` per advance with no per-component dispatch).
@@ -82,19 +112,19 @@ impl std::fmt::Debug for Oscillator {
 }
 
 /// Pre-draw keystream words in one batched read only when a single
-/// `advance_to` needs at least this many (short advances — the per-poll
+/// `advance_to` needs at least this many (one-cell steps — the per-poll
 /// common case — draw inline; the buffer costs more than it saves there).
 const BATCH_THRESHOLD: usize = 8;
 
 impl Oscillator {
-    /// Default integration sub-step (seconds). 16 s matches the paper's
-    /// densest polling period, so stochastic components are always sampled
-    /// at least that finely.
+    /// Default cell length (seconds). 16 s matches the paper's densest
+    /// polling period, so stochastic components are always sampled at
+    /// least that finely.
     pub const DEFAULT_MAX_STEP: f64 = 16.0;
 
     /// Creates an oscillator from components and a deterministic seed.
     pub fn new(components: Vec<Component>, seed: u64) -> Self {
-        let stoch_idx = components
+        let stoch_idx: Vec<u32> = components
             .iter()
             .enumerate()
             .filter(|(_, c)| c.is_stochastic())
@@ -125,7 +155,14 @@ impl Oscillator {
             rng: ChaCha12Rng::seed_from_u64(seed),
             t: 0.0,
             x: 0.0,
-            max_step: Self::DEFAULT_MAX_STEP,
+            x_det: 0.0,
+            max_step: 0.0,
+            inv_step: 0.0,
+            sqrt_step: 0.0,
+            cell: 0,
+            cell_end: if stoch_idx.is_empty() { f64::MAX } else { 0.0 },
+            hi: 0.0,
+            slope: 0.0,
             stoch_idx,
             gamma_total,
             aging_total,
@@ -134,12 +171,14 @@ impl Oscillator {
             #[cfg(feature = "reference")]
             reference: false,
         }
+        .with_max_step(Self::DEFAULT_MAX_STEP)
     }
 
     /// The pre-optimization oscillator: every component is stepped every
     /// sub-step with Box-Muller Gaussians — bit-identical to the original
     /// implementation for the same components and seed. Exists so the
-    /// differential tests can compare the fast path against it.
+    /// differential tests can compare the grid-stepped oscillator against
+    /// it.
     #[cfg(feature = "reference")]
     pub fn new_reference(components: Vec<Component>, seed: u64) -> Self {
         Self {
@@ -148,10 +187,14 @@ impl Oscillator {
         }
     }
 
-    /// Overrides the integration sub-step (mainly for tests/benches).
+    /// Overrides the cell length (mainly for tests/benches); only before
+    /// the first read.
     pub fn with_max_step(mut self, max_step: f64) -> Self {
         assert!(max_step > 0.0, "max_step must be positive");
+        assert!(self.t == 0.0, "the cell length is fixed once reads begin");
         self.max_step = max_step;
+        self.inv_step = 1.0 / max_step;
+        self.sqrt_step = max_step.sqrt();
         self
     }
 
@@ -166,187 +209,131 @@ impl Oscillator {
             return self.x;
         }
         let t0 = self.t;
-        let dt_total = t - t0;
+        let dt = t - t0;
 
-        // Deterministic components: exact closed-form integral over the
-        // whole interval (the per-sub-step means of the reference loop
+        // Deterministic components: exact closed-form integral from the
+        // last read (the per-sub-step means of the reference loop
         // telescope to the same value). Skew and aging terms were folded
         // into two constants at construction — one fused expression, no
         // component scan; only fixed sinusoids carry per-advance state.
         // ∫ rate·s ds over [t0, t] = rate·(t0 + dt/2)·dt.
-        self.x += (self.gamma_total + self.aging_total * (t0 + 0.5 * dt_total)) * dt_total;
+        self.x_det += (self.gamma_total + self.aging_total * (t0 + 0.5 * dt)) * dt;
         for &ci in &self.fixed_sin_idx {
             if let Component::Sinusoid(s) = &mut self.components[ci as usize] {
-                self.x += s.integrate_fixed(dt_total);
+                self.x_det += s.integrate_fixed(dt);
             }
         }
 
-        // Single-sub-step fast path: what the general loop below does for
-        // one inline-drawn sub-step per component, bit for bit. The three
-        // guards (see the type docs) are the cases where it does more.
-        if dt_total <= self.max_step
-            && self.stoch_idx.len() < BATCH_THRESHOLD
-            && t0 + dt_total >= t
-        {
-            let sqrt_dt = dt_total.sqrt();
-            let rng = &mut self.rng;
-            let mut x_acc = 0.0;
-            for &ci in &self.stoch_idx {
-                let bits = rng.next_u64();
-                x_acc += match &mut self.components[ci as usize] {
-                    Component::RandomWalk(w) => {
-                        w.apply_z(sqrt_dt, StandardNormal.sample_with_word(rng, bits))
-                    }
-                    Component::WhiteFm(w) => {
-                        w.apply_z(sqrt_dt, StandardNormal.sample_with_word(rng, bits))
-                    }
-                    Component::Sinusoid(s) => {
-                        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                        s.step_wander_fast(dt_total, sqrt_dt, u)
-                    }
-                    _ => unreachable!("stoch_idx holds only stochastic components"),
-                } * dt_total;
-            }
-            self.x += x_acc;
-            self.t = t;
-            return self.x;
-        }
-
-        // Stochastic components, integrated component-major over the whole
-        // advance. The reference sub-steps everything at `max_step`; here
-        // only the wandering sinusoid still walks sub-step by sub-step
-        // (its period state enters nonlinearly) — the white-FM and
-        // random-walk integrals over the sub-stepped interval are jointly
-        // Gaussian with closed-form (co)variances, so they are drawn
-        // exactly with 1 and ≤3 Gaussians per advance respectively,
-        // regardless of the number of sub-steps. All keystream words for
-        // the advance come from one batched read; rare ziggurat
-        // wedge/tail cases complete with direct draws.
-        if !self.stoch_idx.is_empty() {
-            let ratio = dt_total / self.max_step;
-            let substeps = (ratio.ceil() as usize).max(1);
-            // Full/partial sub-step decomposition for the bridge draws.
-            let m_full = ratio.floor() as usize;
-            let dt_p = dt_total - m_full as f64 * self.max_step;
-            // `substeps · |stoch|` over-counts (bridged components use ≤3
-            // words however long the advance) but is free to compute; the
-            // exact per-component count is only needed when it decides to
-            // batch.
-            if substeps * self.stoch_idx.len() >= BATCH_THRESHOLD {
-                let rw_words = if substeps == 1 {
-                    1
-                } else {
-                    1 + usize::from(m_full >= 2) + usize::from(dt_p > 0.0)
-                };
-                let needed: usize = self
-                    .components
-                    .iter()
-                    .map(|c| match c {
-                        Component::RandomWalk(_) => rw_words,
-                        Component::WhiteFm(_) => 1,
-                        Component::Sinusoid(s) if s.is_wandering() => substeps,
-                        _ => 0,
-                    })
-                    .sum();
-                self.words.resize(needed, 0);
-                self.rng.fill_u64(&mut self.words);
-            } else {
-                self.words.clear();
-            }
-            // Disjoint field borrows so the hot loop indexes straight
-            // slices (no repeated bounds/option plumbing through `self`).
-            let Self {
-                components,
-                rng,
-                words,
-                stoch_idx,
-                max_step,
-                ..
-            } = self;
-            let words: &[u64] = words;
-            let mut wi = 0usize; // consumed prefix of `words`
-            macro_rules! word {
-                () => {
-                    if wi < words.len() {
-                        let w = words[wi];
-                        wi += 1;
-                        w
-                    } else {
-                        rng.next_u64()
-                    }
-                };
-            }
-            let sqrt_total = dt_total.sqrt();
-            let mut x_acc = 0.0;
-            for &ci in stoch_idx.iter() {
-                match &mut components[ci as usize] {
-                    Component::RandomWalk(w) => {
-                        if substeps == 1 || w.near_bound(dt_total) {
-                            // Single sub-step, or within the 4σ margin of
-                            // the reflecting bound: exact per-sub-step
-                            // dynamics (reflection included).
-                            let mut cur = t0;
-                            let (mut last_dt, mut sqrt_dt) = (-1.0f64, 0.0f64);
-                            while cur < t {
-                                let dt = (t - cur).min(*max_step);
-                                if dt != last_dt {
-                                    last_dt = dt;
-                                    sqrt_dt = dt.sqrt();
-                                }
-                                let bits = word!();
-                                let z = StandardNormal.sample_with_word(rng, bits);
-                                x_acc += w.apply_z(sqrt_dt, z) * dt;
-                                cur += dt;
-                            }
-                        } else {
-                            let bits = word!();
-                            let za = StandardNormal.sample_with_word(rng, bits);
-                            let zb = if m_full >= 2 {
-                                let bits = word!();
-                                StandardNormal.sample_with_word(rng, bits)
-                            } else {
-                                0.0
-                            };
-                            let zp = if dt_p > 0.0 {
-                                let bits = word!();
-                                StandardNormal.sample_with_word(rng, bits)
-                            } else {
-                                0.0
-                            };
-                            x_acc += w.advance_bridge(*max_step, m_full, dt_p, za, zb, zp);
-                        }
-                    }
-                    Component::WhiteFm(w) => {
-                        // Independent increments: the sub-stepped integral
-                        // is N(0, σ²·Δt) however it is chopped — one draw.
-                        let bits = word!();
-                        let z = StandardNormal.sample_with_word(rng, bits);
-                        x_acc += w.apply_z(sqrt_total, z) * dt_total;
-                    }
-                    Component::Sinusoid(s) => {
-                        // Period state is nonlinear: walk the reference
-                        // sub-step geometry, one uniform per sub-step.
-                        let mut cur = t0;
-                        let (mut last_dt, mut sqrt_dt) = (-1.0f64, 0.0f64);
-                        while cur < t {
-                            let dt = (t - cur).min(*max_step);
-                            if dt != last_dt {
-                                last_dt = dt;
-                                sqrt_dt = dt.sqrt();
-                            }
-                            let word = word!();
-                            let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                            x_acc += s.step_wander_fast(dt, sqrt_dt, u) * dt;
-                            cur += dt;
-                        }
-                    }
-                    _ => unreachable!("stoch_idx holds only stochastic components"),
-                }
-            }
-            self.x += x_acc;
+        if t > self.cell_end {
+            self.step_cells(t);
         }
         self.t = t;
+        self.x = self.x_det + self.hi + self.slope * (t - self.cell_end);
         self.x
+    }
+
+    /// Steps the stochastic components over the whole cells from
+    /// `cell_end` to the first grid point at or after `t`, leaving `hi`
+    /// and `slope` describing the last of them.
+    fn step_cells(&mut self, t: f64) {
+        let h = self.max_step;
+        // The first grid index at or after `t`, through `i64` (one
+        // instruction each way; see `TscCounter::read`). At least one cell,
+        // should rounding of a non-power-of-two `max_step` say otherwise.
+        let k = (t * self.inv_step) as i64;
+        let end = k + i64::from((k as f64) * h < t);
+        let m = (end - self.cell).max(1);
+        self.cell += m;
+        self.cell_end = self.cell as f64 * h;
+        // Cells integrated before the last one, which is stepped alone.
+        let m = m as usize;
+        let pre = m - 1;
+
+        if m * self.stoch_idx.len() >= BATCH_THRESHOLD {
+            let needed: usize = self
+                .components
+                .iter()
+                .map(|c| match c {
+                    Component::RandomWalk(_) => 1 + usize::from(m >= 2) + usize::from(m >= 3),
+                    Component::WhiteFm(_) => 1 + usize::from(m >= 2),
+                    Component::Sinusoid(s) if s.is_wandering() => m,
+                    _ => 0,
+                })
+                .sum();
+            self.words.resize(needed, 0);
+            self.rng.fill_u64(&mut self.words);
+        } else {
+            self.words.clear();
+        }
+        // Disjoint field borrows so the loop indexes straight slices.
+        let Self {
+            components,
+            rng,
+            words,
+            stoch_idx,
+            sqrt_step,
+            ..
+        } = self;
+        let sqrt_h = *sqrt_step;
+        let words: &[u64] = words;
+        let mut wi = 0usize; // consumed prefix of `words`
+        macro_rules! word {
+            () => {
+                if wi < words.len() {
+                    let w = words[wi];
+                    wi += 1;
+                    w
+                } else {
+                    rng.next_u64()
+                }
+            };
+        }
+        macro_rules! normal {
+            () => {{
+                let bits = word!();
+                StandardNormal.sample_with_word(rng, bits)
+            }};
+        }
+        macro_rules! uniform {
+            () => {
+                (word!() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+            };
+        }
+        let (mut x_pre, mut x_last) = (0.0, 0.0);
+        for &ci in stoch_idx.iter() {
+            match &mut components[ci as usize] {
+                Component::RandomWalk(w) => {
+                    if pre >= 2 && !w.near_bound(pre as f64 * h) {
+                        let za = normal!();
+                        let zb = normal!();
+                        x_pre += w.advance_bridge(h, sqrt_h, pre, za, zb);
+                    } else {
+                        // One cell, or within the 4σ margin of the
+                        // reflecting bound: exact per-cell dynamics.
+                        for _ in 0..pre {
+                            x_pre += w.apply_z(sqrt_h, normal!()) * h;
+                        }
+                    }
+                    x_last += w.apply_z(sqrt_h, normal!()) * h;
+                }
+                Component::WhiteFm(w) => {
+                    if pre > 0 {
+                        x_pre += w.phase((pre as f64 * h).sqrt(), normal!());
+                    }
+                    x_last += w.phase(sqrt_h, normal!());
+                }
+                Component::Sinusoid(s) => {
+                    // Period state is nonlinear: one uniform per cell.
+                    for _ in 0..pre {
+                        x_pre += s.step_wander_cell(h, sqrt_h, uniform!());
+                    }
+                    x_last += s.step_wander_cell(h, sqrt_h, uniform!());
+                }
+                _ => unreachable!("stoch_idx holds only stochastic components"),
+            }
+        }
+        self.hi += x_pre + x_last;
+        self.slope = x_last * self.inv_step;
     }
 
     /// The original integration loop: every component stepped every
@@ -366,17 +353,17 @@ impl Oscillator {
         self.x
     }
 
-    /// Current true simulation time.
+    /// True time of the last read.
     pub fn now(&self) -> f64 {
         self.t
     }
 
-    /// Accumulated time error `x(t)` at the current instant.
+    /// Accumulated time error `x(t)` at the last read.
     pub fn time_error(&self) -> f64 {
         self.x
     }
 
-    /// Oscillator-local time `t + x(t)` at the current instant.
+    /// Oscillator-local time `t + x(t)` at the last read.
     pub fn local_time(&self) -> f64 {
         self.t + self.x
     }
@@ -492,11 +479,11 @@ mod tests {
 
     #[test]
     fn nine_stochastic_components_keep_the_batched_draw_order() {
-        // From BATCH_THRESHOLD stochastic components up, even a
-        // single-sub-step advance pre-draws its words in one `fill_u64`,
-        // so a ziggurat wedge/tail completion reads the keystream *after*
-        // all nine words. The single-sub-step fast path draws inline and
-        // must leave such advances alone: replay both orders by hand.
+        // From BATCH_THRESHOLD stochastic components up, even a one-cell
+        // step pre-draws its words in one `fill_u64`, so a ziggurat
+        // wedge/tail completion reads the keystream *after* all nine
+        // words. Replay both orders by hand: the oscillator must follow the
+        // batched one, and the two must differ somewhere.
         let sigmas: Vec<f64> = (1..=9).map(|i| i as f64 * 1e-9).collect();
         let components = sigmas
             .iter()
@@ -506,18 +493,18 @@ mod tests {
         let mut batched = ChaCha12Rng::seed_from_u64(11);
         let mut inline = ChaCha12Rng::seed_from_u64(11);
         let (mut x_batched, mut x_inline) = (0.0f64, 0.0f64);
-        let (dt, sqrt_dt) = (16.0f64, 4.0f64);
+        let sqrt_h = 4.0f64;
         for i in 1..=2000 {
-            let x = osc.advance_to(i as f64 * dt);
+            let x = osc.advance_to(i as f64 * 16.0);
             let mut words = [0u64; 9];
             batched.fill_u64(&mut words);
             let (mut acc_batched, mut acc_inline) = (0.0, 0.0);
             for (&sigma, &bits) in sigmas.iter().zip(&words) {
                 let z = StandardNormal.sample_with_word(&mut batched, bits);
-                acc_batched += z * sigma / sqrt_dt * dt;
+                acc_batched += z * sigma * sqrt_h;
                 let bits = inline.next_u64();
                 let z = StandardNormal.sample_with_word(&mut inline, bits);
-                acc_inline += z * sigma / sqrt_dt * dt;
+                acc_inline += z * sigma * sqrt_h;
             }
             x_batched += acc_batched;
             x_inline += acc_inline;

@@ -17,6 +17,7 @@
 //! the quality *it itself claims*, so a clean low-jitter server is held
 //! to a tight tolerance while a noisy long-path server gets a wider one.
 
+use tscclock::fastmath::exp_clamped;
 use tscclock::snapshot::{SnapshotReader, SnapshotWriter};
 use tscclock::SnapshotError;
 
@@ -235,10 +236,12 @@ impl HealthTracker {
             // perfectly healthy to itself).
             0.0
         } else {
+            // `exp_clamped`, not libm: trust feeds the combiner weights,
+            // so this is digested once per delivered server per round.
             let quality = match obs.point_error {
                 Some(pe) => {
                     cfg.quality_floor
-                        + (1.0 - cfg.quality_floor) * (-pe.max(0.0) / cfg.pe_scale).exp()
+                        + (1.0 - cfg.quality_floor) * exp_clamped(-pe.max(0.0) / cfg.pe_scale)
                 }
                 None => cfg.miss_score,
             };

@@ -5,10 +5,11 @@
 //! Every netsim trace, fleet digest and e2e digest is a function of
 //! `Oscillator::advance_to` and `TscCounter::read`; their differential
 //! suites (`crates/osc/tests/reference_diff.rs`) are statistical and run
-//! only under `--workspace`. These digests were recorded *before* the
-//! single-sub-step fast path and the `round()`-free counter read landed,
-//! and did not move: an oscillator or counter "optimisation" that changes
-//! one is a stream change and has to say so.
+//! only under `--workspace`. All six digests were re-pinned once, when the
+//! oscillator's stochastic components moved onto a fixed 16 s grid; the
+//! `round()`-free counter read and the ziggurat/keystream rewrites before
+//! it did not move them. An oscillator or counter "optimisation"
+//! that changes one is a stream change and has to say so.
 //!
 //! The oscillator and counter schedules are plain arithmetic over an LCG
 //! (no netsim), so those digests move only when `tsc-osc` (or the
@@ -32,17 +33,17 @@ const ENVIRONMENTS: [Environment; 3] = [
 ];
 
 /// Two reads per 16 s poll: the cadence a delivered packet makes.
-const TWO_READ_DIGEST: u64 = 0x284c_59c9_de6d_c6f6;
-/// 1024 s polls: 64 sub-steps per advance, the batched-keystream path.
-const POLL1024_DIGEST: u64 = 0x0f6d_a6f5_5360_9e92;
-/// Irregular gaps, including both fast-path traps.
-const IRREGULAR_DIGEST: u64 = 0x4f1b_63fc_d08b_ac5a;
+const TWO_READ_DIGEST: u64 = 0x1e3f_5bd5_dc7a_75c2;
+/// 1024 s polls: 64 cells per advance, the batched-keystream path.
+const POLL1024_DIGEST: u64 = 0x48fe_b5f6_e3b3_5303;
+/// Irregular reads around and between the grid points.
+const IRREGULAR_DIGEST: u64 = 0xea57_ecfc_b3ad_e3ca;
 /// `TscCounter::read` over the two-read cadence and the rounding edges.
-const COUNTER_DIGEST: u64 = 0xce9c_9f9a_d6a7_fdd4;
+const COUNTER_DIGEST: u64 = 0x8441_4073_157e_6d73;
 /// Every `SimExchange` field of a fixed-cadence stream and an on-demand run.
-const SIM_RECORD_DIGEST: u64 = 0x8c0e_988b_d913_d0d3;
+const SIM_RECORD_DIGEST: u64 = 0xea60_4838_50e7_51b3;
 /// Every `RoundSample` field of the paper testbed behind a bottleneck.
-const MULTI_ROUND_DIGEST: u64 = 0x1de9_1e58_dd20_beb5;
+const MULTI_ROUND_DIGEST: u64 = 0x1dd1_0247_8852_01a2;
 
 /// FNV-1a-64 over the little-endian bytes of `word`, folded into `h`.
 fn fold(h: u64, word: u64) -> u64 {
@@ -76,45 +77,47 @@ fn two_read_times() -> Vec<f64> {
         .collect()
 }
 
-/// An irregular schedule. Its prologue climbs from microseconds by
-/// factors > 2, where `t − t0` is inexact and `t0 + (t − t0)` can round
-/// below `t` (the general loop then takes a second ~1e-16 s sub-step);
-/// the body mixes sub-`max_step` gaps, gaps of exactly `max_step`, gaps
-/// one ulp either side of it and multi-sub-step gaps.
+const CELL: f64 = Oscillator::DEFAULT_MAX_STEP;
+
+/// Index of the first grid point at or after `t`: the end of the cell a
+/// read at `t` needs stepped.
+fn end_index(t: f64) -> f64 {
+    (t / CELL).ceil()
+}
+
+/// An irregular schedule over the oscillator's grid `gₙ = n·16 s`. The
+/// first read falls before `g₁`; the body mixes reads exactly on a grid
+/// point and one ulp either side of it, reads inside the cell the previous
+/// read stepped, the `Tf` cadence a few ms after a read, gaps of exactly
+/// 1, 2 and 64 cells, and gaps of arbitrary length.
 fn irregular_times(seed: u64) -> Vec<f64> {
     let mut lcg = Lcg(seed);
-    let mut times = Vec::new();
-    let mut t = 1e-6 * (1.0 + lcg.uniform());
-    while t < 4096.0 {
-        times.push(t);
-        t *= 2.1 + 1.3 * lcg.uniform();
-    }
+    let mut t = CELL * (0.01 + 0.98 * lcg.uniform());
+    let mut times = vec![t];
     for _ in 0..400 {
         let u = lcg.uniform();
-        let gap = match (lcg.uniform() * 8.0) as u32 {
-            0 => 0.3e-3 + 19.7e-3 * u,
-            1 | 2 => {
-                // integral origin, so the 16 s gap below is exact
-                t = t.ceil();
-                times.push(t);
-                Oscillator::DEFAULT_MAX_STEP
+        let next_grid = |j: f64| ((t / CELL).floor() + j) * CELL;
+        t = match (lcg.uniform() * 10.0) as u32 {
+            0 => next_grid(1.0),
+            1 => f64::from_bits(next_grid(2.0).to_bits() - 1),
+            2 => f64::from_bits(next_grid(1.0).to_bits() + 1),
+            // Inside the stepped cell, unless the last read (nearly) ended it.
+            3 if end_index(t) * CELL - t > 1e-3 => {
+                t + (end_index(t) * CELL - t) * (0.01 + 0.98 * u)
             }
-            3 => f64::from_bits(Oscillator::DEFAULT_MAX_STEP.to_bits() - 1),
-            4 => f64::from_bits(Oscillator::DEFAULT_MAX_STEP.to_bits() + 1),
-            5 => 16.0 * u,
-            6 => 16.0 + 84.0 * u,
-            _ => 100.0 + 2000.0 * u,
+            4 => t + 0.3e-3 + 19.7e-3 * u,
+            5 => t + CELL,
+            6 => t + 2.0 * CELL,
+            7 => t + 64.0 * CELL,
+            _ => t + 2000.0 * u,
         };
-        t += gap;
         times.push(t);
     }
     times
 }
 
-/// Oscillators (per environment) driven through [`irregular_times`]: the
-/// rounds-below trap needs an exact rounding tie, a few percent of prologue
-/// steps.
-const IRREGULAR_SEEDS: u64 = 64;
+/// Oscillators (per environment) driven through [`irregular_times`].
+const IRREGULAR_SEEDS: u64 = 8;
 
 fn osc_digest(times_for: impl Fn(u64) -> Vec<f64>, seeds: u64) -> u64 {
     let mut h = FNV_OFFSET;
@@ -144,30 +147,68 @@ fn poll1024_stream_is_pinned() {
 }
 
 #[test]
-fn irregular_stream_is_pinned_and_hits_both_traps() {
+fn irregular_stream_is_pinned_and_hits_the_grid_cases() {
     // The schedule must contain what it is there for, whatever the
-    // oscillator does with it.
-    let (mut rounds_below, mut exactly_max_step) = (0, 0);
+    // oscillator does with it: (on gₙ, one ulp below, one ulp above,
+    // inside the stepped cell, gaps of 1, 2 and 64 cells).
+    let mut hits = [0u32; 7];
     for seed in 1..=IRREGULAR_SEEDS {
-        let mut t0 = 0.0;
-        for t in irregular_times(seed) {
-            let dt = t - t0;
-            if dt <= Oscillator::DEFAULT_MAX_STEP && t0 + dt < t {
-                rounds_below += 1;
+        let times = irregular_times(seed);
+        assert!(times[0] < CELL, "first read {} is not before g₁", times[0]);
+        for w in times.windows(2) {
+            let (t0, t) = (w[0], w[1]);
+            assert!(t > t0, "schedule not increasing at {t0}");
+            let on_grid = |t: f64| t == end_index(t) * CELL;
+            hits[0] += u32::from(on_grid(t));
+            hits[1] += u32::from(on_grid(f64::from_bits(t.to_bits() + 1)));
+            hits[2] += u32::from(on_grid(f64::from_bits(t.to_bits() - 1)));
+            match (end_index(t) - end_index(t0)) as i64 {
+                0 => hits[3] += 1,
+                1 => hits[4] += 1,
+                2 => hits[5] += 1,
+                64 => hits[6] += 1,
+                _ => {}
             }
-            if dt == Oscillator::DEFAULT_MAX_STEP {
-                exactly_max_step += 1;
-            }
-            t0 = t;
         }
     }
-    assert!(rounds_below >= 10, "t0 + dt < t cases: {rounds_below}");
-    assert!(
-        exactly_max_step >= 100,
-        "dt == max_step cases: {exactly_max_step}"
-    );
+    assert!(hits.iter().all(|&n| n >= 100), "grid cases hit: {hits:?}");
     let got = osc_digest(irregular_times, IRREGULAR_SEEDS);
     assert_eq!(got, IRREGULAR_DIGEST, "{got:#018x}");
+}
+
+/// Grid reads of [`in_cell_reads_draw_nothing`]: 512 cells, 2.3 h. One
+/// extra draw would move `x` by ~1e-9 s at once; the deterministic sum's
+/// rounding, which differs between the two read sequences, stays under
+/// 1e-15 s this long.
+const IN_CELL_GRID_READS: u64 = 512;
+
+#[test]
+fn in_cell_reads_draw_nothing() {
+    // Two oscillators of one seed read the grid; one also reads inside
+    // every cell. Which reads fall inside a cell must change nothing of
+    // the stochastic stream: at every grid time the two agree up to the
+    // rounding of the deterministic part's running sum, and their
+    // counters agree exactly.
+    let mut lcg = Lcg(3);
+    for env in ENVIRONMENTS {
+        let (mut grid, mut dense) = (env.build(5), env.build(5));
+        let mut grid_counter = TscCounter::new(1e9, 0, env.build(5));
+        let mut dense_counter = TscCounter::new(1e9, 0, env.build(5));
+        for k in 1..=IN_CELL_GRID_READS {
+            let t = CELL * k as f64;
+            let (a, b) = (grid.advance_to(t), dense.advance_to(t));
+            assert!((a - b).abs() <= 1e-15, "{}: x({t}) {a} vs {b}", env.name());
+            assert_eq!(
+                grid_counter.read(t),
+                dense_counter.read(t),
+                "{} at {t}",
+                env.name()
+            );
+            let inside = t + CELL * (0.01 + 0.98 * lcg.uniform());
+            dense.advance_to(inside);
+            dense_counter.read(inside);
+        }
+    }
 }
 
 #[test]

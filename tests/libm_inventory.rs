@@ -26,9 +26,9 @@
 //! on the serve side — is a function of the source alone, and any
 //! libm-shaped call added to their live source fails here.
 //!
-//! The estimator, quorum and fleet rows *record* what their digests still
-//! owe to libm; the scan fixes none of it. One is not rare:
-//! `HealthTracker::observe` (see its row).
+//! The estimator and fleet rows *record* what their digests still owe to
+//! libm; the scan fixes none of it. None runs per packet or per quorum
+//! round: the quorum's per-round trust score uses `fastmath::exp_clamped`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -59,11 +59,9 @@ const CALLEES: [&str; 9] = [
 /// `(file, enclosing fn, callee, sites, rate)`. Rates: `setup` (per
 /// scenario, stream or table), `in-burst` (inside a congestion episode),
 /// `rare-branch(p)` (a branch a draw takes with probability `p`),
-/// `per-wrap` (once per 2π of sinusoid phase), `per-advance` (the general,
-/// multi-sub-step oscillator path: polls slower than 16 s),
-/// `reference-only` (ungated source that only `reference`-gated code and
-/// tests call, or a module gated where it is declared),
-/// `per-server-round` (the one recorded, unfixed finding — see the row).
+/// `per-wrap` (once per 2π of sinusoid phase), `reference-only` (ungated
+/// source that only `reference`-gated code and tests call, or a module
+/// gated where it is declared).
 const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
     // Offline Table 2 analysis: how many minimum-RTT packets to keep.
     (
@@ -149,8 +147,8 @@ const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
         "rare-branch(4e-4)",
     ),
     // Re-prime of the (sin, cos) pair: unprimed, at a phase wrap, or when
-    // one advance turns the phase by > 0.05 rad (≥ 688 s of the diurnal
-    // term, so the general path only).
+    // one read turns the diurnal phase by > 0.05 rad (a gap ≥ 688 s: polls
+    // slower than 512 s only; a 16 s cell turns the wandering one ≤ 0.017).
     (
         "crates/osc/src/components.rs",
         "rotate_phase",
@@ -179,20 +177,6 @@ const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
         4,
         "reference-only",
     ),
-    (
-        "crates/osc/src/oscillator.rs",
-        "advance_to",
-        ".ceil()",
-        1,
-        "per-advance",
-    ),
-    (
-        "crates/osc/src/oscillator.rs",
-        "advance_to",
-        ".floor()",
-        1,
-        "per-advance",
-    ),
     // Counts past 2⁵³ cycles (104 days at 1 GHz), where every f64 is
     // already an integer.
     (
@@ -201,17 +185,6 @@ const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
         ".round()",
         1,
         "rare-branch(0 below 2^53)",
-    ),
-    // Recorded, not fixed: the trust score's quality term is libm `exp`
-    // once per delivered server per round, and trust feeds the combiner
-    // weights — so the `fleet_replay` digest is a function of the host's
-    // libm. `fastmath::exp_clamped` here would move it: ROADMAP 5(b).
-    (
-        "crates/quorum/src/health.rs",
-        "observe",
-        ".exp()",
-        1,
-        "per-server-round",
     ),
     // Pareto excess, drawn only while a path is inside an episode.
     (
