@@ -10,7 +10,9 @@
 //! * `ingest_stage_poll{16,64}/*` — history admission alone, then history
 //!   plus one estimator at a time (offset / global rate / local rate) over
 //!   a pre-generated delivered-exchange stream. Stage costs are read by
-//!   subtracting the `history` row.
+//!   subtracting the `history` row. The local rate is off in every e2e
+//!   workload (`use_local_rate = false` is the paper default), so its
+//!   two per-packet sub-window scans are measured only here.
 //! * `history_push/descending_minima` — `History::push` at full window
 //!   with continuous slides on an adversarial stream where every 16th
 //!   packet is a new RTT minimum, which no simulated trace produces.

@@ -350,9 +350,9 @@ impl TscNtpClock {
         // shift actually re-based it; nothing else mutates the record).
         // §5.2 introduces the local rate for two *optional* purposes; when
         // the configuration disables the equation-(21) refinement, the
-        // estimator is not maintained at all — its sub-window bookkeeping
-        // would otherwise be the second-largest per-packet cost, spent on
-        // a diagnostic nobody reads (`p_local` is `None` throughout).
+        // estimator is not called at all — its two sub-window scans would
+        // be spent on a diagnostic nobody reads (`p_local` is `None`
+        // throughout).
         let record = if events.contains(ClockEvent::UpwardShift) {
             self.history.last().expect("present")
         } else {

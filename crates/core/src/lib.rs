@@ -50,10 +50,10 @@
 //!   instead of an O(τ′/poll) window pass), exactness bounded by a
 //!   periodic rebuild — see the [`offset`] module docs for the math and
 //!   the drift-rebuild contract;
-//! * the §5.2 local-rate sub-windows ride rolling argmin deques plus key
-//!   sums (when the estimator is enabled at all — a disabled local rate
-//!   costs nothing), the sub-window verdict is memoized on the selected
-//!   pair, and per-packet events are reported as a copyable
+//! * the §5.2 local rate scans its two sub-windows (τ̄/W and 2τ̄/W
+//!   packets, a few dozen, fixed by τ̄ rather than the history size) when
+//!   the estimator is enabled at all — a disabled local rate costs
+//!   nothing — and per-packet events are reported as a copyable
 //!   [`clock::EventSet`] bitflag word rather than a heap-allocated list.
 //!
 //! At **coarse polling** (≥ several minutes per exchange) every nominal
@@ -71,9 +71,9 @@
 //!   [`config::MIN_TS_PACKETS`] packets so the packet-count conversion
 //!   cannot degrade the deliberately-conservative detector into one that
 //!   confirms a false shift on any two congested exchanges;
-//! * τ′ windows of at most 4 packets and tiny local-rate sub-windows are
-//!   resolved straight off the history tail into stack buffers instead of
-//!   maintaining the rolling caches/deques.
+//! * τ′ windows of at most 4 packets are resolved straight off the
+//!   history tail into stack buffers instead of maintaining the rolling
+//!   caches/deques.
 //!
 //! Together these put end-to-end ingest at ≈100 ns/packet at 16 s polling
 //! on a 2.1 GHz core (≈3.5× over the fused-SIMD window-pass pipeline it

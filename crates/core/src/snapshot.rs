@@ -15,12 +15,12 @@
 //! replay stays cheap (one `Vec<u8>` write, no allocation-per-field
 //! value tree). It is the workspace's only persisted format.
 //!
-//! # Envelope (format v3)
+//! # Envelope (format v4)
 //!
 //! ```text
 //!   offset  size  field
 //!   0       4     magic  b"TSNP"
-//!   4       2     format version (little-endian u16, currently 3)
+//!   4       2     format version (little-endian u16, currently 4)
 //!   6       1     payload kind (what component the payload encodes)
 //!   7       8     payload length (little-endian u64)
 //!   15      n     payload (component-defined, written via SnapshotWriter)
@@ -46,10 +46,13 @@
 //! 4. then the input length, one step.
 //!
 //! Version 1 envelopes carried per-byte FNV-1a-64 instead; version 2 has
-//! this checksum but thirteen words a history record where v3 has six.
-//! The version says which sum and which payload layout follow, so it is
-//! checked first; this build reads and writes only v3, and a v1 or v2 blob
-//! is a typed [`SnapshotError::VersionMismatch`] (a cold start).
+//! this checksum but thirteen words a history record where v3 and v4 have
+//! six; v3 also carried the local-rate estimator's rolling sub-window
+//! state and verdict memo, which v4 drops (the estimator keeps only its
+//! geometry and estimate). The version says which sum and which payload
+//! layout follow, so it is checked first; this build reads and writes only
+//! v4, and a v1, v2 or v3 blob is a typed [`SnapshotError::VersionMismatch`]
+//! (a cold start).
 //!
 //! # What corruption is detected, and why that is deterministic
 //!
@@ -92,7 +95,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"TSNP";
 
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Payload kinds (one per snapshottable root component).
 pub mod kind {

@@ -83,22 +83,6 @@ pub fn allan_sweep(phase: &[f64], tau0: f64, points_per_decade: usize) -> Vec<Al
     out
 }
 
-/// Converts fractional-frequency samples `y_i` (averaged over `tau0`) into
-/// phase samples via cumulative integration, with `x_0 = 0`.
-///
-/// Handy when an oscillator model naturally produces rate errors rather than
-/// accumulated time errors.
-pub fn frequency_to_phase(freq: &[f64], tau0: f64) -> Vec<f64> {
-    let mut x = Vec::with_capacity(freq.len() + 1);
-    let mut acc = 0.0;
-    x.push(0.0);
-    for &y in freq {
-        acc += y * tau0;
-        x.push(acc);
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,21 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn frequency_to_phase_integrates() {
-        let freq = [1e-6, 1e-6, -2e-6];
-        let phase = frequency_to_phase(&freq, 2.0);
-        assert_eq!(phase.len(), 4);
-        assert_eq!(phase[0], 0.0);
-        assert!((phase[1] - 2e-6).abs() < 1e-18);
-        assert!((phase[2] - 4e-6).abs() < 1e-18);
-        assert!((phase[3] - 0.0).abs() < 1e-18);
-    }
-
-    #[test]
     fn constant_frequency_error_roundtrip() {
         // constant y = γ integrates to a ramp whose ADEV vanishes
-        let freq = vec![2e-7; 500];
-        let phase = frequency_to_phase(&freq, 1.0);
+        let phase: Vec<f64> = (0..=500).map(|i| 2e-7 * i as f64).collect();
         let a = allan_deviation(&phase, 1.0, 10).unwrap();
         assert!(a < 1e-18);
     }

@@ -101,15 +101,6 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Root mean square of the observations.
-    pub fn rms(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64 + self.mean * self.mean).sqrt()
-        }
-    }
 }
 
 impl FromIterator<f64> for RunningStats {
@@ -178,14 +169,6 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.count(), 2);
         assert_eq!(b.mean(), 1.5);
-    }
-
-    #[test]
-    fn rms_of_symmetric_values() {
-        let s: RunningStats = [-3.0, 3.0].into_iter().collect();
-        assert_eq!(s.mean(), 0.0);
-        // rms uses population m2/n: sqrt(9) = 3
-        assert!((s.rms() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl SlidingMin {
         self.deque.front().map(|&(_, v)| v)
     }
 
-    /// Number of observations pushed in total (not the window size).
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
-    }
-
     /// `true` once at least `capacity` values have been observed, i.e. the
     /// window is fully populated and its minimum is trustworthy.
     pub fn full(&self) -> bool {
@@ -160,6 +155,6 @@ mod tests {
         w.push(1.0);
         w.clear();
         assert_eq!(w.get(), None);
-        assert_eq!(w.pushed(), 0);
+        assert!(!w.full());
     }
 }

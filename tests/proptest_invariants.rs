@@ -226,8 +226,8 @@ proptest! {
     /// Same differential property on a *coarse-poll geometry*: τ′ collapses
     /// to 2 packets (the offset estimator's stack-buffer path instead of
     /// the ring cache), the local-rate sub-windows to near 1 / far 2
-    /// packets (the direct-read path instead of the rolling argmin
-    /// deques), and the shift window sits at the `MIN_TS_PACKETS` floor.
+    /// packets (the narrowest scans), and the shift window sits at the
+    /// `MIN_TS_PACKETS` floor.
     /// The reference pipeline keeps independent dense implementations of
     /// the history, offset and local-rate stages, so this pins those fast
     /// paths' bit-exactness, not just their self-consistency. (The shift

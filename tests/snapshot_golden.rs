@@ -364,9 +364,9 @@ fn as_version(blob: &[u8], version: u16) -> Vec<u8> {
 /// checkpoint should be must count a cold start and stay exact.
 #[test]
 fn older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
-    assert_eq!(FORMAT_VERSION, 3, "a bump extends the versions tried below");
-    for found in [1, 2] {
-        let old = SnapshotError::VersionMismatch { found, expected: 3 };
+    assert_eq!(FORMAT_VERSION, 4, "a bump extends the versions tried below");
+    for found in [1, 2, 3] {
+        let old = SnapshotError::VersionMismatch { found, expected: 4 };
         let of = |name| as_version(&fixture(name), found);
         assert_eq!(TscNtpClock::restore(&of("clock")).err(), Some(old.clone()));
         assert_eq!(QuorumClock::restore(&of("quorum")).err(), Some(old.clone()));

@@ -89,18 +89,35 @@ fn run_clock(
 
 #[test]
 fn clock_resume_equals_uninterrupted_across_poll_rates_and_split_points() {
-    for poll in [16.0, 64.0, 1024.0] {
-        let scenario = eventful_scenario(poll);
-        let exs = exchanges(&scenario, 3);
+    // The §5.2 local rate maintained too, on the windows shrunk as in the
+    // differential proptests (τ̄ = 32 polls, W = 4, 16 warm-up packets).
+    let mut local_rate = ClockConfig::paper_defaults(16.0);
+    local_rate.tau_bar = 32.0 * 16.0;
+    local_rate.w_split = 4;
+    local_rate.warmup_packets = 16;
+    local_rate.use_local_rate = true;
+    let cfgs = [16.0, 64.0, 1024.0].map(ClockConfig::paper_defaults);
+    for cfg in cfgs.iter().chain([&local_rate]) {
+        let poll = cfg.poll_period;
+        let exs = exchanges(&eventful_scenario(poll), 3);
         assert!(exs.len() >= 400, "poll {poll}: only {} exchanges", exs.len());
-        let cfg = ClockConfig::paper_defaults(poll);
-        let (want, want_blob) = run_clock(&cfg, None, &exs, None);
+        let (want, want_blob) = run_clock(cfg, None, &exs, None);
         // splits: mid-warmup (1, 2, 5), steady state, inside the outage
-        // gap, right after the level shift, and at the very end
-        for split in [1usize, 2, 5, 60, 137, 155, 310, exs.len() - 1] {
-            let (got, got_blob) = run_clock(&cfg, None, &exs, Some(split));
-            assert_eq!(got, want, "poll {poll}, split {split}");
-            assert_eq!(got_blob, want_blob, "poll {poll}, split {split}: final state drifted");
+        // gap, right after the level shift, and at the very end; with the
+        // local rate, the first two splits follow its first estimate
+        let mut splits = vec![1usize, 2, 5, 60, 137, 155, 310, exs.len() - 1];
+        if cfg.use_local_rate {
+            // output_bits()[6] is p_local, u64::MAX while it is None
+            let first = want.iter().position(|o| o.is_some_and(|o| o[6] != u64::MAX));
+            let first = first.expect("local rate estimated");
+            assert!(first + 7 < 137, "first p_local at packet {first}");
+            splits.splice(..4, [first + 1, first + 7]);
+        }
+        for split in splits {
+            let (got, got_blob) = run_clock(cfg, None, &exs, Some(split));
+            let lr = cfg.use_local_rate;
+            assert_eq!(got, want, "poll {poll}, local rate {lr}, split {split}");
+            assert_eq!(got_blob, want_blob, "poll {poll}, local rate {lr}, split {split}: drifted");
         }
     }
 }
