@@ -307,9 +307,7 @@ impl TscNtpClock {
             telemetry::add(telemetry::Ctr::WindowSlides, 1);
             telemetry::event(telemetry::EventKind::WindowSlid, idx, oldest, 0);
         }
-        // Just pushed: the stored baseline is current by construction, so
-        // the raw view is exact and skips a resolution.
-        let record = self.history.get_raw(idx).expect("just pushed");
+        let record = self.history.last().expect("just pushed");
         let (tf_c, rtt_c) = (record.tf_c(), record.rtt_c());
 
         // 2. Global rate.
@@ -549,8 +547,8 @@ impl TscNtpClock {
         })
     }
 
-    /// Serializes the complete clock — configuration, history rings and
-    /// era tables, both rate estimators, the factored-weight offset window
+    /// Serializes the complete clock — configuration, history ring and
+    /// baseline runs, both rate estimators, the factored-weight offset window
     /// with its rebuild position, the shift detector, and the alignment
     /// state — into a standalone versioned, checksummed snapshot blob.
     ///
@@ -563,7 +561,7 @@ impl TscNtpClock {
         // Size the buffer once instead of doubling up to it: the history
         // records are all of the payload but the estimators' own state,
         // 1–11 KB at polls 16–1024 s (a miss only costs a reallocation).
-        let records = self.history.len() * crate::history::Slot::WIRE_BYTES;
+        let records = self.history.len() * crate::history::EXCHANGE_WIRE_BYTES;
         let mut w = crate::snapshot::SnapshotWriter::with_capacity(records + (16 << 10));
         self.save_state(&mut w);
         let blob = w.seal(crate::snapshot::kind::CLOCK);

@@ -16,56 +16,56 @@
 //!
 //! # Complexity
 //!
-//! Every operation is **O(1) amortized per packet** and memory is
-//! **O(window)** (one record per retained packet plus three tiny side
-//! structures). The seed implementation was O(window) per packet in two
-//! places, both eliminated here:
+//! Every operation is **O(1) amortized per packet**, plus one pass over
+//! a table of a handful of entries at each new minimum, and memory is
+//! **O(window)**: the four stamps of each retained packet (32 bytes) plus
+//! two small side tables.
 //!
-//! * **Window slides** used to rescan the retained half to recompute `r̂`.
-//!   A monotonic min-deque (`mono`) now tracks candidate minima as records
-//!   are pushed; sliding trims expired candidates from its front and reads
-//!   the new `r̂` in O(1). Each record enters and leaves the deque at most
-//!   once, so maintenance is O(1) amortized.
+//! * **Window slides** recompute `r̂` from the retained half. A monotonic
+//!   min-deque (`mono`) tracks candidate minima as records are pushed;
+//!   sliding trims expired candidates from its front and reads the new
+//!   `r̂` in O(1). Each record enters and leaves the deque at most once.
 //! * **Point-error re-evaluation** (§6.1: when `r̂` improves, "the past
 //!   point errors effectively change ... For the purposes of future
-//!   estimates the new point errors are used") used to sweep every retained
-//!   record and overwrite its stored baseline. Records are now immutable
-//!   after admission; the effective baseline is resolved lazily from an
-//!   **era/baseline table** (see below).
+//!   estimates the new point errors are used") and the re-basing after an
+//!   upward shift (§6.2) rewrite the baselines of many packets at once.
+//!   A baseline is constant over long runs of consecutive packets, so it
+//!   is stored once per run, and the rewrite touches runs, not packets.
 //!
-//! # The era/baseline design
+//! # Baseline runs
 //!
-//! Each record stores the baseline in force at admission (`rbase_c`), the
-//! id of the *era* it was admitted into (`era`), and the number of
-//! new-minimum events its era had seen at that moment (`epoch`).
+//! A packet's baseline is the `r̂` its point error is measured against.
+//! The run table holds `(start, baseline)` pairs with strictly increasing
+//! starts; a run covers its start up to the next run's start, and every
+//! retained packet's baseline is its run's value — always the current
+//! one, so a read resolves nothing. The table is re-based eagerly, the
+//! way the reference history rewrites its records, a run at a time:
 //!
-//! * An **era** is the span between confirmed upward level shifts (§6.2).
-//!   [`History::apply_upward_shift`] just appends an era with
-//!   `{start_idx, base}` — O(1), no sweep. A record admitted in an older
-//!   era but with `idx ≥ start_idx` is *reassigned*: its effective era is
-//!   the newest era whose `start_idx` does not exceed its index (found by
-//!   binary search over the — tiny — era table), and its baseline restarts
-//!   from that era's `base`, exactly as the eager re-basing sweep would
-//!   have overwritten it.
-//! * Within an era, every new RTT minimum appends a **min-event** to the
-//!   era's suffix-minimum table: a monotonic stack of `(seq, value)` pairs
-//!   such that the minimum of all events from sequence number `p` onward
-//!   can be read with one binary search. The effective baseline of a
-//!   record is then `min(initial baseline, suffix-min of events since its
-//!   epoch)` — precisely the value the eager sweep (`rbase_c = min(rbase_c,
-//!   m)` for each event `m` with `idx ≥ floor`) would have left in place.
+//! * **Push**: a packet whose `r̂` differs from the last run's baseline
+//!   opens a run `(idx, r̂)`, and so does the first packet at the shift
+//!   floor, so no run straddles the floor; any other packet extends the
+//!   last run.
+//! * **New minimum `m`**: every run at or after the shift floor whose
+//!   baseline exceeds `m` takes `m`, then equal neighbours merge. Those
+//!   runs form a suffix when each shift's new level is at most the RTT of
+//!   every retained packet from its start — the detector's level is the
+//!   minimum of exactly those packets — because baselines at or after the
+//!   floor are then non-decreasing. A caller's shift need not be, and a
+//!   slide after one can lower `r̂` with no sweep, so the sweep visits
+//!   every run at or after the floor rather than stop at the first it
+//!   leaves alone.
+//! * **Upward shift** `(new_min_c, start)`: runs starting at or after
+//!   `start` go, `(start, new_min_c)` takes their place, and `start`
+//!   becomes the floor.
+//! * **Slide**: runs that end at or before the new front go.
 //!
-//! Resolution has an O(1) fast path (no shift and no new minimum since the
-//! record was admitted — the overwhelmingly common case) and an
-//! O(log #events + log #eras) slow path; both tables are bounded by the
-//! number of *distinct retained minima* and *confirmed route changes*, a
-//! handful each in practice.
-//!
-//! Public accessors ([`History::get`], [`History::last`], [`History::iter`],
-//! …) return records *by value with the baseline already resolved*, so
-//! `PacketRecord::point_error` on a returned record behaves exactly as it
-//! did when baselines were updated in place. Crate-internal hot paths use
-//! the raw record views plus `History::baseline_view` to skip the copy.
+//! After a push the last run's baseline is `r̂`, so a new minimum lowers
+//! the last run to itself and never opens one. A run therefore starts
+//! only where a slide or a shift moved `r̂` between two pushes, and the
+//! window holds at most two slide points (slides are `T/2` apart): the
+//! table has **at most three runs plus one per shift start inside the
+//! window**. That bounds the new-minimum sweep, and a range read walks
+//! the table with a cursor beside the ring.
 
 use crate::exchange::RawExchange;
 use crate::snapshot::{SnapshotReader, SnapshotWriter};
@@ -83,15 +83,9 @@ pub struct PacketRecord {
     pub ex: RawExchange,
     /// The RTT-minimum baseline (counts) this packet's point error is
     /// measured against — "point errors relative to the r̂ estimate made at
-    /// the time" (§6.2). In the crate-internal raw views this is the
-    /// baseline *at admission*; records returned by the public accessors
-    /// carry the current effective baseline (resolved through the
-    /// era/min-event tables, see the module docs).
+    /// the time" (§6.2), lowered by every later new minimum (§6.1) and
+    /// re-based by upward shifts: the current value when handed out.
     pub rbase_c: f64,
-    /// Era id at admission (incremented by confirmed upward shifts).
-    pub era: u32,
-    /// Number of min-events the era had seen when this record was admitted.
-    pub epoch: u32,
 }
 
 impl PacketRecord {
@@ -124,30 +118,14 @@ impl PacketRecord {
         (self.rtt_c() - self.rbase_c) * p_hat
     }
 
-    /// Serializes the record's slot — everything but `idx`, see
-    /// [`Slot::WIRE_BYTES`] — into a snapshot payload with one append.
-    fn save_slot(&self, w: &mut SnapshotWriter) {
-        let words = [
-            self.ex.ta_tsc,
-            self.ex.tb.to_bits(),
-            self.ex.te.to_bits(),
-            self.ex.tf_tsc,
-            self.rbase_c.to_bits(),
-            u64::from(self.era) | u64::from(self.epoch) << 32,
-        ];
-        let mut bytes = [0u8; Slot::WIRE_BYTES];
-        for (dst, word) in bytes.chunks_exact_mut(8).zip(words) {
-            dst.copy_from_slice(&word.to_le_bytes());
-        }
-        w.put_array(&bytes);
-    }
-
     /// Serializes records held outside the ring (the rate estimator's
-    /// copies) as a counted list, each the slot's six words, then its index.
+    /// copies) as a counted list, each its exchange's four words, its
+    /// baseline, then its index.
     pub(crate) fn save_all(records: &[Self], w: &mut SnapshotWriter) {
         w.put_usize(records.len());
         for rec in records {
-            rec.save_slot(w);
+            w.put_array(&exchange_to_wire(&rec.ex));
+            w.put_f64(rec.rbase_c);
             w.put_u64(rec.idx);
         }
     }
@@ -158,61 +136,49 @@ impl PacketRecord {
         r: &mut SnapshotReader<'_>,
         max: usize,
     ) -> Result<Vec<Self>, SnapshotError> {
-        let n = r.get_len(8 + Slot::WIRE_BYTES)?;
+        let n = r.get_len(EXCHANGE_WIRE_BYTES + 16)?;
         if n > max {
             return Err(SnapshotError::Invalid("more stored records than their holder admits"));
         }
-        (0..n).map(|_| Ok(Slot::from_wire(r.take_array()?).at(r.get_u64()?))).collect()
+        (0..n)
+            .map(|_| {
+                Ok(PacketRecord {
+                    ex: exchange_from_wire(r.take_array()?),
+                    rbase_c: r.get_f64()?,
+                    idx: r.get_u64()?,
+                })
+            })
+            .collect()
     }
 }
 
-/// What the ring stores per packet. The global index is the slot's
-/// position (see [`History::front_idx`]); the rest is derived on read.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slot {
-    ex: RawExchange,
-    rbase_c: f64,
-    era: u32,
-    epoch: u32,
+/// The ring stores each packet's exchange and nothing else: the global
+/// index is its position (see [`History::front_idx`]) and the baseline
+/// its run's.
+const _: () = assert!(std::mem::size_of::<RawExchange>() == 32);
+
+/// An exchange on the wire is its fields in struct order as four
+/// little-endian words, floats as raw bits. Part of the snapshot format.
+pub(crate) const EXCHANGE_WIRE_BYTES: usize = 32;
+
+fn exchange_to_wire(ex: &RawExchange) -> [u8; EXCHANGE_WIRE_BYTES] {
+    let words = [ex.ta_tsc, ex.tb.to_bits(), ex.te.to_bits(), ex.tf_tsc];
+    let mut bytes = [0u8; EXCHANGE_WIRE_BYTES];
+    for (dst, word) in bytes.chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&word.to_le_bytes());
+    }
+    bytes
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() == 48);
-
-impl Slot {
-    /// The slot on the wire is its fields in struct order as six
-    /// little-endian words, floats as raw bits, `era` and `epoch` sharing
-    /// one (low half first, so the bytes are two little-endian `u32`s in
-    /// that order). Part of the snapshot format.
-    pub(crate) const WIRE_BYTES: usize = 48;
-
-    /// The record view at global index `idx`; unread fields cost nothing.
-    #[inline(always)]
-    fn at(&self, idx: u64) -> PacketRecord {
-        PacketRecord {
-            idx,
-            ex: self.ex,
-            rbase_c: self.rbase_c,
-            era: self.era,
-            epoch: self.epoch,
-        }
-    }
-
-    /// Decodes a slot written by [`PacketRecord::save_slot`].
-    fn from_wire(bytes: &[u8; Self::WIRE_BYTES]) -> Self {
-        let [ta_tsc, tb, te, tf_tsc, rbase_c, era_epoch]: [u64; 6] = std::array::from_fn(|i| {
-            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
-        });
-        Self {
-            ex: RawExchange {
-                ta_tsc,
-                tb: f64::from_bits(tb),
-                te: f64::from_bits(te),
-                tf_tsc,
-            },
-            rbase_c: f64::from_bits(rbase_c),
-            era: era_epoch as u32,
-            epoch: (era_epoch >> 32) as u32,
-        }
+fn exchange_from_wire(bytes: &[u8; EXCHANGE_WIRE_BYTES]) -> RawExchange {
+    let [ta_tsc, tb, te, tf_tsc]: [u64; 4] = std::array::from_fn(|i| {
+        u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    });
+    RawExchange {
+        ta_tsc,
+        tb: f64::from_bits(tb),
+        te: f64::from_bits(te),
+        tf_tsc,
     }
 }
 
@@ -226,73 +192,11 @@ pub struct PushOutcome {
     pub new_minimum: bool,
 }
 
-/// One era (the span since a confirmed upward shift), with its suffix-min
-/// table of new-minimum events.
-#[derive(Debug, Clone)]
-struct Era {
-    /// First packet index belonging to this era.
-    start_idx: u64,
-    /// Baseline records reassigned into this era restart from (the
-    /// confirmed post-shift minimum; `∞` for the initial era).
-    base: f64,
-    /// Monotonic suffix-minimum stack: `(seq, v)` means the minimum of all
-    /// min-events from sequence number `seq` onward is `v`. Sequence
-    /// numbers and values are both strictly increasing across entries.
-    events: Vec<(u32, f64)>,
-    /// Sequence number the next min-event will get.
-    next_seq: u32,
-}
-
-impl Era {
-    fn new(start_idx: u64, base: f64) -> Self {
-        Self {
-            start_idx,
-            base,
-            events: Vec::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Appends a new-minimum event with value `m`.
-    fn record_event(&mut self, m: f64) {
-        let mut start = self.next_seq;
-        self.next_seq += 1;
-        // Suffix minima from positions whose current minimum is ≥ m all
-        // become m; merge them into one entry keeping the earliest seq.
-        while let Some(&(s, v)) = self.events.last() {
-            if v >= m {
-                start = s;
-                self.events.pop();
-            } else {
-                break;
-            }
-        }
-        self.events.push((start, m));
-    }
-
-    /// Minimum of all events with sequence number ≥ `epoch` (`∞` if none).
-    fn suffix_min(&self, epoch: u32) -> f64 {
-        if epoch >= self.next_seq {
-            return f64::INFINITY;
-        }
-        // Last entry with seq ≤ epoch. The table is tiny and queries skew
-        // heavily toward recent epochs, so a reverse linear scan beats a
-        // binary search here.
-        for &(s, v) in self.events.iter().rev() {
-            if s <= epoch {
-                return v;
-            }
-        }
-        debug_assert!(false, "suffix-min table must cover seq 0");
-        f64::INFINITY
-    }
-}
-
 /// Bounded packet history with RTT-minimum maintenance.
 #[derive(Debug, Clone)]
 pub struct History {
     /// Retained packets, oldest first: position `k` is index `front_idx() + k`.
-    records: VecDeque<Slot>,
+    records: VecDeque<RawExchange>,
     /// Top-level window capacity in packets (T / poll period).
     cap: usize,
     /// Current `r̂` in counts.
@@ -301,15 +205,17 @@ pub struct History {
     /// records at or after the shift floor; its front is always the minimum
     /// RTT a slide-time recomputation would find.
     mono: VecDeque<(u64, f64)>,
-    /// Era table (never empty; eras have non-decreasing `start_idx`).
-    /// Slides prune eras no retained record can resolve to, so the table is
-    /// bounded by the number of shift points inside the current window.
-    eras: Vec<Era>,
-    /// Absolute era id of `eras[0]` (pruned prefix offset).
-    era_base: u32,
+    /// Baseline runs `(start, baseline)`: starts strictly increasing and
+    /// below `next_idx`, the first covering the oldest record, none
+    /// straddling the floor (see the module docs).
+    runs: Vec<(u64, f64)>,
+    /// Shift floor: the start of the last confirmed upward shift. New
+    /// minima re-base only packets at or after it, and slides recompute
+    /// `r̂` from those alone (§6.1, §6.2).
+    floor: u64,
     /// Re-basing generation: incremented by every new-minimum event and
-    /// every upward shift. Consumers caching resolved baselines (the offset
-    /// window cache) compare generations to know when to rebuild.
+    /// every upward shift. Consumers caching baselines (the offset window
+    /// cache) compare generations to know when to rebuild.
     rebase_gen: u64,
     next_idx: u64,
 }
@@ -319,7 +225,7 @@ impl History {
     ///
     /// The ring starts small and grows geometrically toward `cap` as
     /// records arrive (amortized O(1)), never past it: a poll-16 week is
-    /// 37,800 slots, ~1.8 MB, and committing that up front (or doubling to
+    /// 37,800 slots, ~1.2 MB, and committing that up front (or doubling to
     /// 65,536) would make every clock's resident footprint the *configured*
     /// window instead of the *used* one, in a fleet of thousands.
     pub fn new(cap: usize) -> Self {
@@ -329,8 +235,8 @@ impl History {
             cap,
             rtt_min_c: f64::INFINITY,
             mono: VecDeque::new(),
-            eras: vec![Era::new(0, f64::INFINITY)],
-            era_base: 0,
+            runs: Vec::new(),
+            floor: 0,
             rebase_gen: 0,
             next_idx: 0,
         }
@@ -360,7 +266,6 @@ impl History {
             // slide's dominant cost).
             self.records.drain(..self.cap / 2);
             let front_idx = self.front_idx();
-            let front = *self.records.front().expect("half retained");
             while matches!(self.mono.front(), Some(&(i, _)) if i < front_idx) {
                 self.mono.pop_front();
             }
@@ -370,33 +275,7 @@ impl History {
             if let Some(&(_, m)) = self.mono.front() {
                 self.rtt_min_c = m;
             }
-            // Keep memory O(window): drop eras no retained record can
-            // resolve to (every retained idx is ≥ the next era's start, so
-            // resolution never reaches the dropped one), and fold
-            // suffix-min entries no retained record's epoch can query.
-            // Both prunes are batched drains (the old remove(0) loops
-            // re-shifted the tail once per pruned entry).
-            let dead_eras = self.eras[1..]
-                .iter()
-                .take_while(|e| e.start_idx <= front_idx)
-                .count();
-            if dead_eras > 0 {
-                self.eras.drain(..dead_eras);
-                self.era_base += dead_eras as u32;
-            }
-            if front.era == self.current_era_id() {
-                // All retained records resolve into the current era with
-                // epochs ≥ the oldest record's, so earlier step entries of
-                // the suffix-min table are unreachable.
-                let cur = self.current_era_mut();
-                if !cur.events.is_empty() {
-                    let dead = cur.events[1..]
-                        .iter()
-                        .take_while(|&&(seq, _)| seq <= front.epoch)
-                        .count();
-                    cur.events.drain(..dead);
-                }
-            }
+            self.drop_dead_runs();
             window_slid = true;
         }
         let new_minimum = rtt_c < self.rtt_min_c;
@@ -404,11 +283,21 @@ impl History {
             self.rtt_min_c = rtt_c;
             // §6.1 "Re-evaluation of Point Errors": when r̂ improves, "the
             // past point errors effectively change ... For the purposes of
-            // future estimates the new point errors are used." Recorded as
-            // a min-event; resolution applies it to every record of the
-            // current era lazily.
-            self.current_era_mut().record_event(rtt_c);
-            self.rebase_gen += 1;
+            // future estimates the new point errors are used." Every run
+            // at or after the floor above the new minimum takes it, and
+            // equal neighbours merge (never across the floor).
+            let from = self.runs.partition_point(|&(s, _)| s < self.floor);
+            let mut kept = from;
+            for k in from..self.runs.len() {
+                let (start, b) = self.runs[k];
+                let b = if b > rtt_c { rtt_c } else { b };
+                if kept == from || self.runs[kept - 1].1 != b {
+                    self.runs[kept] = (start, b);
+                    kept += 1;
+                }
+            }
+            self.runs.truncate(kept);
+            self.rebase_gen = self.rebase_gen.wrapping_add(1);
         }
         while matches!(self.mono.back(), Some(&(_, v)) if v >= rtt_c) {
             self.mono.pop_back();
@@ -420,12 +309,10 @@ impl History {
         if self.records.len() == room && 2 * room > self.cap {
             self.records.reserve_exact(self.cap - room);
         }
-        self.records.push_back(Slot {
-            ex,
-            rbase_c: self.rtt_min_c,
-            era: self.current_era_id(),
-            epoch: self.current_era().next_seq,
-        });
+        self.records.push_back(ex);
+        if idx == self.floor || self.runs.last().is_none_or(|&(_, b)| b != self.rtt_min_c) {
+            self.runs.push((idx, self.rtt_min_c));
+        }
         self.next_idx += 1;
         (idx, PushOutcome {
             window_slid,
@@ -434,17 +321,17 @@ impl History {
     }
 
     /// Applies a confirmed upward level shift: re-bases `r̂` to `new_min_c`
-    /// and (lazily) the baselines of every packet from `shift_start_idx`
-    /// on, so their point errors are "relative to current error level
-    /// (after any shifts)" (§6.2). O(1): appends an era.
+    /// and the baselines of every packet from `shift_start_idx` on, so
+    /// their point errors are "relative to current error level (after any
+    /// shifts)" (§6.2), and makes `shift_start_idx` the floor.
     ///
-    /// Shift start indices must be non-decreasing across calls (the shift
+    /// Shift starts must be non-decreasing across calls (the shift
     /// detector guarantees this: its window is cleared after each
-    /// confirmation).
+    /// confirmation), and cannot pass the next packet to be admitted.
     pub fn apply_upward_shift(&mut self, new_min_c: f64, shift_start_idx: u64) {
         debug_assert!(
-            shift_start_idx >= self.current_era().start_idx,
-            "shift starts must be non-decreasing"
+            (self.floor..=self.next_idx).contains(&shift_start_idx),
+            "shift starts must be non-decreasing and admitted"
         );
         self.rtt_min_c = new_min_c;
         // Future r̂ recomputations only use packets at or after the shift
@@ -452,71 +339,30 @@ impl History {
         while matches!(self.mono.front(), Some(&(i, _)) if i < shift_start_idx) {
             self.mono.pop_front();
         }
-        self.eras.push(Era::new(shift_start_idx, new_min_c));
-        self.rebase_gen += 1;
+        let keep = self.runs.partition_point(|&(s, _)| s < shift_start_idx);
+        self.runs.truncate(keep);
+        // A shift at the next packet re-bases no retained one: that
+        // packet opens its run at the floor when it arrives.
+        if shift_start_idx < self.next_idx {
+            self.runs.push((shift_start_idx, new_min_c));
+            self.drop_dead_runs();
+        }
+        self.floor = shift_start_idx;
+        self.rebase_gen = self.rebase_gen.wrapping_add(1);
     }
 
-    fn current_era(&self) -> &Era {
-        self.eras.last().expect("era table never empty")
+    /// Drops the runs that end at or before the oldest retained record.
+    fn drop_dead_runs(&mut self) {
+        let front_idx = self.front_idx();
+        let dead = self.runs.iter().skip(1).take_while(|&&(s, _)| s <= front_idx).count();
+        self.runs.drain(..dead);
     }
 
-    /// Absolute id of the current era (stable across prefix pruning).
-    fn current_era_id(&self) -> u32 {
-        self.era_base + (self.eras.len() - 1) as u32
-    }
-
-    fn current_era_mut(&mut self) -> &mut Era {
-        self.eras.last_mut().expect("era table never empty")
-    }
-
-    /// Effective baseline of a raw record under the era/min-event tables —
-    /// the value the eager re-basing sweeps would have left in `rbase_c`.
-    /// Takes the four words it reads, so a caller never spills a record.
+    /// Position in the run table of the run covering retained index `idx`:
+    /// searched from the newest run, where reads cluster.
     #[inline]
-    fn resolve(&self, idx: u64, rbase_c: f64, era: u32, epoch: u32) -> f64 {
-        if era == self.current_era_id() {
-            // Same era: apply min-events recorded since admission, if any.
-            rbase_c.min(self.current_era().suffix_min(epoch))
-        } else {
-            self.resolve_reassigned(idx, rbase_c, era, epoch)
-        }
-    }
-
-    /// Slow path: the record was admitted in an older era; find its
-    /// effective era by start index and re-derive its baseline.
-    #[cold]
-    fn resolve_reassigned(&self, idx: u64, rbase_c: f64, era: u32, epoch: u32) -> f64 {
-        let eff = self.eras.partition_point(|e| e.start_idx <= idx) - 1;
-        let eff_era = &self.eras[eff];
-        if self.era_base + eff as u32 == era {
-            // Still its own era: events since admission apply.
-            rbase_c.min(eff_era.suffix_min(epoch))
-        } else {
-            // Reassigned by an upward shift: baseline restarts from the
-            // era's base, then every min-event of that era applies.
-            eff_era.base.min(eff_era.suffix_min(0))
-        }
-    }
-
-    /// A loop-hoistable view of the resolution state: hot paths check the
-    /// two-compare fast path against pre-loaded era/epoch values instead of
-    /// chasing the era table per record.
-    #[inline]
-    pub(crate) fn baseline_view(&self) -> BaselineView<'_> {
-        BaselineView {
-            history: self,
-            current_era: self.current_era_id(),
-            next_seq: self.current_era().next_seq,
-        }
-    }
-
-    /// The raw record `r` with its baseline resolved to the current value.
-    #[inline]
-    fn resolved(&self, r: PacketRecord) -> PacketRecord {
-        PacketRecord {
-            rbase_c: self.resolve(r.idx, r.rbase_c, r.era, r.epoch),
-            ..r
-        }
+    fn run_of(&self, idx: u64) -> usize {
+        self.runs.iter().rposition(|&(s, _)| s <= idx).unwrap_or(0)
     }
 
     /// Current RTT minimum `r̂` in counts (`∞` before the first packet).
@@ -527,15 +373,6 @@ impl History {
     /// Re-basing generation (bumped by min-events and upward shifts).
     pub(crate) fn rebase_gen(&self) -> u64 {
         self.rebase_gen
-    }
-
-    /// Raw (unresolved) record by global index, O(1). The offset is
-    /// computed in `u64` and checked-converted, so one beyond `usize` (on
-    /// 32-bit targets) is a clean `None`, never an aliased lookup.
-    #[inline]
-    pub(crate) fn get_raw(&self, idx: u64) -> Option<PacketRecord> {
-        let pos = usize::try_from(idx.checked_sub(self.front_idx())?).ok()?;
-        Some(self.records.get(pos)?.at(idx))
     }
 
     /// Number of retained records.
@@ -553,95 +390,102 @@ impl History {
         self.next_idx
     }
 
-    /// The most recent record (baseline resolved).
+    /// The most recent record, O(1): it lies in the last run.
     pub fn last(&self) -> Option<PacketRecord> {
-        self.get(self.next_idx.checked_sub(1)?)
+        let &ex = self.records.back()?;
+        Some(PacketRecord {
+            idx: self.next_idx - 1,
+            ex,
+            rbase_c: self.runs.last()?.1,
+        })
     }
 
-    /// The record with global index `idx`, if still retained (baseline
-    /// resolved).
+    /// The record with global index `idx`, if still retained. The offset
+    /// is computed in `u64` and checked-converted, so one beyond `usize`
+    /// (on 32-bit targets) is a clean `None`, never an aliased lookup.
     pub fn get(&self, idx: u64) -> Option<PacketRecord> {
-        self.get_raw(idx).map(|r| self.resolved(r))
+        let pos = usize::try_from(idx.checked_sub(self.front_idx())?).ok()?;
+        let &ex = self.records.get(pos)?;
+        Some(PacketRecord {
+            idx,
+            ex,
+            rbase_c: self.runs[self.run_of(idx)].1,
+        })
     }
 
-    /// Iterates over the most recent `n` records, oldest first (baselines
-    /// resolved).
+    /// Iterates over the most recent `n` records, oldest first.
     pub fn last_n(&self, n: usize) -> impl Iterator<Item = PacketRecord> + '_ {
-        self.tail_raw(n).map(|r| self.resolved(r))
+        let len = self.records.len();
+        self.range(len.saturating_sub(n), len)
     }
 
-    /// Iterates over all retained records, oldest first (baselines
-    /// resolved).
+    /// Iterates over all retained records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = PacketRecord> + '_ {
         self.last_n(self.len())
     }
 
-    /// The earliest retained record, if any (baseline resolved).
+    /// The earliest retained record, if any.
     pub fn first(&self) -> Option<PacketRecord> {
         self.iter().next()
     }
 
-    /// Raw (unresolved) view of the most recent `n` records, oldest first —
-    /// for crate-internal hot loops that resolve baselines themselves via
-    /// [`History::baseline_view`].
+    /// The records at positions `start..end` (oldest = 0), oldest first:
+    /// the ring walked beside a cursor over the run table.
     #[inline]
-    pub(crate) fn tail_raw(&self, n: usize) -> impl Iterator<Item = PacketRecord> + '_ {
-        let len = self.records.len();
-        self.range_raw(len.saturating_sub(n), len)
-    }
-
-    /// Raw (unresolved) view of positions `start..end` (oldest = 0).
-    #[inline]
-    pub(crate) fn range_raw(
+    pub(crate) fn range(
         &self,
         start: usize,
         end: usize,
     ) -> impl Iterator<Item = PacketRecord> + '_ {
         let first = self.front_idx() + start as u64;
-        self.records
-            .range(start..end)
-            .zip(first..)
-            .map(|(slot, idx)| slot.at(idx))
+        let mut run = self.run_of(first);
+        let next_start = |run: usize| self.runs.get(run + 1).map_or(u64::MAX, |r| r.0);
+        let mut rbase_c = self.runs.get(run).map_or(f64::NAN, |r| r.1);
+        let mut next = next_start(run);
+        self.records.range(start..end).zip(first..).map(move |(&ex, idx)| {
+            // Every run covers at least one record, so a step of one
+            // record crosses at most one run boundary.
+            if idx >= next {
+                run += 1;
+                rbase_c = self.runs[run].1;
+                next = next_start(run);
+            }
+            PacketRecord { idx, ex, rbase_c }
+        })
     }
 
-    /// Serializes the complete history — retained slots with their raw
-    /// admission-time baselines, the monotonic min-deque, and the full
-    /// era/min-event tables — into a snapshot payload. Slots are stored
-    /// *unresolved* so lazy baseline resolution replays identically after
-    /// restore; their indices are implied by `next_idx` and the count.
+    /// Serializes the complete history — the retained exchanges, the
+    /// monotonic min-deque and the run table — into a snapshot payload.
+    /// Record indices are implied by `next_idx` and the count.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.cap);
         w.put_f64(self.rtt_min_c);
-        w.put_u32(self.era_base);
         w.put_u64(self.rebase_gen);
         w.put_u64(self.next_idx);
+        w.put_u64(self.floor);
         w.put_usize(self.records.len());
-        for r in self.tail_raw(self.len()) {
-            r.save_slot(w);
+        for ex in &self.records {
+            w.put_array(&exchange_to_wire(ex));
         }
         w.put_usize(self.mono.len());
         for &(i, v) in &self.mono {
             w.put_u64(i);
             w.put_f64(v);
         }
-        w.put_usize(self.eras.len());
-        for e in &self.eras {
-            w.put_u64(e.start_idx);
-            w.put_f64(e.base);
-            w.put_u32(e.next_seq);
-            w.put_usize(e.events.len());
-            for &(s, v) in &e.events {
-                w.put_u32(s);
-                w.put_f64(v);
-            }
+        w.put_usize(self.runs.len());
+        for &(start, b) in &self.runs {
+            w.put_u64(start);
+            w.put_f64(b);
         }
     }
 
     /// Deserializes a history written by [`History::save_state`],
     /// re-checking what the rest of the pipeline relies on: capacity floor,
-    /// slot count within capacity and `next_idx` (the implicit index must
-    /// not underflow), a min-deque strictly increasing in index and value
-    /// inside the retained range, non-decreasing era starts up to `next_idx`.
+    /// record count within capacity and `next_idx` (the implicit index
+    /// must not underflow), a min-deque strictly increasing in index and
+    /// value inside the retained range, and a run table whose runs cover
+    /// every record with positive baselines, start below `next_idx` and
+    /// leave the floor (itself at most `next_idx`) on a run boundary.
     pub fn load_state(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         use SnapshotError as E;
         let cap = r.get_usize()?;
@@ -649,10 +493,13 @@ impl History {
             return Err(E::Invalid("history window too small"));
         }
         let rtt_min_c = r.get_f64()?;
-        let era_base = r.get_u32()?;
         let rebase_gen = r.get_u64()?;
         let next_idx = r.get_u64()?;
-        let n_rec = r.get_len(Slot::WIRE_BYTES)?;
+        let floor = r.get_u64()?;
+        if floor > next_idx {
+            return Err(E::Invalid("shift floor beyond the newest packet"));
+        }
+        let n_rec = r.get_len(EXCHANGE_WIRE_BYTES)?;
         if n_rec > cap {
             return Err(E::Invalid("history holds more records than its window"));
         }
@@ -660,83 +507,72 @@ impl History {
             .checked_sub(n_rec as u64)
             .ok_or(E::Invalid("history holds more records than were admitted"))?;
         let mut records = VecDeque::with_capacity(cap.min(n_rec.max(256)));
-        records.extend(r.take_arrays(n_rec)?.iter().map(Slot::from_wire));
-        let n_mono = r.get_len(16)?;
-        let mut mono = VecDeque::<(u64, f64)>::with_capacity(n_mono);
-        for _ in 0..n_mono {
-            let (i, v) = (r.get_u64()?, r.get_f64()?);
+        records.extend(r.take_arrays(n_rec)?.iter().map(exchange_from_wire));
+        let mono = load_pairs(r, |prev, (i, v)| {
             if !(front_idx..next_idx).contains(&i) {
-                return Err(E::Invalid("rtt-minimum candidate outside the window"));
+                Err("rtt-minimum candidate outside the window")
+            } else if prev.is_some_and(|(pi, pv)| !(pi < i && pv < v)) {
+                Err("rtt-minimum candidates not increasing")
+            } else {
+                Ok(())
             }
-            if matches!(mono.back(), Some(&(bi, bv)) if !(bi < i && bv < v)) {
-                return Err(E::Invalid("rtt-minimum candidates not increasing"));
+        })?;
+        let runs: Vec<_> = load_pairs(r, |prev, (start, b)| {
+            if start >= next_idx {
+                Err("baseline run beyond the newest packet")
+            } else if prev.is_some_and(|(s, _)| s >= start) {
+                Err("baseline runs not increasing")
+            } else if !(b.is_finite() && b > 0.0) {
+                Err("baseline not a positive count")
+            } else {
+                Ok(())
             }
-            mono.push_back((i, v));
+        })?
+        .into();
+        match runs.first() {
+            None if n_rec > 0 => return Err(E::Invalid("history records without a baseline run")),
+            Some(&(s, _)) if s > front_idx => {
+                return Err(E::Invalid("first baseline run starts after the oldest record"))
+            }
+            _ => {}
         }
-        let n_eras = r.get_len(24)?;
-        if n_eras == 0 {
-            return Err(E::Invalid("history era table empty"));
-        }
-        let mut eras = Vec::<Era>::with_capacity(n_eras);
-        for _ in 0..n_eras {
-            let start_idx = r.get_u64()?;
-            if start_idx > next_idx || eras.last().is_some_and(|e| e.start_idx > start_idx) {
-                return Err(E::Invalid(
-                    "era starts decreasing or beyond the newest packet",
-                ));
-            }
-            let base = r.get_f64()?;
-            let next_seq = r.get_u32()?;
-            let n_ev = r.get_len(12)?;
-            let mut events = Vec::with_capacity(n_ev);
-            for _ in 0..n_ev {
-                events.push((r.get_u32()?, r.get_f64()?));
-            }
-            eras.push(Era {
-                start_idx,
-                base,
-                events,
-                next_seq,
-            });
+        let ends = runs.iter().skip(1).map(|&(s, _)| s).chain([next_idx]);
+        if runs.iter().zip(ends).any(|(&(s, _), end)| s < floor && floor < end) {
+            return Err(E::Invalid("shift floor inside a baseline run"));
         }
         Ok(Self {
             records,
             cap,
             rtt_min_c,
             mono,
-            eras,
-            era_base,
+            runs,
+            floor,
             rebase_gen,
             next_idx,
         })
     }
 }
 
-/// See [`History::baseline_view`].
-#[derive(Clone, Copy)]
-pub(crate) struct BaselineView<'a> {
-    history: &'a History,
-    current_era: u32,
-    next_seq: u32,
-}
-
-impl BaselineView<'_> {
-    /// Effective baseline of the raw record `r` (see [`History::resolve`]),
-    /// with the fast path fully inlined: two integer compares, no memory
-    /// indirection.
-    #[inline(always)]
-    pub(crate) fn resolve(&self, r: &PacketRecord) -> f64 {
-        if r.era == self.current_era && r.epoch == self.next_seq {
-            r.rbase_c
-        } else {
-            self.history.resolve(r.idx, r.rbase_c, r.era, r.epoch)
-        }
+/// Reads a counted list of `(index, value)` pairs, each checked against
+/// the one before it by `check`, which names what is wrong.
+fn load_pairs(
+    r: &mut SnapshotReader<'_>,
+    check: impl Fn(Option<(u64, f64)>, (u64, f64)) -> Result<(), &'static str>,
+) -> Result<VecDeque<(u64, f64)>, SnapshotError> {
+    let n = r.get_len(16)?;
+    let mut pairs = VecDeque::<(u64, f64)>::with_capacity(n);
+    for _ in 0..n {
+        let pair = (r.get_u64()?, r.get_f64()?);
+        check(pairs.back().copied(), pair).map_err(SnapshotError::Invalid)?;
+        pairs.push_back(pair);
     }
+    Ok(pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::RefHistory;
 
     fn ex(ta: u64, rtt: u64) -> RawExchange {
         RawExchange {
@@ -761,7 +597,7 @@ mod tests {
 
     #[test]
     fn point_errors_reevaluated_when_minimum_improves() {
-        // §6.1: a better r̂ re-bases the point errors of the whole era —
+        // §6.1: a better r̂ re-bases the point errors since the floor —
         // otherwise an unlucky congested first packet would carry a spurious
         // zero error forever (the lock-out the paper warns against).
         let mut h = History::new(100);
@@ -928,10 +764,10 @@ mod tests {
     }
 
     #[test]
-    fn era_table_stays_bounded_across_shifts_and_slides() {
-        // Memory must stay O(window): eras whose records have all been
-        // discarded are pruned on slides, and resolution keeps working for
-        // the retained records (exercised against point_error values).
+    fn run_table_stays_bounded_across_shifts_and_slides() {
+        // Memory must stay O(window): runs that end before the front are
+        // dropped on slides and shifts, so the table holds the three
+        // slide runs plus one per shift start inside the window.
         let mut h = History::new(16);
         let mut idx = 0u64;
         for round in 0..200u64 {
@@ -942,35 +778,112 @@ mod tests {
             }
             h.apply_upward_shift(level as f64, idx.saturating_sub(5));
         }
-        assert!(
-            h.eras.len() <= 4,
-            "era table must be pruned, len {}",
-            h.eras.len()
-        );
-        // resolution still consistent for every retained record
+        // the window spans 16 packets: shift starts are 10 apart
+        assert!(h.runs.len() <= 3 + 2, "run table must be pruned, len {}", h.runs.len());
         for r in h.iter() {
-            assert!(r.rbase_c.is_finite());
-            assert!(r.point_error(1e-9) >= 0.0 || r.point_error(1e-9).abs() < 1.0);
+            assert!(r.rbase_c.is_finite() && r.rbase_c <= r.rtt_c());
+        }
+    }
+
+    /// Checks `h` against the eagerly re-based reference: `r̂` and every
+    /// retained record's baseline bit-equal through every view, and the
+    /// run table inside the bound of the module docs (`starts`: every
+    /// shift start so far).
+    fn assert_matches_reference(h: &History, r: &RefHistory, starts: &[u64], at: &str) {
+        assert_eq!(h.rtt_min_c().to_bits(), r.rtt_min_c().to_bits(), "r̂ {at}");
+        assert_eq!((h.len(), h.total_admitted()), (r.len(), r.total_admitted()), "{at}");
+        let want: Vec<_> = r.iter().map(|x| (x.idx, x.ex, x.rbase_c.to_bits())).collect();
+        let got = |x: PacketRecord| (x.idx, x.ex, x.rbase_c.to_bits());
+        assert_eq!(h.iter().map(got).collect::<Vec<_>>(), want, "iter {at}");
+        for &(idx, _, _) in &want {
+            assert_eq!(h.get(idx).map(got), want.iter().find(|w| w.0 == idx).copied());
+        }
+        assert_eq!(h.last().map(got), want.last().copied(), "last {at}");
+        let front = h.front_idx();
+        let mut inside: Vec<u64> = starts.iter().copied().filter(|&s| s > front).collect();
+        inside.sort_unstable();
+        inside.dedup();
+        assert!(
+            h.runs.len() <= 3 + inside.len(),
+            "{} runs, {} shift starts inside the window {at}",
+            h.runs.len(),
+            inside.len()
+        );
+        let starts_ok = h.runs.iter().zip(h.runs.iter().skip(1)).all(|(a, b)| a.0 < b.0);
+        let covered = h.runs.first().is_none_or(|&(s, _)| s <= front);
+        assert!(starts_ok && covered && h.runs.last().is_none_or(|&(s, _)| s < h.next_idx));
+    }
+
+    proptest::proptest! {
+        /// The run table is the reference's eager sweep: random RTTs,
+        /// descending-minimum stretches, slides, and upward shifts at a
+        /// detector-like level, the level in force or an arbitrary one,
+        /// starting inside the window, before the front (a start the
+        /// last slide discarded) or at the next packet.
+        #[test]
+        fn runs_match_the_eager_reference(
+            cap in 8usize..64,
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut rng = proptest::TestRng::for_case("runs_match_the_eager_reference", seed);
+            let (mut h, mut r) = (History::new(cap), RefHistory::new(cap));
+            let (mut starts, mut rtts) = (Vec::new(), Vec::new());
+            let mut descending = 0u64;
+            for k in 0..8 * cap as u64 {
+                let roll = rng.below(100);
+                if roll < 4 && k > 0 {
+                    let (floor, front, next) = (h.floor, h.front_idx(), h.total_admitted());
+                    let start = match rng.below(3) {
+                        0 => {
+                            let lo = floor.max(front);
+                            lo + rng.below(next + 1 - lo)
+                        }
+                        1 if floor < front => floor + rng.below(front - floor),
+                        _ => next,
+                    };
+                    let from = rtts.get(start as usize..).unwrap_or(&[]);
+                    let level = from.iter().copied().fold(f64::INFINITY, f64::min);
+                    // the level in force too, so a shift at the next
+                    // packet can leave the last run's baseline unchanged
+                    let new_min = match rng.below(3) {
+                        0 if level.is_finite() => level,
+                        1 => r.rtt_min_c(),
+                        _ => r.rtt_min_c() + rng.below(2_000_000) as f64,
+                    };
+                    h.apply_upward_shift(new_min, start);
+                    r.apply_upward_shift(new_min, start);
+                    starts.push(start);
+                    assert_matches_reference(&h, &r, &starts, &format!("after shift {k}"));
+                }
+                if descending == 0 && roll >= 90 {
+                    descending = 1 + rng.below(12);
+                }
+                let rtt = if descending > 0 {
+                    descending -= 1;
+                    (r.rtt_min_c().min(4_000_000.0) as u64).saturating_sub(1 + rng.below(3)).max(1)
+                } else {
+                    1_000_000 + rng.below(3_000_000)
+                };
+                rtts.push(rtt as f64);
+                let e = ex(k * 1_000_000_000, rtt);
+                proptest::prop_assert_eq!(h.push(e), r.push(e));
+                assert_matches_reference(&h, &r, &starts, &format!("after push {k}"));
+            }
         }
     }
 
     #[test]
-    fn suffix_min_table_matches_brute_force() {
-        // Era suffix-min stack vs a naive suffix scan, on a value series
-        // with re-rises (slides can raise r̂, so min-events need not be
-        // monotone).
-        let mut era = Era::new(0, f64::INFINITY);
-        let events = [5.0, 3.0, 4.0, 2.0, 6.0, 1.5, 4.5, 1.0];
-        let mut recorded: Vec<f64> = Vec::new();
-        for &m in &events {
-            era.record_event(m);
-            recorded.push(m);
-            for p in 0..=recorded.len() {
-                let naive = recorded[p.min(recorded.len())..]
-                    .iter()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                assert_eq!(era.suffix_min(p as u32), naive, "suffix from {p}");
+    fn descending_minima_stream_matches_the_eager_reference() {
+        // `history_push/descending_minima` of the leaf benches, at small
+        // windows: every 16th packet a new minimum, slides throughout.
+        for cap in [8, 13, 37, 63] {
+            let (mut h, mut r) = (History::new(cap), RefHistory::new(cap));
+            for i in 0..8 * cap as u64 {
+                let base = 2_000_000u64.saturating_sub(i * 4);
+                let rtt = base + if i % 16 == 0 { 0 } else { 500_000 };
+                let e = ex(i * 16_000_000_000, rtt);
+                assert_eq!(h.push(e), r.push(e));
+                assert_matches_reference(&h, &r, &[], &format!("cap {cap}, packet {i}"));
             }
         }
     }

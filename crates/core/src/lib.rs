@@ -39,9 +39,9 @@
 //! size (one week ≈ 38k packets at 16 s polling):
 //!
 //! * the RTT minimum `r̂` is maintained with a monotonic min-deque, and
-//!   §6.1 point-error re-evaluation is resolved lazily through an
-//!   era/baseline table instead of sweeping the stored records — see the
-//!   [`history`] module docs for the design;
+//!   §6.1 point-error re-evaluation rewrites a small table of baseline
+//!   runs instead of sweeping the stored records — see the [`history`]
+//!   module docs for the design;
 //! * the §5.3 offset estimator is **fully incremental**: its weights are
 //!   exponentials of the excess total error over the window's best
 //!   packet, which factor into per-packet constants, so the weighted

@@ -123,8 +123,8 @@ impl LocalRate {
         if near_idx == far_idx {
             return self.duplicate(k, LocalRateEvent::QualityDuplicated);
         }
-        let far_ex = history.get_raw(far_idx).expect("retained").ex;
-        let near_ex = history.get_raw(near_idx).expect("retained").ex;
+        let far_ex = history.get(far_idx).expect("retained").ex;
+        let near_ex = history.get(near_idx).expect("retained").ex;
         let (far_pe, near_pe) = (far_key * p_ref, near_key * p_ref);
         let Some(pe) = pair_estimate(&far_ex, &near_ex, far_pe, near_pe, p_ref) else {
             return self.duplicate(k, LocalRateEvent::QualityDuplicated);
@@ -203,10 +203,7 @@ impl LocalRate {
 /// Ordering by the key is ordering by point error (the positive factor `p̂`
 /// preserves order), and the winner's point error is `key · p̂`.
 fn earliest_min(history: &History, start: usize, n: usize) -> (u64, f64) {
-    let view = history.baseline_view();
-    let mut keys = history
-        .range_raw(start, start + n)
-        .map(|r| (r.idx, r.rtt_c() - view.resolve(&r)));
+    let mut keys = history.range(start, start + n).map(|r| (r.idx, r.rtt_c() - r.rbase_c));
     let first = keys.next().expect("non-empty sub-window");
     keys.fold(first, |best, c| if c.1 < best.1 { c } else { best })
 }

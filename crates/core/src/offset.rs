@@ -143,7 +143,7 @@ struct WindowSums {
 }
 
 /// One τ′-window ring slot: the per-record values the rolling sums need —
-/// the admission-resolved point error `pe` (counts), `Tf`, the midpoints,
+/// the point error `pe` (counts) as of admission, `Tf`, the midpoints,
 /// and the anchored weight `u`. One struct per slot (instead of five
 /// parallel arrays) keeps expiry+absorb to one bounds check and one cache
 /// line each.
@@ -289,9 +289,8 @@ impl FactoredWindow {
     /// Full refill from the history tail: fresh anchor and linearization
     /// references, exact sums, rebuilt deque. O(window), amortized away by
     /// the rarity of its triggers (see the module docs). `kappa_buf` is
-    /// caller-provided scratch carrying the resolved point errors from
-    /// the anchor pass into the fill pass (one baseline resolution per
-    /// record, not two).
+    /// caller-provided scratch carrying the point errors from the anchor
+    /// pass into the fill pass (one baseline read per record, not two).
     #[allow(clippy::too_many_arguments)]
     fn rebuild(
         &mut self,
@@ -320,11 +319,10 @@ impl FactoredWindow {
         // headroom for future better-than-anchor packets. Anchoring at the
         // newest κ instead would overflow the sums the moment the newest
         // packet is heavily congested (κ far above the rest).
-        let view = history.baseline_view();
         kappa_buf.clear();
         let mut anchor = f64::INFINITY;
-        for r in history.tail_raw(window_n) {
-            let pe = r.rtt_c() - view.resolve(&r);
+        for r in history.last_n(window_n) {
+            let pe = r.rtt_c() - r.rbase_c;
             anchor = anchor.min(Self::kappa_of(pe, r.tf_c(), eps));
             kappa_buf.push(pe);
         }
@@ -340,7 +338,7 @@ impl FactoredWindow {
         self.min_q.clear();
         self.min_q.reserve(window_n);
         let mut count = 0usize;
-        for (r, &pe) in history.tail_raw(window_n).zip(kappa_buf.iter()) {
+        for (r, &pe) in history.last_n(window_n).zip(kappa_buf.iter()) {
             // κ recomputed from the buffered pe — deterministic, so it is
             // bit-identical to the anchor pass's value.
             let (tf_c, hm_c, sm) = (r.tf_c(), r.hm_c(), r.sm());
@@ -413,18 +411,17 @@ fn full_pass(
     inv_lambda_c: f64,
     kappa_buf: &mut Vec<f64>,
 ) -> WindowSums {
-    let view = history.baseline_view();
     let k_tf_c = k.tf_c();
     kappa_buf.clear();
     let mut kappa_min = f64::INFINITY;
-    for r in history.tail_raw(window_n) {
-        let kap = (r.rtt_c() - view.resolve(&r)) - eps * r.tf_c();
+    for r in history.last_n(window_n) {
+        let kap = (r.rtt_c() - r.rbase_c) - eps * r.tf_c();
         kappa_min = kappa_min.min(kap);
         kappa_buf.push(kap);
     }
     let min_et = (kappa_min + eps * k_tf_c) * p_hat;
     let (mut sum_w, mut sum_wth, mut sum_wet) = (0.0f64, 0.0f64, 0.0f64);
-    for (r, &kap) in history.tail_raw(window_n).zip(kappa_buf.iter()) {
+    for (r, &kap) in history.last_n(window_n).zip(kappa_buf.iter()) {
         let w = exp_clamped(-((kap - kappa_min) * inv_lambda_c));
         let et = (kap + eps * k_tf_c) * p_hat;
         let age = (k_tf_c - r.tf_c()) * p_hat;

@@ -64,7 +64,7 @@ pub struct GlobalRate {
     pair_cache: PairCache,
 }
 
-/// `p̂`-independent pair-quality parts: `key = rtt − r̂base` resolved at
+/// `p̂`-independent pair-quality parts: `key = rtt − r̂base` read at
 /// the cached re-basing generation, `dc` the counter baseline. The bound
 /// `(key_i·p̂ + key_j·p̂)/(dc·p̂)` reproduces `pair_estimate`'s
 /// `(ei + ej)/baseline` bit-for-bit for any `p̂ > 0`, and the estimate's
@@ -167,9 +167,9 @@ impl GlobalRate {
             gen_changed || stamp.2 != self.refresh_stamp.2 || stamp.3 != self.refresh_stamp.3;
         self.refresh_stamp = stamp;
         // Stored records only ever change through baseline re-evaluation
-        // (§6.1), so refreshing a copy means re-resolving its baseline —
-        // the rest of the record is immutable, and resolution is a pure
-        // function of the re-basing generation: copies are touched only
+        // (§6.1), so refreshing a copy means re-reading its baseline —
+        // the rest of the record is immutable, and the baseline moves only
+        // with the re-basing generation: copies are touched only
         // when the generation moved (this includes the warm-up record
         // list, whose newest entries were admitted with the baseline in
         // force and so are current by construction).

@@ -88,8 +88,6 @@ impl RefHistory {
             idx,
             ex,
             rbase_c: self.rtt_min_c,
-            era: 0,
-            epoch: 0,
         });
         (idx, PushOutcome {
             window_slid,

@@ -15,12 +15,12 @@
 //! replay stays cheap (one `Vec<u8>` write, no allocation-per-field
 //! value tree). It is the workspace's only persisted format.
 //!
-//! # Envelope (format v4)
+//! # Envelope (format v5)
 //!
 //! ```text
 //!   offset  size  field
 //!   0       4     magic  b"TSNP"
-//!   4       2     format version (little-endian u16, currently 4)
+//!   4       2     format version (little-endian u16, currently 5)
 //!   6       1     payload kind (what component the payload encodes)
 //!   7       8     payload length (little-endian u64)
 //!   15      n     payload (component-defined, written via SnapshotWriter)
@@ -47,12 +47,13 @@
 //!
 //! Version 1 envelopes carried per-byte FNV-1a-64 instead; version 2 has
 //! this checksum but thirteen words a history record where v3 and v4 have
-//! six; v3 also carried the local-rate estimator's rolling sub-window
-//! state and verdict memo, which v4 drops (the estimator keeps only its
-//! geometry and estimate). The version says which sum and which payload
-//! layout follow, so it is checked first; this build reads and writes only
-//! v4, and a v1, v2 or v3 blob is a typed [`SnapshotError::VersionMismatch`]
-//! (a cold start).
+//! six and v5 four (the stamps alone; v5 carries the baselines as a run
+//! table beside them); v3 also carried the local-rate estimator's rolling
+//! sub-window state and verdict memo, which v4 drops (the estimator keeps
+//! only its geometry and estimate). The version says which sum and which
+//! payload layout follow, so it is checked first; this build reads and
+//! writes only v5, and a v1‥v4 blob is a typed
+//! [`SnapshotError::VersionMismatch`] (a cold start).
 //!
 //! # What corruption is detected, and why that is deterministic
 //!
@@ -95,7 +96,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"TSNP";
 
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Payload kinds (one per snapshottable root component).
 pub mod kind {

@@ -350,7 +350,7 @@ fn golden_checkpoint_recovers_a_crashed_replay() {
 
 /// The envelope an older writer sealed around the same payload bytes:
 /// its version in the header and its own trailer over header + payload —
-/// per-byte FNV-1a-64 for v1, today's lane checksum for v2.
+/// per-byte FNV-1a-64 for v1, today's lane checksum from v2 on.
 fn as_version(blob: &[u8], version: u16) -> Vec<u8> {
     let mut old = blob[..blob.len() - 8].to_vec();
     old[4..6].copy_from_slice(&version.to_le_bytes());
@@ -359,14 +359,14 @@ fn as_version(blob: &[u8], version: u16) -> Vec<u8> {
     old
 }
 
-/// A v1 or v2 blob is intact by its own rules, so the refusal must be the
+/// A v1‥v4 blob is intact by its own rules, so the refusal must be the
 /// version check speaking — and a replay that finds one where its
 /// checkpoint should be must count a cold start and stay exact.
 #[test]
 fn older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
-    assert_eq!(FORMAT_VERSION, 4, "a bump extends the versions tried below");
-    for found in [1, 2, 3] {
-        let old = SnapshotError::VersionMismatch { found, expected: 4 };
+    assert_eq!(FORMAT_VERSION, 5, "a bump extends the versions tried below");
+    for found in [1, 2, 3, 4] {
+        let old = SnapshotError::VersionMismatch { found, expected: 5 };
         let of = |name| as_version(&fixture(name), found);
         assert_eq!(TscNtpClock::restore(&of("clock")).err(), Some(old.clone()));
         assert_eq!(QuorumClock::restore(&of("quorum")).err(), Some(old.clone()));

@@ -21,7 +21,7 @@ use tsc_netsim::{
     LevelShift, MultiServerScenario, OnDemandSim, RoundSample, Scenario, ServerKind, ServerPath,
 };
 use tsc_quorum::{QuorumClock, QuorumConfig, QuorumOutput};
-use tscclock::{ClockConfig, ProcessOutput, RawExchange, SnapshotError, TscNtpClock};
+use tscclock::{ClockConfig, ClockEvent, ProcessOutput, RawExchange, SnapshotError, TscNtpClock};
 
 /// Every field of a per-packet output as raw bits — `f64` equality would
 /// conflate `-0.0` with `0.0` and miss NaN payloads.
@@ -96,8 +96,14 @@ fn clock_resume_equals_uninterrupted_across_poll_rates_and_split_points() {
     local_rate.w_split = 4;
     local_rate.warmup_packets = 16;
     local_rate.use_local_rate = true;
+    // A week is 590 polls even at poll 1024, so only a shrunk top window
+    // slides inside a 500-packet run: 128 polls (τ̄ and Ts shrunk to fit).
+    let mut short_window = ClockConfig::paper_defaults(16.0);
+    short_window.top_window = 128.0 * 16.0;
+    short_window.tau_bar = 32.0 * 16.0;
+    short_window.ts_window = short_window.tau_bar / 2.0;
     let cfgs = [16.0, 64.0, 1024.0].map(ClockConfig::paper_defaults);
-    for cfg in cfgs.iter().chain([&local_rate]) {
+    for cfg in cfgs.iter().chain([&local_rate, &short_window]) {
         let poll = cfg.poll_period;
         let exs = exchanges(&eventful_scenario(poll), 3);
         assert!(exs.len() >= 400, "poll {poll}: only {} exchanges", exs.len());
@@ -112,6 +118,17 @@ fn clock_resume_equals_uninterrupted_across_poll_rates_and_split_points() {
             let first = first.expect("local rate estimated");
             assert!(first + 7 < 137, "first p_local at packet {first}");
             splits.splice(..4, [first + 1, first + 7]);
+        }
+        if cfg.top_window < ClockConfig::paper_defaults(poll).top_window {
+            // one packet before and one after a slide, and right after
+            // the upward shift is confirmed
+            let at = |e: ClockEvent| {
+                let bit = 1u64 << (e as u16);
+                want.iter().position(|o| o.is_some_and(|o| o[7] & bit != 0))
+            };
+            let slide = at(ClockEvent::WindowSlid).expect("the top window slides");
+            let shift = at(ClockEvent::UpwardShift).expect("the level shift is confirmed");
+            splits.extend([slide, slide + 1, shift + 1]);
         }
         for split in splits {
             let (got, got_blob) = run_clock(cfg, None, &exs, Some(split));

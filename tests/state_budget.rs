@@ -2,10 +2,12 @@
 //! nothing was lost by storing only the four stamps, and that a restore
 //! refuses the payloads an implicit packet index could not survive.
 //!
-//! The history ring holds 48 bytes a packet — `Ta, Tb, Te, Tf` and the
-//! baseline triple — and a snapshot carries the same six words; the
-//! packet's global index is its position, and `Tf`/RTT in counts and the
-//! two midpoints are computed from the stamps where they are read.
+//! The history ring holds 32 bytes a packet — `Ta, Tb, Te, Tf` and
+//! nothing else — and a snapshot carries the same four words; the
+//! packet's global index is its position, its baseline the value of the
+//! run of packets it belongs to (a table of a handful of runs beside the
+//! ring), and `Tf`/RTT in counts and the two midpoints are computed from
+//! the stamps where they are read.
 
 use proptest::prelude::*;
 use tscclock::snapshot::{kind, SnapshotWriter};
@@ -51,13 +53,13 @@ fn fed_clock(input: &[RawExchange]) -> TscNtpClock {
 }
 
 #[test]
-fn a_snapshot_costs_48_bytes_a_packet_and_resumes_bit_identically() {
+fn a_snapshot_costs_32_bytes_a_packet_and_resumes_bit_identically() {
     const HEAD: usize = 5_000;
     let input = lcg_exchanges(HEAD + 200, usize::MAX);
     let mut clock = fed_clock(&input[..HEAD]);
     let blob = clock.snapshot();
     assert!(
-        blob.len() <= 48 * HEAD + (8 << 10),
+        blob.len() <= 32 * HEAD + (8 << 10),
         "{} B for {HEAD} packets",
         blob.len()
     );
@@ -163,56 +165,114 @@ fn resealed_with(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
     w.seal(kind::CLOCK)
 }
 
+/// Where the history section's words sit in a clock payload (format v5):
+/// cap, r̂, rebase_gen, next_idx, floor, the record count and the 32-byte
+/// records; then the min-deque's count and (idx, rtt) pairs; then the run
+/// count and (start, baseline) pairs.
+struct HistoryLayout {
+    at: usize,
+    n_rec: usize,
+    mono_at: usize,
+    runs_at: usize,
+    end: usize,
+}
+
+impl HistoryLayout {
+    fn of(clock: &TscNtpClock, payload: &[u8]) -> Self {
+        let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+        let mut cfg = SnapshotWriter::new();
+        clock.config().save_state(&mut cfg);
+        let at = cfg.seal(kind::CLOCK).len() - 15 - 8;
+        let n_rec = word(at + 40);
+        let mono_at = at + 48 + 32 * n_rec;
+        let runs_at = mono_at + 8 + 16 * word(mono_at);
+        let end = runs_at + 8 + 16 * word(runs_at);
+        Self { at, n_rec, mono_at, runs_at, end }
+    }
+
+    /// Every word of the section but the records', by payload offset.
+    fn non_record_words(&self) -> impl Iterator<Item = usize> {
+        (self.at..self.at + 48).chain(self.mono_at..self.end).step_by(8)
+    }
+}
+
 #[test]
 fn restore_refuses_what_the_implicit_index_cannot_survive() {
-    // sealed after the detector confirmed the route change: two eras
+    // sealed after the detector confirmed the route change: two runs
     let clock = fed_clock(&lcg_exchanges(420, 250));
     let blob = clock.snapshot();
     let payload = &blob[15..blob.len() - 8];
     let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
 
-    // The history section follows the configuration: cap, r̂, era_base (a
-    // u32), rebase_gen, next_idx, the slot count and the 48-byte slots;
-    // then the min-deque's count and (idx, rtt) pairs; then the era
-    // count and, first in each era, its start_idx.
-    let mut cfg = SnapshotWriter::new();
-    clock.config().save_state(&mut cfg);
-    let history_at = cfg.seal(kind::CLOCK).len() - 15 - 8;
-    let next_idx_at = history_at + 8 + 8 + 4 + 8;
-    let (next_idx, n_rec) = (word(next_idx_at), word(next_idx_at + 8));
-    assert_eq!(
-        (next_idx, n_rec),
-        (420, clock.history().len() as u64),
-        "layout moved"
-    );
-    let mono_at = next_idx_at + 16 + 48 * n_rec as usize;
+    let layout = HistoryLayout::of(&clock, payload);
+    let (next_idx_at, floor_at, mono_at) = (layout.at + 24, layout.at + 32, layout.mono_at);
+    let (next_idx, n_rec) = (word(next_idx_at), layout.n_rec as u64);
+    assert_eq!((next_idx, n_rec), (420, clock.history().len() as u64), "layout moved");
     let n_mono = word(mono_at) as usize;
-    let eras_at = mono_at + 8 + 16 * n_mono;
-    assert!(
-        n_mono >= 2 && word(eras_at) == 2,
-        "{n_mono} candidates, {} eras",
-        word(eras_at)
-    );
-    let era0_at = eras_at + 8;
-    let era1_at = era0_at + 8 + 8 + 4 + 8 + 12 * word(era0_at + 20) as usize;
-    assert_eq!(word(era0_at), 0, "layout moved");
-    assert!((1..next_idx).contains(&word(era1_at)), "layout moved");
+    let (run0_at, run1_at) = (layout.runs_at + 8, layout.runs_at + 24);
+    let n_runs = word(layout.runs_at);
+    assert!(n_mono >= 2 && n_runs == 2, "{n_mono} candidates, {n_runs} runs");
+    assert_eq!(word(run0_at), 0, "layout moved");
+    assert!((2..next_idx - 1).contains(&word(run1_at)), "layout moved");
+    assert_eq!(word(floor_at), word(run1_at), "the floor is the shift's start");
 
     assert!(TscNtpClock::restore(&resealed_with(&blob, next_idx_at, next_idx)).is_ok());
     const ADMITTED: &str = "history holds more records than were admitted";
     const OUTSIDE: &str = "rtt-minimum candidate outside the window";
     const ORDER: &str = "rtt-minimum candidates not increasing";
-    const ERAS: &str = "era starts decreasing or beyond the newest packet";
+    const NO_RUNS: &str = "history records without a baseline run";
+    const RUN_ORDER: &str = "baseline runs not increasing";
+    const FIRST: &str = "first baseline run starts after the oldest record";
+    const BEYOND: &str = "baseline run beyond the newest packet";
+    const BASELINE: &str = "baseline not a positive count";
+    const FLOOR: &str = "shift floor beyond the newest packet";
+    const STRADDLE: &str = "shift floor inside a baseline run";
     for (at, bad, why) in [
         (next_idx_at, n_rec - 1, ADMITTED),
         (next_idx_at, next_idx + 1_000, OUTSIDE), // every candidate below the window
         (mono_at + 8, next_idx, OUTSIDE),         // one beyond the newest packet
         (mono_at + 24, word(mono_at + 8), ORDER), // two with one index
         (mono_at + 32, word(mono_at + 16), ORDER), // two with one value
-        (era0_at, word(era1_at) + 1, ERAS),       // starts decreasing
-        (era1_at, next_idx + 1, ERAS),            // one beyond the newest packet
+        (layout.runs_at, 0, NO_RUNS),             // records present, no runs
+        (run1_at, word(run0_at), RUN_ORDER),      // two runs with one start
+        (run0_at, 1, FIRST),                      // the oldest record uncovered
+        (run1_at, next_idx, BEYOND),              // a run of no admitted packet
+        (run1_at + 8, 0f64.to_bits(), BASELINE),
+        (run1_at + 8, (-1f64).to_bits(), BASELINE),
+        (run0_at + 8, f64::INFINITY.to_bits(), BASELINE),
+        (run0_at + 8, f64::NAN.to_bits(), BASELINE),
+        (floor_at, next_idx + 1, FLOOR),
+        (floor_at, word(run1_at) + 1, STRADDLE), // a run split by the floor
     ] {
         let got = TscNtpClock::restore(&resealed_with(&blob, at, bad)).map(|_| "restored");
         assert_eq!(got, Err(SnapshotError::Invalid(why)), "word {at} := {bad}");
     }
+}
+
+/// Every word of the history section outside the records, set to 0, 1,
+/// `u64::MAX` or its own value ± 1 and re-sealed: the restore is a typed
+/// error, or a clock that takes the next 300 packets without a panic.
+#[test]
+fn no_history_word_restores_a_clock_that_panics() {
+    let input = lcg_exchanges(720, 250);
+    let clock = fed_clock(&input[..420]);
+    let blob = clock.snapshot();
+    let payload = &blob[15..blob.len() - 8];
+    let layout = HistoryLayout::of(&clock, payload);
+    let (mut refused, mut restored) = (0, 0);
+    for at in layout.non_record_words() {
+        let w = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        for bad in [0, 1, u64::MAX, w.wrapping_add(1), w.wrapping_sub(1)] {
+            match TscNtpClock::restore(&resealed_with(&blob, at, bad)) {
+                Err(_) => refused += 1,
+                Ok(mut resumed) => {
+                    restored += 1;
+                    for &ex in &input[420..] {
+                        resumed.process(ex);
+                    }
+                }
+            }
+        }
+    }
+    assert!(refused > 0 && restored > 0, "{refused} refused, {restored} restored");
 }
