@@ -14,7 +14,7 @@
 //!   through [`tsc_netsim::OnDemandSim::exchange_at`] (exact-time samplers,
 //!   full record), on a poll-16 schedule.
 //! * `osc_advance_*` — the oscillator alone: closed-form deterministic
-//!   integration + bridged/batched stochastic sampling, at a dense and a
+//!   integration + bridged stochastic sampling, at a dense and a
 //!   coarse polling cadence, and at the two-reads-per-poll cadence a
 //!   delivered packet makes (`Ta`, then `Tf` a few ms later).
 //! * `chacha12_refill` — the keystream alone: 128-word refills by each

@@ -12,7 +12,7 @@ use tsc_experiments::{run_by_id, ExpOptions, ALL_IDS};
 const GOLDEN: [(&str, u64); 22] = [
     ("table1", 0x53bb_244a_ec32_3cac),
     ("table2", 0x3089_a25c_30ba_69a0),
-    ("fig2", 0xae6b_f687_faf1_3209),
+    ("fig2", 0xf789_6052_58bb_a4f1),
     ("fig3", 0xa696_88c2_3204_08f3),
     ("fig4", 0xbd60_6af4_3a1d_4b0f),
     ("fig5", 0x9ab0_d98b_5656_2c96),
@@ -21,17 +21,17 @@ const GOLDEN: [(&str, u64); 22] = [
     ("fig8", 0x5181_9355_d7c4_29f5),
     ("fig9a", 0x6806_e934_6105_74ad),
     ("fig9b", 0x9a4f_9a4d_88b0_04e2),
-    ("fig9c", 0x840d_df74_a3b9_3e14),
-    ("fig10", 0xa398_d1c5_388a_9801),
-    ("fig11a", 0xc7e1_ee98_c266_7b9d),
+    ("fig9c", 0x6e57_9f86_4908_ebbb),
+    ("fig10", 0xceb4_890c_f8c1_d46c),
+    ("fig11a", 0x71bc_9b9b_45c7_3711),
     ("fig11b", 0xb92c_85d0_6c88_21be),
-    ("fig11c", 0x83ec_60f3_10a2_9ab6),
-    ("fig11d", 0xafaf_cc55_0af0_029f),
-    ("fig12", 0x48b1_3c12_38ac_f5b9),
+    ("fig11c", 0x0bcc_7abb_6fad_f13d),
+    ("fig11d", 0x541e_2962_185a_2290),
+    ("fig12", 0xdb03_91ee_3a89_5608),
     ("baseline", 0xf3f3_a643_7efa_a252),
     ("ablation", 0xbdfb_227c_95a4_8442),
     ("quorum", 0x7c0d_88c0_a7da_df70),
-    ("population", 0x7f4f_fbb7_d324_157a),
+    ("population", 0x0947_b841_e17e_b017),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

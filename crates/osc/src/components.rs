@@ -11,7 +11,8 @@
 //! integrated in closed form over whole `advance_to` intervals by the fast
 //! oscillator; only the stochastic members (bounded frequency random walk,
 //! wandering-period sinusoid, white FM) are stepped, in whole cells of the
-//! oscillator's fixed grid. The [`FrequencyComponent`] trait keeps the
+//! oscillator's fixed grid; a gap of several cells is bridged in a bounded
+//! number of draws per component. The [`FrequencyComponent`] trait keeps the
 //! original per-sub-step formulation — Box-Muller draws and all — alive for
 //! the `reference` feature's differential tests.
 
@@ -204,21 +205,90 @@ impl Sinusoid {
     /// one division is the angle's `2π/P`.
     #[inline]
     pub(crate) fn step_wander_cell(&mut self, h: f64, sqrt_h: f64, u: f64) -> f64 {
-        let span = self.period_max - self.period_min;
         // span · 0.01 · √(h/3600) · 2√3.
-        let sigma = span * (0.01 / 60.0) * sqrt_h;
-        let delta = (u - 0.5) * 2.0 * sigma * 3.0f64.sqrt();
-        self.current_period += delta;
-        if self.current_period > self.period_max {
-            self.current_period = 2.0 * self.period_max - self.current_period;
-        }
-        if self.current_period < self.period_min {
-            self.current_period = 2.0 * self.period_min - self.current_period;
-        }
-        self.current_period = self.current_period.clamp(self.period_min, self.period_max);
+        let delta = (u - 0.5) * 2.0 * self.wander_sigma(sqrt_h) * 3.0f64.sqrt();
+        self.set_period(self.current_period + delta);
         let a = std::f64::consts::TAU / self.current_period * h;
         let ((_, c0), (_, c1)) = self.rotate_phase(a);
         self.amplitude * (c0 - c1) * self.current_period * (1.0 / std::f64::consts::TAU)
+    }
+
+    /// The standard deviation σ of one cell's period increment, given the
+    /// cell's `√h`: `span · 0.01 · √(h/3600)` (~1 % of the span per hour).
+    #[inline]
+    fn wander_sigma(&self, sqrt_h: f64) -> f64 {
+        (self.period_max - self.period_min) * (0.01 / 60.0) * sqrt_h
+    }
+
+    /// Sets the period to `p` reflected into `[period_min, period_max]`.
+    #[inline]
+    fn set_period(&mut self, mut p: f64) {
+        if p > self.period_max {
+            p = 2.0 * self.period_max - p;
+        }
+        if p < self.period_min {
+            p = 2.0 * self.period_min - p;
+        }
+        self.current_period = p.clamp(self.period_min, self.period_max);
+    }
+
+    /// Whether `span` seconds of period wander could plausibly (within 4σ
+    /// of the increment spread) reach either period bound — callers then
+    /// step cell by cell instead of bridging, as for
+    /// [`FrequencyRandomWalk::near_bound`].
+    pub(crate) fn near_wander_bound(&self, span: f64) -> bool {
+        let margin = 4.0 * self.wander_sigma(span.sqrt());
+        self.current_period - self.period_min < margin
+            || self.period_max - self.current_period < margin
+    }
+
+    /// Bridge over `m` whole wandering cells of `h` seconds (`sqrt_h` =
+    /// `√h`): two Gaussian draws instead of one uniform per cell, returning
+    /// the gap's phase integral and advancing the period and phase.
+    ///
+    /// Cell `i` advances the phase at its *updated* period
+    /// `Pᵢ = P₀ + σ(u₁ + … + uᵢ)` (σ = [`Sinusoid::wander_sigma`], `uᵢ`
+    /// unit-variance), so the end period `Pₘ = P₀ + σΣuᵢ` and the path
+    /// mean `P̄ = P₀ + (σ/m)·Σ(m − i + 1)uᵢ` are what the gap depends on.
+    /// The pair is drawn as the Gaussian with the loop's covariance:
+    /// `Var[Σuᵢ] = m`, `Var[Σ(m − i + 1)uᵢ] = m(m + 1)(2m + 1)/6`,
+    /// `Cov = m(m + 1)/2`. Those weights are the random walk's trapezoid
+    /// weights `m − i + ½` plus ½, so the pair is [`bridge_pair`]'s plus
+    /// half its sum. The phase then turns by `a = 2π·m·h/P̄` and the
+    /// cells' integrals `A·Pᵢ/2π·(cos φᵢ₋₁ − cos φᵢ)` telescope to
+    /// `A·P̄/2π·(cos φ₀ − cos φₘ)`.
+    ///
+    /// Both errors are second order. With `ΔP` the period's range over the
+    /// gap and `P_lo` its least value, the loop's phase `2πh·Σ1/Pᵢ`
+    /// exceeds `a` by exactly `2πh·Σ(Pᵢ − P̄)²/(Pᵢ·P̄²)`, at most
+    /// `a·(ΔP/P_lo)²`. The gap's integral differs from the cells' sum by
+    /// at most `A·mh·(a/2)·(ΔP/P_lo)`: second order in `(a, ΔP/P)`
+    /// jointly, first order in `ΔP/P` alone. For the machine-room spec
+    /// (σ = 4 s per 16 s cell, `P` ≥ 6000 s) a 1024 s poll has
+    /// `a` ≤ 1.1 rad and `ΔP/P` below 1 %. That first-order part is the
+    /// path's shape (which cells ran fast), which `(Pₘ, P̄)` do not carry:
+    /// the integral matches the loop in mean, but its spread around the
+    /// mean (≤ 25 ns at 64 machine-room cells, ≤ 0.5 µs at 225) comes out
+    /// `m²Σk²/Σk⁴` (→ 5/3) times the loop's variance at small angles. The
+    /// period bounds are applied to the end level only; callers step cell
+    /// by cell within 4σ√m of a bound ([`Sinusoid::near_wander_bound`]).
+    pub(crate) fn advance_wander_bridge(
+        &mut self,
+        h: f64,
+        sqrt_h: f64,
+        m: usize,
+        za: f64,
+        zb: f64,
+    ) -> f64 {
+        let sigma = self.wander_sigma(sqrt_h);
+        let mf = m as f64;
+        let (sum, trap) = bridge_pair(mf, za, zb);
+        let p0 = self.current_period;
+        let mean = (p0 + sigma * (trap + 0.5 * sum) / mf).clamp(self.period_min, self.period_max);
+        self.set_period(p0 + sigma * sum);
+        let a = std::f64::consts::TAU / mean * (mf * h);
+        let ((_, c0), (_, c1)) = self.rotate_phase(a);
+        self.amplitude * (c0 - c1) * mean * (1.0 / std::f64::consts::TAU)
     }
 
     /// Exact integral `∫ A·sin(φ + ω·s) ds` over `[0, dt]` for the
@@ -311,7 +381,7 @@ impl FrequencyRandomWalk {
     /// distribution: over the cell-stepped walk, the pair `(Δy, ∫y)` is
     /// jointly Gaussian with `Var[Δy] = m s²`, `Var[Σcᵢzᵢ] = m³/3 − m/12`
     /// and `Cov = m²/2` (`cᵢ = m − i + ½` is increment `i`'s trapezoid
-    /// weight), which `za`/`zb` reproduce via the Cholesky factors below.
+    /// weight), which `za`/`zb` reproduce through [`bridge_pair`].
     /// The reflecting bound is applied to the end level; *interior*
     /// reflections are not replayed — with per-cell σ√h orders of
     /// magnitude below the bound they occur on ≪1% of cells, and the
@@ -327,9 +397,7 @@ impl FrequencyRandomWalk {
     ) -> f64 {
         let s = self.sigma * sqrt_h;
         let mf = m as f64;
-        let sqrt_m = mf.sqrt();
-        let dw1 = sqrt_m * za;
-        let s1 = 0.5 * mf * sqrt_m * za + (mf * (mf * mf - 1.0) * (1.0 / 12.0)).sqrt() * zb;
+        let (dw1, s1) = bridge_pair(mf, za, zb);
         let span = mf * h;
         let mut integral = self.y * span + s * h * s1;
         let mut y_end = self.y + s * dw1;
@@ -387,6 +455,18 @@ impl FrequencyComponent for FrequencyRandomWalk {
     fn name(&self) -> &'static str {
         "freq-random-walk"
     }
+}
+
+/// The sum `Σzᵢ` and the trapezoid-weighted sum `Σ(m − i + ½)zᵢ` of `m`
+/// i.i.d. `N(0,1)` increments, drawn from two normals `za`, `zb` by the
+/// Cholesky factors of their covariance: `Var = m` and `m³/3 − m/12`,
+/// `Cov = m²/2`.
+#[inline]
+fn bridge_pair(m: f64, za: f64, zb: f64) -> (f64, f64) {
+    let sqrt_m = m.sqrt();
+    let sum = sqrt_m * za;
+    let trap = 0.5 * m * sqrt_m * za + (m * (m * m - 1.0) * (1.0 / 12.0)).sqrt() * zb;
+    (sum, trap)
 }
 
 /// White frequency modulation: independent Gaussian rate error each step.
@@ -512,6 +592,7 @@ impl From<WhiteFm> for Component {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use rand_distr::{Distribution, StandardNormal};
 
     fn rng() -> ChaCha12Rng {
         ChaCha12Rng::seed_from_u64(42)
@@ -576,6 +657,126 @@ mod tests {
                 "period escaped range: {}",
                 s.current_period
             );
+        }
+    }
+
+    /// `m`-cell gaps of [`wander_bridge_matches_the_cell_loop_in_distribution`]
+    /// and [`a_start_near_a_period_bound_steps_cell_by_cell`]: the first
+    /// bridged gap, a 128 s poll, a 1024 s poll and a 3600 s cooldown.
+    const GAPS: [usize; 4] = [3, 8, 64, 225];
+
+    /// The machine-room wandering sinusoid, its period set to `period`.
+    fn machine_room_wander(period: f64) -> Sinusoid {
+        let mut s = Sinusoid::wandering(4.5e-8, 6_000.0, 12_000.0, 0.7);
+        s.current_period = period;
+        s
+    }
+
+    /// Mean and variance of `xs`.
+    fn moments(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+        (mean, var)
+    }
+
+    #[test]
+    fn wander_bridge_matches_the_cell_loop_in_distribution() {
+        // 2,000 seeds per gap, each gap from the same start (P = 9000 s,
+        // φ = 0.7): the per-cell loop against the two-normal bridge. The
+        // end period and the phase carried past the gap must agree in mean
+        // (within 0.15 loop standard deviations, ~4.7 standard errors of
+        // the difference) and variance (ratio within [0.85, 1.18], ~4
+        // standard errors). So must the gap's phase integral in mean. Its
+        // spread around that mean (≤ 0.5 % of it here) is the path-shape
+        // term `(Pₘ, P̄)` does not carry (see `advance_wander_bridge`): in
+        // the small-angle limit the bridge's variance is
+        // r(m) = m²·Σk²/Σk⁴ times the loop's, which m = 3 and 8 pin within
+        // 10 %; at 0.7–2.5 rad (m = 64, 225) it depends on the phase, and
+        // stays within a factor 2.5.
+        const SEEDS: u64 = 2_000;
+        let (h, sqrt_h) = (16.0, 4.0);
+        for m in GAPS {
+            // (end period, phase turned, integral) per arm.
+            let mut arms: [[Vec<f64>; 3]; 2] = Default::default();
+            for seed in 0..SEEDS {
+                let mut r = ChaCha12Rng::seed_from_u64(seed);
+                let mut cells = machine_room_wander(9_000.0);
+                let mut integral = 0.0;
+                for _ in 0..m {
+                    integral += cells.step_wander_cell(h, sqrt_h, r.random::<f64>());
+                }
+                let mut bridge = machine_room_wander(9_000.0);
+                assert!(!bridge.near_wander_bound(m as f64 * h));
+                let za: f64 = StandardNormal.sample(&mut r);
+                let zb: f64 = StandardNormal.sample(&mut r);
+                let bridged = bridge.advance_wander_bridge(h, sqrt_h, m, za, zb);
+                for (arm, (s, i)) in arms.iter_mut().zip([(cells, integral), (bridge, bridged)]) {
+                    arm[0].push(s.current_period);
+                    arm[1].push((s.phase - 0.7).rem_euclid(std::f64::consts::TAU));
+                    arm[2].push(i);
+                }
+            }
+            let names = ["end period", "phase turned", "integral"];
+            for (k, name) in names.iter().enumerate() {
+                let (mean_l, var_l) = moments(&arms[0][k]);
+                let (mean_b, var_b) = moments(&arms[1][k]);
+                let sd = var_l.sqrt();
+                assert!(
+                    (mean_b - mean_l).abs() <= 0.15 * sd,
+                    "m = {m}, {name}: mean {mean_b} vs {mean_l} (sd {sd})"
+                );
+                let ratio = var_b / var_l;
+                let ok = match (k, m) {
+                    (2, 3 | 8) => {
+                        let (k2, k4) = (1..=m).fold((0.0, 0.0), |(a, b), k| {
+                            let k = k as f64;
+                            (a + k * k, b + k * k * k * k)
+                        });
+                        let r = (m * m) as f64 * k2 / k4;
+                        (ratio / r - 1.0).abs() <= 0.1
+                    }
+                    (2, _) => (1.0 / 2.5..=2.5).contains(&ratio),
+                    _ => (0.85..=1.18).contains(&ratio),
+                };
+                assert!(ok, "m = {m}, {name}: variance ratio bridge/loop {ratio}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_start_near_a_period_bound_steps_cell_by_cell() {
+        // One read `m` cells out steps `m − 1` cells before the last. From
+        // within 4σ√(m − 1) of either bound that is the per-cell loop, so
+        // the read equals a hand replay of it bit for bit; from mid-range it
+        // is the bridge, which draws differently.
+        let (h, sqrt_h) = (16.0, 4.0);
+        for m in GAPS {
+            let pre = m - 1;
+            let margin = 4.0 * 6_000.0 * (0.01 / 60.0) * (pre as f64 * h).sqrt();
+            for seed in 0..50u64 {
+                let f = 0.02 + 0.96 * (seed as f64 / 50.0);
+                for start in [6_000.0 + f * margin, 12_000.0 - f * margin, 9_000.0] {
+                    let s = machine_room_wander(start);
+                    let near = s.near_wander_bound(pre as f64 * h);
+                    assert_eq!(near, start != 9_000.0, "m = {m}, start {start}");
+                    let mut osc = crate::Oscillator::new(vec![s.clone().into()], seed);
+                    let x = osc.advance_to(m as f64 * h);
+                    let mut replay = s;
+                    let mut r = ChaCha12Rng::seed_from_u64(seed);
+                    let mut x_pre = 0.0;
+                    for _ in 0..pre {
+                        x_pre += replay.step_wander_cell(h, sqrt_h, r.random::<f64>());
+                    }
+                    let x_last = replay.step_wander_cell(h, sqrt_h, r.random::<f64>());
+                    let looped = x_pre + x_last;
+                    if near {
+                        assert_eq!(x.to_bits(), looped.to_bits(), "m = {m}, start {start}");
+                    } else {
+                        assert_ne!(x, looped, "m = {m}: the bridge was not taken");
+                    }
+                }
+            }
         }
     }
 

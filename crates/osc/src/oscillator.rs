@@ -1,9 +1,9 @@
 //! The composite oscillator: integrates frequency components into time error.
 
 use crate::components::Component;
-use rand::{RngCore, SeedableRng};
+use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use rand_distr::StandardNormal;
+use rand_distr::{Distribution, StandardNormal};
 
 /// A simulated oscillator whose accumulated time error is the integral of a
 /// sum of [`Component`]s.
@@ -40,18 +40,22 @@ use rand_distr::StandardNormal;
 /// exactly on the grid needs no look-ahead, and the second counter read of
 /// a 16 s poll steps one cell. Every step is exactly `max_step` long, so
 /// `√max_step` is a constant. A gap of `m > 1` cells integrates its first
-/// `m − 1` cells in one go — the random walk through an exact Gaussian
-/// bridge (two draws), white FM in one draw, the wandering sinusoid cell
-/// by cell — and steps the last cell alone, which gives `lo` and `hi`. An
-/// advance needing `BATCH_THRESHOLD` or more keystream words pre-draws
-/// them in one batched read (`ChaCha12Rng::fill_u64`); ziggurat wedge/tail
-/// completions then read the keystream after the batch.
+/// `m − 1` cells in one go and steps the last cell alone, which gives `lo`
+/// and `hi`. White FM takes one draw for the `m − 1` cells. From
+/// `m − 1 ≥ 2` the random walk and the wandering sinusoid each take two,
+/// a Gaussian bridge that matches the per-cell loop's first two moments:
+/// the walk's end level and trapezoid integral, the period's end level
+/// and path mean. Within 4σ of a bound either one steps cell by cell
+/// instead. A read's cost therefore does not grow with the gap (8
+/// keystream words for the machine-room set from 3 cells up, 3 for one
+/// cell), and every draw reads the keystream inline, component by
+/// component.
 ///
 /// Which reads fall inside a cell therefore changes nothing about the
 /// stochastic stream: the grid values, the keystream position and every
 /// counter read on the grid are the same with or without them.
 /// `tests/generator_golden.rs` pins the stream, grid edges and gaps of 1,
-/// 2 and 64 cells included.
+/// 2, 3, 64 and 225 cells included.
 ///
 /// The pre-optimization formulation — every component stepped every
 /// sub-step up to the read time, Box-Muller Gaussians — is retained behind
@@ -91,8 +95,6 @@ pub struct Oscillator {
     /// Indices of fixed-period sinusoids — the only deterministic
     /// components with per-advance state.
     fixed_sin_idx: Vec<u32>,
-    /// Reusable buffer for the batched keystream pre-draw.
-    words: Vec<u64>,
     #[cfg(feature = "reference")]
     reference: bool,
 }
@@ -110,11 +112,6 @@ impl std::fmt::Debug for Oscillator {
             .finish()
     }
 }
-
-/// Pre-draw keystream words in one batched read only when a single
-/// `advance_to` needs at least this many (one-cell steps — the per-poll
-/// common case — draw inline; the buffer costs more than it saves there).
-const BATCH_THRESHOLD: usize = 8;
 
 impl Oscillator {
     /// Default cell length (seconds). 16 s matches the paper's densest
@@ -167,7 +164,6 @@ impl Oscillator {
             gamma_total,
             aging_total,
             fixed_sin_idx,
-            words: Vec::new(),
             #[cfg(feature = "reference")]
             reference: false,
         }
@@ -249,85 +245,52 @@ impl Oscillator {
         let m = m as usize;
         let pre = m - 1;
 
-        if m * self.stoch_idx.len() >= BATCH_THRESHOLD {
-            let needed: usize = self
-                .components
-                .iter()
-                .map(|c| match c {
-                    Component::RandomWalk(_) => 1 + usize::from(m >= 2) + usize::from(m >= 3),
-                    Component::WhiteFm(_) => 1 + usize::from(m >= 2),
-                    Component::Sinusoid(s) if s.is_wandering() => m,
-                    _ => 0,
-                })
-                .sum();
-            self.words.resize(needed, 0);
-            self.rng.fill_u64(&mut self.words);
-        } else {
-            self.words.clear();
-        }
         // Disjoint field borrows so the loop indexes straight slices.
         let Self {
             components,
             rng,
-            words,
             stoch_idx,
             sqrt_step,
             ..
         } = self;
         let sqrt_h = *sqrt_step;
-        let words: &[u64] = words;
-        let mut wi = 0usize; // consumed prefix of `words`
-        macro_rules! word {
-            () => {
-                if wi < words.len() {
-                    let w = words[wi];
-                    wi += 1;
-                    w
-                } else {
-                    rng.next_u64()
-                }
-            };
-        }
-        macro_rules! normal {
-            () => {{
-                let bits = word!();
-                StandardNormal.sample_with_word(rng, bits)
-            }};
-        }
-        macro_rules! uniform {
-            () => {
-                (word!() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-            };
-        }
+        let span = pre as f64 * h;
         let (mut x_pre, mut x_last) = (0.0, 0.0);
         for &ci in stoch_idx.iter() {
             match &mut components[ci as usize] {
                 Component::RandomWalk(w) => {
-                    if pre >= 2 && !w.near_bound(pre as f64 * h) {
-                        let za = normal!();
-                        let zb = normal!();
+                    if pre >= 2 && !w.near_bound(span) {
+                        let za = StandardNormal.sample(rng);
+                        let zb = StandardNormal.sample(rng);
                         x_pre += w.advance_bridge(h, sqrt_h, pre, za, zb);
                     } else {
                         // One cell, or within the 4σ margin of the
                         // reflecting bound: exact per-cell dynamics.
                         for _ in 0..pre {
-                            x_pre += w.apply_z(sqrt_h, normal!()) * h;
+                            x_pre += w.apply_z(sqrt_h, StandardNormal.sample(rng)) * h;
                         }
                     }
-                    x_last += w.apply_z(sqrt_h, normal!()) * h;
+                    x_last += w.apply_z(sqrt_h, StandardNormal.sample(rng)) * h;
                 }
                 Component::WhiteFm(w) => {
                     if pre > 0 {
-                        x_pre += w.phase((pre as f64 * h).sqrt(), normal!());
+                        x_pre += w.phase(span.sqrt(), StandardNormal.sample(rng));
                     }
-                    x_last += w.phase(sqrt_h, normal!());
+                    x_last += w.phase(sqrt_h, StandardNormal.sample(rng));
                 }
                 Component::Sinusoid(s) => {
-                    // Period state is nonlinear: one uniform per cell.
-                    for _ in 0..pre {
-                        x_pre += s.step_wander_cell(h, sqrt_h, uniform!());
+                    if pre >= 2 && !s.near_wander_bound(span) {
+                        let za = StandardNormal.sample(rng);
+                        let zb = StandardNormal.sample(rng);
+                        x_pre += s.advance_wander_bridge(h, sqrt_h, pre, za, zb);
+                    } else {
+                        // One cell, or within 4σ of a period bound: one
+                        // uniform per cell.
+                        for _ in 0..pre {
+                            x_pre += s.step_wander_cell(h, sqrt_h, rng.random::<f64>());
+                        }
                     }
-                    x_last += s.step_wander_cell(h, sqrt_h, uniform!());
+                    x_last += s.step_wander_cell(h, sqrt_h, rng.random::<f64>());
                 }
                 _ => unreachable!("stoch_idx holds only stochastic components"),
             }
@@ -458,14 +421,15 @@ mod tests {
     }
 
     #[test]
-    fn long_advance_batched_draws_are_reproducible() {
-        // poll-1024-style advances cross the BATCH_THRESHOLD and use the
-        // batched keystream path; determinism per seed must hold there too.
+    fn long_advances_are_reproducible() {
+        // poll-1024-style advances bridge 63 cells of every stochastic
+        // component; determinism per seed must hold there too.
         let run = |seed| {
             let mut o = Oscillator::new(
                 vec![
                     FrequencyRandomWalk::new(1.2e-10, 7e-8).into(),
                     WhiteFm { sigma_at_1s: 1e-9 }.into(),
+                    Sinusoid::wandering(4.5e-8, 6_000.0, 12_000.0, 0.7).into(),
                 ],
                 seed,
             );
@@ -478,39 +442,30 @@ mod tests {
     }
 
     #[test]
-    fn nine_stochastic_components_keep_the_batched_draw_order() {
-        // From BATCH_THRESHOLD stochastic components up, even a one-cell
-        // step pre-draws its words in one `fill_u64`, so a ziggurat
-        // wedge/tail completion reads the keystream *after* all nine
-        // words. Replay both orders by hand: the oscillator must follow the
-        // batched one, and the two must differ somewhere.
+    fn stochastic_components_draw_in_order() {
+        // Each component draws its words in component order, and a
+        // ziggurat wedge/tail completion reads the keystream at once,
+        // before the next component's word. Replay that by hand for nine
+        // white-FM components over 18 000 draws (~270 completions).
         let sigmas: Vec<f64> = (1..=9).map(|i| i as f64 * 1e-9).collect();
         let components = sigmas
             .iter()
             .map(|&sigma_at_1s| WhiteFm { sigma_at_1s }.into())
             .collect();
         let mut osc = Oscillator::new(components, 11);
-        let mut batched = ChaCha12Rng::seed_from_u64(11);
-        let mut inline = ChaCha12Rng::seed_from_u64(11);
-        let (mut x_batched, mut x_inline) = (0.0f64, 0.0f64);
+        let mut rng = ChaCha12Rng::seed_from_u64(11);
+        let mut x_replay = 0.0f64;
         let sqrt_h = 4.0f64;
         for i in 1..=2000 {
             let x = osc.advance_to(i as f64 * 16.0);
-            let mut words = [0u64; 9];
-            batched.fill_u64(&mut words);
-            let (mut acc_batched, mut acc_inline) = (0.0, 0.0);
-            for (&sigma, &bits) in sigmas.iter().zip(&words) {
-                let z = StandardNormal.sample_with_word(&mut batched, bits);
-                acc_batched += z * sigma * sqrt_h;
-                let bits = inline.next_u64();
-                let z = StandardNormal.sample_with_word(&mut inline, bits);
-                acc_inline += z * sigma * sqrt_h;
+            let mut acc = 0.0;
+            for &sigma in &sigmas {
+                let z: f64 = StandardNormal.sample(&mut rng);
+                acc += z * sigma * sqrt_h;
             }
-            x_batched += acc_batched;
-            x_inline += acc_inline;
-            assert_eq!(x.to_bits(), x_batched.to_bits(), "advance {i}");
+            x_replay += acc;
+            assert_eq!(x.to_bits(), x_replay.to_bits(), "advance {i}");
         }
-        assert_ne!(x_batched, x_inline, "no wedge/tail completion in 18 000 draws");
     }
 
     #[test]

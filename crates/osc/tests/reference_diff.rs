@@ -143,9 +143,9 @@ fn environment_allan_error_growth_matches() {
 }
 
 #[test]
-fn poll1024_batched_path_statistically_equivalent() {
-    // Coarse polling exercises the batched keystream path (64 sub-steps per
-    // advance); the time-error growth must match the reference.
+fn poll1024_bridged_path_statistically_equivalent() {
+    // Coarse polling bridges 63 of the 64 cells of every advance; the
+    // time-error growth must match the reference.
     let spec = Environment::Laboratory.spec();
     let horizon = 2.0 * 86_400.0;
     let (mut ef, mut er) = (0.0, 0.0);

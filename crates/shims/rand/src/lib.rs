@@ -20,15 +20,6 @@ pub trait RngCore {
             rem.copy_from_slice(&bytes[..rem.len()]);
         }
     }
-
-    /// Fills `dest` with consecutive `next_u64` values. Generators backed
-    /// by a buffered keystream override this to amortize refill bookkeeping
-    /// over the whole slice; the values are the same either way.
-    fn fill_u64(&mut self, dest: &mut [u64]) {
-        for d in dest {
-            *d = self.next_u64();
-        }
-    }
 }
 
 /// Seedable construction, including the `seed_from_u64` convenience used

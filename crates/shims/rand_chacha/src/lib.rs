@@ -336,35 +336,6 @@ impl ChaCha12Rng {
         }
         rng
     }
-
-    /// Fills `dest` with consecutive keystream `u64`s — exactly the values
-    /// `next_u64` would return, but with the buffer bookkeeping amortized
-    /// over the whole slice (the batched-keystream hook the oscillator's
-    /// stochastic sub-stepping uses).
-    pub fn fill_u64(&mut self, dest: &mut [u64]) {
-        let mut i = 0;
-        while i < dest.len() {
-            if self.idx >= BUF_WORDS {
-                self.refill();
-            }
-            let avail = (BUF_WORDS - self.idx) / 2;
-            if avail == 0 {
-                // Odd word left in the buffer: pair it with the first word
-                // of the next refill, exactly as sequential reads would.
-                dest[i] = self.next_u64();
-                i += 1;
-                continue;
-            }
-            let n = avail.min(dest.len() - i);
-            for d in &mut dest[i..i + n] {
-                let lo = self.buf[self.idx] as u64;
-                let hi = self.buf[self.idx + 1] as u64;
-                *d = lo | (hi << 32);
-                self.idx += 2;
-            }
-            i += n;
-        }
-    }
 }
 
 impl RngCore for ChaCha12Rng {
@@ -390,12 +361,6 @@ impl RngCore for ChaCha12Rng {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
-    }
-
-    fn fill_u64(&mut self, dest: &mut [u64]) {
-        // Batched buffer drain — same values as the provided per-word
-        // default, with the bookkeeping amortized (see the inherent method).
-        ChaCha12Rng::fill_u64(self, dest);
     }
 }
 
@@ -517,29 +482,6 @@ mod tests {
         );
     }
 
-    /// `fill_u64` must yield exactly the sequence `next_u64` would,
-    /// including when the start index is odd (word-level misalignment) and
-    /// across multiple refills.
-    #[test]
-    fn fill_u64_matches_sequential_reads() {
-        for misalign in [0usize, 1, 3] {
-            let mut a = ChaCha12Rng::seed_from_u64(99);
-            let mut b = ChaCha12Rng::seed_from_u64(99);
-            for _ in 0..misalign {
-                let x = a.next_u32();
-                let y = b.next_u32();
-                assert_eq!(x, y);
-            }
-            let mut filled = [0u64; 301];
-            a.fill_u64(&mut filled);
-            for (i, &w) in filled.iter().enumerate() {
-                assert_eq!(w, b.next_u64(), "misalign {misalign}, word {i}");
-            }
-            // streams stay aligned afterwards
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
     /// `export_state`/`from_state` must resume the keystream exactly, from
     /// every buffer position (fresh, mid-buffer, exhausted) and across
     /// refill boundaries — whichever kernel filled the exported buffer and
@@ -565,8 +507,8 @@ mod tests {
         }
     }
 
-    /// Mixed u32 / u64 / f64 / `fill_u64` reads interleave identically on
-    /// every kernel.
+    /// Mixed u32 / u64 / f64 reads interleave identically on every
+    /// kernel.
     #[test]
     fn mixed_reads_parity() {
         let (scalar, vector) = vector_kernels();
@@ -574,19 +516,13 @@ mod tests {
             let mut simd = pinned(5, kernel);
             let mut reference = pinned(5, scalar);
             for i in 0..2000 {
-                match i % 4 {
+                match i % 3 {
                     0 => assert_eq!(simd.next_u32(), reference.next_u32(), "{name}"),
                     1 => assert_eq!(simd.next_u64(), reference.next_u64(), "{name}"),
-                    2 => {
+                    _ => {
                         let x: f64 = simd.random();
                         let y: f64 = reference.random();
                         assert_eq!(x.to_bits(), y.to_bits(), "{name}");
-                    }
-                    _ => {
-                        let (mut x, mut y) = ([0u64; 37], [0u64; 37]);
-                        simd.fill_u64(&mut x[..1 + i % 37]);
-                        reference.fill_u64(&mut y[..1 + i % 37]);
-                        assert_eq!(x, y, "{name}");
                     }
                 }
             }

@@ -152,22 +152,13 @@ fn zig_norm_edge<R: RngCore + ?Sized>(rng: &mut R, mut i: usize, mut u: f64, mut
 }
 
 impl Distribution<f64> for StandardNormal {
-    #[inline]
+    /// One keystream word, accepted inside its layer's rectangle in the
+    /// ~98.5 % case; the rare wedge/tail cases draw further words. Always
+    /// inlined: the oscillator's cell step has eight call sites, more than
+    /// the inliner takes by itself.
+    #[inline(always)]
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let bits = rng.next_u64();
-        self.sample_with_word(rng, bits)
-    }
-}
-
-impl StandardNormal {
-    /// Completes one `N(0, 1)` sample from a pre-drawn keystream word
-    /// `bits`, falling back to direct draws from `rng` for the rare
-    /// (~1.5%) wedge/tail cases. This is the primitive callers with their
-    /// own batched keystream buffers build on; the distribution is exactly
-    /// standard normal as long as `bits` is a fresh uniform word.
-    #[inline]
-    pub fn sample_with_word<R: RngCore + ?Sized>(&self, rng: &mut R, bits: u64) -> f64 {
-        let (i, u, x) = zig_norm_candidate(bits);
+        let (i, u, x) = zig_norm_candidate(rng.next_u64());
         if x.abs() < ZIG_NORM_X[i + 1] {
             return x; // inside the layer's rectangle: accept
         }

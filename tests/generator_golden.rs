@@ -5,11 +5,14 @@
 //! Every netsim trace, fleet digest and e2e digest is a function of
 //! `Oscillator::advance_to` and `TscCounter::read`; their differential
 //! suites (`crates/osc/tests/reference_diff.rs`) are statistical and run
-//! only under `--workspace`. All six digests were re-pinned once, when the
-//! oscillator's stochastic components moved onto a fixed 16 s grid; the
-//! `round()`-free counter read and the ziggurat/keystream rewrites before
-//! it did not move them. An oscillator or counter "optimisation"
-//! that changes one is a stream change and has to say so.
+//! only with the `reference` feature. All six digests were re-pinned once,
+//! when the oscillator's stochastic components moved onto a fixed 16 s
+//! grid; the `round()`-free counter read and the ziggurat/keystream
+//! rewrites before it did not move them. The poll-1024, irregular and
+//! record digests moved again when the wandering sinusoid's multi-cell
+//! gaps were bridged (a change in distribution only; every one-cell step
+//! draws as before). An oscillator or counter "optimisation" that changes
+//! one is a stream change and has to say so.
 //!
 //! The oscillator and counter schedules are plain arithmetic over an LCG
 //! (no netsim), so those digests move only when `tsc-osc` (or the
@@ -34,14 +37,14 @@ const ENVIRONMENTS: [Environment; 3] = [
 
 /// Two reads per 16 s poll: the cadence a delivered packet makes.
 const TWO_READ_DIGEST: u64 = 0x1e3f_5bd5_dc7a_75c2;
-/// 1024 s polls: 64 cells per advance, the batched-keystream path.
-const POLL1024_DIGEST: u64 = 0x48fe_b5f6_e3b3_5303;
+/// 1024 s polls: 64 cells per advance, 63 of them bridged.
+const POLL1024_DIGEST: u64 = 0xddde_3adf_a30f_f478;
 /// Irregular reads around and between the grid points.
-const IRREGULAR_DIGEST: u64 = 0xea57_ecfc_b3ad_e3ca;
+const IRREGULAR_DIGEST: u64 = 0x6423_e239_4d78_ce1a;
 /// `TscCounter::read` over the two-read cadence and the rounding edges.
 const COUNTER_DIGEST: u64 = 0x8441_4073_157e_6d73;
 /// Every `SimExchange` field of a fixed-cadence stream and an on-demand run.
-const SIM_RECORD_DIGEST: u64 = 0xea60_4838_50e7_51b3;
+const SIM_RECORD_DIGEST: u64 = 0xf644_8e4d_d705_9e66;
 /// Every `RoundSample` field of the paper testbed behind a bottleneck.
 const MULTI_ROUND_DIGEST: u64 = 0x1dd1_0247_8852_01a2;
 
@@ -89,7 +92,8 @@ fn end_index(t: f64) -> f64 {
 /// first read falls before `g₁`; the body mixes reads exactly on a grid
 /// point and one ulp either side of it, reads inside the cell the previous
 /// read stepped, the `Tf` cadence a few ms after a read, gaps of exactly
-/// 1, 2 and 64 cells, and gaps of arbitrary length.
+/// 1, 2, 3 (the first that is bridged), 64 and 225 cells (a 3600 s
+/// lifecycle cooldown), and gaps of arbitrary length.
 fn irregular_times(seed: u64) -> Vec<f64> {
     let mut lcg = Lcg(seed);
     let mut t = CELL * (0.01 + 0.98 * lcg.uniform());
@@ -97,7 +101,7 @@ fn irregular_times(seed: u64) -> Vec<f64> {
     for _ in 0..400 {
         let u = lcg.uniform();
         let next_grid = |j: f64| ((t / CELL).floor() + j) * CELL;
-        t = match (lcg.uniform() * 10.0) as u32 {
+        t = match (lcg.uniform() * 12.0) as u32 {
             0 => next_grid(1.0),
             1 => f64::from_bits(next_grid(2.0).to_bits() - 1),
             2 => f64::from_bits(next_grid(1.0).to_bits() + 1),
@@ -108,7 +112,9 @@ fn irregular_times(seed: u64) -> Vec<f64> {
             4 => t + 0.3e-3 + 19.7e-3 * u,
             5 => t + CELL,
             6 => t + 2.0 * CELL,
-            7 => t + 64.0 * CELL,
+            7 => t + 3.0 * CELL,
+            8 => t + 64.0 * CELL,
+            9 => t + 225.0 * CELL,
             _ => t + 2000.0 * u,
         };
         times.push(t);
@@ -150,8 +156,8 @@ fn poll1024_stream_is_pinned() {
 fn irregular_stream_is_pinned_and_hits_the_grid_cases() {
     // The schedule must contain what it is there for, whatever the
     // oscillator does with it: (on gₙ, one ulp below, one ulp above,
-    // inside the stepped cell, gaps of 1, 2 and 64 cells).
-    let mut hits = [0u32; 7];
+    // inside the stepped cell, gaps of 1, 2, 3, 64 and 225 cells).
+    let mut hits = [0u32; 9];
     for seed in 1..=IRREGULAR_SEEDS {
         let times = irregular_times(seed);
         assert!(times[0] < CELL, "first read {} is not before g₁", times[0]);
@@ -166,7 +172,9 @@ fn irregular_stream_is_pinned_and_hits_the_grid_cases() {
                 0 => hits[3] += 1,
                 1 => hits[4] += 1,
                 2 => hits[5] += 1,
-                64 => hits[6] += 1,
+                3 => hits[6] += 1,
+                64 => hits[7] += 1,
+                225 => hits[8] += 1,
                 _ => {}
             }
         }

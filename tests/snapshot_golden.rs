@@ -37,7 +37,7 @@ use tscclock::{ClockConfig, RawExchange, SnapshotError, TscNtpClock};
 const CLOCK_TAIL_DIGEST: u64 = 0x8827_9ba7_5168_e771;
 const QUORUM_TAIL_DIGEST: u64 = 0x7551_539d_0ca2_f91a;
 const LIFECYCLE_TAIL_DIGEST: u64 = 0x15ec_7bfc_4ea6_6ba2;
-const CHECKPOINT_RUN_DIGEST: u64 = 0xbaec_ee6e_9d3e_6219;
+const CHECKPOINT_RUN_DIGEST: u64 = 0xa9aa_3c07_b368_cb74;
 
 /// Fixtures stay reviewable and cheap to clone.
 const MAX_FIXTURE_BYTES: usize = 64 << 10;
