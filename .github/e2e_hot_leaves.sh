@@ -8,7 +8,10 @@
 #
 #   * `NtpPacket::decode` / `NtpPacket::encode_into`: no call other than a
 #     panic path (a symbol that was inlined away passes);
-#   * `ServePlane::serve_batch`: no call to libm `floor` / `round` / `ceil`;
+#   * `ServePlane::serve_batch`: no call to libm `floor` / `round` / `ceil`
+#     and none into `tsc_ntp::timestamp` (the `NtpTimestamp` conversions
+#     and their helper): the one exact conversion a batch makes must be
+#     inlined, and a request makes none;
 #   * `RawExchanges::fill_batch`, `SimCore::{send, record}`,
 #     `PathState::{depart, stamps}` (the one departure sequence and stamp
 #     pair; inlined into the others today), `OnDemandSim::exchange_at`,
@@ -63,7 +66,8 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
     panic = callee ~ /^core::(panicking|slice::index|option::(expect|unwrap)_failed|result::unwrap_failed)/
     sampler = callee ~ /(^|::)(zig_tables|zig_exp_tables|zig_try|zig_exp_try|step_wander_cell)$/ ||
               callee ~ /^<rand_distr::(StandardNormal|Exp1) as .*>::sample$/
-    if ((codec && !panic) || (serve && callee ~ /^(floor|round|ceil)$/) || (gen && sampler)) {
+    stamp = callee ~ /^(floor|round|ceil)$/ || callee ~ /^tsc_ntp::timestamp::/
+    if ((codec && !panic) || (serve && stamp) || (gen && sampler)) {
         print fn " calls " callee ": " $0
         bad = 1
     }
@@ -72,4 +76,4 @@ END { exit bad }
 ' <(objdump -R "$bin") <(nm -C --defined-only "$bin") \
   <(objdump -d --no-show-raw-insn -C "$bin") \
   || { echo "e2e hot leaves make calls they should not (see above)" >&2; exit 1; }
-echo "e2e hot leaves: codec call-free, serve_batch libm-free, generator sampler-call-free"
+echo "e2e hot leaves: codec call-free, serve_batch libm- and conversion-call-free, generator sampler-call-free"

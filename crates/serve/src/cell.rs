@@ -33,7 +33,10 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 /// Ca(tsc) = base + (tsc − tsc0)·rate
 /// ```
 ///
-/// and the **served-error bound** widens with staleness:
+/// (the serving plane evaluates it in 32.32 fixed point: `base` once per
+/// snapshot read, the staleness term per request; see
+/// [`Stamper`](crate::plane::Stamper)), and the **served-error bound**
+/// widens with staleness:
 ///
 /// ```text
 /// bound(tsc) = bound + widen_rate · staleness,   staleness = (tsc − tsc0)·rate
@@ -70,12 +73,6 @@ impl ClockSnapshot {
     #[inline]
     pub fn staleness(&self, tsc: u64) -> f64 {
         (tsc.wrapping_sub(self.tsc0) as i64) as f64 * self.rate
-    }
-
-    /// The absolute clock `Ca(tsc) = base + (tsc − tsc0)·rate`.
-    #[inline]
-    pub fn time_at(&self, tsc: u64) -> f64 {
-        self.base + (tsc.wrapping_sub(self.tsc0) as i64) as f64 * self.rate
     }
 
     /// Served-error bound at `tsc`: seal-time bound plus staleness
@@ -221,7 +218,6 @@ mod tests {
         // 2000 counts past tsc0 at 1 ns/count = 2 µs.
         let tsc = s.tsc0 + 2_000;
         assert!((s.staleness(tsc) - 2e-6).abs() < 1e-18);
-        assert!((s.time_at(tsc) - (s.base + 2e-6)).abs() < 1e-9);
         assert!((s.bound_at(tsc) - (1e-6 + 5e-8 * 2e-6)).abs() < 1e-18);
         // A reading just *before* the seal must not shrink the bound.
         assert!(s.bound_at(s.tsc0.wrapping_sub(10)) >= s.bound);

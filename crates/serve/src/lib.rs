@@ -32,7 +32,7 @@ pub mod transport;
 pub use cell::{ClockSnapshot, SnapshotCell};
 pub use plane::{
     decide, instant_counter, spawn_udp, Decision, ServeConfig, ServeDaemonHandle, ServePlane,
-    ServeStats, REFUSE_INIT, REFUSE_STALE, REFUSE_UNSYNC,
+    ServeStats, Stamper, REFUSE_INIT, REFUSE_STALE, REFUSE_UNSYNC,
 };
 pub use publish::{PublishPolicy, Publisher};
 pub use transport::{BatchBufs, DatagramBatch, SimTransport, UdpBatchTransport, SLOT_LEN};

@@ -16,6 +16,40 @@
 //! A refusal is a stratum-0 Kiss-o'-Death response (LI unsynchronized,
 //! refid = code) — honest unavailability instead of a silently stale
 //! timestamp.
+//!
+//! # Fixed-point stamping
+//!
+//! `Ca(tsc) = base + (tsc − tsc0)·p̂` is linear in the counter (paper
+//! eq. (7)), so the plane splits it where the precision is. Once per
+//! snapshot read a [`Stamper`] converts `base` **exactly** to a 64-bit
+//! NTP value (`NtpTimestamp::from_unix_seconds`: integer seconds plus the
+//! 32-bit fraction, rounded once, era-wrapping) and the residence to
+//! 2⁻³² s units. Per request, the one staleness product `(tsc − tsc0)·p̂`
+//! that the stale check and the bound need anyway is rounded to a signed
+//! offset in 2⁻³² s units, and
+//!
+//! ```text
+//! Tb = base + offset  (mod 2⁶⁴),    Te = Tb + residence  (mod 2⁶⁴)
+//! ```
+//!
+//! No request converts a float to NTP, and no `f64` holds a
+//! seconds-since-1900 value, whose 2⁻²¹ s ulp near 2036 quantised `Tb` to
+//! ~477 ns.
+//!
+//! *Exactness.* `Te − Tb` is `round(residence·2³²)` exactly. `Tb` is
+//! within one 2⁻³² s unit of `base + (tsc − tsc0)·p̂` evaluated exactly
+//! (in `i128`) and rounded to a unit, while `|staleness| < 2¹⁹ s` (six
+//! days; the default horizon is 4 h): each of the two roundings is off by
+//! at most half a unit (`base` by none once it is past 2²⁰ s, as every
+//! real one is), and the `f64` product's relative error of 2⁻⁵² is under
+//! a sixteenth of a unit at a 4 h staleness. Past `±2³¹ s` (half an era)
+//! the offset saturates.
+//!
+//! *Eras.* The sum wraps mod 2⁶⁴, one NTP era of 2³² s (RFC 5905 §6): a
+//! snapshot sealed before 2036-02-07T06:28:16Z serves stamps of era 1 once
+//! its staleness crosses that instant, exactly as a server whose clock
+//! read that time would. The snapshot keeps its `f64` Unix `base`; the
+//! conversion above is what makes that `f64` exact on the wire.
 
 use crate::cell::{ClockSnapshot, SnapshotCell};
 use crate::transport::{BatchBufs, DatagramBatch, DEFAULT_BATCH};
@@ -65,10 +99,10 @@ impl Default for ServeConfig {
 pub enum Decision {
     /// Stamp and serve.
     Serve {
-        /// Server receive time `Tb` (Unix seconds).
-        tb: f64,
+        /// Server receive time `Tb`, as it goes on the wire.
+        tb: NtpTimestamp,
         /// Server transmit time `Te = Tb + residence`.
-        te: f64,
+        te: NtpTimestamp,
         /// Served-error bound (seconds) before wire quantization.
         bound: f64,
     },
@@ -76,25 +110,64 @@ pub enum Decision {
     Refuse([u8; 4]),
 }
 
-/// The serve-or-refuse decision for a request arriving at counter reading
-/// `tsc`, given the current snapshot. Pure — the whole correctness story
-/// of the plane, separated from I/O so tests hit it directly.
+/// What one snapshot read fixes for every request stamped off it (see the
+/// module docs): the snapshot, its `base` as a 64-bit NTP value, and the
+/// policy in the units the per-request path uses.
+#[derive(Debug, Clone, Copy)]
+pub struct Stamper {
+    snap: ClockSnapshot,
+    /// `Ca(tsc0)` as 32.32 NTP bits, era-wrapped.
+    base: u64,
+    /// `Te − Tb` in 2⁻³² s units.
+    residence: u64,
+    stale_horizon: f64,
+}
+
+impl Stamper {
+    /// The stamp context of `snap` under `cfg`: one exact NTP conversion.
+    #[inline]
+    pub fn new(cfg: &ServeConfig, snap: &ClockSnapshot) -> Self {
+        Self {
+            snap: *snap,
+            base: NtpTimestamp::from_unix_seconds(snap.base).to_bits(),
+            residence: ntp_units(cfg.residence) as u64,
+            stale_horizon: cfg.stale_horizon,
+        }
+    }
+}
+
+/// Seconds in 2⁻³² s units, rounded to nearest (ties away from zero),
+/// saturating past `±2³¹ s`. Integer casts only: `x as i64` truncates
+/// toward zero, and `x − (x as i64) as f64` is the exact remainder.
 #[inline]
-pub fn decide(cfg: &ServeConfig, snap: Option<&ClockSnapshot>, tsc: u64) -> Decision {
-    let Some(snap) = snap else {
+fn ntp_units(seconds: f64) -> i64 {
+    let x = seconds * 4_294_967_296.0;
+    let i = x as i64; // NaN → 0
+    let r = x - i as f64;
+    i.saturating_add(i64::from(r >= 0.5) - i64::from(r <= -0.5))
+}
+
+/// The serve-or-refuse decision for a request arriving at counter reading
+/// `tsc`, given the stamp context of the current snapshot (`None`: nothing
+/// published yet). Pure — the whole correctness story of the plane,
+/// separated from I/O so tests hit it directly.
+#[inline]
+pub fn decide(stamper: Option<&Stamper>, tsc: u64) -> Decision {
+    let Some(stamper) = stamper else {
         return Decision::Refuse(REFUSE_INIT);
     };
+    let snap = &stamper.snap;
     if !snap.synced {
         return Decision::Refuse(REFUSE_UNSYNC);
     }
     let staleness = snap.staleness(tsc);
-    if staleness > cfg.stale_horizon {
+    if staleness > stamper.stale_horizon {
         return Decision::Refuse(REFUSE_STALE);
     }
-    let tb = snap.time_at(tsc);
+    let tb = stamper.base.wrapping_add(ntp_units(staleness) as u64);
     Decision::Serve {
-        tb,
-        te: tb + cfg.residence,
+        tb: NtpTimestamp::from_bits(tb),
+        te: NtpTimestamp::from_bits(tb.wrapping_add(stamper.residence)),
         bound: snap.bound_at(tsc),
     }
 }
@@ -132,12 +205,70 @@ pub struct ServeStats {
     pub batches: u64,
 }
 
+impl std::ops::AddAssign for ServeStats {
+    fn add_assign(&mut self, b: Self) {
+        self.requests += b.requests;
+        self.responses += b.responses;
+        self.malformed += b.malformed;
+        self.refusals += b.refusals;
+        self.batches += b.batches;
+    }
+}
+
+/// Batches a plane counts in [`Unflushed`] before it adds them to the
+/// global telemetry registry.
+const TELEMETRY_FLUSH_BATCHES: u64 = 64;
+
+/// Serve telemetry recorded but not yet in the global registry. A batch
+/// adds to plain integers here; every [`TELEMETRY_FLUSH_BATCHES`] batches
+/// (and when the daemon idles, or the plane drops) one flush hands the
+/// five counters and the two histograms over. Eleven atomic adds a batch
+/// cost ~3 % of a 64-request batch once stamping got cheap (`bench_serve`
+/// recording on vs off), past the ≤2 % telemetry contract; a flush costs
+/// about as much, 64 times less often.
+#[derive(Debug, Default)]
+struct Unflushed {
+    stats: ServeStats,
+    fill: telemetry::Log2Histogram,
+    age_ns: telemetry::Log2Histogram,
+}
+
+impl Unflushed {
+    fn flush(&mut self) {
+        let Self {
+            stats,
+            fill,
+            age_ns,
+        } = std::mem::take(self);
+        for (ctr, n) in [
+            (telemetry::Ctr::ServeRequests, stats.requests),
+            (telemetry::Ctr::ServeResponses, stats.responses),
+            (telemetry::Ctr::ServeMalformed, stats.malformed),
+            (telemetry::Ctr::ServeRefusals, stats.refusals),
+            (telemetry::Ctr::ServeBatches, stats.batches),
+        ] {
+            if n > 0 {
+                telemetry::add(ctr, n);
+            }
+        }
+        telemetry::merge_hist(telemetry::Hist::ServeBatchFill, &fill);
+        telemetry::merge_hist(telemetry::Hist::ServeSnapshotAgeNs, &age_ns);
+    }
+}
+
 /// One server's serving state: config + the shared snapshot cell.
 #[derive(Debug)]
 pub struct ServePlane {
     pub cfg: ServeConfig,
     cell: Arc<SnapshotCell>,
     pub stats: ServeStats,
+    unflushed: Unflushed,
+}
+
+impl Drop for ServePlane {
+    fn drop(&mut self) {
+        self.flush_telemetry();
+    }
 }
 
 impl ServePlane {
@@ -146,6 +277,15 @@ impl ServePlane {
             cfg,
             cell,
             stats: ServeStats::default(),
+            unflushed: Unflushed::default(),
+        }
+    }
+
+    /// Adds the telemetry this plane has recorded since its last flush to
+    /// the global registry (see [`ServePlane::serve_batch`]).
+    pub fn flush_telemetry(&mut self) {
+        if self.unflushed.stats.batches > 0 {
+            self.unflushed.flush();
         }
     }
 
@@ -155,8 +295,11 @@ impl ServePlane {
     /// responses. **One snapshot read per batch**; one `tsc_now()` reading
     /// per datagram.
     ///
-    /// Telemetry is batch-granular: counters and the batch-fill/snapshot-
-    /// age histograms are touched once per batch, never per packet.
+    /// Telemetry is batch-granular and deferred: while recording is on, a
+    /// batch adds its counters and its batch-fill / snapshot-age samples
+    /// to plane-local integers, and every 64th batch flushes them to the
+    /// global registry ([`ServePlane::flush_telemetry`] flushes on demand;
+    /// the daemon does when idle, and dropping the plane does).
     pub fn serve_batch(
         &mut self,
         rx: &BatchBufs,
@@ -167,11 +310,11 @@ impl ServePlane {
         if n == 0 {
             return 0;
         }
-        let snap = self.cell.read();
+        let stamper = self.cell.read().map(|s| Stamper::new(&self.cfg, &s));
         // What every served response of this batch shares: constants of
         // the one snapshot read, converted once.
-        let (reference_id, reference_ts) = match &snap {
-            Some(s) => (s.reference_id, NtpTimestamp::from_unix_seconds(s.base)),
+        let (reference_id, reference_ts) = match &stamper {
+            Some(s) => (s.snap.reference_id, NtpTimestamp::from_bits(s.base)),
             None => ([0; 4], NtpTimestamp::ZERO), // unused: `decide` refuses
         };
         let (mut served, mut malformed, mut refused) = (0u64, 0u64, 0u64);
@@ -188,20 +331,15 @@ impl ServePlane {
             };
             let tsc = tsc_now();
             first_age_ns.get_or_insert_with(|| {
-                snap.map_or(0, |s| (s.staleness(tsc).max(0.0) * 1e9) as u64)
+                stamper.map_or(0, |s| (s.snap.staleness(tsc).max(0.0) * 1e9) as u64)
             });
-            let response = match decide(&self.cfg, snap.as_ref(), tsc) {
+            let response = match decide(stamper.as_ref(), tsc) {
                 Decision::Serve { tb, te, bound } => {
                     served += 1;
                     NtpPacket {
                         root_dispersion: bound_to_wire(bound),
                         reference_ts,
-                        ..NtpPacket::server_response(
-                            &request,
-                            NtpTimestamp::from_unix_seconds(tb),
-                            NtpTimestamp::from_unix_seconds(te),
-                            reference_id,
-                        )
+                        ..NtpPacket::server_response(&request, tb, te, reference_id)
                     }
                 }
                 Decision::Refuse(code) => {
@@ -212,19 +350,24 @@ impl ServePlane {
             response.encode_into(tx.slot_mut(i));
             tx.set_len(i, PACKET_LEN);
         }
-        self.stats.requests += n as u64;
-        self.stats.responses += served;
-        self.stats.malformed += malformed;
-        self.stats.refusals += refused;
-        self.stats.batches += 1;
-        telemetry::add(telemetry::Ctr::ServeRequests, n as u64);
-        telemetry::add(telemetry::Ctr::ServeResponses, served);
-        telemetry::add(telemetry::Ctr::ServeMalformed, malformed);
-        telemetry::add(telemetry::Ctr::ServeRefusals, refused);
-        telemetry::add(telemetry::Ctr::ServeBatches, 1);
-        telemetry::record_ns(telemetry::Hist::ServeBatchFill, n as u64);
-        if let Some(age_ns) = first_age_ns {
-            telemetry::record_ns(telemetry::Hist::ServeSnapshotAgeNs, age_ns);
+        let batch = ServeStats {
+            requests: n as u64,
+            responses: served,
+            malformed,
+            refusals: refused,
+            batches: 1,
+        };
+        self.stats += batch;
+        if telemetry::recording() {
+            let unflushed = &mut self.unflushed;
+            unflushed.stats += batch;
+            unflushed.fill.record(n as u64);
+            if let Some(age_ns) = first_age_ns {
+                unflushed.age_ns.record(age_ns);
+            }
+            if unflushed.stats.batches >= TELEMETRY_FLUSH_BATCHES {
+                unflushed.flush();
+            }
         }
         (served + refused) as usize
     }
@@ -362,6 +505,7 @@ pub fn spawn_udp<A: ToSocketAddrs>(
                     }
                 };
                 if n == 0 {
+                    plane.flush_telemetry(); // idle: show what was served
                     continue;
                 }
                 plane.serve_batch(&rx, n, &mut tx, &mut tsc_now);
@@ -403,25 +547,144 @@ mod tests {
             stale_horizon: 10.0,
             ..ServeConfig::default()
         };
-        assert_eq!(decide(&cfg, None, 0), Decision::Refuse(REFUSE_INIT));
+        assert_eq!(decide(None, 0), Decision::Refuse(REFUSE_INIT));
         let mut s = synced_snap(0);
         s.synced = false;
-        assert_eq!(decide(&cfg, Some(&s), 0), Decision::Refuse(REFUSE_UNSYNC));
-        let s = synced_snap(0);
+        let unsynced = Stamper::new(&cfg, &s);
+        assert_eq!(decide(Some(&unsynced), 0), Decision::Refuse(REFUSE_UNSYNC));
+        let stamper = Stamper::new(&cfg, &synced_snap(0));
         // 11 s past the seal at 1 ns/count.
         let tsc = 11_000_000_000;
-        assert_eq!(decide(&cfg, Some(&s), tsc), Decision::Refuse(REFUSE_STALE));
+        assert_eq!(decide(Some(&stamper), tsc), Decision::Refuse(REFUSE_STALE));
         // Just inside the horizon: serve, with the bound widened.
         let tsc = 9_000_000_000;
-        match decide(&cfg, Some(&s), tsc) {
+        match decide(Some(&stamper), tsc) {
             Decision::Serve { tb, te, bound } => {
-                assert!((tb - (1.0e9 + 9.0)).abs() < 1e-6);
-                // f64 ULP near 1e9 is ~1.2e-7 s; te = tb + residence only
-                // resolves to that granularity.
-                assert!((te - tb - cfg.residence).abs() < 5e-7);
+                // 1e9 + 9 s, to the 2⁻³² s unit.
+                let seconds = (1_000_000_009u64 + 2_208_988_800) as u32;
+                assert_eq!(
+                    tb,
+                    NtpTimestamp {
+                        seconds,
+                        fraction: 0
+                    }
+                );
+                // round(10 µs · 2³²) = round(42 949.67…).
+                assert_eq!(te.to_bits() - tb.to_bits(), 42_950);
                 assert!((bound - (20e-6 + 1e-7 * 9.0)).abs() < 1e-12);
             }
             d => panic!("expected serve, got {d:?}"),
+        }
+    }
+
+    /// `round(x · 2ⁿ)`, ties up, for an exact `i128` `x` in 2⁻⁽³²⁺ⁿ⁾ s units
+    /// — the reference's one rounding.
+    fn round_shift(x: i128, n: u32) -> i128 {
+        if n == 0 {
+            x
+        } else {
+            (x + (1 << (n - 1))) >> n
+        }
+    }
+
+    /// `(mantissa, exponent)` with `x = mantissa · 2^exponent` exactly.
+    fn split(x: f64) -> (i128, i32) {
+        let bits = x.to_bits();
+        let biased = ((bits >> 52) & 0x7FF) as i32;
+        let m = (bits & ((1 << 52) - 1) | (u64::from(biased != 0) << 52)) as i128;
+        let e = if biased == 0 { -1074 } else { biased - 1075 };
+        (if x < 0.0 { -m } else { m }, e)
+    }
+
+    /// `base + (tsc − tsc0)·rate` taken exactly in `i128`, as NTP bits:
+    /// both terms are integers in 2⁻⁽³²⁺ᶠ⁾ s units for the `f` below, and
+    /// the sum is rounded once. For `|base| < 2³⁴`, `2⁻⁵² ≤ |rate|` and
+    /// `|staleness| < 2¹⁹ s`, nothing overflows.
+    fn reference_ntp_bits(snap: &ClockSnapshot, tsc: u64) -> u64 {
+        let (mb, eb) = split(snap.base);
+        let (mr, er) = split(snap.rate);
+        let f = (-(eb + 32)).max(-(er + 32)).max(0);
+        let base = mb << (eb + 32 + f);
+        let delta = i128::from(tsc.wrapping_sub(snap.tsc0) as i64);
+        let offset = (delta * mr) << (er + 32 + f);
+        let units = round_shift(base + offset, f as u32) + (2_208_988_800i128 << 32);
+        units.rem_euclid(1 << 64) as u64
+    }
+
+    proptest::proptest! {
+        /// On the wire, `Te − Tb` is the rounded residence exactly and `Tb`
+        /// is within one 2⁻³² s unit of the exact evaluation, for any base
+        /// from 1970 to past era 2's start, 0.1–10 GHz counters, staleness
+        /// of either sign up to ~4 days, and counter wraps.
+        #[test]
+        fn stamps_are_exact_to_one_unit(
+            base in 1.0f64..8_589_934_592.0,
+            rate in 1e-10f64..1e-8,
+            tsc0 in proptest::prelude::any::<u64>(),
+            delta in -(1i64 << 45)..(1i64 << 45),
+            residence in 0.0f64..1e-3,
+        ) {
+            let cfg = ServeConfig {
+                stale_horizon: f64::INFINITY,
+                residence,
+                ..ServeConfig::default()
+            };
+            let snap = ClockSnapshot { base, rate, tsc0, ..synced_snap(0) };
+            let tsc = tsc0.wrapping_add(delta as u64);
+            let Decision::Serve { tb, te, .. } = decide(Some(&Stamper::new(&cfg, &snap)), tsc)
+            else {
+                panic!("a synced snapshot under an infinite horizon serves");
+            };
+            let want = reference_ntp_bits(&snap, tsc);
+            let off = tb.to_bits().wrapping_sub(want) as i64;
+            proptest::prop_assert!(off.abs() <= 1, "Tb {:#x} vs exact {want:#x}", tb.to_bits());
+            let residence_units = (residence * 4_294_967_296.0).round() as u64;
+            proptest::prop_assert_eq!(te.to_bits().wrapping_sub(tb.to_bits()), residence_units);
+        }
+    }
+
+    /// A snapshot sealed 1.5 s before the NTP era 0 → 1 rollover
+    /// (2036-02-07T06:28:16Z) serves the true NTP time mod 2⁶⁴ on either
+    /// side of it, from the same batch.
+    #[test]
+    fn serve_batch_stamps_across_the_2036_era_rollover() {
+        let era1_unix = 2_085_978_496.0; // 2³² − 2 208 988 800
+        let snap = ClockSnapshot {
+            base: era1_unix - 1.5,
+            ..synced_snap(0)
+        };
+        let cell = Arc::new(SnapshotCell::new());
+        cell.publish(&snap);
+        let mut plane = ServePlane::new(cell, ServeConfig::default());
+        let req = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(era1_unix - 2.0), 4);
+        let mut t = SimTransport::new();
+        t.push_request(&req.encode());
+        t.push_request(&req.encode());
+        let mut rx = BatchBufs::new(2);
+        let mut tx = BatchBufs::new(2);
+        let n = t.recv_batch(&mut rx, 2).unwrap();
+        // 1 s, then 3 s, after the seal at 1 ns per count.
+        let mut reads = [1_000_000_000u64, 3_000_000_000].into_iter();
+        let mut tsc = move || reads.next().expect("one read per request");
+        assert_eq!(plane.serve_batch(&rx, n, &mut tx, &mut tsc), 2);
+        let half = 1 << 31;
+        let residence = 42_950; // round(10 µs · 2³²)
+        for (slot, seconds, tsc) in [(0, u32::MAX, 1_000_000_000), (1, 1, 3_000_000_000)] {
+            let p = NtpPacket::decode(tx.slot(slot)).unwrap();
+            assert!(p.validate_response(&req).is_ok());
+            let tb = NtpTimestamp {
+                seconds,
+                fraction: half,
+            };
+            assert_eq!(p.receive_ts, tb, "slot {slot}");
+            assert_eq!(p.receive_ts.to_bits(), reference_ntp_bits(&snap, tsc));
+            assert_eq!(p.transmit_ts.to_bits(), tb.to_bits() + residence);
+            // The reference stamp is the seal: era 0's last-but-one second.
+            let sealed = NtpTimestamp {
+                seconds: u32::MAX - 1,
+                fraction: half,
+            };
+            assert_eq!(p.reference_ts, sealed);
         }
     }
 
@@ -529,6 +792,7 @@ mod tests {
         let before = in_bucket();
         let mut tsc = move || age_ns; // 1 ns per count, sealed at 0
         assert_eq!(plane.serve_batch(&rx, n, &mut tx, &mut tsc), 1);
+        plane.flush_telemetry();
         assert_eq!(in_bucket() - before, 1);
     }
 

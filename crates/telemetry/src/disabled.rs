@@ -33,6 +33,10 @@ pub fn gauge_set(_g: Gauge, _v: u64) {}
 #[inline(always)]
 pub fn record_ns(_h: Hist, _ns: u64) {}
 
+/// No-op histogram merge.
+#[inline(always)]
+pub fn merge_hist(_h: Hist, _local: &tsc_stats::Log2Histogram) {}
+
 /// No-op.
 #[inline(always)]
 pub fn reset_global() {}

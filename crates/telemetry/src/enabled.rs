@@ -141,6 +141,19 @@ impl Registry {
         self.hists[h as usize].record(v);
     }
 
+    /// Adds a locally accumulated histogram into `h` (one `fetch_add` per
+    /// non-empty bucket, plus count and sum).
+    pub fn merge_hist(&self, h: Hist, local: &Log2Histogram) {
+        let dst = &self.hists[h as usize];
+        for (d, &n) in dst.buckets.iter().zip(local.counts().iter()) {
+            if n > 0 {
+                d.fetch_add(n, Relaxed);
+            }
+        }
+        dst.count.fetch_add(local.count(), Relaxed);
+        dst.sum.fetch_add(local.sum(), Relaxed);
+    }
+
     /// Snapshots a histogram into the shared mergeable type.
     pub fn hist(&self, h: Hist) -> Log2Histogram {
         self.hists[h as usize].snapshot()
@@ -207,6 +220,15 @@ pub fn gauge_set(g: Gauge, v: u64) {
 pub fn record_ns(h: Hist, ns: u64) {
     if recording() {
         global().record(h, ns);
+    }
+}
+
+/// Adds a locally accumulated histogram into a global one (no-op while
+/// recording is off): how a hot loop that batches its observations in
+/// plain integers hands them over.
+pub fn merge_hist(h: Hist, local: &Log2Histogram) {
+    if recording() {
+        global().merge_hist(h, local);
     }
 }
 

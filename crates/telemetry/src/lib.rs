@@ -28,6 +28,7 @@
 pub mod ids;
 
 pub use ids::{err_code, Ctr, EventKind, Gauge, Hist, CTR_COUNT, GAUGE_COUNT, HIST_COUNT};
+pub use tsc_stats::Log2Histogram;
 
 #[cfg(feature = "enabled")]
 mod enabled;
