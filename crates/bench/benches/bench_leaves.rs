@@ -126,7 +126,7 @@ fn bench_stages(c: &mut Criterion) {
         g.bench_function("history_offset", |b| {
             b.iter(|| {
                 let mut h = History::new(cfg.top_packets());
-                let mut off = OffsetEstimator::new();
+                let mut off = OffsetEstimator::new(&cfg);
                 for e in &exchanges {
                     h.push(*e);
                     let k = h.last().unwrap();

@@ -174,14 +174,11 @@ pub struct TscNtpClock {
     local_rate: LocalRate,
     offset: OffsetEstimator,
     shift: ShiftDetector,
-    /// Clock alignment constant: `C(t) = TSC(t)·p̂ + C̄`.
+    /// Clock alignment constant: `C(t) = TSC(t)·p̂ + C̄`, set together
+    /// with the first rate estimate.
     c_bar: f64,
-    /// Set once C̄ has been initialised (needs the first rate estimate).
-    aligned: bool,
     /// First exchange, held until `p̂₂,₁` exists.
     pending_first: Option<RawExchange>,
-    /// `Tf` counts of the previous packet (for the §6.1 gap rule).
-    prev_tfc: f64,
 }
 
 impl TscNtpClock {
@@ -206,12 +203,10 @@ impl TscNtpClock {
                 (cfg.warmup_packets + cfg.tau_bar_packets()) as u64,
                 cfg.tau_bar / 2.0,
             ),
-            offset: OffsetEstimator::new(),
+            offset: OffsetEstimator::new(&cfg),
             shift: ShiftDetector::new(cfg.ts_packets(), cfg.shift_mult * cfg.quality_scale),
             c_bar: 0.0,
-            aligned: false,
             pending_first: None,
-            prev_tfc: f64::NAN,
         }
     }
 
@@ -249,11 +244,13 @@ impl TscNtpClock {
             if let Some(first) = self.pending_first.take() {
                 // Second packet: bootstrap the rate, align the clock, then
                 // run both packets through the pipeline.
-                let p0 = crate::naive::naive_rate(&first, &ex).filter(|p| *p > 0.0)?;
+                // (a period `seed` would refuse, ∞ from an infinite stamp
+                // included, bootstraps nothing)
+                let p0 = crate::naive::naive_rate(&first, &ex)
+                    .filter(|p| p.is_finite() && *p > 0.0)?;
                 // Align C(t) to the server at the first packet's midpoint:
                 // "The first estimate is just the server timestamp Tb,1".
                 self.c_bar = first.server_midpoint() - first.host_midpoint_counts() * p0;
-                self.aligned = true;
                 self.rate.seed(p0);
                 self.process_admitted(first);
                 return Some(self.process_admitted(ex));
@@ -272,8 +269,8 @@ impl TscNtpClock {
     /// a loop — the batch form is the fleet-replay ingest path: it reuses
     /// one output buffer across a whole shard (allocation-free once `out`
     /// has warmed up to the batch size) and keeps the per-packet fixed
-    /// costs (the lazily-stamped rate-pair refresh, the parked shift
-    /// detector) in cache across consecutive packets of the same clock.
+    /// costs (the rate-pair refresh, the parked shift detector) in cache
+    /// across consecutive packets of the same clock.
     pub fn process_batch(&mut self, exchanges: &[RawExchange], out: &mut Vec<ProcessOutput>) -> usize {
         let before = out.len();
         out.reserve(exchanges.len());
@@ -365,8 +362,9 @@ impl TscNtpClock {
         }
 
         // 5. Weighted offset.
-        let gap_large = self.prev_tfc.is_finite()
-            && (tf_c - self.prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
+        // The previous packet's `Tf`: the offset stage has not seen this one.
+        let prev_tfc = self.offset.last_tfc();
+        let gap_large = prev_tfc.is_finite() && (tf_c - prev_tfc) * p_hat > self.cfg.tau_bar / 2.0;
         let gamma_l = if self.cfg.use_local_rate && !gap_large {
             self.local_rate.gamma_l(p_hat, tf_c)
         } else {
@@ -396,8 +394,6 @@ impl TscNtpClock {
             }
             _ => {}
         }
-
-        self.prev_tfc = tf_c;
 
         ProcessOutput {
             idx,
@@ -436,9 +432,6 @@ impl TscNtpClock {
     /// with θ̂ linearly predicted via the local rate when enabled.
     pub fn absolute_time(&self, tsc: u64) -> Option<f64> {
         let p = self.rate.p_hat()?;
-        if !self.aligned {
-            return None;
-        }
         let tf_c = tsc as f64;
         let gamma_l = if self.cfg.use_local_rate {
             self.local_rate.gamma_l(p, tf_c)
@@ -453,9 +446,6 @@ impl TscNtpClock {
     /// being estimated).
     pub fn uncorrected_time(&self, tsc: u64) -> Option<f64> {
         let p = self.rate.p_hat()?;
-        if !self.aligned {
-            return None;
-        }
         Some(tsc as f64 * p + self.c_bar)
     }
 
@@ -483,20 +473,19 @@ impl TscNtpClock {
     // Crash-safe snapshots
     // ------------------------------------------------------------------
 
-    /// Serializes the complete clock state into a snapshot payload (no
-    /// envelope — the composition layers, e.g. the quorum clock, embed
-    /// many of these in one payload). Use [`TscNtpClock::snapshot`] for a
-    /// standalone blob.
+    /// Serializes the clock's evolving state into a snapshot payload: no
+    /// envelope and no configuration. Every word is state, never a function
+    /// of the configuration or of other words; the composition layers (the
+    /// quorum clock, the lifecycle client) write the configuration once
+    /// beside it. Use [`TscNtpClock::snapshot`] for a standalone blob.
     #[doc(hidden)]
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        self.cfg.save_state(w);
         self.history.save_state(w);
         self.rate.save_state(w);
         self.local_rate.save_state(w);
         self.offset.save_state(w);
         self.shift.save_state(w);
         w.put_f64(self.c_bar);
-        w.put_bool(self.aligned);
         match self.pending_first {
             Some(ex) => {
                 w.put_u8(1);
@@ -507,50 +496,66 @@ impl TscNtpClock {
             }
             None => w.put_u8(0),
         }
-        w.put_f64(self.prev_tfc);
     }
 
-    /// Deserializes a clock written by [`TscNtpClock::save_state`].
+    /// Restores a clock of configuration `cfg` (valid, as
+    /// [`ClockConfig::load_state`] leaves it) from state written by
+    /// [`TscNtpClock::save_state`]: builds every component as
+    /// [`TscNtpClock::new`] does, then overwrites its evolving state, so
+    /// every ring has its configured length and every derived count is the
+    /// configuration's. A history without a rate estimate, a `C̄` that is
+    /// not finite, or a held first exchange the clock could not have
+    /// admitted, is refused.
     #[doc(hidden)]
     pub fn load_state(
+        cfg: ClockConfig,
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<Self, crate::SnapshotError> {
-        let cfg = ClockConfig::load_state(r)?;
-        let history = History::load_state(r)?;
-        let rate = GlobalRate::load_state(r)?;
-        let local_rate = LocalRate::load_state(r)?;
-        let offset = OffsetEstimator::load_state(r)?;
-        let shift = ShiftDetector::load_state(r)?;
-        let c_bar = r.get_f64()?;
-        let aligned = r.get_bool()?;
-        let pending_first = match r.get_u8()? {
+        use crate::SnapshotError as E;
+        // The shift ring is allocated at its configured length before it is
+        // read: a payload too short to hold it is refused first, so the
+        // allocation stays within the blob's size.
+        if cfg.ts_packets() * 8 > r.remaining() {
+            return Err(E::Truncated);
+        }
+        let mut clock = Self::new(cfg);
+        clock.history.load_state(r)?;
+        clock.rate.load_state(r, clock.history.total_admitted())?;
+        if clock.rate.p_hat().is_none() && !clock.history.is_empty() {
+            // a record is admitted only once the rate is bootstrapped
+            return Err(E::Invalid("history without a rate estimate"));
+        }
+        clock.local_rate.load_state(r)?;
+        clock.offset.load_state(r, &cfg, &clock.history)?;
+        clock.shift.load_state(r)?;
+        clock.c_bar = r.get_f64()?;
+        if !clock.c_bar.is_finite() {
+            return Err(E::Invalid("clock alignment not finite"));
+        }
+        clock.pending_first = match r.get_u8()? {
             0 => None,
-            1 => Some(RawExchange {
-                ta_tsc: r.get_u64()?,
-                tb: r.get_f64()?,
-                te: r.get_f64()?,
-                tf_tsc: r.get_u64()?,
-            }),
-            _ => return Err(crate::SnapshotError::Invalid("option tag not 0/1")),
+            1 => {
+                let ex = RawExchange {
+                    ta_tsc: r.get_u64()?,
+                    tb: r.get_f64()?,
+                    te: r.get_f64()?,
+                    tf_tsc: r.get_u64()?,
+                };
+                if !crate::history::admissible(&ex) {
+                    return Err(crate::history::INADMISSIBLE);
+                }
+                Some(ex)
+            }
+            _ => return Err(E::Invalid("option tag not 0/1")),
         };
-        Ok(Self {
-            cfg,
-            history,
-            rate,
-            local_rate,
-            offset,
-            shift,
-            c_bar,
-            aligned,
-            pending_first,
-            prev_tfc: r.get_f64()?,
-        })
+        Ok(clock)
     }
 
-    /// Serializes the complete clock — configuration, history ring and
-    /// baseline runs, both rate estimators, the factored-weight offset window
-    /// with its rebuild position, the shift detector, and the alignment
-    /// state — into a standalone versioned, checksummed snapshot blob.
+    /// Serializes the complete clock — its configuration once, then the
+    /// state of the history ring and baseline runs, both rate estimators,
+    /// the factored-weight offset window with its rebuild position, the
+    /// shift detector, and the alignment — into a standalone versioned,
+    /// checksummed snapshot blob.
     ///
     /// The **resume-exactness contract**: a clock restored from this blob
     /// produces bit-identical outputs to the uninterrupted clock for every
@@ -559,10 +564,12 @@ impl TscNtpClock {
     pub fn snapshot(&self) -> Vec<u8> {
         let tm = telemetry::StageTimer::start(telemetry::Hist::SealNs);
         // Size the buffer once instead of doubling up to it: the history
-        // records are all of the payload but the estimators' own state,
-        // 1–11 KB at polls 16–1024 s (a miss only costs a reallocation).
+        // records are all of the payload but the configuration and the
+        // estimators' own state, a few KB, most of it the shift detector's
+        // ring (a miss only costs a reallocation).
         let records = self.history.len() * crate::history::EXCHANGE_WIRE_BYTES;
         let mut w = crate::snapshot::SnapshotWriter::with_capacity(records + (16 << 10));
+        self.cfg.save_state(&mut w);
         self.save_state(&mut w);
         let blob = w.seal(crate::snapshot::kind::CLOCK);
         tm.stop();
@@ -582,7 +589,8 @@ impl TscNtpClock {
         let result = (|| {
             let payload = crate::snapshot::open_envelope(bytes, crate::snapshot::kind::CLOCK)?;
             let mut r = crate::snapshot::SnapshotReader::new(payload);
-            let clock = Self::load_state(&mut r)?;
+            let cfg = ClockConfig::load_state(&mut r)?;
+            let clock = Self::load_state(cfg, &mut r)?;
             r.finish()?;
             Ok(clock)
         })();

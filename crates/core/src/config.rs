@@ -9,6 +9,12 @@
 /// [`ClockConfig::ts_packets`]).
 pub const MIN_TS_PACKETS: usize = 16;
 
+/// Largest packet count a nominal window (T, τ̄, τ′, Ts) may convert to,
+/// and the bound on `w_split` and `warmup_packets`: 2²⁵, which holds the
+/// one-week top window T down to 0.02 s polling (30.2 M packets). Every
+/// ring the clock sizes from the configuration stays below it.
+pub const MAX_WINDOW_PACKETS: usize = 1 << 25;
+
 /// Full parameter set of the TSC-NTP clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
@@ -136,34 +142,63 @@ impl ClockConfig {
 
     /// Validates parameter consistency; returns a description of the first
     /// problem found.
+    ///
+    /// The check is total: every float a constructor, a divisor or a
+    /// threshold uses must be finite and positive (`aging_rate` may be
+    /// zero: ε = 0 turns aging off), and every nominal window must convert
+    /// to at most [`MAX_WINDOW_PACKETS`] packets, so a configuration that
+    /// passes cannot make [`crate::TscNtpClock::new`] panic or size a ring
+    /// past that bound.
     pub fn validate(&self) -> Result<(), String> {
-        // explicit comparisons so NaN parameters fail validation too
-        if self.delta.is_nan() || self.delta <= 0.0 {
+        // NaN fails both comparisons, so NaN parameters fail too
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.delta) {
             return Err("delta must be positive".into());
         }
-        if self.poll_period.is_nan() || self.poll_period <= 0.0 {
+        if !positive(self.poll_period) {
             return Err("poll_period must be positive".into());
         }
-        if [self.tau_star, self.tau_prime, self.tau_bar]
-            .iter()
-            .any(|w| w.is_nan() || *w <= 0.0)
-        {
+        let windows =
+            [self.tau_star, self.tau_prime, self.tau_bar, self.ts_window, self.top_window];
+        if !windows.into_iter().all(positive) {
             return Err("time windows must be positive".into());
         }
         if self.w_split < 3 {
             return Err("w_split must be at least 3".into());
         }
-        if [self.e_star, self.quality_scale]
-            .iter()
-            .any(|e| e.is_nan() || *e <= 0.0)
-        {
+        let thresholds = [
+            self.e_star,
+            self.quality_scale,
+            self.gamma_star,
+            self.rate_sanity,
+            self.offset_sanity,
+            self.shift_mult,
+            // the §6.2 detection level 4E itself must not underflow
+            self.shift_mult * self.quality_scale,
+        ];
+        if !thresholds.into_iter().all(positive) {
             return Err("error thresholds must be positive".into());
         }
-        if self.fallback_mult <= 1.0 {
+        if !(self.fallback_mult.is_finite() && self.fallback_mult > 1.0) {
             return Err("fallback_mult must exceed 1".into());
+        }
+        if !(self.aging_rate.is_finite() && self.aging_rate >= 0.0) {
+            return Err("aging_rate must be non-negative".into());
         }
         if self.top_window < self.tau_bar {
             return Err("top window must contain the local-rate window".into());
+        }
+        let max = MAX_WINDOW_PACKETS as f64;
+        // T, τ̄, τ′ and Ts (τ* is a scale, never converted)
+        if !windows[1..].iter().all(|w| w / self.poll_period <= max) {
+            return Err(format!(
+                "a window exceeds {MAX_WINDOW_PACKETS} packets at this poll period"
+            ));
+        }
+        if self.w_split > MAX_WINDOW_PACKETS || self.warmup_packets > MAX_WINDOW_PACKETS {
+            return Err(format!(
+                "w_split and warmup_packets must not exceed {MAX_WINDOW_PACKETS}"
+            ));
         }
         Ok(())
     }

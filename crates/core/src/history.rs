@@ -142,11 +142,13 @@ impl PacketRecord {
         }
         (0..n)
             .map(|_| {
-                Ok(PacketRecord {
+                let rec = PacketRecord {
                     ex: exchange_from_wire(r.take_array()?),
                     rbase_c: r.get_f64()?,
                     idx: r.get_u64()?,
-                })
+                };
+                let positive = rec.rbase_c.is_finite() && rec.rbase_c > 0.0;
+                if admissible(&rec.ex) && positive { Ok(rec) } else { Err(INADMISSIBLE) }
             })
             .collect()
     }
@@ -169,6 +171,18 @@ fn exchange_to_wire(ex: &RawExchange) -> [u8; EXCHANGE_WIRE_BYTES] {
     }
     bytes
 }
+
+/// Whether the clock could have admitted a restored exchange: causal,
+/// with finite server stamps (non-short-circuit, so a record array is
+/// checked without a branch a record).
+pub(crate) fn admissible(ex: &RawExchange) -> bool {
+    ex.is_causal() & ex.tb.is_finite() & ex.te.is_finite()
+}
+
+/// The error for a restored record that is not [`admissible`] or has no
+/// positive baseline.
+pub(crate) const INADMISSIBLE: SnapshotError =
+    SnapshotError::Invalid("stored record not admissible");
 
 fn exchange_from_wire(bytes: &[u8; EXCHANGE_WIRE_BYTES]) -> RawExchange {
     let [ta_tsc, tb, te, tf_tsc]: [u64; 4] = std::array::from_fn(|i| {
@@ -223,15 +237,16 @@ pub struct History {
 impl History {
     /// Creates a history holding at most `cap` packets (the top window).
     ///
-    /// The ring starts small and grows geometrically toward `cap` as
+    /// The ring starts empty and grows geometrically toward `cap` as
     /// records arrive (amortized O(1)), never past it: a poll-16 week is
     /// 37,800 slots, ~1.2 MB, and committing that up front (or doubling to
     /// 65,536) would make every clock's resident footprint the *configured*
-    /// window instead of the *used* one, in a fleet of thousands.
+    /// window instead of the *used* one, in a fleet of thousands — and a
+    /// restore allocate for records its blob does not hold.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 4, "history window too small");
         Self {
-            records: VecDeque::with_capacity(cap.min(256)),
+            records: VecDeque::new(),
             cap,
             rtt_min_c: f64::INFINITY,
             mono: VecDeque::new(),
@@ -454,23 +469,20 @@ impl History {
         })
     }
 
-    /// Serializes the complete history — the retained exchanges, the
-    /// monotonic min-deque and the run table — into a snapshot payload.
-    /// Record indices are implied by `next_idx` and the count.
+    /// Serializes the complete history — `r̂`, the retained exchanges and
+    /// the run table — into a snapshot payload. Record indices are implied
+    /// by `next_idx` and the count, the min-deque is a function of the
+    /// records at or after the floor, and the window capacity is the
+    /// configuration's. The re-basing generation is an in-memory change
+    /// token: a restore starts it at 0 and its consumers re-read against
+    /// that.
     pub fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.cap);
         w.put_f64(self.rtt_min_c);
-        w.put_u64(self.rebase_gen);
         w.put_u64(self.next_idx);
         w.put_u64(self.floor);
         w.put_usize(self.records.len());
         for ex in &self.records {
             w.put_array(&exchange_to_wire(ex));
-        }
-        w.put_usize(self.mono.len());
-        for &(i, v) in &self.mono {
-            w.put_u64(i);
-            w.put_f64(v);
         }
         w.put_usize(self.runs.len());
         for &(start, b) in &self.runs {
@@ -479,56 +491,61 @@ impl History {
         }
     }
 
-    /// Deserializes a history written by [`History::save_state`],
-    /// re-checking what the rest of the pipeline relies on: capacity floor,
-    /// record count within capacity and `next_idx` (the implicit index
-    /// must not underflow), a min-deque strictly increasing in index and
-    /// value inside the retained range, and a run table whose runs cover
-    /// every record with positive baselines, start below `next_idx` and
-    /// leave the floor (itself at most `next_idx`) on a run boundary.
-    pub fn load_state(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    /// Overwrites this history with one written by [`History::save_state`];
+    /// `self` comes from [`History::new`] with the configuration's window.
+    /// Re-checks what the rest of the pipeline relies on: record count
+    /// within the window and `next_idx` (the implicit index must not
+    /// underflow), every record admissible, an `r̂` that is a count (`∞`
+    /// only while empty), and a run table whose runs cover every record
+    /// with positive baselines, start below `next_idx` and leave the floor
+    /// (itself at most `next_idx`) on a run boundary. The min-deque is
+    /// rebuilt from the records at or after the floor, as pushes built it.
+    pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         use SnapshotError as E;
-        let cap = r.get_usize()?;
-        if cap < 4 {
-            return Err(E::Invalid("history window too small"));
-        }
         let rtt_min_c = r.get_f64()?;
-        let rebase_gen = r.get_u64()?;
-        let next_idx = r.get_u64()?;
+        let next_idx = r.get_count()?;
         let floor = r.get_u64()?;
         if floor > next_idx {
             return Err(E::Invalid("shift floor beyond the newest packet"));
         }
         let n_rec = r.get_len(EXCHANGE_WIRE_BYTES)?;
-        if n_rec > cap {
+        if n_rec > self.cap {
             return Err(E::Invalid("history holds more records than its window"));
+        }
+        if rtt_min_c.is_nan() || (n_rec > 0 && !rtt_min_c.is_finite()) {
+            return Err(E::Invalid("rtt minimum not a count"));
         }
         let front_idx = next_idx
             .checked_sub(n_rec as u64)
             .ok_or(E::Invalid("history holds more records than were admitted"))?;
-        let mut records = VecDeque::with_capacity(cap.min(n_rec.max(256)));
-        records.extend(r.take_arrays(n_rec)?.iter().map(exchange_from_wire));
-        let mono = load_pairs(r, |prev, (i, v)| {
-            if !(front_idx..next_idx).contains(&i) {
-                Err("rtt-minimum candidate outside the window")
-            } else if prev.is_some_and(|(pi, pv)| !(pi < i && pv < v)) {
-                Err("rtt-minimum candidates not increasing")
-            } else {
-                Ok(())
+        let records: VecDeque<_> = r.take_arrays(n_rec)?.iter().map(exchange_from_wire).collect();
+        if !records.iter().fold(true, |ok, ex| ok & admissible(ex)) {
+            return Err(INADMISSIBLE);
+        }
+        // The min-deque holds the records at or after the floor whose RTT
+        // is below every later one's (pushes pop the candidates a new RTT
+        // does not beat): their suffix minima, found newest first.
+        let from = usize::try_from(floor.saturating_sub(front_idx)).map_or(n_rec, |k| k.min(n_rec));
+        let mut mono = VecDeque::new();
+        for (k, ex) in records.range(from..).enumerate().rev() {
+            let rtt_c = ex.rtt_counts() as f64;
+            if mono.front().is_none_or(|&(_, v)| rtt_c < v) {
+                mono.push_front((front_idx + (from + k) as u64, rtt_c));
             }
-        })?;
-        let runs: Vec<_> = load_pairs(r, |prev, (start, b)| {
+        }
+        let n_runs = r.get_len(16)?;
+        let mut runs = Vec::<(u64, f64)>::with_capacity(n_runs);
+        for _ in 0..n_runs {
+            let (start, b) = (r.get_u64()?, r.get_f64()?);
             if start >= next_idx {
-                Err("baseline run beyond the newest packet")
-            } else if prev.is_some_and(|(s, _)| s >= start) {
-                Err("baseline runs not increasing")
+                return Err(E::Invalid("baseline run beyond the newest packet"));
+            } else if runs.last().is_some_and(|&(s, _)| s >= start) {
+                return Err(E::Invalid("baseline runs not increasing"));
             } else if !(b.is_finite() && b > 0.0) {
-                Err("baseline not a positive count")
-            } else {
-                Ok(())
+                return Err(E::Invalid("baseline not a positive count"));
             }
-        })?
-        .into();
+            runs.push((start, b));
+        }
         match runs.first() {
             None if n_rec > 0 => return Err(E::Invalid("history records without a baseline run")),
             Some(&(s, _)) if s > front_idx => {
@@ -540,33 +557,18 @@ impl History {
         if runs.iter().zip(ends).any(|(&(s, _), end)| s < floor && floor < end) {
             return Err(E::Invalid("shift floor inside a baseline run"));
         }
-        Ok(Self {
+        *self = Self {
             records,
-            cap,
+            cap: self.cap,
             rtt_min_c,
             mono,
             runs,
             floor,
-            rebase_gen,
+            rebase_gen: 0,
             next_idx,
-        })
+        };
+        Ok(())
     }
-}
-
-/// Reads a counted list of `(index, value)` pairs, each checked against
-/// the one before it by `check`, which names what is wrong.
-fn load_pairs(
-    r: &mut SnapshotReader<'_>,
-    check: impl Fn(Option<(u64, f64)>, (u64, f64)) -> Result<(), &'static str>,
-) -> Result<VecDeque<(u64, f64)>, SnapshotError> {
-    let n = r.get_len(16)?;
-    let mut pairs = VecDeque::<(u64, f64)>::with_capacity(n);
-    for _ in 0..n {
-        let pair = (r.get_u64()?, r.get_f64()?);
-        check(pairs.back().copied(), pair).map_err(SnapshotError::Invalid)?;
-        pairs.push_back(pair);
-    }
-    Ok(pairs)
 }
 
 #[cfg(test)]
@@ -812,6 +814,14 @@ mod tests {
         let starts_ok = h.runs.iter().zip(h.runs.iter().skip(1)).all(|(a, b)| a.0 < b.0);
         let covered = h.runs.first().is_none_or(|&(s, _)| s <= front);
         assert!(starts_ok && covered && h.runs.last().is_none_or(|&(s, _)| s < h.next_idx));
+        // A restore re-derives the min-deque from the records: the live one.
+        let mut w = SnapshotWriter::new();
+        h.save_state(&mut w);
+        let blob = w.seal(0);
+        let mut back = History::new(h.cap);
+        let payload = crate::snapshot::open_envelope(&blob, 0).expect("own envelope");
+        back.load_state(&mut SnapshotReader::new(payload)).expect("own state restores");
+        assert_eq!((&back.mono, &back.runs, &back.records), (&h.mono, &h.runs, &h.records), "{at}");
     }
 
     proptest::proptest! {

@@ -61,9 +61,6 @@
 //! costs dominate; those are cut by dedicated fast paths, all
 //! bit-identical to the dense machinery they bypass:
 //!
-//! * the global-rate pair refresh is stamped with its inputs (re-basing
-//!   generation, `p̂` bits, pair indices) and skipped when nothing changed
-//!   ([`rate`]);
 //! * the §6.2 upward-shift detector parks itself for a full window
 //!   whenever a sample at or below the detection level arrives, reducing
 //!   the common case to a ring store plus two compares ([`shift`]) — and

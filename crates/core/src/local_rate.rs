@@ -155,46 +155,28 @@ impl LocalRate {
         }
     }
 
-    /// Serializes the estimator: window geometry, the current estimate and
-    /// the counter reading it was last affirmed at.
+    /// Serializes the estimator's state: the current estimate and the
+    /// counter reading it was last affirmed at. The window geometry and
+    /// thresholds are the configuration's.
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_usize(self.n_bar);
-        w.put_usize(self.near_n);
-        w.put_usize(self.far_n);
-        w.put_usize(self.span);
-        w.put_f64(self.gamma_star);
-        w.put_f64(self.rate_sanity);
-        w.put_u64(self.activate_after);
-        w.put_f64(self.freshness);
         w.put_opt_f64(self.p_l);
         w.put_f64(self.updated_at_tfc);
     }
 
-    /// Deserializes an estimator written by [`LocalRate::save_state`].
+    /// Overwrites this estimator's state with one written by
+    /// [`LocalRate::save_state`]; `self` comes from the configuration's
+    /// [`LocalRate::new`]. An estimate that is not a positive, finite
+    /// period is refused.
     pub fn load_state(
+        &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::SnapshotError> {
-        let n_bar = r.get_usize()?;
-        let near_n = r.get_usize()?;
-        let far_n = r.get_usize()?;
-        let span = r.get_usize()?;
-        if near_n == 0 || far_n == 0 || span < n_bar {
-            return Err(crate::SnapshotError::Invalid(
-                "local-rate window geometry inconsistent",
-            ));
+    ) -> Result<(), crate::SnapshotError> {
+        self.p_l = r.get_opt_f64()?;
+        if self.p_l.is_some_and(|p| !(p.is_finite() && p > 0.0)) {
+            return Err(crate::SnapshotError::Invalid("local rate not a positive period"));
         }
-        Ok(Self {
-            n_bar,
-            near_n,
-            far_n,
-            span,
-            gamma_star: r.get_f64()?,
-            rate_sanity: r.get_f64()?,
-            activate_after: r.get_u64()?,
-            freshness: r.get_f64()?,
-            p_l: r.get_opt_f64()?,
-            updated_at_tfc: r.get_f64()?,
-        })
+        self.updated_at_tfc = r.get_f64()?;
+        Ok(())
     }
 }
 

@@ -163,7 +163,9 @@ struct Slot {
 /// recomputed from the slot bit-for-bit as they were added.
 #[derive(Debug, Clone, Default)]
 struct FactoredWindow {
-    /// Ring capacity (power of two ≥ the window size), 0 = unallocated.
+    /// Ring capacity: a power of two ≥ the window size once rebuilt (a
+    /// restored ring starts at its occupancy and doubles as the window
+    /// fills), 0 = unallocated.
     cap: usize,
     ring: Vec<Slot>,
     /// Linearization references, refreshed at every rebuild.
@@ -173,9 +175,9 @@ struct FactoredWindow {
     hm_ref: f64,
     /// Weight anchor `A` (the window's κ minimum at rebuild time).
     anchor: f64,
-    /// The weight scale the stored `u` values were computed with; a scale
-    /// change (the warm-up→steady boundary) forces a rebuild.
-    inv_lc0: f64,
+    /// Whether the stored `u` values carry the warm-up weight scale; the
+    /// warm-up→steady boundary changes the scale and forces a rebuild.
+    warm: bool,
     /// Rolling sums: `Σu`, `Σu·θ⁰`, `Σu·(hm−hm_ref)`, `Σu·(tf−tf_ref)`,
     /// `Σu·pe`.
     s_w: f64,
@@ -206,13 +208,15 @@ impl FactoredWindow {
     }
 
     /// Tries the O(1) incremental step for packet `k`; `false` means the
-    /// caller must rebuild.
+    /// caller must rebuild. `inv_lambda_c` is the scale for `warm`.
+    #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
         history: &History,
         k: &PacketRecord,
         window_n: usize,
         eps: f64,
+        warm: bool,
         inv_lambda_c: f64,
         p_hat: f64,
     ) -> bool {
@@ -220,7 +224,7 @@ impl FactoredWindow {
             || self.gen != history.rebase_gen()
             || k.idx != self.last_idx.wrapping_add(1)
             || self.until_rebuild == 0
-            || inv_lambda_c != self.inv_lc0
+            || warm != self.warm
             || (p_hat - self.p0).abs() > P_DRIFT_GUARD * self.p0
         {
             return false;
@@ -245,12 +249,8 @@ impl FactoredWindow {
             // Expire the oldest record from the sums and the deque.
             let old_idx = self.last_idx.wrapping_sub(self.len as u64 - 1);
             let s = self.ring[(old_idx as usize) & (self.cap - 1)];
-            let th0 = s.hm_c * self.p0 + self.cbar0 - s.sm;
-            self.s_w -= s.u;
-            self.s_wth0 -= s.u * th0;
-            self.s_whm -= s.u * (s.hm_c - self.hm_ref);
-            self.s_wtf -= s.u * (s.tf_c - self.tf_ref);
-            self.s_wpe -= s.u * s.pe_c;
+            // adding the negated weight subtracts each term exactly
+            self.add(&Slot { u: -s.u, ..s });
             while matches!(self.min_q.front(), Some(&(i, _)) if i <= old_idx) {
                 self.min_q.pop_front();
             }
@@ -261,36 +261,91 @@ impl FactoredWindow {
                 return false;
             }
         }
-        let u = exp_clamped(-x);
-        let (hm_c, sm) = (k.hm_c(), k.sm());
-        self.ring[(k.idx as usize) & (self.cap - 1)] = Slot {
-            pe_c,
-            tf_c,
-            hm_c,
-            sm,
-            u,
-        };
-        let th0 = hm_c * self.p0 + self.cbar0 - sm;
-        self.s_w += u;
-        self.s_wth0 += u * th0;
-        self.s_whm += u * (hm_c - self.hm_ref);
-        self.s_wtf += u * (tf_c - self.tf_ref);
-        self.s_wpe += u * pe_c;
-        while matches!(self.min_q.back(), Some(&(_, bk)) if bk > kap_new) {
-            self.min_q.pop_back();
+        if self.len == self.cap {
+            self.grow();
         }
-        self.min_q.push_back((k.idx, kap_new));
+        let slot = Slot { pe_c, tf_c, hm_c: k.hm_c(), sm: k.sm(), u: exp_clamped(-x) };
+        self.ring[(k.idx as usize) & (self.cap - 1)] = slot;
+        self.add(&slot);
+        self.push_min(k.idx, kap_new);
         self.last_idx = k.idx;
         self.len += 1;
         self.until_rebuild -= 1;
         true
     }
 
-    /// Full refill from the history tail: fresh anchor and linearization
-    /// references, exact sums, rebuilt deque. O(window), amortized away by
-    /// the rarity of its triggers (see the module docs). `kappa_buf` is
-    /// caller-provided scratch carrying the point errors from the anchor
-    /// pass into the fill pass (one baseline read per record, not two).
+    /// Adds one slot's terms to the rolling sums.
+    #[inline]
+    fn add(&mut self, s: &Slot) {
+        let th0 = s.hm_c * self.p0 + self.cbar0 - s.sm;
+        self.s_w += s.u;
+        self.s_wth0 += s.u * th0;
+        self.s_whm += s.u * (s.hm_c - self.hm_ref);
+        self.s_wtf += s.u * (s.tf_c - self.tf_ref);
+        self.s_wpe += s.u * s.pe_c;
+    }
+
+    /// Appends `(idx, κ)` to the monotonic min-deque.
+    #[inline]
+    fn push_min(&mut self, idx: u64, kap: f64) {
+        while matches!(self.min_q.back(), Some(&(_, bk)) if bk > kap) {
+            self.min_q.pop_back();
+        }
+        self.min_q.push_back((idx, kap));
+    }
+
+    /// Doubles the ring, keeping the window's slots at their indices.
+    fn grow(&mut self) {
+        let cap = 2 * self.cap;
+        let mut ring = vec![Slot::default(); cap];
+        for i in 0..self.len as u64 {
+            let idx = self.last_idx.wrapping_sub(i) as usize;
+            ring[idx & (cap - 1)] = self.ring[idx & (self.cap - 1)];
+        }
+        (self.ring, self.cap) = (ring, cap);
+    }
+
+    /// Fills the ring and the κ min-deque from the newest `window_n`
+    /// records of `history` under the current anchor and weight scale, and
+    /// takes the history's occupancy, newest index and generation. A slot
+    /// is its record's values and its weight, so a restore re-derives the
+    /// ring this way instead of reading it. The ring and deque are sized
+    /// for `room` records: the whole window on a rebuild, the records
+    /// present on a restore (so a restore allocates in proportion to its
+    /// blob, whatever the window).
+    fn fill(
+        &mut self,
+        history: &History,
+        window_n: usize,
+        room: usize,
+        eps: f64,
+        inv_lambda_c: f64,
+    ) {
+        if self.cap < room.next_power_of_two() {
+            self.cap = room.next_power_of_two().max(8);
+            self.ring = vec![Slot::default(); self.cap];
+        }
+        // The deque never holds more than the window: sized here, a long
+        // monotone κ run cannot reallocate it between rebuilds.
+        self.min_q.clear();
+        self.min_q.reserve(room);
+        for r in history.last_n(window_n) {
+            let (pe_c, tf_c) = (r.rtt_c() - r.rbase_c, r.tf_c());
+            let kap = Self::kappa_of(pe_c, tf_c, eps);
+            let u = exp_clamped(-((kap - self.anchor) * inv_lambda_c));
+            let slot = Slot { pe_c, tf_c, hm_c: r.hm_c(), sm: r.sm(), u };
+            self.ring[(r.idx as usize) & (self.cap - 1)] = slot;
+            self.push_min(r.idx, kap);
+        }
+        self.len = window_n.min(history.len());
+        self.last_idx = history.total_admitted().wrapping_sub(1);
+        self.gen = history.rebase_gen();
+    }
+
+    /// Full refill from the history tail (`k` is its newest record):
+    /// fresh anchor and linearization references, exact sums, rebuilt
+    /// deque. O(window), amortized away by the rarity of its triggers (see
+    /// the module docs).
     #[allow(clippy::too_many_arguments)]
     fn rebuild(
         &mut self,
@@ -298,18 +353,14 @@ impl FactoredWindow {
         k: &PacketRecord,
         window_n: usize,
         eps: f64,
+        warm: bool,
         inv_lambda_c: f64,
         p_hat: f64,
         c_bar: f64,
         cadence: u32,
-        kappa_buf: &mut Vec<f64>,
     ) {
         tsc_telemetry::add(tsc_telemetry::Ctr::OffsetRebuilds, 1);
         tsc_telemetry::event(tsc_telemetry::EventKind::OffsetRebuild, k.idx, window_n as u64, 0);
-        if self.cap < window_n.next_power_of_two() {
-            self.cap = window_n.next_power_of_two().max(8);
-            self.ring = vec![Slot::default(); self.cap];
-        }
         self.p0 = p_hat;
         self.cbar0 = c_bar;
         self.tf_ref = k.tf_c();
@@ -319,53 +370,18 @@ impl FactoredWindow {
         // headroom for future better-than-anchor packets. Anchoring at the
         // newest κ instead would overflow the sums the moment the newest
         // packet is heavily congested (κ far above the rest).
-        kappa_buf.clear();
-        let mut anchor = f64::INFINITY;
-        for r in history.last_n(window_n) {
-            let pe = r.rtt_c() - r.rbase_c;
-            anchor = anchor.min(Self::kappa_of(pe, r.tf_c(), eps));
-            kappa_buf.push(pe);
+        self.anchor = history
+            .last_n(window_n)
+            .map(|r| Self::kappa_of(r.rtt_c() - r.rbase_c, r.tf_c(), eps))
+            .fold(f64::INFINITY, f64::min);
+        self.warm = warm;
+        self.fill(history, window_n, window_n, eps, inv_lambda_c);
+        (self.s_w, self.s_wth0, self.s_whm, self.s_wtf, self.s_wpe) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        let oldest = k.idx.wrapping_sub(self.len as u64 - 1);
+        for i in 0..self.len as u64 {
+            let slot = self.ring[(oldest.wrapping_add(i) as usize) & (self.cap - 1)];
+            self.add(&slot);
         }
-        self.anchor = anchor;
-        self.inv_lc0 = inv_lambda_c;
-        self.s_w = 0.0;
-        self.s_wth0 = 0.0;
-        self.s_whm = 0.0;
-        self.s_wtf = 0.0;
-        self.s_wpe = 0.0;
-        // The deque never holds more than the window: sized here, a long
-        // monotone κ run cannot reallocate it between rebuilds.
-        self.min_q.clear();
-        self.min_q.reserve(window_n);
-        let mut count = 0usize;
-        for (r, &pe) in history.last_n(window_n).zip(kappa_buf.iter()) {
-            // κ recomputed from the buffered pe — deterministic, so it is
-            // bit-identical to the anchor pass's value.
-            let (tf_c, hm_c, sm) = (r.tf_c(), r.hm_c(), r.sm());
-            let kap = Self::kappa_of(pe, tf_c, eps);
-            let u = exp_clamped(-((kap - self.anchor) * inv_lambda_c));
-            self.ring[(r.idx as usize) & (self.cap - 1)] = Slot {
-                pe_c: pe,
-                tf_c,
-                hm_c,
-                sm,
-                u,
-            };
-            let th0 = hm_c * self.p0 + self.cbar0 - sm;
-            self.s_w += u;
-            self.s_wth0 += u * th0;
-            self.s_whm += u * (hm_c - self.hm_ref);
-            self.s_wtf += u * (tf_c - self.tf_ref);
-            self.s_wpe += u * pe;
-            while matches!(self.min_q.back(), Some(&(_, bk)) if bk > kap) {
-                self.min_q.pop_back();
-            }
-            self.min_q.push_back((r.idx, kap));
-            count += 1;
-        }
-        self.last_idx = k.idx;
-        self.len = count;
-        self.gen = history.rebase_gen();
         // `cadence − 1` further absorbs before the next unconditional
         // rebuild: a cadence of 1 genuinely rebuilds on *every* packet
         // (the differential tests rely on that meaning).
@@ -438,31 +454,29 @@ fn full_pass(
     }
 }
 
+/// The counter-domain weight scale 1/λc = ρ/λ (λ = E/2) for the warm-up
+/// (3E) or the steady (E) quality scale.
+fn inv_lambda_c(rho: f64, cfg: &ClockConfig, warm: bool) -> f64 {
+    let e_scale = cfg.quality_scale * if warm { 3.0 } else { 1.0 };
+    rho / (e_scale * WEIGHT_LAMBDA_FRAC)
+}
+
 /// The offset estimator.
 #[derive(Debug, Clone)]
 pub struct OffsetEstimator {
     theta: Option<f64>,
-    /// `Tf` counts at the last evaluation.
+    /// `Tf` counts at the last evaluation: the newest record's, since every
+    /// admitted packet is evaluated (NaN before the first).
     last_tfc: f64,
     /// Estimated error of the last *weighted* estimate (seconds), aged for
     /// the gap-blend fallback.
     last_err: f64,
     /// Consecutive sanity duplications (lock-out escape counter).
     sanity_run: u32,
-    /// Cached `(poll_period, tau_prime)` the derived counts below were
-    /// computed from — the config is fixed per clock, so this avoids two
-    /// divisions per packet re-deriving constants.
-    cached_cfg: (f64, f64),
-    /// `cfg.tau_prime_packets()` for `cached_cfg`.
-    cached_window_n: usize,
-    /// The sanity-run patience bound for `cached_cfg`.
-    cached_max_run: u32,
-    /// The frozen weight rate ρ (NaN until the first evaluation) and the
-    /// derived counter-domain weight scales 1/λc = ρ/λ for the warm-up
-    /// (3E) and steady (E) quality scales.
+    /// The τ′ window in packets, `cfg.tau_prime_packets()`.
+    window_n: usize,
+    /// The frozen weight rate ρ (NaN until the first evaluation).
     rho: f64,
-    inv_lc_warm: f64,
-    inv_lc_steady: f64,
     /// Rebuild cadence (REBUILD_EVERY; overridable for differential tests).
     rebuild_every: u32,
     /// The rolling factored-weight window.
@@ -471,26 +485,17 @@ pub struct OffsetEstimator {
     kappa_buf: Vec<f64>,
 }
 
-impl Default for OffsetEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl OffsetEstimator {
-    /// New, uninitialised estimator.
-    pub fn new() -> Self {
+    /// New, uninitialised estimator for the configuration's τ′ window.
+    pub fn new(cfg: &ClockConfig) -> Self {
+        let window_n = cfg.tau_prime_packets();
         Self {
             theta: None,
             last_tfc: f64::NAN,
             last_err: f64::INFINITY,
             sanity_run: 0,
-            cached_cfg: (f64::NAN, f64::NAN),
-            cached_window_n: 0,
-            cached_max_run: 0,
+            window_n,
             rho: f64::NAN,
-            inv_lc_warm: f64::NAN,
-            inv_lc_steady: f64::NAN,
             rebuild_every: REBUILD_EVERY,
             win: FactoredWindow::default(),
             kappa_buf: Vec::new(),
@@ -505,6 +510,11 @@ impl OffsetEstimator {
     pub fn set_rebuild_cadence(&mut self, every: u32) {
         self.rebuild_every = every.max(1);
         self.win.valid = false;
+    }
+
+    /// `Tf` counts of the last packet evaluated (NaN before the first).
+    pub(crate) fn last_tfc(&self) -> f64 {
+        self.last_tfc
     }
 
     /// Current offset estimate `θ̂`, if initialised.
@@ -529,7 +539,8 @@ impl OffsetEstimator {
     }
 
     /// Processes packet `k` (already admitted to `history`). Returns the
-    /// current estimate and the event that produced it.
+    /// current estimate and the event that produced it. `cfg` is the
+    /// configuration the estimator was built with.
     ///
     /// * `p_hat`, `c_bar` — the current clock `C(T) = T·p̂ + C̄`. Each
     ///   packet's naive θ̂ᵢ (equation (19)) is evaluated *live* against this
@@ -558,13 +569,7 @@ impl OffsetEstimator {
         let theta_of = |r: &PacketRecord| r.hm_c() * p_hat + c_bar - r.sm();
         let tf_c = k.tf_c();
         let e_scale = cfg.quality_scale * if warmup { 3.0 } else { 1.0 };
-        if self.cached_cfg != (cfg.poll_period, cfg.tau_prime) {
-            self.cached_cfg = (cfg.poll_period, cfg.tau_prime);
-            self.cached_window_n = cfg.tau_prime_packets();
-            self.cached_max_run = (2 * cfg.tau_prime_packets()).max(64) as u32;
-            self.win.valid = false;
-        }
-        let window_n = self.cached_window_n;
+        let window_n = self.window_n;
         let g = gamma_l.unwrap_or(0.0);
         let eps = cfg.aging_rate;
         // Freeze the weight rate ρ at the very first evaluation (see the
@@ -574,17 +579,12 @@ impl OffsetEstimator {
         // window treats that as one rebuild.
         if self.rho.is_nan() {
             self.rho = p_hat;
-            self.inv_lc_warm = self.rho / (3.0 * cfg.quality_scale * WEIGHT_LAMBDA_FRAC);
-            self.inv_lc_steady = self.rho / (cfg.quality_scale * WEIGHT_LAMBDA_FRAC);
         }
-        let inv_lc = if warmup {
-            self.inv_lc_warm
-        } else {
-            self.inv_lc_steady
-        };
+        let inv_lc = inv_lambda_c(self.rho, cfg, warmup);
         let sums = if window_n <= SMALL_WINDOW {
             // Coarse-polling windows: a direct full pass beats maintaining
-            // the rolling state for a handful of packets.
+            // the rolling state for a handful of packets (`BENCH.json` row
+            // `e2e_clock_ingest/without_small_window_full_pass`).
             self.win.valid = false;
             full_pass(
                 history,
@@ -600,18 +600,18 @@ impl OffsetEstimator {
         } else {
             if !self
                 .win
-                .advance(history, k, window_n, eps, inv_lc, p_hat)
+                .advance(history, k, window_n, eps, warmup, inv_lc, p_hat)
             {
                 self.win.rebuild(
                     history,
                     k,
                     window_n,
                     eps,
+                    warmup,
                     inv_lc,
                     p_hat,
                     c_bar,
                     self.rebuild_every,
-                    &mut self.kappa_buf,
                 );
             }
             self.win.eval(k, p_hat, c_bar, g, eps)
@@ -668,19 +668,24 @@ impl OffsetEstimator {
         // server is the only absolute reference there is) — accept rather
         // than duplicate a stale value forever. Fallback packets carry the
         // previous value, so they neither trigger nor clear the counter.
-        let max_run = self.cached_max_run;
+        let max_run = (2 * window_n).max(64) as u32;
         let theta_new = match self.theta {
             // §6.1: the check guards a *converged* clock ("the expected
             // offset increment between neighboring packets"); during warm-up
             // increments are legitimately large while p̂ settles, so the
-            // check is suspended.
+            // check is suspended. A candidate that is not finite (window
+            // sums that overflowed, which only a corrupted restore can
+            // cause) is never taken: it is duplicated over, and the window
+            // is rebuilt from the history on the next packet.
             Some(prev)
-                if !warmup
-                    && (candidate - prev).abs() > sanity_threshold
-                    && self.sanity_run < max_run =>
+                if !candidate.is_finite()
+                    || !warmup
+                        && (candidate - prev).abs() > sanity_threshold
+                        && self.sanity_run < max_run =>
             {
                 event = OffsetEvent::SanityDuplicated;
-                self.sanity_run += 1;
+                self.sanity_run = self.sanity_run.saturating_add(1);
+                self.win.valid &= candidate.is_finite();
                 prev
             }
             Some(_) => {
@@ -688,6 +693,11 @@ impl OffsetEstimator {
                     self.sanity_run = 0;
                 }
                 candidate
+            }
+            None if !candidate.is_finite() => {
+                // nor is a first one: the estimate stays unset
+                self.win.valid = false;
+                return (candidate, OffsetEvent::Initialised);
             }
             None => {
                 event = OffsetEvent::Initialised;
@@ -712,169 +722,117 @@ impl OffsetEstimator {
 }
 
 impl FactoredWindow {
-    /// Serializes the rolling window — the whole ring (dead slots
-    /// included: they are never read, but a verbatim image keeps restore
-    /// trivially exact), the anchored sums, the κ min-deque, and the
-    /// rebuild bookkeeping.
+    /// Serializes the rolling window's state: the linearization references
+    /// and anchor, the anchored sums, and the rebuild bookkeeping. Whenever
+    /// the sums are valid, the ring and the κ min-deque hold the newest
+    /// window of history records under that anchor, and the newest index,
+    /// occupancy and generation are the history's, so none of them is
+    /// written: [`FactoredWindow::fill`] re-derives them on load.
     fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_usize(self.cap);
-        for s in &self.ring {
-            w.put_f64(s.pe_c);
-            w.put_f64(s.tf_c);
-            w.put_f64(s.hm_c);
-            w.put_f64(s.sm);
-            w.put_f64(s.u);
+        for x in [
+            self.p0, self.cbar0, self.tf_ref, self.hm_ref, self.anchor, self.s_w, self.s_wth0,
+            self.s_whm, self.s_wtf, self.s_wpe,
+        ] {
+            w.put_f64(x);
         }
-        w.put_f64(self.p0);
-        w.put_f64(self.cbar0);
-        w.put_f64(self.tf_ref);
-        w.put_f64(self.hm_ref);
-        w.put_f64(self.anchor);
-        w.put_f64(self.inv_lc0);
-        w.put_f64(self.s_w);
-        w.put_f64(self.s_wth0);
-        w.put_f64(self.s_whm);
-        w.put_f64(self.s_wtf);
-        w.put_f64(self.s_wpe);
-        w.put_usize(self.min_q.len());
-        for &(i, kap) in &self.min_q {
-            w.put_u64(i);
-            w.put_f64(kap);
-        }
-        w.put_u64(self.last_idx);
-        w.put_usize(self.len);
-        w.put_u64(self.gen);
         w.put_u32(self.until_rebuild);
+        w.put_bool(self.warm);
         w.put_bool(self.valid);
     }
 
-    /// Deserializes a window written by [`FactoredWindow::save_state`].
+    /// Deserializes a window written by [`FactoredWindow::save_state`] and,
+    /// when valid, refills it from `history` with the weight rate `rho`.
+    /// Every scalar must be finite, and a valid window needs an estimate
+    /// (`has_estimate`: the evaluation that fills a window sets one), a
+    /// history record, a frozen ρ and a window above [`SMALL_WINDOW`].
     fn load_state(
         r: &mut crate::snapshot::SnapshotReader<'_>,
+        cfg: &ClockConfig,
+        rho: f64,
+        history: &History,
+        has_estimate: bool,
     ) -> Result<Self, crate::SnapshotError> {
         use crate::SnapshotError as E;
-        let cap = r.get_usize()?;
-        if cap != 0 && !cap.is_power_of_two() {
-            return Err(E::Invalid("offset ring capacity not a power of two"));
+        let mut x = [0.0; 10];
+        for v in &mut x {
+            *v = r.get_f64()?;
         }
-        if cap.checked_mul(40).is_none_or(|b| b > r.remaining()) {
-            return Err(E::Truncated);
+        if !x.iter().all(|v| v.is_finite()) {
+            return Err(E::Invalid("offset window value not finite"));
         }
-        let mut ring = Vec::with_capacity(cap);
-        for _ in 0..cap {
-            ring.push(Slot {
-                pe_c: r.get_f64()?,
-                tf_c: r.get_f64()?,
-                hm_c: r.get_f64()?,
-                sm: r.get_f64()?,
-                u: r.get_f64()?,
-            });
-        }
-        let p0 = r.get_f64()?;
-        let cbar0 = r.get_f64()?;
-        let tf_ref = r.get_f64()?;
-        let hm_ref = r.get_f64()?;
-        let anchor = r.get_f64()?;
-        let inv_lc0 = r.get_f64()?;
-        let s_w = r.get_f64()?;
-        let s_wth0 = r.get_f64()?;
-        let s_whm = r.get_f64()?;
-        let s_wtf = r.get_f64()?;
-        let s_wpe = r.get_f64()?;
-        let n_q = r.get_len(16)?;
-        let mut min_q = VecDeque::with_capacity(n_q);
-        for _ in 0..n_q {
-            min_q.push_back((r.get_u64()?, r.get_f64()?));
-        }
-        let last_idx = r.get_u64()?;
-        let len = r.get_usize()?;
-        let gen = r.get_u64()?;
-        let until_rebuild = r.get_u32()?;
-        let valid = r.get_bool()?;
-        if valid && (len > cap || len == 0 || min_q.is_empty()) {
-            return Err(E::Invalid("offset window geometry inconsistent"));
-        }
-        Ok(Self {
-            cap,
-            ring,
+        let [p0, cbar0, tf_ref, hm_ref, anchor, s_w, s_wth0, s_whm, s_wtf, s_wpe] = x;
+        let mut win = Self {
             p0,
             cbar0,
             tf_ref,
             hm_ref,
             anchor,
-            inv_lc0,
             s_w,
             s_wth0,
             s_whm,
             s_wtf,
             s_wpe,
-            min_q,
-            last_idx,
-            len,
-            gen,
-            until_rebuild,
-            valid,
-        })
+            until_rebuild: r.get_u32()?,
+            warm: r.get_bool()?,
+            valid: r.get_bool()?,
+            ..Self::default()
+        };
+        let window_n = cfg.tau_prime_packets();
+        if win.valid {
+            if !has_estimate || history.is_empty() || rho.is_nan() || window_n <= SMALL_WINDOW {
+                return Err(E::Invalid("offset window valid without its inputs"));
+            }
+            let room = window_n.min(history.len());
+            win.fill(history, window_n, room, cfg.aging_rate, inv_lambda_c(rho, cfg, win.warm));
+        }
+        Ok(win)
     }
 }
 
 impl OffsetEstimator {
-    /// Serializes the estimator — the estimate and its error, the sanity
-    /// run, the frozen ρ and derived scales, the config cache, and the
-    /// complete rolling window (mid-rebuild positions included: the
-    /// `until_rebuild` countdown resumes exactly where it stopped, so a
-    /// snapshot taken between cadence rebuilds replays identically). The
-    /// κ scratch buffer is not state and is restored empty.
+    /// Serializes the estimator's state — the estimate and its error, the
+    /// sanity run, the frozen ρ, the rebuild cadence and the complete
+    /// rolling window (mid-rebuild positions included: the `until_rebuild`
+    /// countdown resumes exactly where it stopped, so a snapshot taken
+    /// between cadence rebuilds replays identically). The window length and
+    /// the patience bound are the configuration's, the last evaluated `Tf`
+    /// is the history's newest, and the κ scratch buffer is not state.
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_opt_f64(self.theta);
-        w.put_f64(self.last_tfc);
         w.put_f64(self.last_err);
         w.put_u32(self.sanity_run);
-        w.put_f64(self.cached_cfg.0);
-        w.put_f64(self.cached_cfg.1);
-        w.put_usize(self.cached_window_n);
-        w.put_u32(self.cached_max_run);
         w.put_f64(self.rho);
-        w.put_f64(self.inv_lc_warm);
-        w.put_f64(self.inv_lc_steady);
         w.put_u32(self.rebuild_every);
         self.win.save_state(w);
     }
 
-    /// Deserializes an estimator written by [`OffsetEstimator::save_state`].
+    /// Overwrites this estimator's state with one written by
+    /// [`OffsetEstimator::save_state`] for a clock whose restored history
+    /// is `history`; `self` comes from [`OffsetEstimator::new`] with
+    /// `cfg`. A non-finite estimate, or a ρ that is neither unset (NaN) nor
+    /// a positive period, is refused.
     pub fn load_state(
+        &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::SnapshotError> {
-        let theta = r.get_opt_f64()?;
-        let last_tfc = r.get_f64()?;
-        let last_err = r.get_f64()?;
-        let sanity_run = r.get_u32()?;
-        let cached_cfg = (r.get_f64()?, r.get_f64()?);
-        let cached_window_n = r.get_usize()?;
-        let cached_max_run = r.get_u32()?;
-        let rho = r.get_f64()?;
-        let inv_lc_warm = r.get_f64()?;
-        let inv_lc_steady = r.get_f64()?;
-        let rebuild_every = r.get_u32()?;
-        if rebuild_every == 0 {
-            return Err(crate::SnapshotError::Invalid("zero rebuild cadence"));
+        cfg: &ClockConfig,
+        history: &History,
+    ) -> Result<(), crate::SnapshotError> {
+        use crate::SnapshotError as E;
+        self.theta = r.get_opt_f64()?;
+        if self.theta.is_some_and(|t| !t.is_finite()) {
+            return Err(E::Invalid("offset estimate not finite"));
         }
-        let win = FactoredWindow::load_state(r)?;
-        Ok(Self {
-            theta,
-            last_tfc,
-            last_err,
-            sanity_run,
-            cached_cfg,
-            cached_window_n,
-            cached_max_run,
-            rho,
-            inv_lc_warm,
-            inv_lc_steady,
-            rebuild_every,
-            win,
-            kappa_buf: Vec::new(),
-        })
+        self.last_tfc = history.last().map_or(f64::NAN, |k| k.tf_c());
+        self.last_err = r.get_f64()?;
+        self.sanity_run = r.get_u32()?;
+        self.rho = r.get_f64()?;
+        if !(self.rho.is_nan() || self.rho.is_finite() && self.rho > 0.0) {
+            return Err(E::Invalid("offset weight rate not a positive period"));
+        }
+        // (a cadence of 0 rebuilds every packet, as 1 does)
+        self.rebuild_every = r.get_u32()?;
+        self.win = FactoredWindow::load_state(r, cfg, self.rho, history, self.theta.is_some())?;
+        Ok(())
     }
 }
 
@@ -916,7 +874,7 @@ mod tests {
     fn clean_data_estimates_near_zero() {
         let c = cfg();
         let mut h = History::new(10_000);
-        let mut est = OffsetEstimator::new();
+        let mut est = OffsetEstimator::new(&c);
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         let mut last = f64::NAN;
@@ -930,10 +888,25 @@ mod tests {
     }
 
     #[test]
+    fn a_first_estimate_that_is_not_finite_is_not_taken() {
+        let c = cfg();
+        let mut h = History::new(10_000);
+        let mut est = OffsetEstimator::new(&c);
+        let e0 = ex(0.0, 0.0);
+        let r = admit(&mut h, e0);
+        let (th, _) = est.process(&c, &h, &r, P, f64::INFINITY, None, true, false);
+        assert!(!th.is_finite() && est.theta().is_none(), "{th} taken");
+        let r = admit(&mut h, ex(16.0, 0.0));
+        let (th, _) = est.process(&c, &h, &r, P, c_bar_for(&e0, P), None, true, false);
+        assert_eq!(est.theta(), Some(th));
+        assert!(th.abs() < 20e-6, "{th}");
+    }
+
+    #[test]
     fn congestion_noise_is_filtered() {
         let c = cfg();
         let mut h = History::new(10_000);
-        let mut est = OffsetEstimator::new();
+        let mut est = OffsetEstimator::new(&c);
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         let mut worst = 0.0f64;
@@ -957,7 +930,7 @@ mod tests {
     fn sanity_check_blocks_server_fault() {
         let c = cfg();
         let mut h = History::new(10_000);
-        let mut est = OffsetEstimator::new();
+        let mut est = OffsetEstimator::new(&c);
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         for k in 0..100u64 {
@@ -991,7 +964,7 @@ mod tests {
     fn poor_quality_window_carries_estimate_forward() {
         let c = cfg();
         let mut h = History::new(10_000);
-        let mut est = OffsetEstimator::new();
+        let mut est = OffsetEstimator::new(&c);
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         for k in 0..120u64 {
@@ -1020,7 +993,7 @@ mod tests {
 
     #[test]
     fn linear_prediction_uses_gamma_l() {
-        let mut est = OffsetEstimator::new();
+        let mut est = OffsetEstimator::new(&cfg());
         est.theta = Some(1e-3);
         est.last_tfc = 0.0;
         // γ̂l = +0.05 PPM (locally slow oscillator) over 1000 s → −50 µs
@@ -1036,7 +1009,7 @@ mod tests {
     fn gap_blend_pulls_toward_new_data() {
         let c = cfg();
         let mut h = History::new(10_000);
-        let mut est = OffsetEstimator::new();
+        let mut est = OffsetEstimator::new(&c);
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);
         for k in 0..100u64 {
@@ -1053,7 +1026,7 @@ mod tests {
 
     #[test]
     fn uninitialised_estimator_returns_none() {
-        let est = OffsetEstimator::new();
+        let est = OffsetEstimator::new(&cfg());
         assert!(est.theta().is_none());
         assert!(est.predict(0.0, P, None).is_none());
     }
@@ -1068,8 +1041,8 @@ mod tests {
     fn incremental_matches_forced_rebuild_estimator() {
         let c = cfg();
         let (mut h1, mut h2) = (History::new(10_000), History::new(10_000));
-        let mut rolling = OffsetEstimator::new();
-        let mut refill = OffsetEstimator::new();
+        let mut rolling = OffsetEstimator::new(&c);
+        let mut refill = OffsetEstimator::new(&c);
         refill.set_rebuild_cadence(1);
         let e0 = ex(0.0, 0.0);
         let c_bar = c_bar_for(&e0, P);

@@ -48,47 +48,11 @@ pub struct GlobalRate {
     /// Error bound of the current estimate, `(Ei + Ej)/Δt`.
     quality: f64,
     n_seen: u64,
-    /// Inputs of the last pair refresh: `(History::rebase_gen, p̂ bits,
-    /// j idx, i idx)`. The refresh is a pure function of these (baseline
-    /// resolution depends only on the re-basing generation; the quality
-    /// reassessment only on the pair and `p̂`), so when the stamp matches,
-    /// re-running it would reproduce the stored state bit-for-bit and it
-    /// is skipped — the coarse-poll fast path, where congested (quality-
-    /// rejected) packets leave the whole stamp untouched.
-    refresh_stamp: (u64, u64, u64, u64),
-    /// The `p̂`-independent parts of the pair quality (see [`PairCache`]).
-    /// Refreshed whenever the full `pair_estimate` path runs — including
-    /// [`GlobalRate::process_steady`] accepting a new `i` — so the
-    /// per-packet quality reassessment is four flops, bit-identical to
-    /// re-deriving the pair, instead of three divisions.
-    pair_cache: PairCache,
-}
-
-/// `p̂`-independent pair-quality parts: `key = rtt − r̂base` read at
-/// the cached re-basing generation, `dc` the counter baseline. The bound
-/// `(key_i·p̂ + key_j·p̂)/(dc·p̂)` reproduces `pair_estimate`'s
-/// `(ei + ej)/baseline` bit-for-bit for any `p̂ > 0`, and the estimate's
-/// *validity* (degenerate pair, non-positive baseline) does not depend on
-/// `p̂` at all.
-#[derive(Debug, Clone, Copy)]
-struct PairCache {
-    valid: bool,
-    j_idx: u64,
-    i_idx: u64,
-    dc: f64,
-    key_j: f64,
-    key_i: f64,
-}
-
-impl PairCache {
-    const EMPTY: PairCache = PairCache {
-        valid: false,
-        j_idx: u64::MAX,
-        i_idx: u64::MAX,
-        dc: 0.0,
-        key_j: 0.0,
-        key_i: 0.0,
-    };
+    /// The `History::rebase_gen` the pair and warm-up copies were last
+    /// re-read at. Memory only: it starts at `u64::MAX`, so the first
+    /// refresh after construction or a restore re-reads the copies, which
+    /// finds them current and changes nothing.
+    seen_gen: u64,
 }
 
 impl GlobalRate {
@@ -105,8 +69,7 @@ impl GlobalRate {
             p_hat: None,
             quality: f64::INFINITY,
             n_seen: 0,
-            refresh_stamp: (u64::MAX, u64::MAX, u64::MAX, u64::MAX),
-            pair_cache: PairCache::EMPTY,
+            seen_gen: u64::MAX,
         }
     }
 
@@ -151,29 +114,14 @@ impl GlobalRate {
     /// live history, picking up any point-error re-evaluation, then
     /// reassesses the current estimate's quality.
     fn refresh(&mut self, history: &History) {
-        // Fast path: nothing the refresh reads has changed since it last
-        // ran, so its outputs are already in place (see `refresh_stamp`).
-        let stamp = (
-            history.rebase_gen(),
-            self.p_hat.map_or(u64::MAX, f64::to_bits),
-            self.j.map_or(u64::MAX, |r| r.idx),
-            self.i.map_or(u64::MAX, |r| r.idx),
-        );
-        if stamp == self.refresh_stamp {
-            return;
-        }
-        let gen_changed = stamp.0 != self.refresh_stamp.0;
-        let pair_changed =
-            gen_changed || stamp.2 != self.refresh_stamp.2 || stamp.3 != self.refresh_stamp.3;
-        self.refresh_stamp = stamp;
         // Stored records only ever change through baseline re-evaluation
-        // (§6.1), so refreshing a copy means re-reading its baseline —
-        // the rest of the record is immutable, and the baseline moves only
-        // with the re-basing generation: copies are touched only
-        // when the generation moved (this includes the warm-up record
-        // list, whose newest entries were admitted with the baseline in
-        // force and so are current by construction).
-        if gen_changed {
+        // (§6.1), so refreshing a copy means re-reading its baseline, and
+        // the baselines move only with the re-basing generation. That
+        // includes the warm-up list, whose newest entries were admitted
+        // under the baselines in force and so are current by construction.
+        let gen = history.rebase_gen();
+        if gen != self.seen_gen {
+            self.seen_gen = gen;
             let copies = [&mut self.j, &mut self.i].into_iter().flatten();
             for rec in copies.chain(self.warmup.iter_mut()) {
                 if let Some(fresh) = history.get(rec.idx) {
@@ -181,39 +129,13 @@ impl GlobalRate {
                 }
             }
         }
-        let cache_current = !gen_changed
-            && self.pair_cache.valid
-            && self.pair_cache.j_idx == stamp.2
-            && self.pair_cache.i_idx == stamp.3;
-        if cache_current {
-            // The pair's point-error keys and counter baseline are cached
-            // (from the last full derivation — here or in
-            // `process_steady`), so the reassessed bound is exactly
-            // `pair_estimate`'s `(ei + ej)/baseline` with the current p̂ —
-            // four flops instead of three divisions and two resolutions.
-            let p = self.p_hat.expect("cache implies estimate");
-            let c = self.pair_cache;
-            let ej = c.key_j * p;
-            let ei = c.key_i * p;
-            self.quality = (ei + ej) / (c.dc * p);
-        } else if pair_changed || gen_changed {
-            self.pair_cache = PairCache::EMPTY;
-            if let (Some(j), Some(i), Some(p)) = (self.j, self.i, self.p_hat) {
-                if i.idx != j.idx {
-                    if let Some(pe) =
-                        pair_estimate(&j.ex, &i.ex, j.point_error(p), i.point_error(p), p)
-                    {
-                        self.quality = pe.error_bound;
-                        self.pair_cache = PairCache {
-                            valid: true,
-                            j_idx: j.idx,
-                            i_idx: i.idx,
-                            dc: i.ex.tf_tsc.wrapping_sub(j.ex.tf_tsc) as i64 as f64,
-                            key_j: j.rtt_c() - j.rbase_c,
-                            key_i: i.rtt_c() - i.rbase_c,
-                        };
-                    }
-                }
+        // The pair's bound under the current p̂: `pair_estimate`'s
+        // `(Ei + Ej)/(Δc·p̂)`, without re-deriving the pair's rate. A pair
+        // with no positive baseline keeps the bound it has.
+        if let (Some(j), Some(i), Some(p)) = (self.j, self.i, self.p_hat) {
+            let baseline = i.ex.tf_tsc.wrapping_sub(j.ex.tf_tsc) as i64 as f64 * p;
+            if baseline > 0.0 {
+                self.quality = (i.point_error(p) + j.point_error(p)) / baseline;
             }
         }
     }
@@ -336,16 +258,6 @@ impl GlobalRate {
         self.p_hat = Some(pe.p_hat);
         self.quality = pe.error_bound;
         self.i = Some(*record);
-        // Keep the pair cache current so the next refresh's quality
-        // reassessment (with the just-updated p̂) is the four-flop path.
-        self.pair_cache = PairCache {
-            valid: true,
-            j_idx: j.idx,
-            i_idx: record.idx,
-            dc: record.ex.tf_tsc.wrapping_sub(j.ex.tf_tsc) as i64 as f64,
-            key_j: j.rtt_c() - j.rbase_c,
-            key_i: record.rtt_c() - record.rbase_c,
-        };
         RateEvent::Updated
     }
 
@@ -388,65 +300,37 @@ impl GlobalRate {
         Some((self.j?.idx, self.i?.idx))
     }
 
-    /// Serializes the estimator — warm-up records, the estimating pair,
-    /// the refresh stamp and the pair cache — into a snapshot payload. The
-    /// stamp and cache are memo state, but they must round-trip verbatim:
-    /// a cleared stamp would force a refresh on the first post-restore
-    /// packet that the uninterrupted run would have skipped, and the
-    /// re-derived quality could differ in the last bit.
+    /// Serializes the estimator's state: warm-up records, the estimating
+    /// pair, the estimate and its quality. `E*` and the warm-up length are
+    /// the configuration's, and the packet count is the history's (the
+    /// clock feeds every admitted packet to both).
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_f64(self.e_star);
-        w.put_usize(self.warmup_packets);
         PacketRecord::save_all(&self.warmup, w);
         PacketRecord::save_all(self.j.as_slice(), w);
         PacketRecord::save_all(self.i.as_slice(), w);
         w.put_opt_f64(self.p_hat);
         w.put_f64(self.quality);
-        w.put_u64(self.n_seen);
-        w.put_u64(self.refresh_stamp.0);
-        w.put_u64(self.refresh_stamp.1);
-        w.put_u64(self.refresh_stamp.2);
-        w.put_u64(self.refresh_stamp.3);
-        w.put_bool(self.pair_cache.valid);
-        w.put_u64(self.pair_cache.j_idx);
-        w.put_u64(self.pair_cache.i_idx);
-        w.put_f64(self.pair_cache.dc);
-        w.put_f64(self.pair_cache.key_j);
-        w.put_f64(self.pair_cache.key_i);
     }
 
-    /// Deserializes an estimator written by [`GlobalRate::save_state`].
+    /// Overwrites this estimator's state with one written by
+    /// [`GlobalRate::save_state`]; `self` comes from the configuration's
+    /// [`GlobalRate::new`], and `n_seen` is the packets admitted so far.
+    /// An estimate that is not a positive, finite period is refused.
     pub fn load_state(
+        &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::SnapshotError> {
-        use crate::SnapshotError as E;
-        let e_star = r.get_f64()?;
-        if e_star.is_nan() || e_star <= 0.0 {
-            return Err(E::Invalid("E* must be positive"));
+        n_seen: u64,
+    ) -> Result<(), crate::SnapshotError> {
+        self.warmup = PacketRecord::load_all(r, self.warmup_packets)?;
+        self.j = PacketRecord::load_all(r, 1)?.pop();
+        self.i = PacketRecord::load_all(r, 1)?.pop();
+        self.p_hat = r.get_opt_f64()?;
+        if self.p_hat.is_some_and(|p| !(p.is_finite() && p > 0.0)) {
+            return Err(crate::SnapshotError::Invalid("rate estimate not a positive period"));
         }
-        let warmup_packets = r.get_usize()?;
-        if warmup_packets < 2 {
-            return Err(E::Invalid("warm-up shorter than two packets"));
-        }
-        Ok(Self {
-            e_star,
-            warmup_packets,
-            warmup: PacketRecord::load_all(r, warmup_packets)?,
-            j: PacketRecord::load_all(r, 1)?.pop(),
-            i: PacketRecord::load_all(r, 1)?.pop(),
-            p_hat: r.get_opt_f64()?,
-            quality: r.get_f64()?,
-            n_seen: r.get_u64()?,
-            refresh_stamp: (r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?),
-            pair_cache: PairCache {
-                valid: r.get_bool()?,
-                j_idx: r.get_u64()?,
-                i_idx: r.get_u64()?,
-                dc: r.get_f64()?,
-                key_j: r.get_f64()?,
-                key_i: r.get_f64()?,
-            },
-        })
+        self.quality = r.get_f64()?;
+        self.n_seen = n_seen;
+        Ok(())
     }
 }
 

@@ -104,7 +104,8 @@ impl ShiftDetector {
         }
         self.seq += 1;
         // Fast path: a sample at or below the detection level caps the
-        // window minimum for as long as it is retained.
+        // window minimum for as long as it is retained (`BENCH.json` row
+        // `e2e_clock_ingest/without_parked_shift_detector`).
         if (rtt_c - rtt_min_c) * p_hat <= self.threshold {
             self.parked_until = self.seq + ts;
             return None;
@@ -141,57 +142,33 @@ impl ShiftDetector {
         // until `ts_packets` fresh samples have overwritten every slot.
     }
 
-    /// Window length in packets.
-    pub fn ts_packets(&self) -> usize {
-        self.ts_packets
-    }
-
-    /// Serializes the detector — the full sample ring (stale slots
-    /// included: they become unreachable only through `seq`, which is also
-    /// restored), cursor, sequence and park horizon.
+    /// Serializes the detector's state — the full sample ring (stale
+    /// slots included: they become unreachable only through `seq`, which
+    /// is also restored), sequence and park horizon. The window length and
+    /// threshold are the configuration's, and the cursor is `seq` modulo
+    /// the window (both advance together and reset together).
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_f64(self.threshold);
-        w.put_usize(self.ts_packets);
         for &v in &self.ring {
             w.put_f64(v);
         }
-        w.put_usize(self.cursor);
         w.put_u64(self.seq);
         w.put_u64(self.parked_until);
     }
 
-    /// Deserializes a detector written by [`ShiftDetector::save_state`].
+    /// Overwrites this detector's state with one written by
+    /// [`ShiftDetector::save_state`]; `self` comes from the configuration's
+    /// [`ShiftDetector::new`], so the ring read is exactly its length.
     pub fn load_state(
+        &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::SnapshotError> {
-        use crate::SnapshotError as E;
-        let threshold = r.get_f64()?;
-        if threshold.is_nan() || threshold <= 0.0 {
-            return Err(E::Invalid("shift threshold must be positive"));
+    ) -> Result<(), crate::SnapshotError> {
+        for slot in &mut self.ring {
+            *slot = r.get_f64()?;
         }
-        let ts_packets = r.get_usize()?;
-        if ts_packets < 2 {
-            return Err(E::Invalid("shift window shorter than two packets"));
-        }
-        if ts_packets.checked_mul(8).is_none_or(|b| b > r.remaining()) {
-            return Err(E::Truncated);
-        }
-        let mut ring = Vec::with_capacity(ts_packets);
-        for _ in 0..ts_packets {
-            ring.push(r.get_f64()?);
-        }
-        let cursor = r.get_usize()?;
-        if cursor >= ts_packets {
-            return Err(E::Invalid("shift ring cursor out of range"));
-        }
-        Ok(Self {
-            threshold,
-            ts_packets,
-            ring,
-            cursor,
-            seq: r.get_u64()?,
-            parked_until: r.get_u64()?,
-        })
+        self.seq = r.get_count()?;
+        self.cursor = (self.seq % self.ts_packets as u64) as usize;
+        self.parked_until = r.get_u64()?;
+        Ok(())
     }
 }
 

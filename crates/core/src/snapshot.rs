@@ -15,12 +15,12 @@
 //! replay stays cheap (one `Vec<u8>` write, no allocation-per-field
 //! value tree). It is the workspace's only persisted format.
 //!
-//! # Envelope (format v5)
+//! # Envelope (format v6)
 //!
 //! ```text
 //!   offset  size  field
 //!   0       4     magic  b"TSNP"
-//!   4       2     format version (little-endian u16, currently 5)
+//!   4       2     format version (little-endian u16, currently 6)
 //!   6       1     payload kind (what component the payload encodes)
 //!   7       8     payload length (little-endian u64)
 //!   15      n     payload (component-defined, written via SnapshotWriter)
@@ -47,13 +47,17 @@
 //!
 //! Version 1 envelopes carried per-byte FNV-1a-64 instead; version 2 has
 //! this checksum but thirteen words a history record where v3 and v4 have
-//! six and v5 four (the stamps alone; v5 carries the baselines as a run
-//! table beside them); v3 also carried the local-rate estimator's rolling
-//! sub-window state and verdict memo, which v4 drops (the estimator keeps
-//! only its geometry and estimate). The version says which sum and which
-//! payload layout follow, so it is checked first; this build reads and
-//! writes only v5, and a v1‥v4 blob is a typed
-//! [`SnapshotError::VersionMismatch`] (a cold start).
+//! six and v5 and v6 four (the stamps alone; v5 carries the baselines as a
+//! run table beside them); v3 also carried the local-rate estimator's
+//! rolling sub-window state and verdict memo, which v4 drops (the estimator
+//! keeps only its geometry and estimate). v6 persists state only: a clock
+//! payload is its configuration once, then words none of which is a
+//! function of the configuration or of other words (no window lengths,
+//! thresholds or memo stamps), and a quorum writes one configuration for
+//! all its member clocks. The version says which sum and which payload
+//! layout follow, so it is checked first; this build reads and writes only
+//! v6, and a v1‥v5 blob is a typed [`SnapshotError::VersionMismatch`] (a
+//! cold start).
 //!
 //! # What corruption is detected, and why that is deterministic
 //!
@@ -81,9 +85,11 @@
 //! any 64-bit sum catches it, almost always rather than provably.
 //! Truncation fails the length checks before the sum is looked at, and
 //! the length is folded into the sum as well. Restores additionally
-//! re-validate semantic invariants (config validation, ring geometry,
-//! enum tags), returning [`SnapshotError::Invalid`] on anything that gets
-//! past the structural checks.
+//! re-validate semantic invariants (config validation, every ring's length
+//! against the one its configuration gives, enum tags, finite estimates),
+//! returning [`SnapshotError::Invalid`] on anything that gets past the
+//! structural checks, so a restore that succeeds leaves a clock that runs
+//! without a panic and reads finite times.
 //!
 //! Failure handling is **restore-or-degrade**: callers fall back to a
 //! cold start on any error (the fleet engines re-enter the lifecycle
@@ -96,7 +102,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"TSNP";
 
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u16 = 5;
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Payload kinds (one per snapshottable root component).
 pub mod kind {
@@ -130,7 +136,7 @@ fn step(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// The envelope checksum (formats v2 and v3): four word-wide FNV-style lanes
+/// The envelope checksum (formats v2 to v6): four word-wide FNV-style lanes
 /// over the 32-byte blocks, folded in order, then the tail bytes, then
 /// the length. The module docs give the definition and the detection
 /// argument; `tests::checksum_known_answers` pins the values.
@@ -436,6 +442,16 @@ impl<'a> SnapshotReader<'a> {
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(*self.take_array()?))
+    }
+
+    /// Reads a `u64` packet index or event count, refusing one of 2⁶³ or
+    /// more: no component reaches that many, and below it every later
+    /// increment has room.
+    pub fn get_count(&mut self) -> Result<u64, SnapshotError> {
+        match self.get_u64()? {
+            n if n < 1 << 63 => Ok(n),
+            _ => Err(SnapshotError::Invalid("count out of range")),
+        }
     }
 
     /// Reads a `u64` and narrows it to `usize`.

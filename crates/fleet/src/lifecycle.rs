@@ -245,6 +245,44 @@ impl LifecycleConfig {
         self
     }
 
+    /// Validates the policy: every duration, threshold and rate finite;
+    /// the poll period, timeout and first backoff positive, the ceiling at
+    /// least the first backoff; jitter within `[0, 2]` (a delay factor of
+    /// `1 ± j/2` stays non-negative); cooldown, horizon, bound floor and
+    /// widening rate non-negative; at least one retry and one bad sample
+    /// before degrading.
+    pub fn validate(&self) -> Result<(), String> {
+        let floats = [
+            self.poll_period,
+            self.timeout,
+            self.delay_threshold,
+            self.backoff_base,
+            self.backoff_max,
+            self.jitter_frac,
+            self.cooldown,
+            self.stale_horizon,
+            self.bound_floor,
+            self.widen_rate,
+        ];
+        if !floats.iter().all(|x| x.is_finite()) {
+            return Err("lifecycle durations and rates must be finite".into());
+        }
+        if !(self.poll_period > 0.0
+            && self.timeout > 0.0
+            && self.backoff_base > 0.0
+            && self.backoff_max >= self.backoff_base
+            && (0.0..=2.0).contains(&self.jitter_frac)
+            && [self.cooldown, self.stale_horizon, self.bound_floor, self.widen_rate]
+                .iter()
+                .all(|&x| x >= 0.0)
+            && self.max_retries >= 1
+            && self.degrade_after >= 1)
+        {
+            return Err("lifecycle config out of range".into());
+        }
+        Ok(())
+    }
+
     /// Serializes the config (snapshot payload, no envelope).
     pub fn save_state(&self, w: &mut SnapshotWriter) {
         w.put_f64(self.poll_period);
@@ -280,15 +318,8 @@ impl LifecycleConfig {
             widen_rate: r.get_f64()?,
             max_trace: r.get_usize()?,
         };
-        if !(cfg.poll_period > 0.0
-            && cfg.timeout > 0.0
-            && cfg.backoff_base > 0.0
-            && cfg.backoff_max >= cfg.backoff_base
-            && cfg.max_retries >= 1
-            && cfg.degrade_after >= 1)
-        {
-            return Err(SnapshotError::Invalid("lifecycle config fails validation"));
-        }
+        cfg.validate()
+            .map_err(|_| SnapshotError::Invalid("lifecycle config fails validation"))?;
         Ok(cfg)
     }
 }
@@ -357,7 +388,15 @@ pub struct LifecycleClient {
 impl LifecycleClient {
     /// A cold client joining at `join_t` (its first request is jittered
     /// across one poll period so fleets don't start phase-locked).
+    ///
+    /// # Panics
+    /// Panics when `cfg` fails [`LifecycleConfig::validate`] (a restore
+    /// refuses such a policy, so the client could never be restored) or
+    /// `clock_cfg` fails [`ClockConfig::validate`].
     pub fn new(cfg: LifecycleConfig, clock_cfg: ClockConfig, seed: u64, join_t: f64) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid lifecycle configuration: {e}");
+        }
         let mut rng = ChaCha12Rng::seed_from_u64(splitmix64(seed ^ JITTER_SALT));
         let phase: f64 = rng.random::<f64>() * cfg.poll_period;
         Self {
@@ -423,7 +462,7 @@ impl LifecycleClient {
             - (raw.te - raw.tb);
         if rtt > self.cfg.delay_threshold {
             self.rejected += 1;
-            self.consecutive_bad += 1;
+            self.consecutive_bad = self.consecutive_bad.saturating_add(1);
             self.maybe_degrade(now);
             self.schedule_next(now, self.cfg.poll_period);
             return ExchangeOutcome::Rejected { rtt };
@@ -462,7 +501,7 @@ impl LifecycleClient {
     pub fn on_timeout(&mut self, now: f64) -> ExchangeOutcome {
         self.timeouts += 1;
         self.consecutive_timeouts += 1;
-        self.consecutive_bad += 1;
+        self.consecutive_bad = self.consecutive_bad.saturating_add(1);
         if self.consecutive_timeouts >= self.cfg.max_retries {
             // max-retry → cooldown; the retry counter resets so the
             // post-cooldown attempt starts a fresh backoff ladder
@@ -616,6 +655,7 @@ impl LifecycleClient {
         let tm = telemetry::StageTimer::start(telemetry::Hist::SealNs);
         let mut w = SnapshotWriter::new();
         self.cfg.save_state(&mut w);
+        self.clock.config().save_state(&mut w);
         self.clock.save_state(&mut w);
         w.put_u8(self.state as u8);
         w.put_f64(self.next_send);
@@ -674,11 +714,16 @@ impl LifecycleClient {
         let payload = snapshot::open_envelope(bytes, snapshot::kind::LIFECYCLE)?;
         let mut r = SnapshotReader::new(payload);
         let cfg = LifecycleConfig::load_state(&mut r)?;
-        let clock = TscNtpClock::load_state(&mut r)?;
+        let clock_cfg = ClockConfig::load_state(&mut r)?;
+        let clock = TscNtpClock::load_state(clock_cfg, &mut r)?;
         let state = ClientState::from_tag(r.get_u8()?)?;
         let next_send = r.get_f64()?;
         let cooldown_until = r.get_f64()?;
         let consecutive_timeouts = r.get_u32()?;
+        if consecutive_timeouts >= cfg.max_retries {
+            // reaching the retry limit resets the count (cooldown)
+            return Err(SnapshotError::Invalid("timeout run past the retry limit"));
+        }
         let consecutive_bad = r.get_u32()?;
         let last_good_t = r.get_f64()?;
         let last_good_bound = r.get_f64()?;
@@ -706,7 +751,7 @@ impl LifecycleClient {
                 cause: TransitionCause::from_tag(r.get_u8()?)?,
             });
         }
-        let transitions = r.get_u64()?;
+        let transitions = r.get_count()?;
         let mut time_in_state = [0.0; STATE_COUNT];
         for t in &mut time_in_state {
             *t = r.get_f64()?;
@@ -727,10 +772,10 @@ impl LifecycleClient {
             transitions,
             time_in_state,
             last_change_t: r.get_f64()?,
-            requests: r.get_u64()?,
-            accepted: r.get_u64()?,
-            rejected: r.get_u64()?,
-            timeouts: r.get_u64()?,
+            requests: r.get_count()?,
+            accepted: r.get_count()?,
+            rejected: r.get_count()?,
+            timeouts: r.get_count()?,
         };
         r.finish()?;
         Ok(c)
@@ -946,6 +991,15 @@ mod tests {
         c.finish(t);
         let total: f64 = c.time_in_state().iter().sum();
         assert!((total - t).abs() < 1e-9, "accounted {total} of {t}");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid lifecycle configuration")]
+    fn a_policy_a_restore_would_refuse_builds_no_client() {
+        // "never stale" is the serve plane's infinite horizon, not a
+        // client's: the sealed policy could not be restored
+        let never_stale = LifecycleConfig { stale_horizon: f64::INFINITY, ..cfg() };
+        LifecycleClient::new(never_stale, ClockConfig::paper_defaults(16.0), 1, 0.0);
     }
 
     #[test]

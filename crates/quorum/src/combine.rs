@@ -90,58 +90,74 @@ pub struct Candidate {
 /// Result of one combination.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Combination {
-    /// The fused absolute-time reading.
+    /// The fused absolute-time reading (NaN when `included` is 0).
     pub value: f64,
-    /// The fused rate.
+    /// The fused rate (NaN when `included` is 0).
     pub rate: f64,
-    /// Bitmask of candidates excluded for disagreement.
+    /// Bitmask of candidates excluded for disagreement or for a reading
+    /// or rate that is not finite.
     pub excluded_mask: u32,
-    /// Number of candidates that survived into the trimmed mean.
+    /// Number of candidates that survived into the trimmed mean; 0 only
+    /// when no candidate had a finite reading and rate.
     pub included: usize,
 }
 
 /// Weighted median over `(value, weight)` drawn from `items`: the smallest
 /// value whose cumulative weight reaches half the total. Returns one of
-/// the input values. `scratch` is caller-provided to keep the hot path
-/// allocation-free; all weights must be non-negative with a positive sum.
+/// the input values, or `None` for no items. `scratch` is caller-provided
+/// to keep the hot path allocation-free; callers pass finite values and
+/// non-negative weights with a positive sum (the order is total, so a
+/// value that is not finite cannot panic it either).
 fn weighted_median(
     items: impl Iterator<Item = (f64, f64)>,
     scratch: &mut Vec<(f64, f64)>,
-) -> f64 {
+) -> Option<f64> {
     scratch.clear();
     scratch.extend(items);
-    debug_assert!(!scratch.is_empty(), "weighted_median of nothing");
-    scratch.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
+    scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
     let total: f64 = scratch.iter().map(|c| c.1).sum();
-    debug_assert!(total > 0.0, "weighted_median needs positive total weight");
     let half = total / 2.0;
     let mut acc = 0.0;
     for &(v, w) in scratch.iter() {
         acc += w;
         if acc >= half {
-            return v;
+            return Some(v);
         }
     }
-    scratch.last().expect("non-empty").0
+    scratch.last().map(|c| c.0)
 }
 
 /// Runs the robust combination over `candidates` (must be non-empty).
-/// When every candidate carries zero weight (all demoted), the median and
-/// mean fall back to equal weights — a quorum of the distrusted beats no
-/// clock at all, and the exclusion rule still trims the outliers.
+/// A candidate whose reading or rate is not finite is excluded first and
+/// counted in the mask. When every remaining candidate carries zero weight
+/// (all demoted), the median and mean fall back to equal weights — a
+/// quorum of the distrusted beats no clock at all, and the exclusion rule
+/// still trims the outliers.
 pub fn combine(candidates: &[Candidate], scratch: &mut Vec<(f64, f64)>) -> Combination {
     assert!(!candidates.is_empty(), "combine() needs at least one candidate");
-    let any_weight = candidates.iter().any(|c| c.weight > 0.0);
+    let finite = |c: &&Candidate| c.value.is_finite() && c.rate.is_finite();
+    let mut excluded_mask = candidates
+        .iter()
+        .filter(|c| !finite(c))
+        .fold(0u32, |mask, c| mask | 1 << c.server);
+    let any_weight = candidates.iter().filter(finite).any(|c| c.weight > 0.0);
     let w_of = |c: &Candidate| if any_weight { c.weight } else { 1.0 };
 
-    let m = weighted_median(
-        candidates.iter().filter(|c| w_of(c) > 0.0).map(|c| (c.value, w_of(c))),
+    let none = |excluded_mask| Combination {
+        value: f64::NAN,
+        rate: f64::NAN,
+        excluded_mask,
+        included: 0,
+    };
+    let Some(m) = weighted_median(
+        candidates.iter().filter(finite).filter(|c| w_of(c) > 0.0).map(|c| (c.value, w_of(c))),
         scratch,
-    );
+    ) else {
+        return none(excluded_mask);
+    };
 
-    let mut excluded_mask = 0u32;
     let (mut dev_sum, mut w_sum, mut included) = (0.0f64, 0.0f64, 0usize);
-    for c in candidates {
+    for c in candidates.iter().filter(finite) {
         if (c.value - m).abs() > c.tolerance {
             excluded_mask |= 1 << c.server;
             continue;
@@ -153,9 +169,11 @@ pub fn combine(candidates: &[Candidate], scratch: &mut Vec<(f64, f64)>) -> Combi
             included += 1;
         }
     }
-    // The median holder is always within its own tolerance of itself, so
-    // at least one weighted candidate survived.
-    debug_assert!(included > 0 && w_sum > 0.0);
+    // The median holder is within its own tolerance of itself whenever
+    // that tolerance is non-negative, so a weighted candidate survives.
+    if included == 0 {
+        return none(excluded_mask);
+    }
 
     let value = m + dev_sum / w_sum;
     let rate = weighted_median(
@@ -164,7 +182,8 @@ pub fn combine(candidates: &[Candidate], scratch: &mut Vec<(f64, f64)>) -> Combi
             .filter(|c| excluded_mask & (1 << c.server) == 0 && w_of(c) > 0.0)
             .map(|c| (c.rate, w_of(c))),
         scratch,
-    );
+    )
+    .unwrap_or(f64::NAN);
     Combination {
         value,
         rate,
@@ -276,6 +295,23 @@ mod tests {
         ]);
         assert_eq!(c.excluded_mask, 0, "agreeing demoted server not 'excluded'");
         assert_eq!(c.included, 2, "but it carries no weight");
+    }
+
+    #[test]
+    fn a_non_finite_member_is_excluded_not_a_panic() {
+        let (a, b) = (cand(0, 7.000_00, 1.0, 2e-4), cand(1, 7.000_02, 1.0, 2e-4));
+        let clean = run(&[a, b]);
+        for (bad_value, bad_rate) in [(f64::NAN, 1e-9), (7.0, f64::NAN), (f64::INFINITY, 1e-9)] {
+            let mut bad = cand(2, bad_value, 1.0, 2e-4);
+            bad.rate = bad_rate;
+            let c = run(&[a, bad, b]);
+            assert_eq!(c.excluded_mask, 0b100, "{bad_value} / {bad_rate}");
+            assert_eq!((c.value, c.rate, c.included), (clean.value, clean.rate, 2));
+        }
+        // nothing finite to combine: no combination, every member counted
+        let c = run(&[cand(0, f64::NAN, 1.0, 2e-4), cand(1, f64::NAN, 0.0, 2e-4)]);
+        assert_eq!((c.included, c.excluded_mask), (0, 0b11));
+        assert!(c.value.is_nan() && c.rate.is_nan());
     }
 
     #[test]

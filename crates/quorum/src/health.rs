@@ -271,13 +271,13 @@ impl HealthTracker {
         // Hysteresis: sustained low trust demotes; sustained high trust
         // (a strictly higher bar) re-admits.
         if self.trust < cfg.demote_below {
-            self.below_streak += 1;
+            self.below_streak = self.below_streak.saturating_add(1);
             self.above_streak = 0;
             if !self.demoted && self.below_streak >= cfg.demote_rounds {
                 self.demoted = true;
             }
         } else if self.trust > cfg.readmit_above {
-            self.above_streak += 1;
+            self.above_streak = self.above_streak.saturating_add(1);
             self.below_streak = 0;
             if self.demoted && self.above_streak >= cfg.readmit_rounds {
                 self.demoted = false;

@@ -266,7 +266,8 @@ impl QuorumClock {
                         .tolerance(s.health.point_error_bound(&self.cfg.health)),
                 });
             }
-            // 3. Robust combination.
+            // 3. Robust combination (none when no candidate's reading is
+            // finite).
             if !self.candidates.is_empty() {
                 let c = combine::combine(&self.candidates, &mut self.scratch);
                 excluded_mask = c.excluded_mask;
@@ -282,12 +283,14 @@ impl QuorumClock {
                         0,
                     );
                 }
-                combined = Some(Combined {
-                    tsc_ref,
-                    utc_ref: c.value,
-                    p_hat: c.rate,
-                });
-                self.last = combined;
+                if c.included > 0 {
+                    combined = Some(Combined {
+                        tsc_ref,
+                        utc_ref: c.value,
+                        p_hat: c.rate,
+                    });
+                    self.last = combined;
+                }
             }
         }
 
@@ -332,9 +335,10 @@ impl QuorumClock {
         }
     }
 
-    /// Serializes the full quorum state — config, every member clock and
-    /// its health tracker, the round counter and the last combination —
-    /// into a versioned, checksummed snapshot envelope
+    /// Serializes the full quorum state — config (the members' clock
+    /// configuration once, for all K), every member clock's state and its
+    /// health tracker, the round counter and the last combination — into a
+    /// versioned, checksummed snapshot envelope
     /// ([`tscclock::snapshot::kind::QUORUM`]).
     ///
     /// [`QuorumClock::restore`] of the result resumes **bit-identically**:
@@ -404,11 +408,11 @@ impl QuorumClock {
         let mut servers = Vec::with_capacity(k);
         for _ in 0..k {
             servers.push(ServerSlot {
-                clock: TscNtpClock::load_state(&mut r)?,
+                clock: TscNtpClock::load_state(clock_cfg, &mut r)?,
                 health: HealthTracker::load_state(&mut r)?,
             });
         }
-        let round = r.get_u64()?;
+        let round = r.get_count()?;
         let last = match r.get_u8()? {
             0 => None,
             1 => Some(Combined {

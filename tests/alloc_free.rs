@@ -5,12 +5,13 @@
 //! size, the clock's history ring past its window — and then counts heap
 //! allocations over thousands of further calls: zero.
 //!
-//! The counter is per thread (the harness runs every `#[test]` on a thread
-//! of its own, beside its own bookkeeping), and counts `alloc` and
-//! `realloc`; frees are not the claim.
+//! The counter (`tests/common`) is per thread (the harness runs every
+//! `#[test]` on a thread of its own, beside its own bookkeeping), and
+//! counts `alloc` and `realloc`; frees are not the claim.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
+use common::allocations_in;
 use std::sync::Arc;
 
 use tsc_fleet::{ClientState, LifecycleClient, LifecycleConfig};
@@ -22,50 +23,6 @@ use tsc_serve::{
     SnapshotCell,
 };
 use tscclock::{ClockConfig, RawExchange, TscNtpClock};
-
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: an allocation during thread teardown has nowhere to count.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter (a const-initialised `Cell`, so
-// touching it never allocates) does not influence an allocation.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's layout is passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from `System` with this layout; `new_size`
-        // is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Heap allocations this thread makes while `f` runs.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.get();
-    f();
-    ALLOCATIONS.get() - before
-}
 
 const POLL: f64 = 16.0;
 

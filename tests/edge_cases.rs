@@ -230,3 +230,113 @@ fn serve_and_lifecycle_bound_policies_agree() {
     assert_eq!(client.widen_rate, publish.widen_rate);
     assert_eq!(client.stale_horizon, ServeConfig::default().stale_horizon);
 }
+
+/// The configurations the hostile-word restore sweep reached, and their
+/// neighbours: each must fail `validate()`. Before validation was total,
+/// `poll_period: 1e-300` passed and `TscNtpClock::new` then panicked on
+/// capacity overflow, and a negative `shift_mult` panicked the shift
+/// detector's constructor.
+#[test]
+fn hostile_configs_fail_validation() {
+    type Edit = fn(&mut ClockConfig);
+    let hostile: [(&str, Edit); 26] = [
+        ("poll 1e-300", |c| c.poll_period = 1e-300),
+        ("poll subnormal", |c| c.poll_period = f64::from_bits(1)),
+        ("poll 0", |c| c.poll_period = 0.0),
+        ("poll -16", |c| c.poll_period = -16.0),
+        ("poll NaN", |c| c.poll_period = f64::NAN),
+        ("poll ∞", |c| c.poll_period = f64::INFINITY),
+        ("shift_mult -4", |c| c.shift_mult = -4.0),
+        ("shift_mult NaN", |c| c.shift_mult = f64::NAN),
+        ("4E underflows", |c| {
+            c.shift_mult = f64::from_bits(1);
+            c.quality_scale = 1e-300;
+        }),
+        ("ts_window -1", |c| c.ts_window = -1.0),
+        ("ts_window NaN", |c| c.ts_window = f64::NAN),
+        ("ts_window 1e300", |c| c.ts_window = 1e300),
+        ("aging_rate -ε", |c| c.aging_rate = -0.02e-6),
+        ("aging_rate NaN", |c| c.aging_rate = f64::NAN),
+        ("gamma_star 0", |c| c.gamma_star = 0.0),
+        ("rate_sanity NaN", |c| c.rate_sanity = f64::NAN),
+        ("offset_sanity -1", |c| c.offset_sanity = -1.0),
+        ("fallback_mult NaN", |c| c.fallback_mult = f64::NAN),
+        ("fallback_mult ∞", |c| c.fallback_mult = f64::INFINITY),
+        ("tau_prime 1e300", |c| c.tau_prime = 1e300),
+        ("tau_bar NaN", |c| c.tau_bar = f64::NAN),
+        ("top_window ∞", |c| c.top_window = f64::INFINITY),
+        ("delta NaN", |c| c.delta = f64::NAN),
+        ("e_star -E*", |c| c.e_star = -300e-6),
+        ("warmup usize::MAX", |c| c.warmup_packets = usize::MAX),
+        ("w_split usize::MAX", |c| c.w_split = usize::MAX),
+    ];
+    for (what, edit) in hostile {
+        let mut cfg = ClockConfig::paper_defaults(16.0);
+        edit(&mut cfg);
+        assert!(cfg.validate().is_err(), "{what} passed validation");
+    }
+}
+
+/// A grid of configurations at the edges of what validation accepts —
+/// polls from the live demo's 0.02 s to 10⁶ s, thresholds near zero and
+/// large, the smallest and larger splits and warm-ups — all build a clock
+/// that takes a few hundred packets without a panic.
+#[test]
+fn every_accepted_config_in_a_grid_builds_and_runs() {
+    type Edit = fn(&mut ClockConfig);
+    let edits: [Edit; 6] = [
+        |_| {},
+        |c| c.use_local_rate = true,
+        |c| {
+            c.shift_mult = 1e-9;
+            c.gamma_star = f64::MIN_POSITIVE;
+            c.rate_sanity = 1e3;
+            c.offset_sanity = f64::MIN_POSITIVE;
+            c.aging_rate = 0.0;
+        },
+        |c| {
+            c.w_split = 3;
+            c.warmup_packets = 0;
+            c.tau_prime = f64::MIN_POSITIVE;
+        },
+        |c| {
+            c.w_split = 1 << 20;
+            c.warmup_packets = 1 << 20;
+            c.use_local_rate = true;
+        },
+        |c| {
+            c.fallback_mult = 1e9;
+            c.e_star = 1e6;
+            c.quality_scale = 1e-12;
+        },
+    ];
+    for poll in [0.02, 1.0, 16.0, 1024.0, 1e6] {
+        for (k, edit) in edits.iter().enumerate() {
+            let mut cfg = ClockConfig::paper_defaults(poll);
+            edit(&mut cfg);
+            assert!(cfg.validate().is_ok(), "poll {poll}, edit {k}");
+            let mut clock = TscNtpClock::new(cfg);
+            for i in 1..300u64 {
+                clock.process(ex(i as f64 * poll, (i % 7) as f64 * 30e-6));
+            }
+            let _ = clock.absolute_time(ex(300.0 * poll, 0.0).tf_tsc);
+        }
+    }
+}
+
+/// `is_causal` admits an infinite server stamp (`Te ≥ Tb` holds), and the
+/// naive period of a bootstrap pair with one is +∞, which the rate
+/// estimator refuses to seed: the clock must then wait for a usable pair,
+/// not process a packet without a period.
+#[test]
+fn an_infinite_server_stamp_cannot_panic_a_cold_clock() {
+    let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(16.0));
+    let mut inf = ex(16.0, 0.0);
+    (inf.tb, inf.te) = (f64::INFINITY, f64::INFINITY);
+    assert!(clock.process(ex(0.0, 0.0)).is_none());
+    assert!(clock.process(inf).is_none(), "no bootstrap from an infinite period");
+    for k in 2..40 {
+        clock.process(ex(k as f64 * 16.0, 10e-6));
+    }
+    assert!(clock.absolute_time(ex(40.0 * 16.0, 0.0).tf_tsc).is_some_and(f64::is_finite));
+}

@@ -23,13 +23,25 @@
 //! committed bytes are what this source writes. A change that moves them
 //! bumps `FORMAT_VERSION` and says how old blobs are treated — today:
 //! [`older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start`].
+//!
+//! The same fixtures carry the hostile-word restore sweep: a payload word
+//! set to each of eight hostile values and re-sealed must restore to a typed
+//! error or to a state that runs its golden tail without a panic, reading
+//! finite times ([`hostile_words_in_the_clock_fixture_are_refused_or_harmless`]
+//! and its quorum and lifecycle twins; every byte offset in the `#[ignore]`d
+//! [`hostile_bytes_at_every_offset_are_refused_or_harmless`]).
 
+mod common;
+
+use common::ClockLayout;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::LazyLock;
 use tsc_fleet::{
     replay, replay_item, CheckpointStore, ClockCheckpoint, FleetConfig, LifecycleClient,
-    LifecycleConfig, PopulationConfig,
+    LifecycleConfig, PopulationConfig, ReadVerdict,
 };
 use tsc_netsim::Scenario;
-use tsc_quorum::{QuorumClock, QuorumConfig};
+use tsc_quorum::{HealthTracker, QuorumClock, QuorumConfig};
 use tscclock::snapshot::FORMAT_VERSION;
 use tscclock::{ClockConfig, RawExchange, SnapshotError, TscNtpClock};
 
@@ -359,14 +371,14 @@ fn as_version(blob: &[u8], version: u16) -> Vec<u8> {
     old
 }
 
-/// A v1‥v4 blob is intact by its own rules, so the refusal must be the
+/// A v1‥v5 blob is intact by its own rules, so the refusal must be the
 /// version check speaking — and a replay that finds one where its
 /// checkpoint should be must count a cold start and stay exact.
 #[test]
 fn older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
-    assert_eq!(FORMAT_VERSION, 5, "a bump extends the versions tried below");
-    for found in [1, 2, 3, 4] {
-        let old = SnapshotError::VersionMismatch { found, expected: 5 };
+    assert_eq!(FORMAT_VERSION, 6, "a bump extends the versions tried below");
+    for found in [1, 2, 3, 4, 5] {
+        let old = SnapshotError::VersionMismatch { found, expected: 6 };
         let of = |name| as_version(&fixture(name), found);
         assert_eq!(TscNtpClock::restore(&of("clock")).err(), Some(old.clone()));
         assert_eq!(QuorumClock::restore(&of("quorum")).err(), Some(old.clone()));
@@ -434,6 +446,194 @@ fn any_substitution_of_one_aligned_word_is_detected() {
     }
 }
 
+// ------------------------------------------------ hostile-word restore
+
+/// A restore of any swept blob allocates at most this many bytes per byte
+/// of the blob. What it allocates is the restored state's rings: the
+/// history's records, the shift ring the blob had to hold, and the offset
+/// window's ring and κ-min deque, sized by the records present, not by the
+/// configured window. The largest the full byte-stride sweep saw was 3.24
+/// (lifecycle), where a hostile τ′ puts every record into the offset
+/// window.
+const RESTORE_ALLOC_PER_BLOB_BYTE: u64 = 4;
+
+/// How a sweep's cases came out.
+#[derive(Debug, Default)]
+struct Sweep {
+    refused: usize,
+    restored: usize,
+    /// `(payload offset, value)` of every case that panicked, read a time
+    /// that is not finite, or allocated past the bound.
+    failed: Vec<(usize, u64)>,
+    /// The most bytes one restore allocated, per byte of its blob.
+    alloc_per_byte: f64,
+}
+
+/// Overwrites the eight bytes at each of `offsets` in the fixture `name`
+/// with each of [`common::hostile_values`], re-seals, and restores. Each
+/// restore must be a typed refusal, or allocate within the bound and give
+/// a state that `run` drives through the golden tail, answering whether
+/// every read was finite. A panic anywhere is a failed case.
+fn sweep<T>(
+    name: &str,
+    offsets: &[usize],
+    restore: fn(&[u8]) -> Result<T, SnapshotError>,
+    run: fn(T) -> bool,
+) -> Sweep {
+    let bytes = fixture(name);
+    let payload = common::payload(&bytes);
+    let mut out = Sweep::default();
+    for &at in offsets {
+        let w = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        for bad in common::hostile_values(w) {
+            let blob = common::resealed_with(&bytes, at, bad);
+            let (restored, allocated) =
+                common::bytes_allocated_in(|| catch_unwind(AssertUnwindSafe(|| restore(&blob))));
+            out.alloc_per_byte = out.alloc_per_byte.max(allocated as f64 / blob.len() as f64);
+            let ok = match restored {
+                Ok(Err(_)) => {
+                    out.refused += 1;
+                    true
+                }
+                Ok(Ok(state)) => {
+                    out.restored += 1;
+                    catch_unwind(AssertUnwindSafe(|| run(state))).unwrap_or(false)
+                }
+                Err(_) => false,
+            };
+            if !ok || allocated > RESTORE_ALLOC_PER_BLOB_BYTE * blob.len() as u64 {
+                out.failed.push((at, bad));
+            }
+        }
+    }
+    out
+}
+
+/// The tier-1 sweep's offsets for fixture `name`, given the clocks it
+/// holds, where each clock's state starts in its payload, and the stride
+/// within those states ([`common::swept_offsets`]).
+fn swept_offsets(name: &str, clocks: &[(&TscNtpClock, usize)], clock_stride: usize) -> Vec<usize> {
+    let bytes = fixture(name);
+    let payload = common::payload(&bytes);
+    let layouts: Vec<_> =
+        clocks.iter().map(|&(clock, at)| ClockLayout::at(clock, payload, at)).collect();
+    common::swept_offsets(payload.len(), &layouts, clock_stride)
+}
+
+/// The clock and quorum golden tails, built once for all swept cases.
+static CLOCK_TAIL_INPUT: LazyLock<Vec<RawExchange>> =
+    LazyLock::new(|| clock_input().split_off(CLOCK_HEAD));
+static QUORUM_TAIL_INPUT: LazyLock<Vec<Vec<Option<RawExchange>>>> =
+    LazyLock::new(|| quorum_input().split_off(QUORUM_HEAD));
+
+/// Whether the restored clock reads finite times over the golden tail.
+fn run_clock(mut clock: TscNtpClock) -> bool {
+    CLOCK_TAIL_INPUT.iter().all(|&ex| {
+        clock.process(ex);
+        clock.absolute_time(ex.tf_tsc).is_none_or(f64::is_finite)
+    })
+}
+
+fn run_quorum(mut quorum: QuorumClock) -> bool {
+    QUORUM_TAIL_INPUT.iter().all(|round| {
+        let o = quorum.process_round(round);
+        !o.combined || quorum.absolute_time(o.tsc_ref).is_some_and(f64::is_finite)
+    })
+}
+
+fn run_lifecycle(mut client: LifecycleClient) -> bool {
+    let mut path = lifecycle_path();
+    for _ in 0..2 * LIFECYCLE_HEAD {
+        path.uniform();
+    }
+    (LIFECYCLE_HEAD..LIFECYCLE_HEAD + LIFECYCLE_TAIL).all(|n| {
+        drive_lifecycle(&mut client, &mut path, n..n + 1);
+        let tsc = client.clock().history().last().map_or(0, |r| r.ex.tf_tsc);
+        match client.read(tsc, client.next_send()) {
+            ReadVerdict::Fresh { time, bound } | ReadVerdict::Degraded { time, bound, .. } => {
+                time.is_finite() && bound.is_finite()
+            }
+            ReadVerdict::Stale { age } => age.is_finite(),
+            ReadVerdict::Unavailable => true,
+        }
+    })
+}
+
+fn assert_swept(name: &str, s: Sweep) {
+    assert!(s.refused > 0 && s.restored > 0, "{name}: {s:?}");
+    let first = &s.failed[..s.failed.len().min(8)];
+    assert!(s.failed.is_empty(), "{name}: {} failed cases, first {first:?}", s.failed.len());
+}
+
+/// Every byte offset of the clock fixture (history records and shift ring:
+/// the first and the last element) overwritten with each hostile value and
+/// re-sealed: a typed refusal, or a clock that runs the golden tail without
+/// a panic and reads finite times.
+#[test]
+fn hostile_words_in_the_clock_fixture_are_refused_or_harmless() {
+    let clock = TscNtpClock::restore(&fixture("clock")).unwrap();
+    let history_at = common::saved_len(|w| clock.config().save_state(w));
+    let offsets = swept_offsets("clock", &[(&clock, history_at)], 1);
+    assert_swept("clock", sweep("clock", &offsets, TscNtpClock::restore, run_clock));
+}
+
+/// The quorum's own words byte by byte, its member clocks' states word by
+/// word from each state's start (the clock fixture's sweep covers the
+/// clock restore byte by byte).
+#[test]
+fn hostile_words_in_the_quorum_fixture_are_refused_or_harmless() {
+    let quorum = QuorumClock::restore(&fixture("quorum")).unwrap();
+    let cfg = quorum.config();
+    // the three configurations and K, then per member its clock and tracker
+    let mut at = common::saved_len(|w| {
+        cfg.clock.save_state(w);
+        cfg.health.save_state(w);
+        cfg.combiner.save_state(w);
+        w.put_usize(quorum.k());
+    });
+    let tracker = common::saved_len(|w| HealthTracker::new().save_state(w));
+    let members: Vec<_> = (0..quorum.k())
+        .map(|k| {
+            let member = (quorum.server(k), at);
+            at += common::saved_len(|w| quorum.server(k).save_state(w)) + tracker;
+            member
+        })
+        .collect();
+    let offsets = swept_offsets("quorum", &members, 8);
+    assert_swept("quorum", sweep("quorum", &offsets, QuorumClock::restore, run_quorum));
+}
+
+/// The client's own words byte by byte, its clock's state word by word.
+#[test]
+fn hostile_words_in_the_lifecycle_fixture_are_refused_or_harmless() {
+    let client = LifecycleClient::restore(&fixture("lifecycle")).unwrap();
+    let history_at = common::saved_len(|w| {
+        LifecycleConfig::defaults(16.0).save_state(w);
+        client.clock().config().save_state(w);
+    });
+    let offsets = swept_offsets("lifecycle", &[(client.clock(), history_at)], 8);
+    let s = sweep("lifecycle", &offsets, LifecycleClient::restore, run_lifecycle);
+    assert_swept("lifecycle", s);
+}
+
+/// The same sweep at every byte offset of the three payloads, records
+/// included. `cargo test --release --test snapshot_golden -- --ignored
+/// hostile_bytes`
+#[test]
+#[ignore = "every byte offset: run in release"]
+fn hostile_bytes_at_every_offset_are_refused_or_harmless() {
+    let every = |name: &str| (0..=common::payload(&fixture(name)).len() - 8).collect::<Vec<_>>();
+    let report = |name: &str, s: Sweep| {
+        let (refused, restored, ratio) = (s.refused, s.restored, s.alloc_per_byte);
+        println!("{name}: {refused} refused, {restored} restored, {ratio:.2} B/B");
+        assert_swept(name, s);
+    };
+    report("clock", sweep("clock", &every("clock"), TscNtpClock::restore, run_clock));
+    report("quorum", sweep("quorum", &every("quorum"), QuorumClock::restore, run_quorum));
+    let s = sweep("lifecycle", &every("lifecycle"), LifecycleClient::restore, run_lifecycle);
+    report("lifecycle", s);
+}
+
 // ---------------------------------------------------------- regenerator
 
 /// Rewrites every fixture from source and prints the digests to pin.
@@ -461,3 +661,4 @@ fn regenerate_golden_fixtures() {
     println!("LIFECYCLE_TAIL_DIGEST {tail:#018x}");
     println!("CHECKPOINT_RUN_DIGEST {:#018x}", replay(None, &checkpoint_workload())[0].digest);
 }
+

@@ -9,8 +9,10 @@
 //! ring), and `Tf`/RTT in counts and the two midpoints are computed from
 //! the stamps where they are read.
 
+mod common;
+
+use common::{payload, resealed_payload, resealed_with, HistoryLayout};
 use proptest::prelude::*;
-use tscclock::snapshot::{kind, SnapshotWriter};
 use tscclock::{ClockConfig, History, PacketRecord, RawExchange, SnapshotError, TscNtpClock};
 
 /// True period of the synthetic host counter: 1 GHz with +52.4 PPM skew.
@@ -154,48 +156,6 @@ proptest! {
     }
 }
 
-/// Re-seals `blob`'s payload with the eight bytes at payload offset `at`
-/// replaced by `word`, so the envelope and its checksum are valid and only
-/// the restore's own checks can refuse it.
-fn resealed_with(blob: &[u8], at: usize, word: u64) -> Vec<u8> {
-    let mut payload = blob[15..blob.len() - 8].to_vec();
-    payload[at..at + 8].copy_from_slice(&word.to_le_bytes());
-    let mut w = SnapshotWriter::with_capacity(payload.len());
-    payload.into_iter().for_each(|b| w.put_u8(b));
-    w.seal(kind::CLOCK)
-}
-
-/// Where the history section's words sit in a clock payload (format v5):
-/// cap, r̂, rebase_gen, next_idx, floor, the record count and the 32-byte
-/// records; then the min-deque's count and (idx, rtt) pairs; then the run
-/// count and (start, baseline) pairs.
-struct HistoryLayout {
-    at: usize,
-    n_rec: usize,
-    mono_at: usize,
-    runs_at: usize,
-    end: usize,
-}
-
-impl HistoryLayout {
-    fn of(clock: &TscNtpClock, payload: &[u8]) -> Self {
-        let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
-        let mut cfg = SnapshotWriter::new();
-        clock.config().save_state(&mut cfg);
-        let at = cfg.seal(kind::CLOCK).len() - 15 - 8;
-        let n_rec = word(at + 40);
-        let mono_at = at + 48 + 32 * n_rec;
-        let runs_at = mono_at + 8 + 16 * word(mono_at);
-        let end = runs_at + 8 + 16 * word(runs_at);
-        Self { at, n_rec, mono_at, runs_at, end }
-    }
-
-    /// Every word of the section but the records', by payload offset.
-    fn non_record_words(&self) -> impl Iterator<Item = usize> {
-        (self.at..self.at + 48).chain(self.mono_at..self.end).step_by(8)
-    }
-}
-
 #[test]
 fn restore_refuses_what_the_implicit_index_cannot_survive() {
     // sealed after the detector confirmed the route change: two runs
@@ -205,21 +165,18 @@ fn restore_refuses_what_the_implicit_index_cannot_survive() {
     let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
 
     let layout = HistoryLayout::of(&clock, payload);
-    let (next_idx_at, floor_at, mono_at) = (layout.at + 24, layout.at + 32, layout.mono_at);
+    let (next_idx_at, floor_at) = (layout.at + 8, layout.at + 16);
     let (next_idx, n_rec) = (word(next_idx_at), layout.n_rec as u64);
     assert_eq!((next_idx, n_rec), (420, clock.history().len() as u64), "layout moved");
-    let n_mono = word(mono_at) as usize;
     let (run0_at, run1_at) = (layout.runs_at + 8, layout.runs_at + 24);
     let n_runs = word(layout.runs_at);
-    assert!(n_mono >= 2 && n_runs == 2, "{n_mono} candidates, {n_runs} runs");
+    assert!(n_runs == 2, "{n_runs} runs");
     assert_eq!(word(run0_at), 0, "layout moved");
     assert!((2..next_idx - 1).contains(&word(run1_at)), "layout moved");
     assert_eq!(word(floor_at), word(run1_at), "the floor is the shift's start");
 
     assert!(TscNtpClock::restore(&resealed_with(&blob, next_idx_at, next_idx)).is_ok());
     const ADMITTED: &str = "history holds more records than were admitted";
-    const OUTSIDE: &str = "rtt-minimum candidate outside the window";
-    const ORDER: &str = "rtt-minimum candidates not increasing";
     const NO_RUNS: &str = "history records without a baseline run";
     const RUN_ORDER: &str = "baseline runs not increasing";
     const FIRST: &str = "first baseline run starts after the oldest record";
@@ -229,10 +186,6 @@ fn restore_refuses_what_the_implicit_index_cannot_survive() {
     const STRADDLE: &str = "shift floor inside a baseline run";
     for (at, bad, why) in [
         (next_idx_at, n_rec - 1, ADMITTED),
-        (next_idx_at, next_idx + 1_000, OUTSIDE), // every candidate below the window
-        (mono_at + 8, next_idx, OUTSIDE),         // one beyond the newest packet
-        (mono_at + 24, word(mono_at + 8), ORDER), // two with one index
-        (mono_at + 32, word(mono_at + 16), ORDER), // two with one value
         (layout.runs_at, 0, NO_RUNS),             // records present, no runs
         (run1_at, word(run0_at), RUN_ORDER),      // two runs with one start
         (run0_at, 1, FIRST),                      // the oldest record uncovered
@@ -275,4 +228,34 @@ fn no_history_word_restores_a_clock_that_panics() {
         }
     }
     assert!(refused > 0 && restored > 0, "{refused} refused, {restored} restored");
+}
+
+/// `blob` with the optional value `v` that follows the history section
+/// (tag 1, then its 8 bytes) written as absent (tag 0, the 8 bytes gone),
+/// re-sealed: a blob no one-word substitution reaches, since the tag and
+/// the length must change together.
+fn with_absent(blob: &[u8], after: usize, v: f64) -> Vec<u8> {
+    let p = payload(blob);
+    let mut tagged = [1u8; 9];
+    tagged[1..].copy_from_slice(&v.to_le_bytes());
+    let found = p.windows(9).enumerate().skip(after).filter(|(_, w)| *w == tagged);
+    let hits: Vec<_> = found.map(|(at, _)| at).collect();
+    assert_eq!(hits.len(), 1, "{v} found at {hits:?}");
+    let at = hits[0];
+    resealed_payload(blob, &[&p[..at], &[0], &p[at + 9..]].concat())
+}
+
+#[test]
+fn restore_refuses_a_history_without_a_rate_or_a_valid_window_without_an_estimate() {
+    let clock = fed_clock(&lcg_exchanges(420, usize::MAX));
+    let blob = clock.snapshot();
+    let after = HistoryLayout::of(&clock, payload(&blob)).end;
+    let (p_hat, theta) = (clock.p_hat().unwrap(), clock.status().theta_hat.unwrap());
+    for (v, why) in [
+        (p_hat, "history without a rate estimate"),
+        (theta, "offset window valid without its inputs"),
+    ] {
+        let got = TscNtpClock::restore(&with_absent(&blob, after, v)).map(|_| "restored");
+        assert_eq!(got, Err(SnapshotError::Invalid(why)), "{v} absent");
+    }
 }
