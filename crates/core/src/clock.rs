@@ -232,11 +232,12 @@ impl TscNtpClock {
 
     /// Feeds one completed exchange through the pipeline.
     ///
-    /// Returns `None` for malformed packets and for the very first packet
-    /// (two packets are needed before any estimate exists; the first packet
-    /// is then processed retroactively).
+    /// Returns `None` for malformed packets (not causal, or a server stamp
+    /// that is not finite: the rule a restore checks stored records by) and
+    /// for the very first packet (two packets are needed before any
+    /// estimate exists; the first packet is then processed retroactively).
     pub fn process(&mut self, ex: RawExchange) -> Option<ProcessOutput> {
-        if !ex.is_causal() {
+        if !crate::history::admissible(&ex) {
             return None;
         }
         // Bootstrap: hold the first packet until p̂₂,₁ can be formed.
@@ -244,8 +245,7 @@ impl TscNtpClock {
             if let Some(first) = self.pending_first.take() {
                 // Second packet: bootstrap the rate, align the clock, then
                 // run both packets through the pipeline.
-                // (a period `seed` would refuse, ∞ from an infinite stamp
-                // included, bootstraps nothing)
+                // (a period `seed` would refuse bootstraps nothing)
                 let p0 = crate::naive::naive_rate(&first, &ex)
                     .filter(|p| p.is_finite() && *p > 0.0)?;
                 // Align C(t) to the server at the first packet's midpoint:

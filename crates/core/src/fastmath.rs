@@ -1,4 +1,4 @@
-//! The branch-free exponential for the per-packet hot path.
+//! The exponential for the per-packet hot path.
 //!
 //! The §5.3 offset weights are the only transcendental on the per-packet
 //! path, and the factored-weight estimator (see `offset`) needs just
@@ -50,15 +50,24 @@ const POLY: [f64; 10] = [
     5e-1,                        // 1/2!
 ];
 
-/// `exp(x)` clamped to `x ∈ [−700, 700]`, branch-free scalar.
+/// `exp(x)` clamped to `x ∈ [−700, 700]`, scalar, branch-free but for
+/// the zero case.
 ///
 /// Every weight computation in the offset estimator — incremental absorb,
 /// full-pass reference, and the rebuild refill — goes through this one
 /// function, so the fast and reference pipelines share the exact same
 /// exponential (their remaining divergence is argument arithmetic and
 /// summation order, covered by the 1e-12 parity budget).
+///
+/// `exp(±0)` is 1 without the polynomial (the same bits it would give,
+/// pinned by `exact_at_zero`): the window's best packet has argument
+/// exactly 0 in every full pass, and at coarse polling it is often the
+/// only packet in the window.
 #[inline]
 pub fn exp_clamped(x: f64) -> f64 {
+    if x == 0.0 {
+        return 1.0;
+    }
     let x = x.clamp(-700.0, 700.0);
     // Round x·log2(e) to the nearest integer without a libcall; the biased
     // integer also comes straight out of the magic sum's mantissa bits.

@@ -19,12 +19,14 @@
 //! Every operation is **O(1) amortized per packet**, plus one pass over
 //! a table of a handful of entries at each new minimum, and memory is
 //! **O(window)**: the four stamps of each retained packet (32 bytes) plus
-//! two small side tables.
+//! one small side table.
 //!
-//! * **Window slides** recompute `r̂` from the retained half. A monotonic
-//!   min-deque (`mono`) tracks candidate minima as records are pushed;
-//!   sliding trims expired candidates from its front and reads the new
-//!   `r̂` in O(1). Each record enters and leaves the deque at most once.
+//! * **Window slides** recompute `r̂` from the retained half: one pass
+//!   over the retained records at or after the shift floor, the same
+//!   order of work as the drain it follows, once every `T/2` (3.5 days
+//!   at 16 s polling). Between slides `r̂` only falls, or is set by a
+//!   confirmed shift, so a push is one compare: nothing per packet tracks
+//!   what a slide will need.
 //! * **Point-error re-evaluation** (§6.1: when `r̂` improves, "the past
 //!   point errors effectively change ... For the purposes of future
 //!   estimates the new point errors are used") and the re-basing after an
@@ -172,9 +174,9 @@ fn exchange_to_wire(ex: &RawExchange) -> [u8; EXCHANGE_WIRE_BYTES] {
     bytes
 }
 
-/// Whether the clock could have admitted a restored exchange: causal,
-/// with finite server stamps (non-short-circuit, so a record array is
-/// checked without a branch a record).
+/// The clock's admission rule, which a restore also checks every stored
+/// exchange by: causal, with finite server stamps (non-short-circuit, so
+/// a record array is checked without a branch a record).
 pub(crate) fn admissible(ex: &RawExchange) -> bool {
     ex.is_causal() & ex.tb.is_finite() & ex.te.is_finite()
 }
@@ -215,10 +217,6 @@ pub struct History {
     cap: usize,
     /// Current `r̂` in counts.
     rtt_min_c: f64,
-    /// Monotonic min-deque of `(idx, rtt_c)` candidates over the retained
-    /// records at or after the shift floor; its front is always the minimum
-    /// RTT a slide-time recomputation would find.
-    mono: VecDeque<(u64, f64)>,
     /// Baseline runs `(start, baseline)`: starts strictly increasing and
     /// below `next_idx`, the first covering the oldest record, none
     /// straddling the floor (see the module docs).
@@ -249,7 +247,6 @@ impl History {
             records: VecDeque::new(),
             cap,
             rtt_min_c: f64::INFINITY,
-            mono: VecDeque::new(),
             runs: Vec::new(),
             floor: 0,
             rebase_gen: 0,
@@ -280,14 +277,13 @@ impl History {
             // once — the per-record call overhead of the pop loop was the
             // slide's dominant cost).
             self.records.drain(..self.cap / 2);
-            let front_idx = self.front_idx();
-            while matches!(self.mono.front(), Some(&(i, _)) if i < front_idx) {
-                self.mono.pop_front();
-            }
             // §6.1: r̂ recomputed from the retained records at or after the
-            // shift floor — exactly the front of the min-deque (entries
-            // below the floor were trimmed when the shift was applied).
-            if let Some(&(_, m)) = self.mono.front() {
+            // shift floor (left as it is when none is).
+            let from = usize::try_from(self.floor.saturating_sub(self.front_idx()))
+                .map_or(self.records.len(), |k| k.min(self.records.len()));
+            let rtts = self.records.range(from..).map(|ex| ex.rtt_counts() as f64);
+            let m = rtts.fold(f64::INFINITY, f64::min);
+            if m.is_finite() {
                 self.rtt_min_c = m;
             }
             self.drop_dead_runs();
@@ -314,10 +310,6 @@ impl History {
             self.runs.truncate(kept);
             self.rebase_gen = self.rebase_gen.wrapping_add(1);
         }
-        while matches!(self.mono.back(), Some(&(_, v)) if v >= rtt_c) {
-            self.mono.pop_back();
-        }
-        self.mono.push_back((idx, rtt_c));
         // The ring never outgrows its window: once doubling would pass
         // `cap`, take exactly the room that is left.
         let room = self.records.capacity();
@@ -349,11 +341,6 @@ impl History {
             "shift starts must be non-decreasing and admitted"
         );
         self.rtt_min_c = new_min_c;
-        // Future r̂ recomputations only use packets at or after the shift
-        // point (§6.1): drop older candidates now, in O(dropped).
-        while matches!(self.mono.front(), Some(&(i, _)) if i < shift_start_idx) {
-            self.mono.pop_front();
-        }
         let keep = self.runs.partition_point(|&(s, _)| s < shift_start_idx);
         self.runs.truncate(keep);
         // A shift at the next packet re-bases no retained one: that
@@ -471,8 +458,7 @@ impl History {
 
     /// Serializes the complete history — `r̂`, the retained exchanges and
     /// the run table — into a snapshot payload. Record indices are implied
-    /// by `next_idx` and the count, the min-deque is a function of the
-    /// records at or after the floor, and the window capacity is the
+    /// by `next_idx` and the count, and the window capacity is the
     /// configuration's. The re-basing generation is an in-memory change
     /// token: a restore starts it at 0 and its consumers re-read against
     /// that.
@@ -498,8 +484,7 @@ impl History {
     /// underflow), every record admissible, an `r̂` that is a count (`∞`
     /// only while empty), and a run table whose runs cover every record
     /// with positive baselines, start below `next_idx` and leave the floor
-    /// (itself at most `next_idx`) on a run boundary. The min-deque is
-    /// rebuilt from the records at or after the floor, as pushes built it.
+    /// (itself at most `next_idx`) on a run boundary.
     pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         use SnapshotError as E;
         let rtt_min_c = r.get_f64()?;
@@ -521,17 +506,6 @@ impl History {
         let records: VecDeque<_> = r.take_arrays(n_rec)?.iter().map(exchange_from_wire).collect();
         if !records.iter().fold(true, |ok, ex| ok & admissible(ex)) {
             return Err(INADMISSIBLE);
-        }
-        // The min-deque holds the records at or after the floor whose RTT
-        // is below every later one's (pushes pop the candidates a new RTT
-        // does not beat): their suffix minima, found newest first.
-        let from = usize::try_from(floor.saturating_sub(front_idx)).map_or(n_rec, |k| k.min(n_rec));
-        let mut mono = VecDeque::new();
-        for (k, ex) in records.range(from..).enumerate().rev() {
-            let rtt_c = ex.rtt_counts() as f64;
-            if mono.front().is_none_or(|&(_, v)| rtt_c < v) {
-                mono.push_front((front_idx + (from + k) as u64, rtt_c));
-            }
         }
         let n_runs = r.get_len(16)?;
         let mut runs = Vec::<(u64, f64)>::with_capacity(n_runs);
@@ -561,7 +535,6 @@ impl History {
             records,
             cap: self.cap,
             rtt_min_c,
-            mono,
             runs,
             floor,
             rebase_gen: 0,
@@ -814,14 +787,14 @@ mod tests {
         let starts_ok = h.runs.iter().zip(h.runs.iter().skip(1)).all(|(a, b)| a.0 < b.0);
         let covered = h.runs.first().is_none_or(|&(s, _)| s <= front);
         assert!(starts_ok && covered && h.runs.last().is_none_or(|&(s, _)| s < h.next_idx));
-        // A restore re-derives the min-deque from the records: the live one.
+        // A restore reads back the live records and run table.
         let mut w = SnapshotWriter::new();
         h.save_state(&mut w);
         let blob = w.seal(0);
         let mut back = History::new(h.cap);
         let payload = crate::snapshot::open_envelope(&blob, 0).expect("own envelope");
         back.load_state(&mut SnapshotReader::new(payload)).expect("own state restores");
-        assert_eq!((&back.mono, &back.runs, &back.records), (&h.mono, &h.runs, &h.records), "{at}");
+        assert_eq!((&back.runs, &back.records), (&h.runs, &h.records), "{at}");
     }
 
     proptest::proptest! {

@@ -38,15 +38,16 @@
 //! allocation-free** in steady state, independent of the top-level history
 //! size (one week ≈ 38k packets at 16 s polling):
 //!
-//! * the RTT minimum `r̂` is maintained with a monotonic min-deque, and
+//! * the RTT minimum `r̂` is a running minimum, recomputed from the
+//!   retained records only when the top window slides, and
 //!   §6.1 point-error re-evaluation rewrites a small table of baseline
 //!   runs instead of sweeping the stored records — see the [`history`]
 //!   module docs for the design;
 //! * the §5.3 offset estimator is **fully incremental**: its weights are
 //!   exponentials of the excess total error over the window's best
 //!   packet, which factor into per-packet constants, so the weighted
-//!   sums are rolling accumulators (one absorb + one expire + a
-//!   monotonic min-deque per packet — a single exponential, ~50 ns,
+//!   sums are rolling accumulators (one absorb + one expire + a running
+//!   minimum per packet — a single exponential, ~50 ns,
 //!   instead of an O(τ′/poll) window pass), exactness bounded by a
 //!   periodic rebuild — see the [`offset`] module docs for the math and
 //!   the drift-rebuild contract;
@@ -70,7 +71,7 @@
 //!   confirms a false shift on any two congested exchanges;
 //! * τ′ windows of at most 4 packets are resolved straight off the
 //!   history tail into stack buffers instead of maintaining the rolling
-//!   caches/deques.
+//!   state.
 //!
 //! Together these put end-to-end ingest at ≈100 ns/packet at 16 s polling
 //! on a 2.1 GHz core (≈3.5× over the fused-SIMD window-pass pipeline it

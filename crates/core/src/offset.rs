@@ -41,7 +41,8 @@
 //!   `uᵢ = exp(−(κᵢ − A)/λc)`; the common factor `exp((κmin − A)/λc)`
 //!   cancels in every ratio the update needs);
 //! * the window minimum `κmin` (the quality gate and the weight
-//!   normalizer) comes from a monotonic min-deque — O(1) amortized;
+//!   normalizer) is a running minimum with the index of the slot holding
+//!   it (see *The window minimum* below);
 //! * live-clock evaluation (current `p̂`, `C̄`, `γ̂l`) is recovered exactly
 //!   by linear correction around rebuild-time references
 //!   (`θᵢ(p̂,C̄) = θᵢ⁰ + hmᵢ·(p̂−p̂₀) + (C̄−C̄₀)`).
@@ -83,11 +84,25 @@
 //! (`tests/proptest_invariants.rs`, `crates/core/tests/
 //! incremental_offset.rs` — the latter forcing rebuild cadences down to
 //! every packet) pin θ̂ parity to 1e-12 relative + 50 ps.
+//!
+//! # The window minimum
+//!
+//! `κmin` is kept as `(κmin, the index of its slot)`: an absorb takes the
+//! minimum (the newest slot on ties, the one that stays longest), and only
+//! when the expiring slot *is* the minimum is the ring rescanned, κ
+//! recomputed from each slot by the expression that absorbed it, so the
+//! minimum is bit-for-bit a full scan's. The scan is the "scan rarely"
+//! pattern of the parked shift detector: on two-week 16 s baseline traces
+//! with a level shift and an outage, like `clock_ingest`'s, it ran once
+//! every ~216 packets. **Worst case:** while κ rises
+//! strictly for longer than the τ′ window, the oldest slot is the minimum
+//! every packet, and each packet pays one κ pass over the τ′/poll slots —
+//! one rebuild's pass, with no exponential and no history access. A
+//! plateau of equal κ never rescans (the newest slot holds the minimum).
 
 use crate::config::ClockConfig;
 use crate::fastmath::exp_clamped;
 use crate::history::{History, PacketRecord};
-use std::collections::VecDeque;
 
 /// Window sizes up to this bypass the incremental machinery and resolve
 /// the τ′ window directly with a full pass (the coarse-polling fast path:
@@ -185,9 +200,10 @@ struct FactoredWindow {
     s_whm: f64,
     s_wtf: f64,
     s_wpe: f64,
-    /// Monotonic min-deque over `(idx, κ)`: front = window minimum
-    /// (earliest on ties).
-    min_q: VecDeque<(u64, f64)>,
+    /// The window's κ minimum, and the index of the (newest) slot holding
+    /// it.
+    kappa_min: f64,
+    min_idx: u64,
     /// Global index of the newest absorbed record.
     last_idx: u64,
     /// Records currently in the window.
@@ -246,19 +262,20 @@ impl FactoredWindow {
             return false;
         }
         if self.len + 1 > target {
-            // Expire the oldest record from the sums and the deque.
+            // Expire the oldest record from the sums and the minimum.
             let old_idx = self.last_idx.wrapping_sub(self.len as u64 - 1);
             let s = self.ring[(old_idx as usize) & (self.cap - 1)];
             // adding the negated weight subtracts each term exactly
             self.add(&Slot { u: -s.u, ..s });
-            while matches!(self.min_q.front(), Some(&(i, _)) if i <= old_idx) {
-                self.min_q.pop_front();
-            }
             self.len -= 1;
             if self.s_w.is_nan() || self.s_w <= 0.0 || s.u > self.s_w * DOMINATION_GUARD {
                 // The expired packet dominated the window weight: the
                 // remaining sums are its subtraction residue. Rebuild.
                 return false;
+            }
+            // The minimum left with it, unless the new κ takes its place.
+            if old_idx == self.min_idx && kap_new > self.kappa_min {
+                self.rescan_min(eps);
             }
         }
         if self.len == self.cap {
@@ -267,8 +284,8 @@ impl FactoredWindow {
         let slot = Slot { pe_c, tf_c, hm_c: k.hm_c(), sm: k.sm(), u: exp_clamped(-x) };
         self.ring[(k.idx as usize) & (self.cap - 1)] = slot;
         self.add(&slot);
-        self.push_min(k.idx, kap_new);
         self.last_idx = k.idx;
+        self.absorb_min(k.idx, kap_new);
         self.len += 1;
         self.until_rebuild -= 1;
         true
@@ -285,13 +302,25 @@ impl FactoredWindow {
         self.s_wpe += s.u * s.pe_c;
     }
 
-    /// Appends `(idx, κ)` to the monotonic min-deque.
+    /// Takes slot `idx`'s κ into the window minimum (the newest on ties).
     #[inline]
-    fn push_min(&mut self, idx: u64, kap: f64) {
-        while matches!(self.min_q.back(), Some(&(_, bk)) if bk > kap) {
-            self.min_q.pop_back();
+    fn absorb_min(&mut self, idx: u64, kap: f64) {
+        if kap <= self.kappa_min {
+            (self.kappa_min, self.min_idx) = (kap, idx);
         }
-        self.min_q.push_back((idx, kap));
+    }
+
+    /// Recomputes the window minimum from the `len` slots ending at
+    /// `last_idx` (see *The window minimum* in the module docs).
+    #[cold]
+    fn rescan_min(&mut self, eps: f64) {
+        self.kappa_min = f64::INFINITY;
+        let oldest = self.last_idx.wrapping_sub(self.len as u64).wrapping_add(1);
+        for i in 0..self.len as u64 {
+            let idx = oldest.wrapping_add(i);
+            let s = self.ring[(idx as usize) & (self.cap - 1)];
+            self.absorb_min(idx, Self::kappa_of(s.pe_c, s.tf_c, eps));
+        }
     }
 
     /// Doubles the ring, keeping the window's slots at their indices.
@@ -305,14 +334,14 @@ impl FactoredWindow {
         (self.ring, self.cap) = (ring, cap);
     }
 
-    /// Fills the ring and the κ min-deque from the newest `window_n`
-    /// records of `history` under the current anchor and weight scale, and
-    /// takes the history's occupancy, newest index and generation. A slot
-    /// is its record's values and its weight, so a restore re-derives the
-    /// ring this way instead of reading it. The ring and deque are sized
-    /// for `room` records: the whole window on a rebuild, the records
-    /// present on a restore (so a restore allocates in proportion to its
-    /// blob, whatever the window).
+    /// Fills the ring and the κ minimum from the newest `window_n` records
+    /// of `history` under the current anchor and weight scale, and takes
+    /// the history's occupancy, newest index and generation. A slot is its
+    /// record's values and its weight, so a restore re-derives the ring
+    /// this way instead of reading it. The ring is sized for `room`
+    /// records: the whole window on a rebuild, the records present on a
+    /// restore (so a restore allocates in proportion to its blob, whatever
+    /// the window).
     fn fill(
         &mut self,
         history: &History,
@@ -325,17 +354,14 @@ impl FactoredWindow {
             self.cap = room.next_power_of_two().max(8);
             self.ring = vec![Slot::default(); self.cap];
         }
-        // The deque never holds more than the window: sized here, a long
-        // monotone κ run cannot reallocate it between rebuilds.
-        self.min_q.clear();
-        self.min_q.reserve(room);
+        self.kappa_min = f64::INFINITY;
         for r in history.last_n(window_n) {
             let (pe_c, tf_c) = (r.rtt_c() - r.rbase_c, r.tf_c());
             let kap = Self::kappa_of(pe_c, tf_c, eps);
             let u = exp_clamped(-((kap - self.anchor) * inv_lambda_c));
             let slot = Slot { pe_c, tf_c, hm_c: r.hm_c(), sm: r.sm(), u };
             self.ring[(r.idx as usize) & (self.cap - 1)] = slot;
-            self.push_min(r.idx, kap);
+            self.absorb_min(r.idx, kap);
         }
         self.len = window_n.min(history.len());
         self.last_idx = history.total_admitted().wrapping_sub(1);
@@ -343,8 +369,8 @@ impl FactoredWindow {
     }
 
     /// Full refill from the history tail (`k` is its newest record):
-    /// fresh anchor and linearization references, exact sums, rebuilt
-    /// deque. O(window), amortized away by the rarity of its triggers (see
+    /// fresh anchor and linearization references, exact sums, recomputed
+    /// minimum. O(window), amortized away by the rarity of its triggers (see
     /// the module docs).
     #[allow(clippy::too_many_arguments)]
     fn rebuild(
@@ -393,8 +419,7 @@ impl FactoredWindow {
     /// residual `g` — O(1): linear corrections around the rebuild
     /// references (see the module docs for the algebra).
     fn eval(&self, k: &PacketRecord, p_hat: f64, c_bar: f64, g: f64, eps: f64) -> WindowSums {
-        let &(_, kappa_min) = self.min_q.front().expect("non-empty window");
-        let min_et = (kappa_min + eps * k.tf_c()) * p_hat;
+        let min_et = (self.kappa_min + eps * k.tf_c()) * p_hat;
         // Σu·(Tf(t) − Tfᵢ), via the centered tf sum.
         let age_sum = (k.tf_c() - self.tf_ref) * self.s_w - self.s_wtf;
         let sum_wth = self.s_wth0
@@ -412,9 +437,9 @@ impl FactoredWindow {
 }
 
 /// The O(window) full pass — the plain transcription of the estimator
-/// definition, used for [`SMALL_WINDOW`] τ′ windows (coarse polling) and
-/// mirrored, structurally, by the `reference` pipeline. Two loops: κ and
-/// its minimum, then weights and sums.
+/// definition, used for τ′ windows of at most [`SMALL_WINDOW`] packets
+/// (coarse polling) and mirrored, structurally, by the `reference`
+/// pipeline. Two loops: κ and its minimum, then weights and sums.
 #[allow(clippy::too_many_arguments)]
 fn full_pass(
     history: &History,
@@ -425,19 +450,18 @@ fn full_pass(
     g: f64,
     eps: f64,
     inv_lambda_c: f64,
-    kappa_buf: &mut Vec<f64>,
 ) -> WindowSums {
+    debug_assert!(window_n <= SMALL_WINDOW, "the full pass holds κ on the stack");
     let k_tf_c = k.tf_c();
-    kappa_buf.clear();
+    let mut kappa = [0.0; SMALL_WINDOW];
     let mut kappa_min = f64::INFINITY;
-    for r in history.last_n(window_n) {
-        let kap = (r.rtt_c() - r.rbase_c) - eps * r.tf_c();
-        kappa_min = kappa_min.min(kap);
-        kappa_buf.push(kap);
+    for (r, kap) in history.last_n(window_n).zip(&mut kappa) {
+        *kap = (r.rtt_c() - r.rbase_c) - eps * r.tf_c();
+        kappa_min = kappa_min.min(*kap);
     }
     let min_et = (kappa_min + eps * k_tf_c) * p_hat;
     let (mut sum_w, mut sum_wth, mut sum_wet) = (0.0f64, 0.0f64, 0.0f64);
-    for (r, &kap) in history.last_n(window_n).zip(kappa_buf.iter()) {
+    for (r, &kap) in history.last_n(window_n).zip(&kappa) {
         let w = exp_clamped(-((kap - kappa_min) * inv_lambda_c));
         let et = (kap + eps * k_tf_c) * p_hat;
         let age = (k_tf_c - r.tf_c()) * p_hat;
@@ -481,8 +505,6 @@ pub struct OffsetEstimator {
     rebuild_every: u32,
     /// The rolling factored-weight window.
     win: FactoredWindow,
-    /// Reused κ scratch for the full-pass paths.
-    kappa_buf: Vec<f64>,
 }
 
 impl OffsetEstimator {
@@ -498,7 +520,6 @@ impl OffsetEstimator {
             rho: f64::NAN,
             rebuild_every: REBUILD_EVERY,
             win: FactoredWindow::default(),
-            kappa_buf: Vec::new(),
         }
     }
 
@@ -586,17 +607,7 @@ impl OffsetEstimator {
             // the rolling state for a handful of packets (`BENCH.json` row
             // `e2e_clock_ingest/without_small_window_full_pass`).
             self.win.valid = false;
-            full_pass(
-                history,
-                k,
-                window_n,
-                p_hat,
-                c_bar,
-                g,
-                eps,
-                inv_lc,
-                &mut self.kappa_buf,
-            )
+            full_pass(history, k, window_n, p_hat, c_bar, g, eps, inv_lc)
         } else {
             if !self
                 .win
@@ -724,7 +735,7 @@ impl OffsetEstimator {
 impl FactoredWindow {
     /// Serializes the rolling window's state: the linearization references
     /// and anchor, the anchored sums, and the rebuild bookkeeping. Whenever
-    /// the sums are valid, the ring and the κ min-deque hold the newest
+    /// the sums are valid, the ring and the κ minimum hold the newest
     /// window of history records under that anchor, and the newest index,
     /// occupancy and generation are the history's, so none of them is
     /// written: [`FactoredWindow::fill`] re-derives them on load.
@@ -796,7 +807,7 @@ impl OffsetEstimator {
     /// countdown resumes exactly where it stopped, so a snapshot taken
     /// between cadence rebuilds replays identically). The window length and
     /// the patience bound are the configuration's, the last evaluated `Tf`
-    /// is the history's newest, and the κ scratch buffer is not state.
+    /// is the history's newest.
     pub fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
         w.put_opt_f64(self.theta);
         w.put_f64(self.last_err);
@@ -1029,6 +1040,42 @@ mod tests {
         let est = OffsetEstimator::new(&cfg());
         assert!(est.theta().is_none());
         assert!(est.predict(0.0, P, None).is_none());
+    }
+
+    /// `(κmin, min_idx)` is, after every packet the window absorbs, the
+    /// minimum κ of the window's records and the newest record holding
+    /// it, through rising ramps (a rescan every packet), plateaus (ties
+    /// at ε = 0) and drops onto the expiring minimum.
+    #[test]
+    fn running_minimum_is_the_window_minimum() {
+        for eps in [0.0, 0.02e-6] {
+            let c = ClockConfig { aging_rate: eps, ..cfg() };
+            let mut h = History::new(10_000);
+            let mut est = OffsetEstimator::new(&c);
+            let c_bar = c_bar_for(&ex(0.0, 0.0), P);
+            let n = est.window_n as u64;
+            let mut qs: Vec<f64> = Vec::new();
+            for k in 0..12 * n {
+                let q = match (k / (2 * n)) % 3 {
+                    _ if k < 2 * n => (k % 3) as f64 * 1e-6,
+                    0 => 10e-6 + (k % (2 * n)) as f64 * 1e-6,
+                    1 => 30e-6,
+                    _ => qs[(k - n) as usize] - if k % 2 == 0 { 0.0 } else { 0.5e-6 },
+                };
+                qs.push(q);
+                let r = admit(&mut h, ex(k as f64 * 16.0, q));
+                est.process(&c, &h, &r, P, c_bar, None, k < 16, false);
+                let w = &est.win;
+                if !w.valid {
+                    continue;
+                }
+                let want = h.last_n(w.len).fold((f64::INFINITY, 0), |(m, i), r| {
+                    let kap = FactoredWindow::kappa_of(r.rtt_c() - r.rbase_c, r.tf_c(), eps);
+                    if kap <= m { (kap, r.idx) } else { (m, i) }
+                });
+                assert_eq!((w.kappa_min.to_bits(), w.min_idx), (want.0.to_bits(), want.1), "{k}");
+            }
+        }
     }
 
     /// The incremental machinery must agree with a from-scratch estimator

@@ -255,6 +255,11 @@ fn decode_client_checkpoint(
         if n != sent.len() as u64 {
             return Err(SnapshotError::Invalid("checkpoint request count mismatch"));
         }
+        // every request counts in at most one bucket (a hostile count
+        // would overflow on the next request)
+        if buckets.iter().map(|&b| u64::from(b)).sum::<u64>() > n {
+            return Err(SnapshotError::Invalid("checkpoint buckets count unsent requests"));
+        }
         Ok((n, digest, client, sent, buckets, errors))
     })?;
     Ok((LifecycleClient::restore(client)?, n, digest, sent, buckets, errors))

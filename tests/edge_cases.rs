@@ -324,10 +324,9 @@ fn every_accepted_config_in_a_grid_builds_and_runs() {
     }
 }
 
-/// `is_causal` admits an infinite server stamp (`Te ≥ Tb` holds), and the
-/// naive period of a bootstrap pair with one is +∞, which the rate
-/// estimator refuses to seed: the clock must then wait for a usable pair,
-/// not process a packet without a period.
+/// An infinite server stamp passes `is_causal` (`Te ≥ Tb` holds) but not
+/// admission: a cold clock must wait for a usable pair, not process a
+/// packet without a period.
 #[test]
 fn an_infinite_server_stamp_cannot_panic_a_cold_clock() {
     let mut clock = TscNtpClock::new(ClockConfig::paper_defaults(16.0));
@@ -339,4 +338,27 @@ fn an_infinite_server_stamp_cannot_panic_a_cold_clock() {
         clock.process(ex(k as f64 * 16.0, 10e-6));
     }
     assert!(clock.absolute_time(ex(40.0 * 16.0, 0.0).tf_tsc).is_some_and(f64::is_finite));
+}
+
+/// A warm clock refuses an exchange with a server stamp that is not
+/// finite (`history::admissible`, the rule a restore checks records by),
+/// and goes on exactly as if the exchange had never arrived. Admitted, a
+/// `Tb = Te = +∞` record froze θ̂ by sanity duplication for a whole τ′
+/// window.
+#[test]
+fn a_warm_clock_refuses_an_infinite_server_stamp_and_runs_on_unchanged() {
+    let (inf, neg) = (Some(f64::INFINITY), Some(f64::NEG_INFINITY));
+    for (tb, te) in [(inf, inf), (neg, None), (neg, neg), (None, inf)] {
+        let cfg = ClockConfig::paper_defaults(16.0);
+        let (mut clock, mut clean) = (TscNtpClock::new(cfg), TscNtpClock::new(cfg));
+        for k in 0..500u64 {
+            if k == 300 {
+                let mut bad = ex(k as f64 * 16.0 - 8.0, 0.0);
+                (bad.tb, bad.te) = (tb.unwrap_or(bad.tb), te.unwrap_or(bad.te));
+                assert!(clock.process(bad).is_none(), "({tb:?}, {te:?}) admitted");
+            }
+            let e = ex(k as f64 * 16.0, (k % 7) as f64 * 20e-6);
+            assert_eq!(clock.process(e), clean.process(e), "packet {k} after ({tb:?}, {te:?})");
+        }
+    }
 }

@@ -28,7 +28,9 @@
 //! set to each of eight hostile values and re-sealed must restore to a typed
 //! error or to a state that runs its golden tail without a panic, reading
 //! finite times ([`hostile_words_in_the_clock_fixture_are_refused_or_harmless`]
-//! and its quorum and lifecycle twins; every byte offset in the `#[ignore]`d
+//! and its quorum, lifecycle and checkpoint twins, where a checkpoint's
+//! refusal is a replay's counted cold start; every byte offset in the
+//! `#[ignore]`d
 //! [`hostile_bytes_at_every_offset_are_refused_or_harmless`]).
 
 mod common;
@@ -37,8 +39,8 @@ use common::ClockLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::LazyLock;
 use tsc_fleet::{
-    replay, replay_item, CheckpointStore, ClockCheckpoint, FleetConfig, LifecycleClient,
-    LifecycleConfig, PopulationConfig, ReadVerdict,
+    replay, replay_item, CheckpointStore, ClientSummary, ClockCheckpoint, FleetConfig,
+    LifecycleClient, LifecycleConfig, PopulationConfig, ReadVerdict,
 };
 use tsc_netsim::Scenario;
 use tsc_quorum::{HealthTracker, QuorumClock, QuorumConfig};
@@ -451,8 +453,8 @@ fn any_substitution_of_one_aligned_word_is_detected() {
 /// A restore of any swept blob allocates at most this many bytes per byte
 /// of the blob. What it allocates is the restored state's rings: the
 /// history's records, the shift ring the blob had to hold, and the offset
-/// window's ring and κ-min deque, sized by the records present, not by the
-/// configured window. The largest the full byte-stride sweep saw was 3.24
+/// window's ring, sized by the records present, not by the configured
+/// window. The largest the full byte-stride sweep saw was 2.82
 /// (lifecycle), where a hostile τ′ puts every record into the offset
 /// window.
 const RESTORE_ALLOC_PER_BLOB_BYTE: u64 = 4;
@@ -469,17 +471,18 @@ struct Sweep {
     alloc_per_byte: f64,
 }
 
+/// How one swept blob came out: whether it was refused, whether it met
+/// the rule, and the bytes its restore allocated.
+struct Case {
+    refused: bool,
+    ok: bool,
+    allocated: u64,
+}
+
 /// Overwrites the eight bytes at each of `offsets` in the fixture `name`
-/// with each of [`common::hostile_values`], re-seals, and restores. Each
-/// restore must be a typed refusal, or allocate within the bound and give
-/// a state that `run` drives through the golden tail, answering whether
-/// every read was finite. A panic anywhere is a failed case.
-fn sweep<T>(
-    name: &str,
-    offsets: &[usize],
-    restore: fn(&[u8]) -> Result<T, SnapshotError>,
-    run: fn(T) -> bool,
-) -> Sweep {
+/// with each of [`common::hostile_values`], re-seals, and hands each blob
+/// to `case`. A case must meet its rule and allocate within the bound.
+fn sweep(name: &str, offsets: &[usize], case: impl Fn(&[u8]) -> Case) -> Sweep {
     let bytes = fixture(name);
     let payload = common::payload(&bytes);
     let mut out = Sweep::default();
@@ -487,26 +490,37 @@ fn sweep<T>(
         let w = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
         for bad in common::hostile_values(w) {
             let blob = common::resealed_with(&bytes, at, bad);
-            let (restored, allocated) =
-                common::bytes_allocated_in(|| catch_unwind(AssertUnwindSafe(|| restore(&blob))));
+            let Case { refused, ok, allocated } = case(&blob);
             out.alloc_per_byte = out.alloc_per_byte.max(allocated as f64 / blob.len() as f64);
-            let ok = match restored {
-                Ok(Err(_)) => {
-                    out.refused += 1;
-                    true
-                }
-                Ok(Ok(state)) => {
-                    out.restored += 1;
-                    catch_unwind(AssertUnwindSafe(|| run(state))).unwrap_or(false)
-                }
-                Err(_) => false,
-            };
+            if refused {
+                out.refused += 1;
+            } else {
+                out.restored += 1;
+            }
             if !ok || allocated > RESTORE_ALLOC_PER_BLOB_BYTE * blob.len() as u64 {
                 out.failed.push((at, bad));
             }
         }
     }
     out
+}
+
+/// The rule for a component blob: a typed refusal, or a state that `run`
+/// drives through the golden tail, answering whether every read was
+/// finite. A panic anywhere breaks the rule.
+fn restore_and_run<T>(
+    blob: &[u8],
+    restore: fn(&[u8]) -> Result<T, SnapshotError>,
+    run: fn(T) -> bool,
+) -> Case {
+    let (restored, allocated) =
+        common::bytes_allocated_in(|| catch_unwind(AssertUnwindSafe(|| restore(blob))));
+    let (refused, ok) = match restored {
+        Ok(Err(_)) => (true, true),
+        Ok(Ok(state)) => (false, catch_unwind(AssertUnwindSafe(|| run(state))).unwrap_or(false)),
+        Err(_) => (false, false),
+    };
+    Case { refused, ok, allocated }
 }
 
 /// The tier-1 sweep's offsets for fixture `name`, given the clocks it
@@ -559,6 +573,81 @@ fn run_lifecycle(mut client: LifecycleClient) -> bool {
     })
 }
 
+/// Where the checkpoint fixture's sidecar sits around the client blob it
+/// carries: the request count and digest, the client envelope, then the
+/// send times, histogram buckets and errors, each a count and its elements.
+struct CheckpointLayout {
+    client: std::ops::Range<usize>,
+    /// The element bytes of the three arrays.
+    arrays: [std::ops::Range<usize>; 3],
+    /// Errors the checkpointed state holds: the reads before it.
+    errors: usize,
+}
+
+impl CheckpointLayout {
+    fn of(payload: &[u8]) -> Self {
+        let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+        let client = 24..24 + word(16);
+        let mut at = client.end;
+        let arrays = [8, 4, 8].map(|elem| {
+            let elems = at + 8..at + 8 + elem * word(at);
+            at = elems.end;
+            elems
+        });
+        assert_eq!(at, payload.len(), "checkpoint layout moved");
+        let errors = word(arrays[1].end);
+        Self { client, arrays, errors }
+    }
+
+    /// The tier-1 offsets: the sidecar has no tag or flag to shift its
+    /// fields, so each field's start is swept: the request count, digest
+    /// and client length, the client envelope's first and last word (the
+    /// lifecycle fixture's sweep restores a client; inside its envelope a
+    /// word is the checksum's to refuse), and each array's count, first
+    /// and last word.
+    fn swept(&self) -> Vec<usize> {
+        let mut at = vec![0, 8, 16, self.client.start, self.client.end - 8];
+        for r in &self.arrays {
+            at.extend([r.start - 8, r.start, r.end - 8]);
+        }
+        at
+    }
+}
+
+/// The checkpoint fixture's uninterrupted replay, and its layout.
+static CHECKPOINT_PLAIN: LazyLock<ClientSummary> =
+    LazyLock::new(|| replay(None, &checkpoint_workload()).swap_remove(0));
+static CHECKPOINT_LAYOUT: LazyLock<CheckpointLayout> =
+    LazyLock::new(|| CheckpointLayout::of(common::payload(&fixture("checkpoint"))));
+
+/// The rule for a checkpoint blob, served to a replay that crashes on its
+/// first request (and so resumes at the checkpoint's count, or at zero
+/// without one): a typed refusal is a counted cold start, which must
+/// still end where the uninterrupted replay does; a warm restore must run
+/// the rest of the replay without a panic and read finite times after it
+/// resumed. The restore runs inside the replay,
+/// whose own allocations it cannot be told from, so none are counted here
+/// (the client it carries is the lifecycle fixture's restore).
+fn checkpoint_case(blob: &[u8]) -> Case {
+    let resumed = catch_unwind(AssertUnwindSafe(|| {
+        let mut store = Recording {
+            serve: Some(ClockCheckpoint { delivered: CHECKPOINT_AT, digest: 0, blob: blob.to_vec() }),
+            ..Default::default()
+        };
+        replay_item(&checkpoint_workload(), 0, 0, &[1], &mut store)
+    }));
+    let (refused, ok) = match resumed {
+        Ok((got, stats)) if stats.cold_restarts == 1 => (true, got == *CHECKPOINT_PLAIN),
+        Ok((got, stats)) => {
+            let reads = got.errors.get(CHECKPOINT_LAYOUT.errors..);
+            let finite = reads.is_some_and(|e| e.iter().all(|x| x.is_finite()));
+            (false, stats.warm_restores == 1 && finite)
+        }
+        Err(_) => (false, false),
+    };
+    Case { refused, ok, allocated: 0 }
+}
+
 fn assert_swept(name: &str, s: Sweep) {
     assert!(s.refused > 0 && s.restored > 0, "{name}: {s:?}");
     let first = &s.failed[..s.failed.len().min(8)];
@@ -574,7 +663,7 @@ fn hostile_words_in_the_clock_fixture_are_refused_or_harmless() {
     let clock = TscNtpClock::restore(&fixture("clock")).unwrap();
     let history_at = common::saved_len(|w| clock.config().save_state(w));
     let offsets = swept_offsets("clock", &[(&clock, history_at)], 1);
-    assert_swept("clock", sweep("clock", &offsets, TscNtpClock::restore, run_clock));
+    assert_swept("clock", sweep("clock", &offsets, clock_case));
 }
 
 /// The quorum's own words byte by byte, its member clocks' states word by
@@ -600,7 +689,7 @@ fn hostile_words_in_the_quorum_fixture_are_refused_or_harmless() {
         })
         .collect();
     let offsets = swept_offsets("quorum", &members, 8);
-    assert_swept("quorum", sweep("quorum", &offsets, QuorumClock::restore, run_quorum));
+    assert_swept("quorum", sweep("quorum", &offsets, quorum_case));
 }
 
 /// The client's own words byte by byte, its clock's state word by word.
@@ -612,11 +701,29 @@ fn hostile_words_in_the_lifecycle_fixture_are_refused_or_harmless() {
         client.clock().config().save_state(w);
     });
     let offsets = swept_offsets("lifecycle", &[(client.clock(), history_at)], 8);
-    let s = sweep("lifecycle", &offsets, LifecycleClient::restore, run_lifecycle);
-    assert_swept("lifecycle", s);
+    assert_swept("lifecycle", sweep("lifecycle", &offsets, lifecycle_case));
 }
 
-/// The same sweep at every byte offset of the three payloads, records
+/// The checkpoint's sidecar fields, and the edges of the client envelope
+/// it carries ([`CheckpointLayout::swept`]).
+#[test]
+fn hostile_words_in_the_checkpoint_fixture_are_refused_or_harmless() {
+    assert_swept("checkpoint", sweep("checkpoint", &CHECKPOINT_LAYOUT.swept(), checkpoint_case));
+}
+
+fn clock_case(blob: &[u8]) -> Case {
+    restore_and_run(blob, TscNtpClock::restore, run_clock)
+}
+
+fn quorum_case(blob: &[u8]) -> Case {
+    restore_and_run(blob, QuorumClock::restore, run_quorum)
+}
+
+fn lifecycle_case(blob: &[u8]) -> Case {
+    restore_and_run(blob, LifecycleClient::restore, run_lifecycle)
+}
+
+/// The same sweep at every byte offset of the four payloads, records
 /// included. `cargo test --release --test snapshot_golden -- --ignored
 /// hostile_bytes`
 #[test]
@@ -628,10 +735,10 @@ fn hostile_bytes_at_every_offset_are_refused_or_harmless() {
         println!("{name}: {refused} refused, {restored} restored, {ratio:.2} B/B");
         assert_swept(name, s);
     };
-    report("clock", sweep("clock", &every("clock"), TscNtpClock::restore, run_clock));
-    report("quorum", sweep("quorum", &every("quorum"), QuorumClock::restore, run_quorum));
-    let s = sweep("lifecycle", &every("lifecycle"), LifecycleClient::restore, run_lifecycle);
-    report("lifecycle", s);
+    report("clock", sweep("clock", &every("clock"), clock_case));
+    report("quorum", sweep("quorum", &every("quorum"), quorum_case));
+    report("lifecycle", sweep("lifecycle", &every("lifecycle"), lifecycle_case));
+    report("checkpoint", sweep("checkpoint", &every("checkpoint"), checkpoint_case));
 }
 
 // ---------------------------------------------------------- regenerator
