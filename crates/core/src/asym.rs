@@ -26,12 +26,6 @@ pub fn asymmetry_sample(r: &RefExchange, p_hat: f64) -> f64 {
     rtt - 2.0 * r.tg + r.ex.tb + r.ex.te
 }
 
-/// Causality bound on Δ given the measured minimum RTT and server delay:
-/// `|Δ| < r − d↑` (§4.2).
-pub fn causality_bound(rtt_min: f64, d_srv_min: f64) -> f64 {
-    (rtt_min - d_srv_min).max(0.0)
-}
-
 /// Estimates Δ by evaluating [`asymmetry_sample`] on the packets with
 /// minimal RTT (the cleanest `fraction` of the data, e.g. 0.01), then
 /// taking their median. Returns `None` when no packets qualify.
@@ -58,6 +52,12 @@ mod tests {
     use super::*;
 
     const P: f64 = 1e-9;
+
+    /// Causality bound on Δ given the measured minimum RTT and server delay:
+    /// `|Δ| < r − d↑` (§4.2).
+    fn causality_bound(rtt_min: f64, d_srv_min: f64) -> f64 {
+        (rtt_min - d_srv_min).max(0.0)
+    }
 
     /// Builds a reference exchange with known asymmetry: d→ = d + Δ/2,
     /// d← = d − Δ/2, plus queueing q on both legs.

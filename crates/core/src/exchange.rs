@@ -23,12 +23,6 @@ impl RawExchange {
         self.tf_tsc.wrapping_sub(self.ta_tsc)
     }
 
-    /// Server residence time `Te − Tb` in seconds, as reported by the
-    /// server's own clock.
-    pub fn server_residence(&self) -> f64 {
-        self.te - self.tb
-    }
-
     /// Midpoint of the server timestamps, `(Tb + Te)/2`.
     pub fn server_midpoint(&self) -> f64 {
         0.5 * (self.tb + self.te)
@@ -82,9 +76,15 @@ mod tests {
         assert_eq!(e.rtt_counts(), 111);
     }
 
+    /// Server residence time `Te − Tb` in seconds, as reported by the
+    /// server's own clock.
+    fn residence(e: &RawExchange) -> f64 {
+        e.te - e.tb
+    }
+
     #[test]
     fn server_residence() {
-        assert!((ex().server_residence() - 5e-5).abs() < 1e-12);
+        assert!((residence(&ex()) - 5e-5).abs() < 1e-12);
     }
 
     #[test]

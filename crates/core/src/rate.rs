@@ -295,11 +295,6 @@ impl GlobalRate {
         }
     }
 
-    /// Indices of the current estimating pair `(j, i)`, if established.
-    pub fn pair_indices(&self) -> Option<(u64, u64)> {
-        Some((self.j?.idx, self.i?.idx))
-    }
-
     /// Serializes the estimator's state: warm-up records, the estimating
     /// pair, the estimate and its quality. `E*` and the warm-up length are
     /// the configuration's, and the packet count is the history's (the
@@ -474,13 +469,12 @@ mod tests {
         for k in 0..50 {
             feed(&mut rate, &mut h, ex(k as f64 * 16.0, 0.0));
         }
-        let (j_idx, _) = rate.pair_indices().unwrap();
+        let j_idx = rate.j.unwrap().idx;
         assert!(j_idx < 10);
         // pretend the window slid past packet 30
         let candidate = h.get(31).unwrap();
         rate.replace_j_if_dropped(30, Some(candidate));
-        let (j_idx2, _) = rate.pair_indices().unwrap();
-        assert_eq!(j_idx2, 31);
+        assert_eq!(rate.j.unwrap().idx, 31);
         // estimate still sane
         let rel = ((rate.p_hat().unwrap() - P_TRUE) / P_TRUE).abs();
         assert!(rel < 1e-6);

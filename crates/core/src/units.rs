@@ -14,11 +14,6 @@ pub const RATE_BOUND_PPM: f64 = 0.1;
 /// meaningful to speak of rate errors smaller than this").
 pub const RATE_FLOOR_PPM: f64 = 0.01;
 
-/// Converts a dimensionless fraction to PPM.
-pub fn to_ppm(fraction: f64) -> f64 {
-    fraction / PPM
-}
-
 /// Converts PPM to a dimensionless fraction.
 pub fn from_ppm(ppm: f64) -> f64 {
     ppm * PPM
@@ -70,7 +65,7 @@ mod tests {
 
     #[test]
     fn ppm_roundtrip() {
-        assert_eq!(to_ppm(from_ppm(50.0)), 50.0);
+        assert_eq!(from_ppm(50.0) / PPM, 50.0);
         assert_eq!(from_ppm(1.0), 1e-6);
     }
 

@@ -98,14 +98,14 @@ pub fn fmt_time(s: f64) -> String {
     }
 }
 
-/// Formats a dimensionless fraction in PPM.
-pub fn fmt_ppm(f: f64) -> String {
-    format!("{:.4} PPM", f * 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Formats a dimensionless fraction in PPM.
+    fn fmt_ppm(f: f64) -> String {
+        format!("{:.4} PPM", f * 1e6)
+    }
 
     #[test]
     fn report_metrics_roundtrip() {

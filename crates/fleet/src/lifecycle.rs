@@ -48,6 +48,7 @@ use rand_chacha::ChaCha12Rng;
 use tsc_telemetry as telemetry;
 use tsc_netsim::profile::PathProfile;
 use tsc_netsim::multi::splitmix64;
+use tsc_ntp::{NtpPacket, PacketError};
 use tscclock::snapshot::{self, SnapshotReader, SnapshotWriter};
 use tscclock::{ClockConfig, ProcessOutput, RawExchange, SnapshotError, TscNtpClock};
 
@@ -351,9 +352,11 @@ pub enum ReadVerdict {
 }
 
 /// The lifecycle wrapper around one [`TscNtpClock`]. See the module docs
-/// for the state diagram; drive it with [`LifecycleClient::on_response`]
-/// / [`LifecycleClient::on_timeout`] and schedule requests off
-/// [`LifecycleClient::next_send`].
+/// for the state diagram; schedule requests off
+/// [`LifecycleClient::next_send`], hand each received datagram to
+/// [`LifecycleClient::on_datagram`] (or an already-decoded exchange to
+/// [`LifecycleClient::on_response`]) and call
+/// [`LifecycleClient::on_timeout`] when the wait runs out.
 #[derive(Debug)]
 pub struct LifecycleClient {
     cfg: LifecycleConfig,
@@ -494,6 +497,47 @@ impl LifecycleClient {
         }
         self.schedule_next(now, self.cfg.poll_period);
         ExchangeOutcome::Accepted(out)
+    }
+
+    /// The wire step: handles one datagram `bytes` that arrived at true
+    /// time `now` (counter reading `tf_tsc`) while `request`, sent at
+    /// counter reading `ta_tsc`, was outstanding. The datagram is decoded
+    /// and checked with [`NtpPacket::validate_response`]:
+    ///
+    /// - a valid response is the exchange `{Ta, Tb, Te, Tf}` of Figure 1
+    ///   and goes to [`LifecycleClient::on_response`];
+    /// - a Kiss-o'-Death (stratum 0, origin echoed) is the server refusing
+    ///   to answer, so it counts as no answer: it goes to
+    ///   [`LifecycleClient::on_timeout`], which backs off and, after
+    ///   `max_retries`, cools down. The clock never sees it, and
+    ///   [`LifecycleClient::counters`] counts it as a timeout;
+    /// - anything else (truncated, malformed, wrong mode, origin mismatch —
+    ///   including a spoofed Kiss-o'-Death) returns `None` and leaves the
+    ///   client untouched: the caller keeps waiting for the real answer
+    ///   until its deadline.
+    pub fn on_datagram(
+        &mut self,
+        now: f64,
+        request: &NtpPacket,
+        ta_tsc: u64,
+        bytes: &[u8],
+        tf_tsc: u64,
+        nominal_period: f64,
+    ) -> Option<ExchangeOutcome> {
+        let response = NtpPacket::decode(bytes).ok()?;
+        match response.validate_response(request) {
+            Ok(()) => {
+                let raw = RawExchange {
+                    ta_tsc,
+                    tb: response.receive_ts.to_unix_seconds(),
+                    te: response.transmit_ts.to_unix_seconds(),
+                    tf_tsc,
+                };
+                Some(self.on_response(now, raw, nominal_period))
+            }
+            Err(PacketError::KissOfDeath(_)) => Some(self.on_timeout(now)),
+            Err(_) => None,
+        }
     }
 
     /// Handles a request that got no response: `now` is the moment the
@@ -798,8 +842,8 @@ impl LifecycleClient {
             Ok(c) => (c, None),
             Err(e) => {
                 // The typed error was recorded (and named) by `restore`;
-                // degrading to cold is the incident worth a post-mortem
-                // trace, so auto-dump the flight recorder here.
+                // the degradation is counted and flight-recorded here, and
+                // the caller decides whether to print `flight_dump()`.
                 telemetry::add(telemetry::Ctr::ColdRestarts, 1);
                 telemetry::event(
                     telemetry::EventKind::ColdRestart,
@@ -807,7 +851,6 @@ impl LifecycleClient {
                     0,
                     0,
                 );
-                eprintln!("{}", telemetry::flight_dump());
                 (Self::new(cfg, clock_cfg, seed, join_t), Some(e))
             }
         }
@@ -817,6 +860,7 @@ impl LifecycleClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsc_ntp::NtpTimestamp;
 
     fn cfg() -> LifecycleConfig {
         LifecycleConfig::defaults(16.0)
@@ -835,6 +879,54 @@ mod tests {
             te: t + rtt / 2.0 + 12e-6,
             tf_tsc: ((t + rtt) * 1e9) as u64,
         }
+    }
+
+    #[test]
+    fn the_wire_step_equals_its_parts() {
+        // Twin clients see the same exchanges: one as datagrams through
+        // `on_datagram`, the other as the `RawExchange` at wire precision
+        // through `on_response`, a refusal as `on_timeout`. Datagrams the
+        // wire step ignores change no byte of its client.
+        let (mut wire, mut parts) = (client(12), client(12));
+        let stamp = NtpTimestamp::from_unix_seconds;
+        let answer = |req: &NtpPacket, raw: RawExchange| {
+            NtpPacket::server_response(req, stamp(raw.tb), stamp(raw.te), *b"SIM\0").encode()
+        };
+        let mut t = 16.0;
+        for i in 0..240 {
+            let req = NtpPacket::client_request(stamp(t), 4);
+            let stranger = NtpPacket::client_request(stamp(t - 16.0), 4);
+            let mut raw = good_raw(t);
+            if i % 12 == 7 {
+                raw.tf_tsc += 400_000_000; // over the delay threshold
+            }
+            let good = answer(&req, raw);
+            let mut echo = req.encode();
+            echo[0] = (echo[0] & !0x7) | 4; // our own request as mode 4: zero origin
+            let stray = answer(&stranger, raw);
+            let spoofed = NtpPacket::refusal_response(&stranger, *b"RATE").encode();
+            let before = wire.snapshot();
+            for bytes in [&[1, 2, 3], &good[..47], &[0; 48], &echo, &stray, &spoofed] {
+                assert_eq!(wire.on_datagram(t, &req, raw.ta_tsc, bytes, raw.tf_tsc, 1e-9), None);
+            }
+            assert_eq!(wire.snapshot(), before, "exchange {i}");
+            let (got, want) = if i % 12 == 9 {
+                let kod = NtpPacket::refusal_response(&req, *b"RATE").encode();
+                let got = wire.on_datagram(t, &req, raw.ta_tsc, &kod, raw.tf_tsc, 1e-9);
+                (got, parts.on_timeout(t))
+            } else {
+                let at_wire = |s| stamp(s).to_unix_seconds();
+                let twin = RawExchange { tb: at_wire(raw.tb), te: at_wire(raw.te), ..raw };
+                let got = wire.on_datagram(t, &req, raw.ta_tsc, &good, raw.tf_tsc, 1e-9);
+                (got, parts.on_response(t, twin, 1e-9))
+            };
+            assert_eq!(got, Some(want), "exchange {i}");
+            t = wire.next_send();
+        }
+        // a refusal counts as a timeout
+        assert_eq!(wire.counters(), (0, 200, 20, 20));
+        assert_eq!(wire.state(), ClientState::Synced);
+        assert_eq!(wire.snapshot(), parts.snapshot());
     }
 
     #[test]

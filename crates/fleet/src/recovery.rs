@@ -260,15 +260,11 @@ impl<'a> Interrupts<'a> {
                     telemetry::event(telemetry::EventKind::WarmRestore, done, at, 0);
                     at
                 }
-                failed => {
-                    // The failed restore was already recorded, with the
-                    // typed `SnapshotError` named, by the component that
-                    // refused the bytes; falling back to cold is the
-                    // operational incident, so dump the flight recorder
-                    // for the post-mortem.
-                    if failed.is_some() {
-                        eprintln!("{}", telemetry::flight_dump());
-                    }
+                _ => {
+                    // A failed restore was already recorded, with the typed
+                    // `SnapshotError` named, by the component that refused
+                    // the bytes; the fallback to cold is counted and
+                    // flight-recorded here for the caller's post-mortem.
                     self.stats.cold_restarts += 1;
                     telemetry::add(telemetry::Ctr::ColdRestarts, 1);
                     telemetry::event(telemetry::EventKind::ColdRestart, done, 0, 0);

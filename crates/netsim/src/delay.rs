@@ -214,11 +214,6 @@ impl PathDelay {
         }
         self.current_min() + q
     }
-
-    /// Whether the path is currently inside a congestion episode.
-    pub fn in_congestion(&self) -> bool {
-        self.in_burst
-    }
 }
 
 /// The pre-optimization sampler, preserving the original floating-point
@@ -280,7 +275,7 @@ mod tests {
         let mut calm_samples = Vec::new();
         for i in 0..200_000 {
             let d = p.sample(i as f64 * 16.0);
-            if p.in_congestion() {
+            if p.in_burst {
                 burst_samples.push(d);
             } else {
                 calm_samples.push(d);
@@ -348,7 +343,7 @@ mod tests {
         let exact_samples: Vec<_> = (0..n)
             .map(|i| {
                 let d = exact.sample(i as f64 * 16.0);
-                (d, exact.in_congestion())
+                (d, exact.in_burst)
             })
             .collect();
         let mut cad = path(9);
@@ -356,7 +351,7 @@ mod tests {
         let cad_samples: Vec<_> = (0..n)
             .map(|_| {
                 let d = cad.sample_cadenced();
-                (d, cad.in_congestion())
+                (d, cad.in_burst)
             })
             .collect();
         let (mean_e, burst_e, min_e) = stats(exact_samples);

@@ -357,15 +357,20 @@ impl NtpPacket {
     /// Validates a server response against the request we sent: mode must be
     /// server, origin must echo our transmit (the anti-spoofing loopback
     /// test), and stratum 0 means Kiss-o'-Death.
+    ///
+    /// The origin is checked before the stratum: a Kiss-o'-Death is only
+    /// believed from a sender that saw the request, so an off-path spoofer
+    /// who cannot read the nonce cannot make a client back off (the
+    /// spoofed-KoD attack, CVE-2015-7704).
     pub fn validate_response(&self, request: &NtpPacket) -> Result<(), PacketError> {
         if self.mode != Mode::Server {
             return Err(PacketError::UnexpectedMode(self.mode));
         }
-        if self.stratum == 0 {
-            return Err(PacketError::KissOfDeath(self.reference_id));
-        }
         if self.origin_ts != request.transmit_ts || self.origin_ts.is_zero() {
             return Err(PacketError::OriginMismatch);
+        }
+        if self.stratum == 0 {
+            return Err(PacketError::KissOfDeath(self.reference_id));
         }
         Ok(())
     }
@@ -517,6 +522,18 @@ mod tests {
             resp.validate_response(&req),
             Err(PacketError::KissOfDeath(code)) if &code == b"RATE"
         ));
+    }
+
+    #[test]
+    fn a_kiss_of_death_with_the_wrong_origin_is_an_origin_mismatch() {
+        let req = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(5.0), 4);
+        let other = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(6.0), 4);
+        let spoofed = NtpPacket::refusal_response(&other, *b"RATE");
+        assert_eq!(spoofed.stratum, 0);
+        assert_eq!(
+            spoofed.validate_response(&req),
+            Err(PacketError::OriginMismatch)
+        );
     }
 
     #[test]

@@ -108,14 +108,22 @@ proptest! {
     #[test]
     fn validate_response_is_total(
         mode_bits in 0u8..8,
+        server in any::<bool>(),
         stratum in 0u8..=255,
+        refusal in any::<bool>(),
         origin in any::<u64>(),
+        echo in any::<bool>(),
         request_tx in any::<u64>(),
         refid in any::<[u8; 4]>(),
     ) {
         let req = NtpPacket::client_request(NtpTimestamp::from_bits(request_tx), 4);
+        // Half the responses are mode 4, half stratum 0 and half echo the
+        // request, so every arm is reached, a foreign-origin refusal too.
+        let mode = if server { Mode::Server } else { mode_from(mode_bits) };
+        let stratum = if refusal { 0 } else { stratum };
+        let origin = if echo { request_tx } else { origin };
         let resp = NtpPacket {
-            mode: mode_from(mode_bits),
+            mode,
             stratum,
             reference_id: refid,
             origin_ts: NtpTimestamp::from_bits(origin),
@@ -132,6 +140,9 @@ proptest! {
             Err(PacketError::KissOfDeath(code)) => {
                 prop_assert_eq!(stratum, 0);
                 prop_assert_eq!(code, refid);
+                // only a sender that saw the request may refuse it
+                prop_assert_eq!(resp.origin_ts, req.transmit_ts);
+                prop_assert!(!resp.origin_ts.is_zero());
             }
             Err(PacketError::OriginMismatch) => prop_assert!(
                 resp.origin_ts != req.transmit_ts || resp.origin_ts.is_zero()

@@ -87,18 +87,18 @@ impl TscCounter {
     }
 }
 
-/// Converts a difference of counter readings into seconds given a period
-/// estimate: `Δ(t) = Δ(TSC) · p̂` (§1). Uses signed arithmetic so the caller
-/// can take differences in either order.
-pub fn counter_diff_to_seconds(later: u64, earlier: u64, period: f64) -> f64 {
-    (later.wrapping_sub(earlier) as i64) as f64 * period
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::components::ConstantSkew;
     use crate::oscillator::Oscillator;
+
+    /// Converts a difference of counter readings into seconds given a
+    /// period estimate: `Δ(t) = Δ(TSC) · p̂` (§1). Uses signed arithmetic so
+    /// the difference can be taken in either order.
+    fn counter_diff_to_seconds(later: u64, earlier: u64, period: f64) -> f64 {
+        (later.wrapping_sub(earlier) as i64) as f64 * period
+    }
 
     fn counter(ppm: f64) -> TscCounter {
         let osc = Oscillator::new(vec![ConstantSkew::from_ppm(ppm).into()], 3);

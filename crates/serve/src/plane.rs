@@ -897,30 +897,27 @@ mod tests {
         server_mode.mode = Mode::Server;
         rogue.send_to(&server_mode.encode(), daemon.addr()).unwrap();
 
-        let mut client = tsc_ntp::client::SntpClient::connect(daemon.addr()).unwrap();
+        let client = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         client
-            .set_timeout(std::time::Duration::from_secs(2))
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
             .unwrap();
-        let mut t = 0.0;
         let mut last_tb = 0.0;
         let residence = ServeConfig::default().residence;
-        for _ in 0..5 {
-            let ft = client
-                .query(|| {
-                    t += 0.001;
-                    t
-                })
-                .expect("daemon answers");
-            assert!(ft.tb > 1.7e9 - 1.0 && ft.tb < 1.7e9 + 60.0);
-            assert!(ft.tb > last_tb, "server time must advance");
-            last_tb = ft.tb;
+        let mut buf = [0u8; 512];
+        for i in 1..=5 {
+            let req = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(i as f64), 4);
+            client.send_to(&req.encode(), daemon.addr()).unwrap();
+            let (len, from) = client.recv_from(&mut buf).expect("daemon answers");
+            assert_eq!(from, daemon.addr());
+            let resp = NtpPacket::decode(&buf[..len]).unwrap();
+            assert_eq!(resp.validate_response(&req), Ok(()));
+            let (tb, te) = (resp.receive_ts.to_unix_seconds(), resp.transmit_ts.to_unix_seconds());
+            assert!(tb > 1.7e9 - 1.0 && tb < 1.7e9 + 60.0);
+            assert!(tb > last_tb, "server time must advance");
+            last_tb = tb;
             // One counter read per request: Te − Tb is the modeled
             // residence, to the f64 ULP (~2.4e-7 s) near 1.7e9.
-            assert!(
-                (ft.te - ft.tb - residence).abs() < 5e-7,
-                "te - tb = {}",
-                ft.te - ft.tb
-            );
+            assert!((te - tb - residence).abs() < 5e-7, "te - tb = {}", te - tb);
         }
         // The reply can arrive before the daemon mirrors its counters.
         let seen = || {

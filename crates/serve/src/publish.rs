@@ -73,11 +73,6 @@ impl Publisher {
         self.era
     }
 
-    /// Current smoothed |point error|, if any exchange has been observed.
-    pub fn point_error_ema(&self) -> Option<f64> {
-        self.pe_ema
-    }
-
     /// Folds one processed exchange's point error into the bound EMA.
     pub fn observe(&mut self, out: &ProcessOutput) {
         self.observe_point_error(out.point_error);
@@ -170,12 +165,12 @@ mod tests {
     fn ema_tracks_point_errors_and_mult_scales() {
         let mut p = Publisher::new(Arc::new(SnapshotCell::new()), PublishPolicy::default());
         p.observe_point_error(100e-6);
-        assert!((p.point_error_ema().unwrap() - 100e-6).abs() < 1e-12);
+        assert!((p.pe_ema.unwrap() - 100e-6).abs() < 1e-12);
         assert!((p.current_bound() - 400e-6).abs() < 1e-12);
         // NaN/inf observations are ignored, not absorbed.
         p.observe_point_error(f64::NAN);
         p.observe_point_error(f64::INFINITY);
-        assert!((p.point_error_ema().unwrap() - 100e-6).abs() < 1e-12);
+        assert!((p.pe_ema.unwrap() - 100e-6).abs() < 1e-12);
     }
 
     #[test]

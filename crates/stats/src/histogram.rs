@@ -97,23 +97,6 @@ impl Histogram {
         self.lo + (i as f64 + 0.5) * w
     }
 
-    /// Bin width.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.bins.len() as f64
-    }
-
-    /// Per-bin relative frequency (sums to ≤ 1; the remainder is
-    /// under/overflow mass).
-    pub fn frequencies(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.bins.len()];
-        }
-        self.bins
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
     /// Index of the most populated bin, or `None` if the histogram is empty
     /// inside its range.
     pub fn mode_bin(&self) -> Option<usize> {
@@ -212,8 +195,9 @@ mod tests {
         for i in 0..100 {
             h.add(i as f64 / 100.0);
         }
-        let sum: f64 = h.frequencies().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
+        // no under/overflow mass: every observation is in a bin
+        assert_eq!(h.bins.iter().sum::<u64>(), h.total);
+        assert_eq!(h.total, 100);
     }
 
     #[test]
@@ -230,7 +214,6 @@ mod tests {
     #[test]
     fn bin_centers_and_width() {
         let h = Histogram::new(0.0, 10.0, 5);
-        assert_eq!(h.bin_width(), 2.0);
         assert_eq!(h.bin_center(0), 1.0);
         assert_eq!(h.bin_center(4), 9.0);
     }

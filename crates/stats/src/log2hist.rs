@@ -81,14 +81,6 @@ impl Log2Histogram {
         self.sum = self.sum.wrapping_add(v);
     }
 
-    /// Records `n` observations of the same value.
-    #[inline]
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        self.counts[log2_bucket_of(v)] += n;
-        self.count += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
-    }
-
     /// Elementwise merge: afterwards `self` summarizes both inputs.
     /// Addition is commutative and associative, so merge order never
     /// changes the result.
@@ -166,6 +158,13 @@ impl Log2Histogram {
 mod tests {
     use super::*;
 
+    /// Records `n` observations of `v`.
+    fn record_n(h: &mut Log2Histogram, v: u64, n: u64) {
+        for _ in 0..n {
+            h.record(v);
+        }
+    }
+
     #[test]
     fn bucket_boundaries() {
         assert_eq!(log2_bucket_of(0), 0);
@@ -193,7 +192,7 @@ mod tests {
         for v in [1u64, 2, 3, 10] {
             h.record(v);
         }
-        h.record_n(4, 2);
+        record_n(&mut h, 4, 2);
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1 + 2 + 3 + 10 + 8);
         assert!((h.mean() - 24.0 / 6.0).abs() < 1e-12);
@@ -229,15 +228,15 @@ mod tests {
         let mut h = Log2Histogram::new();
         // 100 observations of 100 ⇒ every quantile sits in bucket 7
         // (64..=127).
-        h.record_n(100, 100);
+        record_n(&mut h, 100, 100);
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 127);
         }
 
         // A skewed distribution: 90 fast (≈1 µs), 10 slow (≈1 ms).
         let mut h = Log2Histogram::new();
-        h.record_n(1_000, 90);
-        h.record_n(1_000_000, 10);
+        record_n(&mut h, 1_000, 90);
+        record_n(&mut h, 1_000_000, 10);
         let p50 = h.quantile(0.50);
         let p95 = h.quantile(0.95);
         assert!((1_000..2_048).contains(&p50), "p50 = {p50}");

@@ -145,6 +145,10 @@ fn main() {
          every digest identical to the uninterrupted run",
         stats.crashes, stats.warm_restores, stats.cold_restarts, stats.replayed
     );
+    if stats.cold_restarts > 0 {
+        // the post-mortem trail of every restart that fell back to cold
+        eprintln!("{}", telemetry::flight_dump());
+    }
     if telemetry::TELEMETRY_COMPILED {
         // The same accounting, read back from the registry: the recovery
         // counters plus the snapshot seal/restore latency histograms the
