@@ -67,9 +67,14 @@ impl CongestionParams {
 /// Two sampling front-ends share the same stochastic state:
 ///
 /// * [`PathDelay::sample`] — exact-time evolution: the two-state congestion
-///   chain is advanced by the true elapsed time, which costs one
-///   `exp_clamped` (core's libm-free exponential) per sample. This is the
-///   original formulation and the reference for the differential tests.
+///   chain is advanced by the true elapsed time. The flip is decided by
+///   `u < 1 − exp_clamped(−dt/mean)` (core's libm-free exponential), but a
+///   certified bracket `x − x²/2 ≤ 1 − e^{−x} ≤ x` settles it without the
+///   exponential unless `u` lands in the band between the two bounds,
+///   `[x − x²/2 − s, x + s)`, `x = dt/mean`, `s ≈ 1e-12` (`flip_bracket`):
+///   0.3 % of the draws of e2e `closed_loop`. Bit-identical to evaluating
+///   the exponential every time. This is the original formulation and the
+///   reference for the differential tests.
 /// * [`PathDelay::sample_cadenced`] — the generation fast path: the chain
 ///   advances by one *fixed* cadence tick whose transition probabilities
 ///   were precomputed once by [`PathDelay::set_cadence`]. NTP polling is
@@ -85,6 +90,10 @@ pub struct PathDelay {
     /// Deficit of the last `set_shift` (0 when it applied unclamped).
     shift_clamped_by: f64,
     congestion: CongestionParams,
+    /// `1 / mean_on`, for the exact-time chain's bracket.
+    inv_mean_on: f64,
+    /// `1 / mean_off`, for the exact-time chain's bracket.
+    inv_mean_off: f64,
     bg: Exp<f64>,
     burst: Pareto<f64>,
     in_burst: bool,
@@ -113,6 +122,8 @@ impl PathDelay {
             shift: 0.0,
             shift_clamped_by: 0.0,
             congestion,
+            inv_mean_on: 1.0 / congestion.mean_on,
+            inv_mean_off: 1.0 / congestion.mean_off,
             bg: Exp::new(1.0 / bg_mean).expect("valid rate"),
             burst: Pareto::new(congestion.scale, congestion.shape).expect("valid pareto"),
             in_burst: false,
@@ -191,13 +202,12 @@ impl PathDelay {
     fn update_burst_state(&mut self, t: f64) {
         let dt = (t - self.last_t).max(0.0);
         self.last_t = t;
-        // Transition probabilities over dt for a two-state Markov chain.
-        let p_flip = if self.in_burst {
-            1.0 - exp_clamped(-dt / self.congestion.mean_on)
+        let (mean, inv_mean) = if self.in_burst {
+            (self.congestion.mean_on, self.inv_mean_on)
         } else {
-            1.0 - exp_clamped(-dt / self.congestion.mean_off)
+            (self.congestion.mean_off, self.inv_mean_off)
         };
-        if self.rng.random::<f64>() < p_flip {
+        if flips(self.rng.random::<f64>(), dt, mean, inv_mean) {
             self.in_burst = !self.in_burst;
         }
     }
@@ -213,6 +223,55 @@ impl PathDelay {
             q += self.burst.sample(&mut self.rng);
         }
         self.current_min() + q
+    }
+}
+
+/// Whether the chain leaves its state over `dt` seconds, given the uniform
+/// `u` and the state's mean sojourn `mean` (`inv_mean = 1 / mean`): the
+/// transition probability of a two-state Markov chain, `u < 1 − e^{−dt/mean}`,
+/// with the exponential evaluated only when [`flip_bracket`] cannot settle
+/// it. Equal to `u < 1.0 - exp_clamped(-dt / mean)` for every input.
+#[inline(always)]
+fn flips(u: f64, dt: f64, mean: f64, inv_mean: f64) -> bool {
+    match flip_bracket(u, dt * inv_mean) {
+        Some(flip) => flip,
+        None => u < 1.0 - exp_clamped(-dt / mean),
+    }
+}
+
+/// Settles `u < p̂`, where `p̂ = 1.0 − exp_clamped(−dt/mean)` is the computed
+/// flip probability and `x = dt · (1/mean)`, without the exponential:
+/// `Some(flip)` when `u` is outside the band `[x − x²/2 − s, x + s)`,
+/// `None` (evaluate `p̂`) inside it, with slack `s = 1e-12 + 1e-15·x`.
+///
+/// Why the answer equals `u < p̂`. In exact arithmetic, for `x ≥ 0`,
+/// `x − x²/2 ≤ 1 − e^{−x} ≤ x`. Only `x < 2` matters: `u < 1` never
+/// reaches the upper edge once `x ≥ 1`, and the lower edge is ≤ 0 once
+/// `x ≥ 2`. There `p̂` is within `2.1e-14 + 4.5e-16·x` of `1 − e^{−x}`:
+/// * `exp_clamped` is within 2e-14 relative of `e^{−y}` (`fastmath`),
+///   so within 2e-14 absolute, since `e^{−y} ≤ 1`;
+/// * `1 − E` is exact for `E ≥ 1/2` (Sterbenz) and rounds by at most
+///   1.1e-16 otherwise;
+/// * `y = fl(dt / mean)` and `x = fl(dt · fl(1/mean))` differ by ≤ 2 ulps,
+///   `4.5e-16·x`, and both `1 − e^{−x}` and `x − x²/2` are 1-Lipschitz
+///   on `[0, 2]`.
+///
+/// The slack is ≥ 1e-12, over 30× that sum for `x < 2`, and it also
+/// absorbs the rounding of the two edges themselves (a few ulps of
+/// values ≤ 2). A non-finite `x` (an infinite `dt`, a zero `mean`) makes
+/// both edges `∞` or NaN, so both tests fail and the caller evaluates
+/// `p̂`. A negative `x` (a negative `mean`) leaves the lower edge negative
+/// and the upper one valid (`1 − e^{−x} ≤ x` for every real `x`), where
+/// `p̂ ≤ 0 ≤ u` too.
+#[inline(always)]
+fn flip_bracket(u: f64, x: f64) -> Option<bool> {
+    let slack = 1e-12 + 1e-15 * x;
+    if u >= x + slack {
+        Some(false)
+    } else if u < x - 0.5 * x * x - slack {
+        Some(true)
+    } else {
+        None
     }
 }
 
@@ -388,6 +447,185 @@ mod tests {
         // sampling at 176 s is one further 16 s step either way.
         let d = mixed.sample(176.0);
         assert!(d >= mixed.current_min());
+    }
+
+    /// The flip decision as the chain made it before the bracket: the
+    /// exponential evaluated every time: the oracle `flips` must equal.
+    fn flips_oracle(u: f64, dt: f64, mean: f64) -> bool {
+        u < 1.0 - exp_clamped(-dt / mean)
+    }
+
+    /// Every congestion parameter set the crate ships: the three presets
+    /// and both directions of every profile.
+    fn all_congestion() -> Vec<CongestionParams> {
+        let mut all = vec![
+            CongestionParams::light(),
+            CongestionParams::moderate(),
+            CongestionParams::heavy(),
+        ];
+        for profile in crate::profile::ALL_PROFILES {
+            let p = profile.params();
+            all.extend([p.fwd_congestion, p.back_congestion]);
+        }
+        all
+    }
+
+    /// The mean sojourns of both chain states (`mean_on` in a burst,
+    /// `mean_off` outside one) over every shipped parameter set.
+    fn all_means() -> Vec<f64> {
+        let mut means: Vec<f64> = all_congestion()
+            .iter()
+            .flat_map(|c| [c.mean_on, c.mean_off])
+            .collect();
+        means.sort_by(f64::total_cmp);
+        means.dedup();
+        means
+    }
+
+    /// `v` moved by `k` ulps (down for negative `k`).
+    fn ulps(mut v: f64, k: i32) -> f64 {
+        for _ in 0..k.unsigned_abs() {
+            v = if k > 0 { v.next_up() } else { v.next_down() };
+        }
+        v
+    }
+
+    /// Checks `flips` against the oracle: for every shipped mean, at 0,
+    /// at `n_dt + 1` log-spaced elapsed times from 1 ns to 1e5 s and at
+    /// +∞, each with `u` at `p̂ ± k` ulps (k ≤ 8), at both bracket edges
+    /// (± k ulps, and ± the slack), at 0 and at 1 − 2⁻⁵³; then at
+    /// `n_random` random `(u, dt, mean)`, half of them with `u` drawn
+    /// across the band. Returns the number of cases checked.
+    fn bracket_sweep(n_dt: usize, n_random: usize) -> u64 {
+        let means = all_means();
+        let mut dts = vec![0.0];
+        dts.extend((0..=n_dt).map(|i| 10f64.powf(-9.0 + 14.0 * i as f64 / n_dt as f64)));
+        dts.push(f64::INFINITY);
+        let mut cases = 0u64;
+        let mut check = |u: f64, dt: f64, mean: f64| {
+            if (0.0..1.0).contains(&u) {
+                assert_eq!(
+                    flips(u, dt, mean, 1.0 / mean),
+                    flips_oracle(u, dt, mean),
+                    "u {u:e} dt {dt:e} mean {mean}"
+                );
+                cases += 1;
+            }
+        };
+        let one_below_one = 1.0 - f64::EPSILON / 2.0;
+        for &mean in &means {
+            for &dt in &dts {
+                let p = 1.0 - exp_clamped(-dt / mean);
+                let x = dt * (1.0 / mean);
+                let slack = 1e-12 + 1e-15 * x;
+                let (hi, lo) = (x + slack, x - 0.5 * x * x - slack);
+                check(0.0, dt, mean);
+                check(one_below_one, dt, mean);
+                for centre in [p, hi, lo, hi - slack, hi + slack, lo - slack, lo + slack] {
+                    for k in -8..=8 {
+                        check(ulps(centre, k), dt, mean);
+                    }
+                }
+            }
+        }
+        let mut rng = ChaCha12Rng::seed_from_u64(0x0B4A_C4E7);
+        for i in 0..n_random {
+            let mean = means[i % means.len()];
+            let dt = 10f64.powf(-9.0 + 14.0 * rng.random::<f64>());
+            let u = if i % 2 == 0 {
+                rng.random::<f64>()
+            } else {
+                // Across the band and a little beyond either edge.
+                let x = dt / mean;
+                let (lo, hi) = (x - 0.5 * x * x - 2e-12, x + 2e-12);
+                lo + (hi - lo) * rng.random::<f64>()
+            };
+            check(u, dt, mean);
+        }
+        cases
+    }
+
+    #[test]
+    fn bracket_decides_the_flip_as_the_exponential_does() {
+        assert!(bracket_sweep(100, 1_000_000) > 1_000_000);
+    }
+
+    /// The dense sweep, ≥ 10⁸ cases (a CI release step):
+    /// `cargo test --release -p tsc-netsim --lib dense_bracket -- --ignored`.
+    #[test]
+    #[ignore = "dense sweep, ~1e8 cases: run in release"]
+    fn dense_bracket_sweep_equals_the_exponential() {
+        let cases = bracket_sweep(60_000, 20_000_000);
+        assert!(cases >= 100_000_000, "only {cases} cases");
+    }
+
+    /// [`PathDelay::sample`] with the chain advanced by [`flips_oracle`].
+    fn sample_with_oracle(p: &mut PathDelay, t: f64) -> f64 {
+        let dt = (t - p.last_t).max(0.0);
+        p.last_t = t;
+        let mean = if p.in_burst {
+            p.congestion.mean_on
+        } else {
+            p.congestion.mean_off
+        };
+        if flips_oracle(p.rng.random::<f64>(), dt, mean) {
+            p.in_burst = !p.in_burst;
+        }
+        let mut q = p.bg.sample(&mut p.rng);
+        if p.in_burst {
+            q += p.burst.sample(&mut p.rng);
+        }
+        p.current_min() + q
+    }
+
+    #[test]
+    fn bracketed_stream_is_bit_identical_to_the_exponential_one() {
+        // 10⁶ irregular `sample(t)` calls over every shipped parameter
+        // set: polls of 16–1024 s, the few ms between a request and its
+        // reply, repeated instants and log-uniform gaps from 1 ns to 1e5 s.
+        let sets = all_congestion();
+        let per_set = 1_000_000 / sets.len();
+        let mut sched = ChaCha12Rng::seed_from_u64(0x7E1A);
+        for (i, &c) in sets.iter().enumerate() {
+            let mut fast = PathDelay::new(1e-3, 50e-6, c, 40 + i as u64);
+            let mut oracle = PathDelay::new(1e-3, 50e-6, c, 40 + i as u64);
+            let mut t = 0.0;
+            for n in 0..per_set {
+                let r = sched.random::<f64>();
+                t += if r < 0.45 {
+                    16.0 * (1u32 << (n % 7)) as f64 + 1e-3 * sched.random::<f64>()
+                } else if r < 0.9 {
+                    1e-3 + 0.2 * sched.random::<f64>()
+                } else if r < 0.95 {
+                    0.0
+                } else {
+                    10f64.powf(-9.0 + 14.0 * sched.random::<f64>())
+                };
+                let (a, b) = (fast.sample(t), sample_with_oracle(&mut oracle, t));
+                assert_eq!(a.to_bits(), b.to_bits(), "set {i}, call {n}, t {t}");
+            }
+            assert_eq!(fast.in_burst, oracle.in_burst);
+        }
+    }
+
+    #[test]
+    fn bracket_settles_all_but_a_sliver_at_poll_cadence() {
+        // The exponential is left for the band between the two bounds,
+        // about x²/2 wide: at 16 s polling that is under 1 % of the draws
+        // for every shipped parameter set.
+        for c in all_congestion() {
+            let mut rng = ChaCha12Rng::seed_from_u64(5);
+            let (mut in_burst, mut unsettled) = (false, 0u32);
+            let n = 100_000;
+            for _ in 0..n {
+                let mean = if in_burst { c.mean_on } else { c.mean_off };
+                let u = rng.random::<f64>();
+                unsettled += u32::from(flip_bracket(u, 16.0 * (1.0 / mean)).is_none());
+                in_burst ^= flips(u, 16.0, mean, 1.0 / mean);
+            }
+            let share = f64::from(unsettled) / f64::from(n);
+            assert!(share < 0.01, "{c:?}: exponential on {share} of draws");
+        }
     }
 
     #[test]

@@ -81,13 +81,18 @@ impl Distribution<f64> for Exp<f64> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto<F = f64> {
     scale: F,
-    shape: F,
+    /// `−1 / shape`, the `powf` exponent, divided once here rather than
+    /// on every draw (as upstream `rand_distr` stores it).
+    inv_neg_shape: F,
 }
 
 impl Pareto<f64> {
     pub fn new(scale: f64, shape: f64) -> Result<Self, ParamError> {
         if scale.is_finite() && scale > 0.0 && shape.is_finite() && shape > 0.0 {
-            Ok(Self { scale, shape })
+            Ok(Self {
+                scale,
+                inv_neg_shape: -1.0 / shape,
+            })
         } else {
             Err(ParamError("Pareto scale and shape must be positive"))
         }
@@ -96,7 +101,7 @@ impl Pareto<f64> {
 
 impl Distribution<f64> for Pareto<f64> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.scale * (1.0 - unit_f64(rng)).powf(-1.0 / self.shape)
+        self.scale * (1.0 - unit_f64(rng)).powf(self.inv_neg_shape)
     }
 }
 
