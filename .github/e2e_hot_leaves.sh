@@ -8,10 +8,12 @@
 #
 #   * `NtpPacket::decode` / `NtpPacket::encode_into`: no call other than a
 #     panic path (a symbol that was inlined away passes);
-#   * `ServePlane::serve_batch`: no call to libm `floor` / `round` / `ceil`
-#     and none into `tsc_ntp::timestamp` (the `NtpTimestamp` conversions
-#     and their helper): the one exact conversion a batch makes must be
-#     inlined, and a request makes none;
+#   * `ServePlane::serve_batch`: no call to libm `floor` / `round` / `ceil`,
+#     none into `tsc_ntp::timestamp` (the `NtpTimestamp` conversions and
+#     their helper) and none into `tscclock` (the served-error bound's
+#     aging rule, `tscclock::bound::aged`): the one exact conversion a
+#     batch makes must be inlined, a request makes none, and the bound
+#     rule is inlined into every request;
 #   * `RawExchanges::fill_batch`, `SimCore::{send, record}`,
 #     `PathState::{depart, stamps}` (the one departure sequence and stamp
 #     pair; inlined into the others today), `OnDemandSim::exchange_at`,
@@ -66,7 +68,7 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
     panic = callee ~ /^core::(panicking|slice::index|option::(expect|unwrap)_failed|result::unwrap_failed)/
     sampler = callee ~ /(^|::)(zig_tables|zig_exp_tables|zig_try|zig_exp_try|step_wander_cell)$/ ||
               callee ~ /^<rand_distr::(StandardNormal|Exp1) as .*>::sample$/
-    stamp = callee ~ /^(floor|round|ceil)$/ || callee ~ /^tsc_ntp::timestamp::/
+    stamp = callee ~ /^(floor|round|ceil)$/ || callee ~ /^(tsc_ntp::timestamp|tscclock)::/
     if ((codec && !panic) || (serve && stamp) || (gen && sampler)) {
         print fn " calls " callee ": " $0
         bad = 1
@@ -76,4 +78,4 @@ END { exit bad }
 ' <(objdump -R "$bin") <(nm -C --defined-only "$bin") \
   <(objdump -d --no-show-raw-insn -C "$bin") \
   || { echo "e2e hot leaves make calls they should not (see above)" >&2; exit 1; }
-echo "e2e hot leaves: codec call-free, serve_batch libm- and conversion-call-free, generator sampler-call-free"
+echo "e2e hot leaves: codec call-free, serve_batch libm-, conversion- and tscclock-call-free, generator sampler-call-free"

@@ -107,7 +107,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod asym;
+pub mod bound;
 pub mod clock;
 pub mod config;
 pub mod exchange;
@@ -123,7 +123,6 @@ pub mod shift;
 pub mod snapshot;
 pub mod units;
 
-pub use asym::{estimate_asymmetry, RefExchange};
 pub use clock::{ClockEvent, ClockStatus, EventSet, ProcessOutput, TscNtpClock};
 pub use config::ClockConfig;
 pub use exchange::RawExchange;

@@ -15,12 +15,12 @@
 //! replay stays cheap (one `Vec<u8>` write, no allocation-per-field
 //! value tree). It is the workspace's only persisted format.
 //!
-//! # Envelope (format v6)
+//! # Envelope (format v7)
 //!
 //! ```text
 //!   offset  size  field
 //!   0       4     magic  b"TSNP"
-//!   4       2     format version (little-endian u16, currently 6)
+//!   4       2     format version (little-endian u16, currently 7)
 //!   6       1     payload kind (what component the payload encodes)
 //!   7       8     payload length (little-endian u64)
 //!   15      n     payload (component-defined, written via SnapshotWriter)
@@ -54,10 +54,12 @@
 //! payload is its configuration once, then words none of which is a
 //! function of the configuration or of other words (no window lengths,
 //! thresholds or memo stamps), and a quorum writes one configuration for
-//! all its member clocks. The version says which sum and which payload
-//! layout follow, so it is checked first; this build reads and writes only
-//! v6, and a v1‥v5 blob is a typed [`SnapshotError::VersionMismatch`] (a
-//! cold start).
+//! all its member clocks. v7 drops the three bound-policy words (stale
+//! horizon, bound floor, widening rate) from a lifecycle client's
+//! configuration: they are the constants of `crate::bound` now. The
+//! version says which sum and which payload layout follow, so it is
+//! checked first; this build reads and writes only v7, and a v1‥v6 blob is
+//! a typed [`SnapshotError::VersionMismatch`] (a cold start).
 //!
 //! # What corruption is detected, and why that is deterministic
 //!
@@ -102,7 +104,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"TSNP";
 
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u16 = 6;
+pub const FORMAT_VERSION: u16 = 7;
 
 /// Payload kinds (one per snapshottable root component).
 pub mod kind {
@@ -136,7 +138,7 @@ fn step(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 
-/// The envelope checksum (formats v2 to v6): four word-wide FNV-style lanes
+/// The envelope checksum (formats v2 to v7): four word-wide FNV-style lanes
 /// over the 32-byte blocks, folded in order, then the tail bytes, then
 /// the length. The module docs give the definition and the detection
 /// argument; `tests::checksum_known_answers` pins the values.

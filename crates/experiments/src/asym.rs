@@ -8,7 +8,7 @@
 //! `Δ̂ᵢ = (Tf,i − Ta,i)·p̂ − 2Tg,i + Tb,i + Te,i`, evaluated at packets of
 //! minimal RTT to suppress queueing noise.
 
-use crate::exchange::RawExchange;
+use tscclock::RawExchange;
 
 /// One exchange augmented with the reference (DAG) timestamp of the
 /// response's arrival — the input the §4.2 estimator needs.
@@ -127,6 +127,36 @@ mod tests {
             .map(|r| r.ex.rtt_counts() as f64 * P)
             .fold(f64::INFINITY, f64::min);
         assert!(d.abs() < causality_bound(rtt_min, 20e-6));
+    }
+
+    /// Cross-validates the estimator against the simulator's presets.
+    #[test]
+    fn asymmetry_estimator_tracks_configured_delta() {
+        use tsc_netsim::{Scenario, ServerKind};
+        for kind in [ServerKind::Loc, ServerKind::Ext] {
+            let sc = Scenario::baseline(99).with_server(kind).with_duration(86_400.0);
+            let refs: Vec<RefExchange> = sc
+                .run()
+                .iter()
+                .filter(|e| !e.lost)
+                .map(|e| RefExchange {
+                    ex: RawExchange {
+                        ta_tsc: e.ta_tsc,
+                        tb: e.tb,
+                        te: e.te,
+                        tf_tsc: e.tf_tsc,
+                    },
+                    tg: e.tg,
+                })
+                .collect();
+            let d = estimate_asymmetry(&refs, 1e-9, 0.01).unwrap();
+            let expect = kind.facts().asymmetry;
+            assert!(
+                (d - expect).abs() < 0.5 * expect + 30e-6,
+                "{}: estimated {d}, expected {expect}",
+                kind.name()
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! event-driven simulator.
 
 pub mod ablation;
+mod asym;
 pub mod baseline;
 pub mod fig10;
 pub mod fig11;

@@ -5,10 +5,10 @@
 //! (estimated with the reference monitor per §4.2) — are produced by
 //! actually running the simulation and measuring, exactly as the paper did.
 
+use crate::asym::{estimate_asymmetry, RefExchange};
 use crate::fmt::{fmt_time, table, Report};
 use crate::ExpOptions;
 use tsc_netsim::{Scenario, ServerKind};
-use tscclock::asym::{estimate_asymmetry, RefExchange};
 use tscclock::RawExchange;
 
 /// Runs a trace per server and measures min RTT and Δ.

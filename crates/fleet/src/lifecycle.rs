@@ -24,7 +24,8 @@
 //!                                       timeouts               └──────────┘
 //!
 //!   Degraded serves the last-good Ca(t) with a bound that widens with
-//!   age; past `stale_horizon` every read returns a Stale verdict.
+//!   age; past `tscclock::bound::STALE_HORIZON` every read returns a
+//!   Stale verdict.
 //! ```
 //!
 //! The shape mirrors the embedded `TimeSynchronizer` exemplar
@@ -49,6 +50,7 @@ use tsc_telemetry as telemetry;
 use tsc_netsim::profile::PathProfile;
 use tsc_netsim::multi::splitmix64;
 use tsc_ntp::{NtpPacket, PacketError};
+use tscclock::bound::{self, BOUND_FLOOR, STALE_HORIZON};
 use tscclock::snapshot::{self, SnapshotReader, SnapshotWriter};
 use tscclock::{ClockConfig, ProcessOutput, RawExchange, SnapshotError, TscNtpClock};
 
@@ -184,15 +186,6 @@ pub struct LifecycleConfig {
     pub max_retries: u32,
     /// Cooldown length after max retries (seconds); also jittered.
     pub cooldown: f64,
-    /// Reads older than this since the last accepted sample return
-    /// [`ReadVerdict::Stale`] (seconds).
-    pub stale_horizon: f64,
-    /// Floor of the served error bound (seconds).
-    pub bound_floor: f64,
-    /// Bound widening rate while no fresh samples arrive (s/s): the
-    /// holdover drift allowance, of the order of the oscillator's rate
-    /// stability (the paper's γ* ≈ 0.05–0.1 PPM).
-    pub widen_rate: f64,
     /// Transition-trace capacity (older entries are kept, newer dropped,
     /// so the interesting cold-start/outage structure survives).
     pub max_trace: usize,
@@ -201,8 +194,7 @@ pub struct LifecycleConfig {
 impl LifecycleConfig {
     /// Defaults for a given poll period: timeout of a quarter period,
     /// retries starting at a half period capped at 32 periods, jitter
-    /// fraction 1 (retry delays spread over ±50 %), 1-hour cooldown,
-    /// 4-hour staleness horizon.
+    /// fraction 1 (retry delays spread over ±50 %), 1-hour cooldown.
     pub fn defaults(poll_period: f64) -> Self {
         Self {
             poll_period,
@@ -214,9 +206,6 @@ impl LifecycleConfig {
             jitter_frac: 1.0,
             max_retries: 8,
             cooldown: 3600.0,
-            stale_horizon: 4.0 * 3600.0,
-            bound_floor: 50e-6,
-            widen_rate: 1e-7,
             max_trace: 4096,
         }
     }
@@ -249,9 +238,8 @@ impl LifecycleConfig {
     /// Validates the policy: every duration, threshold and rate finite;
     /// the poll period, timeout and first backoff positive, the ceiling at
     /// least the first backoff; jitter within `[0, 2]` (a delay factor of
-    /// `1 ± j/2` stays non-negative); cooldown, horizon, bound floor and
-    /// widening rate non-negative; at least one retry and one bad sample
-    /// before degrading.
+    /// `1 ± j/2` stays non-negative); the cooldown non-negative; at least
+    /// one retry and one bad sample before degrading.
     pub fn validate(&self) -> Result<(), String> {
         let floats = [
             self.poll_period,
@@ -261,9 +249,6 @@ impl LifecycleConfig {
             self.backoff_max,
             self.jitter_frac,
             self.cooldown,
-            self.stale_horizon,
-            self.bound_floor,
-            self.widen_rate,
         ];
         if !floats.iter().all(|x| x.is_finite()) {
             return Err("lifecycle durations and rates must be finite".into());
@@ -273,9 +258,7 @@ impl LifecycleConfig {
             && self.backoff_base > 0.0
             && self.backoff_max >= self.backoff_base
             && (0.0..=2.0).contains(&self.jitter_frac)
-            && [self.cooldown, self.stale_horizon, self.bound_floor, self.widen_rate]
-                .iter()
-                .all(|&x| x >= 0.0)
+            && self.cooldown >= 0.0
             && self.max_retries >= 1
             && self.degrade_after >= 1)
         {
@@ -295,9 +278,6 @@ impl LifecycleConfig {
         w.put_f64(self.jitter_frac);
         w.put_u32(self.max_retries);
         w.put_f64(self.cooldown);
-        w.put_f64(self.stale_horizon);
-        w.put_f64(self.bound_floor);
-        w.put_f64(self.widen_rate);
         w.put_usize(self.max_trace);
     }
 
@@ -314,9 +294,6 @@ impl LifecycleConfig {
             jitter_frac: r.get_f64()?,
             max_retries: r.get_u32()?,
             cooldown: r.get_f64()?,
-            stale_horizon: r.get_f64()?,
-            bound_floor: r.get_f64()?,
-            widen_rate: r.get_f64()?,
             max_trace: r.get_usize()?,
         };
         cfg.validate()
@@ -373,7 +350,9 @@ pub struct LifecycleClient {
     consecutive_bad: u32,
     /// Send time of the last accepted sample.
     last_good_t: f64,
-    /// Error bound at the last accepted sample.
+    /// Error bound at the last accepted sample: the running minimum of
+    /// the floored point errors (`∞` before the first), never below
+    /// [`BOUND_FLOOR`].
     last_good_bound: f64,
     /// Whether any sample was ever accepted with the clock aligned.
     ever_aligned: bool,
@@ -475,10 +454,11 @@ impl LifecycleClient {
         self.consecutive_bad = 0;
         let aligned = self.clock.absolute_time(raw.tf_tsc).is_some();
         self.last_good_t = now;
+        // the one place the lifecycle floors its bound
         self.last_good_bound = out
-            .map(|o| o.point_error.abs().max(self.cfg.bound_floor))
-            .unwrap_or(self.cfg.bound_floor)
-            .min(self.last_good_bound.max(self.cfg.bound_floor));
+            .map_or(0.0, |o| o.point_error.abs())
+            .max(BOUND_FLOOR)
+            .min(self.last_good_bound);
         if aligned {
             self.ever_aligned = true;
         }
@@ -574,8 +554,9 @@ impl LifecycleClient {
     }
 
     /// Reads the served clock at counter value `tsc`, `now` seconds into
-    /// the run. See [`ReadVerdict`] for the grades; the bound widens at
-    /// `widen_rate` per second of sample age once no fresh data arrives.
+    /// the run. See [`ReadVerdict`] for the grades; the bound ages by
+    /// [`bound::aged`] with the sample's age, and past
+    /// [`STALE_HORIZON`] the read is Stale.
     pub fn read(&self, tsc: u64, now: f64) -> ReadVerdict {
         let Some(time) = self.clock.absolute_time(tsc) else {
             return ReadVerdict::Unavailable;
@@ -584,11 +565,10 @@ impl LifecycleClient {
             return ReadVerdict::Unavailable;
         }
         let age = (now - self.last_good_t).max(0.0);
-        if age > self.cfg.stale_horizon {
+        if age > STALE_HORIZON {
             return ReadVerdict::Stale { age };
         }
-        let bound = self.last_good_bound.max(self.cfg.bound_floor)
-            + self.cfg.widen_rate * age;
+        let bound = bound::aged(self.last_good_bound, age);
         match self.state {
             ClientState::Synced | ClientState::Syncing => ReadVerdict::Fresh { time, bound },
             _ => ReadVerdict::Degraded { time, bound, age },
@@ -771,6 +751,10 @@ impl LifecycleClient {
         let consecutive_bad = r.get_u32()?;
         let last_good_t = r.get_f64()?;
         let last_good_bound = r.get_f64()?;
+        if last_good_bound.is_nan() || last_good_bound < BOUND_FLOOR {
+            // every bound this client stores is floored
+            return Err(SnapshotError::Invalid("last-good bound below the floor"));
+        }
         let ever_aligned = r.get_bool()?;
         let mut key = [0u32; 8];
         for word in &mut key {
@@ -1059,10 +1043,10 @@ mod tests {
             v => panic!("expected degraded read, got {v:?}"),
         };
         assert!(b(age2) > b(age1), "bound must widen with age");
-        assert!((b(age2) - b(age1) - cfg().widen_rate * (age2 - age1)).abs() < 1e-12);
+        assert!((b(age2) - b(age1) - bound::WIDEN_RATE * (age2 - age1)).abs() < 1e-12);
 
         // and past the horizon the client refuses
-        let verdict = c.read(tsc, t + cfg().stale_horizon + 1.0);
+        let verdict = c.read(tsc, t + STALE_HORIZON + 1.0);
         assert!(matches!(verdict, ReadVerdict::Stale { .. }), "{verdict:?}");
     }
 
@@ -1088,10 +1072,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid lifecycle configuration")]
     fn a_policy_a_restore_would_refuse_builds_no_client() {
-        // "never stale" is the serve plane's infinite horizon, not a
-        // client's: the sealed policy could not be restored
-        let never_stale = LifecycleConfig { stale_horizon: f64::INFINITY, ..cfg() };
-        LifecycleClient::new(never_stale, ClockConfig::paper_defaults(16.0), 1, 0.0);
+        // "never retry again" is an infinite cooldown: the sealed policy
+        // could not be restored
+        let never_retry = LifecycleConfig { cooldown: f64::INFINITY, ..cfg() };
+        LifecycleClient::new(never_retry, ClockConfig::paper_defaults(16.0), 1, 0.0);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! s2 and even`.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use tscclock::bound;
 
 /// One sealed clock estimate: everything the response path needs to stamp
 /// a timestamp and bound its error, with no access to the clock itself.
@@ -35,16 +36,12 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 ///
 /// (the serving plane evaluates it in 32.32 fixed point: `base` once per
 /// snapshot read, the staleness term per request; see
-/// [`Stamper`](crate::plane::Stamper)), and the **served-error bound**
-/// widens with staleness:
+/// [`Stamper`](crate::plane::Stamper)), and the **served-error bound** is
+/// the seal-time `bound` aged by the one rule of [`tscclock::bound`]:
 ///
 /// ```text
-/// bound(tsc) = bound + widen_rate · staleness,   staleness = (tsc − tsc0)·rate
+/// bound(tsc) = bound + WIDEN_RATE · max(staleness, 0),   staleness = (tsc − tsc0)·rate
 /// ```
-///
-/// `bound` is the paper's clock error at seal time (point-error derived);
-/// `widen_rate` (s/s) covers rate-estimate error and undetected drift
-/// while the snapshot ages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockSnapshot {
     /// Publication generation, strictly increasing from 1. A cell that has
@@ -56,10 +53,9 @@ pub struct ClockSnapshot {
     pub base: f64,
     /// Rate estimate `p̂` in seconds per count.
     pub rate: f64,
-    /// Clock error bound at seal time, seconds.
+    /// Clock error bound at seal time, seconds (floored by the
+    /// publisher).
     pub bound: f64,
-    /// Bound widening per second of staleness (s/s).
-    pub widen_rate: f64,
     /// Whether the discipline loop considers itself synchronized; `false`
     /// makes the serving plane refuse rather than stamp.
     pub synced: bool,
@@ -75,11 +71,11 @@ impl ClockSnapshot {
         (tsc.wrapping_sub(self.tsc0) as i64) as f64 * self.rate
     }
 
-    /// Served-error bound at `tsc`: seal-time bound plus staleness
-    /// widening. Monotone in `tsc` between republishes.
+    /// Served-error bound at `tsc`: the seal-time bound aged by its
+    /// staleness ([`bound::aged`]). Monotone in `tsc` between republishes.
     #[inline]
     pub fn bound_at(&self, tsc: u64) -> f64 {
-        self.bound + self.widen_rate * self.staleness(tsc).max(0.0)
+        bound::aged(self.bound, self.staleness(tsc))
     }
 }
 
@@ -98,7 +94,6 @@ pub struct SnapshotCell {
     base: AtomicU64,
     rate: AtomicU64,
     bound: AtomicU64,
-    widen: AtomicU64,
     /// bit 0: synced; bits 32–63: reference id (big-endian bytes).
     flags: AtomicU64,
 }
@@ -122,7 +117,6 @@ impl SnapshotCell {
         self.base.store(snap.base.to_bits(), Ordering::Relaxed);
         self.rate.store(snap.rate.to_bits(), Ordering::Relaxed);
         self.bound.store(snap.bound.to_bits(), Ordering::Relaxed);
-        self.widen.store(snap.widen_rate.to_bits(), Ordering::Relaxed);
         self.flags.store(flags, Ordering::Relaxed);
         self.seq.store(s.wrapping_add(2), Ordering::Release);
     }
@@ -144,7 +138,6 @@ impl SnapshotCell {
             let base = self.base.load(Ordering::Relaxed);
             let rate = self.rate.load(Ordering::Relaxed);
             let bound = self.bound.load(Ordering::Relaxed);
-            let widen = self.widen.load(Ordering::Relaxed);
             let flags = self.flags.load(Ordering::Relaxed);
             fence(Ordering::Acquire);
             if self.seq.load(Ordering::Relaxed) != s1 {
@@ -160,7 +153,6 @@ impl SnapshotCell {
                 base: f64::from_bits(base),
                 rate: f64::from_bits(rate),
                 bound: f64::from_bits(bound),
-                widen_rate: f64::from_bits(widen),
                 synced: flags & 1 == 1,
                 reference_id: ((flags >> 32) as u32).to_be_bytes(),
             });
@@ -184,7 +176,6 @@ mod tests {
             base: 1.0e9 + era as f64,
             rate: 1e-9,
             bound: 1e-6,
-            widen_rate: 5e-8,
             synced: true,
             reference_id: *b"TSC\0",
         }
@@ -218,7 +209,7 @@ mod tests {
         // 2000 counts past tsc0 at 1 ns/count = 2 µs.
         let tsc = s.tsc0 + 2_000;
         assert!((s.staleness(tsc) - 2e-6).abs() < 1e-18);
-        assert!((s.bound_at(tsc) - (1e-6 + 5e-8 * 2e-6)).abs() < 1e-18);
+        assert_eq!(s.bound_at(tsc), 1e-6 + bound::WIDEN_RATE * s.staleness(tsc));
         // A reading just *before* the seal must not shrink the bound.
         assert!(s.bound_at(s.tsc0.wrapping_sub(10)) >= s.bound);
     }

@@ -10,8 +10,8 @@
 //!   [`SnapshotCell`]; readers evaluate `Ca(t) = base + rate·(t − t0)`
 //!   with zero locks and retry only on a torn generation.
 //! - [`publish`]: the writer side — [`Publisher`] turns a `TscNtpClock`
-//!   plus a bound policy (point-error EMA, floor, staleness widening)
-//!   into sealed snapshots.
+//!   and its point errors (EMA-smoothed, floored once at the seal) into
+//!   sealed snapshots.
 //! - [`transport`] + [`plane`]: the batched datagram front-end — a
 //!   recvmmsg/sendmmsg-shaped [`DatagramBatch`] trait over one contiguous
 //!   buffer per direction, implemented by real UDP sockets and an
@@ -19,10 +19,11 @@
 //!   decides serve-or-refuse, stamps and encodes whole batches
 //!   allocation-free, and [`spawn_udp`] runs it as a daemon thread.
 //!
-//! Every response carries a served-error bound (clock error at seal +
-//! `widen_rate`·staleness) in its root-dispersion field, and requests
-//! past the staleness horizon are refused with a stratum-0 Kiss-o'-Death
-//! (`STAL`) rather than answered stale.
+//! Every response carries a served-error bound (clock error at seal,
+//! aged by staleness under the one rule of `tscclock::bound`) in its
+//! root-dispersion field, and requests past the staleness horizon are
+//! refused with a stratum-0 Kiss-o'-Death (`STAL`) rather than answered
+//! stale.
 
 pub mod cell;
 pub mod plane;

@@ -10,8 +10,9 @@
 //! - snapshot staleness beyond the horizon → refuse `STAL`
 //! - otherwise serve: `Tb = Ca(tsc)`, `Te = Tb + residence`, and the
 //!   response's root-dispersion field carries the **served-error bound**
-//!   `bound + widen_rate·staleness`, rounded *up* to the 16.16 wire
-//!   format so the bound on the wire never under-reports.
+//!   `bound + WIDEN_RATE·staleness` ([`tscclock::bound::aged`]), rounded
+//!   *up* to the 16.16 wire format so the bound on the wire never
+//!   under-reports.
 //!
 //! A refusal is a stratum-0 Kiss-o'-Death response (LI unsynchronized,
 //! refid = code) — honest unavailability instead of a silently stale
@@ -60,6 +61,7 @@ use std::sync::{Arc, Mutex};
 use tsc_ntp::packet::{Mode, NtpPacket, PACKET_LEN};
 use tsc_ntp::timestamp::{NtpShort, NtpTimestamp};
 use tsc_telemetry as telemetry;
+use tscclock::bound;
 
 /// Refusal code: no snapshot has ever been published.
 pub const REFUSE_INIT: [u8; 4] = *b"INIT";
@@ -84,9 +86,9 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            // The client-side horizon of `LifecycleConfig::defaults`; pinned
-            // by `tests/edge_cases.rs::serve_and_lifecycle_bound_policies_agree`.
-            stale_horizon: 4.0 * 3600.0,
+            // The one policy's horizon, the client lifecycle's too; a
+            // deployment may refuse sooner (or never, with `INFINITY`).
+            stale_horizon: bound::STALE_HORIZON,
             // The paper's servers answer in ~12 µs minimum residence.
             residence: 10e-6,
             batch: DEFAULT_BATCH,
@@ -535,7 +537,6 @@ mod tests {
             base: 1.0e9,
             rate: 1e-9, // 1 ns per count
             bound: 20e-6,
-            widen_rate: 1e-7,
             synced: true,
             reference_id: *b"TSC\0",
         }
@@ -571,7 +572,7 @@ mod tests {
                 );
                 // round(10 µs · 2³²) = round(42 949.67…).
                 assert_eq!(te.to_bits() - tb.to_bits(), 42_950);
-                assert!((bound - (20e-6 + 1e-7 * 9.0)).abs() < 1e-12);
+                assert!((bound - (20e-6 + bound::WIDEN_RATE * 9.0)).abs() < 1e-12);
             }
             d => panic!("expected serve, got {d:?}"),
         }
@@ -886,7 +887,6 @@ mod tests {
             base: 1.7e9,
             rate: 1e-9,
             bound: 30e-6,
-            widen_rate: 1e-7,
             synced: true,
             reference_id: *b"TSC\0",
         });

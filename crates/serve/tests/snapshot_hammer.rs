@@ -25,7 +25,6 @@ fn snapshot_for_era(era: u64) -> ClockSnapshot {
         base: 1.0e9 + era as f64 * 1e-3,
         rate: 1e-9 + (era % 16) as f64 * 1e-13,
         bound: 10e-6 + (era % 8) as f64 * 1e-6,
-        widen_rate: 1e-7 + (era % 4) as f64 * 1e-9,
         synced: era.is_multiple_of(2),
         reference_id: (era as u32).to_be_bytes(),
     }

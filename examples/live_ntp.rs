@@ -99,10 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    offset, advancing at 1 ns per count of its own `Instant` counter —
     //    stands in for a remote server whose absolute time we must acquire.
     let upstream = Arc::new(SnapshotCell::new());
-    let sim = PublishPolicy {
-        reference_id: *b"SIM\0",
-        ..PublishPolicy::default()
-    };
+    let sim = PublishPolicy { reference_id: *b"SIM\0" };
     Publisher::new(Arc::clone(&upstream), sim).seal(0, unix_now() + 3.5, 1e-9, true);
     let server = spawn_udp(
         "127.0.0.1:0",

@@ -103,7 +103,7 @@ pub fn saved_len(save: impl FnOnce(&mut SnapshotWriter)) -> usize {
     w.seal(0).len() - HEADER - TRAILER
 }
 
-/// Where a history section's words sit in a payload (format v6): r̂,
+/// Where a history section's words sit in a payload (format v7): r̂,
 /// next_idx, floor, the record count and the 32-byte records; then the run
 /// count and (start, baseline) pairs.
 pub struct HistoryLayout {

@@ -148,39 +148,6 @@ fn negative_server_residence_rejected() {
 }
 
 #[test]
-fn asymmetry_estimator_tracks_configured_delta() {
-    use tscclock_repro::clock::asym::{estimate_asymmetry, RefExchange};
-    use tscclock_repro::netsim::ServerKind;
-    // cross-validate the §4.2 estimator against all three presets
-    for kind in [ServerKind::Loc, ServerKind::Ext] {
-        let sc = Scenario::baseline(99)
-            .with_server(kind)
-            .with_duration(86_400.0);
-        let refs: Vec<RefExchange> = sc
-            .run()
-            .iter()
-            .filter(|e| !e.lost)
-            .map(|e| RefExchange {
-                ex: RawExchange {
-                    ta_tsc: e.ta_tsc,
-                    tb: e.tb,
-                    te: e.te,
-                    tf_tsc: e.tf_tsc,
-                },
-                tg: e.tg,
-            })
-            .collect();
-        let d = estimate_asymmetry(&refs, 1e-9, 0.01).unwrap();
-        let expect = kind.facts().asymmetry;
-        assert!(
-            (d - expect).abs() < 0.5 * expect + 30e-6,
-            "{}: estimated {d}, expected {expect}",
-            kind.name()
-        );
-    }
-}
-
-#[test]
 fn histogram_and_percentiles_agree_on_simulated_errors() {
     use tscclock_repro::stats::{Histogram, Percentiles};
     let sc = Scenario::baseline(123).with_duration(86_400.0);
@@ -214,21 +181,6 @@ fn histogram_and_percentiles_agree_on_simulated_errors() {
         p.p01,
         p.p99
     );
-}
-
-/// The serving plane and the client lifecycle state one bound policy in
-/// two config types (ROADMAP 3(d)); until they share one, the defaults
-/// must not drift apart.
-#[test]
-fn serve_and_lifecycle_bound_policies_agree() {
-    use tscclock_repro::fleet::LifecycleConfig;
-    use tscclock_repro::serve::{PublishPolicy, ServeConfig};
-
-    let client = LifecycleConfig::defaults(16.0);
-    let publish = PublishPolicy::default();
-    assert_eq!(client.bound_floor, publish.bound_floor);
-    assert_eq!(client.widen_rate, publish.widen_rate);
-    assert_eq!(client.stale_horizon, ServeConfig::default().stale_horizon);
 }
 
 /// The configurations the hostile-word restore sweep reached, and their

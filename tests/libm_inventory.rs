@@ -63,14 +63,6 @@ const CALLEES: [&str; 9] = [
 /// source that only `reference`-gated code and tests call, or a module
 /// gated where it is declared).
 const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
-    // Offline Table 2 analysis: how many minimum-RTT packets to keep.
-    (
-        "crates/core/src/asym.rs",
-        "estimate_asymmetry",
-        ".ceil()",
-        1,
-        "setup",
-    ),
     // Window → packet count; the estimators cache it per configuration.
     (
         "crates/core/src/config.rs",

@@ -31,10 +31,7 @@ fn unix_now() -> f64 {
 /// at 1 ns per count of an `Instant` counter started now.
 fn spawn_upstream(offset: f64) -> ServeDaemonHandle {
     let cell = Arc::new(SnapshotCell::new());
-    let policy = PublishPolicy {
-        reference_id: *b"SIM\0",
-        ..PublishPolicy::default()
-    };
+    let policy = PublishPolicy { reference_id: *b"SIM\0" };
     Publisher::new(Arc::clone(&cell), policy).seal(0, unix_now() + offset, 1e-9, true);
     let cfg = ServeConfig::default();
     spawn_udp("127.0.0.1:0", cell, cfg, instant_counter()).expect("bind server")

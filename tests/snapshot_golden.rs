@@ -44,6 +44,7 @@ use tsc_fleet::{
 };
 use tsc_netsim::Scenario;
 use tsc_quorum::{HealthTracker, QuorumClock, QuorumConfig};
+use tscclock::bound::BOUND_FLOOR;
 use tscclock::snapshot::FORMAT_VERSION;
 use tscclock::{ClockConfig, RawExchange, SnapshotError, TscNtpClock};
 
@@ -373,14 +374,14 @@ fn as_version(blob: &[u8], version: u16) -> Vec<u8> {
     old
 }
 
-/// A v1‥v5 blob is intact by its own rules, so the refusal must be the
+/// A v1‥v6 blob is intact by its own rules, so the refusal must be the
 /// version check speaking — and a replay that finds one where its
 /// checkpoint should be must count a cold start and stay exact.
 #[test]
 fn older_format_blobs_are_a_typed_mismatch_and_a_counted_cold_start() {
-    assert_eq!(FORMAT_VERSION, 6, "a bump extends the versions tried below");
-    for found in [1, 2, 3, 4, 5] {
-        let old = SnapshotError::VersionMismatch { found, expected: 6 };
+    assert_eq!(FORMAT_VERSION, 7, "a bump extends the versions tried below");
+    for found in [1, 2, 3, 4, 5, 6] {
+        let old = SnapshotError::VersionMismatch { found, expected: 7 };
         let of = |name| as_version(&fixture(name), found);
         assert_eq!(TscNtpClock::restore(&of("clock")).err(), Some(old.clone()));
         assert_eq!(QuorumClock::restore(&of("quorum")).err(), Some(old.clone()));
@@ -702,6 +703,37 @@ fn hostile_words_in_the_lifecycle_fixture_are_refused_or_harmless() {
     });
     let offsets = swept_offsets("lifecycle", &[(client.clock(), history_at)], 8);
     assert_swept("lifecycle", sweep("lifecycle", &offsets, lifecycle_case));
+}
+
+/// A restored last-good bound is served as stored (a sample floors it as
+/// it sets it), so a restore refuses one below the floor, NaN included,
+/// and what it lets in (`∞` is a never-accepted client's) reads no lower.
+#[test]
+fn a_hostile_last_good_bound_is_refused_or_reads_at_least_the_floor() {
+    let bytes = fixture("lifecycle");
+    let client = LifecycleClient::restore(&bytes).unwrap();
+    // after the configurations and the clock: the state tag, next send,
+    // cooldown end, the two runs and last_good_t (33 bytes), the bound
+    let at = 33 + common::saved_len(|w| {
+        LifecycleConfig::defaults(16.0).save_state(w);
+        client.clock().config().save_state(w);
+        client.clock().save_state(w);
+    });
+    let word = |at: usize| {
+        common::payload(&bytes)[at..at + 8].try_into().map(f64::from_le_bytes).unwrap()
+    };
+    let (tsc, t) = (client.clock().history().last().unwrap().ex.tf_tsc, word(at - 8));
+    let bound_at_age_0 = |c: &LifecycleClient| match c.read(tsc, t) {
+        ReadVerdict::Fresh { bound, .. } | ReadVerdict::Degraded { bound, .. } => bound,
+        v => panic!("a warm client reads a bound, got {v:?}"),
+    };
+    assert_eq!(bound_at_age_0(&client), word(at), "layout moved");
+    for bad in [f64::NAN, -1.0, 0.0, 1e-9, f64::INFINITY] {
+        match LifecycleClient::restore(&common::resealed_with(&bytes, at, bad.to_bits())) {
+            Ok(c) => assert!(bound_at_age_0(&c) >= BOUND_FLOOR, "{bad} reads below the floor"),
+            Err(e) => assert!(matches!(e, SnapshotError::Invalid(_)), "{bad}: {e:?}"),
+        }
+    }
 }
 
 /// The checkpoint's sidecar fields, and the edges of the client envelope
