@@ -638,12 +638,14 @@ impl OffsetEstimator {
         let (candidate, mut event) = if quality_poor && !first {
             if gap_large {
                 // §6.1: blend the new naive estimate (weighted by its point
-                // error) with the aged previous estimate.
+                // error) with the aged previous estimate. The floor keeps
+                // the sum positive: a weight past the clamp (e⁻⁷⁰⁰) reads
+                // 1e-300.
                 let e_new = k.point_error(p_hat);
                 let elapsed = (tf_c - self.last_tfc).max(0.0) * p_hat;
                 let e_old = self.last_err + cfg.aging_rate * elapsed;
-                let w_new = (-(e_new / e_scale).powi(2)).exp().max(1e-300);
-                let w_old = (-(e_old / e_scale).powi(2)).exp().max(1e-300);
+                let w_new = exp_clamped(-(e_new / e_scale).powi(2)).max(1e-300);
+                let w_old = exp_clamped(-(e_old / e_scale).powi(2)).max(1e-300);
                 let prev = self
                     .predict(tf_c, p_hat, gamma_l)
                     .expect("theta set when !first");

@@ -589,8 +589,8 @@ impl RefOffsetEstimator {
                 let e_new = k.point_error(p_hat);
                 let elapsed = (k.tf_c() - self.last_tfc).max(0.0) * p_hat;
                 let e_old = self.last_err + cfg.aging_rate * elapsed;
-                let w_new = (-(e_new / e_scale).powi(2)).exp().max(1e-300);
-                let w_old = (-(e_old / e_scale).powi(2)).exp().max(1e-300);
+                let w_new = crate::fastmath::exp_clamped(-(e_new / e_scale).powi(2)).max(1e-300);
+                let w_old = crate::fastmath::exp_clamped(-(e_old / e_scale).powi(2)).max(1e-300);
                 let prev = self
                     .predict(k.tf_c(), p_hat, gamma_l)
                     .expect("theta set when !first");

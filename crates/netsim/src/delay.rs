@@ -247,16 +247,16 @@ fn flips(u: f64, dt: f64, mean: f64, inv_mean: f64) -> bool {
 /// Why the answer equals `u < p̂`. In exact arithmetic, for `x ≥ 0`,
 /// `x − x²/2 ≤ 1 − e^{−x} ≤ x`. Only `x < 2` matters: `u < 1` never
 /// reaches the upper edge once `x ≥ 1`, and the lower edge is ≤ 0 once
-/// `x ≥ 2`. There `p̂` is within `2.1e-14 + 4.5e-16·x` of `1 − e^{−x}`:
-/// * `exp_clamped` is within 2e-14 relative of `e^{−y}` (`fastmath`),
-///   so within 2e-14 absolute, since `e^{−y} ≤ 1`;
+/// `x ≥ 2`. There `p̂` is within `3.5e-16 + 4.5e-16·x` of `1 − e^{−x}`:
+/// * `exp_clamped` is within 1.04 ulp of `e^{−y}` (`fastmath`), and an
+///   ulp of a value ≤ 1 is ≤ 2.2e-16, so it is within 2.4e-16 absolute;
 /// * `1 − E` is exact for `E ≥ 1/2` (Sterbenz) and rounds by at most
 ///   1.1e-16 otherwise;
 /// * `y = fl(dt / mean)` and `x = fl(dt · fl(1/mean))` differ by ≤ 2 ulps,
 ///   `4.5e-16·x`, and both `1 − e^{−x}` and `x − x²/2` are 1-Lipschitz
 ///   on `[0, 2]`.
 ///
-/// The slack is ≥ 1e-12, over 30× that sum for `x < 2`, and it also
+/// The slack is ≥ 1e-12, over 700× that sum for `x < 2`, and it also
 /// absorbs the rounding of the two edges themselves (a few ulps of
 /// values ≤ 2). A non-finite `x` (an infinite `dt`, a zero `mean`) makes
 /// both edges `∞` or NaN, so both tests fail and the caller evaluates

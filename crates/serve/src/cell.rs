@@ -158,11 +158,6 @@ impl SnapshotCell {
             });
         }
     }
-
-    /// Current era without copying the payload (0 = never published).
-    pub fn era(&self) -> u64 {
-        self.era.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,6 @@ mod tests {
     #[test]
     fn fresh_cell_reads_none() {
         assert_eq!(SnapshotCell::new().read(), None);
-        assert_eq!(SnapshotCell::new().era(), 0);
     }
 
     #[test]
@@ -193,7 +187,6 @@ mod tests {
         let s = snap(7);
         cell.publish(&s);
         assert_eq!(cell.read(), Some(s));
-        assert_eq!(cell.era(), 7);
     }
 
     #[test]

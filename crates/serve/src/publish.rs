@@ -55,11 +55,6 @@ impl Publisher {
         }
     }
 
-    /// Eras published so far.
-    pub fn era(&self) -> u64 {
-        self.era
-    }
-
     /// Folds one processed exchange's point error into the bound EMA.
     pub fn observe(&mut self, out: &ProcessOutput) {
         self.observe_point_error(out.point_error);

@@ -214,12 +214,20 @@ fn recv_error_is_transient(kind: io::ErrorKind) -> bool {
 fn to_slot(bytes: &[u8]) -> ([u8; SLOT_LEN], usize) {
     match bytes.first_chunk() {
         Some(whole) => (*whole, SLOT_LEN),
-        None => {
-            let mut slot = [0u8; SLOT_LEN];
-            slot[..bytes.len()].copy_from_slice(bytes);
-            (slot, bytes.len())
-        }
+        None => short_slot(bytes),
     }
+}
+
+/// The zero-padded copy of a short datagram. Out of line, so that LLVM
+/// cannot merge the two arms of [`to_slot`] into one variable-length
+/// `memcpy` libcall per datagram: whether it merges them inline depends
+/// on how the crate splits into codegen units, which any edit can move.
+#[cold]
+#[inline(never)]
+fn short_slot(bytes: &[u8]) -> ([u8; SLOT_LEN], usize) {
+    let mut slot = [0u8; SLOT_LEN];
+    slot[..bytes.len()].copy_from_slice(bytes);
+    (slot, bytes.len())
 }
 
 /// In-process transport: requests are queued by the driving test/bench

@@ -3,7 +3,7 @@
 //! with the rate at which a packet can reach it.
 //!
 //! The e2e digests, the fleet parity constants and
-//! `tests/fixtures/checkpoint_v3.snap` are functions of the generator's
+//! `tests/fixtures/checkpoint_v7.snap` are functions of the generator's
 //! streams, and `ln` / `exp` / `powf` / `sin` / `cos` come from the
 //! platform's libm, which is not correctly rounded and may change under
 //! us. This test scans the live source — `#[cfg(test)]` modules and
@@ -26,9 +26,13 @@
 //! on the serve side — is a function of the source alone, and any
 //! libm-shaped call added to their live source fails here.
 //!
-//! The estimator and fleet rows *record* what their digests still owe to
-//! libm; the scan fixes none of it. None runs per packet or per quorum
-//! round: the quorum's per-round trust score uses `fastmath::exp_clamped`.
+//! Every exponential in `tscclock` and `tsc-quorum` — the §5.3 offset
+//! weights, the §6.1 gap blend and its reference twin, the quorum's
+//! per-round trust score — is `fastmath::exp_clamped`, pure Rust with a
+//! stated ulp bound, so the estimator's one row left is a setup-time
+//! `round`. The fleet rows *record* what their digests still owe to libm;
+//! the scan fixes none of it, and none runs per packet or per quorum
+//! round.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -70,23 +74,6 @@ const ALLOWED: &[(&str, &str, &str, usize, &str)] = &[
         ".round()",
         1,
         "setup",
-    ),
-    // §6.1 gap blend: the two Gaussian weights of a poor-quality packet
-    // that follows a gap longer than the offset window (a digested path).
-    (
-        "crates/core/src/offset.rs",
-        "process",
-        ".exp()",
-        2,
-        "rare-branch(poor quality after a gap)",
-    ),
-    // `mod reference` is `#[cfg(any(test, feature = "reference"))]` in lib.rs.
-    (
-        "crates/core/src/reference.rs",
-        "process",
-        ".exp()",
-        2,
-        "reference-only",
     ),
     // Herd histogram geometry: per population, and per herd report.
     (

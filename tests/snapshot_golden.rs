@@ -49,7 +49,7 @@ use tscclock::snapshot::FORMAT_VERSION;
 use tscclock::{ClockConfig, RawExchange, SnapshotError, TscNtpClock};
 
 /// Digests of the resumed tails (printed by the regenerator).
-const CLOCK_TAIL_DIGEST: u64 = 0x8827_9ba7_5168_e771;
+const CLOCK_TAIL_DIGEST: u64 = 0xec0a_06ad_8e29_9be1;
 const QUORUM_TAIL_DIGEST: u64 = 0x7551_539d_0ca2_f91a;
 const LIFECYCLE_TAIL_DIGEST: u64 = 0x15ec_7bfc_4ea6_6ba2;
 const CHECKPOINT_RUN_DIGEST: u64 = 0xa9aa_3c07_b368_cb74;
