@@ -34,7 +34,14 @@
 #     `HealthTracker::observe` (the estimator's packet step and the
 #     quorum's per-round trust score): no call to libm `exp` / `exp2` /
 #     `pow` / `powf`. Their exponentials are `fastmath::exp_clamped`, so
-#     no digest they feed depends on the host's libm.
+#     no digest they feed depends on the host's libm;
+#   * `OffsetEstimator::process`, `TscNtpClock::process_admitted` and
+#     `ServePlane::serve_batch` (the instrumented hot paths): they reach
+#     `tsc_telemetry` only through the inlined `recording()` check and a
+#     call into `tsc_telemetry::cold`. No other call into the crate, no
+#     `OnceLock` / `Once` initialisation or thread-local accessor, and no
+#     `%fs:` access (the flight recorder's ring is a thread-local) may be
+#     inlined into them.
 #
 # The binary is a static PIE, so cross-crate and libm calls go through GOT
 # slots (`call *0x…(%rip)  # <slot>`): a cross-crate slot's RELATIVE
@@ -81,9 +88,14 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
     gen = /(RawExchanges::fill_batch|SimCore::(send|record)|PathState::(depart|stamps)|OnDemandSim::exchange_at|MultiServerStream::next_round|Oscillator::(advance_to|step_cells))>:$/
     est = /(OffsetEstimator::process|TscNtpClock::process_admitted|HealthTracker::observe)>:$/
     sim = /SimTransport::push_request>:$|SimTransport as tsc_serve::transport::DatagramBatch>::send_batch>:$/
+    tel = /(OffsetEstimator::process|TscNtpClock::process_admitted|ServePlane::serve_batch)>:$/
     fn = $0; sub(/^[0-9a-f]+ /, "", fn)
     split("", held)
     next
+}
+tel && /%fs:/ {
+    print fn " reads a thread-local: " $0
+    bad = 1
 }
 (codec || serve || gen || est || sim) && /\tmov +0x[0-9a-f]+\(%rip\),%[a-z0-9]+ +#/ {
     match($0, /,%[a-z0-9]+/)                # a slot hoisted into a register
@@ -101,7 +113,9 @@ FILENAME == ARGV[2] {                      # nm -C: address -> name
     stamp = callee ~ /^(floor|round|ceil)$/ || callee ~ /^(tsc_ntp::timestamp|tscclock)::/
     libm = callee ~ /^(exp|exp2|pow|powf)$/
     copy = callee ~ /^(memcpy|memset|memmove)$/
-    if ((codec && !panic) || (serve && stamp) || (gen && sampler) || (est && libm) || (sim && copy)) {
+    plane = (callee ~ /^tsc_telemetry::/ && callee !~ /^tsc_telemetry::cold::/) ||
+            callee ~ /(OnceLock|once_lock|Once::call|LocalKey|thread_local|tls_get_addr)/
+    if ((codec && !panic) || (serve && stamp) || (gen && sampler) || (est && libm) || (sim && copy) || (tel && plane)) {
         print fn " calls " callee ": " $0
         bad = 1
     }
@@ -110,4 +124,4 @@ END { exit bad }
 ' <(objdump -R "$bin") <(nm -C --defined-only "$bin") \
   <(objdump -d --no-show-raw-insn -C "$bin") \
   || { echo "e2e hot leaves make calls they should not (see above)" >&2; exit 1; }
-echo "e2e hot leaves: codec call-free, serve_batch libm-, conversion- and tscclock-call-free, generator sampler-call-free, sim transport copy-call-free, estimator exp/pow-call-free"
+echo "e2e hot leaves: codec call-free, serve_batch libm-, conversion- and tscclock-call-free, generator sampler-call-free, sim transport copy-call-free, estimator exp/pow-call-free, telemetry out of line"

@@ -1,24 +1,24 @@
 //! Serving-plane benchmarks: the PR 10 acceptance numbers.
 //!
-//! * `serve_inproc_<tag>/batch64` — the headline row: single-threaded
+//! * `serve_inproc/batch64` — the headline row: single-threaded
 //!   serve loop over the in-process batched transport, answering
 //!   pre-encoded client requests off the lock-free snapshot cell **while
 //!   a real discipline thread concurrently republishes** (warmed
 //!   `TscNtpClock` ingesting a netsim stream, sealing ~2 kHz — two
 //!   orders of magnitude above a real 1/16 s discipline cadence).
 //!   Acceptance: ≥2 M responses/s.
-//! * `serve_inproc_<tag>/batch1` — the same workload one datagram per
+//! * `serve_inproc/batch1` — the same workload one datagram per
 //!   batch: the batched-vs-single A/B pair.
-//! * `snapshot_read_<tag>/seqlock` — one lock-free cell read under the
+//! * `snapshot_read/seqlock` — one lock-free cell read under the
 //!   same concurrent republisher.
-//! * with the `telemetry` feature: `serve_recording_<tag>/{on,off,
-//!   overhead_pct}` — interleaved recording-on/off rows on the batch64
-//!   workload; the telemetry contract is ≤2 % overhead.
+//! * `serve_recording/{on,off,overhead_pct}` — interleaved
+//!   recording-on/off rows on the batch64 workload; the telemetry
+//!   contract is ≤2 % overhead.
 //!
 //! `e2e`'s `serve_mixed` measures the plane at its true weight; these rows
 //! keep the A/Bs it cannot run. Set `BENCH_JSON=<scratch path>` for
-//! machine-readable rows; the root `BENCH.json` holds one compiled-out +
-//! one telemetry run, merged.
+//! machine-readable rows and merge the labelled ones into the root
+//! `BENCH.json`.
 
 use criterion::{criterion_group, criterion_main, record_custom, Criterion, Throughput};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,14 +33,6 @@ use tsc_serve::{
 };
 use tsc_telemetry as telemetry;
 use tscclock::{ClockConfig, RawExchange, TscNtpClock};
-
-fn compiled_tag() -> &'static str {
-    if telemetry::TELEMETRY_COMPILED {
-        "compiled_on"
-    } else {
-        "compiled_off"
-    }
-}
 
 fn to_raw(e: &tsc_netsim::SimExchange) -> RawExchange {
     RawExchange {
@@ -208,7 +200,6 @@ fn median(mut v: Vec<f64>) -> f64 {
 fn bench_serve_plane(c: &mut Criterion) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let test_mode = args.iter().any(|a| a == "--test" || a == "-t");
-    let tag = compiled_tag();
 
     let n_requests = if test_mode { 512 } else { 65_536 };
     let w = setup(n_requests);
@@ -265,21 +256,19 @@ fn bench_serve_plane(c: &mut Criterion) {
         let med = median(times.clone());
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         record_custom(
-            &format!("serve_inproc_{tag}/batch{batch}"),
+            &format!("serve_inproc/batch{batch}"),
             mean,
             med,
             times.len() as u64,
             Some(Throughput::Elements(served_total)),
         );
         println!(
-            "serve_inproc_{tag}/batch{batch}: {:.2} M responses/s (median)",
+            "serve_inproc/batch{batch}: {:.2} M responses/s (median)",
             served_total as f64 / med * 1e3
         );
     }
 
-    // Recording-on/off A/B (meaningful with the telemetry feature; the
-    // compiled-out rows document the no-op floor). Interleaved, order
-    // swapped per round.
+    // Recording-on/off A/B, interleaved, order swapped per round.
     let mut on_ns = Vec::new();
     let mut off_ns = Vec::new();
     let mut plane = ServePlane::new(Arc::clone(&w.cell), ServeConfig::default());
@@ -310,31 +299,31 @@ fn bench_serve_plane(c: &mut Criterion) {
     let off_med = median(off_ns.clone());
     let overhead_pct = (on_med / off_med - 1.0) * 100.0;
     record_custom(
-        &format!("serve_recording_{tag}/on"),
+        "serve_recording/on",
         on_ns.iter().sum::<f64>() / on_ns.len() as f64,
         on_med,
         on_ns.len() as u64,
         Some(Throughput::Elements(n_requests as u64)),
     );
     record_custom(
-        &format!("serve_recording_{tag}/off"),
+        "serve_recording/off",
         off_ns.iter().sum::<f64>() / off_ns.len() as f64,
         off_med,
         off_ns.len() as u64,
         Some(Throughput::Elements(n_requests as u64)),
     );
     record_custom(
-        &format!("serve_recording_{tag}/overhead_pct"),
+        "serve_recording/overhead_pct",
         overhead_pct,
         overhead_pct,
         on_ns.len() as u64,
         None,
     );
-    println!("serve_recording_{tag}: overhead {overhead_pct:.2} %");
+    println!("serve_recording: overhead {overhead_pct:.2} %");
 
     // Snapshot read under the live republisher.
     {
-        let mut g = c.benchmark_group(format!("snapshot_read_{tag}"));
+        let mut g = c.benchmark_group("snapshot_read");
         g.sample_size(20);
         let cell = Arc::clone(&w.cell);
         g.bench_function("seqlock", |b| {

@@ -1,24 +1,21 @@
 //! Telemetry-plane cost benchmarks.
 //!
-//! Two families, both compile-state aware (bench ids carry a
-//! `compiled_on` / `compiled_off` tag so rows from a `--features
-//! telemetry` run and a default run can live in one JSON report):
+//! Two families:
 //!
-//! * `telemetry_prims_*` — the primitives in isolation: one relaxed
+//! * `telemetry_prims/*` — the primitives in isolation: one relaxed
 //!   counter add, one log₂ histogram record, one flight-recorder ring
-//!   push. Compiled out these measure the no-op surface (≈0 ns).
+//!   push.
 //! * `fleet_ingest_1000clocks_poll64/…` — the acceptance A/B: a fleet's
 //!   ingest loop (1000 clocks × 300 polls through `process_batch` on the
 //!   worker pool) with recording **on** vs **off**, arms
 //!   interleaved round-robin and the order swapped every round so drift
 //!   (thermal, scheduler) cancels; round 0 is warm-up and discarded;
-//!   medians are compared. The PR's bar is ≤2 % overhead with telemetry
-//!   enabled and recording on.
+//!   medians are compared. The bar is ≤2 % overhead with recording on.
 //!
-//! The benchmark of record (`e2e/`) compiles telemetry out, so these rows
-//! are the only measure of the plane's cost. Set `BENCH_JSON=<scratch
-//! path>` for machine-readable rows; the root `BENCH.json` holds one
-//! enabled + one compiled-out run, merged.
+//! The benchmark of record (`e2e/`) runs with recording on and cannot
+//! switch it, so these rows are the only measure of recording's cost. Set
+//! `BENCH_JSON=<scratch path>` for machine-readable rows and merge the
+//! labelled ones into the root `BENCH.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::time::Instant;
@@ -27,16 +24,8 @@ use tsc_netsim::Scenario;
 use tsc_telemetry as telemetry;
 use tscclock::{ClockConfig, ProcessOutput, RawExchange, TscNtpClock};
 
-fn compiled_tag() -> &'static str {
-    if telemetry::TELEMETRY_COMPILED {
-        "compiled_on"
-    } else {
-        "compiled_off"
-    }
-}
-
 fn bench_primitives(c: &mut Criterion) {
-    let mut g = c.benchmark_group(format!("telemetry_prims_{}", compiled_tag()));
+    let mut g = c.benchmark_group("telemetry_prims");
     g.sample_size(20);
     g.bench_function("counter_add", |b| {
         b.iter(|| telemetry::add(telemetry::Ctr::PacketsIngested, 1))
@@ -161,17 +150,16 @@ fn bench_ingest_ab(_c: &mut Criterion) {
 
     let (m_on, m_off) = (median(on_ns), median(off_ns));
     let overhead_pct = (median(ratios) - 1.0) * 100.0;
-    let tag = compiled_tag();
     for (arm, ns) in [("recording_on", m_on), ("recording_off", m_off)] {
         criterion::record_custom(
-            &format!("fleet_ingest_1000clocks_poll64/{tag}_{arm}"),
+            &format!("fleet_ingest_1000clocks_poll64/{arm}"),
             ns,
             ns,
             (ROUNDS - 1) as u64,
             Some(Throughput::Elements(total_packets)),
         );
         println!(
-            "fleet_ingest_1000clocks_poll64/{tag}_{arm:<13}  median {:.1} ms  ({:.3} M packets/s)",
+            "fleet_ingest_1000clocks_poll64/{arm:<13}  median {:.1} ms  ({:.3} M packets/s)",
             ns / 1e6,
             total_packets as f64 / ns * 1e3,
         );
@@ -180,14 +168,14 @@ fn bench_ingest_ab(_c: &mut Criterion) {
     // as a percentage) goes into the report too; the row's "ns" fields
     // carry the percentage — the name says so.
     criterion::record_custom(
-        &format!("fleet_ingest_1000clocks_poll64/{tag}_recording_overhead_pct"),
+        "fleet_ingest_1000clocks_poll64/recording_overhead_pct",
         overhead_pct,
         overhead_pct,
         (ROUNDS - 1) as u64,
         None,
     );
     println!(
-        "fleet_ingest_1000clocks_poll64/{tag}: recording-on overhead {overhead_pct:+.2} % \
+        "fleet_ingest_1000clocks_poll64: recording-on overhead {overhead_pct:+.2} % \
          (median paired ratio; acceptance bar: <= 2 %)"
     );
 }

@@ -562,19 +562,15 @@ impl TscNtpClock {
     /// subsequent packet (see `crates/core/README.md` and the
     /// `snapshot_resume` differential suite).
     pub fn snapshot(&self) -> Vec<u8> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::SealNs);
         // Size the buffer once instead of doubling up to it: the history
         // records are all of the payload but the configuration and the
         // estimators' own state, a few KB, most of it the shift detector's
         // ring (a miss only costs a reallocation).
         let records = self.history.len() * crate::history::EXCHANGE_WIRE_BYTES;
-        let mut w = crate::snapshot::SnapshotWriter::with_capacity(records + (16 << 10));
-        self.cfg.save_state(&mut w);
-        self.save_state(&mut w);
-        let blob = w.seal(crate::snapshot::kind::CLOCK);
-        tm.stop();
-        telemetry::add(telemetry::Ctr::SnapshotSeals, 1);
-        blob
+        crate::snapshot::seal_component(crate::snapshot::kind::CLOCK, records + (16 << 10), |w| {
+            self.cfg.save_state(w);
+            self.save_state(w);
+        })
     }
 
     /// Restores a clock from a [`TscNtpClock::snapshot`] blob.
@@ -585,21 +581,10 @@ impl TscNtpClock {
     /// untrusted bytes. Callers are expected to fall back to a cold
     /// [`TscNtpClock::new`] on error (restore-or-degrade).
     pub fn restore(bytes: &[u8]) -> Result<Self, crate::SnapshotError> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::RestoreNs);
-        let result = (|| {
-            let payload = crate::snapshot::open_envelope(bytes, crate::snapshot::kind::CLOCK)?;
-            let mut r = crate::snapshot::SnapshotReader::new(payload);
-            let cfg = ClockConfig::load_state(&mut r)?;
-            let clock = Self::load_state(cfg, &mut r)?;
-            r.finish()?;
-            Ok(clock)
-        })();
-        tm.stop();
-        match &result {
-            Ok(_) => telemetry::add(telemetry::Ctr::SnapshotRestores, 1),
-            Err(e) => crate::snapshot::record_restore_failure(e, bytes.len()),
-        }
-        result
+        crate::snapshot::restore_component(bytes, crate::snapshot::kind::CLOCK, |r| {
+            let cfg = ClockConfig::load_state(r)?;
+            Self::load_state(cfg, r)
+        })
     }
 }
 

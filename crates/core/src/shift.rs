@@ -85,6 +85,11 @@ impl ShiftDetector {
     /// Returns a confirmed shift when the *entire* window sits above
     /// `r̂ + 4E`. The caller must then re-base the history and call
     /// [`ShiftDetector::reset`].
+    ///
+    /// `#[inline]`: a packet's usual path here is one compare and a store,
+    /// and the telemetry call on the rejected-window branch is enough to
+    /// push it out of `TscNtpClock::process_admitted` without the hint.
+    #[inline]
     pub fn observe(
         &mut self,
         idx: u64,

@@ -223,10 +223,60 @@ impl SnapshotError {
     }
 }
 
+/// Seals one component snapshot of `kind`: `save` writes the payload
+/// into a writer with room for `payload_bytes`. The seal is timed into
+/// the telemetry plane's `SealNs` histogram and counted. Every
+/// component's `snapshot` (clock, quorum, lifecycle) goes through here.
+pub fn seal_component(
+    kind: u8,
+    payload_bytes: usize,
+    save: impl FnOnce(&mut SnapshotWriter),
+) -> Vec<u8> {
+    let tm = tsc_telemetry::StageTimer::start(tsc_telemetry::Hist::SealNs);
+    let mut w = SnapshotWriter::with_capacity(payload_bytes);
+    save(&mut w);
+    let blob = w.seal(kind);
+    tm.stop();
+    tsc_telemetry::add(tsc_telemetry::Ctr::SnapshotSeals, 1);
+    blob
+}
+
+/// Opens an envelope of `kind` and parses its payload with `load`, which
+/// must consume it whole.
+pub fn open_payload<'b, T>(
+    bytes: &'b [u8],
+    kind: u8,
+    load: impl FnOnce(&mut SnapshotReader<'b>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut r = SnapshotReader::new(open_envelope(bytes, kind)?);
+    let parsed = load(&mut r)?;
+    r.finish()?;
+    Ok(parsed)
+}
+
+/// Restores one component from a snapshot of `kind` ([`open_payload`]).
+/// The restore is timed into the telemetry plane's `RestoreNs` histogram;
+/// a success is counted and a failure recorded
+/// ([`record_restore_failure`]). Every component's `restore` (clock,
+/// quorum, lifecycle) goes through here.
+pub fn restore_component<'b, T>(
+    bytes: &'b [u8],
+    kind: u8,
+    load: impl FnOnce(&mut SnapshotReader<'b>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let tm = tsc_telemetry::StageTimer::start(tsc_telemetry::Hist::RestoreNs);
+    let result = open_payload(bytes, kind, load);
+    tm.stop();
+    match &result {
+        Ok(_) => tsc_telemetry::add(tsc_telemetry::Ctr::SnapshotRestores, 1),
+        Err(e) => record_restore_failure(e, bytes.len()),
+    }
+    result
+}
+
 /// Records a failed restore in the telemetry plane: bumps the error
 /// counter and pushes a [`tsc_telemetry::EventKind::RestoreFailed`]
-/// flight-recorder event naming the typed error. Shared by every
-/// component restore path (clock, quorum, lifecycle).
+/// flight-recorder event naming the typed error.
 pub fn record_restore_failure(e: &SnapshotError, blob_len: usize) {
     tsc_telemetry::add(tsc_telemetry::Ctr::SnapshotRestoreErrors, 1);
     tsc_telemetry::event(

@@ -10,20 +10,17 @@
 //! the paper's spans. Run with `--release` — the simulator covers months of
 //! trace per second of wall clock.
 //!
-//! Built with `--features telemetry`, every report is followed by a
-//! metrics exposition for that experiment (Prometheus text by default,
-//! `--telemetry-json` for JSON). The exposition is appended *after* the
-//! report — report text stays byte-identical in both feature states.
+//! Every report is followed by a metrics exposition for that experiment
+//! (Prometheus text by default, `--telemetry-json` for JSON). The
+//! exposition is appended *after* the report, so the report text is the
+//! same whatever the plane recorded. A panic dumps the panicking
+//! thread's flight recorder to stderr first.
 
 use tsc_experiments::{run_by_id, ExpOptions, ALL_IDS};
 
 /// Prints the per-experiment metrics exposition and clears the registry
-/// so the next experiment starts from zero. No-op when the telemetry
-/// plane is compiled out.
+/// so the next experiment starts from zero.
 fn dump_telemetry(json: bool) {
-    if !tsc_telemetry::TELEMETRY_COMPILED {
-        return;
-    }
     let text = if json {
         tsc_telemetry::to_json()
     } else {
@@ -70,6 +67,7 @@ fn main() {
         usage();
         return;
     }
+    tsc_telemetry::install_panic_dump();
     // Every id is checked before any runs: a typo at the end of a long
     // command line fails at once, not after the experiments before it.
     if let Some(bad) = ids.iter().find(|id| !ALL_IDS.contains(&id.as_str())) {

@@ -287,12 +287,7 @@ pub(crate) fn open_sidecar<'b, T>(
     blob: &'b [u8],
     parse: impl FnOnce(&mut SnapshotReader<'b>) -> Result<T, SnapshotError>,
 ) -> Result<T, SnapshotError> {
-    let parsed = snapshot::open_envelope(blob, snapshot::kind::CHECKPOINT).and_then(|payload| {
-        let mut r = SnapshotReader::new(payload);
-        let sidecar = parse(&mut r)?;
-        r.finish()?;
-        Ok(sidecar)
-    });
+    let parsed = snapshot::open_payload(blob, snapshot::kind::CHECKPOINT, parse);
     if let Err(e) = &parsed {
         snapshot::record_restore_failure(e, blob.len());
     }

@@ -67,7 +67,6 @@ pub fn replay_interrupted<W: Workload>(
     checkpoint_every: u64,
     crash: &CrashPlan,
 ) -> (Vec<W::Summary>, RecoveryStats) {
-    telemetry::install_panic_dump();
     if let Some(gauge) = W::SIZE_GAUGE {
         telemetry::gauge_set(gauge, w.items() as u64);
     }

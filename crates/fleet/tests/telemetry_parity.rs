@@ -1,14 +1,8 @@
-//! Telemetry-plane acceptance: with the `telemetry` feature compiled in,
-//! the plane must be **digest-transparent** (recording on, recording off,
-//! and compiled-out builds all produce bit-identical fleet results) and
-//! **honest** (a failed restore leaves a flight-recorder trail naming the
-//! typed error; bounded buffers report their drops instead of truncating
-//! silently).
-//!
-//! This suite only builds with `--features telemetry`; the compiled-out
-//! half of the transparency proof is the ordinary parity suites, which CI
-//! runs in both feature states.
-#![cfg(feature = "telemetry")]
+//! Telemetry-plane acceptance: the plane must be **digest-transparent**
+//! (recording on and recording off produce bit-identical fleet results)
+//! and **honest** (a failed restore leaves a flight-recorder trail naming
+//! the typed error; bounded buffers report their drops instead of
+//! truncating silently).
 
 mod common;
 

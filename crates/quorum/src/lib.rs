@@ -347,15 +347,17 @@ impl QuorumClock {
     /// scratch (`candidates`, the combiner sort buffer) is rebuilt empty —
     /// it is dead between rounds.
     pub fn snapshot(&self) -> Vec<u8> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::SealNs);
-        let mut w = SnapshotWriter::new();
-        self.cfg.clock.save_state(&mut w);
-        self.cfg.health.save_state(&mut w);
-        self.cfg.combiner.save_state(&mut w);
+        snapshot::seal_component(snapshot::kind::QUORUM, 0, |w| self.save_state(w))
+    }
+
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        self.cfg.clock.save_state(w);
+        self.cfg.health.save_state(w);
+        self.cfg.combiner.save_state(w);
         w.put_usize(self.servers.len());
         for s in &self.servers {
-            s.clock.save_state(&mut w);
-            s.health.save_state(&mut w);
+            s.clock.save_state(w);
+            s.health.save_state(w);
         }
         w.put_u64(self.round);
         match self.last {
@@ -367,10 +369,6 @@ impl QuorumClock {
             }
             None => w.put_u8(0),
         }
-        let blob = w.seal(snapshot::kind::QUORUM);
-        tm.stop();
-        telemetry::add(telemetry::Ctr::SnapshotSeals, 1);
-        blob
     }
 
     /// Restores a quorum from a [`QuorumClock::snapshot`] blob.
@@ -380,22 +378,13 @@ impl QuorumClock {
     /// yields a typed [`SnapshotError`]; callers degrade to a cold
     /// [`QuorumClock::new`] instead of running a wrong clock.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::RestoreNs);
-        let result = Self::restore_inner(bytes);
-        tm.stop();
-        match &result {
-            Ok(_) => telemetry::add(telemetry::Ctr::SnapshotRestores, 1),
-            Err(e) => snapshot::record_restore_failure(e, bytes.len()),
-        }
-        result
+        snapshot::restore_component(bytes, snapshot::kind::QUORUM, Self::load_state)
     }
 
-    fn restore_inner(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = snapshot::open_envelope(bytes, snapshot::kind::QUORUM)?;
-        let mut r = SnapshotReader::new(payload);
-        let clock_cfg = ClockConfig::load_state(&mut r)?;
-        let health_cfg = HealthConfig::load_state(&mut r)?;
-        let combiner_cfg = CombinerConfig::load_state(&mut r)?;
+    fn load_state(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let clock_cfg = ClockConfig::load_state(r)?;
+        let health_cfg = HealthConfig::load_state(r)?;
+        let combiner_cfg = CombinerConfig::load_state(r)?;
         let cfg = QuorumConfig {
             clock: clock_cfg,
             health: health_cfg,
@@ -408,8 +397,8 @@ impl QuorumClock {
         let mut servers = Vec::with_capacity(k);
         for _ in 0..k {
             servers.push(ServerSlot {
-                clock: TscNtpClock::load_state(clock_cfg, &mut r)?,
-                health: HealthTracker::load_state(&mut r)?,
+                clock: TscNtpClock::load_state(clock_cfg, r)?,
+                health: HealthTracker::load_state(r)?,
             });
         }
         let round = r.get_count()?;
@@ -422,7 +411,6 @@ impl QuorumClock {
             }),
             _ => return Err(SnapshotError::Invalid("option tag not 0/1")),
         };
-        r.finish()?;
         Ok(Self {
             cfg,
             servers,

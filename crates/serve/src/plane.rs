@@ -192,7 +192,7 @@ pub fn bound_to_wire(bound: f64) -> NtpShort {
     }
 }
 
-/// Plain per-plane counters (always available, telemetry feature or not).
+/// Plain per-plane counters (kept whether recording is on or off).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ServeStats {
     /// Datagrams received (valid or not).
@@ -217,54 +217,32 @@ impl std::ops::AddAssign for ServeStats {
     }
 }
 
-/// Batches a plane counts in [`Unflushed`] before it adds them to the
-/// global telemetry registry.
-const TELEMETRY_FLUSH_BATCHES: u64 = 64;
-
-/// Serve telemetry recorded but not yet in the global registry. A batch
-/// adds to plain integers here; every [`TELEMETRY_FLUSH_BATCHES`] batches
-/// (and when the daemon idles, or the plane drops) one flush hands the
-/// five counters and the two histograms over. Eleven atomic adds a batch
-/// cost ~3 % of a 64-request batch once stamping got cheap (`bench_serve`
-/// recording on vs off), past the ≤2 % telemetry contract; a flush costs
-/// about as much, 64 times less often.
-#[derive(Debug, Default)]
-struct Unflushed {
-    stats: ServeStats,
-    fill: telemetry::Log2Histogram,
-    age_ns: telemetry::Log2Histogram,
-}
-
-impl Unflushed {
-    fn flush(&mut self) {
-        let Self {
-            stats,
-            fill,
-            age_ns,
-        } = std::mem::take(self);
-        for (ctr, n) in [
-            (telemetry::Ctr::ServeRequests, stats.requests),
-            (telemetry::Ctr::ServeResponses, stats.responses),
-            (telemetry::Ctr::ServeMalformed, stats.malformed),
-            (telemetry::Ctr::ServeRefusals, stats.refusals),
-            (telemetry::Ctr::ServeBatches, stats.batches),
-        ] {
-            if n > 0 {
-                telemetry::add(ctr, n);
-            }
-        }
-        telemetry::merge_hist(telemetry::Hist::ServeBatchFill, &fill);
-        telemetry::merge_hist(telemetry::Hist::ServeSnapshotAgeNs, &age_ns);
-    }
-}
+/// Recorded requests a plane serves between two hand-overs of its
+/// telemetry to the global registry: 64 full batches. Eleven atomic adds
+/// a batch cost ~3 % of a 64-request batch once stamping got cheap
+/// (`bench_serve` recording on vs off), past the ≤2 % telemetry contract;
+/// a flush costs about as much. Counted in requests, not batches, so a
+/// flush costs a request the same at any batch size: batch-1 traffic
+/// would otherwise pay one every 64 requests.
+const TELEMETRY_FLUSH_REQUESTS: u64 = 64 * 64;
 
 /// One server's serving state: config + the shared snapshot cell.
+///
+/// Its serve telemetry is the difference between `stats` and `flushed`
+/// plus two plane-local histograms: a flush adds that difference to the
+/// global registry and moves `flushed` up to `stats`. A batch served
+/// while recording is off moves `flushed` with `stats`, so it never
+/// reaches the registry.
 #[derive(Debug)]
 pub struct ServePlane {
     pub cfg: ServeConfig,
     cell: Arc<SnapshotCell>,
+    /// Everything this plane served. Only grows: its telemetry is the
+    /// growth since the last flush.
     pub stats: ServeStats,
-    unflushed: Unflushed,
+    flushed: ServeStats,
+    fill: telemetry::Log2Histogram,
+    age_ns: telemetry::Log2Histogram,
 }
 
 impl Drop for ServePlane {
@@ -279,16 +257,35 @@ impl ServePlane {
             cfg,
             cell,
             stats: ServeStats::default(),
-            unflushed: Unflushed::default(),
+            flushed: ServeStats::default(),
+            fill: telemetry::Log2Histogram::new(),
+            age_ns: telemetry::Log2Histogram::new(),
         }
     }
 
     /// Adds the telemetry this plane has recorded since its last flush to
     /// the global registry (see [`ServePlane::serve_batch`]).
     pub fn flush_telemetry(&mut self) {
-        if self.unflushed.stats.batches > 0 {
-            self.unflushed.flush();
+        let (now, then) = (self.stats, std::mem::replace(&mut self.flushed, self.stats));
+        if now.batches == then.batches {
+            return;
         }
+        for (ctr, n) in [
+            (telemetry::Ctr::ServeRequests, now.requests - then.requests),
+            (telemetry::Ctr::ServeResponses, now.responses - then.responses),
+            (telemetry::Ctr::ServeMalformed, now.malformed - then.malformed),
+            (telemetry::Ctr::ServeRefusals, now.refusals - then.refusals),
+            (telemetry::Ctr::ServeBatches, now.batches - then.batches),
+        ] {
+            if n > 0 {
+                telemetry::add(ctr, n);
+            }
+        }
+        telemetry::merge_hist(telemetry::Hist::ServeBatchFill, &std::mem::take(&mut self.fill));
+        telemetry::merge_hist(
+            telemetry::Hist::ServeSnapshotAgeNs,
+            &std::mem::take(&mut self.age_ns),
+        );
     }
 
     /// Serves one received batch: for each of the `n` filled `rx` slots,
@@ -297,11 +294,12 @@ impl ServePlane {
     /// responses. **One snapshot read per batch**; one `tsc_now()` reading
     /// per datagram.
     ///
-    /// Telemetry is batch-granular and deferred: while recording is on, a
-    /// batch adds its counters and its batch-fill / snapshot-age samples
-    /// to plane-local integers, and every 64th batch flushes them to the
-    /// global registry ([`ServePlane::flush_telemetry`] flushes on demand;
-    /// the daemon does when idle, and dropping the plane does).
+    /// Telemetry is batch-granular and deferred: a batch adds its counters
+    /// to [`ServePlane::stats`] and, while recording is on, its batch-fill /
+    /// snapshot-age samples to plane-local histograms; every 4096 recorded
+    /// requests flush them to the global registry
+    /// ([`ServePlane::flush_telemetry`] flushes on demand; the daemon does
+    /// when idle, and dropping the plane does).
     pub fn serve_batch(
         &mut self,
         rx: &BatchBufs,
@@ -320,8 +318,9 @@ impl ServePlane {
             None => ([0; 4], NtpTimestamp::ZERO), // unused: `decide` refuses
         };
         let (mut served, mut malformed, mut refused) = (0u64, 0u64, 0u64);
-        // Snapshot age at the batch's first valid request.
-        let mut first_age_ns = None;
+        // The counter reading of the batch's first valid request: the
+        // snapshot age is taken there, after the loop.
+        let mut first_tsc = None;
         for i in 0..n {
             let request = match NtpPacket::decode(rx.slot(i)) {
                 Ok(p) if p.mode == Mode::Client => p,
@@ -332,9 +331,7 @@ impl ServePlane {
                 }
             };
             let tsc = tsc_now();
-            first_age_ns.get_or_insert_with(|| {
-                stamper.map_or(0, |s| (s.snap.staleness(tsc).max(0.0) * 1e9) as u64)
-            });
+            first_tsc.get_or_insert(tsc);
             let response = match decide(stamper.as_ref(), tsc) {
                 Decision::Serve { tb, te, bound } => {
                     served += 1;
@@ -361,15 +358,16 @@ impl ServePlane {
         };
         self.stats += batch;
         if telemetry::recording() {
-            let unflushed = &mut self.unflushed;
-            unflushed.stats += batch;
-            unflushed.fill.record(n as u64);
-            if let Some(age_ns) = first_age_ns {
-                unflushed.age_ns.record(age_ns);
+            self.fill.record(n as u64);
+            if let Some(tsc) = first_tsc {
+                let age = stamper.map_or(0.0, |s| s.snap.staleness(tsc).max(0.0));
+                self.age_ns.record((age * 1e9) as u64);
             }
-            if unflushed.stats.batches >= TELEMETRY_FLUSH_BATCHES {
-                unflushed.flush();
+            if self.stats.requests - self.flushed.requests >= TELEMETRY_FLUSH_REQUESTS {
+                self.flush_telemetry();
             }
+        } else {
+            self.flushed += batch;
         }
         (served + refused) as usize
     }
@@ -768,21 +766,22 @@ mod tests {
         }
     }
 
-    /// A batch whose slot 0 is garbage and slot 1 valid records the age the
-    /// valid request saw, not 0. The registry is process-wide and other
-    /// tests serve concurrently, so the age is one no other test produces
-    /// (100 s: log2 bucket 37) and the assertion is on that bucket.
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn snapshot_age_is_sampled_at_the_first_valid_request() {
-        let age_ns = 100_000_000_000u64;
-        let in_bucket = || {
-            let ages = telemetry::global().hist(telemetry::Hist::ServeSnapshotAgeNs);
-            ages.counts()[(u64::BITS - age_ns.leading_zeros()) as usize]
-        };
-        let cell = Arc::new(SnapshotCell::new());
-        cell.publish(&synced_snap(0));
-        let mut plane = ServePlane::new(cell, ServeConfig::default());
+    /// Serializes the tests below, which flip the global recording switch
+    /// or count on it being on.
+    static RECORDING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// The global snapshot-age histogram's count in `age_ns`'s bucket. The
+    /// registry is process-wide and other tests serve concurrently, so the
+    /// tests below use ages no other test produces (≥ 100 s: log2 bucket
+    /// 37 and up) and assert on that bucket.
+    fn ages_in_bucket_of(age_ns: u64) -> u64 {
+        let ages = telemetry::global().hist(telemetry::Hist::ServeSnapshotAgeNs);
+        ages.counts()[(u64::BITS - age_ns.leading_zeros()) as usize]
+    }
+
+    /// Serves one batch of a garbage datagram then a valid request, with
+    /// the counter at `age_ns` past the seal (1 ns per count, sealed at 0).
+    fn serve_aged_batch(plane: &mut ServePlane, age_ns: u64) {
         let req = NtpPacket::client_request(NtpTimestamp::from_unix_seconds(500.0), 4);
         let mut t = SimTransport::new();
         t.push_request(&[0xFF; 48]);
@@ -790,11 +789,52 @@ mod tests {
         let mut rx = BatchBufs::new(2);
         let mut tx = BatchBufs::new(2);
         let n = t.recv_batch(&mut rx, 2).unwrap();
-        let before = in_bucket();
-        let mut tsc = move || age_ns; // 1 ns per count, sealed at 0
-        assert_eq!(plane.serve_batch(&rx, n, &mut tx, &mut tsc), 1);
+        assert_eq!(plane.serve_batch(&rx, n, &mut tx, &mut || age_ns), 1);
+    }
+
+    fn aged_plane() -> ServePlane {
+        let cell = Arc::new(SnapshotCell::new());
+        cell.publish(&synced_snap(0));
+        ServePlane::new(cell, ServeConfig::default())
+    }
+
+    /// A batch whose slot 0 is garbage and slot 1 valid records the age the
+    /// valid request saw, not 0.
+    #[test]
+    fn snapshot_age_is_sampled_at_the_first_valid_request() {
+        let _g = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
+        let age_ns = 100_000_000_000u64; // 100 s
+        let mut plane = aged_plane();
+        let before = ages_in_bucket_of(age_ns);
+        serve_aged_batch(&mut plane, age_ns);
         plane.flush_telemetry();
-        assert_eq!(in_bucket() - before, 1);
+        assert_eq!(ages_in_bucket_of(age_ns) - before, 1);
+    }
+
+    /// Batches served while recording is off count in the plane's own
+    /// stats but never reach the registry, not even through a flush after
+    /// recording is back on; the next recorded batch does. Other tests
+    /// serve a few dozen requests at most, so 2,000 unrecorded ones would
+    /// show in the request counter.
+    #[test]
+    fn batches_served_while_recording_is_off_never_reach_the_registry() {
+        let _g = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
+        let age_ns = 300_000_000_000u64; // 300 s
+        let requests = || telemetry::global().counter(telemetry::Ctr::ServeRequests);
+        let mut plane = aged_plane();
+        let (ages0, requests0) = (ages_in_bucket_of(age_ns), requests());
+        telemetry::set_recording(false);
+        for _ in 0..1_000 {
+            serve_aged_batch(&mut plane, age_ns);
+        }
+        telemetry::set_recording(true);
+        plane.flush_telemetry();
+        assert_eq!(plane.stats.requests, 2_000);
+        assert!(requests() - requests0 < 2_000, "unrecorded requests were flushed");
+        assert_eq!(ages_in_bucket_of(age_ns), ages0, "an unrecorded age was flushed");
+        serve_aged_batch(&mut plane, age_ns);
+        plane.flush_telemetry();
+        assert_eq!(ages_in_bucket_of(age_ns) - ages0, 1);
     }
 
     #[test]

@@ -12,7 +12,12 @@
 //! ```
 //!
 //! With an address argument the daemon keeps answering on that socket
-//! (Ctrl-C to stop) while the discipline loop republishes every 200 ms.
+//! (Ctrl-C to stop) while the client keeps polling upstream. Every daemon
+//! runs the same upstream step: each accepted sample's point error feeds
+//! the served bound, and the clock is sealed at that sample's `Tf`, so a
+//! snapshot ages from its last sample (the served bound widens, and past
+//! `tscclock::bound::STALE_HORIZON` the daemon refuses) and only a new
+//! sample makes it fresh again.
 //!
 //! The host's "TSC" is a nanosecond counter derived from `Instant` (the
 //! paper's driver-level counter read, minus the kernel), and the client's
@@ -26,6 +31,7 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tscclock_repro::clock::bound::BOUND_FLOOR;
 use tscclock_repro::clock::ClockConfig;
 use tscclock_repro::fleet::{ExchangeOutcome, LifecycleClient, LifecycleConfig, ReadVerdict};
 use tscclock_repro::ntp::{NtpPacket, NtpTimestamp};
@@ -47,14 +53,15 @@ fn unix_now() -> f64 {
 /// scheduled send, stamp `Ta` right before the send and `Tf` right after
 /// each receive (the driver-adjacent timestamping of §2.2.1), and feed
 /// every datagram from `server` to the wire step until one counts or
-/// `timeout` seconds pass, which is a timeout.
+/// `timeout` seconds pass, which is a timeout. Returns the outcome and
+/// the counter reading it happened at (`Tf` for an answer).
 fn exchange(
     client: &mut LifecycleClient,
     socket: &UdpSocket,
     server: SocketAddr,
     timeout: f64,
     tsc: impl Fn() -> u64,
-) -> io::Result<ExchangeOutcome> {
+) -> io::Result<(ExchangeOutcome, u64)> {
     let secs = |c: u64| c as f64 * NOMINAL_PERIOD;
     let wait = client.next_send() - secs(tsc());
     if wait > 0.0 {
@@ -71,7 +78,7 @@ fn exchange(
     loop {
         let left = deadline - secs(tsc());
         if left <= 0.0 {
-            return Ok(client.on_timeout(deadline));
+            return Ok((client.on_timeout(deadline), tsc()));
         }
         socket.set_read_timeout(Some(Duration::from_secs_f64(left)))?;
         match socket.recv_from(&mut buf) {
@@ -84,13 +91,32 @@ fn exchange(
                 let (now, bytes) = (secs(tf_tsc), &buf[..len]);
                 let out = client.on_datagram(now, &request, ta_tsc, bytes, tf_tsc, NOMINAL_PERIOD);
                 if let Some(out) = out {
-                    return Ok(out);
+                    return Ok((out, tf_tsc));
                 }
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
             Err(e) => return Err(e),
         }
     }
+}
+
+/// The upstream step: an accepted sample's point error feeds the served
+/// bound, and the clock is sealed at that sample's `Tf` — never at "now",
+/// which would make a snapshot with no new sample look fresh. Returns
+/// whether a new snapshot was sealed.
+fn publish_sample(
+    publisher: &mut Publisher,
+    client: &LifecycleClient,
+    (outcome, tf_tsc): &(ExchangeOutcome, u64),
+) -> bool {
+    let ExchangeOutcome::Accepted(out) = outcome else {
+        return false;
+    };
+    if let Some(out) = out {
+        publisher.observe(out);
+    }
+    publisher.publish_clock(client.clock(), *tf_tsc);
+    true
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -114,16 +140,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let read_tsc = move || t0.elapsed().as_nanos() as u64;
 
     // 3. Client + clock. The poll period entering the clock config matters
-    //    only for the window-to-packet-count conversions.
+    //    only for the window-to-packet-count conversions. Every accepted
+    //    sample is published into the cell the daemon will serve.
     let socket = UdpSocket::bind("127.0.0.1:0")?;
     let policy = LifecycleConfig::defaults(0.2);
     let mut clock_cfg = ClockConfig::paper_defaults(0.2);
     clock_cfg.warmup_packets = 8;
     let mut client = LifecycleClient::new(policy, clock_cfg, 1, 0.0);
+    let cell = Arc::new(SnapshotCell::new());
+    let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
 
     println!("polling every 200 ms (accelerated stand-in for the 16 s period)...\n");
     for i in 0..40 {
-        match exchange(&mut client, &socket, server.addr(), policy.timeout, read_tsc)? {
+        let step = exchange(&mut client, &socket, server.addr(), policy.timeout, read_tsc)?;
+        publish_sample(&mut publisher, &client, &step);
+        match step.0 {
             ExchangeOutcome::Accepted(Some(out)) if i % 5 == 0 => println!(
                 "poll {i:2}: rtt = {:7.1} µs   point error = {:7.1} µs   θ̂ = {:.6} s",
                 out.rtt * 1e6,
@@ -155,15 +186,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 5. Daemon mode: publish the disciplined clock into a lock-free
-    //    snapshot cell and serve it over the batched UDP front-end.
+    // 5. Daemon mode: serve the published snapshots over the batched UDP
+    //    front-end.
     let listen = std::env::args().nth(1);
     let forever = listen.is_some();
     let listen = listen.unwrap_or_else(|| "127.0.0.1:0".into());
-
-    let cell = Arc::new(SnapshotCell::new());
-    let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
-    publisher.publish_clock(client.clock(), read_tsc());
     let daemon = spawn_udp(
         listen.as_str(),
         Arc::clone(&cell),
@@ -173,19 +200,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nserve daemon listening on {} (lock-free snapshot, batched UDP)", daemon.addr());
 
     if forever {
-        println!("republishing every 200 ms; Ctrl-C to stop");
+        println!("polling upstream and publishing each new sample; Ctrl-C to stop");
         loop {
-            std::thread::sleep(Duration::from_millis(200));
-            publisher.publish_clock(client.clock(), read_tsc());
+            let step = exchange(&mut client, &socket, server.addr(), policy.timeout, read_tsc)?;
+            publish_sample(&mut publisher, &client, &step);
         }
     }
 
     // Demo: a second client polls our own daemon a few times while the
-    // discipline loop republishes between polls.
+    // discipline loop polls upstream between its polls.
     let mut probe = LifecycleClient::new(policy, clock_cfg, 2, now);
     for _ in 0..3 {
-        publisher.publish_clock(client.clock(), read_tsc());
-        match exchange(&mut probe, &socket, daemon.addr(), policy.timeout, read_tsc)? {
+        let step = exchange(&mut client, &socket, server.addr(), policy.timeout, read_tsc)?;
+        publish_sample(&mut publisher, &client, &step);
+        match exchange(&mut probe, &socket, daemon.addr(), policy.timeout, read_tsc)?.0 {
             ExchangeOutcome::Accepted(Some(out)) => {
                 println!("daemon answered: rtt = {:.1} µs", out.rtt * 1e6)
             }
@@ -198,6 +226,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "daemon stats: {} responses, {} refusals, {} batches",
         stats.responses, stats.refusals, stats.batches
     );
+    if let Some(snap) = cell.read() {
+        println!(
+            "served bound: {:.1} µs (4 × the point-error EMA; floor {:.0} µs)",
+            snap.bound * 1e6,
+            BOUND_FLOOR * 1e6
+        );
+    }
     daemon.shutdown();
     server.shutdown();
     Ok(())

@@ -19,9 +19,8 @@
 //! Act two scales the same story to a fleet: a crash-injected
 //! checkpointed replay whose recovery accounting — crashes, warm
 //! restores, cold restarts, replayed packets, snapshot seal/restore
-//! latency histograms — is read back from the telemetry registry
-//! (`cargo run --release --features telemetry --example warm_restart`)
-//! rather than ad-hoc prints.
+//! latency histograms — is read back from the telemetry registry rather
+//! than ad-hoc prints. A panic dumps the flight recorder to stderr.
 
 use tscclock_repro::clock::{ClockConfig, RawExchange, TscNtpClock};
 use tscclock_repro::fleet::{replay, replay_interrupted, CrashPlan, FleetConfig, WorkerPool};
@@ -29,6 +28,7 @@ use tscclock_repro::netsim::Scenario;
 use tscclock_repro::telemetry;
 
 fn main() {
+    telemetry::install_panic_dump();
     let scenario = Scenario::baseline(2004).with_duration(86_400.0);
     let crash_t = 43_200.0; // noon
     let mut reference = TscNtpClock::new(ClockConfig::paper_defaults(scenario.poll_period));
@@ -149,17 +149,9 @@ fn main() {
         // the post-mortem trail of every restart that fell back to cold
         eprintln!("{}", telemetry::flight_dump());
     }
-    if telemetry::TELEMETRY_COMPILED {
-        // The same accounting, read back from the registry: the recovery
-        // counters plus the snapshot seal/restore latency histograms the
-        // checkpoint path fed while act one and the fleet ran.
-        println!("\n--- telemetry exposition ---");
-        print!("{}", telemetry::prometheus());
-    } else {
-        println!(
-            "\n(build with `--features telemetry` to read this accounting back \
-             from the metrics registry: recovery counters plus snapshot \
-             seal/restore latency histograms)"
-        );
-    }
+    // The same accounting, read back from the registry: the recovery
+    // counters plus the snapshot seal/restore latency histograms the
+    // checkpoint path fed while act one and the fleet ran.
+    println!("\n--- telemetry exposition ---");
+    print!("{}", telemetry::prometheus());
 }

@@ -399,22 +399,16 @@ fn counted_cold_start(blob: Vec<u8>) {
         serve: Some(ClockCheckpoint { delivered: 100, digest: 0, blob }),
         ..Default::default()
     };
-    #[cfg(feature = "telemetry")]
-    let cold_before = {
-        tsc_telemetry::clear_flight_recorder();
-        tsc_telemetry::global().counter(tsc_telemetry::Ctr::ColdRestarts)
-    };
+    tsc_telemetry::clear_flight_recorder();
+    let cold_before = tsc_telemetry::global().counter(tsc_telemetry::Ctr::ColdRestarts);
     let (got, stats) = replay_item(&w, 0, 0, &[150], &mut store);
     assert_eq!((stats.crashes, stats.cold_restarts, stats.warm_restores), (1, 1, 0));
     assert_eq!(got, replay(None, &w)[0], "the cold start diverged");
-    #[cfg(feature = "telemetry")]
-    {
-        let cold = tsc_telemetry::global().counter(tsc_telemetry::Ctr::ColdRestarts);
-        assert!(cold > cold_before, "cold restart not counted");
-        let dump = tsc_telemetry::flight_dump();
-        for want in ["restore-failed", "SnapshotError::VersionMismatch", "cold-restart"] {
-            assert!(dump.contains(want), "flight dump lacks {want}:\n{dump}");
-        }
+    let cold = tsc_telemetry::global().counter(tsc_telemetry::Ctr::ColdRestarts);
+    assert!(cold > cold_before, "cold restart not counted");
+    let dump = tsc_telemetry::flight_dump();
+    for want in ["restore-failed", "SnapshotError::VersionMismatch", "cold-restart"] {
+        assert!(dump.contains(want), "flight dump lacks {want}:\n{dump}");
     }
 }
 
